@@ -15,8 +15,8 @@
 //! carries the whole-set totals the acceptance criterion is measured
 //! on: adaptive pattern simulations ≤ 40% of dense.
 //!
-//! All counters are deterministic at any `OPDOMAIN_THREADS` /
-//! `SIM_THREADS` width, so `bench_diff` gates them strictly; wall
+//! All counters are deterministic at any `THREADS` width, so
+//! `bench_diff` gates them strictly; wall
 //! clock gets the usual generous one-sided tolerance. Each sweep runs
 //! with its own fresh `SimCache`, so the committed counts do not
 //! depend on run order or on an inherited cache.

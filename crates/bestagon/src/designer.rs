@@ -3,16 +3,15 @@
 //!
 //! Given a partial gate design (ports, wire stubs, and a truth table),
 //! the designer searches for *canvas* dots that make the design
-//! operational. The search runs **parallel restarts** over a
-//! `thread::scope` worker pool ([`DesignerOptions::threads`] /
-//! `DESIGNER_THREADS`), each restart seeded deterministically from the
-//! option seed and its restart index, so the returned design is
-//! byte-identical at any pool width. Within a restart, odd indices run a
-//! **simulated-annealing** schedule and even indices the classic hill
-//! climber ([`SearchStrategy::Mixed`]), both over structured mutation
-//! moves: single-dot placement, BDL-pair-aware placement (two dots at
-//! the library's pair geometry), paired moves, and symmetry mirroring
-//! across the canvas midline.
+//! operational. The search runs **parallel restarts** on the ordered
+//! executor ([`fcn_budget::exec`], sized by `THREADS`), each restart
+//! seeded deterministically from the option seed and its restart index,
+//! so the returned design is byte-identical at any width. Within a
+//! restart, odd indices run a **simulated-annealing** schedule and even
+//! indices the classic hill climber ([`SearchStrategy::Mixed`]), both
+//! over structured mutation moves: single-dot placement, BDL-pair-aware
+//! placement (two dots at the library's pair geometry), paired moves,
+//! and symmetry mirroring across the canvas midline.
 //!
 //! Every candidate is scored by exact ground-state simulation
 //! ([`sidb_sim::engine::simulate_with`], QuickExact) across all input
@@ -26,9 +25,10 @@
 //! the library, mirroring the paper's workflow ("the layouts are
 //! manually reviewed and edited as needed").
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
+use fcn_budget::exec::{run_ordered, CancelFlag, Signal};
 use fcn_budget::StepBudget;
 use fcn_coords::LatticeCoord;
 use rand::rngs::StdRng;
@@ -70,13 +70,10 @@ pub struct DesignerOptions {
     pub max_dots: usize,
     /// Search iterations per restart.
     pub iterations: usize,
-    /// Number of restarts (distributed over the worker pool).
+    /// Number of restarts (run in parallel on the ordered executor).
     pub restarts: usize,
     /// RNG seed; each restart derives its own stream from it.
     pub seed: u64,
-    /// Worker-pool width; `None` defers to [`default_designer_threads`]
-    /// (`DESIGNER_THREADS`, else available parallelism).
-    pub threads: Option<usize>,
     /// Search budget: `max_steps` caps *candidate evaluations* across
     /// all restarts, `deadline` bounds wall clock (also threaded into
     /// each simulation, so even one oversized sweep cannot hang the
@@ -95,7 +92,6 @@ impl Default for DesignerOptions {
             iterations: 300,
             restarts: 6,
             seed: 0xbe57a607,
-            threads: None,
             budget: StepBudget::unbounded(),
             strategy: SearchStrategy::Mixed,
         }
@@ -143,13 +139,6 @@ impl DesignerOptions {
         self
     }
 
-    /// Pins the worker-pool width (`1` = serial).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
     /// Bounds the search by a candidate/wall-clock budget.
     #[must_use]
     pub fn with_budget(mut self, budget: StepBudget) -> Self {
@@ -163,18 +152,6 @@ impl DesignerOptions {
         self.strategy = strategy;
         self
     }
-}
-
-/// The default designer pool width: the `DESIGNER_THREADS` environment
-/// variable if set (minimum 1), else the machine's available
-/// parallelism. Mirrors `SIM_THREADS` / `PNR_THREADS`.
-pub fn default_designer_threads() -> usize {
-    if let Ok(v) = std::env::var("DESIGNER_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The canvas region derived from a design's body bounding box: the
@@ -372,18 +349,7 @@ struct Restart {
     untrusted: u64,
     sim: SimStats,
     halted: Option<DesignTrigger>,
-    /// Cancelled mid-flight because a lower-indexed restart found a
-    /// perfect design; the partial result is discarded.
-    aborted: bool,
     perfect: bool,
-}
-
-/// Slot states of the restart pool.
-enum Slot {
-    Done(Restart),
-    /// Never ran: a lower-indexed restart had already found a perfect
-    /// design (or the dispatch loop was halted).
-    Skipped,
 }
 
 /// Shared state of one `design_canvas` run.
@@ -395,10 +361,6 @@ struct SearchCtx<'a> {
     options: &'a DesignerOptions,
     /// Global candidate-evaluation counter (the budget's step unit).
     evals: &'a AtomicU64,
-    /// Lowest restart index that found a perfect design, for
-    /// deterministic early termination: restarts above it stop, restarts
-    /// below it keep running (they would have won the sequential race).
-    floor: &'a AtomicUsize,
 }
 
 impl SearchCtx<'_> {
@@ -508,8 +470,11 @@ fn mutate(
 }
 
 /// Runs restart `idx`: a self-contained local search whose RNG stream
-/// depends only on the option seed and `idx`.
-fn run_restart(ctx: &SearchCtx<'_>, idx: usize) -> Restart {
+/// depends only on the option seed and `idx`. A raised `cancel` (a
+/// lower-indexed restart found a perfect design, so this one cannot win
+/// the deterministic merge any more) ends it early; the executor
+/// discards the partial result.
+fn run_restart(ctx: &SearchCtx<'_>, idx: usize, cancel: &CancelFlag) -> Restart {
     let mut rng = StdRng::seed_from_u64(restart_seed(ctx.options.seed, idx as u64));
     let anneal = match ctx.options.strategy {
         SearchStrategy::HillClimb => false,
@@ -523,7 +488,6 @@ fn run_restart(ctx: &SearchCtx<'_>, idx: usize) -> Restart {
         untrusted: 0,
         sim: SimStats::default(),
         halted: None,
-        aborted: false,
         perfect: false,
     };
 
@@ -544,15 +508,11 @@ fn run_restart(ctx: &SearchCtx<'_>, idx: usize) -> Restart {
     out.score = current_score;
     if current_score.is_perfect(ctx.target) {
         out.perfect = true;
-        ctx.floor.fetch_min(idx, Ordering::AcqRel);
         return out;
     }
 
     for iter in 0..ctx.options.iterations {
-        // A lower-indexed restart found a perfect design: this restart
-        // cannot win the deterministic merge any more.
-        if ctx.floor.load(Ordering::Acquire) < idx {
-            out.aborted = true;
+        if cancel.load(Ordering::Relaxed) {
             return out;
         }
         if let Some(trigger) = ctx.halted_by() {
@@ -572,7 +532,6 @@ fn run_restart(ctx: &SearchCtx<'_>, idx: usize) -> Restart {
             out.canvas = next;
             out.score = s;
             out.perfect = true;
-            ctx.floor.fetch_min(idx, Ordering::AcqRel);
             return out;
         }
         if s.better_than(&out.score) {
@@ -605,9 +564,9 @@ fn run_restart(ctx: &SearchCtx<'_>, idx: usize) -> Restart {
 /// Runs the canvas search and returns the best design found, perfect or
 /// not, with its score and work counters.
 ///
-/// Restarts are distributed over a scoped worker pool and merged in
+/// Restarts run on the ordered executor and are merged in
 /// restart-index order; for a fixed seed and unbounded budget the
-/// result is **byte-identical at any thread count**. A bounded run
+/// result is **byte-identical at any width**. A bounded run
 /// (deadline or candidate cap) stops early and reports a
 /// [`DesignDegradation`] instead of erroring or hanging. The
 /// `designer.restart` fault point can inject worker panics (the
@@ -640,9 +599,7 @@ pub fn design_canvas(
     // the deadline into every simulation (so one oversized sweep cannot
     // hang the search) — which disables caching for them, as truncated
     // spectra depend on the wall clock.
-    let mut sim_params = SimParams::new(*params)
-        .with_engine(SimEngine::QuickExact)
-        .with_threads(1);
+    let mut sim_params = SimParams::new(*params).with_engine(SimEngine::QuickExact);
     if options.budget.deadline.is_bounded() {
         sim_params =
             sim_params.with_budget(StepBudget::unbounded().with_deadline(options.budget.deadline));
@@ -652,7 +609,6 @@ pub fn design_canvas(
 
     let target = max_score(base);
     let evals = AtomicU64::new(0);
-    let floor = AtomicUsize::new(usize::MAX);
     let ctx = SearchCtx {
         base,
         target,
@@ -660,7 +616,6 @@ pub fn design_canvas(
         region: options.region.unwrap_or_else(|| derived_region(base)),
         options,
         evals: &evals,
-        floor: &floor,
     };
 
     let mut stats = DesignerStats::default();
@@ -691,110 +646,56 @@ pub fn design_canvas(
         };
     }
 
-    // Restart pool: ordered dispatch over a shared cursor, slots merged
-    // in index order after the join.
+    // Restarts run on the ordered executor. The commit policy: a
+    // perfect restart cuts dispatch and cancels the restarts above it,
+    // an injected exhaustion at `designer.restart` degrades the search,
+    // and restarts lost to a worker fault are recomputed on the
+    // coordinator from their seeds.
     let restarts = options.restarts;
-    let threads = options
-        .threads
-        .unwrap_or_else(default_designer_threads)
-        .min(restarts)
-        .max(1);
-    let cursor = Mutex::new(0usize);
-    let slots: Mutex<Vec<Option<Slot>>> = Mutex::new((0..restarts).map(|_| None).collect());
-    let dispatch_fault = Mutex::new(false);
-    let fault_plan = fcn_budget::fault::current();
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let spawned = std::thread::Builder::new()
-                .name(format!("designer-worker-{worker}"))
-                .spawn_scoped(scope, || {
-                    let _fault_scope = fault_plan.clone().map(fcn_budget::fault::install);
-                    loop {
-                        let idx = {
-                            let mut next = cursor.lock().expect("cursor lock");
-                            if *next >= restarts {
-                                break;
-                            }
-                            let idx = *next;
-                            *next += 1;
-                            idx
-                        };
-                        if idx > floor.load(Ordering::Acquire) {
-                            slots.lock().expect("slot lock")[idx] = Some(Slot::Skipped);
-                            continue;
-                        }
-                        match std::panic::catch_unwind(|| {
-                            fcn_budget::fault::check("designer.restart")
-                        }) {
-                            // Injected panic: leave the slot empty; the
-                            // coordinator recomputes it after the join.
-                            Err(_) => continue,
-                            // Injected exhaustion: halt dispatch and
-                            // degrade, exactly like a spent budget.
-                            Ok(Some(fcn_budget::fault::Fault::Exhaust)) => {
-                                *cursor.lock().expect("cursor lock") = restarts;
-                                *dispatch_fault.lock().expect("fault flag") = true;
-                                slots.lock().expect("slot lock")[idx] = Some(Slot::Skipped);
-                                continue;
-                            }
-                            Ok(_) => {}
-                        }
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                run_restart(&ctx, idx)
-                            }));
-                        if let Ok(outcome) = outcome {
-                            slots.lock().expect("slot lock")[idx] = Some(Slot::Done(outcome));
-                        }
-                    }
-                });
-            spawned.expect("spawn designer worker");
-        }
-    });
+    let run = run_ordered(
+        "designer",
+        Some("designer.restart"),
+        restarts,
+        || (),
+        |_, idx, cancel| run_restart(&ctx, idx, cancel),
+        |_, outcome| {
+            if outcome.perfect {
+                Signal::Cut
+            } else {
+                Signal::Continue
+            }
+        },
+    );
+    let faulted = run.faulted;
+    let never = CancelFlag::default();
 
-    // Merge in index order: recompute faulted slots serially, pick the
-    // lowest-indexed perfect restart, else the best completed score
-    // (ties to the lower index).
-    let slots = slots.into_inner().expect("slot lock");
-    let dispatch_fault = dispatch_fault.into_inner().expect("fault flag");
+    // Merge in index order: pick the lowest-indexed perfect restart,
+    // else the best completed score (ties to the lower index).
     let mut best: Option<(usize, Restart)> = None;
-    let mut halted: Option<DesignTrigger> = if dispatch_fault {
-        Some(DesignTrigger::Fault)
-    } else {
-        None
-    };
-    let final_floor = floor.load(Ordering::Acquire);
+    let mut halted = faulted.then_some(DesignTrigger::Fault);
     // Running best (correct outputs) per merged restart, in index order
     // — the search's convergence trajectory.
     let mut trajectory: Vec<u64> = Vec::new();
     let mut running_best = u64::from(base_score.correct);
-    for (idx, slot) in slots.into_iter().enumerate() {
+    for (idx, slot) in run.commit().enumerate() {
         let outcome = match slot {
-            Some(Slot::Done(outcome)) => outcome,
-            Some(Slot::Skipped) => {
+            Some(outcome) => outcome,
+            // Dispatch halted by an exhaustion fault: the remaining
+            // restarts were never meant to run — they degrade.
+            None if faulted => {
                 stats.restarts_skipped += 1;
                 continue;
             }
             // A worker fault (injected or genuine) lost this restart:
-            // recompute it on the coordinator, deterministically. When
-            // an exhaustion fault halted dispatch the empty slots were
-            // never meant to run — they degrade, not recover.
+            // recompute it on the coordinator, deterministically.
             None => {
-                if dispatch_fault || idx > final_floor {
-                    stats.restarts_skipped += 1;
-                    continue;
-                }
                 stats.recovered += 1;
-                run_restart(&ctx, idx)
+                run_restart(&ctx, idx, &never)
             }
         };
         stats.candidates += outcome.candidates;
         stats.untrusted += outcome.untrusted;
         stats.sim.merge(&outcome.sim);
-        if outcome.aborted {
-            stats.restarts_skipped += 1;
-            continue;
-        }
         if outcome.halted.is_some() {
             // The restart was cut short by the shared budget: its
             // best-so-far still competes below, but it did not complete.
@@ -920,6 +821,7 @@ pub fn design_library(
 mod tests {
     use super::*;
     use crate::geometry::{column, standard_input_port, standard_output_port, WEST_PORT_X};
+    use fcn_budget::exec::with_width;
     use sidb_sim::layout::SidbLayout;
 
     #[test]
@@ -988,8 +890,8 @@ mod tests {
             .with_iterations(40)
             .with_restarts(4)
             .with_seed(7);
-        let one = design_canvas(&base, &options.with_threads(1), &params);
-        let four = design_canvas(&base, &options.with_threads(4), &params);
+        let one = with_width(1, || design_canvas(&base, &options, &params));
+        let four = with_width(4, || design_canvas(&base, &options, &params));
         assert_eq!(one.canvas, four.canvas);
         assert_eq!(one.score, four.score);
         assert_eq!(one.design.body, four.design.body);
@@ -1012,9 +914,10 @@ mod tests {
         let options = DesignerOptions::new()
             .with_iterations(50)
             .with_restarts(2)
-            .with_threads(1)
             .with_budget(StepBudget::unbounded().with_max_steps(5));
-        let result = design_canvas(&base, &options, &PhysicalParams::default());
+        let result = with_width(1, || {
+            design_canvas(&base, &options, &PhysicalParams::default())
+        });
         assert!(result.stats.candidates <= 7);
         let degradation = result.degradation.expect("degraded");
         assert_eq!(degradation.trigger, DesignTrigger::Budget);

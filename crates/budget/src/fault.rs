@@ -11,10 +11,11 @@
 //!
 //! A plan is installed per thread with [`install`] (tests) or from the
 //! `FAULT_INJECT` environment variable (CI, see [`FaultPlan::from_env`]).
-//! The portfolio scheduler re-installs the caller's plan inside its
-//! worker threads, exactly like the ambient telemetry collector, so an
-//! injected solver fault fires at any thread count. When no plan is
-//! armed anywhere, the per-point check is a single relaxed atomic load.
+//! The ordered executor ([`crate::exec`]) re-installs the caller's plan
+//! inside its worker threads, exactly like the ambient telemetry
+//! collector, so an injected solver fault fires at any thread count.
+//! When no plan is armed anywhere, the per-point check is a single
+//! relaxed atomic load.
 //!
 //! Injection is deterministic: a rule fires on specific hit numbers of
 //! its point (`@nth`), or — for randomized soak tests — on a
@@ -262,8 +263,8 @@ pub fn install(plan: Arc<FaultPlan>) -> FaultScope {
     FaultScope(())
 }
 
-/// The innermost plan installed on this thread, if any. Worker pools
-/// capture this before spawning and [`install`] it inside each worker,
+/// The innermost plan installed on this thread, if any. The executor
+/// captures this before spawning and [`install`] it inside each worker,
 /// mirroring how the ambient telemetry collector propagates.
 pub fn current() -> Option<Arc<FaultPlan>> {
     PLANS.with(|s| s.borrow().last().cloned())
@@ -376,20 +377,18 @@ mod tests {
     #[test]
     fn shared_counters_across_threads() {
         let plan = Arc::new(FaultPlan::new().with_rule("p", Fault::Panic, Some(4)));
-        let fired: usize = std::thread::scope(|s| {
-            (0..4)
-                .map(|_| {
-                    let plan = plan.clone();
-                    s.spawn(move || {
-                        let _scope = install(plan);
-                        usize::from(at("p").is_some())
-                    })
+        let fired: usize = (0..4)
+            .map(|_| {
+                let plan = plan.clone();
+                std::thread::spawn(move || {
+                    let _scope = install(plan);
+                    usize::from(at("p").is_some())
                 })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("no panic"))
-                .sum()
-        });
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().expect("no panic"))
+            .sum();
         assert_eq!(fired, 1, "the 4th global hit fires exactly once");
         assert_eq!(plan.hits("p"), 4);
     }

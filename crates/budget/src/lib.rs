@@ -15,6 +15,8 @@
 //!   panics, budget exhaustion, interrupts, and malformed intermediate
 //!   data at named points, so every degradation edge is exercised by
 //!   tests rather than hoped-for.
+//! * [`exec`] — the one ordered executor every parallel stage runs on,
+//!   and the single `THREADS` width it is sized by.
 //!
 //! This crate sits below `msat`; its only dependency is the (itself
 //! dependency-free) `fcn-telemetry` crate, so deadline bookkeeping can
@@ -23,6 +25,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod exec;
 pub mod fault;
 
 use std::time::{Duration, Instant};

@@ -116,7 +116,6 @@ pub struct Degradation {
 ///
 /// let options = FlowOptions::new()
 ///     .with_pnr(PnrMethod::Exact { max_area: 60 })
-///     .with_threads(4)
 ///     .without_verify();
 /// assert!(!options.verify);
 /// ```
@@ -129,10 +128,6 @@ pub struct FlowOptions {
     pub map: MapOptions,
     /// Physical-design engine (step 4).
     pub pnr: PnrMethod,
-    /// Worker threads for the exact engine's aspect-ratio portfolio
-    /// (step 4). `None` uses [`fcn_pnr::default_num_threads`]; the
-    /// layout is identical at any thread count.
-    pub pnr_threads: Option<usize>,
     /// Incremental SAT probing for the exact engine (step 4): each
     /// worker keeps one solver alive across aspect-ratio probes. `None`
     /// uses [`fcn_pnr::default_incremental`] (the `PNR_INCREMENTAL`
@@ -184,7 +179,6 @@ impl Default for FlowOptions {
             rewrite: Some(RewriteOptions::default()),
             map: MapOptions::default(),
             pnr: PnrMethod::default(),
-            pnr_threads: None,
             pnr_incremental: None,
             verify: true,
             apply_library: true,
@@ -229,13 +223,6 @@ impl FlowOptions {
     #[must_use]
     pub fn with_pnr(mut self, pnr: PnrMethod) -> Self {
         self.pnr = pnr;
-        self
-    }
-
-    /// Pins the exact engine's portfolio to `threads` workers.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pnr_threads = Some(threads);
         self
     }
 
@@ -663,62 +650,6 @@ impl Fnv64 {
     }
 }
 
-/// Runs the flow from Verilog source.
-///
-/// # Errors
-///
-/// Any step's failure is reported as a [`FlowError`].
-#[deprecated(
-    since = "0.2.0",
-    note = "construct a `FlowRequest` and call `execute()`"
-)]
-pub fn run_flow_from_verilog(source: &str, options: &FlowOptions) -> Result<FlowResult, FlowError> {
-    FlowRequest::verilog(source)
-        .with_options(options.clone())
-        .execute()
-}
-
-/// Runs the flow from BLIF source.
-///
-/// # Errors
-///
-/// Any step's failure is reported as a [`FlowError`].
-#[deprecated(
-    since = "0.2.0",
-    note = "construct a `FlowRequest` and call `execute()`"
-)]
-pub fn run_flow_from_blif(source: &str, options: &FlowOptions) -> Result<FlowResult, FlowError> {
-    FlowRequest::blif(source)
-        .with_options(options.clone())
-        .execute()
-}
-
-/// Runs the flow from an already parsed XAG.
-///
-/// # Errors
-///
-/// Any step's failure is reported as a [`FlowError`].
-#[deprecated(
-    since = "0.2.0",
-    note = "construct a `FlowRequest` and call `execute()`"
-)]
-pub fn run_flow(name: &str, xag: &Xag, options: &FlowOptions) -> Result<FlowResult, FlowError> {
-    FlowRequest::netlist(name, xag.clone())
-        .with_options(options.clone())
-        .execute()
-}
-
-/// Renders a caught panic payload for [`FlowError::Internal`].
-fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Runs one flow stage inside its telemetry span with panic isolation: a
 /// panic — organic, or injected at the stage's fault point (the span
 /// name doubles as the injection point) — is caught at the boundary and
@@ -739,7 +670,7 @@ fn stage<T>(
     })) {
         Ok(outcome) => outcome,
         Err(payload) => {
-            let payload = payload_string(payload);
+            let payload = fcn_budget::exec::payload_string(payload.as_ref());
             fcn_telemetry::note("panic", payload.clone());
             Err(FlowError::Internal {
                 stage: name,
@@ -935,9 +866,6 @@ fn run_flow_steps(name: &str, xag: &Xag, options: &FlowOptions) -> Result<FlowRe
         let exact_options = |max_area: u64, blacklist: &[(i32, i32)]| {
             let mut eo = ExactOptions {
                 max_area,
-                num_threads: options
-                    .pnr_threads
-                    .unwrap_or_else(fcn_pnr::default_num_threads),
                 incremental: options
                     .pnr_incremental
                     .unwrap_or_else(fcn_pnr::default_incremental),
@@ -1420,25 +1348,13 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_wrappers_still_run() {
-        #[allow(deprecated)]
-        let r = run_flow_from_verilog(
-            "module buf1 (a, f); input a; output f; assign f = a; endmodule",
-            &FlowOptions::new().without_library().without_verify(),
-        )
-        .expect("flow");
-        assert_eq!(r.name, "buf1");
-    }
-
-    #[test]
     fn fingerprint_tracks_content_not_performance_knobs() {
         let b = benchmark("xor2");
         let base = FlowRequest::netlist("xor2", b.xag.clone());
-        // Performance knobs (threads, incremental, caches, pools,
-        // deadline) leave the fingerprint unchanged …
+        // Performance knobs (incremental, caches, pools, deadline)
+        // leave the fingerprint unchanged …
         let tuned = FlowRequest::netlist("xor2", b.xag.clone()).with_options(
             FlowOptions::new()
-                .with_threads(4)
                 .with_incremental(false)
                 .with_sim_cache(sidb_sim::SimCache::new())
                 .with_session_pool(fcn_pnr::SessionPool::new())

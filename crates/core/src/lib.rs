@@ -23,8 +23,6 @@ pub mod flow;
 pub mod pipeline;
 
 pub use benchmarks::{benchmark, benchmark_names, Benchmark};
-#[allow(deprecated)]
-pub use flow::run_flow;
 pub use flow::{
     Deadline, Degradation, DegradeTrigger, FlowBudget, FlowError, FlowInput, FlowOptions,
     FlowRequest, FlowResult, PnrMethod,

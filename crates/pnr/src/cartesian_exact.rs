@@ -32,11 +32,6 @@ use fcn_logic::GateKind;
 use msat::{BoundedResult, Lit, Model, SolveParams};
 use std::collections::{HashMap, HashSet};
 
-/// Historical name of [`PnrOutcome`] specialized to the Cartesian
-/// engine.
-#[deprecated(note = "use `PnrOutcome<CartGateLayout>`")]
-pub type CartPnrResult = PnrOutcome<CartGateLayout>;
-
 /// Runs exact placement & routing on a Cartesian 2DDWave floor plan.
 ///
 /// PIs enter along the top/left borders and POs leave along the
@@ -113,7 +108,6 @@ pub fn cartesian_exact_pnr(
 
     let outcome = run_portfolio(
         &candidates,
-        options.num_threads,
         || options.incremental.then(IncrementalCnf::<CartKey>::new),
         |inc, _, ratio, cancel| {
             let budget = match limits.pre_probe(options.max_conflicts_per_ratio) {
@@ -754,38 +748,38 @@ mod tests {
 
     #[test]
     fn incremental_and_scratch_agree_on_cartesian_layouts() {
-        let mut xag = Xag::new();
-        let a = xag.primary_input("a");
-        let b = xag.primary_input("b");
-        let s = xag.xor(a, b);
-        let c = xag.and(a, b);
-        xag.primary_output("s", s);
-        xag.primary_output("c", c);
-        let net = map_xag(&xag, MapOptions::default()).expect("mappable");
-        let graph = NetGraph::new(net).expect("legalized");
-        let base = ExactOptions {
-            num_threads: 1,
-            ..Default::default()
-        };
-        let warm = cartesian_exact_pnr(
-            &graph,
-            &ExactOptions {
-                incremental: true,
-                ..base.clone()
-            },
-        )
-        .expect("feasible");
-        let cold = cartesian_exact_pnr(
-            &graph,
-            &ExactOptions {
-                incremental: false,
-                ..base
-            },
-        )
-        .expect("feasible");
-        assert_eq!(warm.ratio, cold.ratio);
-        assert_eq!(warm.ratios_tried, cold.ratios_tried);
-        assert_eq!(warm.layout.render_ascii(), cold.layout.render_ascii());
-        assert_eq!(cold.reuse, crate::incremental::ReuseStats::default());
+        // Sequential scans: the probe lists are compared verbatim.
+        fcn_budget::exec::with_width(1, || {
+            let mut xag = Xag::new();
+            let a = xag.primary_input("a");
+            let b = xag.primary_input("b");
+            let s = xag.xor(a, b);
+            let c = xag.and(a, b);
+            xag.primary_output("s", s);
+            xag.primary_output("c", c);
+            let net = map_xag(&xag, MapOptions::default()).expect("mappable");
+            let graph = NetGraph::new(net).expect("legalized");
+            let base = ExactOptions::default();
+            let warm = cartesian_exact_pnr(
+                &graph,
+                &ExactOptions {
+                    incremental: true,
+                    ..base.clone()
+                },
+            )
+            .expect("feasible");
+            let cold = cartesian_exact_pnr(
+                &graph,
+                &ExactOptions {
+                    incremental: false,
+                    ..base
+                },
+            )
+            .expect("feasible");
+            assert_eq!(warm.ratio, cold.ratio);
+            assert_eq!(warm.ratios_tried, cold.ratios_tried);
+            assert_eq!(warm.layout.render_ascii(), cold.layout.render_ascii());
+            assert_eq!(cold.reuse, crate::incremental::ReuseStats::default());
+        });
     }
 }

@@ -45,11 +45,6 @@ pub struct ExactOptions {
     /// guaranteed minimality for bounded runtime on large netlists
     /// (`u64::MAX` restores full exactness).
     pub max_conflicts_per_ratio: u64,
-    /// Number of worker threads racing aspect-ratio probes (see
-    /// [`crate::portfolio`]). `1` probes sequentially on the calling
-    /// thread; the result is identical either way. Defaults to
-    /// [`default_num_threads`].
-    pub num_threads: usize,
     /// Reuse one incremental SAT session per worker across aspect-ratio
     /// probes (see [`crate::incremental`]): learned clauses, branching
     /// activities and saved phases transfer between probes, and the
@@ -109,7 +104,6 @@ impl Default for ExactOptions {
         ExactOptions {
             max_area: 120,
             max_conflicts_per_ratio: 10_000,
-            num_threads: default_num_threads(),
             incremental: default_incremental(),
             deadline: Deadline::unbounded(),
             max_conflicts_total: None,
@@ -117,20 +111,6 @@ impl Default for ExactOptions {
             session_pool: None,
         }
     }
-}
-
-/// The default worker-thread count for the exact engines: the
-/// `PNR_THREADS` environment variable when set to a positive integer,
-/// otherwise [`std::thread::available_parallelism`] (1 when unknown).
-pub fn default_num_threads() -> usize {
-    if let Ok(value) = std::env::var("PNR_THREADS") {
-        if let Ok(n) = value.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The default for [`ExactOptions::incremental`]: `false` when the
@@ -225,11 +205,6 @@ impl<L> PnrOutcome<L> {
             .all(|p| p.verdict != ProbeVerdict::BudgetExceeded)
     }
 }
-
-/// Historical name of [`PnrOutcome`] specialized to the hexagonal
-/// engine.
-#[deprecated(note = "use `PnrOutcome<HexGateLayout>`")]
-pub type PnrResult = PnrOutcome<HexGateLayout>;
 
 /// An error of a placement & routing engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -424,7 +399,6 @@ pub fn exact_pnr(
         .map(|p| (p.clone(), session_key(graph, options)));
     let outcome = run_portfolio(
         &candidates,
-        options.num_threads,
         || {
             options.incremental.then(|| match &pool {
                 Some((pool, key)) => PooledSession::checkout(pool, *key),
@@ -1175,55 +1149,55 @@ mod tests {
 
     #[test]
     fn incremental_and_scratch_agree_on_hex_layouts() {
-        let mut xag = Xag::new();
-        let a = xag.primary_input("a");
-        let b = xag.primary_input("b");
-        let s = xag.primary_input("s");
-        let m = xag.mux(s, a, b);
-        xag.primary_output("m", m);
-        let net = map_xag(&xag, MapOptions::default()).expect("mappable");
-        let graph = NetGraph::new(net).expect("legalized");
-        let base = ExactOptions {
-            num_threads: 1,
-            ..Default::default()
-        };
-        let warm = exact_pnr(
-            &graph,
-            &ExactOptions {
-                incremental: true,
-                ..base.clone()
-            },
-        )
-        .expect("feasible");
-        let cold = exact_pnr(
-            &graph,
-            &ExactOptions {
-                incremental: false,
-                ..base
-            },
-        )
-        .expect("feasible");
-        assert_eq!(warm.ratio, cold.ratio);
-        assert_eq!(warm.ratios_tried, cold.ratios_tried);
-        assert_eq!(warm.layout.render_ascii(), cold.layout.render_ascii());
-        // Identical probe verdicts in identical order.
-        let warm_verdicts: Vec<_> = warm.probes.iter().map(|p| (p.ratio, p.verdict)).collect();
-        let cold_verdicts: Vec<_> = cold.probes.iter().map(|p| (p.ratio, p.verdict)).collect();
-        assert_eq!(warm_verdicts, cold_verdicts);
-        // From-scratch mode transfers nothing; incremental mode reports
-        // the winner's cold-vs-warm cost pair.
-        assert_eq!(cold.reuse, ReuseStats::default());
-        assert!(warm.reuse.winner_presolve_conflicts.is_some());
-        assert!(warm.reuse.winner_scratch_conflicts.is_some());
-        // Multi-probe scan: later probes must see retained state once
-        // the session has learned anything.
-        if warm.probes.len() > 1 && warm.stats.conflicts > 0 {
-            assert!(
-                warm.probes.iter().any(|p| p.retained > 0)
-                    || warm.stats.conflicts == warm.probes[0].stats.conflicts,
-                "no probe saw retained clauses despite conflicts across probes"
-            );
-        }
+        // Sequential scans: the probe lists are compared verbatim.
+        fcn_budget::exec::with_width(1, || {
+            let mut xag = Xag::new();
+            let a = xag.primary_input("a");
+            let b = xag.primary_input("b");
+            let s = xag.primary_input("s");
+            let m = xag.mux(s, a, b);
+            xag.primary_output("m", m);
+            let net = map_xag(&xag, MapOptions::default()).expect("mappable");
+            let graph = NetGraph::new(net).expect("legalized");
+            let base = ExactOptions::default();
+            let warm = exact_pnr(
+                &graph,
+                &ExactOptions {
+                    incremental: true,
+                    ..base.clone()
+                },
+            )
+            .expect("feasible");
+            let cold = exact_pnr(
+                &graph,
+                &ExactOptions {
+                    incremental: false,
+                    ..base
+                },
+            )
+            .expect("feasible");
+            assert_eq!(warm.ratio, cold.ratio);
+            assert_eq!(warm.ratios_tried, cold.ratios_tried);
+            assert_eq!(warm.layout.render_ascii(), cold.layout.render_ascii());
+            // Identical probe verdicts in identical order.
+            let warm_verdicts: Vec<_> = warm.probes.iter().map(|p| (p.ratio, p.verdict)).collect();
+            let cold_verdicts: Vec<_> = cold.probes.iter().map(|p| (p.ratio, p.verdict)).collect();
+            assert_eq!(warm_verdicts, cold_verdicts);
+            // From-scratch mode transfers nothing; incremental mode reports
+            // the winner's cold-vs-warm cost pair.
+            assert_eq!(cold.reuse, ReuseStats::default());
+            assert!(warm.reuse.winner_presolve_conflicts.is_some());
+            assert!(warm.reuse.winner_scratch_conflicts.is_some());
+            // Multi-probe scan: later probes must see retained state once
+            // the session has learned anything.
+            if warm.probes.len() > 1 && warm.stats.conflicts > 0 {
+                assert!(
+                    warm.probes.iter().any(|p| p.retained > 0)
+                        || warm.stats.conflicts == warm.probes[0].stats.conflicts,
+                    "no probe saw retained clauses despite conflicts across probes"
+                );
+            }
+        });
     }
 
     #[test]

@@ -33,13 +33,8 @@ pub mod pool;
 pub mod portfolio;
 
 pub use cartesian_exact::cartesian_exact_pnr;
-#[allow(deprecated)]
-pub use cartesian_exact::CartPnrResult;
-#[allow(deprecated)]
-pub use exact::PnrResult;
 pub use exact::{
-    default_incremental, default_num_threads, exact_pnr, ExactOptions, PnrError, PnrOutcome,
-    ProbeVerdict, RatioProbe,
+    default_incremental, exact_pnr, ExactOptions, PnrError, PnrOutcome, ProbeVerdict, RatioProbe,
 };
 pub use heuristic::heuristic_pnr;
 pub use incremental::ReuseStats;

@@ -25,20 +25,19 @@
 //!   exactly the sequential prefix: every pre-winner verdict plus the
 //!   winner itself, in area order.
 //!
-//! Worker threads cannot record into the coordinator's thread-local
-//! telemetry collector, so when one is installed each probe runs under a
-//! scoped child [`fcn_telemetry::Collector`]; the committed snapshots
-//! are adopted into the parent in index order after the pool joins,
-//! which makes the merged span tree independent of worker scheduling.
+//! Dispatch, cancellation, panic isolation and telemetry merging are the
+//! ordered executor's ([`fcn_budget::exec`]); this module only decides
+//! what each finished probe means for the scan. Telemetry of committed
+//! probes is adopted in index order, which makes the merged span tree
+//! independent of worker scheduling.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use fcn_budget::exec::{run_ordered, Signal};
 
 /// Cooperative cancellation handle passed to every probe. Probes must
 /// forward it to [`msat::Solver::set_interrupt`] (or poll it themselves
 /// in long non-solver phases) and report `cancelled: true` when it
 /// fired before a verdict was reached.
-pub type CancelFlag = Arc<AtomicBool>;
+pub use fcn_budget::exec::CancelFlag;
 
 /// Why a scan gave up before exhausting its candidate stream. Unlike a
 /// per-probe `BudgetExceeded` verdict (which skips one ratio and moves
@@ -149,40 +148,15 @@ pub struct PortfolioOutcome<L, P> {
     pub panicked: Option<String>,
 }
 
-/// Scheduler state shared between workers, guarded by one mutex: the
-/// dispatch cursor, the best (smallest) SAT index so far, the cancel
-/// flags of in-flight probes, and the halt latch (panic or abort).
-struct Shared {
-    next: usize,
-    best_sat: usize,
-    inflight: Vec<(usize, CancelFlag)>,
-    halt: bool,
-    panicked: Option<String>,
-}
-
-/// Renders a caught panic payload for the typed error path. Panics with
-/// non-string payloads surface as a placeholder rather than being lost.
-fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_owned()
-    }
-}
-
-/// Runs `probe` over `candidates` on `num_threads` workers and
-/// assembles a sequential-equivalent result. With `num_threads <= 1`
-/// (or a single candidate) the probes run inline on the caller's
-/// thread, recording telemetry ambiently with zero overhead.
+/// Runs `probe` over `candidates` on the ordered executor
+/// ([`fcn_budget::exec::run_ordered`], threads named `pnr-worker-<i>`)
+/// and assembles a sequential-equivalent result. At width 1 the probes
+/// run inline on the caller's thread, recording telemetry ambiently.
 ///
 /// Every worker owns a *probe context* built by `make_ctx` — the hook
 /// through which the exact engines give each worker a long-lived
-/// incremental SAT session. The sequential path builds one context and
-/// reuses it for the whole scan; the parallel path builds one per
-/// worker thread, so contexts never cross threads and need not be
-/// `Send`.
+/// incremental SAT session. Contexts never cross threads and need not
+/// be `Send`.
 ///
 /// `probe(ctx, index, candidate, cancel)` must reach *semantically*
 /// identical verdicts per candidate regardless of thread interleaving
@@ -190,9 +164,12 @@ fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 /// depend on which probes a worker saw) for the portfolio to be
 /// equivalent to the sequential scan. Probes receive a fresh
 /// [`CancelFlag`] each and should return `cancelled: true` if it fired.
+///
+/// The commit policy: the smallest SAT index wins and cancels in-flight
+/// probes above it, a scan-wide abort halts dispatch, and a probe panic
+/// is reported instead of unwinding.
 pub fn run_portfolio<Ctx, C, L, P, MF, F>(
     candidates: &[C],
-    num_threads: usize,
     make_ctx: MF,
     probe: F,
 ) -> PortfolioOutcome<L, P>
@@ -203,204 +180,36 @@ where
     MF: Fn() -> Ctx + Sync,
     F: Fn(&mut Ctx, usize, &C, &CancelFlag) -> ProbeOutcome<L, P> + Sync,
 {
-    if num_threads <= 1 || candidates.len() <= 1 {
-        return run_sequential(candidates, make_ctx(), probe);
-    }
-
-    let parent = fcn_telemetry::current();
-    // Worker threads start with empty thread-local fault state; hand
-    // them the coordinator's plan (shared hit counters) exactly like
-    // the telemetry collector, so injected faults fire at any thread
-    // count.
-    let fault_plan = fcn_budget::fault::current();
-    let shared = Mutex::new(Shared {
-        next: 0,
-        best_sat: usize::MAX,
-        inflight: Vec::new(),
-        halt: false,
-        panicked: None,
-    });
-    type Slot<L, P> = Option<(ProbeOutcome<L, P>, Option<fcn_telemetry::Report>)>;
-    let slots: Mutex<Vec<Slot<L, P>>> = Mutex::new((0..candidates.len()).map(|_| None).collect());
-
-    let workers = num_threads.min(candidates.len());
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            // Named threads label the tracks in exported Perfetto
-            // traces (`TELEMETRY_TRACE`).
-            std::thread::Builder::new()
-                .name(format!("pnr-worker-{worker}"))
-                .spawn_scoped(scope, || {
-                    let _fault_scope = fault_plan.clone().map(fcn_budget::fault::install);
-                    let mut ctx = make_ctx();
-                    loop {
-                        // Dispatch strictly in index order; stop once the
-                        // stream is exhausted, a SAT result rules out
-                        // everything that remains (indices past the best
-                        // SAT cannot win), or the scan halted (panic/abort).
-                        let (idx, flag) = {
-                            let mut s = shared.lock().unwrap();
-                            if s.halt || s.next >= candidates.len() || s.next > s.best_sat {
-                                break;
-                            }
-                            let idx = s.next;
-                            s.next += 1;
-                            let flag: CancelFlag = Arc::new(AtomicBool::new(false));
-                            s.inflight.push((idx, flag.clone()));
-                            (idx, flag)
-                        };
-
-                        // Run the probe, under a scoped child collector when
-                        // the coordinator has telemetry installed. The probe
-                        // is isolated with `catch_unwind`: a panic must not
-                        // unwind through the pool, it becomes a typed error
-                        // and cancels the siblings.
-                        let probed =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                || match &parent {
-                                    Some(_) => {
-                                        let child =
-                                            Arc::new(fcn_telemetry::Collector::new("probe"));
-                                        let outcome = fcn_telemetry::with_collector(&child, || {
-                                            probe(&mut ctx, idx, &candidates[idx], &flag)
-                                        });
-                                        child.finish();
-                                        (outcome, Some(child.report()))
-                                    }
-                                    None => (probe(&mut ctx, idx, &candidates[idx], &flag), None),
-                                },
-                            ));
-                        let (outcome, report) = match probed {
-                            Ok(pair) => pair,
-                            Err(payload) => {
-                                let mut s = shared.lock().unwrap();
-                                s.inflight.retain(|(i, _)| *i != idx);
-                                s.halt = true;
-                                if s.panicked.is_none() {
-                                    s.panicked = Some(payload_string(payload.as_ref()));
-                                }
-                                // Cancel every sibling: the scan's result is
-                                // an internal error either way, so pending
-                                // verdicts have no value and holding the
-                                // pool open only delays the caller.
-                                for (_, f) in &s.inflight {
-                                    f.store(true, Ordering::Relaxed);
-                                }
-                                // The probe context may be poisoned by the
-                                // unwind; this worker retires.
-                                break;
-                            }
-                        };
-
-                        {
-                            let mut s = shared.lock().unwrap();
-                            s.inflight.retain(|(i, _)| *i != idx);
-                            if outcome.layout.is_some() && idx < s.best_sat {
-                                s.best_sat = idx;
-                                for (i, f) in &s.inflight {
-                                    if *i > idx {
-                                        f.store(true, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                            if outcome.abort.is_some() {
-                                // Scan-wide limit: stop dispatching. Probes
-                                // already in flight conclude under their own
-                                // (identical) limits, so any SAT among them
-                                // still commits.
-                                s.halt = true;
-                            }
-                        }
-                        slots.lock().unwrap()[idx] = Some((outcome, report));
-                    }
-                })
-                .expect("spawn pnr worker");
-        }
-    });
-
-    // Assemble in index order, discarding everything the sequential
-    // engine would never have run: cancelled probes and completed
-    // probes beyond the winner or beyond an abort.
-    let mut result = PortfolioOutcome {
-        winner: None,
-        probes: Vec::new(),
-        attempted: 0,
-        cancelled: 0,
-        aborted: None,
-        panicked: shared.into_inner().unwrap().panicked,
-    };
-    for (idx, slot) in slots.into_inner().unwrap().into_iter().enumerate() {
-        let Some((outcome, report)) = slot else {
-            // Never dispatched: past a committed winner or a halt.
-            debug_assert!(
-                result.winner.is_some() || result.aborted.is_some() || result.panicked.is_some()
-            );
-            continue;
-        };
-        if outcome.cancelled {
-            // Cancellation targets indices above the best SAT index (or
-            // any index, after a panic), so by now the winner — if one
-            // exists — is already committed.
-            result.cancelled += 1;
-            continue;
-        }
-        if result.winner.is_some() || result.aborted.is_some() {
-            continue; // raced past the winner/abort before halting
-        }
-        result.attempted += 1;
-        if let Some(report) = report {
-            fcn_telemetry::adopt_report(&report);
-        }
-        if let Some(p) = outcome.probe {
-            result.probes.push(p);
-        }
-        if let Some(layout) = outcome.layout {
-            result.winner = Some((idx, layout));
-        } else if let Some(abort) = outcome.abort {
-            result.aborted = Some(abort);
-        }
-    }
-    if result.winner.is_some() {
-        // A committed winner outranks a larger-index abort: the
-        // sequential scan would have stopped at the winner first.
-        result.aborted = None;
-    }
-    result
-}
-
-/// The inline path: probe candidates one at a time on the caller's
-/// thread, exactly like the pre-portfolio engines did, reusing a single
-/// probe context for the whole scan.
-fn run_sequential<Ctx, C, L, P, F>(
-    candidates: &[C],
-    mut ctx: Ctx,
-    probe: F,
-) -> PortfolioOutcome<L, P>
-where
-    F: Fn(&mut Ctx, usize, &C, &CancelFlag) -> ProbeOutcome<L, P>,
-{
-    let never: CancelFlag = Arc::new(AtomicBool::new(false));
-    let mut result = PortfolioOutcome {
-        winner: None,
-        probes: Vec::new(),
-        attempted: 0,
-        cancelled: 0,
-        aborted: None,
-        panicked: None,
-    };
-    for (idx, candidate) in candidates.iter().enumerate() {
-        // Same panic isolation as the parallel path: a probe panic
-        // becomes a typed outcome, never an unwind through the engine.
-        let probed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            probe(&mut ctx, idx, candidate, &never)
-        }));
-        let outcome = match probed {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                result.panicked = Some(payload_string(payload.as_ref()));
-                break;
+    let mut run = run_ordered(
+        "pnr",
+        None,
+        candidates.len(),
+        make_ctx,
+        |ctx, idx, cancel| probe(ctx, idx, &candidates[idx], cancel),
+        |_, outcome| {
+            if outcome.layout.is_some() {
+                Signal::Cut
+            } else if outcome.abort.is_some() {
+                Signal::Halt
+            } else {
+                Signal::Continue
             }
-        };
+        },
+    );
+
+    // Commit in index order up to the first winner or abort, discarding
+    // everything the sequential engine would never have run.
+    let mut result = PortfolioOutcome {
+        winner: None,
+        probes: Vec::new(),
+        attempted: 0,
+        cancelled: run.cancelled,
+        aborted: None,
+        panicked: run.panicked.take(),
+    };
+    for (idx, outcome) in run.commit().enumerate() {
+        // Not run: past a winner or a halt, or lost to a panic.
+        let Some(outcome) = outcome else { continue };
         if outcome.cancelled {
             // Possible without a winner only through injected faults;
             // the probe carries no information either way.
@@ -412,6 +221,8 @@ where
             result.probes.push(p);
         }
         if let Some(layout) = outcome.layout {
+            // A committed winner outranks any larger-index abort: the
+            // sequential scan would have stopped here first.
             result.winner = Some((idx, layout));
             break;
         }
@@ -426,6 +237,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fcn_budget::exec::with_width;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
 
     /// Synthetic probe: a candidate is SAT iff its value is 0; value 1
     /// is UNSAT; value 2 is filtered (no probe record); value 4 panics;
@@ -450,8 +264,12 @@ mod tests {
     #[test]
     fn sequential_and_parallel_agree() {
         let candidates = [1u32, 2, 1, 0, 1];
-        let seq = run_portfolio(&candidates, 1, || (), |_, _, c, f| fake_probe(c, f));
-        let par = run_portfolio(&candidates, 4, || (), |_, _, c, f| fake_probe(c, f));
+        let seq = with_width(1, || {
+            run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
+        });
+        let par = with_width(4, || {
+            run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
+        });
         assert_eq!(seq.winner.as_ref().map(|(i, _)| *i), Some(3));
         assert_eq!(par.winner.as_ref().map(|(i, _)| *i), Some(3));
         assert_eq!(seq.probes, par.probes);
@@ -465,7 +283,9 @@ mod tests {
         // Candidate 3 spins until cancelled; the SAT candidate at index
         // 1 must cut it loose rather than wait for it.
         let candidates = [1u32, 0, 3, 3];
-        let out = run_portfolio(&candidates, 4, || (), |_, _, c, f| fake_probe(c, f));
+        let out = with_width(4, || {
+            run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
+        });
         assert_eq!(out.winner.as_ref().map(|(i, _)| *i), Some(1));
         assert_eq!(out.probes, vec![1, 0]);
         assert_eq!(out.attempted, 2);
@@ -478,7 +298,9 @@ mod tests {
     fn no_sat_candidate_yields_no_winner() {
         let candidates = [1u32, 2, 1];
         for threads in [1, 4] {
-            let out = run_portfolio(&candidates, threads, || (), |_, _, c, f| fake_probe(c, f));
+            let out = with_width(threads, || {
+                run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
+            });
             assert!(out.winner.is_none());
             assert_eq!(out.probes, vec![1, 1]);
             assert_eq!(out.attempted, 3);
@@ -492,15 +314,16 @@ mod tests {
         let candidates = [1u32, 1, 0];
         fcn_telemetry::with_collector(&collector, || {
             let _pnr = fcn_telemetry::span("stage");
-            run_portfolio(
-                &candidates,
-                4,
-                || (),
-                |_, idx, c, f| {
-                    let _span = fcn_telemetry::span(format!("probe:{idx}"));
-                    fake_probe(c, f)
-                },
-            )
+            with_width(4, || {
+                run_portfolio(
+                    &candidates,
+                    || (),
+                    |_, idx, c, f| {
+                        let _span = fcn_telemetry::span(format!("probe:{idx}"));
+                        fake_probe(c, f)
+                    },
+                )
+            })
         });
         let report = collector.report();
         let stage = report.root.child("stage").expect("stage span");
@@ -514,7 +337,9 @@ mod tests {
         // panic must not unwind out of run_portfolio, must cancel the
         // spinner, and must surface its payload.
         let candidates = [1u32, 4, 3, 1];
-        let out = run_portfolio(&candidates, 4, || (), |_, _, c, f| fake_probe(c, f));
+        let out = with_width(4, || {
+            run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
+        });
         assert!(out.winner.is_none());
         let payload = out.panicked.expect("panic reported");
         assert!(payload.contains("probe exploded"), "payload: {payload}");
@@ -523,7 +348,9 @@ mod tests {
     #[test]
     fn sequential_probe_panic_is_isolated() {
         let candidates = [1u32, 4, 0];
-        let out = run_portfolio(&candidates, 1, || (), |_, _, c, f| fake_probe(c, f));
+        let out = with_width(1, || {
+            run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
+        });
         assert!(out.winner.is_none(), "scan stops at the panic");
         assert_eq!(out.probes, vec![1]);
         assert!(out
@@ -536,7 +363,9 @@ mod tests {
     fn abort_stops_dispatch_without_a_winner() {
         let candidates = [1u32, 5, 1, 1];
         for threads in [1, 4] {
-            let out = run_portfolio(&candidates, threads, || (), |_, _, c, f| fake_probe(c, f));
+            let out = with_width(threads, || {
+                run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
+            });
             assert!(out.winner.is_none());
             assert_eq!(out.aborted, Some(ScanAbort::Deadline), "threads={threads}");
             assert!(out.panicked.is_none());
@@ -549,7 +378,9 @@ mod tests {
     fn committed_winner_outranks_later_abort() {
         let candidates = [1u32, 0, 5];
         for threads in [1, 4] {
-            let out = run_portfolio(&candidates, threads, || (), |_, _, c, f| fake_probe(c, f));
+            let out = with_width(threads, || {
+                run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
+            });
             assert_eq!(out.winner.as_ref().map(|(i, _)| *i), Some(1));
             assert!(out.aborted.is_none(), "threads={threads}");
         }
@@ -561,24 +392,27 @@ mod tests {
         let plan = Arc::new(FaultPlan::single("portfolio.test", Fault::Malform));
         let _scope = fault::install(plan.clone());
         let candidates = [1u32, 1, 1, 1];
-        let out = run_portfolio(
-            &candidates,
-            4,
-            || (),
-            |_, _, c, f| {
-                // Visible only if the coordinator's plan was installed
-                // in this worker thread.
-                let _ = fault::at("portfolio.test");
-                fake_probe(c, f)
-            },
-        );
+        let out = with_width(4, || {
+            run_portfolio(
+                &candidates,
+                || (),
+                |_, _, c, f| {
+                    // Visible only if the coordinator's plan was installed
+                    // in this worker thread.
+                    let _ = fault::at("portfolio.test");
+                    fake_probe(c, f)
+                },
+            )
+        });
         assert!(out.winner.is_none());
         assert_eq!(plan.hits("portfolio.test"), 4, "all workers saw the plan");
     }
 
     #[test]
     fn empty_candidate_list_is_fine() {
-        let out = run_portfolio(&[] as &[u32], 4, || (), |_, _, c, f| fake_probe(c, f));
+        let out = with_width(4, || {
+            run_portfolio(&[] as &[u32], || (), |_, _, c, f| fake_probe(c, f))
+        });
         assert!(out.winner.is_none());
         assert!(out.probes.is_empty());
         assert_eq!(out.attempted, 0);
@@ -589,18 +423,19 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let built = AtomicUsize::new(0);
         let candidates = [1u32, 1, 1, 0];
-        let out = run_portfolio(
-            &candidates,
-            1,
-            || {
-                built.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |ctx, _, c, f| {
-                *ctx += 1; // probe count within this context
-                fake_probe(c, f)
-            },
-        );
+        let out = with_width(1, || {
+            run_portfolio(
+                &candidates,
+                || {
+                    built.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |ctx, _, c, f| {
+                    *ctx += 1; // probe count within this context
+                    fake_probe(c, f)
+                },
+            )
+        });
         assert_eq!(out.winner.as_ref().map(|(i, _)| *i), Some(3));
         assert_eq!(built.load(Ordering::Relaxed), 1, "one context for the scan");
     }
@@ -610,18 +445,19 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let built = AtomicUsize::new(0);
         let candidates = [1u32, 1, 1, 1, 0];
-        let out = run_portfolio(
-            &candidates,
-            3,
-            || {
-                built.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |ctx, _, c, f| {
-                *ctx += 1;
-                fake_probe(c, f)
-            },
-        );
+        let out = with_width(3, || {
+            run_portfolio(
+                &candidates,
+                || {
+                    built.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |ctx, _, c, f| {
+                    *ctx += 1;
+                    fake_probe(c, f)
+                },
+            )
+        });
         assert_eq!(out.winner.as_ref().map(|(i, _)| *i), Some(4));
         let n = built.load(Ordering::Relaxed);
         assert!((1..=3).contains(&n), "one context per worker, got {n}");

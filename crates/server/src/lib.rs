@@ -25,6 +25,10 @@
 //! the session pool and the simulation cache are pure work
 //! optimizations whose presence never changes an artifact byte.
 //!
+//! The flow workers share one executor width ([`fcn_budget::exec`]):
+//! parallel stages inside concurrent jobs draw pool threads from the
+//! same `THREADS` budget instead of each taking a full width.
+//!
 //! Aggregates land in the process-wide [`fcn_telemetry::Registry`]
 //! (`server.jobs`, `server.rejected`, `server.cache_hits`, a
 //! queue-depth histogram); [`Server::aggregate`] diffs two snapshots to
@@ -37,7 +41,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use bestagon_core::flow::{FlowRequest, FlowResult};
-use fcn_budget::Deadline;
+use fcn_budget::{exec, Deadline};
 use fcn_pnr::SessionPool;
 use fcn_telemetry::json::Value;
 use fcn_telemetry::{Registry, RegistrySnapshot};
@@ -304,7 +308,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Boots `config.workers` worker threads over an empty queue.
+    /// Boots `config.workers` worker threads over an empty queue. The
+    /// workers share the caller's executor width.
     pub fn new(config: ServerConfig) -> Server {
         let config = ServerConfig {
             workers: config.workers.max(1),
@@ -319,12 +324,14 @@ impl Server {
             results: Mutex::new(HashMap::new()),
             sim_cache: SimCache::new(),
         });
+        let share = exec::Share::current();
         let workers = (0..config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
+                let share = share.clone();
                 std::thread::Builder::new()
                     .name(format!("flow-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || share.run(|| worker_loop(&shared)))
                     .expect("spawning a flow worker")
             })
             .collect();
@@ -527,6 +534,13 @@ mod tests {
 
     const AND2: &str = "module and2 (a, b, f); input a, b; output f; assign f = a & b; endmodule";
 
+    /// Serializes the tests: they all submit jobs, and the registry
+    /// window one of them asserts on is process-wide.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn quick_options() -> FlowOptions {
         FlowOptions::new()
             .with_pnr(PnrMethod::Exact { max_area: 60 })
@@ -535,6 +549,7 @@ mod tests {
 
     #[test]
     fn a_job_runs_and_answers_with_artifacts() {
+        let _serial = serial();
         let server = Server::new(ServerConfig::new());
         let ticket = server
             .submit(FlowRequest::verilog(AND2).with_options(quick_options()))
@@ -548,6 +563,7 @@ mod tests {
 
     #[test]
     fn identical_resubmission_is_a_cache_hit_with_identical_bytes() {
+        let _serial = serial();
         let server = Server::new(ServerConfig::new());
         let request = FlowRequest::verilog(AND2).with_options(quick_options());
         let before = server.aggregate();
@@ -564,6 +580,7 @@ mod tests {
 
     #[test]
     fn a_full_queue_rejects_with_a_typed_reason() {
+        let _serial = serial();
         // Zero workers are clamped to one; saturate it with a slow-ish
         // job, then overflow the one-slot queue.
         let server = Server::new(ServerConfig::new().with_queue_capacity(1));
@@ -583,6 +600,7 @@ mod tests {
 
     #[test]
     fn an_expired_deadline_is_rejected_at_dequeue_not_run() {
+        let _serial = serial();
         let server = Server::new(ServerConfig::new());
         let request = FlowRequest::verilog(AND2).with_options(quick_options().with_deadline_ms(0));
         let response = server.submit(request).expect("admitted").wait();
@@ -599,6 +617,7 @@ mod tests {
 
     #[test]
     fn a_failing_flow_answers_with_the_typed_error() {
+        let _serial = serial();
         let server = Server::new(ServerConfig::new());
         let response = server
             .submit(FlowRequest::verilog("module broken ("))
@@ -617,6 +636,7 @@ mod tests {
 
     #[test]
     fn shutdown_rejects_queued_jobs_instead_of_hanging() {
+        let _serial = serial();
         let server = Server::new(ServerConfig::new().with_queue_capacity(8));
         // A small pile-up behind one worker, then immediate shutdown.
         let tickets: Vec<_> = (0..4)

@@ -81,7 +81,7 @@ impl SimKey {
         } else {
             match params.engine {
                 SimEngine::Exhaustive => EngineKey::Exhaustive,
-                SimEngine::QuickExact | SimEngine::Auto => EngineKey::QuickExact,
+                SimEngine::QuickExact => EngineKey::QuickExact,
                 SimEngine::Anneal(a) => EngineKey::Anneal {
                     instances: a.instances,
                     sweeps: a.sweeps,

@@ -17,25 +17,24 @@
 //!     &layout,
 //!     &SimParams::new(PhysicalParams::default())
 //!         .with_engine(SimEngine::Exhaustive)
-//!         .with_k(3)
-//!         .with_threads(2),
+//!         .with_k(3),
 //! );
 //! assert_eq!(result.ground_state().expect("non-empty").config.num_negative(), 2);
 //! ```
 //!
 //! # Determinism
 //!
-//! Results are bit-identical at any thread count. The exhaustive sweep
-//! is split into contiguous Gray-code chunks whose *count* depends only
-//! on the layout (never on the thread count), each chunk is initialized
-//! canonically and swept with the same incremental arithmetic, and the
-//! per-chunk k-best lists are merged under a total order (free energy,
-//! then charge configuration) — so one thread and sixteen threads
-//! perform the exact same floating-point operations and keep the exact
-//! same states. Branch-and-bound and annealing runs are serial per
-//! partition unit; the pool only distributes independent units (chunks,
-//! interaction-graph components, input patterns, domain grid points)
-//! and commits their results in index order.
+//! Results are bit-identical at any width (see [`fcn_budget::exec`]).
+//! The exhaustive sweep is split into contiguous Gray-code chunks whose
+//! *count* depends only on the layout (never on the thread count), each
+//! chunk is initialized canonically and swept with the same incremental
+//! arithmetic, and the per-chunk k-best lists are merged under a total
+//! order (free energy, then charge configuration) — so one thread and
+//! sixteen threads perform the exact same floating-point operations and
+//! keep the exact same states. Branch-and-bound and annealing runs are
+//! serial per partition unit; the executor only distributes independent
+//! units (chunks, interaction-graph components, input patterns, domain
+//! grid points) and commits their results in index order.
 //!
 //! # Resilience
 //!
@@ -45,8 +44,7 @@
 //! serial work, never corrupting a verdict), and an injected `exhaust`
 //! stops parallel dispatch so the remaining units run serially.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use fcn_budget::exec::{run_ordered, Signal};
 
 use crate::cache::SimCache;
 use crate::charge::{ChargeConfiguration, ChargeState, InteractionMatrix};
@@ -63,10 +61,9 @@ pub enum SimEngine {
     Exhaustive,
     /// Simulated annealing with the given parameters.
     Anneal(AnnealParams),
-    /// Branch-and-bound exact search (fast on BDL-structured layouts).
+    /// Branch-and-bound exact search (fast on BDL-structured layouts);
+    /// the default.
     QuickExact,
-    /// QuickExact for exact results; the default choice.
-    Auto,
 }
 
 /// Parameters of one simulation, built by chaining.
@@ -83,8 +80,6 @@ pub struct SimParams {
     pub engine: SimEngine,
     /// How many lowest-free-energy states to keep (`1` = ground state).
     pub k: usize,
-    /// Worker-pool width; `None` defers to [`default_sim_threads`].
-    pub threads: Option<usize>,
     /// Step/wall-clock budget. Bounded sweeps run serially so the
     /// legacy truncation semantics (step counting, deadline polling)
     /// are preserved exactly.
@@ -98,14 +93,12 @@ pub struct SimParams {
 
 impl SimParams {
     /// Simulation of the given physical model with the default engine
-    /// ([`SimEngine::Auto`]), `k = 1`, default threads, no budget, and
-    /// no cache.
+    /// ([`SimEngine::QuickExact`]), `k = 1`, no budget, and no cache.
     pub fn new(physical: PhysicalParams) -> Self {
         SimParams {
             physical,
-            engine: SimEngine::Auto,
+            engine: SimEngine::QuickExact,
             k: 1,
-            threads: None,
             budget: StepBudget::unbounded(),
             three_state: false,
             cache: None,
@@ -124,13 +117,6 @@ impl SimParams {
     #[must_use]
     pub fn with_k(mut self, k: usize) -> Self {
         self.k = k;
-        self
-    }
-
-    /// Pins the worker pool to `threads` workers (`1` = serial).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
         self
     }
 
@@ -216,20 +202,8 @@ impl SimResult {
     }
 }
 
-/// The default worker-pool width: the `SIM_THREADS` environment
-/// variable if set (minimum 1), else the machine's available
-/// parallelism. Mirrors `fcn_pnr::default_num_threads` / `PNR_THREADS`.
-pub fn default_sim_threads() -> usize {
-    if let Ok(v) = std::env::var("SIM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Simulates a layout under the given parameters — the single entry
-/// point behind the deprecated per-engine free functions.
+/// point over every engine.
 ///
 /// # Panics
 ///
@@ -336,22 +310,14 @@ fn simulate_core(
     params: &SimParams,
     matrix: Option<&InteractionMatrix>,
 ) -> SimResult {
-    let threads = params.threads.unwrap_or_else(default_sim_threads);
     if params.three_state {
         return run_three_state(layout, &params.physical, params.k, matrix);
     }
     match params.engine {
-        SimEngine::Exhaustive => run_exhaustive(
-            layout,
-            &params.physical,
-            params.k,
-            &params.budget,
-            threads,
-            matrix,
-        ),
-        SimEngine::QuickExact | SimEngine::Auto => {
-            run_quick_exact(layout, &params.physical, params.k, threads, matrix)
+        SimEngine::Exhaustive => {
+            run_exhaustive(layout, &params.physical, params.k, &params.budget, matrix)
         }
+        SimEngine::QuickExact => run_quick_exact(layout, &params.physical, params.k, matrix),
         SimEngine::Anneal(anneal) => run_anneal(layout, &params.physical, &anneal, matrix),
     }
 }
@@ -387,147 +353,57 @@ pub(crate) fn insert_state(best: &mut Vec<SimulatedState>, state: SimulatedState
 }
 
 // ---------------------------------------------------------------------
-// The partition worker pool.
+// The partition commit policy.
 
 /// The outcome of a partitioned run.
 pub(crate) struct PoolRun<T> {
     /// Per-unit results in unit-index order.
     pub results: Vec<T>,
-    /// Units recomputed serially after a worker fault.
+    /// Units recomputed on the coordinator after a worker fault.
     pub recovered: u64,
 }
 
-/// Runs `units` independent work items across `threads` workers and
-/// returns their results in index order.
+/// Runs `units` independent work items on the ordered executor
+/// (threads named `sim-worker-<i>`) and returns their results in index
+/// order.
 ///
 /// `work` must be a pure function of the unit index — that is what
 /// makes the merged result independent of scheduling. Hosts the
-/// `sidb.partition` fault point (see the module docs).
+/// `sidb.partition` fault point. The commit policy: a unit lost to a
+/// worker fault (an injected panic, dispatch halted by an injected
+/// exhaustion, or a genuine panic) is recomputed on the coordinator in
+/// index order and counted in `recovered`; a genuine panic repeats
+/// there and surfaces to the caller's unwind boundary.
 ///
-/// When the coordinator has an ambient telemetry collector and there is
-/// more than one unit, each unit runs under a scoped child
-/// [`fcn_telemetry::Collector`] with a `sim.unit:<idx>` span — worker
-/// threads cannot see the coordinator's thread-local collector — and
-/// the snapshots are adopted in index order after the pool joins. The
-/// merged report (spans, histograms, trace events) is therefore
-/// independent of both the thread count and the scheduling; only the
-/// recorded wall times vary. Single-unit runs skip the wrapper: they
-/// execute inline under the ambient collector at any width.
-pub(crate) fn run_partitioned<T, F>(units: usize, threads: usize, work: F) -> PoolRun<T>
+/// With more than one unit each runs under a `sim.unit:<idx>` span,
+/// committed in index order, so the merged report is independent of
+/// both the width and the scheduling; only the recorded wall times
+/// vary.
+pub(crate) fn run_units<T, F>(units: usize, work: F) -> PoolRun<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let instrument = units > 1 && fcn_telemetry::current().is_some();
-    if !instrument {
-        return run_partitioned_raw(units, threads, work);
-    }
-    let run = run_partitioned_raw(units, threads, |idx| {
-        let child = Arc::new(fcn_telemetry::Collector::new("sim.pool"));
-        let value = fcn_telemetry::with_collector(&child, || {
-            let _unit = fcn_telemetry::span(format!("sim.unit:{idx}"));
-            work(idx)
-        });
-        child.finish();
-        (value, child.report())
-    });
-    let mut results = Vec::with_capacity(units);
-    for (value, report) in run.results {
-        fcn_telemetry::adopt_report(&report);
-        results.push(value);
-    }
-    PoolRun {
-        results,
-        recovered: run.recovered,
-    }
-}
-
-/// The scheduling core of [`run_partitioned`], telemetry-agnostic.
-fn run_partitioned_raw<T, F>(units: usize, threads: usize, work: F) -> PoolRun<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if units == 0 {
-        return PoolRun {
-            results: Vec::new(),
-            recovered: 0,
-        };
-    }
-    if threads <= 1 || units == 1 {
-        let mut recovered = 0;
-        let results = (0..units)
-            .map(|idx| {
-                if catch_unwind(AssertUnwindSafe(|| {
-                    fcn_budget::fault::check("sidb.partition")
-                }))
-                .is_err()
-                {
-                    recovered += 1;
-                }
-                work(idx)
-            })
-            .collect();
-        return PoolRun { results, recovered };
-    }
-
-    let cursor = Mutex::new(0usize);
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..units).map(|_| None).collect());
-    let fault_plan = fcn_budget::fault::current();
-    let workers = threads.min(units);
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            // Named threads label the tracks in exported Perfetto
-            // traces (`TELEMETRY_TRACE`).
-            let spawned = std::thread::Builder::new()
-                .name(format!("sim-worker-{worker}"))
-                .spawn_scoped(scope, || {
-                    let _fault_scope = fault_plan.clone().map(fcn_budget::fault::install);
-                    loop {
-                        let idx = {
-                            let mut next = cursor.lock().expect("cursor lock");
-                            if *next >= units {
-                                break;
-                            }
-                            let idx = *next;
-                            *next += 1;
-                            idx
-                        };
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            fcn_budget::fault::check("sidb.partition")
-                        })) {
-                            // Injected panic: leave the slot empty; the
-                            // coordinator recomputes it after the join.
-                            Err(_) => continue,
-                            // Injected exhaustion: stop parallel dispatch;
-                            // the coordinator finishes serially.
-                            Ok(Some(fcn_budget::fault::Fault::Exhaust)) => {
-                                *cursor.lock().expect("cursor lock") = units;
-                                continue;
-                            }
-                            Ok(_) => {}
-                        }
-                        if let Ok(value) = catch_unwind(AssertUnwindSafe(|| work(idx))) {
-                            slots.lock().expect("slot lock")[idx] = Some(value);
-                        }
-                    }
-                });
-            spawned.expect("spawn sim worker");
-        }
-    });
+    let unit = |idx: usize| {
+        let _span = (units > 1).then(|| fcn_telemetry::span(format!("sim.unit:{idx}")));
+        work(idx)
+    };
+    let run = run_ordered(
+        "sim",
+        Some("sidb.partition"),
+        units,
+        || (),
+        |_, idx, _| unit(idx),
+        |_, _| Signal::Continue,
+    );
     let mut recovered = 0;
-    let results = slots
-        .into_inner()
-        .expect("slot lock")
-        .into_iter()
+    let results = run
+        .commit()
         .enumerate()
-        .map(|(idx, slot)| {
-            slot.unwrap_or_else(|| {
-                // A faulted or panicked unit: recompute on the
-                // coordinator. A genuine (non-injected) panic repeats
-                // here and surfaces to the caller's unwind boundary.
+        .map(|(idx, result)| {
+            result.unwrap_or_else(|| {
                 recovered += 1;
-                work(idx)
+                unit(idx)
             })
         })
         .collect();
@@ -746,7 +622,6 @@ pub(crate) fn run_exhaustive(
     physical: &PhysicalParams,
     k: usize,
     budget: &StepBudget,
-    threads: usize,
     matrix: Option<&InteractionMatrix>,
 ) -> SimResult {
     assert!(
@@ -801,7 +676,7 @@ pub(crate) fn run_exhaustive(
         };
     }
     let per = total / chunks;
-    let run = run_partitioned(chunks as usize, threads, |c| {
+    let run = run_units(chunks as usize, |c| {
         let lo = c as u64 * per;
         sweep_chunk(m, mu, &free_sites, &fixed_negative, k, lo, lo + per)
     });
@@ -875,10 +750,9 @@ fn run_quick_exact(
     layout: &SidbLayout,
     physical: &PhysicalParams,
     k: usize,
-    threads: usize,
     matrix: Option<&InteractionMatrix>,
 ) -> SimResult {
-    let run = crate::quickexact::low_energy_core(layout, physical, k, threads, matrix);
+    let run = crate::quickexact::low_energy_core(layout, physical, k, matrix);
     SimResult {
         states: run.states,
         truncated: false,
@@ -1000,6 +874,7 @@ fn run_anneal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fcn_budget::exec::with_width;
 
     fn chain(pairs: i32) -> SidbLayout {
         let mut l = SidbLayout::new();
@@ -1018,8 +893,8 @@ mod tests {
         let base = SimParams::new(physical)
             .with_engine(SimEngine::Exhaustive)
             .with_k(4);
-        let one = simulate_with(&layout, &base.clone().with_threads(1));
-        let four = simulate_with(&layout, &base.clone().with_threads(4));
+        let one = with_width(1, || simulate_with(&layout, &base));
+        let four = with_width(4, || simulate_with(&layout, &base));
         assert_eq!(one, four);
         assert_eq!(one.stats.visited, 1 << 18);
         assert!(!one.states.is_empty());
@@ -1097,29 +972,22 @@ mod tests {
         use fcn_budget::fault::{install, Fault, FaultPlan};
         let layout = chain(9); // 18 free sites → 16 chunks through the pool
         let physical = PhysicalParams::default();
-        let clean = simulate_with(
-            &layout,
-            &SimParams::new(physical)
-                .with_engine(SimEngine::Exhaustive)
-                .with_threads(4),
-        );
+        let params = SimParams::new(physical).with_engine(SimEngine::Exhaustive);
+        let clean = with_width(4, || simulate_with(&layout, &params));
         let plan = std::sync::Arc::new(FaultPlan::single("sidb.partition", Fault::Panic));
         let _scope = install(plan.clone());
         // A fault plan is armed, so the engine takes the bounded serial
         // path unless the budget stays unbounded... which it is; armed
         // faults force the serial sweep, where the partition point does
         // not fire. Exercise the pool directly instead.
-        let run = run_partitioned(4, 4, |i| i * i);
-        assert_eq!(run.results, vec![0, 1, 4, 9]);
-        assert_eq!(run.recovered, 4);
-        assert!(plan.hits("sidb.partition") >= 4);
+        for width in [1, 4] {
+            let run = with_width(width, || run_units(4, |i| i * i));
+            assert_eq!(run.results, vec![0, 1, 4, 9]);
+            assert_eq!(run.recovered, 4);
+        }
+        assert!(plan.hits("sidb.partition") >= 8);
         drop(_scope);
-        let again = simulate_with(
-            &layout,
-            &SimParams::new(physical)
-                .with_engine(SimEngine::Exhaustive)
-                .with_threads(4),
-        );
+        let again = with_width(4, || simulate_with(&layout, &params));
         assert_eq!(clean, again);
     }
 
@@ -1128,9 +996,13 @@ mod tests {
         use fcn_budget::fault::{install, Fault, FaultPlan};
         let plan = std::sync::Arc::new(FaultPlan::single("sidb.partition", Fault::Exhaust));
         let _scope = install(plan.clone());
-        let run = run_partitioned(8, 4, |i| i + 1);
-        assert_eq!(run.results, (1..=8).collect::<Vec<_>>());
-        assert!(plan.hits("sidb.partition") >= 1);
+        for width in [1, 4] {
+            let run = with_width(width, || run_units(8, |i| i + 1));
+            assert_eq!(run.results, (1..=8).collect::<Vec<_>>());
+            // Halted dispatch leaves units to the coordinator.
+            assert!(run.recovered >= 1);
+        }
+        assert!(plan.hits("sidb.partition") >= 2);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Exhaustive ground-state search (ExGS) — legacy entry points.
+//! Exhaustive ground-state search (ExGS) — shared state types and limits.
 //!
 //! The exhaustive engine enumerates all `2^n` two-state charge
 //! configurations in Gray-code order, maintaining local potentials
@@ -7,17 +7,11 @@
 //! fast enough for gate-sized instances (the Bestagon standard tiles
 //! have ≈ 10–25 SiDBs); circuit-scale layouts use annealing instead.
 //!
-//! The engine itself lives in [`crate::engine`]; the free functions
-//! here are thin deprecated wrappers kept for source compatibility.
-//! New code selects the same algorithm with
+//! The engine itself lives in [`crate::engine`]; callers select it with
 //! [`crate::engine::simulate_with`] and
 //! [`SimEngine::Exhaustive`](crate::engine::SimEngine).
 
 use crate::charge::ChargeConfiguration;
-use crate::engine::{simulate_with, SimEngine, SimParams};
-use crate::layout::SidbLayout;
-use crate::model::PhysicalParams;
-use fcn_budget::StepBudget;
 
 /// A configuration together with its energies, as returned by the search
 /// engines.
@@ -37,145 +31,45 @@ pub const MAX_EXHAUSTIVE_SITES: usize = 30;
 /// Practical site-count limit of the three-state search.
 pub const MAX_THREE_STATE_SITES: usize = 16;
 
-/// Finds the exact ground state of a layout (two-state model).
-///
-/// Returns `None` for an empty layout.
-///
-/// # Panics
-///
-/// Panics if the layout has more than [`MAX_EXHAUSTIVE_SITES`] free
-/// sites or if `params.three_state` is set (the exhaustive engine
-/// models the negative/neutral system the paper's gates operate in).
-#[deprecated(
-    since = "0.6.0",
-    note = "use `engine::simulate_with` with `SimEngine::Exhaustive`"
-)]
-pub fn exhaustive_ground_state(
-    layout: &SidbLayout,
-    params: &PhysicalParams,
-) -> Option<ChargeConfiguration> {
-    simulate_with(
-        layout,
-        &SimParams::new(*params).with_engine(SimEngine::Exhaustive),
-    )
-    .states
-    .pop()
-    .map(|s| s.config)
-}
-
-/// Finds the `k` lowest-free-energy physically valid configurations,
-/// sorted ascending (the ground state first). Useful for inspecting the
-/// excited-state spectrum and energetic separation of logic states.
-///
-/// # Panics
-///
-/// See [`exhaustive_ground_state`].
-#[deprecated(
-    since = "0.6.0",
-    note = "use `engine::simulate_with` with `SimEngine::Exhaustive`"
-)]
-pub fn exhaustive_low_energy(
-    layout: &SidbLayout,
-    params: &PhysicalParams,
-    k: usize,
-) -> Vec<SimulatedState> {
-    simulate_with(
-        layout,
-        &SimParams::new(*params)
-            .with_engine(SimEngine::Exhaustive)
-            .with_k(k),
-    )
-    .states
-}
-
-/// Result of a bounded exhaustive sweep (see
-/// [`exhaustive_low_energy_bounded`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BoundedSweep {
-    /// The lowest-free-energy states found *within the budget*, sorted
-    /// ascending. Exact when `truncated` is false.
-    pub states: Vec<SimulatedState>,
-    /// Whether the sweep stopped early; when true, `states` covers only
-    /// the configurations visited before the budget ran out.
-    pub truncated: bool,
-    /// Gray-code steps actually taken (configurations visited).
-    pub steps: u64,
-}
-
-/// [`exhaustive_low_energy`] under a step/wall-clock budget: the sweep
-/// visits at most `budget.max_steps` configurations and polls
-/// `budget.deadline` every 4096 steps, reporting
-/// a truncated (best-effort) spectrum instead of running to completion.
-/// With an unbounded budget the result is exact. Bounded runs host the
-/// `sidb.sweep` fault-injection point: an injected `exhaust` truncates
-/// the sweep immediately when any limit is configured, and an injected
-/// `panic` fires here.
-///
-/// # Panics
-///
-/// See [`exhaustive_ground_state`].
-#[deprecated(
-    since = "0.6.0",
-    note = "use `engine::simulate_with` with `SimEngine::Exhaustive` and `with_budget`"
-)]
-pub fn exhaustive_low_energy_bounded(
-    layout: &SidbLayout,
-    params: &PhysicalParams,
-    k: usize,
-    budget: &StepBudget,
-) -> BoundedSweep {
-    let r = simulate_with(
-        layout,
-        &SimParams::new(*params)
-            .with_engine(SimEngine::Exhaustive)
-            .with_k(k)
-            .with_budget(*budget),
-    );
-    BoundedSweep {
-        states: r.states,
-        truncated: r.truncated,
-        steps: r.stats.visited,
-    }
-}
-
-/// Exhaustive ground-state search in the **three-state** model
-/// (negative/neutral/positive), for small layouts.
-///
-/// Positive charge states only appear under extreme Coulombic crowding
-/// (the paper's gate configurations never populate them), but the full
-/// model is needed to *demonstrate* that, and for robustness analyses
-/// near dense canvases. Complexity is `3^n`; intended for `n ≤ 16`.
-///
-/// Returns the valid configuration with minimal grand-potential free
-/// energy, or `None` for an empty layout.
-///
-/// # Panics
-///
-/// Panics if the layout has more than [`MAX_THREE_STATE_SITES`] sites.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `engine::simulate_with` with `with_three_state`"
-)]
-pub fn exhaustive_ground_state_three_state(
-    layout: &SidbLayout,
-    params: &PhysicalParams,
-) -> Option<ChargeConfiguration> {
-    simulate_with(layout, &SimParams::new(*params).with_three_state())
-        .states
-        .pop()
-        .map(|s| s.config)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::charge::{ChargeState, InteractionMatrix};
+    use crate::engine::{simulate_with, SimEngine, SimParams, SimResult};
+    use crate::layout::SidbLayout;
+    use crate::model::PhysicalParams;
+    use fcn_budget::StepBudget;
+
+    fn bounded(
+        layout: &SidbLayout,
+        params: &PhysicalParams,
+        k: usize,
+        budget: &StepBudget,
+    ) -> SimResult {
+        simulate_with(
+            layout,
+            &SimParams::new(*params)
+                .with_engine(SimEngine::Exhaustive)
+                .with_k(k)
+                .with_budget(*budget),
+        )
+    }
+
+    fn low_energy(layout: &SidbLayout, params: &PhysicalParams, k: usize) -> Vec<SimulatedState> {
+        bounded(layout, params, k, &StepBudget::unbounded()).states
+    }
+
+    pub(super) fn ground_state(
+        layout: &SidbLayout,
+        params: &PhysicalParams,
+    ) -> Option<ChargeConfiguration> {
+        low_energy(layout, params, 1).pop().map(|s| s.config)
+    }
 
     #[test]
     fn single_dot_ground_state_is_negative() {
         let layout = SidbLayout::from_sites([(5, 3, 1)]);
-        let gs = exhaustive_ground_state(&layout, &PhysicalParams::default()).expect("non-empty");
+        let gs = ground_state(&layout, &PhysicalParams::default()).expect("non-empty");
         assert_eq!(gs.state(0), ChargeState::Negative);
     }
 
@@ -184,7 +78,7 @@ mod tests {
         // One lattice cell (3.84 Å): v ≈ 0.62 eV > |μ−| → a single shared
         // electron, the BDL pair regime.
         let layout = SidbLayout::from_sites([(0, 0, 0), (1, 0, 0)]);
-        let gs = exhaustive_ground_state(&layout, &PhysicalParams::default()).expect("non-empty");
+        let gs = ground_state(&layout, &PhysicalParams::default()).expect("non-empty");
         assert_eq!(gs.num_negative(), 1);
     }
 
@@ -192,20 +86,19 @@ mod tests {
     fn medium_pair_charges_fully_at_default_mu() {
         // Two cells (7.68 Å): v ≈ 0.29 eV < |μ−| = 0.32 → both dots charge.
         let layout = SidbLayout::from_sites([(0, 0, 0), (2, 0, 0)]);
-        let gs = exhaustive_ground_state(&layout, &PhysicalParams::default()).expect("non-empty");
+        let gs = ground_state(&layout, &PhysicalParams::default()).expect("non-empty");
         assert_eq!(gs.num_negative(), 2);
         // At the Figure 1c level μ− = −0.28 the same pair holds one
         // electron — the transition the BDL regime depends on.
-        let gs28 =
-            exhaustive_ground_state(&layout, &PhysicalParams::default().with_mu_minus(-0.28))
-                .expect("non-empty");
+        let gs28 = ground_state(&layout, &PhysicalParams::default().with_mu_minus(-0.28))
+            .expect("non-empty");
         assert_eq!(gs28.num_negative(), 1);
     }
 
     #[test]
     fn far_pair_ground_state_has_two_electrons() {
         let layout = SidbLayout::from_sites([(0, 0, 0), (50, 0, 0)]);
-        let gs = exhaustive_ground_state(&layout, &PhysicalParams::default()).expect("non-empty");
+        let gs = ground_state(&layout, &PhysicalParams::default()).expect("non-empty");
         assert_eq!(gs.num_negative(), 2);
     }
 
@@ -229,7 +122,7 @@ mod tests {
             }
         }
         let (naive_f, naive_cfg) = best_naive.expect("a valid configuration exists");
-        let fast = exhaustive_low_energy(&layout, &params, 1);
+        let fast = low_energy(&layout, &params, 1);
         assert_eq!(fast.len(), 1);
         assert!((fast[0].free_energy - naive_f).abs() < 1e-9);
         assert_eq!(fast[0].config.num_negative(), naive_cfg.num_negative());
@@ -240,7 +133,7 @@ mod tests {
         let layout = SidbLayout::from_sites([(0, 0, 0), (4, 0, 0), (2, 1, 1), (9, 1, 0)]);
         let params = PhysicalParams::default();
         let m = InteractionMatrix::new(&layout, &params);
-        for s in exhaustive_low_energy(&layout, &params, 5) {
+        for s in low_energy(&layout, &params, 5) {
             let direct_e = s.config.electrostatic_energy(&m);
             let direct_f = s.config.free_energy(&m);
             assert!((s.electrostatic_energy - direct_e).abs() < 1e-9);
@@ -252,7 +145,7 @@ mod tests {
     #[test]
     fn low_energy_states_are_sorted() {
         let layout = SidbLayout::from_sites([(0, 0, 0), (6, 0, 0), (12, 0, 0), (18, 0, 0)]);
-        let states = exhaustive_low_energy(&layout, &PhysicalParams::default(), 4);
+        let states = low_energy(&layout, &PhysicalParams::default(), 4);
         assert!(!states.is_empty());
         for w in states.windows(2) {
             assert!(w[0].free_energy <= w[1].free_energy + 1e-12);
@@ -262,16 +155,16 @@ mod tests {
     #[test]
     fn empty_layout_has_no_ground_state() {
         let layout = SidbLayout::new();
-        assert!(exhaustive_ground_state(&layout, &PhysicalParams::default()).is_none());
+        assert!(ground_state(&layout, &PhysicalParams::default()).is_none());
     }
 
     #[test]
     fn unbounded_budget_matches_unbounded_api() {
         let layout = SidbLayout::from_sites([(0, 0, 0), (3, 0, 0), (6, 1, 0), (1, 2, 1)]);
         let params = PhysicalParams::default();
-        let sweep = exhaustive_low_energy_bounded(&layout, &params, 3, &StepBudget::unbounded());
+        let sweep = bounded(&layout, &params, 3, &StepBudget::unbounded());
         assert!(!sweep.truncated);
-        assert_eq!(sweep.states, exhaustive_low_energy(&layout, &params, 3));
+        assert_eq!(sweep.states, low_energy(&layout, &params, 3));
     }
 
     #[test]
@@ -283,9 +176,9 @@ mod tests {
             max_steps: Some(4),
             deadline: fcn_budget::Deadline::unbounded(),
         };
-        let sweep = exhaustive_low_energy_bounded(&layout, &params, 3, &budget);
+        let sweep = bounded(&layout, &params, 3, &budget);
         assert!(sweep.truncated);
-        assert_eq!(sweep.steps, 4);
+        assert_eq!(sweep.stats.visited, 4);
     }
 
     #[test]
@@ -300,8 +193,8 @@ mod tests {
         // The 5-site sweep is shorter than the poll interval, so an
         // expired deadline may or may not be observed — but either way
         // the call returns a well-formed result.
-        let sweep = exhaustive_low_energy_bounded(&layout, &params, 1, &budget);
-        assert!(sweep.steps >= 1);
+        let sweep = bounded(&layout, &params, 1, &budget);
+        assert!(sweep.stats.visited >= 1);
     }
 
     #[test]
@@ -313,10 +206,9 @@ mod tests {
             "sidb.sweep",
             Fault::Exhaust,
         )));
-        let unbounded =
-            exhaustive_low_energy_bounded(&layout, &params, 1, &StepBudget::unbounded());
+        let unbounded = bounded(&layout, &params, 1, &StepBudget::unbounded());
         assert!(!unbounded.truncated, "unbounded sweeps stay exact");
-        let bounded = exhaustive_low_energy_bounded(
+        let bounded = bounded(
             &layout,
             &params,
             1,
@@ -330,16 +222,28 @@ mod tests {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod three_state_tests {
+    use super::tests::ground_state as exhaustive_ground_state;
     use super::*;
     use crate::charge::{ChargeState, InteractionMatrix};
+    use crate::engine::{simulate_with, SimParams};
+    use crate::layout::SidbLayout;
+    use crate::model::PhysicalParams;
+
+    fn three_state_ground_state(
+        layout: &SidbLayout,
+        params: &PhysicalParams,
+    ) -> Option<ChargeConfiguration> {
+        simulate_with(layout, &SimParams::new(*params).with_three_state())
+            .states
+            .pop()
+            .map(|s| s.config)
+    }
 
     #[test]
     fn isolated_dot_is_negative_in_three_state_model() {
         let layout = SidbLayout::from_sites([(0, 0, 0)]);
-        let gs = exhaustive_ground_state_three_state(&layout, &PhysicalParams::default())
-            .expect("non-empty");
+        let gs = three_state_ground_state(&layout, &PhysicalParams::default()).expect("non-empty");
         assert_eq!(gs.state(0), ChargeState::Negative);
     }
 
@@ -348,7 +252,7 @@ mod three_state_tests {
         let layout = SidbLayout::from_sites([(0, 0, 0), (4, 0, 0), (8, 1, 0), (2, 3, 1)]);
         let params = PhysicalParams::default();
         let two = exhaustive_ground_state(&layout, &params).expect("ok");
-        let three = exhaustive_ground_state_three_state(&layout, &params).expect("ok");
+        let three = three_state_ground_state(&layout, &params).expect("ok");
         assert_eq!(two.states(), three.states());
     }
 
@@ -370,7 +274,7 @@ mod three_state_tests {
             SidbLayout::from_sites(layout.sites().iter().copied().take(8).collect::<Vec<_>>());
         let params = PhysicalParams::default().with_three_state();
         let m = InteractionMatrix::new(&layout, &params);
-        let gs = exhaustive_ground_state_three_state(&layout, &params).expect("ok");
+        let gs = three_state_ground_state(&layout, &params).expect("ok");
         assert!(gs.is_physically_valid(&m));
     }
 
@@ -378,6 +282,6 @@ mod three_state_tests {
     #[should_panic(expected = "at most")]
     fn too_many_sites_panics() {
         let layout = SidbLayout::from_sites((0..20).map(|i| (i, 0, 0)));
-        let _ = exhaustive_ground_state_three_state(&layout, &PhysicalParams::default());
+        let _ = three_state_ground_state(&layout, &PhysicalParams::default());
     }
 }

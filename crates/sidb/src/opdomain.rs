@@ -34,14 +34,14 @@
 //!   points are labelled, never passed off as simulated.
 //!
 //! Refinement proceeds in waves; each wave is dispatched over the
-//! engine's partitioned worker pool in grid-index order, and every
-//! scheduling decision is a pure function of previously simulated
-//! verdicts — the sampled domain is therefore bit-identical at any
-//! `OPDOMAIN_THREADS` width. Deadlines ([`DomainParams::with_budget`])
-//! are honored between waves: an expired budget stops the sweep, marks
-//! the remaining points [`SampleStatus::Unknown`], and records an
-//! honest [`DomainDegradation`] instead of silently returning a
-//! partial map as complete. The `opdomain.point` fault-injection point
+//! ordered executor in grid-index order, and every scheduling decision
+//! is a pure function of previously simulated verdicts — the sampled
+//! domain is therefore bit-identical at any `THREADS` width. Deadlines
+//! ([`DomainParams::with_budget`]) are honored between waves: an
+//! expired budget stops the sweep, marks the remaining points
+//! [`SampleStatus::Unknown`], and records an honest
+//! [`DomainDegradation`] instead of silently returning a partial map as
+//! complete. The `opdomain.point` fault-injection point
 //! exercises worker-loss (recompute) and point-skip (degradation)
 //! paths deterministically.
 //!
@@ -56,7 +56,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use crate::cache::SimCache;
 use crate::engine::{self, SimParams, SimStats};
 use crate::model::PhysicalParams;
-use crate::operational::{CheckMode, Engine, GateDesign};
+use crate::operational::{CheckMode, GateDesign};
 use fcn_budget::StepBudget;
 
 /// The sweep grid for an operational-domain analysis.
@@ -144,18 +144,6 @@ impl DomainStrategy {
     }
 }
 
-/// The default domain-sweep pool width: the `OPDOMAIN_THREADS`
-/// environment variable if set (minimum 1), else
-/// [`engine::default_sim_threads`] (which reads `SIM_THREADS`).
-pub fn default_opdomain_threads() -> usize {
-    if let Ok(v) = std::env::var("OPDOMAIN_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    engine::default_sim_threads()
-}
-
 /// Parameters of one operational-domain sweep, built by chaining.
 ///
 /// Mirrors [`SimParams`] / `FlowOptions` / `DesignerOptions`: construct
@@ -174,8 +162,7 @@ pub fn default_opdomain_threads() -> usize {
 ///     SimParams::new(PhysicalParams::default()).with_engine(SimEngine::QuickExact),
 /// )
 /// .with_grid(DomainGrid { steps: 5, ..Default::default() })
-/// .with_strategy(DomainStrategy::Adaptive)
-/// .with_threads(2);
+/// .with_strategy(DomainStrategy::Adaptive);
 /// assert_eq!(params.grid.steps, 5);
 /// ```
 #[non_exhaustive]
@@ -191,9 +178,6 @@ pub struct DomainParams {
     /// environment variable (`dense` / `adaptive`), then to
     /// [`DomainStrategy::Adaptive`].
     pub strategy: Option<DomainStrategy>,
-    /// Worker-pool width for the per-point checks; `None` defers to
-    /// [`default_opdomain_threads`].
-    pub threads: Option<usize>,
     /// Sweep budget: the deadline is honored between refinement waves,
     /// `max_steps` caps the number of *simulated grid points*. An
     /// exhausted budget degrades honestly (see [`DomainDegradation`]).
@@ -205,7 +189,7 @@ pub struct DomainParams {
 
 impl DomainParams {
     /// A sweep of the default window with the given simulation
-    /// parameters, environment-default strategy and threads, no
+    /// parameters, environment-default strategy, no
     /// budget, and the experimentally calibrated nominal point
     /// (ε_r = 5.6, λ_TF = 5 nm).
     pub fn new(sim: SimParams) -> Self {
@@ -213,7 +197,6 @@ impl DomainParams {
             sim,
             grid: DomainGrid::default(),
             strategy: None,
-            threads: None,
             budget: StepBudget::unbounded(),
             nominal: (5.6, 5.0),
         }
@@ -230,14 +213,6 @@ impl DomainParams {
     #[must_use]
     pub fn with_strategy(mut self, strategy: DomainStrategy) -> Self {
         self.strategy = Some(strategy);
-        self
-    }
-
-    /// Pins the worker-pool width (`1` = serial; overrides
-    /// `OPDOMAIN_THREADS`).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
         self
     }
 
@@ -270,11 +245,6 @@ impl DomainParams {
         self.strategy
             .or_else(DomainStrategy::from_env)
             .unwrap_or(DomainStrategy::Adaptive)
-    }
-
-    /// The pool width after environment-variable resolution.
-    pub fn effective_threads(&self) -> usize {
-        self.threads.unwrap_or_else(default_opdomain_threads)
     }
 }
 
@@ -467,8 +437,8 @@ impl GateDesign {
     /// Sweeps the operational domain of this design.
     ///
     /// See the [module docs](self) for the sampling strategies. The
-    /// sampled domain is bit-identical at any
-    /// [`DomainParams::with_threads`] width; only budget-degraded
+    /// sampled domain is bit-identical at any width
+    /// ([`fcn_budget::exec`]); only budget-degraded
     /// sweeps (which depend on the wall clock) may differ between
     /// runs, and those carry an explicit [`DomainDegradation`].
     ///
@@ -519,7 +489,6 @@ impl GateDesign {
             grid: params.grid,
             eps: DomainGrid::axis(params.grid.epsilon_r, n),
             lam: DomainGrid::axis(params.grid.lambda_tf_nm, n),
-            threads: params.effective_threads(),
             budget: params.budget,
             decided: vec![None; n * n],
             stats: DomainStats::default(),
@@ -552,7 +521,7 @@ enum PointOutcome {
         pattern_sims: u64,
     },
     /// An injected `opdomain.point` panic unwound the check; the
-    /// coordinator recomputes the point (mirroring `run_partitioned`).
+    /// coordinator recomputes the point (mirroring `engine::run_units`).
     Faulted,
     /// An injected `opdomain.point` exhaustion skipped the point.
     Skipped,
@@ -579,7 +548,7 @@ fn check_point(
 }
 
 /// [`check_point`] without the fault check — the coordinator's
-/// recompute path, like `run_partitioned`'s.
+/// recompute path, like `engine::run_units`'.
 fn check_point_unchecked(
     design: &GateDesign,
     sim: &SimParams,
@@ -594,8 +563,7 @@ fn check_point_unchecked(
             ..sim.physical
         },
         ..sim.clone()
-    }
-    .with_threads(1);
+    };
     let outcome = design.check_with_mode(&point_sim, mode);
     PointOutcome::Checked {
         operational: outcome.report.is_operational(),
@@ -630,7 +598,6 @@ struct Sweep<'a> {
     grid: DomainGrid,
     eps: Vec<f64>,
     lam: Vec<f64>,
-    threads: usize,
     budget: StepBudget,
     /// Per grid point: the decided status and provenance, `None` while
     /// undecided.
@@ -689,7 +656,7 @@ impl Sweep<'_> {
         let mode = self.mode;
         let eps = &self.eps;
         let lam = &self.lam;
-        let run = engine::run_partitioned(points.len(), self.threads, |i| {
+        let run = engine::run_units(points.len(), |i| {
             let idx = points[i];
             check_point(design, sim, mode, eps[idx / n], lam[idx % n])
         });
@@ -702,7 +669,7 @@ impl Sweep<'_> {
                 PointOutcome::Faulted => {
                     // The injected panic unwound the point check:
                     // recompute on the coordinator, without re-arming
-                    // the fault (mirrors `run_partitioned`'s recovery).
+                    // the fault (mirrors `engine::run_units`' recovery).
                     self.stats.sim.recovered += 1;
                     check_point_unchecked(
                         self.design,
@@ -946,54 +913,12 @@ impl Sweep<'_> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Deprecated entry points.
-
-/// Sweeps the operational domain of a design with the dense strategy.
-///
-/// `sim.physical` supplies the non-swept parameters (μ−, model flags);
-/// the grid overrides ε_r and λ_TF per sample.
-#[deprecated(
-    since = "0.8.0",
-    note = "use `GateDesign::operational_domain(&DomainParams)`"
-)]
-pub fn operational_domain_with(
-    design: &GateDesign,
-    grid: DomainGrid,
-    sim: &SimParams,
-) -> OperationalDomain {
-    let mut params = DomainParams::new(sim.clone())
-        .with_grid(grid)
-        .with_strategy(DomainStrategy::Dense);
-    if let Some(threads) = sim.threads {
-        params = params.with_threads(threads);
-    }
-    design.operational_domain(&params)
-}
-
-/// Sweeps the operational domain of a design with the dense strategy.
-///
-/// `base` supplies the non-swept parameters (μ−, model flags); the grid
-/// overrides ε_r and λ_TF per sample.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `GateDesign::operational_domain(&DomainParams)`"
-)]
-pub fn operational_domain(
-    design: &GateDesign,
-    base: &PhysicalParams,
-    grid: DomainGrid,
-    engine: Engine,
-) -> OperationalDomain {
-    #[allow(deprecated)]
-    operational_domain_with(design, grid, &SimParams::new(*base).with_engine(engine))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bdl::{BdlPair, InputPort, OutputPort};
     use crate::layout::SidbLayout;
+    use fcn_budget::exec::with_width;
     use fcn_budget::Deadline;
 
     fn wire() -> GateDesign {
@@ -1021,11 +946,13 @@ mod tests {
     }
 
     fn params() -> DomainParams {
-        DomainParams::new(SimParams::new(PhysicalParams::default()).with_engine(Engine::QuickExact))
-            .with_grid(DomainGrid {
-                steps: 3,
-                ..Default::default()
-            })
+        DomainParams::new(
+            SimParams::new(PhysicalParams::default()).with_engine(engine::SimEngine::QuickExact),
+        )
+        .with_grid(DomainGrid {
+            steps: 3,
+            ..Default::default()
+        })
     }
 
     #[test]
@@ -1063,10 +990,8 @@ mod tests {
     fn builder_chains_configure_the_sweep() {
         let p = params()
             .with_strategy(DomainStrategy::Dense)
-            .with_threads(2)
             .with_nominal(4.1, 6.2);
         assert_eq!(p.effective_strategy(), DomainStrategy::Dense);
-        assert_eq!(p.effective_threads(), 2);
         assert_eq!(p.nominal, (4.1, 6.2));
     }
 
@@ -1137,8 +1062,9 @@ mod tests {
     #[test]
     fn domain_samples_are_thread_invariant() {
         for strategy in [DomainStrategy::Dense, DomainStrategy::Adaptive] {
-            let one = wire().operational_domain(&params().with_strategy(strategy).with_threads(1));
-            let four = wire().operational_domain(&params().with_strategy(strategy).with_threads(4));
+            let params = params().with_strategy(strategy);
+            let one = with_width(1, || wire().operational_domain(&params));
+            let four = with_width(4, || wire().operational_domain(&params));
             assert_eq!(one.samples, four.samples);
             assert_eq!(one.stats, four.stats);
         }
@@ -1189,21 +1115,5 @@ mod tests {
         assert_eq!(degradation.trigger, DomainTrigger::Budget);
         assert_eq!(domain.stats.simulated, 4);
         assert!(domain.stats.skipped > 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrapper_runs_the_dense_strategy() {
-        let grid = DomainGrid {
-            steps: 3,
-            ..Default::default()
-        };
-        let sim = SimParams::new(PhysicalParams::default()).with_engine(Engine::QuickExact);
-        let domain = operational_domain_with(&wire(), grid, &sim);
-        assert_eq!(domain.samples.len(), 9);
-        assert!(domain
-            .samples
-            .iter()
-            .all(|s| s.provenance == Provenance::Simulated));
     }
 }

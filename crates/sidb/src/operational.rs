@@ -29,7 +29,6 @@ use crate::charge::{ChargeConfiguration, InteractionMatrix};
 use crate::defects::DefectMap;
 use crate::engine::{self, SimParams, SimStats};
 use crate::layout::SidbLayout;
-use crate::model::PhysicalParams;
 
 /// Which ground-state engine validates a design (an alias of
 /// [`crate::engine::SimEngine`], kept for source compatibility).
@@ -219,20 +218,6 @@ impl GateDesign {
         }
     }
 
-    /// Simulates one input pattern and decodes the outputs.
-    ///
-    /// Returns `None` when no ground state could be determined (empty
-    /// design).
-    #[deprecated(since = "0.6.0", note = "use `simulate_pattern_with(&SimParams)`")]
-    pub fn simulate_pattern(
-        &self,
-        pattern: u32,
-        params: &PhysicalParams,
-        engine: Engine,
-    ) -> Option<PatternSimulation> {
-        self.simulate_pattern_with(pattern, &SimParams::new(*params).with_engine(engine))
-    }
-
     /// Validates the design against its truth table, returning the
     /// verdict together with the summed simulation work counters.
     ///
@@ -298,20 +283,19 @@ impl GateDesign {
             self.num_patterns(),
             "truth table must cover all input patterns"
         );
-        let threads = sim.threads.unwrap_or_else(engine::default_sim_threads);
-        // Patterns are the partition units; each unit simulates serially
-        // so the pool width never changes any per-pattern arithmetic.
-        let unit_sim = sim.clone().with_threads(1);
+        // Patterns are the partition units; simulations nested in them
+        // share the executor's width, which never changes any
+        // per-pattern arithmetic.
         let body_matrix = InteractionMatrix::new(&self.body, &sim.physical);
         let patterns = self.num_patterns() as usize;
-        let run = engine::run_partitioned(patterns, threads, |p| {
+        let run = engine::run_units(patterns, |p| {
             let layout = self.layout_for_pattern(p as u32);
             let mut matrix =
                 InteractionMatrix::extended(&body_matrix, &self.body, &layout, &sim.physical);
             if let Some(map) = surface {
                 matrix = matrix.with_external(map.external_potentials(&layout, &sim.physical));
             }
-            let result = engine::simulate_with_matrix(&layout, &unit_sim, Some(&matrix));
+            let result = engine::simulate_with_matrix(&layout, sim, Some(&matrix));
             let ground_state = result
                 .states
                 .first()
@@ -356,9 +340,8 @@ impl GateDesign {
 
     /// [`CheckMode::RefuteFast`]: serial pattern loop, early exit on
     /// the first refutation. Patterns run one after another, so each
-    /// simulation keeps the caller's full thread budget (at
-    /// `with_threads(1)` — how domain sweeps call it — the per-pattern
-    /// arithmetic is identical to full mode's serial units).
+    /// simulation may use the caller's whole width; the per-pattern
+    /// arithmetic is identical to full mode's units at any width.
     fn check_refute_fast(&self, sim: &SimParams) -> CheckOutcome {
         let body_matrix = InteractionMatrix::new(&self.body, &sim.physical);
         let mut stats = SimStats::default();
@@ -402,17 +385,6 @@ impl GateDesign {
         }
     }
 
-    /// Validates the design against its truth table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the truth table does not cover every input pattern.
-    #[deprecated(since = "0.6.0", note = "use `check_operational_with(&SimParams)`")]
-    pub fn check_operational(&self, params: &PhysicalParams, engine: Engine) -> OperationalStatus {
-        self.check_operational_with(&SimParams::new(*params).with_engine(engine))
-            .status
-    }
-
     /// Translated copy of the whole design.
     pub fn translated(&self, dx: i32, dy: i32) -> GateDesign {
         GateDesign {
@@ -431,7 +403,9 @@ mod tests {
     use crate::bdl::BdlPair;
     use crate::cache::SimCache;
     use crate::engine::SimEngine;
+    use crate::model::PhysicalParams;
     use crate::simanneal::AnnealParams;
+    use fcn_budget::exec::with_width;
 
     /// A three-pair BDL wire in the validated geometry: vertical pairs
     /// `(0,y,0)/(0,y+1,0)` at a four-row pitch, input perturbers at the
@@ -508,8 +482,8 @@ mod tests {
     fn verdicts_and_stats_are_thread_invariant() {
         let d = wire_design();
         let base = SimParams::new(PhysicalParams::default());
-        let one = d.check_core(&base.clone().with_threads(1));
-        let four = d.check_core(&base.clone().with_threads(4));
+        let one = with_width(1, || d.check_core(&base));
+        let four = with_width(4, || d.check_core(&base));
         assert_eq!(one, four);
     }
 
@@ -587,16 +561,5 @@ mod tests {
         assert_eq!(full.patterns_simulated, d.num_patterns());
         assert_eq!(fast.patterns_simulated, 1);
         assert!(fast.report.stats.visited < full.report.stats.visited);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_work() {
-        let d = wire_design();
-        let params = PhysicalParams::default();
-        assert!(d
-            .check_operational(&params, Engine::Exhaustive)
-            .is_operational());
-        assert!(d.simulate_pattern(1, &params, Engine::QuickExact).is_some());
     }
 }

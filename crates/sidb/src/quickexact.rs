@@ -19,64 +19,16 @@
 //!
 //! Under an interaction cutoff the layout may decompose into independent
 //! clusters; each cluster is an independent partition unit solved across
-//! the engine's worker pool, and the per-cluster spectra are merged
-//! best-first. The entry points here are deprecated wrappers; new code
-//! uses [`crate::engine::simulate_with`] with
+//! the ordered executor, and the per-cluster spectra are merged
+//! best-first. Callers reach this engine through
+//! [`crate::engine::simulate_with`] with
 //! [`SimEngine::QuickExact`](crate::engine::SimEngine).
 
 use crate::charge::{ChargeConfiguration, ChargeState, InteractionMatrix};
-use crate::engine::{self, SimEngine, SimParams};
+use crate::engine;
 use crate::exgs::SimulatedState;
 use crate::layout::SidbLayout;
 use crate::model::PhysicalParams;
-
-/// Exact ground state via branch and bound. Equivalent to the
-/// exhaustive sweep but typically orders of magnitude faster on
-/// BDL-structured layouts.
-///
-/// # Panics
-///
-/// Panics if `params.three_state` is set.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `engine::simulate_with` with `SimEngine::QuickExact`"
-)]
-pub fn quick_exact_ground_state(
-    layout: &SidbLayout,
-    params: &PhysicalParams,
-) -> Option<ChargeConfiguration> {
-    engine::simulate_with(
-        layout,
-        &SimParams::new(*params).with_engine(SimEngine::QuickExact),
-    )
-    .states
-    .pop()
-    .map(|s| s.config)
-}
-
-/// The `k` lowest-free-energy valid configurations via branch and bound,
-/// sorted ascending by free energy.
-///
-/// # Panics
-///
-/// Panics if `params.three_state` is set.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `engine::simulate_with` with `SimEngine::QuickExact`"
-)]
-pub fn quick_exact_low_energy(
-    layout: &SidbLayout,
-    params: &PhysicalParams,
-    k: usize,
-) -> Vec<SimulatedState> {
-    engine::simulate_with(
-        layout,
-        &SimParams::new(*params)
-            .with_engine(SimEngine::QuickExact)
-            .with_k(k),
-    )
-    .states
-}
 
 /// One branch-and-bound run's outcome (for [`crate::engine`]).
 pub(crate) struct QeRun {
@@ -90,15 +42,14 @@ pub(crate) struct QeRun {
 }
 
 /// The engine core: exact k-best search, decomposing into connected
-/// clusters of the interaction graph and solving them across the worker
-/// pool. `matrix`, when given, must be the interaction matrix of
+/// clusters of the interaction graph and solving them as partition
+/// units. `matrix`, when given, must be the interaction matrix of
 /// `layout` under `params` (shared by gate validation across input
 /// patterns).
 pub(crate) fn low_energy_core(
     layout: &SidbLayout,
     params: &PhysicalParams,
     k: usize,
-    threads: usize,
     matrix: Option<&InteractionMatrix>,
 ) -> QeRun {
     assert!(
@@ -136,7 +87,7 @@ pub(crate) fn low_energy_core(
             recovered: 0,
         };
     }
-    let run = engine::run_partitioned(components.len(), threads, |ci| {
+    let run = engine::run_units(components.len(), |ci| {
         let sub = SidbLayout::from_sites(components[ci].iter().map(|&i| layout.sites()[i]));
         if m.has_external() {
             // External potentials are per-site, so they restrict to the
@@ -579,10 +530,48 @@ fn greedy_descent(m: &InteractionMatrix, params: &PhysicalParams, n: usize) -> C
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::exgs::exhaustive_low_energy;
+    use crate::engine::{simulate_with, SimEngine, SimParams};
+    use fcn_budget::exec::with_width;
+
+    fn low_energy(
+        layout: &SidbLayout,
+        params: &PhysicalParams,
+        k: usize,
+        engine: SimEngine,
+    ) -> Vec<SimulatedState> {
+        simulate_with(
+            layout,
+            &SimParams::new(*params).with_engine(engine).with_k(k),
+        )
+        .states
+    }
+
+    fn exhaustive_low_energy(
+        layout: &SidbLayout,
+        params: &PhysicalParams,
+        k: usize,
+    ) -> Vec<SimulatedState> {
+        low_energy(layout, params, k, SimEngine::Exhaustive)
+    }
+
+    fn quick_exact_low_energy(
+        layout: &SidbLayout,
+        params: &PhysicalParams,
+        k: usize,
+    ) -> Vec<SimulatedState> {
+        low_energy(layout, params, k, SimEngine::QuickExact)
+    }
+
+    fn quick_exact_ground_state(
+        layout: &SidbLayout,
+        params: &PhysicalParams,
+    ) -> Option<ChargeConfiguration> {
+        quick_exact_low_energy(layout, params, 1)
+            .pop()
+            .map(|s| s.config)
+    }
 
     fn random_layout(seed: u64, n: usize) -> SidbLayout {
         let mut s = seed;
@@ -681,8 +670,8 @@ mod tests {
             layout.add_site((40 * c, 0, 0));
             layout.add_site((40 * c + 2, 0, 0));
         }
-        let serial = low_energy_core(&layout, &params, 4, 1, None);
-        let wide = low_energy_core(&layout, &params, 4, 4, None);
+        let serial = with_width(1, || low_energy_core(&layout, &params, 4, None));
+        let wide = with_width(4, || low_energy_core(&layout, &params, 4, None));
         assert_eq!(serial.states, wide.states);
         assert!(!serial.states.is_empty());
         assert_eq!(serial.nodes, wide.nodes);

@@ -150,48 +150,6 @@ impl<'a> Anneal<'a> {
     }
 }
 
-/// Runs simulated annealing; returns the best physically valid state
-/// found, or `None` for an empty layout.
-///
-/// # Panics
-///
-/// Panics if `params.three_state` is set; like the paper's gate
-/// simulations, the annealer works in the negative/neutral system.
-///
-/// # Examples
-///
-/// ```
-/// use sidb_sim::engine::{simulate_with, SimEngine, SimParams};
-/// use sidb_sim::layout::SidbLayout;
-/// use sidb_sim::model::PhysicalParams;
-/// use sidb_sim::simanneal::AnnealParams;
-///
-/// let layout = SidbLayout::from_sites([(0, 0, 0), (20, 0, 0)]);
-/// let result = simulate_with(
-///     &layout,
-///     &SimParams::new(PhysicalParams::default())
-///         .with_engine(SimEngine::Anneal(AnnealParams::default())),
-/// );
-/// assert_eq!(result.ground_state().expect("non-empty").config.num_negative(), 2);
-/// ```
-#[deprecated(
-    since = "0.6.0",
-    note = "use `engine::simulate_with` with `SimEngine::Anneal`"
-)]
-pub fn simulated_annealing(
-    layout: &SidbLayout,
-    params: &PhysicalParams,
-    anneal: &AnnealParams,
-) -> Option<SimulatedState> {
-    crate::engine::simulate_with(
-        layout,
-        &crate::engine::SimParams::new(*params)
-            .with_engine(crate::engine::SimEngine::Anneal(*anneal)),
-    )
-    .states
-    .pop()
-}
-
 /// The annealing core (for [`crate::engine`]): the best physically
 /// valid state over `anneal.instances` independent Metropolis runs.
 /// `matrix`, when given, must belong to `layout` under `params`.
@@ -282,10 +240,36 @@ pub(crate) fn anneal_core(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::exgs::exhaustive_low_energy;
+    use crate::engine::{simulate_with, SimEngine, SimParams};
+
+    fn exhaustive_low_energy(
+        layout: &SidbLayout,
+        params: &PhysicalParams,
+        k: usize,
+    ) -> Vec<SimulatedState> {
+        simulate_with(
+            layout,
+            &SimParams::new(*params)
+                .with_engine(SimEngine::Exhaustive)
+                .with_k(k),
+        )
+        .states
+    }
+
+    fn simulated_annealing(
+        layout: &SidbLayout,
+        params: &PhysicalParams,
+        anneal: &AnnealParams,
+    ) -> Option<SimulatedState> {
+        simulate_with(
+            layout,
+            &SimParams::new(*params).with_engine(SimEngine::Anneal(*anneal)),
+        )
+        .states
+        .pop()
+    }
 
     #[test]
     fn annealer_matches_exhaustive_on_small_layouts() {

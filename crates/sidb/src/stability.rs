@@ -53,10 +53,7 @@ pub fn logic_stability(
     engine: Engine,
 ) -> Vec<PatternStability> {
     assert!(
-        matches!(
-            engine,
-            Engine::QuickExact | Engine::Auto | Engine::Exhaustive
-        ),
+        matches!(engine, Engine::QuickExact | Engine::Exhaustive),
         "gap analysis requires an exact engine"
     );
     let sim = SimParams::new(*params).with_engine(engine).with_k(k_states);

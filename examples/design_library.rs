@@ -14,7 +14,7 @@
 //! canvas dots of every repair it finds, ready to be transplanted into
 //! the tile constructors. Knobs: `DESIGNER_DEADLINE_MS` (default
 //! 60000 — the expensive tiles need hours; raise it for a full hunt),
-//! `DESIGNER_THREADS`, `SIM_CACHE=0`.
+//! `THREADS`, `SIM_CACHE=0`.
 
 use bestagon_lib::designer::{design_library, DesignerOptions};
 use bestagon_lib::tiles::{figure5_designs, validate_designs};

@@ -17,16 +17,17 @@
 //! `TELEMETRY=summary|tree|json` to also stream each flow's report to
 //! stderr as it completes.
 //!
-//! The exact P&R step probes aspect ratios on a parallel portfolio; the
-//! thread count defaults to the machine's parallelism and is recorded in
-//! the JSON (`pnr_threads`). Override it with the `PNR_THREADS`
-//! environment variable — results are identical at any thread count.
+//! The exact P&R step probes aspect ratios on a parallel portfolio and
+//! step 7 validates tiles on the same executor. Its width defaults to
+//! the machine's parallelism; override it with the `THREADS`
+//! environment variable — layouts are identical at any width. The width
+//! is recorded in the JSON under the historical key `pnr_threads`, so
+//! committed baselines stay comparable.
 //!
 //! Step 7 additionally re-validates the distinct tile designs each
 //! layout uses with the cached exact simulation engine, so every
 //! report in the JSON carries the `sidb.*` counters (configurations
-//! visited/pruned, cache hits). `SIM_THREADS` and `SIM_CACHE` control
-//! the simulation pool and cache, mirroring `PNR_THREADS`.
+//! visited/pruned, cache hits). `SIM_CACHE=0` disables the cache.
 
 use bestagon_core::benchmarks::{benchmark, benchmark_names};
 use bestagon_core::flow::{FlowOptions, FlowRequest, PnrMethod};
@@ -34,7 +35,7 @@ use fcn_telemetry::json::Value;
 use std::time::Instant;
 
 fn main() {
-    let pnr_threads = fcn_pnr::default_num_threads();
+    let pnr_threads = fcn_budget::exec::width();
     println!("=== Table 1: generated layout data ===\n");
     println!("(exact P&R portfolio: {pnr_threads} thread(s))\n");
     println!(
@@ -47,7 +48,6 @@ fn main() {
         let started = Instant::now();
         let options = FlowOptions::new()
             .with_pnr(PnrMethod::ExactWithFallback { max_area: 120 })
-            .with_threads(pnr_threads)
             .with_tile_validation();
         match FlowRequest::netlist(name, b.xag.clone())
             .with_options(options)
@@ -91,7 +91,7 @@ fn main() {
                     ("sidbs".to_owned(), Value::Num(cell.num_sidbs() as f64)),
                     ("area_nm2".to_owned(), Value::Num(cell.area_nm2)),
                     // Tree-wide work totals (deterministic at
-                    // PNR_THREADS=1 / any SIM_THREADS — see README).
+                    // THREADS=1 — see README).
                     (
                         "conflicts".to_owned(),
                         Value::Num(report.counter_total("sat.conflicts") as f64),

@@ -3,6 +3,7 @@
 //! reproducible, and defect-aware gate validation is deterministic at
 //! any thread width.
 
+use fcn_budget::exec::with_width;
 use proptest::prelude::*;
 use sidb_sim::layout::SidbLayout;
 use sidb_sim::{
@@ -129,10 +130,9 @@ fn surface_validation_is_thread_width_invariant() {
     let design = bestagon_lib::tiles::huff_style_or();
     let surface = DefectMap::random(11, 5e-5, &DefectKind::ALL);
     assert!(!surface.is_empty(), "seed 11 populates the region");
-    let serial =
-        design.check_operational_on(&params(SimEngine::QuickExact).with_threads(1), &surface);
-    let parallel =
-        design.check_operational_on(&params(SimEngine::QuickExact).with_threads(4), &surface);
+    let sim = params(SimEngine::QuickExact);
+    let serial = with_width(1, || design.check_operational_on(&sim, &surface));
+    let parallel = with_width(4, || design.check_operational_on(&sim, &surface));
     assert_eq!(serial.status, parallel.status);
     assert_eq!(serial.stats.visited, parallel.stats.visited);
 }

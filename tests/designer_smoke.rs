@@ -2,13 +2,14 @@
 //! on the broken diagonal-wire tile (the pre-repair `wire_nw_se`
 //! geometry, without its designer-found canvas dot) must improve the
 //! score — and must do so deterministically: the resulting design is
-//! byte-identical at any `DESIGNER_THREADS` width.
+//! byte-identical at any `THREADS` width.
 
 use bestagon_lib::designer::{design_canvas, DesignerOptions};
 use bestagon_lib::geometry::{
     balanced_run, column, standard_input_port, standard_output_port, EAST_PORT_X, OUTPUT_ROW,
     WEST_PORT_X,
 };
+use fcn_budget::exec::with_width;
 use sidb_sim::layout::SidbLayout;
 use sidb_sim::operational::GateDesign;
 use sidb_sim::PhysicalParams;
@@ -42,8 +43,8 @@ fn smoke_options() -> DesignerOptions {
 fn short_seeded_search_improves_the_broken_diagonal_wire() {
     let base = broken_diagonal_wire();
     let params = PhysicalParams::default();
-    // Runs at the ambient DESIGNER_THREADS width (the CI matrix varies
-    // it), so the improvement itself is part of the determinism check.
+    // Runs at the ambient THREADS width (the CI matrix varies it), so
+    // the improvement itself is part of the determinism check.
     let result = design_canvas(&base, &smoke_options(), &params);
     assert!(
         result.score.correct == result.target,
@@ -58,8 +59,8 @@ fn short_seeded_search_improves_the_broken_diagonal_wire() {
 fn smoke_search_is_byte_identical_across_thread_widths() {
     let base = broken_diagonal_wire();
     let params = PhysicalParams::default();
-    let one = design_canvas(&base, &smoke_options().with_threads(1), &params);
-    let four = design_canvas(&base, &smoke_options().with_threads(4), &params);
+    let one = with_width(1, || design_canvas(&base, &smoke_options(), &params));
+    let four = with_width(4, || design_canvas(&base, &smoke_options(), &params));
     assert_eq!(one.canvas, four.canvas);
     assert_eq!(one.score, four.score);
     assert_eq!(one.design.body, four.design.body);

@@ -8,6 +8,7 @@
 
 use bestagon_core::benchmarks::benchmark;
 use bestagon_core::flow::{FlowOptions, FlowRequest, FlowResult, PnrMethod};
+use fcn_budget::exec::with_width;
 
 /// The Table 1 evaluation circuits, minus the three slowest
 /// (`t_5`, `majority_5_r1`, `newtag`) which take minutes under a debug
@@ -30,12 +31,13 @@ fn flow(name: &str, incremental: bool, threads: usize) -> FlowResult {
     let b = benchmark(name);
     let options = FlowOptions::new()
         .with_pnr(PnrMethod::ExactWithFallback { max_area: 120 })
-        .with_incremental(incremental)
-        .with_threads(threads);
-    FlowRequest::netlist(name, b.xag.clone())
-        .with_options(options)
-        .execute()
-        .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .with_incremental(incremental);
+    with_width(threads, || {
+        FlowRequest::netlist(name, b.xag.clone())
+            .with_options(options)
+            .execute()
+    })
+    .unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 #[test]

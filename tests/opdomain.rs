@@ -7,6 +7,7 @@
 //! them in the release legs with `--include-ignored`.
 
 use bestagon_lib::tiles::{huff_style_or, inverter_nw_sw, wire_nw_sw};
+use fcn_budget::exec::with_width;
 use sidb_sim::opdomain::{DomainGrid, DomainParams, DomainStrategy, Provenance};
 use sidb_sim::operational::GateDesign;
 use sidb_sim::{PhysicalParams, SimEngine, SimParams};
@@ -107,17 +108,17 @@ fn adaptive_saving_grows_on_a_fine_grid() {
     }
 }
 
-/// Sampled domains are bit-identical at any worker-pool width, for
-/// both strategies (the CI matrix additionally runs this suite under
-/// `OPDOMAIN_THREADS ∈ {1,4}`).
+/// Sampled domains are bit-identical at any executor width, for both
+/// strategies (the CI matrix additionally runs this suite under
+/// `THREADS ∈ {1,4}`).
 #[test]
 #[ignore = "full-grid sweep; run in release (CI --include-ignored)"]
 fn domains_are_identical_at_any_thread_width() {
     for design in tiles() {
         for strategy in [DomainStrategy::Dense, DomainStrategy::Adaptive] {
-            let one = design.operational_domain(&params(7).with_strategy(strategy).with_threads(1));
-            let four =
-                design.operational_domain(&params(7).with_strategy(strategy).with_threads(4));
+            let params = params(7).with_strategy(strategy);
+            let one = with_width(1, || design.operational_domain(&params));
+            let four = with_width(4, || design.operational_domain(&params));
             assert_eq!(one.samples, four.samples, "{}", design.name);
             assert_eq!(one.stats, four.stats, "{}", design.name);
             assert_eq!(one.degradation, four.degradation, "{}", design.name);

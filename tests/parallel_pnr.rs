@@ -1,11 +1,12 @@
 //! The parallel aspect-ratio portfolio must be a pure wall-clock
 //! optimization: every observable of [`fcn_pnr::exact_pnr`] — the chosen
 //! ratio, the probe log, the minimality verdict, the cumulative solver
-//! statistics — is identical at any thread count.
+//! statistics — is identical at any executor width.
 
 use std::sync::Arc;
 
 use bestagon_core::benchmarks::benchmark;
+use fcn_budget::exec::with_width;
 use fcn_logic::techmap::{map_xag, MapOptions};
 use fcn_pnr::{exact_pnr, ExactOptions, NetGraph};
 use fcn_telemetry::Collector;
@@ -16,10 +17,9 @@ fn graph_for(name: &str) -> NetGraph {
     NetGraph::new(net).expect("legalized")
 }
 
-fn options(num_threads: usize) -> ExactOptions {
+fn options() -> ExactOptions {
     ExactOptions {
         max_area: 100,
-        num_threads,
         // Pin the from-scratch engine: its per-probe solver statistics are
         // bit-for-bit reproducible at any thread count, which is what this
         // file asserts. (Incremental workers accumulate different learned
@@ -31,10 +31,10 @@ fn options(num_threads: usize) -> ExactOptions {
     }
 }
 
-fn incremental_options(num_threads: usize) -> ExactOptions {
+fn incremental_options() -> ExactOptions {
     ExactOptions {
         incremental: true,
-        ..options(num_threads)
+        ..options()
     }
 }
 
@@ -44,8 +44,8 @@ fn incremental_options(num_threads: usize) -> ExactOptions {
 fn portfolio_is_deterministic_across_thread_counts() {
     for name in ["xor2", "par_check", "c17"] {
         let graph = graph_for(name);
-        let sequential = exact_pnr(&graph, &options(1)).expect("feasible");
-        let parallel = exact_pnr(&graph, &options(4)).expect("feasible");
+        let sequential = with_width(1, || exact_pnr(&graph, &options())).expect("feasible");
+        let parallel = with_width(4, || exact_pnr(&graph, &options())).expect("feasible");
 
         assert_eq!(sequential.ratio, parallel.ratio, "{name}: chosen ratio");
         assert_eq!(
@@ -88,8 +88,10 @@ fn portfolio_is_deterministic_across_thread_counts() {
 fn incremental_portfolio_agrees_on_semantic_observables() {
     for name in ["xor2", "par_check"] {
         let graph = graph_for(name);
-        let sequential = exact_pnr(&graph, &incremental_options(1)).expect("feasible");
-        let parallel = exact_pnr(&graph, &incremental_options(4)).expect("feasible");
+        let sequential =
+            with_width(1, || exact_pnr(&graph, &incremental_options())).expect("feasible");
+        let parallel =
+            with_width(4, || exact_pnr(&graph, &incremental_options())).expect("feasible");
 
         assert_eq!(sequential.ratio, parallel.ratio, "{name}: chosen ratio");
         assert_eq!(
@@ -135,7 +137,7 @@ fn parallel_probes_merge_into_ambient_telemetry() {
     let collector = Arc::new(Collector::new("flow"));
     let result = fcn_telemetry::with_collector(&collector, || {
         let _pnr = fcn_telemetry::span("step4:pnr");
-        exact_pnr(&graph, &options(4)).expect("feasible")
+        with_width(4, || exact_pnr(&graph, &options())).expect("feasible")
     });
     collector.finish();
     let report = collector.report();

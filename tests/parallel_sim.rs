@@ -10,6 +10,7 @@
 //! gate validation visits strictly fewer configurations than the
 //! exhaustive Gray-code sweep.
 
+use fcn_budget::exec::with_width;
 use proptest::prelude::*;
 use sidb_sim::layout::SidbLayout;
 use sidb_sim::{simulate_with, PhysicalParams, SimCache, SimEngine, SimParams, SimResult};
@@ -54,10 +55,9 @@ fn tile_set_verdicts_and_spectra_are_thread_invariant() {
         .into_iter()
         .filter(|d| d.body.num_sites() <= 32)
     {
-        let one = base(SimEngine::QuickExact).with_threads(1);
-        let four = base(SimEngine::QuickExact).with_threads(4);
-        let r1 = design.check_operational_with(&one);
-        let r4 = design.check_operational_with(&four);
+        let sim = base(SimEngine::QuickExact);
+        let r1 = with_width(1, || design.check_operational_with(&sim));
+        let r4 = with_width(4, || design.check_operational_with(&sim));
         assert_eq!(
             r1.status, r4.status,
             "{}: verdict depends on threads",
@@ -72,8 +72,9 @@ fn tile_set_verdicts_and_spectra_are_thread_invariant() {
         let patterns = 1u32 << design.inputs.len();
         for pattern in 0..patterns {
             let layout = design.layout_for_pattern(pattern);
-            let s1 = simulate_with(&layout, &one.clone().with_k(3));
-            let s4 = simulate_with(&layout, &four.clone().with_k(3));
+            let spectrum = sim.clone().with_k(3);
+            let s1 = with_width(1, || simulate_with(&layout, &spectrum));
+            let s4 = with_width(4, || simulate_with(&layout, &spectrum));
             assert_bit_identical(&s1, &s4);
         }
     }
@@ -85,8 +86,9 @@ fn tile_set_verdicts_and_spectra_are_thread_invariant() {
 #[ignore = "full tile set; minutes of branch-and-bound — CI runs this in release"]
 fn full_tile_set_is_thread_invariant() {
     for design in bestagon_lib::tiles::figure5_designs() {
-        let r1 = design.check_operational_with(&base(SimEngine::QuickExact).with_threads(1));
-        let r4 = design.check_operational_with(&base(SimEngine::QuickExact).with_threads(4));
+        let sim = base(SimEngine::QuickExact);
+        let r1 = with_width(1, || design.check_operational_with(&sim));
+        let r4 = with_width(4, || design.check_operational_with(&sim));
         assert_eq!(
             r1.status, r4.status,
             "{}: verdict depends on threads",
@@ -111,19 +113,14 @@ fn chunked_exhaustive_sweep_is_thread_invariant() {
             layout.add_site((2 * i, 2 * j, 0));
         }
     }
-    let serial = simulate_with(
-        &layout,
-        &base(SimEngine::Exhaustive).with_threads(1).with_k(5),
-    );
+    let sim = base(SimEngine::Exhaustive).with_k(5);
+    let serial = with_width(1, || simulate_with(&layout, &sim));
     assert!(
         serial.stats.visited >= 1 << 14,
         "not chunked: the partitioned path was not exercised"
     );
     for threads in [2usize, 4, 7] {
-        let parallel = simulate_with(
-            &layout,
-            &base(SimEngine::Exhaustive).with_threads(threads).with_k(5),
-        );
+        let parallel = with_width(threads, || simulate_with(&layout, &sim));
         assert_bit_identical(&serial, &parallel);
         assert_eq!(serial.stats, parallel.stats);
     }
@@ -196,8 +193,8 @@ proptest! {
         for (x, y) in &sites {
             layout.add_site((*x * 2, *y * 2, 0));
         }
-        let brute = simulate_with(&layout, &base(SimEngine::Exhaustive).with_k(4).with_threads(1));
-        let quick = simulate_with(&layout, &base(SimEngine::QuickExact).with_k(4).with_threads(1));
+        let brute = with_width(1, || simulate_with(&layout, &base(SimEngine::Exhaustive).with_k(4)));
+        let quick = with_width(1, || simulate_with(&layout, &base(SimEngine::QuickExact).with_k(4)));
         prop_assert_eq!(brute.states.len(), quick.states.len());
         for (b, q) in brute.states.iter().zip(&quick.states) {
             prop_assert!((b.free_energy - q.free_energy).abs() < 1e-9);
@@ -209,10 +206,9 @@ proptest! {
         }
         prop_assert!(quick.stats.visited + quick.stats.pruned > 0);
         // Same engine, more threads: bit-identical, not just close.
-        let parallel = simulate_with(
-            &layout,
-            &base(SimEngine::QuickExact).with_k(4).with_threads(threads),
-        );
+        let parallel = with_width(threads, || {
+            simulate_with(&layout, &base(SimEngine::QuickExact).with_k(4))
+        });
         assert_bit_identical(&quick, &parallel);
     }
 }

@@ -13,6 +13,7 @@ use bestagon_core::flow::{
     Deadline, DegradeTrigger, FlowBudget, FlowError, FlowOptions, FlowRequest, FlowResult,
     PnrMethod,
 };
+use fcn_budget::exec::with_width;
 use fcn_budget::fault::{install, Fault, FaultPlan};
 use fcn_equiv::{EquivError, Equivalence, MiterLimit};
 use fcn_logic::network::Xag;
@@ -128,7 +129,7 @@ fn worker_panic_is_typed_and_cancels_siblings() {
     for threads in [1, 4] {
         let b = benchmark("xor2");
         let _scope = install(Arc::new(FaultPlan::single("pnr.probe", Fault::Panic)));
-        match run("xor2", &b.xag, &unbounded().with_threads(threads)) {
+        match with_width(threads, || run("xor2", &b.xag, &unbounded())) {
             Err(FlowError::Internal { stage, payload }) => {
                 assert_eq!(stage, "step4:pnr");
                 assert!(payload.contains("pnr.probe"), "payload: {payload}");
@@ -267,24 +268,24 @@ fn rewrite_iteration_budget_clamps_step2() {
 fn injected_sim_partition_panic_recovers_bit_identically() {
     use bestagon_lib::tiles::huff_style_or;
     use sidb_sim::{PhysicalParams, SimEngine, SimParams};
-    // Gate validation partitions the 2^k input patterns across the
-    // pool; every pattern unit is hit by the injected panic and
-    // recomputed by the coordinator.
-    let design = huff_style_or();
-    let params = SimParams::new(PhysicalParams::default())
-        .with_engine(SimEngine::QuickExact)
-        .with_threads(4);
-    let clean = design.check_operational_with(&params);
-    assert_eq!(clean.stats.recovered, 0);
+    with_width(4, || {
+        // Gate validation partitions the 2^k input patterns across the
+        // pool; every pattern unit is hit by the injected panic and
+        // recomputed by the coordinator.
+        let design = huff_style_or();
+        let params = SimParams::new(PhysicalParams::default()).with_engine(SimEngine::QuickExact);
+        let clean = design.check_operational_with(&params);
+        assert_eq!(clean.stats.recovered, 0);
 
-    let plan = Arc::new(FaultPlan::single("sidb.partition", Fault::Panic));
-    let scope = install(plan.clone());
-    let faulted = design.check_operational_with(&params);
-    drop(scope);
-    assert!(plan.hits("sidb.partition") > 0, "fault point was reached");
-    assert!(faulted.stats.recovered > 0, "recomputed units are counted");
-    assert_eq!(clean.status, faulted.status, "recovery is bit-identical");
-    assert_eq!(clean.stats.visited, faulted.stats.visited);
+        let plan = Arc::new(FaultPlan::single("sidb.partition", Fault::Panic));
+        let scope = install(plan.clone());
+        let faulted = design.check_operational_with(&params);
+        drop(scope);
+        assert!(plan.hits("sidb.partition") > 0, "fault point was reached");
+        assert!(faulted.stats.recovered > 0, "recomputed units are counted");
+        assert_eq!(clean.status, faulted.status, "recovery is bit-identical");
+        assert_eq!(clean.stats.visited, faulted.stats.visited);
+    })
 }
 
 /// An injected exhaustion at the partition point stops parallel dispatch
@@ -293,18 +294,18 @@ fn injected_sim_partition_panic_recovers_bit_identically() {
 fn injected_sim_partition_exhaust_serializes_without_changing_results() {
     use bestagon_lib::tiles::huff_style_or;
     use sidb_sim::{PhysicalParams, SimEngine, SimParams};
-    let design = huff_style_or();
-    let params = SimParams::new(PhysicalParams::default())
-        .with_engine(SimEngine::QuickExact)
-        .with_threads(4);
-    let clean = design.check_operational_with(&params);
+    with_width(4, || {
+        let design = huff_style_or();
+        let params = SimParams::new(PhysicalParams::default()).with_engine(SimEngine::QuickExact);
+        let clean = design.check_operational_with(&params);
 
-    let plan = Arc::new(FaultPlan::single("sidb.partition", Fault::Exhaust));
-    let scope = install(plan.clone());
-    let faulted = design.check_operational_with(&params);
-    drop(scope);
-    assert!(plan.hits("sidb.partition") > 0);
-    assert_eq!(clean.status, faulted.status, "verdict is fault-invariant");
+        let plan = Arc::new(FaultPlan::single("sidb.partition", Fault::Exhaust));
+        let scope = install(plan.clone());
+        let faulted = design.check_operational_with(&params);
+        drop(scope);
+        assert!(plan.hits("sidb.partition") > 0);
+        assert_eq!(clean.status, faulted.status, "verdict is fault-invariant");
+    })
 }
 
 /// A poisoned simulation cache behaves as absent: every access misses,
@@ -394,26 +395,27 @@ fn designer_degrades_under_flow_scale_deadline() {
 #[test]
 fn injected_designer_restart_panic_recovers_identically() {
     use bestagon_lib::designer::{design_canvas, DesignerOptions};
-    let base = broken_wire_skeleton();
-    let options = DesignerOptions::new()
-        .with_region((13, 14, 17, 18))
-        .with_max_dots(3)
-        .with_iterations(30)
-        .with_restarts(3)
-        .with_seed(7)
-        .with_threads(2);
-    let params = sidb_sim::PhysicalParams::default();
-    let clean = design_canvas(&base, &options, &params);
-    assert_eq!(clean.stats.recovered, 0);
+    with_width(2, || {
+        let base = broken_wire_skeleton();
+        let options = DesignerOptions::new()
+            .with_region((13, 14, 17, 18))
+            .with_max_dots(3)
+            .with_iterations(30)
+            .with_restarts(3)
+            .with_seed(7);
+        let params = sidb_sim::PhysicalParams::default();
+        let clean = design_canvas(&base, &options, &params);
+        assert_eq!(clean.stats.recovered, 0);
 
-    let plan = Arc::new(FaultPlan::single("designer.restart", Fault::Panic));
-    let scope = install(plan.clone());
-    let faulted = design_canvas(&base, &options, &params);
-    drop(scope);
-    assert!(plan.hits("designer.restart") > 0, "fault point was reached");
-    assert!(faulted.stats.recovered > 0, "recomputed restarts counted");
-    assert_eq!(clean.canvas, faulted.canvas, "recovery is deterministic");
-    assert_eq!(clean.score, faulted.score);
+        let plan = Arc::new(FaultPlan::single("designer.restart", Fault::Panic));
+        let scope = install(plan.clone());
+        let faulted = design_canvas(&base, &options, &params);
+        drop(scope);
+        assert!(plan.hits("designer.restart") > 0, "fault point was reached");
+        assert!(faulted.stats.recovered > 0, "recomputed restarts counted");
+        assert_eq!(clean.canvas, faulted.canvas, "recovery is deterministic");
+        assert_eq!(clean.score, faulted.score);
+    })
 }
 
 /// An injected exhaustion at the `designer.restart` point halts restart
@@ -422,20 +424,21 @@ fn injected_designer_restart_panic_recovers_identically() {
 #[test]
 fn injected_designer_restart_exhaust_degrades() {
     use bestagon_lib::designer::{design_canvas, DesignTrigger, DesignerOptions};
-    let base = broken_wire_skeleton();
-    let options = DesignerOptions::new()
-        .with_region((13, 14, 17, 18))
-        .with_iterations(30)
-        .with_restarts(4)
-        .with_threads(2);
-    let plan = Arc::new(FaultPlan::single("designer.restart", Fault::Exhaust));
-    let scope = install(plan.clone());
-    let result = design_canvas(&base, &options, &sidb_sim::PhysicalParams::default());
-    drop(scope);
-    assert!(plan.hits("designer.restart") > 0);
-    let degradation = result.degradation.as_ref().expect("degradation recorded");
-    assert_eq!(degradation.trigger, DesignTrigger::Fault);
-    assert_eq!(result.stats.recovered, 0, "exhausted restarts do not run");
+    with_width(2, || {
+        let base = broken_wire_skeleton();
+        let options = DesignerOptions::new()
+            .with_region((13, 14, 17, 18))
+            .with_iterations(30)
+            .with_restarts(4);
+        let plan = Arc::new(FaultPlan::single("designer.restart", Fault::Exhaust));
+        let scope = install(plan.clone());
+        let result = design_canvas(&base, &options, &sidb_sim::PhysicalParams::default());
+        drop(scope);
+        assert!(plan.hits("designer.restart") > 0);
+        let degradation = result.degradation.as_ref().expect("degradation recorded");
+        assert_eq!(degradation.trigger, DesignTrigger::Fault);
+        assert_eq!(result.stats.recovered, 0, "exhausted restarts do not run");
+    })
 }
 
 /// A surface whose defects compromise every candidate tile makes the
@@ -585,30 +588,31 @@ fn opdomain_deadline_degrades_honestly() {
 fn injected_opdomain_point_panic_recovers_identically() {
     use sidb_sim::opdomain::{DomainGrid, DomainParams, DomainStrategy};
     use sidb_sim::{PhysicalParams, SimEngine, SimParams};
-    let design = bestagon_lib::tiles::wire_nw_sw();
-    let params = DomainParams::new(
-        SimParams::new(PhysicalParams::default()).with_engine(SimEngine::QuickExact),
-    )
-    .with_grid(DomainGrid {
-        steps: 3,
-        ..Default::default()
-    })
-    .with_strategy(DomainStrategy::Adaptive)
-    .with_threads(4);
-    let clean = design.operational_domain(&params);
-    assert_eq!(clean.stats.sim.recovered, 0);
+    with_width(4, || {
+        let design = bestagon_lib::tiles::wire_nw_sw();
+        let params = DomainParams::new(
+            SimParams::new(PhysicalParams::default()).with_engine(SimEngine::QuickExact),
+        )
+        .with_grid(DomainGrid {
+            steps: 3,
+            ..Default::default()
+        })
+        .with_strategy(DomainStrategy::Adaptive);
+        let clean = design.operational_domain(&params);
+        assert_eq!(clean.stats.sim.recovered, 0);
 
-    let plan = Arc::new(FaultPlan::single("opdomain.point", Fault::Panic));
-    let scope = install(plan.clone());
-    let faulted = design.operational_domain(&params);
-    drop(scope);
-    assert!(plan.hits("opdomain.point") > 0, "fault point was reached");
-    assert!(faulted.stats.sim.recovered > 0, "recomputes are counted");
-    assert_eq!(clean.samples, faulted.samples, "recovery is bit-identical");
-    assert!(
-        faulted.degradation.is_none(),
-        "full recovery, no degradation"
-    );
+        let plan = Arc::new(FaultPlan::single("opdomain.point", Fault::Panic));
+        let scope = install(plan.clone());
+        let faulted = design.operational_domain(&params);
+        drop(scope);
+        assert!(plan.hits("opdomain.point") > 0, "fault point was reached");
+        assert!(faulted.stats.sim.recovered > 0, "recomputes are counted");
+        assert_eq!(clean.samples, faulted.samples, "recovery is bit-identical");
+        assert!(
+            faulted.degradation.is_none(),
+            "full recovery, no degradation"
+        );
+    })
 }
 
 /// An injected exhaustion at one `opdomain.point` hit skips exactly
@@ -620,29 +624,30 @@ fn injected_opdomain_point_exhaust_skips_honestly() {
         DomainGrid, DomainParams, DomainStrategy, DomainTrigger, Provenance, SampleStatus,
     };
     use sidb_sim::{PhysicalParams, SimEngine, SimParams};
-    let design = bestagon_lib::tiles::wire_nw_sw();
-    let params = DomainParams::new(
-        SimParams::new(PhysicalParams::default()).with_engine(SimEngine::QuickExact),
-    )
-    .with_grid(DomainGrid {
-        steps: 3,
-        ..Default::default()
+    with_width(1, || {
+        let design = bestagon_lib::tiles::wire_nw_sw();
+        let params = DomainParams::new(
+            SimParams::new(PhysicalParams::default()).with_engine(SimEngine::QuickExact),
+        )
+        .with_grid(DomainGrid {
+            steps: 3,
+            ..Default::default()
+        })
+        .with_strategy(DomainStrategy::Adaptive);
+        let plan = Arc::new(FaultPlan::new().with_rule("opdomain.point", Fault::Exhaust, Some(2)));
+        let scope = install(plan.clone());
+        let domain = design.operational_domain(&params);
+        drop(scope);
+        assert!(plan.hits("opdomain.point") > 1, "fault point was reached");
+        let degradation = domain.degradation.as_ref().expect("degradation recorded");
+        assert_eq!(degradation.trigger, DomainTrigger::Fault);
+        let skipped: Vec<_> = domain
+            .samples
+            .iter()
+            .filter(|s| s.provenance == Provenance::Skipped)
+            .collect();
+        assert_eq!(skipped.len(), 1, "exactly the faulted point is skipped");
+        assert_eq!(skipped[0].status, SampleStatus::Unknown);
+        assert_eq!(domain.stats.skipped, 1);
     })
-    .with_strategy(DomainStrategy::Adaptive)
-    .with_threads(1);
-    let plan = Arc::new(FaultPlan::new().with_rule("opdomain.point", Fault::Exhaust, Some(2)));
-    let scope = install(plan.clone());
-    let domain = design.operational_domain(&params);
-    drop(scope);
-    assert!(plan.hits("opdomain.point") > 1, "fault point was reached");
-    let degradation = domain.degradation.as_ref().expect("degradation recorded");
-    assert_eq!(degradation.trigger, DomainTrigger::Fault);
-    let skipped: Vec<_> = domain
-        .samples
-        .iter()
-        .filter(|s| s.provenance == Provenance::Skipped)
-        .collect();
-    assert_eq!(skipped.len(), 1, "exactly the faulted point is skipped");
-    assert_eq!(skipped[0].status, SampleStatus::Unknown);
-    assert_eq!(domain.stats.skipped, 1);
 }

@@ -8,6 +8,7 @@ use bestagon::flow::benchmarks::benchmark;
 use bestagon::flow::flow::{FlowError, FlowOptions, FlowRequest, FlowResult, PnrMethod};
 use bestagon::telemetry::json::{parse, Value};
 use bestagon::telemetry::{self, Collector, Report};
+use fcn_budget::exec::with_width;
 use fcn_logic::network::Xag;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -267,10 +268,8 @@ fn traced_parallel_flow_covers_multiple_worker_threads() {
     // so a four-wide portfolio demonstrably commits work from several
     // named worker threads.
     let b = benchmark("par_check");
-    let options = FlowOptions::new()
-        .with_pnr(PnrMethod::ExactWithFallback { max_area: 40 })
-        .with_threads(4);
-    let result = run("par_check", &b.xag, &options);
+    let options = FlowOptions::new().with_pnr(PnrMethod::ExactWithFallback { max_area: 40 });
+    let result = with_width(4, || run("par_check", &b.xag, &options));
     std::env::remove_var("TELEMETRY_TRACE");
     let report = result.expect("par_check flows end to end").report;
     let _ = std::fs::remove_file(&path);
