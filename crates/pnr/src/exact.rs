@@ -1,9 +1,17 @@
-//! Exact (area-minimal) placement & routing via SAT.
+//! Exact (area-minimal) placement & routing via SAT, on the hexagonal
+//! and on the Cartesian floor plan.
 //!
 //! The encoding follows the *exact* physical-design idea of
 //! [Walter et al., DATE 2018]: enumerate layout aspect ratios in order of
 //! increasing area and, for each ratio, decide with a solver whether the
 //! mapped netlist fits. The first satisfiable ratio is area-minimal.
+//!
+//! One engine serves both floor plans. A crate-private `Topology`
+//! supplies what differs — its clock levels, pad rules and tile
+//! neighborhoods — and the shared scan runs the candidate enumeration,
+//! incremental sessions, encoding and model extraction over it.
+//! [`exact_pnr`] runs it on the row-clocked hexagonal floor plan, and
+//! [`crate::cartesian_exact_pnr`] on the Cartesian 2DDWave baseline.
 //!
 //! For a row-clocked hexagonal floor plan, information moves exactly one
 //! row south per clock phase, so the problem becomes: assign every netlist
@@ -16,8 +24,8 @@
 //! rows, all signal paths are balanced and the layout's throughput is the
 //! paper's reported 1/1.
 //!
-//! Variables per ratio: `place(n, t)`, `wire(e, t)` and `step(e, t, d)`
-//! (edge `e` leaves tile `t` towards diagonal direction `d`).
+//! Variables per ratio: `place(n, t)`, `wire(e, t)` and `step(e, t, p)`
+//! (edge `e` leaves tile `t` through outgoing port `p`).
 
 use crate::incremental::{IncrementalCnf, ProbeEmitter, ReuseStats, ScratchEmitter};
 use crate::netgraph::NetGraph;
@@ -73,12 +81,13 @@ pub struct ExactOptions {
     /// the area-minimal layout *avoiding* those tiles. Empty (the
     /// default) encodes nothing.
     pub blacklist: Vec<(i32, i32)>,
-    /// A pool of warm incremental sessions shared *across* `exact_pnr`
-    /// calls (see [`crate::pool`]). Workers check sessions out at scan
-    /// start (keyed by netlist + blacklist + area bound) and park them
-    /// back at scan end. `None` (the default) keeps sessions scan-local;
-    /// either way the layout is byte-identical — the winning ratio is
-    /// always re-solved from scratch. Ignored when
+    /// A pool of warm incremental sessions shared *across* exact P&R
+    /// calls — [`exact_pnr`] and [`crate::cartesian_exact_pnr`] alike
+    /// (see [`crate::pool`]). Workers check sessions out at scan start
+    /// (keyed by topology + netlist + blacklist + area bound) and park
+    /// them back at scan end. `None` (the default) keeps sessions
+    /// scan-local; either way the layout is byte-identical — the winning
+    /// ratio is always re-solved from scratch. Ignored when
     /// [`ExactOptions::incremental`] is off.
     pub session_pool: Option<crate::pool::SessionPool>,
 }
@@ -214,13 +223,19 @@ pub enum PnrError {
         /// The exhausted area bound.
         max_area: u64,
     },
-    /// The heuristic router's drift search found no legal position —
-    /// an internal invariant violation reported as an error so the
-    /// flow's fallback path degrades gracefully instead of aborting.
+    /// A router broke an internal invariant: the heuristic router's
+    /// drift search found no legal position, or an exact engine's SAT
+    /// model did not describe a coherent layout (a node without a tile,
+    /// or a routed tile without a matching step). Reported as an error
+    /// so the flow's fallback path degrades gracefully instead of
+    /// aborting.
     RouterInvariant {
-        /// The layout row being routed when the invariant failed.
+        /// The layout row where the invariant failed (`-1` when an exact
+        /// engine's model left a node unplaced).
         row: i32,
-        /// The doubled-coordinate position with no legal drift.
+        /// The heuristic router's doubled-coordinate position, or the
+        /// column of an exact engine's offending tile (`-1` when the
+        /// model left a node unplaced).
         pos: i32,
     },
     /// The scan's wall-clock deadline ([`ExactOptions::deadline`])
@@ -248,8 +263,7 @@ impl core::fmt::Display for PnrError {
             PnrError::RouterInvariant { row, pos } => {
                 write!(
                     f,
-                    "heuristic router invariant violated: no legal drift \
-                     around doubled position {pos} in row {row}"
+                    "router invariant violated at position {pos} in row {row}"
                 )
             }
             PnrError::DeadlineExpired => {
@@ -294,8 +308,15 @@ impl std::error::Error for PnrError {}
 /// assert!(result.layout.verify().is_empty());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+pub fn exact_pnr(
+    graph: &NetGraph,
+    options: &ExactOptions,
+) -> Result<PnrOutcome<HexGateLayout>, PnrError> {
+    scan::<HexRow>(graph, options)
+}
+
 /// What the scan-limit gate decides at the start of one probe.
-pub(crate) enum ProbeGate {
+enum ProbeGate {
     /// Proceed, with this effective conflict budget.
     Go(u64),
     /// A scan-wide limit is exhausted; end the scan.
@@ -309,14 +330,14 @@ pub(crate) enum ProbeGate {
 /// across portfolio workers through an `Arc`. Also hosts the scan's
 /// fault-injection point (`pnr.probe`).
 #[derive(Clone)]
-pub(crate) struct ScanLimits {
+struct ScanLimits {
     deadline: Deadline,
     total: Option<u64>,
     spent: Arc<AtomicU64>,
 }
 
 impl ScanLimits {
-    pub(crate) fn new(options: &ExactOptions) -> Self {
+    fn new(options: &ExactOptions) -> Self {
         ScanLimits {
             deadline: options.deadline,
             total: options.max_conflicts_total,
@@ -325,7 +346,7 @@ impl ScanLimits {
     }
 
     /// The scan's wall-clock deadline, for threading into the solver.
-    pub(crate) fn deadline(&self) -> Deadline {
+    fn deadline(&self) -> Deadline {
         self.deadline
     }
 
@@ -338,7 +359,7 @@ impl ScanLimits {
     /// With no limits configured and no fault plan armed this is a
     /// no-op returning the per-ratio budget unchanged, keeping
     /// unbudgeted scans byte-identical.
-    pub(crate) fn pre_probe(&self, per_ratio: u64) -> ProbeGate {
+    fn pre_probe(&self, per_ratio: u64) -> ProbeGate {
         match fcn_budget::fault::check("pnr.probe") {
             Some(fcn_budget::fault::Fault::Exhaust) => {
                 return ProbeGate::Abort(ScanAbort::ConflictBudget)
@@ -363,32 +384,173 @@ impl ScanLimits {
     }
 
     /// Charges solver work against the cumulative meter.
-    pub(crate) fn charge(&self, conflicts: u64) {
+    fn charge(&self, conflicts: u64) {
         if self.total.is_some() {
             self.spent.fetch_add(conflicts, Ordering::Relaxed);
         }
     }
 }
 
-pub fn exact_pnr(
+/// A tile position `(x, y)` — column and row — on either floor plan.
+pub(crate) type Tile = (i32, i32);
+
+/// What sets one floor-plan topology apart for exact placement &
+/// routing. Everything else — the candidate scan, the incremental
+/// sessions, the SAT encoding, the model extraction and the probes — is
+/// shared by [`scan`] and written once.
+///
+/// A topology orders its tiles into *levels*, one per clock phase (rows
+/// under hexagonal Row clocking, anti-diagonals under Cartesian
+/// 2DDWave); every edge advances exactly one level per tile step, so a
+/// node scheduled at ASAP/ALAP level `l` must sit on level `l`'s tiles.
+pub(crate) trait Topology {
+    /// Name hashed into the session key, so that a warm session is never
+    /// handed to a scan on another topology.
+    const NAME: &'static str;
+    /// The two outgoing directions of a tile; a step variable's port is
+    /// an index into this array.
+    const OUTGOING: [Self::Dir; 2];
+    /// A tile border direction.
+    type Dir: Copy + PartialEq;
+    /// The gate-level layout the engine produces.
+    type Layout: Send;
+
+    /// The number of levels of a ratio: the scheduling depth its ALAP
+    /// levels are computed for.
+    fn depth(ratio: AspectRatio) -> u32;
+    /// The topology's own candidate filter, on top of the shared depth
+    /// and area filters.
+    fn admits(graph: &NetGraph, ratio: AspectRatio) -> bool;
+    /// The tiles of `level` inside `bounds`, in emission order.
+    fn level_tiles(bounds: &SessionBounds, level: u32) -> impl Iterator<Item = Tile> + '_;
+    /// The inclusive level range a node of `kind` with schedule window
+    /// `asap..=alap` may occupy — in one ratio, or (`union`) in some
+    /// candidate of the session.
+    fn levels(kind: GateKind, asap: u32, alap: u32, union: bool) -> (u32, u32);
+    /// Whether a placement variable for a node of `kind` is created on
+    /// tile `t` at all (in `ratio`'s encoding, or in the session union).
+    fn pad_creatable(kind: GateKind, t: Tile, ratio: AspectRatio, union: bool) -> bool;
+    /// Whether a node of `kind` may sit on tile `t` in `ratio`.
+    fn pad_admissible(kind: GateKind, t: Tile, ratio: AspectRatio) -> bool;
+    /// The tile an edge reaches leaving `t` through outgoing `port`.
+    fn successor(t: Tile, port: usize) -> Tile;
+    /// The two tiles an edge may arrive at `t` from, each with the
+    /// outgoing port it leaves through and the border of `t` it enters by.
+    fn predecessors(t: Tile) -> [(Tile, usize, Self::Dir); 2];
+    /// An empty layout of `ratio` under the topology's clocking scheme.
+    fn new_layout(ratio: AspectRatio) -> Self::Layout;
+    /// Places `contents` on tile `t`.
+    fn place(layout: &mut Self::Layout, t: Tile, contents: TileContents<Self::Dir>);
+}
+
+/// The hexagonal floor plan under Row clocking: level `y` is row `y`,
+/// information flows south-west and south-east, PIs sit in the top row
+/// and POs in the bottom row.
+pub(crate) struct HexRow;
+
+impl HexRow {
+    fn coord((x, y): Tile) -> HexCoord {
+        HexCoord::new(x, y)
+    }
+
+    fn tile(c: HexCoord) -> Tile {
+        (c.x, c.y)
+    }
+}
+
+impl Topology for HexRow {
+    const NAME: &'static str = "hexagonal-row";
+    const OUTGOING: [HexDirection; 2] = HexDirection::OUTPUTS;
+    type Dir = HexDirection;
+    type Layout = HexGateLayout;
+
+    fn depth(ratio: AspectRatio) -> u32 {
+        ratio.height
+    }
+
+    /// PIs share the top row and POs the bottom one.
+    fn admits(graph: &NetGraph, ratio: AspectRatio) -> bool {
+        ratio.width >= graph.min_width()
+    }
+
+    /// Row `level`, west to east (the staircase is row-major).
+    fn level_tiles(bounds: &SessionBounds, level: u32) -> impl Iterator<Item = Tile> + '_ {
+        (0..bounds.width_at(level)).map(move |x| (x, level as i32))
+    }
+
+    /// PIs are pinned to row 0. A Po sits on the last row of its probe's
+    /// ratio — the row ALAP pins it to — which across the session can be
+    /// any row from its ASAP level to the tallest candidate's last row.
+    fn levels(kind: GateKind, asap: u32, alap: u32, union: bool) -> (u32, u32) {
+        match kind {
+            GateKind::Pi => (0, 0),
+            GateKind::Po if !union => (alap, alap),
+            _ => (asap, alap),
+        }
+    }
+
+    /// The pad rows are level ranges; every tile of a row may host a pad.
+    fn pad_creatable(_: GateKind, _: Tile, _: AspectRatio, _: bool) -> bool {
+        true
+    }
+
+    fn pad_admissible(_: GateKind, _: Tile, _: AspectRatio) -> bool {
+        true
+    }
+
+    fn successor(t: Tile, port: usize) -> Tile {
+        Self::tile(Self::coord(t).neighbor(Self::OUTGOING[port]))
+    }
+
+    /// The north-west neighbor steps south-east into `t`, the north-east
+    /// neighbor south-west.
+    fn predecessors(t: Tile) -> [(Tile, usize, HexDirection); 2] {
+        let c = Self::coord(t);
+        [
+            (
+                Self::tile(c.neighbor(HexDirection::NorthWest)),
+                1,
+                HexDirection::NorthWest,
+            ),
+            (
+                Self::tile(c.neighbor(HexDirection::NorthEast)),
+                0,
+                HexDirection::NorthEast,
+            ),
+        ]
+    }
+
+    fn new_layout(ratio: AspectRatio) -> HexGateLayout {
+        HexGateLayout::new(ratio, ClockingScheme::Row)
+    }
+
+    fn place(layout: &mut HexGateLayout, t: Tile, contents: TileContents<HexDirection>) {
+        layout.place(Self::coord(t), contents);
+    }
+}
+
+/// Runs exact placement & routing on topology `T`: the aspect-ratio
+/// candidates in area order, probed through the parallel portfolio on
+/// from-scratch or incremental (optionally pooled) solvers.
+pub(crate) fn scan<T: Topology>(
     graph: &NetGraph,
     options: &ExactOptions,
-) -> Result<PnrOutcome<HexGateLayout>, PnrError> {
+) -> Result<PnrOutcome<T::Layout>, PnrError> {
     let num_nodes = graph.network.num_nodes() as u64;
     // Materialize the candidate stream up front: the filters are cheap
     // relative to a single SAT probe, and a concrete slice lets the
     // portfolio dispatch candidates to workers in area order.
     let candidates: Vec<(AspectRatio, Vec<u32>)> = AspectRatio::in_area_order(options.max_area)
-        .filter(|ratio| {
-            ratio.width >= graph.min_width()
-                && ratio.height >= graph.min_height()
+        .filter(|&ratio| {
+            T::depth(ratio) >= graph.min_height()
                 && ratio.tile_count() >= num_nodes
+                && T::admits(graph, ratio)
         })
-        .filter_map(|ratio| Some((ratio, graph.alap(ratio.height)?)))
+        .filter_map(|ratio| Some((ratio, graph.alap(T::depth(ratio))?)))
         .collect();
-    let session = SessionBounds::from_candidates(&candidates);
+    let session = SessionBounds::from_candidates::<T>(&candidates);
     let limits = ScanLimits::new(options);
-    let blacklist: HashSet<(i32, i32)> = options.blacklist.iter().copied().collect();
+    let blacklist: HashSet<Tile> = options.blacklist.iter().copied().collect();
 
     // With a pool installed, each worker's session is checked out by
     // problem key at context creation and parked back (via the guard's
@@ -396,7 +558,7 @@ pub fn exact_pnr(
     let pool = options
         .session_pool
         .as_ref()
-        .map(|p| (p.clone(), session_key(graph, options)));
+        .map(|p| (p.clone(), session_key::<T>(graph, options)));
     let outcome = run_portfolio(
         &candidates,
         || {
@@ -411,27 +573,22 @@ pub fn exact_pnr(
                 ProbeGate::Abort(abort) => return ProbeOutcome::aborted(abort),
                 ProbeGate::Cancelled => return ProbeOutcome::cancelled(),
             };
+            let input = ProbeInput {
+                graph,
+                ratio: *ratio,
+                alap,
+                max_conflicts: budget,
+                deadline: limits.deadline(),
+                cancel,
+                blacklist: &blacklist,
+            };
             let out = match inc {
-                Some(inc) => solve_ratio_incremental(
+                Some(inc) => solve_ratio_incremental::<T>(
+                    &input,
                     inc.get_mut(),
-                    graph,
-                    *ratio,
-                    alap,
                     session.as_ref().expect("probing implies candidates"),
-                    budget,
-                    limits.deadline(),
-                    cancel,
-                    &blacklist,
                 ),
-                None => solve_ratio_scratch(
-                    graph,
-                    *ratio,
-                    alap,
-                    budget,
-                    limits.deadline(),
-                    cancel,
-                    &blacklist,
-                ),
+                None => solve_ratio_scratch::<T>(&input),
             };
             if let Some(probe) = &out.probe {
                 limits.charge(probe.stats.conflicts);
@@ -443,13 +600,14 @@ pub fn exact_pnr(
 }
 
 /// Fingerprint of everything that shapes an incremental session's shared
-/// clause set: the netlist structure (node kinds in id order plus the
-/// port-accurate edge list), the tile blacklist (order-insensitive), and
-/// the area bound that fixes the candidate union the variable universe
-/// spans. Two `exact_pnr` calls with equal keys may safely exchange warm
-/// sessions through a [`crate::SessionPool`].
-fn session_key(graph: &NetGraph, options: &ExactOptions) -> u64 {
+/// clause set: the topology, the netlist structure (node kinds in id
+/// order plus the port-accurate edge list), the tile blacklist
+/// (order-insensitive), and the area bound that fixes the candidate
+/// union the variable universe spans. Two scans with equal keys may
+/// safely exchange warm sessions through a [`crate::SessionPool`].
+fn session_key<T: Topology>(graph: &NetGraph, options: &ExactOptions) -> u64 {
     let mut h = Fnv64::new();
+    h.bytes(T::NAME.as_bytes());
     h.u64(options.max_area);
     h.u64(graph.network.num_nodes() as u64);
     for id in graph.network.node_ids() {
@@ -473,9 +631,9 @@ fn session_key(graph: &NetGraph, options: &ExactOptions) -> u64 {
 /// Folds a portfolio run into the engine result: cumulative solver
 /// stats, reuse accounting (with top-level telemetry counters in
 /// incremental mode), and the winner — or [`PnrError::NoFeasibleRatio`]
-/// when no probe was SAT. Shared by the hexagonal and Cartesian
-/// engines; `ratio_of` maps a candidate index back to its aspect ratio.
-pub(crate) fn assemble_outcome<L>(
+/// when no probe was SAT. `ratio_of` maps a candidate index back to its
+/// aspect ratio.
+fn assemble_outcome<L>(
     outcome: crate::portfolio::PortfolioOutcome<L, RatioProbe>,
     ratio_of: impl Fn(usize) -> AspectRatio,
     options: &ExactOptions,
@@ -543,28 +701,19 @@ pub(crate) fn assemble_outcome<L>(
     }
 }
 
-/// Semantic identity of a hexagonal-encoding problem variable, the
-/// cache key that lets an incremental session reuse the same variable
-/// wherever two aspect ratios talk about the same placement fact (the
-/// coordinates are global, and PIs are pinned to row 0 in every ratio,
-/// so a key means the same thing in every probe).
+/// Semantic identity of a problem variable, the cache key that lets an
+/// incremental session reuse the same variable wherever two aspect
+/// ratios talk about the same placement fact (tile coordinates are
+/// global, so a key means the same thing in every probe).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum HexKey {
+pub(crate) enum VarKey {
     /// Node `n` occupies tile `t`.
-    Place(usize, HexCoord),
+    Place(usize, Tile),
     /// Edge `e` runs a wire segment through tile `t`.
-    Wire(usize, HexCoord),
-    /// Edge `e` leaves tile `t` towards diagonal direction `d`.
-    Step(usize, HexCoord, HexDirection),
-}
-
-/// The inclusive row range a node may occupy.
-fn row_range(graph: &NetGraph, alap: &[u32], height: u32, n: MappedId) -> (u32, u32) {
-    match graph.network.node(n).kind {
-        GateKind::Pi => (0, 0),
-        GateKind::Po => (height - 1, height - 1),
-        _ => (graph.asap[n.index()], alap[n.index()]),
-    }
+    Wire(usize, Tile),
+    /// Edge `e` leaves tile `t` through outgoing port `p` (an index into
+    /// [`Topology::OUTGOING`]).
+    Step(usize, Tile, usize),
 }
 
 /// The union of every candidate rectangle of one P&R session — the
@@ -580,23 +729,25 @@ fn row_range(graph: &NetGraph, alap: &[u32], height: u32, n: MappedId) -> (u32, 
 /// [`crate::incremental`] for why that is the retention condition).
 pub(crate) struct SessionBounds {
     /// The tallest candidate height.
-    pub(crate) height: u32,
+    height: u32,
     /// The widest candidate that still spans row `y`, indexed by `y`
     /// (the union of rectangles is a staircase, not a rectangle).
-    pub(crate) width_at_row: Vec<i32>,
-    /// ALAP schedule at the loosest scheduling depth of the session
-    /// (the tallest height here; the longest diagonal for the Cartesian
-    /// engine) — ALAP levels grow monotonically with that depth.
-    pub(crate) alap: Vec<u32>,
+    width_at_row: Vec<i32>,
+    /// ALAP schedule at the deepest candidate's depth, the loosest
+    /// schedule of the session — ALAP levels grow monotonically with
+    /// the depth. Empty for a single ratio's rectangle, whose encoding
+    /// uses the ratio's own schedule.
+    alap: Vec<u32>,
 }
 
 impl SessionBounds {
     /// The union of a candidate list; `None` when it is empty.
-    fn from_candidates(candidates: &[(AspectRatio, Vec<u32>)]) -> Option<Self> {
+    fn from_candidates<T: Topology>(candidates: &[(AspectRatio, Vec<u32>)]) -> Option<Self> {
         let height = candidates.iter().map(|(r, _)| r.height).max()?;
+        let depth = candidates.iter().map(|(r, _)| T::depth(*r)).max()?;
         let alap = candidates
             .iter()
-            .find(|(r, _)| r.height == height)
+            .find(|(r, _)| T::depth(*r) == depth)
             .map(|(_, a)| a.clone())?;
         let mut width_at_row = vec![0i32; height as usize];
         for (r, _) in candidates {
@@ -611,163 +762,176 @@ impl SessionBounds {
         })
     }
 
+    /// The rectangle of a single ratio, the universe of a from-scratch
+    /// probe.
+    fn rectangle(ratio: AspectRatio) -> Self {
+        SessionBounds {
+            height: ratio.height,
+            width_at_row: vec![ratio.width as i32; ratio.height as usize],
+            alap: Vec::new(),
+        }
+    }
+
     pub(crate) fn width_at(&self, y: u32) -> i32 {
         self.width_at_row.get(y as usize).copied().unwrap_or(0)
     }
 
-    pub(crate) fn contains_xy(&self, x: i32, y: i32) -> bool {
+    pub(crate) fn contains(&self, (x, y): Tile) -> bool {
         x >= 0 && y >= 0 && (y as u32) < self.height && x < self.width_at(y as u32)
     }
 
-    fn contains(&self, t: HexCoord) -> bool {
-        self.contains_xy(t.x, t.y)
-    }
-}
-
-/// The inclusive row range a node may occupy in *some* candidate of the
-/// session (the union of the per-ratio [`row_range`]s, which is what the
-/// shared variable universe must cover).
-fn row_range_session(graph: &NetGraph, bounds: &SessionBounds, n: MappedId) -> (u32, u32) {
-    match graph.network.node(n).kind {
-        GateKind::Pi => (0, 0),
-        // A Po sits on the last row of its probe's ratio, which can be
-        // any row from its scheduling depth up to the tallest candidate.
-        GateKind::Po => (graph.asap[n.index()], bounds.height - 1),
-        _ => (graph.asap[n.index()], bounds.alap[n.index()]),
+    /// Every tile of the universe, row-major.
+    fn tiles(&self) -> impl Iterator<Item = Tile> + '_ {
+        (0..self.height as i32).flat_map(move |y| (0..self.width_at(y as u32)).map(move |x| (x, y)))
     }
 }
 
 /// The problem variables of one aspect-ratio encoding, keyed the same
 /// way in both backends so the extraction step is mode-agnostic.
-struct HexEncoding {
-    place: HashMap<(usize, HexCoord), Lit>,
-    wire: HashMap<(usize, HexCoord), Lit>,
-    step: HashMap<(usize, HexCoord, HexDirection), Lit>,
+struct Encoding {
+    place: HashMap<(usize, Tile), Lit>,
+    wire: HashMap<(usize, Tile), Lit>,
+    step: HashMap<(usize, Tile, usize), Lit>,
 }
 
-/// Encodes the placement & routing problem at a fixed aspect ratio
-/// through a [`ProbeEmitter`], which decides whether each constraint is
-/// per-probe or persists across probes (see [`crate::incremental`] for
-/// the classification rules the emitter contract imposes).
+/// Encodes the placement & routing problem of topology `T` at a fixed
+/// aspect ratio through a [`ProbeEmitter`], which decides whether each
+/// constraint is per-probe or persists across probes (see
+/// [`crate::incremental`] for the classification rules the emitter
+/// contract imposes).
+///
+/// The problem: assign every node to a tile on its allowed levels and
+/// every edge to a chain of wire tiles — one per intermediate level —
+/// such that consecutive chain elements are neighbors through an
+/// outgoing port, no two edges share an output port, and a tile hosts
+/// either one gate or wire segments only. Variables: `place(n, t)`,
+/// `wire(e, t)` and `step(e, t, port)`.
 ///
 /// With `session: None` (the from-scratch mode) the variable universe is
-/// exactly the ratio's rectangle and no guarded units are emitted — the
-/// encoding is the classic per-ratio one. With a [`SessionBounds`] the
-/// universe is the whole session union, every structural clause is
-/// shared (hence emitted once per session thanks to the emitter's
-/// deduplication), and the ratio is imposed by guarded units alone.
-fn encode_ratio<E: ProbeEmitter<HexKey>>(
+/// exactly the ratio's rectangle, variables exist only where the ratio
+/// admits them, and no guarded units are emitted — the encoding is the
+/// classic per-ratio one. With a
+/// [`SessionBounds`] the universe is the whole session union, every
+/// structural clause is shared (hence emitted once per session thanks to
+/// the emitter's deduplication), and the ratio is imposed by guarded
+/// units alone.
+///
+/// Returns `None` when some node has no admissible tile in the ratio;
+/// such ratios are discarded before reaching the solver but still count
+/// as attempted.
+fn encode_ratio<T: Topology, E: ProbeEmitter<VarKey>>(
     em: &mut E,
     graph: &NetGraph,
     ratio: AspectRatio,
     alap: &[u32],
     session: Option<&SessionBounds>,
-    blacklist: &HashSet<(i32, i32)>,
-) -> HexEncoding {
-    let ratio_bounds;
+    blacklist: &HashSet<Tile>,
+) -> Option<Encoding> {
+    let (w, h) = (ratio.width as i32, ratio.height as i32);
+    let in_ratio = |(x, y): Tile| x >= 0 && x < w && y >= 0 && y < h;
+    let rectangle;
     let bounds = match session {
         Some(b) => b,
         None => {
-            ratio_bounds = SessionBounds {
-                height: ratio.height,
-                width_at_row: vec![ratio.width as i32; ratio.height as usize],
-                alap: alap.to_vec(),
-            };
-            &ratio_bounds
+            rectangle = SessionBounds::rectangle(ratio);
+            &rectangle
         }
     };
-    let creation_range = |n: MappedId| match session {
-        Some(b) => row_range_session(graph, b, n),
-        None => row_range(graph, alap, ratio.height, n),
+    let union = session.is_some();
+    // A node's levels in this ratio, and the levels its variables are
+    // created on (the same in from-scratch mode; the union over every
+    // candidate of the session otherwise).
+    let levels = |n: MappedId| {
+        let kind = graph.network.node(n).kind;
+        T::levels(kind, graph.asap[n.index()], alap[n.index()], false)
     };
-    let w = ratio.width as i32;
+    let creation = |n: MappedId| match session {
+        Some(b) => {
+            let kind = graph.network.node(n).kind;
+            T::levels(kind, graph.asap[n.index()], b.alap[n.index()], true)
+        }
+        None => levels(n),
+    };
     let node_ids: Vec<MappedId> = graph.network.node_ids().collect();
 
-    // place(n, t): at least one tile of the session universe (shared —
-    // every probe's models place every node); the probe's shrunken row
-    // range and width arrive as guarded units on the out-of-ratio
+    // place(n, t): at least one tile of the universe (shared — every
+    // probe's models place every node); the probe's own levels, width
+    // and pad rules arrive as guarded units on the inadmissible
     // variables. At most one tile ever is universal.
-    let mut place: HashMap<(usize, HexCoord), Lit> = HashMap::new();
+    let mut place: HashMap<(usize, Tile), Lit> = HashMap::new();
     for &n in &node_ids {
-        let (clo, chi) = creation_range(n);
-        let (lo, hi) = row_range(graph, alap, ratio.height, n);
+        let kind = graph.network.node(n).kind;
+        let (lo, hi) = levels(n);
+        let (clo, chi) = creation(n);
         let mut vars = Vec::new();
-        for y in clo..=chi {
-            for x in 0..bounds.width_at(y) {
-                let t = HexCoord::new(x, y as i32);
-                let lit = em.var(HexKey::Place(n.index(), t));
+        let mut admissible = 0usize;
+        for level in clo..=chi {
+            for t in T::level_tiles(bounds, level) {
+                if !T::pad_creatable(kind, t, ratio, union) {
+                    continue;
+                }
+                let lit = em.var(VarKey::Place(n.index(), t));
                 place.insert((n.index(), t), lit);
                 vars.push(lit);
-                if x >= w || y < lo || y > hi {
+                if in_ratio(t) && T::pad_admissible(kind, t, ratio) && (lo..=hi).contains(&level) {
+                    admissible += 1;
+                } else {
                     em.guarded(vec![lit.negated()]);
                 }
                 // Defect avoidance: a compromised tile is off in every
                 // probe of the session — a shared fact, learned once.
-                if blacklist.contains(&(x, y as i32)) {
+                if blacklist.contains(&t) {
                     em.shared(vec![lit.negated()]);
                 }
             }
         }
-        if vars.is_empty() {
-            em.guarded_at_least_one(&vars);
-        } else {
-            em.shared(vars.clone());
+        if admissible == 0 {
+            return None;
         }
+        em.shared(vars.clone());
         em.shared_at_most_one(&vars);
     }
 
-    // wire(e, t) — possible rows strictly between the source's earliest and
-    // the target's latest placement rows.
-    let mut wire: HashMap<(usize, HexCoord), Lit> = HashMap::new();
+    // wire(e, t) — levels strictly between the source's earliest and the
+    // target's latest placement levels.
+    let mut wire: HashMap<(usize, Tile), Lit> = HashMap::new();
     for e in &graph.edges {
-        let (src_clo, _) = creation_range(e.source);
-        let (_, dst_chi) = creation_range(e.target);
-        let (src_lo, _) = row_range(graph, alap, ratio.height, e.source);
-        let (_, dst_hi) = row_range(graph, alap, ratio.height, e.target);
-        for y in (src_clo + 1)..dst_chi {
-            for x in 0..bounds.width_at(y) {
-                let t = HexCoord::new(x, y as i32);
-                let lit = em.var(HexKey::Wire(e.id, t));
+        let (src_clo, _) = creation(e.source);
+        let (_, dst_chi) = creation(e.target);
+        let (src_lo, _) = levels(e.source);
+        let (_, dst_hi) = levels(e.target);
+        for level in (src_clo + 1)..dst_chi {
+            for t in T::level_tiles(bounds, level) {
+                let lit = em.var(VarKey::Wire(e.id, t));
                 wire.insert((e.id, t), lit);
-                if x >= w || y <= src_lo || y >= dst_hi {
+                if !(in_ratio(t) && level > src_lo && level < dst_hi) {
                     em.guarded(vec![lit.negated()]);
                 }
-                if blacklist.contains(&(x, y as i32)) {
+                if blacklist.contains(&t) {
                     em.shared(vec![lit.negated()]);
                 }
             }
         }
     }
 
-    // step(e, t, d): edge e leaves tile t towards its southern neighbor in
-    // direction d. Exists only where both endpoints can carry the edge.
-    // Out-of-ratio steps need no units of their own: the shared
-    // step → presence clauses propagate them off the moment the probe's
-    // place/wire units land.
-    let mut step: HashMap<(usize, HexCoord, HexDirection), Lit> = HashMap::new();
-    let in_bounds = |t: HexCoord| bounds.contains(t);
+    // step(e, t, port): edge e leaves tile t through an outgoing port.
+    // Exists only where both endpoints can carry the edge. Out-of-ratio
+    // steps need no units of their own: the shared step → presence
+    // clauses propagate them off the moment the probe's place/wire units
+    // land.
+    let mut step: HashMap<(usize, Tile, usize), Lit> = HashMap::new();
     for e in &graph.edges {
-        let presence_src = |wire: &HashMap<(usize, HexCoord), Lit>,
-                            place: &HashMap<(usize, HexCoord), Lit>,
-                            t: HexCoord| {
-            wire.contains_key(&(e.id, t)) || place.contains_key(&(e.source.index(), t))
+        let presence = |node: MappedId, t: Tile| {
+            wire.contains_key(&(e.id, t)) || place.contains_key(&(node.index(), t))
         };
-        let presence_dst = |wire: &HashMap<(usize, HexCoord), Lit>,
-                            place: &HashMap<(usize, HexCoord), Lit>,
-                            t: HexCoord| {
-            wire.contains_key(&(e.id, t)) || place.contains_key(&(e.target.index(), t))
-        };
-        for y in 0..bounds.height as i32 {
-            for x in 0..bounds.width_at(y as u32) {
-                let t = HexCoord::new(x, y);
-                if !presence_src(&wire, &place, t) {
-                    continue;
-                }
-                for d in [HexDirection::SouthWest, HexDirection::SouthEast] {
-                    let s = t.neighbor(d);
-                    if in_bounds(s) && presence_dst(&wire, &place, s) {
-                        step.insert((e.id, t, d), em.var(HexKey::Step(e.id, t, d)));
-                    }
+        for t in bounds.tiles() {
+            if !presence(e.source, t) {
+                continue;
+            }
+            for port in 0..2 {
+                let s = T::successor(t, port);
+                if bounds.contains(s) && presence(e.target, s) {
+                    step.insert((e.id, t, port), em.var(VarKey::Step(e.id, t, port)));
                 }
             }
         }
@@ -775,20 +939,17 @@ fn encode_ratio<E: ProbeEmitter<HexKey>>(
 
     // Tile capacity: at most one gate; gates exclude wires. Universal
     // facts, shared across probes.
-    for y in 0..bounds.height as i32 {
-        for x in 0..bounds.width_at(y as u32) {
-            let t = HexCoord::new(x, y);
-            let gates: Vec<Lit> = node_ids
-                .iter()
-                .filter_map(|n| place.get(&(n.index(), t)).copied())
-                .collect();
-            em.shared_at_most_one(&gates);
-            if !gates.is_empty() {
-                let occ = em.shared_or_all(&gates);
-                for e in &graph.edges {
-                    if let Some(&wv) = wire.get(&(e.id, t)) {
-                        em.shared(vec![wv.negated(), occ.negated()]);
-                    }
+    for t in bounds.tiles() {
+        let gates: Vec<Lit> = node_ids
+            .iter()
+            .filter_map(|n| place.get(&(n.index(), t)).copied())
+            .collect();
+        em.shared_at_most_one(&gates);
+        if !gates.is_empty() {
+            let occ = em.shared_or_all(&gates);
+            for e in &graph.edges {
+                if let Some(&wv) = wire.get(&(e.id, t)) {
+                    em.shared(vec![wv.negated(), occ.negated()]);
                 }
             }
         }
@@ -799,196 +960,200 @@ fn encode_ratio<E: ProbeEmitter<HexKey>>(
     // probe's models route each present edge through *some* step of the
     // union, and the probe's units narrow "some" down to its own ratio.
     for e in &graph.edges {
-        for y in 0..bounds.height as i32 {
-            for x in 0..bounds.width_at(y as u32) {
-                let t = HexCoord::new(x, y);
-                let src_lits: Vec<Lit> = [
-                    wire.get(&(e.id, t)).copied(),
-                    place.get(&(e.source.index(), t)).copied(),
-                ]
-                .into_iter()
-                .flatten()
-                .collect();
-                if !src_lits.is_empty() {
-                    let outs: Vec<Lit> = [HexDirection::SouthWest, HexDirection::SouthEast]
-                        .into_iter()
-                        .filter_map(|d| step.get(&(e.id, t, d)).copied())
-                        .collect();
-                    // presence → exactly one outgoing step.
-                    em.shared_at_most_one(&outs);
-                    for &p in &src_lits {
-                        let mut clause = vec![p.negated()];
-                        clause.extend(outs.iter().copied());
-                        em.shared(clause);
-                    }
-                    // step → presence at source.
-                    for &s in &outs {
-                        let mut clause = vec![s.negated()];
-                        clause.extend(src_lits.iter().copied());
-                        em.shared(clause);
-                    }
+        for t in bounds.tiles() {
+            let src_lits: Vec<Lit> = [
+                wire.get(&(e.id, t)).copied(),
+                place.get(&(e.source.index(), t)).copied(),
+            ]
+            .into_iter()
+            .flatten()
+            .collect();
+            if !src_lits.is_empty() {
+                let outs: Vec<Lit> = (0..2)
+                    .filter_map(|port| step.get(&(e.id, t, port)).copied())
+                    .collect();
+                // presence → exactly one outgoing step.
+                em.shared_at_most_one(&outs);
+                for &p in &src_lits {
+                    let mut clause = vec![p.negated()];
+                    clause.extend(outs.iter().copied());
+                    em.shared(clause);
                 }
+                // step → presence at source.
+                for &s in &outs {
+                    let mut clause = vec![s.negated()];
+                    clause.extend(src_lits.iter().copied());
+                    em.shared(clause);
+                }
+            }
 
-                let dst_lits: Vec<Lit> = [
-                    wire.get(&(e.id, t)).copied(),
-                    place.get(&(e.target.index(), t)).copied(),
-                ]
-                .into_iter()
-                .flatten()
-                .collect();
-                if !dst_lits.is_empty() {
-                    let ins: Vec<Lit> = t
-                        .northern_neighbors()
-                        .into_iter()
-                        .filter_map(|n| {
-                            let d = n.direction_to(t)?;
-                            step.get(&(e.id, n, d)).copied()
-                        })
-                        .collect();
-                    em.shared_at_most_one(&ins);
-                    for &p in &dst_lits {
-                        let mut clause = vec![p.negated()];
-                        clause.extend(ins.iter().copied());
-                        em.shared(clause);
-                    }
-                    // step → presence at destination.
-                    for &s in &ins {
-                        let mut clause = vec![s.negated()];
-                        clause.extend(dst_lits.iter().copied());
-                        em.shared(clause);
-                    }
+            let dst_lits: Vec<Lit> = [
+                wire.get(&(e.id, t)).copied(),
+                place.get(&(e.target.index(), t)).copied(),
+            ]
+            .into_iter()
+            .flatten()
+            .collect();
+            if !dst_lits.is_empty() {
+                let ins: Vec<Lit> = T::predecessors(t)
+                    .into_iter()
+                    .filter_map(|(p, port, _)| step.get(&(e.id, p, port)).copied())
+                    .collect();
+                em.shared_at_most_one(&ins);
+                for &p in &dst_lits {
+                    let mut clause = vec![p.negated()];
+                    clause.extend(ins.iter().copied());
+                    em.shared(clause);
+                }
+                // step → presence at destination.
+                for &s in &ins {
+                    let mut clause = vec![s.negated()];
+                    clause.extend(dst_lits.iter().copied());
+                    em.shared(clause);
                 }
             }
         }
     }
 
     // Port exclusivity: at most one edge leaves a tile through each port.
-    for y in 0..bounds.height as i32 {
-        for x in 0..bounds.width_at(y as u32) {
-            let t = HexCoord::new(x, y);
-            for d in [HexDirection::SouthWest, HexDirection::SouthEast] {
-                let users: Vec<Lit> = graph
-                    .edges
-                    .iter()
-                    .filter_map(|e| step.get(&(e.id, t, d)).copied())
-                    .collect();
-                em.shared_at_most_one(&users);
-            }
+    for t in bounds.tiles() {
+        for port in 0..2 {
+            let users: Vec<Lit> = graph
+                .edges
+                .iter()
+                .filter_map(|e| step.get(&(e.id, t, port)).copied())
+                .collect();
+            em.shared_at_most_one(&users);
         }
     }
 
-    HexEncoding { place, wire, step }
+    Some(Encoding { place, wire, step })
 }
 
-/// Reads a satisfying model back into a hexagonal gate layout.
-fn extract_layout(
+/// Reads a satisfying model back into a gate layout of topology `T`.
+///
+/// A satisfying model should always describe a coherent routing; if it
+/// does not (an unplaced node or a routed tile without a matching
+/// step), that is an encoding bug surfaced as a typed
+/// [`ScanAbort::Router`] rather than a worker panic, so the flow's
+/// fallback path can degrade gracefully.
+fn extract_layout<T: Topology>(
     model: &Model,
-    enc: &HexEncoding,
+    enc: &Encoding,
     graph: &NetGraph,
     ratio: AspectRatio,
-) -> HexGateLayout {
+) -> Result<T::Layout, ScanAbort> {
     let (w, h) = (ratio.width as i32, ratio.height as i32);
-    let mut layout = HexGateLayout::new(ratio, ClockingScheme::Row);
-    let mut node_tile: HashMap<usize, HexCoord> = HashMap::new();
+    let mut layout = T::new_layout(ratio);
+    let mut node_tile: HashMap<usize, Tile> = HashMap::new();
     for (&(n, t), &lit) in &enc.place {
         if model.lit_value(lit) {
             node_tile.insert(n, t);
         }
     }
-    let step_true = |e: usize, t: HexCoord, d: HexDirection| {
+    let step_true = |e: usize, t: Tile, port: usize| {
         enc.step
-            .get(&(e, t, d))
+            .get(&(e, t, port))
             .is_some_and(|&l| model.lit_value(l))
     };
-    // Incoming direction of edge e at tile t (the port facing the tile the
-    // edge arrives from).
-    let incoming_dir = |e: usize, t: HexCoord| -> Option<HexDirection> {
-        t.northern_neighbors().into_iter().find_map(|n| {
-            let d = n.direction_to(t)?;
-            step_true(e, n, d).then(|| t.direction_to(n).expect("adjacent"))
-        })
-    };
-    let outgoing_dir = |e: usize, t: HexCoord| -> Option<HexDirection> {
-        [HexDirection::SouthWest, HexDirection::SouthEast]
+    // The border edge e enters tile t by, and the one it leaves by.
+    let incoming = |e: usize, t: Tile| {
+        T::predecessors(t)
             .into_iter()
-            .find(|&d| step_true(e, t, d))
+            .find_map(|(p, port, dir)| step_true(e, p, port).then_some(dir))
+            .ok_or(ScanAbort::Router { row: t.1, pos: t.0 })
+    };
+    let outgoing = |e: usize, t: Tile| {
+        (0..2)
+            .find(|&port| step_true(e, t, port))
+            .map(|port| T::OUTGOING[port])
+            .ok_or(ScanAbort::Router { row: t.1, pos: t.0 })
     };
 
     // Gate tiles.
     for n in graph.network.node_ids() {
-        let t = node_tile[&n.index()];
+        let Some(&t) = node_tile.get(&n.index()) else {
+            // The at-least-one placement clause guarantees a tile; a
+            // missing one means the model is incoherent.
+            return Err(ScanAbort::Router { row: -1, pos: -1 });
+        };
         let node = graph.network.node(n);
-        let inputs: Vec<HexDirection> = graph.in_edges[n.index()]
+        let inputs = graph.in_edges[n.index()]
             .iter()
-            .map(|&e| incoming_dir(e, t).expect("routed input"))
-            .collect();
-        let outputs: Vec<HexDirection> = graph.out_edges[n.index()]
+            .map(|&e| incoming(e, t))
+            .collect::<Result<Vec<_>, _>>()?;
+        let outputs = graph.out_edges[n.index()]
             .iter()
-            .map(|&e| outgoing_dir(e, t).expect("routed output"))
-            .collect();
-        layout.place(
+            .map(|&e| outgoing(e, t))
+            .collect::<Result<Vec<_>, _>>()?;
+        T::place(
+            &mut layout,
             t,
             TileContents::gate(node.kind, inputs, outputs, node.name.clone()),
         );
     }
 
-    // Wire tiles (grouping up to two segments per tile), visited in
+    // Wire tiles (grouping the segments per tile), visited in
     // deterministic edge-then-row-major order so the per-tile segment
     // lists are reproducible run to run.
-    let mut segments: HashMap<HexCoord, Vec<(HexDirection, HexDirection)>> = HashMap::new();
+    let mut segments: HashMap<Tile, Vec<_>> = HashMap::new();
     for e in &graph.edges {
         for y in 0..h {
             for x in 0..w {
-                let t = HexCoord::new(x, y);
+                let t = (x, y);
                 let Some(&lit) = enc.wire.get(&(e.id, t)) else {
                     continue;
                 };
                 if model.lit_value(lit) {
-                    let seg = (
-                        incoming_dir(e.id, t).expect("wire has a predecessor"),
-                        outgoing_dir(e.id, t).expect("wire has a successor"),
-                    );
+                    let seg = (incoming(e.id, t)?, outgoing(e.id, t)?);
                     segments.entry(t).or_default().push(seg);
                 }
             }
         }
     }
     for (t, segs) in segments {
-        layout.place(t, TileContents::Wire { segments: segs });
+        T::place(&mut layout, t, TileContents::Wire { segments: segs });
     }
-    layout
+    Ok(layout)
 }
 
-/// Attempts to place & route at a fixed aspect ratio on a fresh solver,
-/// reporting the probe's verdict and solver cost alongside any layout
-/// found. The cancel flag is forwarded to the solver's cooperative
-/// interrupt; a cancelled probe yields no probe record. This is both
-/// the from-scratch probe and the authoritative extraction path for the
-/// incremental mode's winning ratio, which is what keeps the two modes'
-/// layouts byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn solve_ratio_scratch(
-    graph: &NetGraph,
+/// What one aspect-ratio probe solves: the ratio with its ALAP schedule,
+/// plus the limits and context every probe of the scan shares.
+struct ProbeInput<'a> {
+    graph: &'a NetGraph,
     ratio: AspectRatio,
-    alap: &[u32],
+    alap: &'a [u32],
     max_conflicts: u64,
     deadline: Deadline,
-    cancel: &CancelFlag,
-    blacklist: &HashSet<(i32, i32)>,
-) -> ProbeOutcome<HexGateLayout, RatioProbe> {
-    let _span = fcn_telemetry::span(format!("ratio:{}", ratio.label()));
+    cancel: &'a CancelFlag,
+    blacklist: &'a HashSet<Tile>,
+}
+
+/// Attempts to place & route at the probe's ratio on a fresh solver,
+/// reporting the verdict and solver cost alongside any layout found.
+/// The cancel flag is forwarded to the solver's cooperative
+/// interrupt; a cancelled probe yields no probe record, nor does a
+/// ratio discarded before reaching the solver (which still counts
+/// as attempted). This is both the from-scratch probe and the
+/// authoritative extraction path for the incremental mode's winning
+/// ratio, which is what keeps the two modes' layouts byte-identical.
+fn solve_ratio_scratch<T: Topology>(p: &ProbeInput) -> ProbeOutcome<T::Layout, RatioProbe> {
+    let _span = fcn_telemetry::span(format!("ratio:{}", p.ratio.label()));
     let mut em = ScratchEmitter::new();
-    let enc = encode_ratio(&mut em, graph, ratio, alap, None, blacklist);
+    let Some(enc) = encode_ratio::<T, _>(&mut em, p.graph, p.ratio, p.alap, None, p.blacklist)
+    else {
+        return ProbeOutcome::concluded(None, None);
+    };
     let mut cnf = em.cnf;
 
     fcn_telemetry::counter("cnf.vars", cnf.solver().num_vars() as u64);
     fcn_telemetry::counter("cnf.clauses", cnf.solver().num_clauses() as u64);
-    cnf.solver_mut().set_interrupt(cancel.clone());
+    cnf.solver_mut().set_interrupt(p.cancel.clone());
     let outcome = cnf.solve_with(
         &SolveParams::new()
-            .budget(max_conflicts)
+            .budget(p.max_conflicts)
             .interruptible()
-            .deadline(deadline),
+            .deadline(p.deadline),
     );
     let stats = cnf.solver().stats();
     if let BoundedResult::Interrupted = outcome {
@@ -1004,14 +1169,10 @@ fn solve_ratio_scratch(
         BoundedResult::Unsat => ProbeVerdict::Unsat,
         _ => ProbeVerdict::BudgetExceeded,
     };
-    fcn_telemetry::counter("sat.conflicts", stats.conflicts);
-    fcn_telemetry::counter("sat.decisions", stats.decisions);
-    fcn_telemetry::counter("sat.propagations", stats.propagations);
-    fcn_telemetry::counter("sat.restarts", stats.restarts);
-    fcn_telemetry::histogram("pnr.probe.conflicts", stats.conflicts);
+    record_solver_work(stats);
     fcn_telemetry::note("verdict", verdict.to_string());
     let probe = RatioProbe {
-        ratio,
+        ratio: p.ratio,
         verdict,
         stats,
         retained: 0,
@@ -1021,51 +1182,50 @@ fn solve_ratio_scratch(
         BoundedResult::Sat(m) => m,
         _ => return ProbeOutcome::concluded(None, Some(probe)),
     };
-    ProbeOutcome::concluded(
-        Some(extract_layout(&model, &enc, graph, ratio)),
-        Some(probe),
-    )
+    match extract_layout::<T>(&model, &enc, p.graph, p.ratio) {
+        Ok(layout) => ProbeOutcome::concluded(Some(layout), Some(probe)),
+        Err(abort) => {
+            // An incoherent model is an encoding bug; end the scan
+            // with a typed abort instead of panicking in the worker.
+            fcn_telemetry::note("verdict", "router-invariant");
+            ProbeOutcome::aborted(abort)
+        }
+    }
 }
 
-/// Probes a fixed aspect ratio on the worker's long-lived incremental
-/// session: per-ratio constraints are guarded behind a fresh activation
+/// Probes the ratio on the worker's long-lived incremental session:
+/// per-ratio constraints are guarded behind a fresh activation
 /// literal, the solve runs under that assumption, and the probe is
 /// retired afterwards so only universally-valid state survives.
 ///
 /// A SAT verdict is then re-established on a fresh solver by
-/// [`solve_ratio_scratch`], which both extracts a layout byte-identical
-/// to from-scratch mode and measures the cold cost of the instance the
-/// warm solver just solved (the honest "conflicts saved" baseline). The
-/// fresh solver's verdict is authoritative: if it exhausts the conflict
-/// budget the probe reports `BudgetExceeded`, exactly as from-scratch
-/// mode would.
-#[allow(clippy::too_many_arguments)]
-fn solve_ratio_incremental(
-    inc: &mut IncrementalCnf<HexKey>,
-    graph: &NetGraph,
-    ratio: AspectRatio,
-    alap: &[u32],
+/// [`solve_ratio_scratch`], which both extracts a layout
+/// byte-identical to from-scratch mode and measures the cold cost of
+/// the instance the warm solver just solved (the honest "conflicts
+/// saved" baseline). The fresh solver's verdict is authoritative: if
+/// it exhausts the conflict budget the probe reports
+/// `BudgetExceeded`, exactly as from-scratch mode would.
+fn solve_ratio_incremental<T: Topology>(
+    p: &ProbeInput,
+    inc: &mut IncrementalCnf<VarKey>,
     session: &SessionBounds,
-    max_conflicts: u64,
-    deadline: Deadline,
-    cancel: &CancelFlag,
-    blacklist: &HashSet<(i32, i32)>,
-) -> ProbeOutcome<HexGateLayout, RatioProbe> {
+) -> ProbeOutcome<T::Layout, RatioProbe> {
     // One span covers the whole probe; the winning ratio's fresh
     // re-solve nests inside it as a child `ratio:` span.
-    let _span = fcn_telemetry::span(format!("ratio:{}", ratio.label()));
+    let _span = fcn_telemetry::span(format!("ratio:{}", p.ratio.label()));
     fcn_telemetry::note("mode", "incremental");
     let retained = inc.begin_probe();
-    encode_ratio(inc, graph, ratio, alap, Some(session), blacklist);
+    let encoded =
+        encode_ratio::<T, _>(inc, p.graph, p.ratio, p.alap, Some(session), p.blacklist).is_some();
+    if !encoded {
+        inc.end_probe();
+        return ProbeOutcome::concluded(None, None);
+    }
     fcn_telemetry::counter("sat.retained", retained);
-    let outcome = inc.solve(max_conflicts, deadline, cancel);
+    let outcome = inc.solve(p.max_conflicts, p.deadline, p.cancel);
     let stats = inc.stats();
     inc.end_probe();
-    fcn_telemetry::counter("sat.conflicts", stats.conflicts);
-    fcn_telemetry::counter("sat.decisions", stats.decisions);
-    fcn_telemetry::counter("sat.propagations", stats.propagations);
-    fcn_telemetry::counter("sat.restarts", stats.restarts);
-    fcn_telemetry::histogram("pnr.probe.conflicts", stats.conflicts);
+    record_solver_work(stats);
     let verdict = match &outcome {
         BoundedResult::Sat(_) => "sat",
         BoundedResult::Unsat => "unsat",
@@ -1075,39 +1235,25 @@ fn solve_ratio_incremental(
     };
     fcn_telemetry::note("verdict", verdict);
 
+    let concluded = |verdict| {
+        ProbeOutcome::concluded(
+            None,
+            Some(RatioProbe {
+                ratio: p.ratio,
+                verdict,
+                stats,
+                retained,
+                extraction_conflicts: None,
+            }),
+        )
+    };
     match outcome {
         BoundedResult::Interrupted => ProbeOutcome::cancelled(),
         BoundedResult::DeadlineExpired => ProbeOutcome::aborted(ScanAbort::Deadline),
-        BoundedResult::Unsat => ProbeOutcome::concluded(
-            None,
-            Some(RatioProbe {
-                ratio,
-                verdict: ProbeVerdict::Unsat,
-                stats,
-                retained,
-                extraction_conflicts: None,
-            }),
-        ),
-        BoundedResult::BudgetExceeded => ProbeOutcome::concluded(
-            None,
-            Some(RatioProbe {
-                ratio,
-                verdict: ProbeVerdict::BudgetExceeded,
-                stats,
-                retained,
-                extraction_conflicts: None,
-            }),
-        ),
+        BoundedResult::Unsat => concluded(ProbeVerdict::Unsat),
+        BoundedResult::BudgetExceeded => concluded(ProbeVerdict::BudgetExceeded),
         BoundedResult::Sat(_) => {
-            let scratch = solve_ratio_scratch(
-                graph,
-                ratio,
-                alap,
-                max_conflicts,
-                deadline,
-                cancel,
-                blacklist,
-            );
+            let scratch = solve_ratio_scratch::<T>(p);
             if scratch.cancelled || scratch.abort.is_some() {
                 return scratch;
             }
@@ -1125,14 +1271,24 @@ fn solve_ratio_incremental(
                 _ => {
                     // Budget divergence: the warm solver proved SAT
                     // within budget but the fresh one ran out. Charge
-                    // both costs and keep the fresh verdict so the mode
-                    // behaves observably like from-scratch probing.
+                    // both costs and keep the fresh verdict so the
+                    // mode behaves observably like from-scratch
+                    // probing.
                     probe.stats += stats;
                     ProbeOutcome::concluded(None, Some(probe))
                 }
             }
         }
     }
+}
+
+/// Records one probe's solver work as telemetry counters.
+fn record_solver_work(stats: SolverStats) {
+    fcn_telemetry::counter("sat.conflicts", stats.conflicts);
+    fcn_telemetry::counter("sat.decisions", stats.decisions);
+    fcn_telemetry::counter("sat.propagations", stats.propagations);
+    fcn_telemetry::counter("sat.restarts", stats.restarts);
+    fcn_telemetry::histogram("pnr.probe.conflicts", stats.conflicts);
 }
 
 #[cfg(test)]
@@ -1197,6 +1353,51 @@ mod tests {
                     "no probe saw retained clauses despite conflicts across probes"
                 );
             }
+        });
+    }
+
+    #[test]
+    fn one_pool_serves_both_topologies_without_mixing_sessions() {
+        // One worker, so each scan checks out exactly one session.
+        fcn_budget::exec::with_width(1, || {
+            let mut xag = Xag::new();
+            let a = xag.primary_input("a");
+            let b = xag.primary_input("b");
+            let f = xag.xor(a, b);
+            xag.primary_output("f", f);
+            let net = map_xag(&xag, MapOptions::default()).expect("mappable");
+            let graph = NetGraph::new(net).expect("legalized");
+            let plain = ExactOptions {
+                incremental: true,
+                ..Default::default()
+            };
+            let hex_alone = exact_pnr(&graph, &plain).expect("feasible");
+            let cart_alone = crate::cartesian_exact_pnr(&graph, &plain).expect("feasible");
+
+            let pool = crate::SessionPool::new();
+            let pooled = plain.with_session_pool(pool.clone());
+            let hex = exact_pnr(&graph, &pooled).expect("feasible");
+            assert_eq!(hex.layout.render_ascii(), hex_alone.layout.render_ascii());
+            let (hits, misses) = (pool.hits(), pool.misses());
+            assert_eq!(pool.warm_sessions(), 1, "the hexagonal session is parked");
+
+            let cart = crate::cartesian_exact_pnr(&graph, &pooled).expect("feasible");
+            assert_eq!(cart.layout.render_ascii(), cart_alone.layout.render_ascii());
+            assert_eq!(
+                pool.misses(),
+                misses + 1,
+                "a Cartesian scan must not check out the hexagonal session"
+            );
+            assert_eq!(pool.hits(), hits);
+
+            // The Cartesian engine honours the pool: a second scan finds
+            // its session parked.
+            let again = crate::cartesian_exact_pnr(&graph, &pooled).expect("feasible");
+            assert_eq!(pool.hits(), hits + 1);
+            assert_eq!(
+                again.layout.render_ascii(),
+                cart_alone.layout.render_ascii()
+            );
         });
     }
 

@@ -13,8 +13,8 @@
 //!   all learned clauses derived purely from them, the VSIDS activities
 //!   and the saved phases of the shared problem variables.
 //! * **Guarded clauses** encode the per-ratio boundary and area limits
-//!   ("the node sits somewhere *inside this ratio's row range*"). Each
-//!   probe owns a fresh *activation literal* `act`; its guarded clauses
+//!   (units such as "this tile lies outside the ratio, so no node sits
+//!   on it"). Each probe owns a fresh *activation literal* `act`; its guarded clauses
 //!   carry `¬act` and are activated by solving under the assumption
 //!   `act`. Retiring the probe asserts `¬act` as a root-level unit,
 //!   which satisfies — and lets [`msat::Solver::simplify`] reclaim —
@@ -89,10 +89,6 @@ pub trait ProbeEmitter<K> {
     fn shared(&mut self, clause: Vec<Lit>);
     /// "At most one of `lits`" — must be universally valid.
     fn shared_at_most_one(&mut self, lits: &[Lit]);
-    /// "At least one of `lits`" — per-ratio (ranges shrink with the
-    /// ratio, making the disjunction stronger, so it cannot be shared).
-    /// An empty `lits` makes the current probe unsatisfiable.
-    fn guarded_at_least_one(&mut self, lits: &[Lit]);
     /// A literal equivalent to `lits[0] ∨ lits[1] ∨ …` whose Tseitin
     /// definition is universally valid (and cached per literal set in
     /// the incremental backend).
@@ -129,10 +125,6 @@ impl<K> ProbeEmitter<K> for ScratchEmitter {
 
     fn shared_at_most_one(&mut self, lits: &[Lit]) {
         self.cnf.at_most_one(lits);
-    }
-
-    fn guarded_at_least_one(&mut self, lits: &[Lit]) {
-        self.cnf.at_least_one(lits);
     }
 
     fn shared_or_all(&mut self, lits: &[Lit]) -> Lit {
@@ -336,12 +328,6 @@ impl<K: Eq + Hash> ProbeEmitter<K> for IncrementalCnf<K> {
         }
     }
 
-    fn guarded_at_least_one(&mut self, lits: &[Lit]) {
-        // Empty disjunction: the probe is infeasible, expressed as the
-        // guarded empty clause (the unit ¬act).
-        self.guarded(lits.to_vec());
-    }
-
     fn shared_or_all(&mut self, lits: &[Lit]) -> Lit {
         let key = normalized(lits.to_vec());
         if let Some(&o) = self.or_cache.get(&key) {
@@ -426,24 +412,6 @@ mod tests {
             inc.solve(u64::MAX, Deadline::unbounded(), &never()),
             BoundedResult::Unsat
         );
-        inc.end_probe();
-    }
-
-    #[test]
-    fn empty_at_least_one_makes_probe_unsat_but_not_session() {
-        let mut inc: IncrementalCnf<Key> = IncrementalCnf::new();
-        inc.begin_probe();
-        let lits: [Lit; 0] = [];
-        ProbeEmitter::<Key>::guarded_at_least_one(&mut inc, &lits);
-        assert_eq!(
-            inc.solve(u64::MAX, Deadline::unbounded(), &never()),
-            BoundedResult::Unsat
-        );
-        inc.end_probe();
-        inc.begin_probe();
-        assert!(inc
-            .solve(u64::MAX, Deadline::unbounded(), &never())
-            .is_sat());
         inc.end_probe();
     }
 

@@ -20,9 +20,11 @@
 //! path is balanced (one row per clock phase), and therefore every layout
 //! has the paper's reported best-possible throughput of 1/1.
 //!
-//! [`cartesian_exact`] provides the same exactness on the Cartesian
+//! [`cartesian_exact`] runs the same exact engine on the Cartesian
 //! 2DDWave baseline floor plan, enabling the measured topology comparison
-//! of the Figure 3 experiment.
+//! of the Figure 3 experiment: the scan, encoding, incremental sessions
+//! and extraction live once in [`exact`], and each floor plan supplies
+//! only its topology.
 
 pub mod cartesian_exact;
 pub mod exact;

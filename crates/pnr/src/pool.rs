@@ -3,18 +3,22 @@
 //! An [`crate::incremental::IncrementalCnf`] session is expensive to
 //! build (the shared clause set of a netlist is re-encoded from
 //! nothing) and valuable to keep (learned clauses, branching
-//! activities, saved phases). Within one [`crate::exact_pnr`] call the
-//! portfolio already keeps one session per worker; this module extends
-//! the reuse *across calls*: a long-lived host (the design server)
-//! installs a [`SessionPool`], and every scan checks its sessions out
-//! at start and parks them back when the scan ends.
+//! activities, saved phases). Within one exact P&R call — hexagonal
+//! ([`crate::exact_pnr`]) or Cartesian ([`crate::cartesian_exact_pnr`])
+//! — the portfolio already keeps one session per worker; this module
+//! extends the reuse *across calls*: a long-lived host (the design
+//! server) installs a [`SessionPool`], and every scan checks its
+//! sessions out at start and parks them back when the scan ends.
 //!
 //! Sessions are keyed by a fingerprint of everything that shapes the
-//! shared clause set — the netlist structure, the tile blacklist, and
-//! the area bound (which fixes the candidate union the session's
-//! variable universe spans). A checkout for a different key misses and
-//! starts cold; parking is skipped for sessions abandoned mid-probe
-//! (a panicking worker), whose activation literal was never retired.
+//! shared clause set — the floor-plan topology, the netlist structure,
+//! the tile blacklist, and the area bound (which fixes the candidate
+//! union the session's variable universe spans). One pool can serve
+//! both engines: a hexagonal session is never handed to a Cartesian
+//! scan, because the topology is part of the key. A checkout for a
+//! different key misses and starts cold; parking is skipped for
+//! sessions abandoned mid-probe (a panicking worker), whose activation
+//! literal was never retired.
 //!
 //! Pooling is a pure solver-work optimization with the same guarantee
 //! as [`crate::ExactOptions::incremental`] itself: the winning ratio is
@@ -22,7 +26,7 @@
 //! is byte-identical whether the session was cold, warm from this scan,
 //! or warm from a previous one.
 
-use crate::exact::HexKey;
+use crate::exact::VarKey;
 use crate::incremental::IncrementalCnf;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,7 +58,7 @@ pub struct SessionPool {
 
 #[derive(Debug, Default)]
 struct PoolState {
-    sessions: HashMap<u64, Vec<IncrementalCnf<HexKey>>>,
+    sessions: HashMap<u64, Vec<IncrementalCnf<VarKey>>>,
     /// Keys in first-parked order, for FIFO eviction.
     order: Vec<u64>,
 }
@@ -81,7 +85,7 @@ impl SessionPool {
     }
 
     /// Takes a warm session for `key`, if one is parked.
-    pub(crate) fn checkout(&self, key: u64) -> Option<IncrementalCnf<HexKey>> {
+    pub(crate) fn checkout(&self, key: u64) -> Option<IncrementalCnf<VarKey>> {
         let taken = self
             .lock()
             .sessions
@@ -97,7 +101,7 @@ impl SessionPool {
     /// Parks a session back for `key`, evicting the oldest key when the
     /// pool is full of other keys and dropping the session when its own
     /// key is already at capacity.
-    pub(crate) fn park(&self, key: u64, session: IncrementalCnf<HexKey>) {
+    pub(crate) fn park(&self, key: u64, session: IncrementalCnf<VarKey>) {
         let mut state = self.lock();
         if !state.sessions.contains_key(&key) {
             if state.order.len() >= KEYS_RETAINED {
@@ -125,7 +129,7 @@ impl SessionPool {
 /// dropped instead — their activation literal was never retired, so
 /// their guarded state would leak into the next scan.
 pub(crate) struct PooledSession {
-    session: Option<IncrementalCnf<HexKey>>,
+    session: Option<IncrementalCnf<VarKey>>,
     home: Option<(SessionPool, u64)>,
 }
 
@@ -148,7 +152,7 @@ impl PooledSession {
     }
 
     /// The session itself.
-    pub(crate) fn get_mut(&mut self) -> &mut IncrementalCnf<HexKey> {
+    pub(crate) fn get_mut(&mut self) -> &mut IncrementalCnf<VarKey> {
         self.session.as_mut().expect("session present until drop")
     }
 }
@@ -200,7 +204,7 @@ impl Fnv64 {
 mod tests {
     use super::*;
 
-    fn session() -> IncrementalCnf<HexKey> {
+    fn session() -> IncrementalCnf<VarKey> {
         IncrementalCnf::new()
     }
 

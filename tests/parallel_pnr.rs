@@ -1,14 +1,15 @@
 //! The parallel aspect-ratio portfolio must be a pure wall-clock
-//! optimization: every observable of [`fcn_pnr::exact_pnr`] — the chosen
-//! ratio, the probe log, the minimality verdict, the cumulative solver
-//! statistics — is identical at any executor width.
+//! optimization: every observable of [`fcn_pnr::exact_pnr`] and
+//! [`fcn_pnr::cartesian_exact_pnr`] — the chosen ratio, the probe log,
+//! the minimality verdict, the cumulative solver statistics — is
+//! identical at any executor width.
 
 use std::sync::Arc;
 
 use bestagon_core::benchmarks::benchmark;
 use fcn_budget::exec::with_width;
 use fcn_logic::techmap::{map_xag, MapOptions};
-use fcn_pnr::{exact_pnr, ExactOptions, NetGraph};
+use fcn_pnr::{cartesian_exact_pnr, exact_pnr, ExactOptions, NetGraph, PnrOutcome};
 use fcn_telemetry::Collector;
 
 fn graph_for(name: &str) -> NetGraph {
@@ -38,52 +39,73 @@ fn incremental_options() -> ExactOptions {
     }
 }
 
+/// Asserts that two scans of the same netlist agree on every work-exact
+/// observable: chosen ratio, minimality verdict, ratios tried, the
+/// `(ratio, verdict)` probe sequence and the cumulative solver counters.
+fn assert_same_scan<L>(what: &str, a: &PnrOutcome<L>, b: &PnrOutcome<L>) {
+    assert_eq!(a.ratio, b.ratio, "{what}: chosen ratio");
+    assert_eq!(
+        a.is_provably_minimal(),
+        b.is_provably_minimal(),
+        "{what}: minimality verdict"
+    );
+    assert_eq!(a.ratios_tried, b.ratios_tried, "{what}: ratios tried");
+    assert_eq!(probe_log(a), probe_log(b), "{what}: probe sequence");
+    // Work counters only: `solve_time` is wall clock, which no
+    // schedule can reproduce.
+    assert_eq!(
+        a.stats.without_time(),
+        b.stats.without_time(),
+        "{what}: cumulative solver statistics"
+    );
+}
+
+fn probe_log<L>(r: &PnrOutcome<L>) -> Vec<(fcn_coords::AspectRatio, fcn_pnr::ProbeVerdict)> {
+    r.probes.iter().map(|p| (p.ratio, p.verdict)).collect()
+}
+
+/// Asserts that two incremental scans agree on every semantic
+/// observable: chosen ratio, layout bytes, minimality verdict, ratios
+/// tried and the `(ratio, verdict)` probe sequence.
+fn assert_same_semantics<L>(
+    what: &str,
+    a: &PnrOutcome<L>,
+    b: &PnrOutcome<L>,
+    render: impl Fn(&L) -> String,
+) {
+    assert_eq!(a.ratio, b.ratio, "{what}: chosen ratio");
+    assert_eq!(render(&a.layout), render(&b.layout), "{what}: layout");
+    assert_eq!(
+        a.is_provably_minimal(),
+        b.is_provably_minimal(),
+        "{what}: minimality verdict"
+    );
+    assert_eq!(a.ratios_tried, b.ratios_tried, "{what}: ratios tried");
+    assert_eq!(probe_log(a), probe_log(b), "{what}: probe verdicts");
+}
+
 /// Satellite: determinism across thread counts. The sequential engine is
-/// the reference semantics; the portfolio must reproduce it bit-for-bit.
+/// the reference semantics; the portfolio must reproduce it bit-for-bit,
+/// on the hexagonal and on the Cartesian floor plan.
 #[test]
 fn portfolio_is_deterministic_across_thread_counts() {
     for name in ["xor2", "par_check", "c17"] {
         let graph = graph_for(name);
         let sequential = with_width(1, || exact_pnr(&graph, &options())).expect("feasible");
         let parallel = with_width(4, || exact_pnr(&graph, &options())).expect("feasible");
+        assert_same_scan(&format!("{name} (hex)"), &sequential, &parallel);
 
-        assert_eq!(sequential.ratio, parallel.ratio, "{name}: chosen ratio");
-        assert_eq!(
-            sequential.ratio.tile_count(),
-            parallel.ratio.tile_count(),
-            "{name}: minimal area"
-        );
-        assert_eq!(
-            sequential.is_provably_minimal(),
-            parallel.is_provably_minimal(),
-            "{name}: minimality verdict"
-        );
-        assert_eq!(
-            sequential.ratios_tried, parallel.ratios_tried,
-            "{name}: ratios tried"
-        );
-        let probe_log = |r: &fcn_pnr::PnrOutcome<fcn_layout::hexagonal::HexGateLayout>| -> Vec<_> {
-            r.probes.iter().map(|p| (p.ratio, p.verdict)).collect()
-        };
-        assert_eq!(
-            probe_log(&sequential),
-            probe_log(&parallel),
-            "{name}: probe sequence"
-        );
-        // Work counters only: `solve_time` is wall clock, which no
-        // schedule can reproduce.
-        assert_eq!(
-            sequential.stats.without_time(),
-            parallel.stats.without_time(),
-            "{name}: cumulative solver statistics"
-        );
+        let sequential =
+            with_width(1, || cartesian_exact_pnr(&graph, &options())).expect("feasible");
+        let parallel = with_width(4, || cartesian_exact_pnr(&graph, &options())).expect("feasible");
+        assert_same_scan(&format!("{name} (cartesian)"), &sequential, &parallel);
     }
 }
 
 /// The incremental engine keeps per-worker solver state, so raw conflict
 /// counts legitimately vary with the thread count — but every *semantic*
 /// observable (the chosen layout, the probe verdicts, the minimality
-/// claim) must still be thread-count invariant.
+/// claim) must still be thread-count invariant, on both floor plans.
 #[test]
 fn incremental_portfolio_agrees_on_semantic_observables() {
     for name in ["xor2", "par_check"] {
@@ -92,30 +114,9 @@ fn incremental_portfolio_agrees_on_semantic_observables() {
             with_width(1, || exact_pnr(&graph, &incremental_options())).expect("feasible");
         let parallel =
             with_width(4, || exact_pnr(&graph, &incremental_options())).expect("feasible");
-
-        assert_eq!(sequential.ratio, parallel.ratio, "{name}: chosen ratio");
-        assert_eq!(
-            sequential.layout.render_ascii(),
-            parallel.layout.render_ascii(),
-            "{name}: layout"
-        );
-        assert_eq!(
-            sequential.is_provably_minimal(),
-            parallel.is_provably_minimal(),
-            "{name}: minimality verdict"
-        );
-        assert_eq!(
-            sequential.ratios_tried, parallel.ratios_tried,
-            "{name}: ratios tried"
-        );
-        let verdicts = |r: &fcn_pnr::PnrOutcome<fcn_layout::hexagonal::HexGateLayout>| -> Vec<_> {
-            r.probes.iter().map(|p| (p.ratio, p.verdict)).collect()
-        };
-        assert_eq!(
-            verdicts(&sequential),
-            verdicts(&parallel),
-            "{name}: probe verdicts"
-        );
+        assert_same_semantics(&format!("{name} (hex)"), &sequential, &parallel, |l| {
+            l.render_ascii()
+        });
         // Tiny circuits can solve every probe by pure propagation, in
         // which case there are no learned clauses to retain; but a
         // multi-probe scan that did hit conflicts must show reuse.
@@ -125,6 +126,17 @@ fn incremental_portfolio_agrees_on_semantic_observables() {
                 "{name}: incremental mode actually ran warm probes"
             );
         }
+
+        let sequential = with_width(1, || cartesian_exact_pnr(&graph, &incremental_options()))
+            .expect("feasible");
+        let parallel = with_width(4, || cartesian_exact_pnr(&graph, &incremental_options()))
+            .expect("feasible");
+        assert_same_semantics(
+            &format!("{name} (cartesian)"),
+            &sequential,
+            &parallel,
+            |l| l.render_ascii(),
+        );
     }
 }
 
