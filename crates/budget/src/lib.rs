@@ -127,8 +127,6 @@ pub struct FlowBudget {
     /// Conflict budget for the equivalence miter (step 5). When set, an
     /// exhausted check reports `Unknown` instead of running forever.
     pub equiv_conflicts: Option<u64>,
-    /// Step budget for exhaustive SiDB ground-state sweeps.
-    pub sim_steps: Option<u64>,
 }
 
 impl FlowBudget {
@@ -140,7 +138,6 @@ impl FlowBudget {
             sat_conflicts_per_probe: None,
             sat_conflicts_total: None,
             equiv_conflicts: None,
-            sim_steps: None,
         }
     }
 
@@ -155,7 +152,6 @@ impl FlowBudget {
     /// | `FLOW_SAT_CONFLICTS` | [`FlowBudget::sat_conflicts_per_probe`] |
     /// | `FLOW_SAT_CONFLICTS_TOTAL` | [`FlowBudget::sat_conflicts_total`] |
     /// | `FLOW_EQUIV_CONFLICTS` | [`FlowBudget::equiv_conflicts`] |
-    /// | `FLOW_SIM_STEPS` | [`FlowBudget::sim_steps`] |
     pub fn from_env() -> Self {
         fn parse<T: std::str::FromStr>(var: &str) -> Option<T> {
             std::env::var(var).ok()?.trim().parse().ok()
@@ -169,7 +165,6 @@ impl FlowBudget {
             sat_conflicts_per_probe: parse("FLOW_SAT_CONFLICTS"),
             sat_conflicts_total: parse("FLOW_SAT_CONFLICTS_TOTAL"),
             equiv_conflicts: parse("FLOW_EQUIV_CONFLICTS"),
-            sim_steps: parse("FLOW_SIM_STEPS"),
         }
     }
 
@@ -206,12 +201,6 @@ impl FlowBudget {
     /// Sets the equivalence-miter conflict budget.
     pub fn with_equiv_conflicts(mut self, conflicts: u64) -> Self {
         self.equiv_conflicts = Some(conflicts);
-        self
-    }
-
-    /// Sets the simulation step budget.
-    pub fn with_sim_steps(mut self, steps: u64) -> Self {
-        self.sim_steps = Some(steps);
         self
     }
 }
@@ -314,12 +303,10 @@ mod tests {
             .with_rewrite_iterations(1)
             .with_sat_conflicts_per_probe(100)
             .with_sat_conflicts_total(500)
-            .with_equiv_conflicts(200)
-            .with_sim_steps(1000);
+            .with_equiv_conflicts(200);
         assert_eq!(b.rewrite_iterations, Some(1));
         assert_eq!(b.sat_conflicts_per_probe, Some(100));
         assert_eq!(b.sat_conflicts_total, Some(500));
         assert_eq!(b.equiv_conflicts, Some(200));
-        assert_eq!(b.sim_steps, Some(1000));
     }
 }

@@ -14,7 +14,7 @@ use bestagon_lib::apply::{apply_gate_library, ApplyError, CellLevelLayout};
 use bestagon_lib::tiles::BestagonLibrary;
 use fcn_budget::fault::{self, Fault};
 use fcn_equiv::{
-    check_equivalence, check_equivalence_bounded, EquivError, Equivalence, MiterLimit,
+    check_equivalence_extracted_bounded, extract_network, EquivError, Equivalence, MiterLimit,
 };
 use fcn_layout::hexagonal::HexGateLayout;
 use fcn_layout::supertile::{plan_supertiles, SuperTilePlan};
@@ -279,6 +279,23 @@ impl FlowOptions {
     pub fn with_surface(mut self, surface: sidb_sim::DefectMap) -> Self {
         self.surface = Some(surface);
         self
+    }
+
+    /// The surface the flow designs around: [`FlowOptions::surface`],
+    /// else the `SURFACE_DEFECTS` spec or defect file as it reads now;
+    /// `None` is the pristine surface. Step 4 and
+    /// [`FlowRequest::fingerprint`] both resolve through here, so the
+    /// fingerprint covers a defect file's contents, not its path.
+    fn resolve_surface(&self) -> Result<Option<sidb_sim::DefectMap>, sidb_sim::SurfaceSpecError> {
+        match &self.surface {
+            Some(map) => Ok(Some(map.clone())),
+            None => match std::env::var("SURFACE_DEFECTS") {
+                Ok(spec) if !spec.trim().is_empty() => {
+                    sidb_sim::DefectMap::from_spec(spec.trim()).map(Some)
+                }
+                _ => Ok(None),
+            },
+        }
     }
 
     /// Shares the given simulation cache with step 7 (see
@@ -609,19 +626,16 @@ impl FlowRequest {
                     b.sat_conflicts_per_probe,
                     b.sat_conflicts_total,
                     b.equiv_conflicts,
-                    b.sim_steps,
                 )
             )
             .as_bytes(),
         );
-        // The surface the flow will actually design around: the explicit
-        // option, else the environment fallback step 4 consults.
-        match &o.surface {
-            Some(map) => h.bytes(format!("{:?}", map).as_bytes()),
-            None => match std::env::var("SURFACE_DEFECTS") {
-                Ok(spec) if !spec.trim().is_empty() => h.bytes(spec.trim().as_bytes()),
-                _ => h.bytes(b"pristine"),
-            },
+        // The surface the flow will actually design around, resolved
+        // exactly as step 4 resolves it.
+        match o.resolve_surface() {
+            Ok(Some(map)) => h.bytes(format!("{map:?}").as_bytes()),
+            Ok(None) => h.bytes(b"pristine"),
+            Err(e) => h.bytes(format!("invalid surface: {e}").as_bytes()),
         };
         h.finish()
     }
@@ -806,18 +820,8 @@ fn run_flow_steps(name: &str, xag: &Xag, options: &FlowOptions) -> Result<FlowRe
 
     // Step 4: placement & routing.
     let (layout, exact, surface) = stage("step4:pnr", |_| {
-        // Resolve the surface to design around: an explicit option wins,
-        // then the `SURFACE_DEFECTS` environment variable; neither leaves
-        // the step byte-identical to the pristine flow.
-        let surface: Option<sidb_sim::DefectMap> = match &options.surface {
-            Some(map) => Some(map.clone()),
-            None => match std::env::var("SURFACE_DEFECTS") {
-                Ok(spec) if !spec.trim().is_empty() => {
-                    Some(sidb_sim::DefectMap::from_spec(spec.trim()).map_err(FlowError::Surface)?)
-                }
-                _ => None,
-            },
-        };
+        // No surface leaves the step byte-identical to the pristine flow.
+        let surface = options.resolve_surface().map_err(FlowError::Surface)?;
         // Tiles whose SiDB footprint a defect perturbs beyond the
         // threshold, over the largest region the scan may explore —
         // twice the area bound, so the defect-avoidance retry below
@@ -1000,14 +1004,12 @@ fn run_flow_steps(name: &str, xag: &Xag, options: &FlowOptions) -> Result<FlowRe
         if !options.verify {
             return Ok(None);
         }
-        let bounded = budget.equiv_conflicts.is_some() || budget.deadline.is_bounded();
-        let verdict = if matches!(injected, Some(Fault::Malform)) {
+        let mut extracted = extract_network(&layout).map_err(FlowError::Equivalence)?;
+        if matches!(injected, Some(Fault::Malform)) {
             // Injected corruption: hand the checker a deliberately
             // malformed extraction. The documented recovery is the
             // typed `MalformedNetwork` error — never a panic.
-            let mut corrupted =
-                fcn_equiv::extract_network(&layout).map_err(FlowError::Equivalence)?;
-            corrupted.add_node(
+            extracted.add_node(
                 fcn_logic::GateKind::Po,
                 vec![fcn_logic::techmap::MappedSignal {
                     node: fcn_logic::techmap::MappedId(0),
@@ -1015,20 +1017,14 @@ fn run_flow_steps(name: &str, xag: &Xag, options: &FlowOptions) -> Result<FlowRe
                 }],
                 Some("injected-malform".into()),
             );
-            fcn_equiv::check_equivalence_extracted_bounded(
-                &optimized,
-                &corrupted,
-                budget.equiv_conflicts,
-                budget.deadline,
-            )
-            .map_err(FlowError::Equivalence)?
-        } else if bounded {
-            check_equivalence_bounded(&optimized, &layout, budget.equiv_conflicts, budget.deadline)
-                .map_err(FlowError::Equivalence)?
-        } else {
-            // The unbounded path is the pre-budget code path, verbatim.
-            check_equivalence(&optimized, &layout).map_err(FlowError::Equivalence)?
-        };
+        }
+        let verdict = check_equivalence_extracted_bounded(
+            &optimized,
+            &extracted,
+            budget.equiv_conflicts,
+            budget.deadline,
+        )
+        .map_err(FlowError::Equivalence)?;
         match &verdict {
             Equivalence::NotEquivalent { counterexample } => {
                 return Err(FlowError::NotEquivalent {

@@ -6,15 +6,19 @@
 //! tiles in clock order ([`extract_network`]); the extracted netlist and
 //! the specification XAG are then combined into a *miter* — outputs pair-
 //! wise XOR-ed and OR-ed together — which is unsatisfiable exactly when
-//! the two designs agree on every input assignment ([`check_equivalence`]).
+//! the two designs agree on every input assignment
+//! ([`check_equivalence_extracted_bounded`]). The check takes its limits
+//! as values: no conflict budget and an unbounded deadline always
+//! conclude. Cartesian layouts go through [`extract_network_cart`].
 //!
 //! # Examples
 //!
 //! ```
+//! use fcn_budget::Deadline;
 //! use fcn_logic::network::Xag;
 //! use fcn_logic::techmap::{map_xag, MapOptions};
 //! use fcn_pnr::{exact_pnr, ExactOptions, NetGraph};
-//! use fcn_equiv::{check_equivalence, Equivalence};
+//! use fcn_equiv::{check_equivalence_extracted_bounded, extract_network, Equivalence};
 //!
 //! let mut xag = Xag::new();
 //! let a = xag.primary_input("a");
@@ -23,7 +27,9 @@
 //! xag.primary_output("f", f);
 //! let net = map_xag(&xag, MapOptions::default())?;
 //! let result = exact_pnr(&NetGraph::new(net)?, &ExactOptions::default())?;
-//! assert_eq!(check_equivalence(&xag, &result.layout)?, Equivalence::Equivalent);
+//! let extracted = extract_network(&result.layout)?;
+//! let verdict = check_equivalence_extracted_bounded(&xag, &extracted, None, Deadline::unbounded())?;
+//! assert_eq!(verdict, Equivalence::Equivalent);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -68,8 +74,7 @@ pub enum Equivalence {
         counterexample: Vec<bool>,
     },
     /// A *bounded* check ran out of resources before reaching a verdict.
-    /// Only [`check_equivalence_bounded`] and friends produce this; the
-    /// unbounded entry points always conclude.
+    /// A check without a conflict budget or deadline always concludes.
     Unknown {
         /// Which resource limit stopped the check.
         limit: MiterLimit,
@@ -233,35 +238,6 @@ pub fn extract_network_cart(
     Ok(net)
 }
 
-/// Checks whether a Cartesian layout implements the specification.
-///
-/// # Errors
-///
-/// Same conditions as [`check_equivalence`].
-pub fn check_equivalence_cart(
-    spec: &Xag,
-    layout: &fcn_layout::cartesian::CartGateLayout,
-) -> Result<Equivalence, EquivError> {
-    let extracted = extract_network_cart(layout)?;
-    check_equivalence_extracted(spec, &extracted)
-}
-
-/// Bounded variant of [`check_equivalence_cart`]; see
-/// [`check_equivalence_bounded`] for the semantics of the limits.
-///
-/// # Errors
-///
-/// Same conditions as [`check_equivalence`].
-pub fn check_equivalence_cart_bounded(
-    spec: &Xag,
-    layout: &fcn_layout::cartesian::CartGateLayout,
-    max_conflicts: Option<u64>,
-    deadline: Deadline,
-) -> Result<Equivalence, EquivError> {
-    let extracted = extract_network_cart(layout)?;
-    check_equivalence_extracted_bounded(spec, &extracted, max_conflicts, deadline)
-}
-
 /// Encodes an [`Xag`] into the CNF builder; returns one literal per PO.
 fn encode_xag(
     cnf: &mut CnfBuilder,
@@ -423,61 +399,25 @@ fn encode_mapped(
     Ok(pos)
 }
 
-/// Checks whether `layout` implements the specification `spec`.
+/// Checks whether the network `extracted` from a layout (see
+/// [`extract_network`] and [`extract_network_cart`]) implements the
+/// specification `spec`.
 ///
 /// Builds a miter over shared primary inputs (matched by pad name) and
-/// asks the SAT solver for a distinguishing assignment.
-///
-/// # Errors
-///
-/// Fails when the PI/PO interfaces disagree or the layout has undriven
-/// tile inputs.
-pub fn check_equivalence(spec: &Xag, layout: &HexGateLayout) -> Result<Equivalence, EquivError> {
-    let extracted = extract_network(layout)?;
-    check_equivalence_extracted(spec, &extracted)
-}
-
-/// Bounded variant of [`check_equivalence`]: the miter solve stops at
-/// `max_conflicts` conflicts (when given) or at the wall-clock
+/// asks the SAT solver for a distinguishing assignment. The solve stops
+/// at `max_conflicts` conflicts (when given) or at the wall-clock
 /// `deadline` (when bounded), reporting [`Equivalence::Unknown`] with
-/// the limit that fired instead of running to completion. With
-/// `max_conflicts: None` and an unbounded deadline this is exactly
-/// [`check_equivalence`].
+/// the limit that fired; with neither limit it always concludes.
+///
+/// Hosts the `equiv.miter` fault-injection point: an injected `exhaust`
+/// or `interrupt` forces an [`Equivalence::Unknown`] verdict when the
+/// corresponding limit is configured, and an injected `panic` fires
+/// here.
 ///
 /// # Errors
 ///
-/// Same conditions as [`check_equivalence`].
-pub fn check_equivalence_bounded(
-    spec: &Xag,
-    layout: &HexGateLayout,
-    max_conflicts: Option<u64>,
-    deadline: Deadline,
-) -> Result<Equivalence, EquivError> {
-    let extracted = extract_network(layout)?;
-    check_equivalence_extracted_bounded(spec, &extracted, max_conflicts, deadline)
-}
-
-/// Equivalence check against an already extracted network.
-///
-/// # Errors
-///
-/// Fails when the PI/PO interfaces disagree.
-pub fn check_equivalence_extracted(
-    spec: &Xag,
-    extracted: &MappedNetwork,
-) -> Result<Equivalence, EquivError> {
-    check_equivalence_extracted_bounded(spec, extracted, None, Deadline::unbounded())
-}
-
-/// Bounded equivalence check against an already extracted network (see
-/// [`check_equivalence_bounded`]). Hosts the `equiv.miter` fault-
-/// injection point: an injected `exhaust` or `interrupt` forces an
-/// [`Equivalence::Unknown`] verdict when the corresponding limit is
-/// configured, and an injected `panic` fires here.
-///
-/// # Errors
-///
-/// Fails when the PI/PO interfaces disagree.
+/// Fails when the PI/PO interfaces disagree, or with
+/// [`EquivError::MalformedNetwork`] when `extracted` is inconsistent.
 pub fn check_equivalence_extracted_bounded(
     spec: &Xag,
     extracted: &MappedNetwork,
@@ -548,19 +488,11 @@ pub fn check_equivalence_extracted_bounded(
         }
         _ => {}
     }
-    let outcome = if max_conflicts.is_none() && !deadline.is_bounded() {
-        // The unbounded path always concludes.
-        match cnf.solve() {
-            msat::SolveResult::Sat(model) => BoundedResult::Sat(model),
-            msat::SolveResult::Unsat => BoundedResult::Unsat,
-        }
-    } else {
-        let mut params = SolveParams::new().deadline(deadline);
-        if let Some(budget) = max_conflicts {
-            params = params.budget(budget);
-        }
-        cnf.solve_with(&params)
-    };
+    let outcome = cnf.solve_with(&SolveParams {
+        max_conflicts,
+        deadline,
+        ..SolveParams::new()
+    });
     let stats = cnf.solver().stats();
     fcn_telemetry::counter("sat.conflicts", stats.conflicts);
     fcn_telemetry::counter("sat.decisions", stats.decisions);
@@ -601,6 +533,22 @@ mod tests {
     use fcn_logic::techmap::{map_xag, MapOptions};
     use fcn_pnr::{exact_pnr, heuristic_pnr, ExactOptions, NetGraph};
 
+    /// Extracts `layout` and checks it against `spec` under the given
+    /// limits.
+    fn extract_and_check(
+        spec: &Xag,
+        layout: &HexGateLayout,
+        max_conflicts: Option<u64>,
+        deadline: Deadline,
+    ) -> Result<Equivalence, EquivError> {
+        check_equivalence_extracted_bounded(
+            spec,
+            &extract_network(layout)?,
+            max_conflicts,
+            deadline,
+        )
+    }
+
     fn full_adder() -> Xag {
         let mut xag = Xag::new();
         let a = xag.primary_input("a");
@@ -623,7 +571,8 @@ mod tests {
         let result = exact_pnr(&NetGraph::new(net).expect("ok"), &ExactOptions::default())
             .expect("feasible");
         assert_eq!(
-            check_equivalence(&xag, &result.layout).expect("checkable"),
+            extract_and_check(&xag, &result.layout, None, Deadline::unbounded())
+                .expect("checkable"),
             Equivalence::Equivalent
         );
     }
@@ -634,7 +583,7 @@ mod tests {
         let net = map_xag(&xag, MapOptions::default()).expect("mappable");
         let layout = heuristic_pnr(&NetGraph::new(net).expect("ok")).expect("routes");
         assert_eq!(
-            check_equivalence(&xag, &layout).expect("checkable"),
+            extract_and_check(&xag, &layout, None, Deadline::unbounded()).expect("checkable"),
             Equivalence::Equivalent
         );
     }
@@ -672,7 +621,7 @@ mod tests {
         let net = map_xag(&wrong, MapOptions::default()).expect("mappable");
         let layout = heuristic_pnr(&NetGraph::new(net).expect("ok")).expect("routes");
 
-        match check_equivalence(&spec, &layout).expect("checkable") {
+        match extract_and_check(&spec, &layout, None, Deadline::unbounded()).expect("checkable") {
             Equivalence::NotEquivalent { counterexample } => {
                 // The witness must actually distinguish AND from OR.
                 let s = spec.simulate(&counterexample);
@@ -697,7 +646,7 @@ mod tests {
         let net = map_xag(&other, MapOptions::default()).expect("mappable");
         let layout = heuristic_pnr(&NetGraph::new(net).expect("ok")).expect("routes");
         assert!(matches!(
-            check_equivalence(&spec, &layout),
+            extract_and_check(&spec, &layout, None, Deadline::unbounded()),
             Err(EquivError::InterfaceMismatch(_))
         ));
     }
@@ -709,8 +658,8 @@ mod tests {
         let xag = full_adder();
         let net = map_xag(&xag, MapOptions::default()).expect("mappable");
         let layout = heuristic_pnr(&NetGraph::new(net).expect("ok")).expect("routes");
-        let verdict = check_equivalence_bounded(&xag, &layout, Some(0), Deadline::unbounded())
-            .expect("checkable");
+        let verdict =
+            extract_and_check(&xag, &layout, Some(0), Deadline::unbounded()).expect("checkable");
         assert!(matches!(
             verdict,
             Equivalence::Equivalent
@@ -729,7 +678,7 @@ mod tests {
         // solver's entry check.
         let expired = Deadline::at(std::time::Instant::now());
         assert_eq!(
-            check_equivalence_bounded(&xag, &layout, None, expired).expect("checkable"),
+            extract_and_check(&xag, &layout, None, expired).expect("checkable"),
             Equivalence::Unknown {
                 limit: MiterLimit::Deadline
             }
@@ -749,7 +698,7 @@ mod tests {
         // No conflict budget configured, so the injected exhaust cannot
         // smuggle an Unknown verdict into the unbounded API.
         assert_eq!(
-            check_equivalence(&xag, &layout).expect("checkable"),
+            extract_and_check(&xag, &layout, None, Deadline::unbounded()).expect("checkable"),
             Equivalence::Equivalent
         );
     }
@@ -765,7 +714,7 @@ mod tests {
             Fault::Exhaust,
         )));
         assert_eq!(
-            check_equivalence_bounded(&xag, &layout, Some(1_000_000), Deadline::unbounded())
+            extract_and_check(&xag, &layout, Some(1_000_000), Deadline::unbounded())
                 .expect("checkable"),
             Equivalence::Unknown {
                 limit: MiterLimit::Conflicts
@@ -792,7 +741,7 @@ mod tests {
             Some("f".into()),
         );
         assert!(matches!(
-            check_equivalence_extracted(&spec, &net),
+            check_equivalence_extracted_bounded(&spec, &net, None, Deadline::unbounded()),
             Err(EquivError::MalformedNetwork(_))
         ));
     }

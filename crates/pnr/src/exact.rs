@@ -1148,11 +1148,10 @@ fn solve_ratio_scratch<T: Topology>(p: &ProbeInput) -> ProbeOutcome<T::Layout, R
 
     fcn_telemetry::counter("cnf.vars", cnf.solver().num_vars() as u64);
     fcn_telemetry::counter("cnf.clauses", cnf.solver().num_clauses() as u64);
-    cnf.solver_mut().set_interrupt(p.cancel.clone());
     let outcome = cnf.solve_with(
         &SolveParams::new()
             .budget(p.max_conflicts)
-            .interruptible()
+            .cancel(p.cancel.clone())
             .deadline(p.deadline),
     );
     let stats = cnf.solver().stats();

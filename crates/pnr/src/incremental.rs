@@ -212,12 +212,11 @@ impl<K: Eq + Hash> IncrementalCnf<K> {
         cancel: &CancelFlag,
     ) -> BoundedResult {
         let act = self.act.expect("begin_probe before solve");
-        self.cnf.solver_mut().set_interrupt(cancel.clone());
         self.cnf.solve_with(
             &SolveParams::new()
                 .assume([act])
                 .budget(max_conflicts)
-                .interruptible()
+                .cancel(cancel.clone())
                 .deadline(deadline),
         )
     }

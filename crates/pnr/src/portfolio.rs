@@ -34,7 +34,7 @@
 use fcn_budget::exec::{run_ordered, Signal};
 
 /// Cooperative cancellation handle passed to every probe. Probes must
-/// forward it to [`msat::Solver::set_interrupt`] (or poll it themselves
+/// forward it to [`msat::SolveParams::cancel`] (or poll it themselves
 /// in long non-solver phases) and report `cancelled: true` when it
 /// fired before a verdict was reached.
 pub use fcn_budget::exec::CancelFlag;

@@ -6,7 +6,7 @@
 //! (used by the exact placement & routing encoding, e.g. "every logic node
 //! is placed on exactly one tile").
 
-use crate::solver::{BoundedResult, SolveParams, SolveResult, Solver};
+use crate::solver::{BoundedResult, SolveParams, Solver};
 use crate::types::{Lit, Var};
 
 /// A convenience layer for building CNF formulas.
@@ -16,14 +16,15 @@ use crate::types::{Lit, Var};
 /// Encoding `c = a AND b` and asking for a model where `c` holds:
 ///
 /// ```
-/// use msat::{CnfBuilder, Lit};
+/// use msat::{CnfBuilder, Lit, SolveParams};
 ///
 /// let mut cnf = CnfBuilder::new();
 /// let a = cnf.new_lit();
 /// let b = cnf.new_lit();
 /// let c = cnf.and(a, b);
 /// cnf.add_clause([c]);
-/// let model = cnf.solve().expect_sat();
+/// let result = cnf.solve_with(&SolveParams::new());
+/// let model = result.model().expect("satisfiable");
 /// assert!(model.lit_value(a) && model.lit_value(b));
 /// ```
 #[derive(Debug, Default)]
@@ -228,17 +229,8 @@ impl CnfBuilder {
         self.at_most_one(lits);
     }
 
-    /// Solves the accumulated formula.
-    pub fn solve(&mut self) -> SolveResult {
-        self.solver.solve()
-    }
-
-    /// Solves under temporary assumptions.
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.solver.solve_with_assumptions(assumptions)
-    }
-
-    /// Solves under the given [`SolveParams`] (see [`Solver::solve_with`]).
+    /// Solves the accumulated formula under the given [`SolveParams`]
+    /// (see [`Solver::solve_with`]).
     pub fn solve_with(&mut self, params: &SolveParams) -> BoundedResult {
         self.solver.solve_with(params)
     }
@@ -262,6 +254,7 @@ impl CnfBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::tests::sat_model;
 
     /// Exhaustively checks a two-input gadget against a reference function.
     fn check_gate(
@@ -276,7 +269,7 @@ mod tests {
                 let o = f(&mut cnf, a, b);
                 cnf.add_clause([Lit::with_value(a.var(), a_val)]);
                 cnf.add_clause([Lit::with_value(b.var(), b_val)]);
-                let m = cnf.solve().expect_sat();
+                let m = sat_model(cnf.solve_with(&SolveParams::new()));
                 assert_eq!(m.lit_value(o), reference(a_val, b_val));
             }
         }
@@ -310,7 +303,7 @@ mod tests {
                     cnf.add_clause([Lit::with_value(s.var(), s_val)]);
                     cnf.add_clause([Lit::with_value(t.var(), t_val)]);
                     cnf.add_clause([Lit::with_value(e.var(), e_val)]);
-                    let m = cnf.solve().expect_sat();
+                    let m = sat_model(cnf.solve_with(&SolveParams::new()));
                     assert_eq!(m.lit_value(o), if s_val { t_val } else { e_val });
                 }
             }
@@ -325,17 +318,17 @@ mod tests {
         let any = cnf.or_all(lits.iter().copied());
         // Force all inputs true: both gadgets must be true.
         let mut assumptions: Vec<Lit> = lits.clone();
-        let m = cnf.solve_with_assumptions(&assumptions).expect_sat();
+        let m = sat_model(cnf.solve_with(&SolveParams::new().assume(assumptions.iter().copied())));
         assert!(m.lit_value(all));
         assert!(m.lit_value(any));
         // One input false: and false, or true.
         assumptions[3] = assumptions[3].negated();
-        let m = cnf.solve_with_assumptions(&assumptions).expect_sat();
+        let m = sat_model(cnf.solve_with(&SolveParams::new().assume(assumptions.iter().copied())));
         assert!(!m.lit_value(all));
         assert!(m.lit_value(any));
         // All false: both false.
         let all_false: Vec<Lit> = lits.iter().map(|l| l.negated()).collect();
-        let m = cnf.solve_with_assumptions(&all_false).expect_sat();
+        let m = sat_model(cnf.solve_with(&SolveParams::new().assume(all_false.iter().copied())));
         assert!(!m.lit_value(all));
         assert!(!m.lit_value(any));
     }
@@ -346,17 +339,22 @@ mod tests {
             let mut cnf = CnfBuilder::new();
             let lits: Vec<Lit> = (0..n).map(|_| cnf.new_lit()).collect();
             cnf.exactly_one(&lits);
-            let m = cnf.solve().expect_sat();
+            let m = sat_model(cnf.solve_with(&SolveParams::new()));
             let count = lits.iter().filter(|&&l| m.lit_value(l)).count();
             assert_eq!(count, 1, "n={n}");
             // Forcing two to be true must be UNSAT.
             assert!(
-                !cnf.solve_with_assumptions(&[lits[0], lits[n - 1]]).is_sat(),
+                !cnf.solve_with(&SolveParams::new().assume([lits[0], lits[n - 1]]))
+                    .is_sat(),
                 "n={n}"
             );
             // Forcing all false must be UNSAT.
             let all_false: Vec<Lit> = lits.iter().map(|l| l.negated()).collect();
-            assert!(!cnf.solve_with_assumptions(&all_false).is_sat(), "n={n}");
+            assert!(
+                !cnf.solve_with(&SolveParams::new().assume(all_false.iter().copied()))
+                    .is_sat(),
+                "n={n}"
+            );
         }
     }
 
@@ -366,7 +364,9 @@ mod tests {
         let lits: Vec<Lit> = (0..7).map(|_| cnf.new_lit()).collect();
         cnf.at_most_one(&lits);
         let all_false: Vec<Lit> = lits.iter().map(|l| l.negated()).collect();
-        assert!(cnf.solve_with_assumptions(&all_false).is_sat());
+        assert!(cnf
+            .solve_with(&SolveParams::new().assume(all_false.iter().copied()))
+            .is_sat());
     }
 
     #[test]
@@ -383,13 +383,15 @@ mod tests {
                     .map(|(i, &l)| if i < k { l } else { l.negated() })
                     .collect();
                 assert!(
-                    cnf.solve_with_assumptions(&assumptions).is_sat(),
+                    cnf.solve_with(&SolveParams::new().assume(assumptions.iter().copied()))
+                        .is_sat(),
                     "n={n} k={k}"
                 );
                 // k+1 true must be unsatisfiable.
                 assumptions[k] = lits[k];
                 assert!(
-                    !cnf.solve_with_assumptions(&assumptions).is_sat(),
+                    !cnf.solve_with(&SolveParams::new().assume(assumptions.iter().copied()))
+                        .is_sat(),
                     "n={n} k={k}"
                 );
             }
@@ -401,7 +403,7 @@ mod tests {
         let mut cnf = CnfBuilder::new();
         let lits: Vec<Lit> = (0..3).map(|_| cnf.new_lit()).collect();
         cnf.at_most_k(&lits, 0);
-        let m = cnf.solve().expect_sat();
+        let m = sat_model(cnf.solve_with(&SolveParams::new()));
         assert!(lits.iter().all(|&l| !m.lit_value(l)));
     }
 
@@ -410,7 +412,7 @@ mod tests {
         let mut cnf = CnfBuilder::new();
         let t = cnf.constant_true();
         let f = cnf.constant_false();
-        let m = cnf.solve().expect_sat();
+        let m = sat_model(cnf.solve_with(&SolveParams::new()));
         assert!(m.lit_value(t));
         assert!(!m.lit_value(f));
     }
@@ -423,7 +425,7 @@ mod tests {
         let c = cnf.new_lit();
         cnf.implies(a, b);
         cnf.implies2(a, b, c);
-        let m = cnf.solve_with_assumptions(&[a]).expect_sat();
+        let m = sat_model(cnf.solve_with(&SolveParams::new().assume([a])));
         assert!(m.lit_value(b) && m.lit_value(c));
     }
 }

@@ -38,9 +38,10 @@ impl std::error::Error for ParseDimacsError {}
 ///
 /// ```
 /// use msat::dimacs::parse_dimacs;
+/// use msat::SolveParams;
 ///
 /// let mut solver = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n")?;
-/// assert!(solver.solve().is_sat());
+/// assert!(solver.solve_with(&SolveParams::new()).is_sat());
 /// # Ok::<(), msat::dimacs::ParseDimacsError>(())
 /// ```
 pub fn parse_dimacs(input: &str) -> Result<Solver, ParseDimacsError> {
@@ -145,25 +146,26 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::SolveResult;
+    use crate::solver::tests::sat_model;
+    use crate::solver::{BoundedResult, SolveParams};
 
     #[test]
     fn parses_and_solves_sat_instance() {
         let mut s =
             parse_dimacs("c a comment\np cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n").expect("valid input");
-        assert!(s.solve().is_sat());
+        assert!(s.solve_with(&SolveParams::new()).is_sat());
     }
 
     #[test]
     fn parses_unsat_instance() {
         let mut s = parse_dimacs("p cnf 1 2\n1 0\n-1 0\n").expect("valid input");
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
     }
 
     #[test]
     fn multi_line_clauses_are_joined() {
         let mut s = parse_dimacs("p cnf 2 1\n1\n2 0\n").expect("valid input");
-        assert!(s.solve().is_sat());
+        assert!(s.solve_with(&SolveParams::new()).is_sat());
         assert_eq!(s.num_clauses(), 1);
     }
 
@@ -188,7 +190,7 @@ mod tests {
         let text = to_dimacs(3, clauses.iter().map(|c| c.iter()));
         assert!(text.starts_with("p cnf 3 2\n"));
         let mut s = parse_dimacs(&text).expect("round trip");
-        let m = s.solve().expect_sat();
+        let m = sat_model(s.solve_with(&SolveParams::new()));
         assert!(m.value(Var(2)));
     }
 }

@@ -16,6 +16,11 @@
 //! * Luby-sequence restarts,
 //! * activity-based learned-clause database reduction.
 //!
+//! [`Solver::solve_with`] is the one entry point. Its [`SolveParams`]
+//! carry the assumptions and every limit (conflict budget, cancel flag,
+//! deadline); each limit defaults to "none", so `SolveParams::new()` is
+//! a plain solve that always concludes.
+//!
 //! [`CnfBuilder`] layers convenience encodings on top: Tseitin gadgets for
 //! AND/OR/XOR/MUX, `exactly-one`/`at-most-one` cardinality constraints, and
 //! implication helpers.
@@ -23,14 +28,15 @@
 //! # Examples
 //!
 //! ```
-//! use msat::{Solver, Lit};
+//! use msat::{Lit, SolveParams, Solver};
 //!
 //! let mut solver = Solver::new();
 //! let a = solver.new_var();
 //! let b = solver.new_var();
 //! solver.add_clause([Lit::pos(a), Lit::pos(b)]);
 //! solver.add_clause([Lit::neg(a)]);
-//! let model = solver.solve().expect_sat();
+//! let result = solver.solve_with(&SolveParams::new());
+//! let model = result.model().expect("satisfiable");
 //! assert!(!model.value(a));
 //! assert!(model.value(b));
 //! ```
@@ -41,7 +47,7 @@ mod solver;
 mod types;
 
 pub use builder::CnfBuilder;
-pub use solver::{BoundedResult, Model, SolveParams, SolveResult, Solver, SolverStats};
+pub use solver::{BoundedResult, Model, SolveParams, Solver, SolverStats};
 pub use types::{Lit, Var};
 
 // The wall-clock cut-off accepted by [`SolveParams::deadline`] comes

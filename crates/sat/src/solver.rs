@@ -8,22 +8,14 @@ use std::time::Instant;
 
 const UNASSIGNED: u8 = 2;
 
-/// Result of a [`Solver::solve`] call.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SolveResult {
-    /// The formula is satisfiable; a satisfying [`Model`] is attached.
-    Sat(Model),
-    /// The formula is unsatisfiable.
-    Unsat,
-}
-
-/// Result of a bounded (and possibly cancellable) solve:
-/// [`Solver::solve_bounded_with_assumptions`].
+/// Result of a [`Solver::solve_with`] call.
 ///
-/// Unlike [`SolveResult`], the two "no verdict" outcomes are kept apart:
-/// a probe that ran out of budget carries information (the instance is
-/// hard), while one that was cancelled carries none and should be
-/// discarded by the caller.
+/// The three "no verdict" outcomes are kept apart: a probe that ran out
+/// of budget carries information (the instance is hard), one that was
+/// cancelled carries none and should be discarded by the caller, and
+/// one past its deadline means the whole scan is out of time. An
+/// unbounded solve (the default [`SolveParams`]) only ever returns
+/// [`BoundedResult::Sat`] or [`BoundedResult::Unsat`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum BoundedResult {
     /// The formula is satisfiable under the assumptions.
@@ -32,8 +24,8 @@ pub enum BoundedResult {
     Unsat,
     /// The conflict budget ran out before a verdict.
     BudgetExceeded,
-    /// The cooperative interrupt flag was raised before a verdict (see
-    /// [`Solver::set_interrupt`]).
+    /// The cancel flag (see [`SolveParams::cancel`]) was raised before a
+    /// verdict.
     Interrupted,
     /// The wall-clock deadline (see [`SolveParams::deadline`]) passed
     /// before a verdict. Distinct from [`BoundedResult::BudgetExceeded`]
@@ -58,19 +50,9 @@ impl BoundedResult {
     }
 }
 
-/// Parameters of a [`Solver::solve_with`] call — the single entry point
-/// behind every solve flavor.
-///
-/// The historical quartet (`solve`, `solve_bounded`,
-/// `solve_with_assumptions`, `solve_bounded_with_assumptions`) remains
-/// as thin wrappers, each a fixed parameterization of this struct:
-///
-/// | wrapper | assumptions | budget | interruptible |
-/// |---|---|---|---|
-/// | `solve` | none | unbounded | no |
-/// | `solve_with_assumptions` | yes | unbounded | no |
-/// | `solve_bounded` | none | bounded | yes |
-/// | `solve_bounded_with_assumptions` | yes | bounded | yes |
+/// Parameters of a [`Solver::solve_with`] call, the solver's single
+/// entry point. Every limit defaults to "none": `SolveParams::new()` is
+/// a plain unbounded, assumption-free solve that always concludes.
 ///
 /// # Examples
 ///
@@ -92,18 +74,18 @@ pub struct SolveParams {
     /// Conflict budget; `None` is unbounded and the solve always returns
     /// a definitive verdict.
     pub max_conflicts: Option<u64>,
-    /// Whether the search polls the flag installed via
-    /// [`Solver::set_interrupt`]. Non-interruptible solves ignore a
-    /// stale flag, preserving plain `solve` semantics.
-    pub interruptible: bool,
-    /// Wall-clock cut-off polled at the interrupt cadence; an expired
+    /// Cooperative cancel flag, polled periodically during the search;
+    /// once it reads `true` the solve returns
+    /// [`BoundedResult::Interrupted`]. `None` is never polled.
+    pub cancel: Option<Arc<AtomicBool>>,
+    /// Wall-clock cut-off polled at the cancel cadence; an expired
     /// deadline yields [`BoundedResult::DeadlineExpired`]. The default
     /// ([`Deadline::unbounded`]) is never polled and costs nothing.
     pub deadline: Deadline,
 }
 
 impl SolveParams {
-    /// An unbounded, assumption-free, non-interruptible solve.
+    /// An unbounded, assumption-free, uncancellable solve.
     pub fn new() -> Self {
         Self::default()
     }
@@ -124,11 +106,12 @@ impl SolveParams {
         self
     }
 
-    /// Makes the solve poll the cooperative interrupt flag (see
-    /// [`Solver::set_interrupt`]).
+    /// Makes the solve poll `flag` and stop with
+    /// [`BoundedResult::Interrupted`] once it is raised, leaving the
+    /// solver at the root level and reusable.
     #[must_use]
-    pub fn interruptible(mut self) -> Self {
-        self.interruptible = true;
+    pub fn cancel(mut self, flag: Arc<AtomicBool>) -> Self {
+        self.cancel = Some(flag);
         self
     }
 
@@ -139,33 +122,6 @@ impl SolveParams {
     pub fn deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = deadline;
         self
-    }
-}
-
-impl SolveResult {
-    /// Returns the model, panicking on UNSAT.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result is [`SolveResult::Unsat`].
-    pub fn expect_sat(self) -> Model {
-        match self {
-            SolveResult::Sat(m) => m,
-            SolveResult::Unsat => panic!("formula is unsatisfiable"),
-        }
-    }
-
-    /// True if satisfiable.
-    pub fn is_sat(&self) -> bool {
-        matches!(self, SolveResult::Sat(_))
-    }
-
-    /// The model, if satisfiable.
-    pub fn model(&self) -> Option<&Model> {
-        match self {
-            SolveResult::Sat(m) => Some(m),
-            SolveResult::Unsat => None,
-        }
     }
 }
 
@@ -323,7 +279,6 @@ pub struct Solver {
     unsat: bool,
     stats: SolverStats,
     cla_inc: f64,
-    interrupt: Option<Arc<AtomicBool>>,
     /// Per-level stamps for O(clause) LBD computation.
     lbd_stamp: Vec<u64>,
     lbd_counter: u64,
@@ -331,10 +286,10 @@ pub struct Solver {
 
 const NO_REASON: u32 = u32::MAX;
 
-/// How many search-loop iterations pass between polls of the interrupt
+/// How many search-loop iterations pass between polls of the cancel
 /// flag. Small enough for millisecond-scale cancellation latency, large
 /// enough that the atomic load is invisible in profiles.
-const INTERRUPT_POLL_INTERVAL: u32 = 64;
+const POLL_INTERVAL: u32 = 64;
 
 impl Solver {
     /// Creates an empty solver with no variables or clauses.
@@ -836,8 +791,8 @@ impl Solver {
         removed
     }
 
-    /// Solves under the given [`SolveParams`] — the single entry point
-    /// every other solve flavor wraps.
+    /// Solves under the given [`SolveParams`] — the solver's single
+    /// entry point.
     ///
     /// Solver state (learned clauses, variable activities, saved
     /// phases) persists across calls, enabling incremental use; the
@@ -850,7 +805,7 @@ impl Solver {
         let result = self.search(
             &params.assumptions,
             limit,
-            params.interruptible,
+            params.cancel.as_deref(),
             params.deadline.instant(),
         );
         // Accumulated like the work counters, so derived rates stay
@@ -859,111 +814,27 @@ impl Solver {
         result
     }
 
-    /// Solves the formula.
-    ///
-    /// Returns [`SolveResult::Sat`] with a complete model, or
-    /// [`SolveResult::Unsat`]. Thin wrapper over [`Solver::solve_with`].
-    pub fn solve(&mut self) -> SolveResult {
-        self.solve_with_assumptions(&[])
-    }
-
-    /// Installs a cooperative interrupt flag. Bounded solves
-    /// ([`Solver::solve_bounded`], [`Solver::solve_bounded_with_assumptions`])
-    /// poll the flag periodically and return
-    /// [`BoundedResult::Interrupted`] once it reads `true`, leaving the
-    /// solver at the root level and reusable. Unbounded solves ignore the
-    /// flag so their exact semantics are unchanged; pass a `u64::MAX`
-    /// budget for cancellation without a meaningful conflict limit.
-    pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
-        self.interrupt = Some(flag);
-    }
-
-    /// Removes the interrupt flag installed by [`Solver::set_interrupt`].
-    pub fn clear_interrupt(&mut self) {
-        self.interrupt = None;
-    }
-
-    /// Solves with a conflict budget — useful for anytime searches that
-    /// fall back to heuristics. Returns the full [`BoundedResult`]:
-    /// earlier versions collapsed the no-verdict outcomes into `None`,
-    /// but callers picking a degradation action must tell budget
-    /// exhaustion (the instance is hard; skip or retry with more fuel)
-    /// from cooperative interruption (the work is moot; discard).
-    /// Thin wrapper over [`Solver::solve_with`].
-    pub fn solve_bounded(&mut self, max_conflicts: u64) -> BoundedResult {
-        self.solve_bounded_with_assumptions(max_conflicts, &[])
-    }
-
-    /// Solves under assumptions with a conflict budget, distinguishing
-    /// budget exhaustion from cooperative interruption (see
-    /// [`Solver::set_interrupt`]) so the two compose: a portfolio can both
-    /// cap per-probe effort and cancel losing probes early.
-    /// Thin wrapper over [`Solver::solve_with`].
-    pub fn solve_bounded_with_assumptions(
-        &mut self,
-        max_conflicts: u64,
-        assumptions: &[Lit],
-    ) -> BoundedResult {
-        self.solve_with(
-            &SolveParams::new()
-                .assume(assumptions.iter().copied())
-                .budget(max_conflicts)
-                .interruptible(),
-        )
-    }
-
-    /// Solves under the given assumptions (literals forced true for this
-    /// call only). The solver state (learned clauses, activities) persists
-    /// across calls, enabling incremental use.
-    /// Thin wrapper over [`Solver::solve_with`].
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        // An unbounded, non-interruptible, deadline-free search can only
-        // return a verdict; the no-verdict arms are unreachable by
-        // construction. Defend with a re-entry rather than a panic:
-        // the solver is left at the root level after any return, so
-        // re-searching is always sound, and a bug here must not unwind
-        // through callers that promise graceful degradation.
-        loop {
-            match self.solve_with(&SolveParams::new().assume(assumptions.iter().copied())) {
-                BoundedResult::Sat(m) => return SolveResult::Sat(m),
-                BoundedResult::Unsat => return SolveResult::Unsat,
-                no_verdict => {
-                    debug_assert!(false, "unbounded search returned {no_verdict:?}");
-                }
-            }
-        }
-    }
-
-    /// The CDCL search loop shared by all solve entry points. `limit` is
-    /// an absolute conflict-count ceiling (`None` = unbounded); the
-    /// interrupt flag is only polled when `interruptible`, so plain
-    /// [`Solver::solve`] semantics are unaffected by a stale flag.
-    /// `deadline`, when set, is polled at the same cadence as the
-    /// interrupt flag and wins over it (an expired deadline reports
-    /// [`BoundedResult::DeadlineExpired`] even if a cancel flag is also
+    /// The CDCL search loop behind [`Solver::solve_with`]. `limit` is
+    /// an absolute conflict-count ceiling (`None` = unbounded); `cancel`
+    /// and `deadline`, when set, are polled at the same cadence, and the
+    /// deadline wins (an expired deadline reports
+    /// [`BoundedResult::DeadlineExpired`] even if the cancel flag is also
     /// up, so callers degrade rather than silently discard).
     fn search(
         &mut self,
         assumptions: &[Lit],
         limit: Option<u64>,
-        interruptible: bool,
+        cancel: Option<&AtomicBool>,
         deadline: Option<Instant>,
     ) -> BoundedResult {
         if self.unsat {
             return BoundedResult::Unsat;
         }
-        let interrupt = if interruptible {
-            self.interrupt.clone()
-        } else {
-            None
-        };
         if deadline.is_some_and(|t| Instant::now() >= t) {
             return BoundedResult::DeadlineExpired;
         }
-        if let Some(flag) = &interrupt {
-            if flag.load(Ordering::Relaxed) {
-                return BoundedResult::Interrupted;
-            }
+        if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+            return BoundedResult::Interrupted;
         }
         self.backtrack_to(0);
         if self.propagate().is_some() {
@@ -973,31 +844,29 @@ impl Solver {
 
         let mut conflicts_until_restart = luby(self.stats.restarts) * 100;
         let mut max_learned = (self.clauses.len() as u64).max(1000) * 2;
-        let mut interrupt_countdown = INTERRUPT_POLL_INTERVAL;
+        let mut poll_countdown = POLL_INTERVAL;
         // One flag decides whether the countdown runs at all, so an
         // un-instrumented unbounded solve pays nothing per iteration.
-        let polls = interrupt.is_some() || deadline.is_some() || fcn_budget::fault::armed();
+        let polls = cancel.is_some() || deadline.is_some() || fcn_budget::fault::armed();
 
         loop {
             if polls {
-                interrupt_countdown -= 1;
-                if interrupt_countdown == 0 {
-                    interrupt_countdown = INTERRUPT_POLL_INTERVAL;
+                poll_countdown -= 1;
+                if poll_countdown == 0 {
+                    poll_countdown = POLL_INTERVAL;
                     if deadline.is_some_and(|t| Instant::now() >= t) {
                         self.backtrack_to(0);
                         return BoundedResult::DeadlineExpired;
                     }
-                    if let Some(flag) = &interrupt {
-                        if flag.load(Ordering::Relaxed) {
-                            self.backtrack_to(0);
-                            return BoundedResult::Interrupted;
-                        }
+                    if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+                        self.backtrack_to(0);
+                        return BoundedResult::Interrupted;
                     }
                     // Fault injection: `msat.search` fires at the poll
                     // cadence. Exhaustion/interruption are only honored
                     // when the solve could produce them naturally, so an
                     // injected fault can never smuggle a no-verdict
-                    // result into an unbounded `solve()`.
+                    // result into an unbounded solve.
                     match fcn_budget::fault::at("msat.search") {
                         Some(fcn_budget::fault::Fault::Panic) => {
                             panic!("injected fault: panic at msat.search")
@@ -1006,7 +875,7 @@ impl Solver {
                             self.backtrack_to(0);
                             return BoundedResult::BudgetExceeded;
                         }
-                        Some(fcn_budget::fault::Fault::Interrupt) if interrupt.is_some() => {
+                        Some(fcn_budget::fault::Fault::Interrupt) if cancel.is_some() => {
                             self.backtrack_to(0);
                             return BoundedResult::Interrupted;
                         }
@@ -1225,8 +1094,16 @@ impl VarHeap {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The model of a satisfiable result.
+    pub(crate) fn sat_model(result: BoundedResult) -> Model {
+        match result {
+            BoundedResult::Sat(m) => m,
+            other => panic!("expected SAT, got {other:?}"),
+        }
+    }
 
     fn lit(i: i32) -> Lit {
         let v = Var(i.unsigned_abs() - 1);
@@ -1266,7 +1143,7 @@ mod tests {
     #[test]
     fn empty_formula_is_sat() {
         let mut s = Solver::new();
-        assert!(s.solve().is_sat());
+        assert!(s.solve_with(&SolveParams::new()).is_sat());
     }
 
     #[test]
@@ -1274,7 +1151,7 @@ mod tests {
         let mut s = solver_with_vars(2);
         s.add_clause([lit(1)]);
         s.add_clause([lit(-1), lit(2)]);
-        let m = s.solve().expect_sat();
+        let m = sat_model(s.solve_with(&SolveParams::new()));
         assert!(m.value(Var(0)));
         assert!(m.value(Var(1)));
     }
@@ -1284,14 +1161,14 @@ mod tests {
         let mut s = solver_with_vars(1);
         s.add_clause([lit(1)]);
         s.add_clause([lit(-1)]);
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
     }
 
     #[test]
     fn tautological_clauses_are_ignored() {
         let mut s = solver_with_vars(2);
         s.add_clause([lit(1), lit(-1)]);
-        assert!(s.solve().is_sat());
+        assert!(s.solve_with(&SolveParams::new()).is_sat());
     }
 
     #[test]
@@ -1301,7 +1178,7 @@ mod tests {
         s.add_clause([lit(-1), lit(2)]);
         s.add_clause([lit(-2), lit(3)]);
         s.add_clause([lit(-3), lit(-1)]);
-        let m = s.solve().expect_sat();
+        let m = sat_model(s.solve_with(&SolveParams::new()));
         // Verify all clauses satisfied.
         assert!(m.lit_value(lit(1)) || m.lit_value(lit(2)) || m.lit_value(lit(3)));
         assert!(!m.lit_value(lit(1)) || m.lit_value(lit(2)));
@@ -1324,13 +1201,13 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
     }
 
     #[test]
     fn pigeonhole_5_into_4_is_unsat() {
         let mut s = pigeonhole(5, 4);
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
         assert!(s.stats().conflicts > 0);
     }
 
@@ -1339,7 +1216,7 @@ mod tests {
         // Pigeonhole forces real search work, so every run counter is
         // exercised before the reset.
         let mut s = pigeonhole(5, 4);
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
         let before = s.stats();
         assert!(before.conflicts > 0);
         assert!(before.decisions > 0);
@@ -1414,7 +1291,7 @@ mod tests {
     #[test]
     fn solve_with_records_solve_time() {
         let mut s = pigeonhole(5, 4);
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
         let timed = s.stats();
         assert!(
             !timed.solve_time.is_zero(),
@@ -1429,27 +1306,27 @@ mod tests {
     fn assumptions_restrict_models() {
         let mut s = solver_with_vars(2);
         s.add_clause([lit(1), lit(2)]);
-        let m = s.solve_with_assumptions(&[lit(-1)]).expect_sat();
+        let m = sat_model(s.solve_with(&SolveParams::new().assume([lit(-1)])));
         assert!(!m.value(Var(0)));
         assert!(m.value(Var(1)));
         // Conflicting assumptions yield UNSAT without poisoning the solver.
         assert_eq!(
-            s.solve_with_assumptions(&[lit(-1), lit(-2)]),
-            SolveResult::Unsat
+            s.solve_with(&SolveParams::new().assume([lit(-1), lit(-2)])),
+            BoundedResult::Unsat
         );
-        assert!(s.solve().is_sat());
+        assert!(s.solve_with(&SolveParams::new()).is_sat());
     }
 
     #[test]
     fn incremental_solving_reuses_state() {
         let mut s = solver_with_vars(4);
         s.add_clause([lit(1), lit(2)]);
-        assert!(s.solve().is_sat());
+        assert!(s.solve_with(&SolveParams::new()).is_sat());
         s.add_clause([lit(-1)]);
-        let m = s.solve().expect_sat();
+        let m = sat_model(s.solve_with(&SolveParams::new()));
         assert!(m.value(Var(1)));
         s.add_clause([lit(-2)]);
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
     }
 
     #[test]
@@ -1482,7 +1359,7 @@ mod tests {
                 clauses.push(cl.clone());
                 s.add_clause(cl);
             }
-            if let SolveResult::Sat(m) = s.solve() {
+            if let BoundedResult::Sat(m) = s.solve_with(&SolveParams::new()) {
                 for cl in &clauses {
                     assert!(cl.iter().any(|&l| m.lit_value(l)), "model violates clause");
                 }
@@ -1510,45 +1387,27 @@ mod tests {
                                          // Assuming x propagates y, so the second assumption ¬y is
                                          // falsified at level 1 (not level 0).
         assert_eq!(
-            s.solve_with_assumptions(&[lit(1), lit(-2)]),
-            SolveResult::Unsat
+            s.solve_with(&SolveParams::new().assume([lit(1), lit(-2)])),
+            BoundedResult::Unsat
         );
         assert!(s.trail_lim.is_empty(), "trail must be at root level");
         // Adding ¬x must not be filtered against the stale assignment:
         // the formula {x → y, ¬x} is satisfiable (x = false).
         s.add_clause([lit(-1)]);
-        let m = s.solve().expect_sat();
+        let m = sat_model(s.solve_with(&SolveParams::new()));
         assert!(!m.value(Var(0)));
     }
 
     #[test]
-    fn solve_with_matches_the_wrappers() {
-        // SAT case with assumptions.
-        let mut s = solver_with_vars(2);
-        s.add_clause([lit(1), lit(2)]);
-        let via_params = s.solve_with(&SolveParams::new().assume([lit(-1)]));
-        assert!(via_params.is_sat());
-        assert!(via_params.model().unwrap().value(Var(1)));
-        // Budget case: zero-ish budget on a hard instance.
-        let mut s = pigeonhole(5, 4);
-        assert_eq!(
-            s.solve_with(&SolveParams::new().budget(1)),
-            BoundedResult::BudgetExceeded
-        );
-        assert_eq!(s.solve_with(&SolveParams::default()), BoundedResult::Unsat);
-    }
-
-    #[test]
-    fn solve_with_interruptible_honors_flag_even_unbounded() {
+    fn raised_cancel_flag_wins_even_unbounded() {
         let mut s = pigeonhole(5, 4);
         let flag = Arc::new(AtomicBool::new(true));
-        s.set_interrupt(flag.clone());
-        // No budget, but explicitly interruptible: the preset flag wins.
+        // No budget, but a raised cancel flag: the flag wins.
         assert_eq!(
-            s.solve_with(&SolveParams::new().interruptible()),
+            s.solve_with(&SolveParams::new().cancel(flag)),
             BoundedResult::Interrupted
         );
-        // Non-interruptible solves ignore the stale flag.
+        // A solve without the flag concludes.
         assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
     }
 
@@ -1561,7 +1420,7 @@ mod tests {
             BoundedResult::DeadlineExpired
         );
         // The solver stays reusable and an unbounded solve still decides.
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
     }
 
     #[test]
@@ -1576,14 +1435,13 @@ mod tests {
     }
 
     #[test]
-    fn deadline_wins_over_interrupt() {
+    fn deadline_wins_over_cancel() {
         let mut s = pigeonhole(5, 4);
         let flag = Arc::new(AtomicBool::new(true));
-        s.set_interrupt(flag);
         assert_eq!(
             s.solve_with(
                 &SolveParams::new()
-                    .interruptible()
+                    .cancel(flag)
                     .deadline(Deadline::after_ms(0))
             ),
             BoundedResult::DeadlineExpired
@@ -1591,14 +1449,22 @@ mod tests {
     }
 
     #[test]
-    fn solve_bounded_distinguishes_exhaustion_from_interruption() {
+    fn budget_exhaustion_is_distinct_from_cancellation() {
         let mut s = pigeonhole(5, 4);
-        assert_eq!(s.solve_bounded(1), BoundedResult::BudgetExceeded);
+        assert_eq!(
+            s.solve_with(&SolveParams::new().budget(1)),
+            BoundedResult::BudgetExceeded
+        );
         let flag = Arc::new(AtomicBool::new(true));
-        s.set_interrupt(flag);
-        assert_eq!(s.solve_bounded(u64::MAX), BoundedResult::Interrupted);
-        s.clear_interrupt();
-        assert_eq!(s.solve_bounded(u64::MAX), BoundedResult::Unsat);
+        assert_eq!(
+            s.solve_with(&SolveParams::new().budget(u64::MAX).cancel(flag)),
+            BoundedResult::Interrupted
+        );
+        // With an effectively unlimited budget the verdict is reached.
+        assert_eq!(
+            s.solve_with(&SolveParams::new().budget(u64::MAX)),
+            BoundedResult::Unsat
+        );
     }
 
     #[test]
@@ -1615,7 +1481,7 @@ mod tests {
             s.solve_with(&SolveParams::new().budget(u64::MAX)),
             BoundedResult::BudgetExceeded
         );
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
     }
 
     #[test]
@@ -1625,7 +1491,7 @@ mod tests {
         let _scope = fault::install(plan);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut s = pigeonhole(7, 6);
-            s.solve()
+            s.solve_with(&SolveParams::new())
         }));
         let payload = caught.expect_err("must panic");
         let msg = payload
@@ -1657,7 +1523,7 @@ mod tests {
         assert!(removed >= 2, "guarded clauses reclaimed, got {removed}");
         assert!(s.num_clauses() < before);
         // The shared clause still constrains the formula.
-        let m = s.solve().expect_sat();
+        let m = sat_model(s.solve_with(&SolveParams::new()));
         assert!(m.lit_value(x) || m.lit_value(y));
     }
 
@@ -1671,13 +1537,13 @@ mod tests {
             BoundedResult::BudgetExceeded
         );
         s.simplify();
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
     }
 
     #[test]
     fn learned_clauses_carry_lbd() {
         let mut s = pigeonhole(6, 5);
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
         let learned: Vec<&Clause> = s.clauses.iter().filter(|c| c.learned).collect();
         // Not every learned clause survives to the end, but those that
         // do must have an LBD bounded by their length.
@@ -1694,7 +1560,7 @@ mod tests {
     #[test]
     fn reduce_learned_keeps_glue_clauses() {
         let mut s = pigeonhole(5, 4);
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
         // Force a reduction pass at the root.
         let glue_before = s
             .clauses
@@ -1714,65 +1580,47 @@ mod tests {
     fn duplicate_assumptions_are_handled() {
         let mut s = solver_with_vars(2);
         s.add_clause([lit(1), lit(2)]);
-        let m = s.solve_with_assumptions(&[lit(-1), lit(-1)]).expect_sat();
+        let m = sat_model(s.solve_with(&SolveParams::new().assume([lit(-1), lit(-1)])));
         assert!(!m.value(Var(0)));
         assert!(m.value(Var(1)));
-        assert!(s.solve().is_sat());
+        assert!(s.solve_with(&SolveParams::new()).is_sat());
     }
 
     #[test]
     fn assumption_contradicting_root_unit_is_unsat_without_poisoning() {
         let mut s = solver_with_vars(2);
         s.add_clause([lit(1)]); // root-level unit: x
-        assert_eq!(s.solve_with_assumptions(&[lit(-1)]), SolveResult::Unsat);
+        assert_eq!(
+            s.solve_with(&SolveParams::new().assume([lit(-1)])),
+            BoundedResult::Unsat
+        );
         // Directly contradictory assumption pair.
         assert_eq!(
-            s.solve_with_assumptions(&[lit(2), lit(-2)]),
-            SolveResult::Unsat
+            s.solve_with(&SolveParams::new().assume([lit(2), lit(-2)])),
+            BoundedResult::Unsat
         );
         // The formula itself is still satisfiable.
-        let m = s.solve().expect_sat();
+        let m = sat_model(s.solve_with(&SolveParams::new()));
         assert!(m.value(Var(0)));
     }
 
     #[test]
-    fn bounded_solve_with_assumptions_composes_budget() {
-        let mut s = pigeonhole(5, 4);
-        assert_eq!(
-            s.solve_bounded_with_assumptions(1, &[]),
-            BoundedResult::BudgetExceeded
-        );
-        // With an effectively unlimited budget the verdict is reached.
-        assert_eq!(
-            s.solve_bounded_with_assumptions(u64::MAX, &[]),
-            BoundedResult::Unsat
-        );
-    }
-
-    #[test]
-    fn preset_interrupt_flag_cancels_bounded_solve() {
+    fn lowered_cancel_flag_lets_the_solve_conclude() {
         let mut s = pigeonhole(5, 4);
         let flag = Arc::new(AtomicBool::new(true));
-        s.set_interrupt(flag.clone());
-        assert_eq!(
-            s.solve_bounded_with_assumptions(u64::MAX, &[]),
-            BoundedResult::Interrupted
-        );
-        // Unbounded solves ignore the flag entirely.
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        let cancellable = SolveParams::new().budget(u64::MAX).cancel(flag.clone());
+        assert_eq!(s.solve_with(&cancellable), BoundedResult::Interrupted);
+        // Solves without the flag ignore it entirely.
+        assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
         flag.store(false, Ordering::Relaxed);
-        assert_eq!(
-            s.solve_bounded_with_assumptions(u64::MAX, &[]),
-            BoundedResult::Unsat
-        );
+        assert_eq!(s.solve_with(&cancellable), BoundedResult::Unsat);
     }
 
     #[test]
-    fn interrupt_from_another_thread_cancels_search() {
+    fn cancel_from_another_thread_stops_search() {
         // Large enough that the search certainly outlives the signal.
         let mut s = pigeonhole(9, 8);
         let flag = Arc::new(AtomicBool::new(false));
-        s.set_interrupt(flag.clone());
         let signaller = {
             let flag = flag.clone();
             std::thread::spawn(move || {
@@ -1780,11 +1628,10 @@ mod tests {
                 flag.store(true, Ordering::Relaxed);
             })
         };
-        let result = s.solve_bounded_with_assumptions(u64::MAX, &[]);
+        let result = s.solve_with(&SolveParams::new().budget(u64::MAX).cancel(flag));
         signaller.join().expect("signaller thread");
         assert_eq!(result, BoundedResult::Interrupted);
         // The solver stays reusable after cancellation.
-        s.clear_interrupt();
         assert!(s.trail_lim.is_empty());
     }
 }

@@ -26,10 +26,10 @@ use crate::engine::{SimEngine, SimParams};
 use crate::exgs::SimulatedState;
 use crate::layout::SidbLayout;
 
-/// The engine-selection part of a cache key. `Auto` resolves to the
-/// engine it dispatches to, so `Auto` and an explicit [`SimEngine::QuickExact`]
-/// share entries; annealing keys carry the full `AnnealParams` (bits of
-/// the floats) because the result depends on them.
+/// The engine-selection part of a cache key. `ThreeState` stands for
+/// the physical three-state flag, which overrides the engine selection;
+/// annealing keys carry the full `AnnealParams` (bits of the floats)
+/// because the result depends on them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum EngineKey {
     Exhaustive,
@@ -52,7 +52,6 @@ pub struct SimKey {
     sites: Vec<(i32, i32, u8)>,
     /// `PhysicalParams` as exact bit patterns.
     physical_bits: [u64; 4],
-    three_state: bool,
     engine: EngineKey,
     k: usize,
 }
@@ -76,7 +75,7 @@ impl SimKey {
             })
             .collect();
         let p = &params.physical;
-        let engine = if params.three_state {
+        let engine = if p.three_state {
             EngineKey::ThreeState
         } else {
             match params.engine {
@@ -99,7 +98,6 @@ impl SimKey {
                 p.lambda_tf_nm.to_bits(),
                 p.interaction_cutoff_ev.to_bits(),
             ],
-            three_state: params.three_state || p.three_state,
             engine,
             k: params.k,
         }

@@ -44,6 +44,8 @@
 //! serial work, never corrupting a verdict), and an injected `exhaust`
 //! stops parallel dispatch so the remaining units run serially.
 
+use std::ops::Range;
+
 use fcn_budget::exec::{run_ordered, Signal};
 
 use crate::cache::SimCache;
@@ -84,9 +86,6 @@ pub struct SimParams {
     /// legacy truncation semantics (step counting, deadline polling)
     /// are preserved exactly.
     pub budget: StepBudget,
-    /// Use the three-state (negative/neutral/positive) exhaustive
-    /// model instead of `engine`.
-    pub three_state: bool,
     /// Content-addressed result cache shared across simulations.
     pub cache: Option<SimCache>,
 }
@@ -100,7 +99,6 @@ impl SimParams {
             engine: SimEngine::QuickExact,
             k: 1,
             budget: StepBudget::unbounded(),
-            three_state: false,
             cache: None,
         }
     }
@@ -124,14 +122,6 @@ impl SimParams {
     #[must_use]
     pub fn with_budget(mut self, budget: StepBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Switches to the exhaustive three-state model (the `engine`
-    /// selection is ignored; complexity is `3^n`, so `n ≤ 16`).
-    #[must_use]
-    pub fn with_three_state(mut self) -> Self {
-        self.three_state = true;
         self
     }
 
@@ -203,14 +193,15 @@ impl SimResult {
 }
 
 /// Simulates a layout under the given parameters — the single entry
-/// point over every engine.
+/// point over every engine. When `physical.three_state` is set, the
+/// exhaustive three-state (negative/neutral/positive) model runs in
+/// place of `engine` (complexity `3^n`).
 ///
 /// # Panics
 ///
 /// Panics under the engines' legacy preconditions: the exhaustive
 /// engines on more than [`MAX_EXHAUSTIVE_SITES`] free sites (or
-/// [`MAX_THREE_STATE_SITES`] sites in the three-state model), and the
-/// two-state engines when `physical.three_state` is set.
+/// [`MAX_THREE_STATE_SITES`] sites in the three-state model).
 pub fn simulate_with(layout: &SidbLayout, params: &SimParams) -> SimResult {
     let result = simulate_with_matrix(layout, params, None);
     emit_stats(&result.stats);
@@ -310,7 +301,7 @@ fn simulate_core(
     params: &SimParams,
     matrix: Option<&InteractionMatrix>,
 ) -> SimResult {
-    if params.three_state {
+    if params.physical.three_state {
         return run_three_state(layout, &params.physical, params.k, matrix);
     }
     match params.engine {
@@ -560,7 +551,6 @@ fn consider(
     s: &SweepState,
     best: &mut Vec<SimulatedState>,
     k: usize,
-    valid: &mut u64,
 ) {
     const EPS: f64 = 1e-9;
     let stable = s
@@ -576,7 +566,6 @@ fn consider(
     if !stable || !s.config.is_configuration_stable(m) {
         return;
     }
-    *valid += 1;
     let free = s.energy + mu * s.num_negative as f64;
     insert_state(
         best,
@@ -589,34 +578,70 @@ fn consider(
     );
 }
 
-/// Sweeps the Gray-code steps `[lo, hi)` of the free-site space and
-/// returns the chunk's k-best list plus its valid-state count.
+/// What one swept chunk produced.
+struct Chunk {
+    /// The chunk's k-best list.
+    best: Vec<SimulatedState>,
+    /// Configurations visited, the chunk's seed included.
+    visited: u64,
+    /// Whether `limit` stopped the sweep early.
+    truncated: bool,
+}
+
+/// Sweeps the Gray-code `steps` of the free-site space.
+///
+/// Under a `limit` the sweep visits at most `limit.max_steps`
+/// configurations, polls the deadline every [`DEADLINE_POLL_INTERVAL`]
+/// steps, and hosts the `sidb.sweep` fault point (an injected `exhaust`
+/// truncates the sweep when any limit is configured; an injected
+/// `panic` fires here). Without one it sweeps every step.
 fn sweep_chunk(
     m: &InteractionMatrix,
     mu: f64,
     free_sites: &[usize],
     fixed_negative: &[bool],
     k: usize,
-    lo: u64,
-    hi: u64,
-) -> (Vec<SimulatedState>, u64) {
+    steps: Range<u64>,
+    limit: Option<&StepBudget>,
+) -> Chunk {
+    let Range { start: lo, end: hi } = steps;
     let mut state = seed_at(m, free_sites, fixed_negative, lo);
     let mut best = Vec::new();
-    let mut valid = 0u64;
-    consider(m, mu, &state, &mut best, k, &mut valid);
+    consider(m, mu, &state, &mut best, k);
     for step in (lo + 1)..hi {
+        if let Some(budget) = limit {
+            let injected = matches!(
+                fcn_budget::fault::check("sidb.sweep"),
+                Some(fcn_budget::fault::Fault::Exhaust)
+            ) && !budget.is_unbounded();
+            let spent = budget.max_steps.is_some_and(|max| step - lo >= max);
+            if injected
+                || spent
+                || (step % DEADLINE_POLL_INTERVAL == 0 && budget.deadline.expired())
+            {
+                return Chunk {
+                    best,
+                    visited: step - lo,
+                    truncated: true,
+                };
+            }
+        }
         let site = free_sites[step.trailing_zeros() as usize];
         toggle(m, &mut state, site);
-        consider(m, mu, &state, &mut best, k, &mut valid);
+        consider(m, mu, &state, &mut best, k);
     }
-    (best, valid)
+    Chunk {
+        best,
+        visited: hi - lo,
+        truncated: false,
+    }
 }
 
 /// The exhaustive engine: fixed-negative preassignment, then a chunked
 /// Gray-code sweep over the free sites. Bounded runs (and runs with a
-/// fault plan armed) take the historical serial path so step counting,
-/// deadline polling, and the `sidb.sweep` fault point behave exactly as
-/// before.
+/// fault plan armed) sweep as one serial chunk under the budget, so
+/// step counting, deadline polling, and the `sidb.sweep` fault point
+/// behave exactly as before.
 pub(crate) fn run_exhaustive(
     layout: &SidbLayout,
     physical: &PhysicalParams,
@@ -653,92 +678,38 @@ pub(crate) fn run_exhaustive(
     };
 
     // Budget checks are strictly opt-in: with no limits configured and
-    // no fault plan armed, the chunked sweep below performs the exact
-    // arithmetic of the unbounded engine.
-    let bounded = !budget.is_unbounded() || fcn_budget::fault::armed();
-    if bounded {
-        return run_exhaustive_bounded(m, mu, &free_sites, &fixed_negative, k, budget, stats);
-    }
-
+    // no fault plan armed, the sweep performs the exact arithmetic of
+    // the unbounded engine.
+    let limit = (!budget.is_unbounded() || fcn_budget::fault::armed()).then_some(budget);
     let total = 1u64 << n_free;
-    let chunks = if n_free >= PAR_MIN_FREE_SITES {
+    let chunks = if limit.is_none() && n_free >= PAR_MIN_FREE_SITES {
         1u64 << PAR_CHUNK_BITS
     } else {
         1
     };
-    stats.visited = total;
     if chunks == 1 {
-        let (best, _valid) = sweep_chunk(m, mu, &free_sites, &fixed_negative, k, 0, total);
+        let chunk = sweep_chunk(m, mu, &free_sites, &fixed_negative, k, 0..total, limit);
+        stats.visited = chunk.visited;
+        stats.truncated = chunk.truncated as u64;
         return SimResult {
-            states: best,
-            truncated: false,
+            states: chunk.best,
+            truncated: chunk.truncated,
             stats,
         };
     }
     let per = total / chunks;
     let run = run_units(chunks as usize, |c| {
         let lo = c as u64 * per;
-        sweep_chunk(m, mu, &free_sites, &fixed_negative, k, lo, lo + per)
+        sweep_chunk(m, mu, &free_sites, &fixed_negative, k, lo..lo + per, None)
     });
+    stats.visited = total;
     stats.recovered = run.recovered;
-    let mut all: Vec<SimulatedState> = run.results.into_iter().flat_map(|(best, _)| best).collect();
+    let mut all: Vec<SimulatedState> = run.results.into_iter().flat_map(|c| c.best).collect();
     all.sort_by(cmp_states);
     all.truncate(k);
     SimResult {
         states: all,
         truncated: false,
-        stats,
-    }
-}
-
-/// The historical bounded serial sweep: visits at most
-/// `budget.max_steps` configurations, polls the deadline every
-/// [`DEADLINE_POLL_INTERVAL`] steps, and hosts the `sidb.sweep` fault
-/// point (an injected `exhaust` truncates the sweep when any limit is
-/// configured; an injected `panic` fires here).
-fn run_exhaustive_bounded(
-    m: &InteractionMatrix,
-    mu: f64,
-    free_sites: &[usize],
-    fixed_negative: &[bool],
-    k: usize,
-    budget: &StepBudget,
-    mut stats: SimStats,
-) -> SimResult {
-    let n_free = free_sites.len();
-    let mut state = seed_at(m, free_sites, fixed_negative, 0);
-    let mut best = Vec::new();
-    let mut valid = 0u64;
-    let mut truncated = false;
-    let mut steps_taken = 1u64; // the seed configuration counts
-    consider(m, mu, &state, &mut best, k, &mut valid);
-    for step in 1u64..(1u64 << n_free) {
-        if matches!(
-            fcn_budget::fault::check("sidb.sweep"),
-            Some(fcn_budget::fault::Fault::Exhaust)
-        ) && !budget.is_unbounded()
-        {
-            truncated = true;
-            break;
-        }
-        if budget.max_steps.is_some_and(|max| step >= max) {
-            truncated = true;
-            break;
-        }
-        if step % DEADLINE_POLL_INTERVAL == 0 && budget.deadline.expired() {
-            truncated = true;
-            break;
-        }
-        steps_taken += 1;
-        let site = free_sites[step.trailing_zeros() as usize];
-        toggle(m, &mut state, site);
-        consider(m, mu, &state, &mut best, k, &mut valid);
-    }
-    stats.visited = steps_taken;
-    stats.truncated = truncated as u64;
-    SimResult {
-        states: best,
-        truncated,
         stats,
     }
 }
@@ -1013,11 +984,59 @@ mod tests {
             &layout,
             &SimParams::new(physical).with_engine(SimEngine::Exhaustive),
         );
-        let three = simulate_with(&layout, &SimParams::new(physical).with_three_state());
+        let three = simulate_with(&layout, &SimParams::new(physical.with_three_state()));
         assert_eq!(
             two.ground_state().expect("ok").config.states(),
             three.ground_state().expect("ok").config.states()
         );
         assert_eq!(three.stats.visited, 3u64.pow(4));
+    }
+
+    /// The physical three-state flag alone selects the three-state
+    /// model. The spectra are the ones the former `SimParams`-level
+    /// switch produced for the same layouts, free energies to the bit.
+    #[test]
+    fn physical_three_state_flag_reproduces_the_recorded_spectra() {
+        let crowded = SidbLayout::from_sites([
+            (0, 0, 0),
+            (0, 0, 1),
+            (0, 1, 0),
+            (0, 1, 1),
+            (1, 0, 0),
+            (1, 0, 1),
+            (1, 1, 0),
+            (1, 1, 1),
+        ]);
+        let sparse = SidbLayout::from_sites([(0, 0, 0), (4, 0, 0), (8, 1, 0), (2, 3, 1)]);
+        let params = SimParams::new(PhysicalParams::default().with_three_state()).with_k(3);
+        // (visited, [(charges, free-energy bits)]) of an untruncated run.
+        let spectrum = |layout: &SidbLayout| {
+            let result = simulate_with(layout, &params);
+            assert!(!result.truncated);
+            let states: Vec<(Vec<i8>, u64)> = result
+                .states
+                .iter()
+                .map(|s| {
+                    let charges = s.config.states().iter().map(|c| c.charge_number());
+                    (charges.collect(), s.free_energy.to_bits())
+                })
+                .collect();
+            (result.stats.visited, states)
+        };
+        assert_eq!(
+            spectrum(&crowded),
+            (
+                6561,
+                vec![
+                    (vec![-1, 1, -1, 1, 1, -1, 1, -1], 0xc003_8c91_25ec_81df),
+                    (vec![1, -1, 1, -1, -1, 1, -1, 1], 0xc003_8c91_25ec_81de),
+                    (vec![1, -1, -1, 1, -1, 1, 1, -1], 0xc002_7974_94dd_0818),
+                ]
+            )
+        );
+        assert_eq!(
+            spectrum(&sparse),
+            (81, vec![(vec![-1, -1, -1, -1], 0xbfea_fbaf_ec5a_9b38)])
+        );
     }
 }

@@ -234,7 +234,7 @@ mod three_state_tests {
         layout: &SidbLayout,
         params: &PhysicalParams,
     ) -> Option<ChargeConfiguration> {
-        simulate_with(layout, &SimParams::new(*params).with_three_state())
+        simulate_with(layout, &SimParams::new(params.with_three_state()))
             .states
             .pop()
             .map(|s| s.config)

@@ -30,10 +30,6 @@ use crate::defects::DefectMap;
 use crate::engine::{self, SimParams, SimStats};
 use crate::layout::SidbLayout;
 
-/// Which ground-state engine validates a design (an alias of
-/// [`crate::engine::SimEngine`], kept for source compatibility).
-pub use crate::engine::SimEngine as Engine;
-
 /// A complete, simulatable SiDB gate design.
 #[derive(Debug, Clone)]
 pub struct GateDesign {

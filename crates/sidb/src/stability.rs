@@ -11,9 +11,9 @@
 //! becomes comparable — the "energetic separation" analysis the SiDB
 //! literature (and the paper's SiQAD reference) perform on gate designs.
 
-use crate::engine::{simulate_with, SimParams};
+use crate::engine::{simulate_with, SimEngine, SimParams};
 use crate::model::PhysicalParams;
-use crate::operational::{Engine, GateDesign};
+use crate::operational::GateDesign;
 
 /// Boltzmann constant in eV/K.
 pub const BOLTZMANN_EV_PER_K: f64 = 8.617_333e-5;
@@ -44,16 +44,16 @@ impl PatternStability {
 ///
 /// # Panics
 ///
-/// Panics if `engine` is [`Engine::Anneal`]-based — gap analysis needs
+/// Panics if `engine` is [`SimEngine::Anneal`]-based — gap analysis needs
 /// the exact k-best spectrum.
 pub fn logic_stability(
     design: &GateDesign,
     params: &PhysicalParams,
     k_states: usize,
-    engine: Engine,
+    engine: SimEngine,
 ) -> Vec<PatternStability> {
     assert!(
-        matches!(engine, Engine::QuickExact | Engine::Exhaustive),
+        matches!(engine, SimEngine::QuickExact | SimEngine::Exhaustive),
         "gap analysis requires an exact engine"
     );
     let sim = SimParams::new(*params).with_engine(engine).with_k(k_states);
@@ -123,7 +123,12 @@ mod tests {
 
     #[test]
     fn wire_has_positive_gaps() {
-        let stability = logic_stability(&wire(), &PhysicalParams::default(), 8, Engine::QuickExact);
+        let stability = logic_stability(
+            &wire(),
+            &PhysicalParams::default(),
+            8,
+            SimEngine::QuickExact,
+        );
         assert_eq!(stability.len(), 2);
         for s in &stability {
             if let Some(gap) = s.gap_ev {

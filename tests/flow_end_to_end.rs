@@ -108,7 +108,8 @@ fn broken_specifications_are_rejected() {
 
 #[test]
 fn cartesian_baseline_layouts_are_equivalent_too() {
-    use fcn_equiv::check_equivalence_cart;
+    use fcn_budget::Deadline;
+    use fcn_equiv::{check_equivalence_extracted_bounded, extract_network_cart};
     use fcn_logic::techmap::{map_xag, MapOptions};
     use fcn_pnr::{cartesian_exact_pnr, ExactOptions, NetGraph};
 
@@ -119,8 +120,10 @@ fn cartesian_baseline_layouts_are_equivalent_too() {
         let result = cartesian_exact_pnr(&graph, &ExactOptions::default())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(result.layout.verify().is_empty(), "{name}");
+        let extracted = extract_network_cart(&result.layout).expect("extractable");
         assert_eq!(
-            check_equivalence_cart(&b.xag, &result.layout).expect("checkable"),
+            check_equivalence_extracted_bounded(&b.xag, &extracted, None, Deadline::unbounded())
+                .expect("checkable"),
             fcn_equiv::Equivalence::Equivalent,
             "{name}"
         );

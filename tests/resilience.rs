@@ -78,8 +78,7 @@ fn loose_budget_is_byte_identical_to_unbounded() {
                 .with_deadline(Deadline::after_ms(600_000))
                 .with_sat_conflicts_per_probe(u64::MAX)
                 .with_sat_conflicts_total(u64::MAX)
-                .with_equiv_conflicts(u64::MAX)
-                .with_sim_steps(u64::MAX),
+                .with_equiv_conflicts(u64::MAX),
         ),
     )
     .expect("flow");

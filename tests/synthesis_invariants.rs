@@ -2,7 +2,8 @@
 //! technology mapping must preserve functionality on arbitrary networks,
 //! and placement & routing must preserve it through to the layout.
 
-use fcn_equiv::{check_equivalence, Equivalence};
+use fcn_budget::Deadline;
+use fcn_equiv::{check_equivalence_extracted_bounded, extract_network, Equivalence};
 use fcn_logic::network::{Signal, Xag};
 use fcn_logic::rewrite::{rewrite, RewriteOptions};
 use fcn_logic::techmap::{map_xag, MapOptions};
@@ -105,8 +106,10 @@ proptest! {
             let graph = NetGraph::new(net).expect("placeable");
             let layout = heuristic_pnr(&graph).expect("heuristic routes every legalized netlist");
             prop_assert!(layout.verify().is_empty());
+            let extracted = extract_network(&layout).expect("extractable");
             prop_assert_eq!(
-                check_equivalence(&xag, &layout).expect("checkable"),
+                check_equivalence_extracted_bounded(&xag, &extracted, None, Deadline::unbounded())
+                    .expect("checkable"),
                 Equivalence::Equivalent
             );
         }
