@@ -53,6 +53,7 @@ const STRICT_FIELDS: &[&str] = &[
     "simulated",
     "inferred",
     "skipped",
+    "unknown",
     "pattern_sims",
     "dense_pattern_sims",
     "dense_visited",

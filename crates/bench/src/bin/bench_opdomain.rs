@@ -8,8 +8,10 @@
 //! on the default 7×7 `(ε_r, λ_TF)` grid — once with the dense
 //! reference strategy, once with the adaptive boundary-following
 //! sampler — and writes `BENCH_opdomain.json`: per tile, the coverage,
-//! the simulated-vs-inferred point split, the pattern-level simulation
-//! counts for both strategies, the visited-state totals, and whether
+//! the simulated-vs-inferred point split, the points whose verdict is
+//! unknown because the simulation budget truncated them, the
+//! pattern-level simulation counts for both strategies, the
+//! visited-state totals, and whether
 //! the adaptive sweep reproduced the dense per-point verdicts exactly
 //! (it must; the gate fails otherwise). The closing `aggregate` entry
 //! carries the whole-set totals the acceptance criterion is measured
@@ -22,7 +24,7 @@
 //! depend on run order or on an inherited cache.
 
 use fcn_telemetry::json::Value;
-use sidb_sim::opdomain::{DomainParams, DomainStrategy, OperationalDomain};
+use sidb_sim::opdomain::{DomainParams, DomainStrategy, OperationalDomain, SampleStatus};
 use sidb_sim::operational::GateDesign;
 use sidb_sim::{PhysicalParams, SimCache, SimEngine, SimParams};
 use std::process::ExitCode;
@@ -46,8 +48,8 @@ fn sweep(design: &GateDesign, strategy: DomainStrategy) -> OperationalDomain {
 fn main() -> ExitCode {
     println!("=== Operational-domain A/B: adaptive vs dense (7×7 grid) ===\n");
     println!(
-        "{:<18} {:>6} {:>9} {:>9} {:>12} {:>12} {:>7}",
-        "Tile", "op", "simulated", "inferred", "pattern sims", "dense sims", "ratio"
+        "{:<18} {:>6} {:>9} {:>9} {:>7} {:>12} {:>12} {:>7}",
+        "Tile", "op", "simulated", "inferred", "unknown", "pattern sims", "dense sims", "ratio"
     );
     let mut entries: Vec<Value> = Vec::new();
     let mut total_adaptive = 0u64;
@@ -77,17 +79,23 @@ fn main() -> ExitCode {
             .iter()
             .filter(|s| s.is_operational())
             .count();
+        let unknown = adaptive
+            .samples
+            .iter()
+            .filter(|s| s.status == SampleStatus::Unknown)
+            .count();
         total_adaptive += adaptive.stats.pattern_sims;
         total_dense += dense.stats.pattern_sims;
         total_visited += adaptive.stats.sim.visited;
         total_dense_visited += dense.stats.sim.visited;
         println!(
-            "{:<18} {:>3}/{:<2} {:>9} {:>9} {:>12} {:>12} {:>6.0}%",
+            "{:<18} {:>3}/{:<2} {:>9} {:>9} {:>7} {:>12} {:>12} {:>6.0}%",
             design.name,
             operational,
             adaptive.stats.points,
             adaptive.stats.simulated,
             adaptive.stats.inferred,
+            unknown,
             adaptive.stats.pattern_sims,
             dense.stats.pattern_sims,
             100.0 * adaptive.stats.pattern_sims as f64 / dense.stats.pattern_sims as f64,
@@ -114,6 +122,7 @@ fn main() -> ExitCode {
                 "skipped".to_owned(),
                 Value::Num(adaptive.stats.skipped as f64),
             ),
+            ("unknown".to_owned(), Value::Num(unknown as f64)),
             (
                 "pattern_sims".to_owned(),
                 Value::Num(adaptive.stats.pattern_sims as f64),

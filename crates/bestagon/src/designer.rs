@@ -597,12 +597,12 @@ pub fn design_canvas(
     // rediscover a canvas); the process-shared cache answers those from
     // memory. `SIM_CACHE=0` turns it off. Deadline-bounded runs thread
     // the deadline into every simulation (so one oversized sweep cannot
-    // hang the search) — which disables caching for them, as truncated
-    // spectra depend on the wall clock.
+    // hang the search) on top of the default step cap — which disables
+    // caching for them, as truncated spectra depend on the wall clock.
     let mut sim_params = SimParams::new(*params).with_engine(SimEngine::QuickExact);
     if options.budget.deadline.is_bounded() {
-        sim_params =
-            sim_params.with_budget(StepBudget::unbounded().with_deadline(options.budget.deadline));
+        let budget = sim_params.budget.with_deadline(options.budget.deadline);
+        sim_params = sim_params.with_budget(budget);
     } else if let Some(cache) = process_cache() {
         sim_params = sim_params.with_cache(cache);
     }

@@ -666,11 +666,8 @@ pub struct TileValidation {
     pub name: String,
     /// Number of SiDBs in the tile body.
     pub num_sidbs: usize,
-    /// Whether the exact ground-state check reproduced the truth table on
-    /// every input pattern.
-    pub operational: bool,
-    /// The first failing pattern, when non-operational.
-    pub failing_pattern: Option<u32>,
+    /// The exact ground-state check's verdict over every input pattern.
+    pub status: sidb_sim::operational::OperationalStatus,
 }
 
 /// Validates a set of designs with the exact engine, reporting per-tile
@@ -684,26 +681,16 @@ pub fn validate_designs(
     params: &sidb_sim::model::PhysicalParams,
 ) -> Vec<TileValidation> {
     use sidb_sim::engine::{SimEngine, SimParams};
-    use sidb_sim::operational::OperationalStatus;
     let mut sim = SimParams::new(*params).with_engine(SimEngine::QuickExact);
     if let Some(cache) = sidb_sim::cache::SimCache::from_env() {
         sim = sim.with_cache(cache);
     }
     designs
         .iter()
-        .map(|d| match d.check_operational_with(&sim).status {
-            OperationalStatus::Operational => TileValidation {
-                name: d.name.clone(),
-                num_sidbs: d.body.num_sites(),
-                operational: true,
-                failing_pattern: None,
-            },
-            OperationalStatus::NonOperational { pattern, .. } => TileValidation {
-                name: d.name.clone(),
-                num_sidbs: d.body.num_sites(),
-                operational: false,
-                failing_pattern: Some(pattern),
-            },
+        .map(|d| TileValidation {
+            name: d.name.clone(),
+            num_sidbs: d.body.num_sites(),
+            status: d.check_operational_with(&sim).status,
         })
         .collect()
 }
@@ -866,7 +853,7 @@ mod tests {
         assert!(figure5_designs().len() >= report.len());
         assert_eq!(report.len(), 2);
         assert!(report.iter().all(|r| r.num_sidbs > 0));
-        assert!(report[0].operational && report[1].operational);
+        assert!(report[0].status.is_operational() && report[1].status.is_operational());
     }
 
     #[test]

@@ -23,6 +23,7 @@ use fcn_logic::rewrite::{rewrite, RewriteOptions};
 use fcn_logic::techmap::{map_xag, MapError, MapOptions};
 use fcn_logic::verilog::{parse_verilog, ParseVerilogError};
 use fcn_pnr::{exact_pnr, heuristic_pnr, ExactOptions, NetGraph, PnrError};
+use sidb_sim::operational::OperationalStatus;
 
 pub use fcn_budget::{Deadline, FlowBudget};
 
@@ -140,9 +141,12 @@ pub struct FlowOptions {
     pub apply_library: bool,
     /// Physically re-validate the distinct library designs the layout
     /// instantiates (step 7): each design's truth table is checked with
-    /// the cached exact simulation engine, and the `sidb.*` counters
-    /// (configurations visited/pruned, cache hits) land in the step-7
-    /// span of [`FlowResult::report`]. Off by default — the library
+    /// the cached exact simulation engine under the default step cap
+    /// ([`sidb_sim::engine::DEFAULT_MAX_STEPS`]). The step-7 span of
+    /// [`FlowResult::report`] counts `tiles.failing` and, apart from
+    /// them, `tiles.unknown` (designs the cap cut short), each with a
+    /// note naming the tiles, next to the `sidb.*` counters
+    /// (configurations visited/pruned, cache hits). Off by default — the library
     /// ships pre-validated; turn it on to audit a deployment's tiles.
     pub tile_validation: bool,
     /// Wall-clock deadline and per-stage resource budgets. The default
@@ -1113,6 +1117,7 @@ fn run_flow_steps(name: &str, xag: &Xag, options: &FlowOptions) -> Result<FlowRe
                 }
                 let mut validated = 0u64;
                 let mut failing: Vec<String> = Vec::new();
+                let mut unknown: Vec<String> = Vec::new();
                 for design in &designs {
                     if budget.deadline.expired() {
                         record(
@@ -1129,15 +1134,22 @@ fn run_flow_steps(name: &str, xag: &Xag, options: &FlowOptions) -> Result<FlowRe
                         );
                         break;
                     }
-                    if !design.check_operational_with(&sim).is_operational() {
-                        failing.push(design.name.clone());
+                    match design.check_operational_with(&sim).status {
+                        OperationalStatus::Operational => {}
+                        OperationalStatus::NonOperational { .. } => {
+                            failing.push(design.name.clone());
+                        }
+                        // The simulation budget cut the verdict short.
+                        OperationalStatus::Unknown { .. } => unknown.push(design.name.clone()),
                     }
                     validated += 1;
                 }
                 fcn_telemetry::counter("tiles.validated", validated);
-                if !failing.is_empty() {
-                    fcn_telemetry::counter("tiles.failing", failing.len() as u64);
-                    fcn_telemetry::note("tiles.failing", failing.join(", "));
+                for (name, tiles) in [("tiles.failing", &failing), ("tiles.unknown", &unknown)] {
+                    if !tiles.is_empty() {
+                        fcn_telemetry::counter(name, tiles.len() as u64);
+                        fcn_telemetry::note(name, tiles.join(", "));
+                    }
                 }
             }
         }

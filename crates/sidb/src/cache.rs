@@ -9,9 +9,12 @@
 //! canonicalizes the layout (translation-invariant site list) together
 //! with every physical and engine parameter that can change the answer.
 //!
-//! Only *unbounded* runs are cached: a truncated spectrum depends on
-//! the wall clock and step budget, so budget-bounded sweeps always
-//! recompute.
+//! The key includes the run's step cap (`max_steps`): a spectrum that
+//! cap truncated is served, still marked truncated, only to runs with
+//! the same cap. Runs under a deadline bypass the cache, since where a
+//! deadline cuts a search depends on the wall clock. A truncated result
+//! computed while a fault plan is installed on the thread is never
+//! stored, as an injected `exhaust` may have cut it short.
 //!
 //! The cache hosts the `sidb.cache` fault-injection point: any injected
 //! fault (a poisoned store, a panic mid-lookup) makes the cache behave
@@ -54,6 +57,8 @@ pub struct SimKey {
     physical_bits: [u64; 4],
     engine: EngineKey,
     k: usize,
+    /// The run's step cap.
+    max_steps: Option<u64>,
 }
 
 impl SimKey {
@@ -100,6 +105,7 @@ impl SimKey {
             ],
             engine,
             k: params.k,
+            max_steps: params.budget.max_steps,
         }
     }
 }

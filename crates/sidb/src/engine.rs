@@ -3,6 +3,17 @@
 //! charge-space partitioning across a worker pool, physically-informed
 //! pruning, and an optional content-addressed result cache.
 //!
+//! # Budget
+//!
+//! The exact engines have one limit, [`SimParams::budget`]. The
+//! exhaustive sweep charges one step per visited configuration and
+//! QuickExact one per branch-and-bound node, each through a meter that
+//! enforces `max_steps`, polls the deadline every
+//! `DEADLINE_POLL_INTERVAL` steps and hosts the `sidb.sweep` fault
+//! point. [`SimParams::new`] caps every run at [`DEFAULT_MAX_STEPS`]. A
+//! run is [`SimResult::truncated`] exactly when a meter refused a step;
+//! its states are then the best found so far, not a proven spectrum.
+//!
 //! # The `SimParams` API
 //!
 //! [`SimParams`] is a chainable builder mirroring `msat::SolveParams`:
@@ -82,23 +93,27 @@ pub struct SimParams {
     pub engine: SimEngine,
     /// How many lowest-free-energy states to keep (`1` = ground state).
     pub k: usize,
-    /// Step/wall-clock budget. Bounded sweeps run serially so the
-    /// legacy truncation semantics (step counting, deadline polling)
-    /// are preserved exactly.
+    /// Step/wall-clock budget of the exact engines (see the module
+    /// docs); [`SimParams::new`] caps it at [`DEFAULT_MAX_STEPS`].
     pub budget: StepBudget,
     /// Content-addressed result cache shared across simulations.
     pub cache: Option<SimCache>,
 }
 
+/// The step cap of [`SimParams::new`]: 20M sweep steps, or 20M
+/// branch-and-bound nodes per interaction-graph cluster.
+pub const DEFAULT_MAX_STEPS: u64 = 20_000_000;
+
 impl SimParams {
     /// Simulation of the given physical model with the default engine
-    /// ([`SimEngine::QuickExact`]), `k = 1`, no budget, and no cache.
+    /// ([`SimEngine::QuickExact`]), `k = 1`, a budget of
+    /// [`DEFAULT_MAX_STEPS`] steps and no deadline, and no cache.
     pub fn new(physical: PhysicalParams) -> Self {
         SimParams {
             physical,
             engine: SimEngine::QuickExact,
             k: 1,
-            budget: StepBudget::unbounded(),
+            budget: StepBudget::unbounded().with_max_steps(DEFAULT_MAX_STEPS),
             cache: None,
         }
     }
@@ -118,15 +133,16 @@ impl SimParams {
         self
     }
 
-    /// Bounds the sweep by a step/wall-clock budget.
+    /// Replaces the step/wall-clock budget
+    /// ([`StepBudget::unbounded`] lifts every limit).
     #[must_use]
     pub fn with_budget(mut self, budget: StepBudget) -> Self {
         self.budget = budget;
         self
     }
 
-    /// Shares results through `cache`. Only unbounded runs are cached
-    /// (a truncated spectrum depends on the wall clock).
+    /// Shares results through `cache`. Runs under a deadline bypass it
+    /// (their spectra depend on the wall clock); see [`crate::cache`].
     #[must_use]
     pub fn with_cache(mut self, cache: SimCache) -> Self {
         self.cache = Some(cache);
@@ -153,7 +169,7 @@ pub struct SimStats {
     pub cache_hits: u64,
     /// Simulations that went to a cache but had to compute.
     pub cache_misses: u64,
-    /// Sweeps that stopped early on a budget.
+    /// Searches that stopped early on a budget.
     pub truncated: u64,
     /// Partition units recomputed serially after a worker fault.
     pub recovered: u64,
@@ -244,11 +260,11 @@ pub(crate) fn simulate_with_matrix(
     params: &SimParams,
     matrix: Option<&InteractionMatrix>,
 ) -> SimResult {
-    // External potentials (surface defects) are absolute-position
-    // facts, but cache keys are translation-invariant — defect-aware
-    // runs must not share entries with pristine ones, so they bypass
-    // the cache entirely.
-    let cacheable = params.budget.is_unbounded()
+    // A deadline makes the spectrum depend on the wall clock. External
+    // potentials (surface defects) are absolute-position facts, but
+    // cache keys are translation-invariant — defect-aware runs must not
+    // share entries with pristine ones. Both bypass the cache.
+    let cacheable = !params.budget.deadline.is_bounded()
         && params.cache.is_some()
         && matrix.is_none_or(|m| !m.has_external());
     if cacheable {
@@ -268,7 +284,11 @@ pub(crate) fn simulate_with_matrix(
         fcn_telemetry::histogram("sidb.cache_lookup", 0);
         let mut result = simulate_core(layout, params, matrix);
         result.stats.cache_misses = 1;
-        cache.store(key, &result.states, result.truncated);
+        // A truncation an injected fault may have caused is not a
+        // property of the key.
+        if !result.truncated || fcn_budget::fault::current().is_none() {
+            cache.store(key, &result.states, result.truncated);
+        }
         return result;
     }
     simulate_core(layout, params, matrix)
@@ -308,7 +328,13 @@ fn simulate_core(
         SimEngine::Exhaustive => {
             run_exhaustive(layout, &params.physical, params.k, &params.budget, matrix)
         }
-        SimEngine::QuickExact => run_quick_exact(layout, &params.physical, params.k, matrix),
+        SimEngine::QuickExact => crate::quickexact::low_energy_core(
+            layout,
+            &params.physical,
+            params.k,
+            &params.budget,
+            matrix,
+        ),
         SimEngine::Anneal(anneal) => run_anneal(layout, &params.physical, &anneal, matrix),
     }
 }
@@ -412,8 +438,96 @@ const PAR_MIN_FREE_SITES: usize = 14;
 /// only — never a function of the thread count.
 const PAR_CHUNK_BITS: u32 = 4;
 
-/// How often the bounded Gray-code sweep polls the wall-clock deadline.
+/// How often a [`Meter`] polls the wall-clock deadline, in steps.
 const DEADLINE_POLL_INTERVAL: u64 = 4096;
+
+/// Charges one search's steps against its [`StepBudget`]: the step cap,
+/// the deadline (polled every [`DEADLINE_POLL_INTERVAL`] steps), and
+/// the `sidb.sweep` fault point, where an injected `panic` fires and an
+/// injected `exhaust` refuses the step of a run that sets a limit.
+pub(crate) struct Meter {
+    budget: StepBudget,
+    used: u64,
+    /// Below this step count neither the cap nor a deadline poll is
+    /// due, so a step needs no check unless a fault plan is armed
+    /// (`0` once refused).
+    quiet_until: u64,
+    refused: bool,
+}
+
+impl Meter {
+    /// A meter that has already charged `spent` steps.
+    pub(crate) fn new(budget: &StepBudget, spent: u64) -> Self {
+        Meter {
+            budget: *budget,
+            used: spent,
+            quiet_until: 0, // the first step takes every check
+            refused: false,
+        }
+    }
+
+    /// The first step count at which the cap or a deadline poll is due.
+    fn next_check(&self) -> u64 {
+        let poll = if self.budget.deadline.is_bounded() {
+            self.used.next_multiple_of(DEADLINE_POLL_INTERVAL)
+        } else {
+            u64::MAX
+        };
+        poll.min(self.budget.max_steps.unwrap_or(u64::MAX))
+    }
+
+    /// Charges one step; `false` once the budget has refused one.
+    #[inline]
+    pub(crate) fn charge(&mut self) -> bool {
+        // The branch-and-bound charges every node, so the common case
+        // stays two compares.
+        if self.used < self.quiet_until && !fcn_budget::fault::armed() {
+            self.used += 1;
+            return true;
+        }
+        self.charge_checked()
+    }
+
+    /// The result of the search this meter charged: every charged step
+    /// was visited, and it is truncated if a step was refused.
+    pub(crate) fn result(&self, states: Vec<SimulatedState>, pruned: u64) -> SimResult {
+        SimResult {
+            states,
+            truncated: self.refused,
+            stats: SimStats {
+                visited: self.used,
+                pruned,
+                truncated: u64::from(self.refused),
+                ..SimStats::default()
+            },
+        }
+    }
+
+    /// [`Self::charge`] with every check.
+    #[cold]
+    #[inline(never)]
+    fn charge_checked(&mut self) -> bool {
+        if self.refused {
+            return false;
+        }
+        let injected = matches!(
+            fcn_budget::fault::check("sidb.sweep"),
+            Some(fcn_budget::fault::Fault::Exhaust)
+        ) && !self.budget.is_unbounded();
+        let spent = self.budget.max_steps.is_some_and(|max| self.used >= max);
+        if injected
+            || spent
+            || (self.used.is_multiple_of(DEADLINE_POLL_INTERVAL) && self.budget.deadline.expired())
+        {
+            self.refused = true;
+            self.quiet_until = 0;
+            return false;
+        }
+        self.used += 1;
+        self.quiet_until = self.next_check();
+        true
+    }
+}
 
 /// `2^n`, saturating.
 fn pow2_saturating(n: usize) -> u64 {
@@ -578,23 +692,8 @@ fn consider(
     );
 }
 
-/// What one swept chunk produced.
-struct Chunk {
-    /// The chunk's k-best list.
-    best: Vec<SimulatedState>,
-    /// Configurations visited, the chunk's seed included.
-    visited: u64,
-    /// Whether `limit` stopped the sweep early.
-    truncated: bool,
-}
-
-/// Sweeps the Gray-code `steps` of the free-site space.
-///
-/// Under a `limit` the sweep visits at most `limit.max_steps`
-/// configurations, polls the deadline every [`DEADLINE_POLL_INTERVAL`]
-/// steps, and hosts the `sidb.sweep` fault point (an injected `exhaust`
-/// truncates the sweep when any limit is configured; an injected
-/// `panic` fires here). Without one it sweeps every step.
+/// Sweeps the Gray-code `steps` of the free-site space, charging every
+/// configuration (the chunk's seed included) to a [`Meter`] on `budget`.
 fn sweep_chunk(
     m: &InteractionMatrix,
     mu: f64,
@@ -602,46 +701,29 @@ fn sweep_chunk(
     fixed_negative: &[bool],
     k: usize,
     steps: Range<u64>,
-    limit: Option<&StepBudget>,
-) -> Chunk {
+    budget: &StepBudget,
+) -> SimResult {
     let Range { start: lo, end: hi } = steps;
     let mut state = seed_at(m, free_sites, fixed_negative, lo);
     let mut best = Vec::new();
     consider(m, mu, &state, &mut best, k);
+    let mut meter = Meter::new(budget, 1);
     for step in (lo + 1)..hi {
-        if let Some(budget) = limit {
-            let injected = matches!(
-                fcn_budget::fault::check("sidb.sweep"),
-                Some(fcn_budget::fault::Fault::Exhaust)
-            ) && !budget.is_unbounded();
-            let spent = budget.max_steps.is_some_and(|max| step - lo >= max);
-            if injected
-                || spent
-                || (step % DEADLINE_POLL_INTERVAL == 0 && budget.deadline.expired())
-            {
-                return Chunk {
-                    best,
-                    visited: step - lo,
-                    truncated: true,
-                };
-            }
+        if !meter.charge() {
+            break;
         }
         let site = free_sites[step.trailing_zeros() as usize];
         toggle(m, &mut state, site);
         consider(m, mu, &state, &mut best, k);
     }
-    Chunk {
-        best,
-        visited: hi - lo,
-        truncated: false,
-    }
+    meter.result(best, 0)
 }
 
-/// The exhaustive engine: fixed-negative preassignment, then a chunked
-/// Gray-code sweep over the free sites. Bounded runs (and runs with a
-/// fault plan armed) sweep as one serial chunk under the budget, so
-/// step counting, deadline polling, and the `sidb.sweep` fault point
-/// behave exactly as before.
+/// The exhaustive engine: fixed-negative preassignment, then a Gray-code
+/// sweep over the free sites. The sweep splits into `2^PAR_CHUNK_BITS`
+/// chunks when it is large and `max_steps` (if set) covers it;
+/// otherwise it runs as one metered chunk, which a step cap below
+/// `2^free` truncates.
 pub(crate) fn run_exhaustive(
     layout: &SidbLayout,
     physical: &PhysicalParams,
@@ -677,62 +759,32 @@ pub(crate) fn run_exhaustive(
         ..SimStats::default()
     };
 
-    // Budget checks are strictly opt-in: with no limits configured and
-    // no fault plan armed, the sweep performs the exact arithmetic of
-    // the unbounded engine.
-    let limit = (!budget.is_unbounded() || fcn_budget::fault::armed()).then_some(budget);
     let total = 1u64 << n_free;
-    let chunks = if limit.is_none() && n_free >= PAR_MIN_FREE_SITES {
-        1u64 << PAR_CHUNK_BITS
+    let chunked = n_free >= PAR_MIN_FREE_SITES && budget.max_steps.is_none_or(|max| max >= total);
+    let sweep = |steps| sweep_chunk(m, mu, &free_sites, &fixed_negative, k, steps, budget);
+    let chunks = if chunked {
+        let per = total >> PAR_CHUNK_BITS;
+        let run = run_units(1 << PAR_CHUNK_BITS, |c| {
+            let lo = c as u64 * per;
+            sweep(lo..lo + per)
+        });
+        stats.recovered = run.recovered;
+        run.results
     } else {
-        1
+        vec![sweep(0..total)]
     };
-    if chunks == 1 {
-        let chunk = sweep_chunk(m, mu, &free_sites, &fixed_negative, k, 0..total, limit);
-        stats.visited = chunk.visited;
-        stats.truncated = chunk.truncated as u64;
-        return SimResult {
-            states: chunk.best,
-            truncated: chunk.truncated,
-            stats,
-        };
+    let truncated = chunks.iter().any(|c| c.truncated);
+    for chunk in &chunks {
+        stats.merge(&chunk.stats);
     }
-    let per = total / chunks;
-    let run = run_units(chunks as usize, |c| {
-        let lo = c as u64 * per;
-        sweep_chunk(m, mu, &free_sites, &fixed_negative, k, lo..lo + per, None)
-    });
-    stats.visited = total;
-    stats.recovered = run.recovered;
-    let mut all: Vec<SimulatedState> = run.results.into_iter().flat_map(|c| c.best).collect();
+    stats.truncated = u64::from(truncated);
+    let mut all: Vec<SimulatedState> = chunks.into_iter().flat_map(|c| c.states).collect();
     all.sort_by(cmp_states);
     all.truncate(k);
     SimResult {
         states: all,
-        truncated: false,
+        truncated,
         stats,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Branch-and-bound (QuickExact) dispatch.
-
-fn run_quick_exact(
-    layout: &SidbLayout,
-    physical: &PhysicalParams,
-    k: usize,
-    matrix: Option<&InteractionMatrix>,
-) -> SimResult {
-    let run = crate::quickexact::low_energy_core(layout, physical, k, matrix);
-    SimResult {
-        states: run.states,
-        truncated: false,
-        stats: SimStats {
-            visited: run.nodes,
-            pruned: run.prunes,
-            recovered: run.recovered,
-            ..SimStats::default()
-        },
     }
 }
 
@@ -946,20 +998,148 @@ mod tests {
         let params = SimParams::new(physical).with_engine(SimEngine::Exhaustive);
         let clean = with_width(4, || simulate_with(&layout, &params));
         let plan = std::sync::Arc::new(FaultPlan::single("sidb.partition", Fault::Panic));
-        let _scope = install(plan.clone());
-        // A fault plan is armed, so the engine takes the bounded serial
-        // path unless the budget stays unbounded... which it is; armed
-        // faults force the serial sweep, where the partition point does
-        // not fire. Exercise the pool directly instead.
         for width in [1, 4] {
-            let run = with_width(width, || run_units(4, |i| i * i));
-            assert_eq!(run.results, vec![0, 1, 4, 9]);
-            assert_eq!(run.recovered, 4);
+            let _scope = install(plan.clone());
+            let faulted = with_width(width, || simulate_with(&layout, &params));
+            // Every chunk's worker panicked; the coordinator recomputed
+            // all 16, bit for bit.
+            assert_eq!(faulted.stats.recovered, 16);
+            assert_eq!(
+                SimResult {
+                    stats: SimStats {
+                        recovered: 0,
+                        ..faulted.stats
+                    },
+                    ..faulted
+                },
+                clean
+            );
         }
-        assert!(plan.hits("sidb.partition") >= 8);
-        drop(_scope);
-        let again = with_width(4, || simulate_with(&layout, &params));
-        assert_eq!(clean, again);
+        assert_eq!(plan.hits("sidb.partition"), 32);
+    }
+
+    /// The sweep's path is chosen from its budget alone: a fault plan
+    /// that another thread holds, for a point this run never reaches,
+    /// leaves the chunked sweep and its spectrum unchanged.
+    #[test]
+    fn a_fault_plan_on_another_thread_leaves_the_sweep_unchanged() {
+        use fcn_budget::fault::{install, Fault, FaultPlan};
+        use std::sync::{Arc, Barrier};
+        let layout = chain(9);
+        let params = SimParams::new(PhysicalParams::default())
+            .with_engine(SimEngine::Exhaustive)
+            .with_k(4);
+        let clean = with_width(4, || simulate_with(&layout, &params));
+        let installed = Arc::new(Barrier::new(2));
+        let release = Arc::new(Barrier::new(2));
+        let holder = {
+            let (installed, release) = (installed.clone(), release.clone());
+            std::thread::spawn(move || {
+                let _scope = install(Arc::new(FaultPlan::single("unrelated.point", Fault::Panic)));
+                installed.wait();
+                release.wait();
+            })
+        };
+        installed.wait();
+        let foreign = with_width(4, || simulate_with(&layout, &params));
+        release.wait();
+        holder.join().expect("plan holder exits cleanly");
+        assert_eq!(foreign, clean);
+        for (a, b) in foreign.states.iter().zip(&clean.states) {
+            assert_eq!(a.free_energy.to_bits(), b.free_energy.to_bits());
+        }
+    }
+
+    #[test]
+    fn step_cap_truncates_quick_exact() {
+        // One interaction cluster, so one meter carries the whole cap.
+        let layout = chain(6);
+        let physical = PhysicalParams::default();
+        let full = simulate_with(&layout, &SimParams::new(physical));
+        assert!(!full.truncated);
+        let cap = full.stats.visited / 2;
+        assert!(cap > 0);
+        let capped = simulate_with(
+            &layout,
+            &SimParams::new(physical).with_budget(StepBudget::unbounded().with_max_steps(cap)),
+        );
+        assert!(capped.truncated);
+        assert_eq!(capped.stats.visited, cap);
+        assert_eq!(capped.stats.truncated, 1);
+        // The greedy incumbent survives the cut.
+        assert!(!capped.states.is_empty());
+    }
+
+    #[test]
+    fn expired_deadline_truncates_quick_exact() {
+        let params = SimParams::new(PhysicalParams::default())
+            .with_budget(StepBudget::unbounded().with_deadline(fcn_budget::Deadline::after_ms(0)));
+        let r = simulate_with(&chain(3), &params);
+        assert!(r.truncated);
+        assert_eq!(r.stats.visited, 0);
+        assert_eq!(r.stats.truncated, 1);
+    }
+
+    #[test]
+    fn injected_sweep_exhaust_truncates_limited_quick_exact_uncached() {
+        use fcn_budget::fault::{install, Fault, FaultPlan};
+        let layout = chain(3);
+        let physical = PhysicalParams::default();
+        let cache = SimCache::new();
+        let scope = install(std::sync::Arc::new(FaultPlan::single(
+            "sidb.sweep",
+            Fault::Exhaust,
+        )));
+        // The default budget sets a step cap, so the injection bites.
+        let limited = simulate_with(&layout, &SimParams::new(physical).with_cache(cache.clone()));
+        assert!(limited.truncated);
+        assert_eq!(limited.stats.truncated, 1);
+        assert!(cache.is_empty(), "an injected truncation is never cached");
+        let unbounded = simulate_with(
+            &layout,
+            &SimParams::new(physical).with_budget(StepBudget::unbounded()),
+        );
+        assert!(!unbounded.truncated, "runs without a limit stay exact");
+        drop(scope);
+        let clean = simulate_with(&layout, &SimParams::new(physical).with_cache(cache.clone()));
+        assert!(!clean.truncated);
+        assert_eq!(clean.stats.cache_misses, 1);
+        assert_eq!(clean.states, unbounded.states);
+    }
+
+    #[test]
+    fn capped_spectra_are_cached_per_step_cap() {
+        let layout = chain(6);
+        let physical = PhysicalParams::default();
+        let cache = SimCache::new();
+        let cap = simulate_with(&layout, &SimParams::new(physical))
+            .stats
+            .visited
+            / 2;
+        let capped = SimParams::new(physical)
+            .with_budget(StepBudget::unbounded().with_max_steps(cap))
+            .with_cache(cache.clone());
+        let first = simulate_with(&layout, &capped);
+        assert!(first.truncated);
+        assert_eq!(first.stats.cache_misses, 1);
+        // Served to the same cap, still marked truncated.
+        let again = simulate_with(&layout, &capped);
+        assert_eq!(again.stats.cache_hits, 1);
+        assert!(again.truncated);
+        assert_eq!(again.states, first.states);
+        // Never served to a different cap.
+        let default = SimParams::new(physical).with_cache(cache.clone());
+        let exact = simulate_with(&layout, &default);
+        assert_eq!(exact.stats.cache_misses, 1);
+        assert!(!exact.truncated);
+        assert_eq!(cache.len(), 2);
+        // A deadline bypasses the cache altogether.
+        let budget = default
+            .budget
+            .with_deadline(fcn_budget::Deadline::after_ms(600_000));
+        let timed = simulate_with(&layout, &default.clone().with_budget(budget));
+        assert_eq!(timed.stats.cache_hits + timed.stats.cache_misses, 0);
+        assert_eq!(timed.states, exact.states);
     }
 
     #[test]

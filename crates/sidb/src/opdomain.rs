@@ -26,7 +26,11 @@
 //!   index midpoints (a contour-following refinement); a cell whose
 //!   corners agree is split too while it is large, but once it is small
 //!   (spans ≤ 2 grid steps) its interior is *inferred* from the
-//!   agreeing corners instead of simulated. Per-point checks run in
+//!   agreeing corners instead of simulated. A point whose simulation
+//!   budget truncated its deciding pattern is `Unknown`, and an unknown
+//!   says nothing about its neighbours: once a sweep meets one, it
+//!   infers nothing more and simulates every remaining point, inferred
+//!   ones included. Per-point checks run in
 //!   refute-fast mode (stop at the first truth-table refutation), so
 //!   points deep in the non-operational region cost a single pattern
 //!   simulation. Each sample records its provenance
@@ -56,7 +60,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use crate::cache::SimCache;
 use crate::engine::{self, SimParams, SimStats};
 use crate::model::PhysicalParams;
-use crate::operational::{CheckMode, GateDesign};
+use crate::operational::{CheckMode, CheckOutcome, GateDesign, OperationalStatus};
 use fcn_budget::StepBudget;
 
 /// The sweep grid for an operational-domain analysis.
@@ -134,16 +138,6 @@ pub enum DomainStrategy {
     Adaptive,
 }
 
-impl DomainStrategy {
-    fn from_env() -> Option<DomainStrategy> {
-        match std::env::var("OPDOMAIN_STRATEGY").ok()?.trim() {
-            "dense" => Some(DomainStrategy::Dense),
-            "adaptive" => Some(DomainStrategy::Adaptive),
-            _ => None,
-        }
-    }
-}
-
 /// Parameters of one operational-domain sweep, built by chaining.
 ///
 /// Mirrors [`SimParams`] / `FlowOptions` / `DesignerOptions`: construct
@@ -174,10 +168,8 @@ pub struct DomainParams {
     pub sim: SimParams,
     /// The sweep window and resolution.
     pub grid: DomainGrid,
-    /// Sampling strategy; `None` defers to the `OPDOMAIN_STRATEGY`
-    /// environment variable (`dense` / `adaptive`), then to
-    /// [`DomainStrategy::Adaptive`].
-    pub strategy: Option<DomainStrategy>,
+    /// Sampling strategy.
+    pub strategy: DomainStrategy,
     /// Sweep budget: the deadline is honored between refinement waves,
     /// `max_steps` caps the number of *simulated grid points*. An
     /// exhausted budget degrades honestly (see [`DomainDegradation`]).
@@ -189,14 +181,14 @@ pub struct DomainParams {
 
 impl DomainParams {
     /// A sweep of the default window with the given simulation
-    /// parameters, environment-default strategy, no
+    /// parameters, the [`DomainStrategy::Adaptive`] strategy, no
     /// budget, and the experimentally calibrated nominal point
     /// (ε_r = 5.6, λ_TF = 5 nm).
     pub fn new(sim: SimParams) -> Self {
         DomainParams {
             sim,
             grid: DomainGrid::default(),
-            strategy: None,
+            strategy: DomainStrategy::Adaptive,
             budget: StepBudget::unbounded(),
             nominal: (5.6, 5.0),
         }
@@ -209,10 +201,10 @@ impl DomainParams {
         self
     }
 
-    /// Pins the sampling strategy (overrides `OPDOMAIN_STRATEGY`).
+    /// Sets the sampling strategy.
     #[must_use]
     pub fn with_strategy(mut self, strategy: DomainStrategy) -> Self {
-        self.strategy = Some(strategy);
+        self.strategy = strategy;
         self
     }
 
@@ -239,13 +231,6 @@ impl DomainParams {
         self.nominal = (epsilon_r, lambda_tf_nm);
         self
     }
-
-    /// The strategy after environment-variable resolution.
-    pub fn effective_strategy(&self) -> DomainStrategy {
-        self.strategy
-            .or_else(DomainStrategy::from_env)
-            .unwrap_or(DomainStrategy::Adaptive)
-    }
 }
 
 impl Default for DomainParams {
@@ -261,14 +246,18 @@ pub enum SampleStatus {
     Operational,
     /// At least one input pattern fails at this point.
     NonOperational,
-    /// The point was never decided (budget-skipped or faulted).
+    /// The point was never decided: skipped by the sweep budget or an
+    /// injected fault, or simulated but its deciding pattern's search
+    /// was truncated ([`OperationalStatus::Unknown`]).
     Unknown,
 }
 
 /// How a sample's verdict was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provenance {
-    /// The ground states were simulated at this point.
+    /// The ground states were simulated at this point (the status is
+    /// `Unknown` when the simulation budget truncated the deciding
+    /// pattern).
     Simulated,
     /// The verdict was inferred from agreeing simulated neighbors
     /// enclosing the point (adaptive strategy only).
@@ -477,7 +466,7 @@ impl GateDesign {
     /// ```
     pub fn operational_domain(&self, params: &DomainParams) -> OperationalDomain {
         let _sweep_span = fcn_telemetry::span("opdomain.sweep");
-        let strategy = params.effective_strategy();
+        let strategy = params.strategy;
         let n = params.grid.steps;
         let mut sweep = Sweep {
             design: self,
@@ -515,11 +504,7 @@ const INFER_SPAN: usize = 2;
 /// What checking one grid point produced.
 enum PointOutcome {
     /// The point was simulated.
-    Checked {
-        operational: bool,
-        stats: SimStats,
-        pattern_sims: u64,
-    },
+    Checked(CheckOutcome),
     /// An injected `opdomain.point` panic unwound the check; the
     /// coordinator recomputes the point (mirroring `engine::run_units`).
     Faulted,
@@ -535,14 +520,12 @@ fn check_point(
     eps: f64,
     lam: f64,
 ) -> PointOutcome {
-    if fcn_budget::fault::armed() {
-        match catch_unwind(AssertUnwindSafe(|| {
-            fcn_budget::fault::check("opdomain.point")
-        })) {
-            Err(_) => return PointOutcome::Faulted,
-            Ok(Some(fcn_budget::fault::Fault::Exhaust)) => return PointOutcome::Skipped,
-            Ok(_) => {}
-        }
+    match catch_unwind(AssertUnwindSafe(|| {
+        fcn_budget::fault::check("opdomain.point")
+    })) {
+        Err(_) => return PointOutcome::Faulted,
+        Ok(Some(fcn_budget::fault::Fault::Exhaust)) => return PointOutcome::Skipped,
+        Ok(_) => {}
     }
     check_point_unchecked(design, sim, mode, eps, lam)
 }
@@ -564,12 +547,7 @@ fn check_point_unchecked(
         },
         ..sim.clone()
     };
-    let outcome = design.check_with_mode(&point_sim, mode);
-    PointOutcome::Checked {
-        operational: outcome.report.is_operational(),
-        stats: outcome.report.stats,
-        pattern_sims: u64::from(outcome.patterns_simulated),
-    }
+    PointOutcome::Checked(design.check_with_mode(&point_sim, mode, None))
 }
 
 /// An index rectangle of the grid, refined by bisection.
@@ -682,18 +660,14 @@ impl Sweep<'_> {
                 other => other,
             };
             match outcome {
-                PointOutcome::Checked {
-                    operational,
-                    stats,
-                    pattern_sims,
-                } => {
-                    self.stats.sim.merge(&stats);
-                    self.stats.pattern_sims += pattern_sims;
+                PointOutcome::Checked(outcome) => {
+                    self.stats.sim.merge(&outcome.report.stats);
+                    self.stats.pattern_sims += u64::from(outcome.patterns_simulated);
                     self.stats.simulated += 1;
-                    let status = if operational {
-                        SampleStatus::Operational
-                    } else {
-                        SampleStatus::NonOperational
+                    let status = match outcome.report.status {
+                        OperationalStatus::Operational => SampleStatus::Operational,
+                        OperationalStatus::NonOperational { .. } => SampleStatus::NonOperational,
+                        OperationalStatus::Unknown { .. } => SampleStatus::Unknown,
                     };
                     self.decided[idx] = Some((status, Provenance::Simulated));
                 }
@@ -714,15 +688,20 @@ impl Sweep<'_> {
         }
     }
 
-    /// Dense strategy: every point simulated, one wave per ε_r row (the
-    /// deadline checkpoints between rows).
+    /// Dense strategy: every point not decided yet simulated, one wave
+    /// per ε_r row (the deadline checkpoints between rows).
     fn run_dense(&mut self) {
         let n = self.n();
         for row in 0..n {
+            let points: Vec<usize> = (row * n..(row + 1) * n)
+                .filter(|&i| self.decided[i].is_none())
+                .collect();
+            if points.is_empty() {
+                continue;
+            }
             if self.out_of_budget(self.undecided()) {
                 break;
             }
-            let points: Vec<usize> = (row * n..(row + 1) * n).collect();
             self.run_wave(&points);
         }
     }
@@ -764,6 +743,23 @@ impl Sweep<'_> {
             let mut wave = std::mem::take(&mut pending);
             wave.sort_unstable();
             self.run_wave(&wave);
+            if self
+                .decided
+                .contains(&Some((SampleStatus::Unknown, Provenance::Simulated)))
+            {
+                // A budget-truncated verdict says nothing about the
+                // physics around it, so inferring from its neighbours
+                // is unsound: forget every inference and simulate the
+                // rest of the grid as the dense sweep does.
+                for decided in &mut self.decided {
+                    if matches!(decided, Some((_, Provenance::Inferred))) {
+                        *decided = None;
+                    }
+                }
+                self.stats.inferred = 0;
+                self.run_dense();
+                return;
+            }
             // Process the cell queue to a fixed point: inference can
             // decide a point another cell was waiting on, so passes
             // repeat (in deterministic order) until nothing changes.
@@ -991,7 +987,8 @@ mod tests {
         let p = params()
             .with_strategy(DomainStrategy::Dense)
             .with_nominal(4.1, 6.2);
-        assert_eq!(p.effective_strategy(), DomainStrategy::Dense);
+        assert_eq!(p.strategy, DomainStrategy::Dense);
+        assert_eq!(params().strategy, DomainStrategy::Adaptive);
         assert_eq!(p.nominal, (4.1, 6.2));
     }
 
@@ -1105,6 +1102,55 @@ mod tests {
         assert_eq!(domain.nominal_operational(), None);
         assert_eq!(domain.coverage(), 0.0);
         assert!(domain.render_ascii().contains('?'));
+    }
+
+    #[test]
+    fn capped_simulations_yield_simulated_unknowns() {
+        // A two-node simulation budget truncates every pattern search:
+        // each point is simulated, its verdict unknown, and nothing is
+        // inferred from an unknown corner.
+        let mut sweep = params();
+        sweep.sim = sweep
+            .sim
+            .with_budget(StepBudget::unbounded().with_max_steps(2));
+        let dense = wire().operational_domain(&sweep.clone().with_strategy(DomainStrategy::Dense));
+        let adaptive = wire().operational_domain(&sweep.with_strategy(DomainStrategy::Adaptive));
+        assert_eq!(adaptive.samples, dense.samples);
+        assert!(adaptive.samples.iter().all(|s| {
+            s.status == SampleStatus::Unknown && s.provenance == Provenance::Simulated
+        }));
+        assert_eq!(adaptive.stats.simulated, 9);
+        assert_eq!(adaptive.stats.inferred, 0);
+        assert!(adaptive.stats.sim.truncated > 0);
+        assert!(adaptive.degradation.is_none());
+        assert_eq!(adaptive.nominal_operational(), None);
+    }
+
+    #[test]
+    fn an_unknown_point_stops_inference() {
+        // At 42 nodes per pattern search, three points of the 9×9 grid
+        // are unknown. Once the adaptive sweep meets one, it simulates
+        // every point it had inferred, so it still equals the dense
+        // sweep point for point.
+        let mut sweep = params().with_grid(DomainGrid {
+            steps: 9,
+            ..Default::default()
+        });
+        sweep.sim = sweep
+            .sim
+            .with_budget(StepBudget::unbounded().with_max_steps(42));
+        let dense = wire().operational_domain(&sweep.clone().with_strategy(DomainStrategy::Dense));
+        let adaptive = wire().operational_domain(&sweep.with_strategy(DomainStrategy::Adaptive));
+        let unknown = |d: &OperationalDomain| {
+            d.samples
+                .iter()
+                .filter(|s| s.status == SampleStatus::Unknown)
+                .count()
+        };
+        assert_eq!(unknown(&dense), 3);
+        assert_eq!(adaptive.samples, dense.samples);
+        assert_eq!(adaptive.stats.simulated, 81);
+        assert_eq!(adaptive.stats.inferred, 0);
     }
 
     #[test]

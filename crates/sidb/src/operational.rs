@@ -11,15 +11,21 @@
 //! between them (patterns differ only in a few perturber dots, so the
 //! dominant O(n²) matrix build happens once).
 //!
-//! Two check modes exist (see the crate-internal `CheckMode`): the
-//! default *full* mode
-//! always simulates every pattern, so verdicts *and* work counters are
-//! identical at any thread count; the *refute-fast* mode evaluates
-//! patterns serially in pattern order and stops at the first pattern
-//! whose observed ground state contradicts the truth table — the
-//! verdict is provably the same (operational requires *every* pattern
-//! to pass, and full mode reports the lowest-numbered failing pattern),
-//! only the work after the first refutation is skipped. The adaptive
+//! Every pattern goes through one evaluator: build the pattern's
+//! layout and matrix, simulate, and decode the outputs with
+//! [`GateDesign::read_outputs`] — or, when the search was truncated by
+//! its budget, report the pattern as unevaluated ([`PatternEval`]).
+//! One fold turns the evaluations, in pattern order, into a verdict:
+//! the lowest-numbered pattern that does not read correctly decides
+//! it — [`OperationalStatus::NonOperational`] if that pattern's search
+//! completed, [`OperationalStatus::Unknown`] if it was truncated.
+//!
+//! Two check modes share that fold (see the crate-internal
+//! `CheckMode`): the default *full* mode always simulates every
+//! pattern, so verdicts *and* work counters are identical at any thread
+//! count; the *refute-fast* mode evaluates patterns serially in pattern
+//! order and stops at the deciding pattern — the verdict is the same by
+//! construction, only the work after it is skipped. The adaptive
 //! operational-domain sweep runs thousands of point checks in regions
 //! where the design is broken; refute-fast is what makes those points
 //! cheap.
@@ -46,17 +52,17 @@ pub struct GateDesign {
     pub truth_table: Vec<Vec<bool>>,
 }
 
-/// How [`GateDesign::check_core`] treats a failing input pattern.
+/// How [`GateDesign::check_with_mode`] treats a failing input pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CheckMode {
-    /// Simulate every pattern, even after a failure. Work counters are
-    /// a pure function of the design and parameters — this is the mode
-    /// behind [`GateDesign::check_operational_with`] and the dense
-    /// domain sweep.
+    /// Simulate every pattern, even after the deciding one. Work
+    /// counters are a pure function of the design and parameters — this
+    /// is the mode behind [`GateDesign::check_operational_with`] and the
+    /// dense domain sweep.
     Full,
     /// Evaluate patterns serially in pattern order and stop at the
-    /// first refutation. Same verdict, same reported failing pattern,
-    /// strictly less work on non-operational designs.
+    /// deciding pattern. Same verdict, strictly less work on designs
+    /// that are not operational.
     RefuteFast,
 }
 
@@ -83,6 +89,12 @@ pub enum OperationalStatus {
         /// The expected output values.
         expected: Vec<bool>,
     },
+    /// The simulation budget cut short the search of the lowest-numbered
+    /// pattern that did not read correctly, so the verdict is unknown.
+    Unknown {
+        /// That input pattern (bit `i` = input `i`).
+        pattern: u32,
+    },
 }
 
 impl OperationalStatus {
@@ -108,17 +120,6 @@ impl OperationalReport {
     }
 }
 
-/// The outcome of simulating one input pattern.
-#[derive(Debug, Clone)]
-pub struct PatternSimulation {
-    /// The simulated layout (body + perturbers).
-    pub layout: SidbLayout,
-    /// The ground-state charge configuration.
-    pub ground_state: ChargeConfiguration,
-    /// The decoded output values.
-    pub outputs: Vec<Option<bool>>,
-}
-
 /// The outcome of *evaluating* one input pattern of a candidate design:
 /// either decoded outputs from a complete ground-state search, or an
 /// honest record that the simulation could not finish (budget-truncated
@@ -136,6 +137,9 @@ pub struct PatternEval {
     /// when the sweep was truncated by its budget or found no valid
     /// state — the pattern is *unknown*, not failed.
     pub evaluated: bool,
+    /// The ground state of the pattern's layout
+    /// ([`GateDesign::layout_for_pattern`]), set when [`Self::evaluated`].
+    pub ground_state: Option<ChargeConfiguration>,
     /// Work counters of the simulation.
     pub stats: SimStats,
 }
@@ -161,29 +165,17 @@ impl GateDesign {
         layout
     }
 
-    /// Simulates one input pattern under the given parameters and
-    /// decodes the outputs.
-    ///
-    /// Returns `None` when no ground state could be determined (empty
-    /// design).
-    pub fn simulate_pattern_with(
+    /// Decodes the output pairs of a charge configuration of `layout`
+    /// (`None` = ambiguous read-out).
+    pub fn read_outputs(
         &self,
-        pattern: u32,
-        sim: &SimParams,
-    ) -> Option<PatternSimulation> {
-        let layout = self.layout_for_pattern(pattern);
-        let result = engine::simulate_with(&layout, sim);
-        let ground_state = result.states.first().map(|s| s.config.clone())?;
-        let outputs = self
-            .outputs
+        layout: &SidbLayout,
+        config: &ChargeConfiguration,
+    ) -> Vec<Option<bool>> {
+        self.outputs
             .iter()
-            .map(|o| o.pair.read(&layout, &ground_state))
-            .collect();
-        Some(PatternSimulation {
-            layout,
-            ground_state,
-            outputs,
-        })
+            .map(|o| o.pair.read(layout, config))
+            .collect()
     }
 
     /// Evaluates one input pattern for a candidate design, surfacing
@@ -191,16 +183,34 @@ impl GateDesign {
     /// [`PatternEval`]). This is the scoring hook the automated gate
     /// designer uses.
     pub fn evaluate_pattern_with(&self, pattern: u32, sim: &SimParams) -> PatternEval {
+        let body = InteractionMatrix::new(&self.body, &sim.physical);
+        let eval = self.evaluate(pattern, sim, &body, None);
+        engine::emit_stats(&eval.stats);
+        eval
+    }
+
+    /// The one pattern evaluator: the pattern's layout and matrix (the
+    /// extended `body` matrix, plus the surface's external potentials
+    /// when given), one simulation, and the decoded outputs. No
+    /// telemetry emission.
+    fn evaluate(
+        &self,
+        pattern: u32,
+        sim: &SimParams,
+        body: &InteractionMatrix,
+        surface: Option<&DefectMap>,
+    ) -> PatternEval {
         let layout = self.layout_for_pattern(pattern);
-        let result = engine::simulate_with(&layout, sim);
-        match (result.truncated, result.states.first()) {
+        let mut matrix = InteractionMatrix::extended(body, &self.body, &layout, &sim.physical);
+        if let Some(map) = surface {
+            matrix = matrix.with_external(map.external_potentials(&layout, &sim.physical));
+        }
+        let result = engine::simulate_with_matrix(&layout, sim, Some(&matrix));
+        match (result.truncated, result.states.into_iter().next()) {
             (false, Some(state)) => PatternEval {
-                outputs: self
-                    .outputs
-                    .iter()
-                    .map(|o| o.pair.read(&layout, &state.config))
-                    .collect(),
+                outputs: self.read_outputs(&layout, &state.config),
                 evaluated: true,
+                ground_state: Some(state.config),
                 stats: result.stats,
             },
             // A truncated spectrum's lowest state need not be the ground
@@ -209,6 +219,7 @@ impl GateDesign {
             _ => PatternEval {
                 outputs: Vec::new(),
                 evaluated: false,
+                ground_state: None,
                 stats: result.stats,
             },
         }
@@ -218,166 +229,107 @@ impl GateDesign {
     /// verdict together with the summed simulation work counters.
     ///
     /// All `2^k` input patterns run across the engine's worker pool with
-    /// a shared body interaction matrix; the reported failing pattern is
-    /// always the lowest-numbered one, independent of scheduling.
+    /// a shared body interaction matrix; the deciding pattern is always
+    /// the lowest-numbered one that does not read correctly,
+    /// independent of scheduling.
     ///
     /// # Panics
     ///
     /// Panics if the truth table does not cover every input pattern.
     pub fn check_operational_with(&self, sim: &SimParams) -> OperationalReport {
-        let report = self.check_core(sim);
-        engine::emit_stats(&report.stats);
-        report
+        self.check_operational_on(sim, &DefectMap::default())
     }
 
     /// Validates the design against its truth table *on a given
     /// surface*: every pattern layout couples to the surface's defects
     /// through external potentials folded into its interaction matrix,
     /// so the verdict reflects the gate as it would behave at this
-    /// physical location. A pristine (empty) surface delegates to
-    /// [`check_operational_with`](Self::check_operational_with) — the
+    /// physical location. On a pristine (empty) surface this is
+    /// [`check_operational_with`](Self::check_operational_with): the
     /// arithmetic is bit-identical and cache-eligible.
     ///
     /// # Panics
     ///
     /// Panics if the truth table does not cover every input pattern.
     pub fn check_operational_on(&self, sim: &SimParams, surface: &DefectMap) -> OperationalReport {
-        if surface.is_empty() {
-            return self.check_operational_with(sim);
-        }
-        let report = self.check_full(sim, Some(surface)).report;
+        let surface = (!surface.is_empty()).then_some(surface);
+        let report = self.check_with_mode(sim, CheckMode::Full, surface).report;
         engine::emit_stats(&report.stats);
         report
     }
 
-    /// [`check_operational_with`](Self::check_operational_with) without
-    /// telemetry emission, for callers that aggregate several designs.
-    pub(crate) fn check_core(&self, sim: &SimParams) -> OperationalReport {
-        self.check_with_mode(sim, CheckMode::Full).report
-    }
-
-    /// The core checker behind both modes (see [`CheckMode`]).
-    pub(crate) fn check_with_mode(&self, sim: &SimParams, mode: CheckMode) -> CheckOutcome {
+    /// The checker behind both modes (see [`CheckMode`]), without
+    /// telemetry emission: evaluates the patterns — across the worker
+    /// pool in full mode, serially in refute-fast mode — and folds them
+    /// into a verdict. `surface`, when given, is non-empty.
+    pub(crate) fn check_with_mode(
+        &self,
+        sim: &SimParams,
+        mode: CheckMode,
+        surface: Option<&DefectMap>,
+    ) -> CheckOutcome {
         assert_eq!(
             self.truth_table.len() as u32,
             self.num_patterns(),
             "truth table must cover all input patterns"
         );
-        if mode == CheckMode::RefuteFast {
-            return self.check_refute_fast(sim);
-        }
-        self.check_full(sim, None)
-    }
-
-    /// [`CheckMode::Full`], optionally on a defective surface: every
-    /// pattern simulated across the worker pool with a shared body
-    /// matrix. `surface`, when given, is non-empty and contributes
-    /// external potentials to each pattern's matrix.
-    fn check_full(&self, sim: &SimParams, surface: Option<&DefectMap>) -> CheckOutcome {
-        assert_eq!(
-            self.truth_table.len() as u32,
-            self.num_patterns(),
-            "truth table must cover all input patterns"
-        );
-        // Patterns are the partition units; simulations nested in them
-        // share the executor's width, which never changes any
-        // per-pattern arithmetic.
-        let body_matrix = InteractionMatrix::new(&self.body, &sim.physical);
-        let patterns = self.num_patterns() as usize;
-        let run = engine::run_units(patterns, |p| {
-            let layout = self.layout_for_pattern(p as u32);
-            let mut matrix =
-                InteractionMatrix::extended(&body_matrix, &self.body, &layout, &sim.physical);
-            if let Some(map) = surface {
-                matrix = matrix.with_external(map.external_potentials(&layout, &sim.physical));
+        let body = InteractionMatrix::new(&self.body, &sim.physical);
+        let evaluate = |pattern: u32| self.evaluate(pattern, sim, &body, surface);
+        match mode {
+            CheckMode::Full => {
+                // Patterns are the partition units; simulations nested
+                // in them share the executor's width, which never
+                // changes any per-pattern arithmetic.
+                let run = engine::run_units(self.num_patterns() as usize, |p| evaluate(p as u32));
+                let mut outcome = self.fold(run.results, mode);
+                outcome.report.stats.recovered += run.recovered;
+                outcome
             }
-            let result = engine::simulate_with_matrix(&layout, sim, Some(&matrix));
-            let ground_state = result
-                .states
-                .first()
-                .map(|s| s.config.clone())
-                .expect("gate bodies are non-empty");
-            let outputs: Vec<Option<bool>> = self
-                .outputs
-                .iter()
-                .map(|o| o.pair.read(&layout, &ground_state))
-                .collect();
-            (outputs, result.stats)
-        });
-        let mut stats = SimStats {
-            recovered: run.recovered,
-            ..SimStats::default()
-        };
+            CheckMode::RefuteFast => self.fold((0..self.num_patterns()).map(evaluate), mode),
+        }
+    }
+
+    /// The verdict fold over pattern evaluations in pattern order: the
+    /// first pattern that does not read correctly decides the verdict
+    /// (`Unknown` when its search was truncated). Refute-fast mode stops
+    /// consuming `evals` there.
+    fn fold(&self, evals: impl IntoIterator<Item = PatternEval>, mode: CheckMode) -> CheckOutcome {
+        let mut stats = SimStats::default();
+        let mut patterns_simulated = 0u32;
         let mut status = OperationalStatus::Operational;
-        for (pattern, (outputs, pattern_stats)) in run.results.into_iter().enumerate() {
-            stats.merge(&pattern_stats);
+        for (pattern, eval) in (0u32..).zip(evals) {
+            patterns_simulated += 1;
+            stats.merge(&eval.stats);
             if !status.is_operational() {
                 continue;
             }
-            let expected = &self.truth_table[pattern];
-            let ok = outputs.len() == expected.len()
-                && outputs
-                    .iter()
-                    .zip(expected)
-                    .all(|(obs, exp)| *obs == Some(*exp));
-            if !ok {
-                status = OperationalStatus::NonOperational {
-                    pattern: pattern as u32,
-                    observed: outputs,
-                    expected: expected.clone(),
-                };
-            }
-        }
-        CheckOutcome {
-            report: OperationalReport { status, stats },
-            patterns_simulated: self.num_patterns(),
-        }
-    }
-
-    /// [`CheckMode::RefuteFast`]: serial pattern loop, early exit on
-    /// the first refutation. Patterns run one after another, so each
-    /// simulation may use the caller's whole width; the per-pattern
-    /// arithmetic is identical to full mode's units at any width.
-    fn check_refute_fast(&self, sim: &SimParams) -> CheckOutcome {
-        let body_matrix = InteractionMatrix::new(&self.body, &sim.physical);
-        let mut stats = SimStats::default();
-        let mut simulated = 0u32;
-        let mut status = OperationalStatus::Operational;
-        for pattern in 0..self.num_patterns() {
-            let layout = self.layout_for_pattern(pattern);
-            let matrix =
-                InteractionMatrix::extended(&body_matrix, &self.body, &layout, &sim.physical);
-            let result = engine::simulate_with_matrix(&layout, sim, Some(&matrix));
-            simulated += 1;
-            stats.merge(&result.stats);
-            let ground_state = result
-                .states
-                .first()
-                .map(|s| s.config.clone())
-                .expect("gate bodies are non-empty");
-            let outputs: Vec<Option<bool>> = self
-                .outputs
-                .iter()
-                .map(|o| o.pair.read(&layout, &ground_state))
-                .collect();
             let expected = &self.truth_table[pattern as usize];
-            let ok = outputs.len() == expected.len()
-                && outputs
+            let reads_correctly = eval.evaluated
+                && eval.outputs.len() == expected.len()
+                && eval
+                    .outputs
                     .iter()
                     .zip(expected)
                     .all(|(obs, exp)| *obs == Some(*exp));
-            if !ok {
-                status = OperationalStatus::NonOperational {
+            if reads_correctly {
+                continue;
+            }
+            status = if eval.evaluated {
+                OperationalStatus::NonOperational {
                     pattern,
-                    observed: outputs,
+                    observed: eval.outputs,
                     expected: expected.clone(),
-                };
+                }
+            } else {
+                OperationalStatus::Unknown { pattern }
+            };
+            if mode == CheckMode::RefuteFast {
                 break;
             }
         }
         CheckOutcome {
             report: OperationalReport { status, stats },
-            patterns_simulated: simulated,
+            patterns_simulated,
         }
     }
 
@@ -458,18 +410,15 @@ mod tests {
         let d = wire_design();
         let params = PhysicalParams::default();
         for pattern in 0..2 {
-            let a = d
-                .simulate_pattern_with(
-                    pattern,
-                    &SimParams::new(params).with_engine(SimEngine::Exhaustive),
-                )
-                .expect("ok");
-            let b = d
-                .simulate_pattern_with(
-                    pattern,
-                    &SimParams::new(params).with_engine(SimEngine::Anneal(AnnealParams::default())),
-                )
-                .expect("ok");
+            let a = d.evaluate_pattern_with(
+                pattern,
+                &SimParams::new(params).with_engine(SimEngine::Exhaustive),
+            );
+            let b = d.evaluate_pattern_with(
+                pattern,
+                &SimParams::new(params).with_engine(SimEngine::Anneal(AnnealParams::default())),
+            );
+            assert!(a.evaluated && b.evaluated);
             assert_eq!(a.outputs, b.outputs, "pattern {pattern}");
         }
     }
@@ -478,8 +427,8 @@ mod tests {
     fn verdicts_and_stats_are_thread_invariant() {
         let d = wire_design();
         let base = SimParams::new(PhysicalParams::default());
-        let one = with_width(1, || d.check_core(&base));
-        let four = with_width(4, || d.check_core(&base));
+        let one = with_width(1, || d.check_with_mode(&base, CheckMode::Full, None));
+        let four = with_width(4, || d.check_with_mode(&base, CheckMode::Full, None));
         assert_eq!(one, four);
     }
 
@@ -505,6 +454,11 @@ mod tests {
         );
         assert!(full.evaluated);
         assert_eq!(full.outputs, vec![Some(true)]);
+        let ground_state = full.ground_state.as_ref().expect("evaluated");
+        assert_eq!(
+            d.read_outputs(&d.layout_for_pattern(1), ground_state),
+            full.outputs
+        );
         // A two-step budget truncates the sweep: the pattern must come
         // back as *unevaluated*, never as a (possibly wrong) read-out.
         let starved = d.evaluate_pattern_with(
@@ -515,7 +469,24 @@ mod tests {
         );
         assert!(!starved.evaluated);
         assert!(starved.outputs.is_empty());
+        assert!(starved.ground_state.is_none());
         assert_eq!(starved.stats.truncated, 1);
+    }
+
+    #[test]
+    fn a_capped_search_makes_the_verdict_unknown_in_both_modes() {
+        use fcn_budget::StepBudget;
+        let d = wire_design();
+        let sim = SimParams::new(PhysicalParams::default())
+            .with_budget(StepBudget::unbounded().with_max_steps(2));
+        let report = d.check_operational_with(&sim);
+        assert_eq!(report.status, OperationalStatus::Unknown { pattern: 0 });
+        assert_eq!(report.stats.truncated, u64::from(d.num_patterns()));
+        let full = d.check_with_mode(&sim, CheckMode::Full, None);
+        let fast = d.check_with_mode(&sim, CheckMode::RefuteFast, None);
+        assert_eq!(full.report.status, fast.report.status);
+        assert_eq!(full.patterns_simulated, d.num_patterns());
+        assert_eq!(fast.patterns_simulated, 1);
     }
 
     #[test]
@@ -530,8 +501,8 @@ mod tests {
     fn refute_fast_agrees_with_full_mode_on_an_operational_design() {
         let d = wire_design();
         let sim = SimParams::new(PhysicalParams::default());
-        let full = d.check_with_mode(&sim, CheckMode::Full);
-        let fast = d.check_with_mode(&sim, CheckMode::RefuteFast);
+        let full = d.check_with_mode(&sim, CheckMode::Full, None);
+        let fast = d.check_with_mode(&sim, CheckMode::RefuteFast, None);
         assert_eq!(full.report.status, fast.report.status);
         assert!(fast.report.status == OperationalStatus::Operational);
         // No refutation exists, so refute-fast must simulate everything.
@@ -547,8 +518,8 @@ mod tests {
         let mut d = wire_design();
         d.truth_table = vec![vec![true], vec![false]];
         let sim = SimParams::new(PhysicalParams::default());
-        let full = d.check_with_mode(&sim, CheckMode::Full);
-        let fast = d.check_with_mode(&sim, CheckMode::RefuteFast);
+        let full = d.check_with_mode(&sim, CheckMode::Full, None);
+        let fast = d.check_with_mode(&sim, CheckMode::RefuteFast, None);
         assert_eq!(full.report.status, fast.report.status);
         assert!(matches!(
             fast.report.status,

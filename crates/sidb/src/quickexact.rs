@@ -23,23 +23,20 @@
 //! best-first. Callers reach this engine through
 //! [`crate::engine::simulate_with`] with
 //! [`SimEngine::QuickExact`](crate::engine::SimEngine).
+//!
+//! Every expanded node is charged to the run's
+//! [`SimParams::budget`](crate::engine::SimParams) through one meter
+//! per cluster, so each cluster may expand up to `max_steps` nodes.
+//! When a meter refuses a node the search unwinds with the best states
+//! found so far (the greedy incumbent guarantees at least one) and the
+//! result is marked truncated.
 
 use crate::charge::{ChargeConfiguration, ChargeState, InteractionMatrix};
-use crate::engine;
+use crate::engine::{self, Meter, SimResult, SimStats};
 use crate::exgs::SimulatedState;
 use crate::layout::SidbLayout;
 use crate::model::PhysicalParams;
-
-/// One branch-and-bound run's outcome (for [`crate::engine`]).
-pub(crate) struct QeRun {
-    pub states: Vec<SimulatedState>,
-    /// Search-tree nodes expanded.
-    pub nodes: u64,
-    /// Subtrees cut by the bound and viability arguments.
-    pub prunes: u64,
-    /// Partition units recomputed after a worker fault.
-    pub recovered: u64,
-}
+use fcn_budget::StepBudget;
 
 /// The engine core: exact k-best search, decomposing into connected
 /// clusters of the interaction graph and solving them as partition
@@ -50,20 +47,16 @@ pub(crate) fn low_energy_core(
     layout: &SidbLayout,
     params: &PhysicalParams,
     k: usize,
+    budget: &StepBudget,
     matrix: Option<&InteractionMatrix>,
-) -> QeRun {
+) -> SimResult {
     assert!(
         !params.three_state,
         "quick-exact implements the two-state model"
     );
     let n = layout.num_sites();
     if n == 0 || k == 0 {
-        return QeRun {
-            states: Vec::new(),
-            nodes: 0,
-            prunes: 0,
-            recovered: 0,
-        };
+        return SimResult::default();
     }
     let owned;
     let m = match matrix {
@@ -79,13 +72,7 @@ pub(crate) fn low_energy_core(
     // validity is per-cluster).
     let components = connected_components(m);
     if components.len() == 1 {
-        let (states, nodes, prunes) = solve_connected(layout, params, k, Some(m));
-        return QeRun {
-            states,
-            nodes,
-            prunes,
-            recovered: 0,
-        };
+        return solve_connected(layout, params, k, budget, Some(m));
     }
     let run = engine::run_units(components.len(), |ci| {
         let sub = SidbLayout::from_sites(components[ci].iter().map(|&i| layout.sites()[i]));
@@ -94,43 +81,45 @@ pub(crate) fn low_energy_core(
             // component without coupling clusters together.
             let ext: Vec<f64> = components[ci].iter().map(|&i| m.external(i)).collect();
             let sub_m = InteractionMatrix::new(&sub, params).with_external(ext);
-            solve_connected(&sub, params, k, Some(&sub_m))
+            solve_connected(&sub, params, k, budget, Some(&sub_m))
         } else {
-            solve_connected(&sub, params, k, None)
+            solve_connected(&sub, params, k, budget, None)
         }
     });
-    let mut nodes = 0u64;
-    let mut prunes = 0u64;
-    let mut per_cluster: Vec<Vec<SimulatedState>> = Vec::with_capacity(components.len());
-    for (states, n_nodes, n_prunes) in run.results {
-        nodes += n_nodes;
-        prunes += n_prunes;
-        if states.is_empty() {
-            return QeRun {
-                states: Vec::new(), // a cluster with no valid state (n=0 never)
-                nodes,
-                prunes,
-                recovered: run.recovered,
-            };
-        }
-        per_cluster.push(states);
-    }
-    QeRun {
-        states: combine_clusters(layout, k, &components, &per_cluster),
-        nodes,
-        prunes,
+    let truncated = run.results.iter().any(|r| r.truncated);
+    let mut stats = SimStats {
         recovered: run.recovered,
+        ..SimStats::default()
+    };
+    for r in &run.results {
+        stats.merge(&r.stats);
+    }
+    stats.truncated = u64::from(truncated);
+    // A cluster with no valid state (never for n > 0) empties the
+    // combined spectrum.
+    let states = if run.results.iter().any(|r| r.states.is_empty()) {
+        Vec::new()
+    } else {
+        let per_cluster: Vec<Vec<SimulatedState>> =
+            run.results.into_iter().map(|r| r.states).collect();
+        combine_clusters(layout, k, &components, &per_cluster)
+    };
+    SimResult {
+        states,
+        truncated,
+        stats,
     }
 }
 
-/// Exact k-best search over one connected cluster. Returns the sorted
-/// states plus (nodes expanded, subtrees pruned).
+/// Exact k-best search over one connected cluster, charging every
+/// expanded node to its own [`Meter`] on `budget`.
 fn solve_connected(
     layout: &SidbLayout,
     params: &PhysicalParams,
     k: usize,
+    budget: &StepBudget,
     matrix: Option<&InteractionMatrix>,
-) -> (Vec<SimulatedState>, u64, u64) {
+) -> SimResult {
     let n = layout.num_sites();
     let owned;
     let m = match matrix {
@@ -204,7 +193,7 @@ fn solve_connected(
         num_negative: usize,
         best: Vec<SimulatedState>,
         k: usize,
-        nodes_left: u64,
+        meter: Meter,
         bound_prunes: u64,
         viability_prunes: u64,
     }
@@ -273,13 +262,11 @@ fn solve_connected(
 
         fn recurse(&mut self, depth: usize) {
             const EPS: f64 = 1e-9;
-            if self.nodes_left == 0 {
-                // Budget exhausted: return the best states found so far
-                // (the greedy incumbent guarantees at least one valid
-                // configuration). Keeps adversarial instances bounded.
+            if !self.meter.charge() {
+                // Budget exhausted: unwind with the best states found
+                // so far (the greedy incumbent guarantees at least one).
                 return;
             }
-            self.nodes_left -= 1;
             if self.free_energy_lower_bound(depth) > self.bound() {
                 self.bound_prunes += 1;
                 return;
@@ -336,7 +323,6 @@ fn solve_connected(
         }
     }
 
-    const NODE_BUDGET: u64 = 20_000_000;
     let mut search = Search {
         m,
         mu: params.mu_minus,
@@ -352,7 +338,7 @@ fn solve_connected(
         num_negative: 0,
         best: Vec::new(),
         k,
-        nodes_left: NODE_BUDGET,
+        meter: Meter::new(budget, 0),
         bound_prunes: 0,
         viability_prunes: 0,
     };
@@ -367,11 +353,8 @@ fn solve_connected(
         config: incumbent,
     });
     search.recurse(0);
-    (
-        search.best,
-        NODE_BUDGET - search.nodes_left,
-        search.bound_prunes + search.viability_prunes,
-    )
+    let pruned = search.bound_prunes + search.viability_prunes;
+    search.meter.result(search.best, pruned)
 }
 
 /// Connected components of the (possibly cutoff) interaction graph.
@@ -670,10 +653,10 @@ mod tests {
             layout.add_site((40 * c, 0, 0));
             layout.add_site((40 * c + 2, 0, 0));
         }
-        let serial = with_width(1, || low_energy_core(&layout, &params, 4, None));
-        let wide = with_width(4, || low_energy_core(&layout, &params, 4, None));
-        assert_eq!(serial.states, wide.states);
+        let budget = StepBudget::unbounded();
+        let serial = with_width(1, || low_energy_core(&layout, &params, 4, &budget, None));
+        let wide = with_width(4, || low_energy_core(&layout, &params, 4, &budget, None));
+        assert_eq!(serial, wide);
         assert!(!serial.states.is_empty());
-        assert_eq!(serial.nodes, wide.nodes);
     }
 }

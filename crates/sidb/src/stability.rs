@@ -62,20 +62,9 @@ pub fn logic_stability(
             let layout = design.layout_for_pattern(pattern);
             let states = simulate_with(&layout, &sim).states;
             let gap_ev = states.split_first().and_then(|(ground, rest)| {
-                let ground_read: Vec<_> = design
-                    .outputs
-                    .iter()
-                    .map(|o| o.pair.read(&layout, &ground.config))
-                    .collect();
+                let ground_read = design.read_outputs(&layout, &ground.config);
                 rest.iter()
-                    .find(|s| {
-                        let read: Vec<_> = design
-                            .outputs
-                            .iter()
-                            .map(|o| o.pair.read(&layout, &s.config))
-                            .collect();
-                        read != ground_read
-                    })
+                    .find(|s| design.read_outputs(&layout, &s.config) != ground_read)
                     .map(|s| s.free_energy - ground.free_energy)
             });
             PatternStability { pattern, gap_ev }

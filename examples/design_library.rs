@@ -19,20 +19,26 @@
 use bestagon_lib::designer::{design_library, DesignerOptions};
 use bestagon_lib::tiles::{figure5_designs, validate_designs};
 use fcn_budget::{Deadline, StepBudget};
+use sidb_sim::operational::OperationalStatus;
 use sidb_sim::PhysicalParams;
 
 fn main() {
     let params = PhysicalParams::default();
     let designs = figure5_designs();
     let verdicts = validate_designs(&designs, &params);
+    let unknown = verdicts
+        .iter()
+        .filter(|v| matches!(v.status, OperationalStatus::Unknown { .. }))
+        .count();
     let failing: Vec<_> = designs
         .into_iter()
         .zip(&verdicts)
-        .filter(|(_, v)| !v.operational)
+        .filter(|(_, v)| matches!(v.status, OperationalStatus::NonOperational { .. }))
         .map(|(d, _)| d)
         .collect();
     println!(
-        "library: {} designs, {} failing under default parameters",
+        "library: {} designs, {} failing and {unknown} unknown (simulation budget) \
+         under default parameters",
         verdicts.len(),
         failing.len()
     );

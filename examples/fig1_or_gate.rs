@@ -25,10 +25,9 @@ fn main() {
     for pattern in 0..gate.num_patterns() {
         let a = pattern & 1 == 1;
         let b = pattern & 2 != 0;
-        let sim = gate
-            .simulate_pattern_with(pattern, &sim_params)
-            .expect("non-empty gate");
-        let out = sim.outputs[0];
+        let eval = gate.evaluate_pattern_with(pattern, &sim_params);
+        let ground_state = eval.ground_state.expect("exhaustive sweep completes");
+        let out = eval.outputs[0];
         println!(
             "inputs a={} b={}  →  output {}   (expected {})",
             a as u8,
@@ -38,7 +37,8 @@ fn main() {
             (a || b) as u8
         );
         // Dot-accurate charge map.
-        for (site, state) in sim.layout.sites().iter().zip(sim.ground_state.states()) {
+        let layout = gate.layout_for_pattern(pattern);
+        for (site, state) in layout.sites().iter().zip(ground_state.states()) {
             if *state == ChargeState::Negative {
                 println!("    SiDB⁻ at (n={}, m={}, l={})", site.x, site.y, site.b);
             }

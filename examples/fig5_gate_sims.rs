@@ -14,6 +14,7 @@
 use bestagon_lib::geometry::validation_params;
 use bestagon_lib::tiles::{figure5_designs, validate_designs, wire_nw_se};
 use sidb_sim::model::PhysicalParams;
+use sidb_sim::operational::OperationalStatus;
 
 fn main() {
     let params = PhysicalParams::default();
@@ -32,13 +33,13 @@ fn main() {
             "{:<22} {:>7} {:>14}",
             r.name,
             r.num_sidbs,
-            if r.operational {
-                "yes".to_string()
-            } else {
-                format!("no (p{})", r.failing_pattern.unwrap_or(0))
+            match r.status {
+                OperationalStatus::Operational => "yes".to_string(),
+                OperationalStatus::NonOperational { pattern, .. } => format!("no (p{pattern})"),
+                OperationalStatus::Unknown { pattern } => format!("unknown (p{pattern}, budget)"),
             }
         );
-        operational += r.operational as usize;
+        operational += usize::from(r.status.is_operational());
     }
     println!(
         "\n{operational}/{} designs reproduce their full truth table in exact\n\
@@ -53,7 +54,7 @@ fn main() {
     println!(
         "domain-separated check — {}: {}",
         diag[0].name,
-        if diag[0].operational {
+        if diag[0].status.is_operational() {
             "operational"
         } else {
             "not operational"

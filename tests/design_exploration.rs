@@ -253,16 +253,20 @@ fn diagnose2() {
                 println!(
                     "{name}: FAIL pattern {pattern} observed {observed:?} expected {expected:?}"
                 );
-                let sim = d.simulate_pattern_with(pattern, &sim_params).unwrap();
-                let neg: Vec<String> = sim
-                    .layout
+                let eval = d.evaluate_pattern_with(pattern, &sim_params);
+                let ground_state = eval.ground_state.expect("evaluated");
+                let neg: Vec<String> = d
+                    .layout_for_pattern(pattern)
                     .sites()
                     .iter()
-                    .zip(sim.ground_state.states())
+                    .zip(ground_state.states())
                     .filter(|(_, c)| **c == Negative)
                     .map(|(s, _)| format!("({},{})", s.x, s.y))
                     .collect();
                 println!("   neg: {}", neg.join(" "));
+            }
+            OperationalStatus::Unknown { pattern } => {
+                println!("{name}: UNKNOWN pattern {pattern} (simulation budget)");
             }
         }
     }
