@@ -13,8 +13,7 @@
 //! * **Deterministic work counters** — layout geometry (`width`,
 //!   `height`, `area_tiles`, `sidbs`, `area_nm2`), SAT `conflicts`, and
 //!   simulator `visited` states. These are byte-reproducible when both
-//!   runs use `THREADS=1` (or `PNR_INCREMENTAL=0`), so the gate is
-//!   symmetric and strict: any relative change beyond `--work-tol`
+//!   runs use `THREADS=1`, so the gate is symmetric and strict: any relative change beyond `--work-tol`
 //!   (default `0.0`, i.e. exact) is a failure. A *decrease* fails too —
 //!   it means the baseline is stale and should be regenerated, not that
 //!   the code got faster.

@@ -129,12 +129,6 @@ pub struct FlowOptions {
     pub map: MapOptions,
     /// Physical-design engine (step 4).
     pub pnr: PnrMethod,
-    /// Incremental SAT probing for the exact engine (step 4): each
-    /// worker keeps one solver alive across aspect-ratio probes. `None`
-    /// uses [`fcn_pnr::default_incremental`] (the `PNR_INCREMENTAL`
-    /// environment variable, on by default); the layout is identical
-    /// either way.
-    pub pnr_incremental: Option<bool>,
     /// Run SAT-based equivalence checking (step 5).
     pub verify: bool,
     /// Apply the Bestagon library for a dot-accurate layout (step 7).
@@ -168,13 +162,6 @@ pub struct FlowOptions {
     /// server) installs one process-wide cache here so identical tile
     /// simulations are shared across requests.
     pub sim_cache: Option<sidb_sim::SimCache>,
-    /// A warm incremental-SAT session pool for step 4's exact engine
-    /// ([`fcn_pnr::SessionPool`]). `None` keeps sessions scoped to one
-    /// P&R call, exactly as before; a long-lived host installs a
-    /// per-worker pool so repeat netlists start from warm solvers.
-    /// Purely a work-counter optimization — layouts are byte-identical
-    /// with or without it.
-    pub session_pool: Option<fcn_pnr::SessionPool>,
 }
 
 impl Default for FlowOptions {
@@ -183,14 +170,12 @@ impl Default for FlowOptions {
             rewrite: Some(RewriteOptions::default()),
             map: MapOptions::default(),
             pnr: PnrMethod::default(),
-            pnr_incremental: None,
             verify: true,
             apply_library: true,
             tile_validation: false,
             budget: FlowBudget::from_env(),
             surface: None,
             sim_cache: None,
-            session_pool: None,
         }
     }
 }
@@ -227,14 +212,6 @@ impl FlowOptions {
     #[must_use]
     pub fn with_pnr(mut self, pnr: PnrMethod) -> Self {
         self.pnr = pnr;
-        self
-    }
-
-    /// Forces incremental (`true`) or from-scratch (`false`) SAT
-    /// probing for the exact engine, overriding `PNR_INCREMENTAL`.
-    #[must_use]
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.pnr_incremental = Some(incremental);
         self
     }
 
@@ -307,14 +284,6 @@ impl FlowOptions {
     #[must_use]
     pub fn with_sim_cache(mut self, cache: sidb_sim::SimCache) -> Self {
         self.sim_cache = Some(cache);
-        self
-    }
-
-    /// Checks step 4's incremental SAT sessions out of (and back into)
-    /// the given pool (see [`FlowOptions::session_pool`]).
-    #[must_use]
-    pub fn with_session_pool(mut self, pool: fcn_pnr::SessionPool) -> Self {
-        self.session_pool = Some(pool);
         self
     }
 }
@@ -602,8 +571,8 @@ impl FlowRequest {
 
     /// Content fingerprint of this request: the canonical input text
     /// plus every option that shapes the *result* — and none that only
-    /// shape the *work* (thread count, incremental mode, caches, pools,
-    /// and the wall-clock deadline are excluded; resource caps that can
+    /// shape the *work* (the thread count, the simulation cache and the
+    /// wall-clock deadline are excluded; resource caps that can
     /// change what a stage produces are included). Two requests with
     /// equal fingerprints produce byte-identical results, which is what
     /// lets the server answer the second one from memory.
@@ -874,12 +843,8 @@ fn run_flow_steps(name: &str, xag: &Xag, options: &FlowOptions) -> Result<FlowRe
         let exact_options = |max_area: u64, blacklist: &[(i32, i32)]| {
             let mut eo = ExactOptions {
                 max_area,
-                incremental: options
-                    .pnr_incremental
-                    .unwrap_or_else(fcn_pnr::default_incremental),
                 deadline: budget.deadline,
                 max_conflicts_total: budget.sat_conflicts_total,
-                session_pool: options.session_pool.clone(),
                 ..Default::default()
             }
             .with_blacklist(blacklist.to_vec());
@@ -1359,13 +1324,11 @@ mod tests {
     fn fingerprint_tracks_content_not_performance_knobs() {
         let b = benchmark("xor2");
         let base = FlowRequest::netlist("xor2", b.xag.clone());
-        // Performance knobs (incremental, caches, pools, deadline)
-        // leave the fingerprint unchanged …
+        // Performance knobs (the cache, the deadline) leave the
+        // fingerprint unchanged …
         let tuned = FlowRequest::netlist("xor2", b.xag.clone()).with_options(
             FlowOptions::new()
-                .with_incremental(false)
                 .with_sim_cache(sidb_sim::SimCache::new())
-                .with_session_pool(fcn_pnr::SessionPool::new())
                 .with_deadline_ms(1_000),
         );
         assert_eq!(base.fingerprint(), tuned.fingerprint());

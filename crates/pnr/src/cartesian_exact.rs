@@ -4,10 +4,9 @@
 //! automation places plus-shaped gates on Cartesian grids under 2DDWave
 //! clocking (zone `(x+y) mod 4`, information flowing east and south).
 //! This module supplies only the 2DDWave topology; the scan, the SAT
-//! encoding, the incremental probing mode (see [`crate::incremental`])
-//! and the model extraction are the hexagonal engine's, shared through
-//! [`crate::exact`]. The two floor plans are therefore compared by one
-//! engine with the same optimality guarantees.
+//! encoding and the model extraction are the hexagonal engine's, shared
+//! through [`crate::exact`]. The two floor plans are therefore compared
+//! by one engine with the same optimality guarantees.
 //!
 //! Note what this baseline *cannot* model: the experimentally
 //! demonstrated SiDB gates are Y-shaped and need two upper-border input
@@ -16,7 +15,7 @@
 //! plus-shaped gates — the paper's point is precisely that such gates do
 //! not exist on the SiDB platform.
 
-use crate::exact::{scan, ExactOptions, PnrError, PnrOutcome, SessionBounds, Tile, Topology};
+use crate::exact::{scan, ExactOptions, PnrError, PnrOutcome, Tile, Topology};
 use crate::netgraph::NetGraph;
 use fcn_coords::{AspectRatio, CartCoord, CartDirection};
 use fcn_layout::cartesian::CartGateLayout;
@@ -87,7 +86,6 @@ impl TwoDdWave {
 }
 
 impl Topology for TwoDdWave {
-    const NAME: &'static str = "cartesian-2ddwave";
     const OUTGOING: [CartDirection; 2] = [CartDirection::East, CartDirection::South];
     type Dir = CartDirection;
     type Layout = CartGateLayout;
@@ -102,27 +100,18 @@ impl Topology for TwoDdWave {
         true
     }
 
-    /// Anti-diagonal `level`, `x` ascending, within the staircase. Row 0
-    /// is spanned by every candidate, so `width_at(0)` is the widest
-    /// rectangle.
-    fn level_tiles(bounds: &SessionBounds, level: u32) -> impl Iterator<Item = Tile> + '_ {
-        (0..bounds.width_at(0))
+    /// Anti-diagonal `level`, `x` ascending, within the rectangle.
+    fn level_tiles(ratio: AspectRatio, level: u32) -> impl Iterator<Item = Tile> {
+        let height = ratio.height as i32;
+        (0..ratio.width as i32)
             .map(move |x| (x, level as i32 - x))
-            .filter(|&t| bounds.contains(t))
+            .filter(move |&(_, y)| (0..height).contains(&y))
     }
 
     /// Pads keep their schedule window; the borders restrict them
     /// instead (the first anti-diagonal holds just one tile).
-    fn levels(_: GateKind, asap: u32, alap: u32, _: bool) -> (u32, u32) {
+    fn levels(_: GateKind, asap: u32, alap: u32) -> (u32, u32) {
         (asap, alap)
-    }
-
-    /// The Pi borders — top/left — are the same tiles in every ratio, so
-    /// they restrict creation itself; the Po borders move with the ratio,
-    /// so the session union creates Po variables everywhere and switches
-    /// the off-border ones off by guarded units.
-    fn pad_creatable(kind: GateKind, t: Tile, ratio: AspectRatio, union: bool) -> bool {
-        (union && kind != GateKind::Pi) || Self::border_ok(kind, t, ratio)
     }
 
     fn pad_admissible(kind: GateKind, t: Tile, ratio: AspectRatio) -> bool {
@@ -230,42 +219,5 @@ mod tests {
                 _ => {}
             }
         }
-    }
-
-    #[test]
-    fn incremental_and_scratch_agree_on_cartesian_layouts() {
-        // Sequential scans: the probe lists are compared verbatim.
-        fcn_budget::exec::with_width(1, || {
-            let mut xag = Xag::new();
-            let a = xag.primary_input("a");
-            let b = xag.primary_input("b");
-            let s = xag.xor(a, b);
-            let c = xag.and(a, b);
-            xag.primary_output("s", s);
-            xag.primary_output("c", c);
-            let net = map_xag(&xag, MapOptions::default()).expect("mappable");
-            let graph = NetGraph::new(net).expect("legalized");
-            let base = ExactOptions::default();
-            let warm = cartesian_exact_pnr(
-                &graph,
-                &ExactOptions {
-                    incremental: true,
-                    ..base.clone()
-                },
-            )
-            .expect("feasible");
-            let cold = cartesian_exact_pnr(
-                &graph,
-                &ExactOptions {
-                    incremental: false,
-                    ..base
-                },
-            )
-            .expect("feasible");
-            assert_eq!(warm.ratio, cold.ratio);
-            assert_eq!(warm.ratios_tried, cold.ratios_tried);
-            assert_eq!(warm.layout.render_ascii(), cold.layout.render_ascii());
-            assert_eq!(cold.reuse, crate::incremental::ReuseStats::default());
-        });
     }
 }

@@ -9,7 +9,7 @@
 //! One engine serves both floor plans. A crate-private `Topology`
 //! supplies what differs — its clock levels, pad rules and tile
 //! neighborhoods — and the shared scan runs the candidate enumeration,
-//! incremental sessions, encoding and model extraction over it.
+//! encoding and model extraction over it.
 //! [`exact_pnr`] runs it on the row-clocked hexagonal floor plan, and
 //! [`crate::cartesian_exact_pnr`] on the Cartesian 2DDWave baseline.
 //!
@@ -26,10 +26,13 @@
 //!
 //! Variables per ratio: `place(n, t)`, `wire(e, t)` and `step(e, t, p)`
 //! (edge `e` leaves tile `t` through outgoing port `p`).
+//!
+//! Every probe encodes its ratio into a fresh CNF and solves it on a
+//! fresh solver, so a probe's verdict and solver counters depend on the
+//! ratio alone — never on which probes ran before it or on which
+//! portfolio worker ran it (DESIGN.md §8 says why probes stay cold).
 
-use crate::incremental::{IncrementalCnf, ProbeEmitter, ReuseStats, ScratchEmitter};
 use crate::netgraph::NetGraph;
-use crate::pool::{Fnv64, PooledSession};
 use crate::portfolio::{run_portfolio, CancelFlag, ProbeOutcome, ScanAbort};
 use fcn_budget::Deadline;
 use fcn_coords::{AspectRatio, HexCoord, HexDirection};
@@ -38,7 +41,7 @@ use fcn_layout::hexagonal::HexGateLayout;
 use fcn_layout::tile::TileContents;
 use fcn_logic::techmap::MappedId;
 use fcn_logic::GateKind;
-use msat::{BoundedResult, Lit, Model, SolveParams, SolverStats};
+use msat::{BoundedResult, CnfBuilder, Lit, Model, SolveParams, SolverStats};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,14 +56,6 @@ pub struct ExactOptions {
     /// guaranteed minimality for bounded runtime on large netlists
     /// (`u64::MAX` restores full exactness).
     pub max_conflicts_per_ratio: u64,
-    /// Reuse one incremental SAT session per worker across aspect-ratio
-    /// probes (see [`crate::incremental`]): learned clauses, branching
-    /// activities and saved phases transfer between probes, and the
-    /// winning ratio is re-solved on a fresh solver so layouts are
-    /// byte-identical to from-scratch mode. `false` selects the
-    /// from-scratch path (one fresh solver per probe) for A/B
-    /// validation. Defaults to [`default_incremental`].
-    pub incremental: bool,
     /// Wall-clock deadline for the whole scan. When it expires the scan
     /// stops and reports [`PnrError::DeadlineExpired`] (unless a winner
     /// was already committed); the flow degrades to the heuristic
@@ -76,20 +71,11 @@ pub struct ExactOptions {
     pub max_conflicts_total: Option<u64>,
     /// Tiles (in tile coordinates `(x, y)`) no gate or wire may occupy —
     /// typically tiles whose SiDB footprint a surface defect compromises.
-    /// Each blacklisted tile contributes session-shared unit clauses
-    /// forcing its placement and wire variables off, so the scan finds
+    /// Each blacklisted tile contributes unit clauses forcing its
+    /// placement and wire variables off, so the scan finds
     /// the area-minimal layout *avoiding* those tiles. Empty (the
     /// default) encodes nothing.
     pub blacklist: Vec<(i32, i32)>,
-    /// A pool of warm incremental sessions shared *across* exact P&R
-    /// calls — [`exact_pnr`] and [`crate::cartesian_exact_pnr`] alike
-    /// (see [`crate::pool`]). Workers check sessions out at scan start
-    /// (keyed by topology + netlist + blacklist + area bound) and park
-    /// them back at scan end. `None` (the default) keeps sessions
-    /// scan-local; either way the layout is byte-identical — the winning
-    /// ratio is always re-solved from scratch. Ignored when
-    /// [`ExactOptions::incremental`] is off.
-    pub session_pool: Option<crate::pool::SessionPool>,
 }
 
 impl ExactOptions {
@@ -99,13 +85,6 @@ impl ExactOptions {
         self.blacklist = blacklist;
         self
     }
-
-    /// Shares warm incremental sessions across scans through `pool`.
-    #[must_use]
-    pub fn with_session_pool(mut self, pool: crate::pool::SessionPool) -> Self {
-        self.session_pool = Some(pool);
-        self
-    }
 }
 
 impl Default for ExactOptions {
@@ -113,25 +92,10 @@ impl Default for ExactOptions {
         ExactOptions {
             max_area: 120,
             max_conflicts_per_ratio: 10_000,
-            incremental: default_incremental(),
             deadline: Deadline::unbounded(),
             max_conflicts_total: None,
             blacklist: Vec::new(),
-            session_pool: None,
         }
-    }
-}
-
-/// The default for [`ExactOptions::incremental`]: `false` when the
-/// `PNR_INCREMENTAL` environment variable is set to `0`, `false`, `off`
-/// or `no`, otherwise `true`.
-pub fn default_incremental() -> bool {
-    match std::env::var("PNR_INCREMENTAL") {
-        Ok(value) => !matches!(
-            value.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        Err(_) => true,
     }
 }
 
@@ -169,19 +133,20 @@ pub struct RatioProbe {
     pub ratio: AspectRatio,
     /// How the probe concluded.
     pub verdict: ProbeVerdict,
-    /// Solver work spent deciding this probe. In incremental mode this
-    /// is the warm solver's cost for the probe alone (run counters are
-    /// reset at probe start); the winning ratio's fresh extraction
-    /// re-solve is reported separately in `extraction_conflicts`.
+    /// Solver work spent deciding this probe on its fresh solver.
     pub stats: SolverStats,
-    /// Learned clauses carried into this probe from earlier probes of
-    /// the same worker's incremental session (`0` on a cold solver and
-    /// always in from-scratch mode).
-    pub retained: u64,
-    /// Conflicts of the fresh from-scratch re-solve that extracted the
-    /// winning layout (incremental mode, SAT probes only) — the cold
-    /// cost of the same instance, measured in the same run.
-    pub extraction_conflicts: Option<u64>,
+}
+
+/// Solver state carried between aspect-ratio probes. Every probe runs
+/// on a fresh solver, so both fields are always zero; the type stays
+/// because benchmark harnesses read these two fields from
+/// [`PnrOutcome::reuse`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReuseStats {
+    /// Probes that started with learned clauses already in the solver.
+    pub warm_probes: u64,
+    /// Learned clauses carried into probes, summed over probes.
+    pub learned_retained: u64,
 }
 
 /// A successful placement & routing, generic over the layout type
@@ -200,8 +165,8 @@ pub struct PnrOutcome<L> {
     pub stats: SolverStats,
     /// Per-ratio verdicts and solver costs, in probing order.
     pub probes: Vec<RatioProbe>,
-    /// How much solver state the incremental session transferred
-    /// between probes (all-zero in from-scratch mode).
+    /// Solver state carried between probes: always zero (see
+    /// [`ReuseStats`]).
     pub reuse: ReuseStats,
 }
 
@@ -395,18 +360,15 @@ impl ScanLimits {
 pub(crate) type Tile = (i32, i32);
 
 /// What sets one floor-plan topology apart for exact placement &
-/// routing. Everything else — the candidate scan, the incremental
-/// sessions, the SAT encoding, the model extraction and the probes — is
-/// shared by [`scan`] and written once.
+/// routing. Everything else — the candidate scan, the SAT encoding, the
+/// model extraction and the probes — is shared by [`scan`] and written
+/// once.
 ///
 /// A topology orders its tiles into *levels*, one per clock phase (rows
 /// under hexagonal Row clocking, anti-diagonals under Cartesian
 /// 2DDWave); every edge advances exactly one level per tile step, so a
 /// node scheduled at ASAP/ALAP level `l` must sit on level `l`'s tiles.
 pub(crate) trait Topology {
-    /// Name hashed into the session key, so that a warm session is never
-    /// handed to a scan on another topology.
-    const NAME: &'static str;
     /// The two outgoing directions of a tile; a step variable's port is
     /// an index into this array.
     const OUTGOING: [Self::Dir; 2];
@@ -421,16 +383,14 @@ pub(crate) trait Topology {
     /// The topology's own candidate filter, on top of the shared depth
     /// and area filters.
     fn admits(graph: &NetGraph, ratio: AspectRatio) -> bool;
-    /// The tiles of `level` inside `bounds`, in emission order.
-    fn level_tiles(bounds: &SessionBounds, level: u32) -> impl Iterator<Item = Tile> + '_;
+    /// The tiles of `level` inside `ratio`'s rectangle, in emission
+    /// order.
+    fn level_tiles(ratio: AspectRatio, level: u32) -> impl Iterator<Item = Tile>;
     /// The inclusive level range a node of `kind` with schedule window
-    /// `asap..=alap` may occupy — in one ratio, or (`union`) in some
-    /// candidate of the session.
-    fn levels(kind: GateKind, asap: u32, alap: u32, union: bool) -> (u32, u32);
-    /// Whether a placement variable for a node of `kind` is created on
-    /// tile `t` at all (in `ratio`'s encoding, or in the session union).
-    fn pad_creatable(kind: GateKind, t: Tile, ratio: AspectRatio, union: bool) -> bool;
-    /// Whether a node of `kind` may sit on tile `t` in `ratio`.
+    /// `asap..=alap` may occupy.
+    fn levels(kind: GateKind, asap: u32, alap: u32) -> (u32, u32);
+    /// Whether a node of `kind` may sit on tile `t` in `ratio`; a
+    /// placement variable exists only where this holds.
     fn pad_admissible(kind: GateKind, t: Tile, ratio: AspectRatio) -> bool;
     /// The tile an edge reaches leaving `t` through outgoing `port`.
     fn successor(t: Tile, port: usize) -> Tile;
@@ -459,7 +419,6 @@ impl HexRow {
 }
 
 impl Topology for HexRow {
-    const NAME: &'static str = "hexagonal-row";
     const OUTGOING: [HexDirection; 2] = HexDirection::OUTPUTS;
     type Dir = HexDirection;
     type Layout = HexGateLayout;
@@ -473,27 +432,23 @@ impl Topology for HexRow {
         ratio.width >= graph.min_width()
     }
 
-    /// Row `level`, west to east (the staircase is row-major).
-    fn level_tiles(bounds: &SessionBounds, level: u32) -> impl Iterator<Item = Tile> + '_ {
-        (0..bounds.width_at(level)).map(move |x| (x, level as i32))
+    /// Row `level`, west to east.
+    fn level_tiles(ratio: AspectRatio, level: u32) -> impl Iterator<Item = Tile> {
+        let width = if level < ratio.height { ratio.width } else { 0 };
+        (0..width as i32).map(move |x| (x, level as i32))
     }
 
-    /// PIs are pinned to row 0. A Po sits on the last row of its probe's
-    /// ratio — the row ALAP pins it to — which across the session can be
-    /// any row from its ASAP level to the tallest candidate's last row.
-    fn levels(kind: GateKind, asap: u32, alap: u32, union: bool) -> (u32, u32) {
+    /// PIs are pinned to row 0, and a Po to the last row — the row ALAP
+    /// pins it to.
+    fn levels(kind: GateKind, asap: u32, alap: u32) -> (u32, u32) {
         match kind {
             GateKind::Pi => (0, 0),
-            GateKind::Po if !union => (alap, alap),
+            GateKind::Po => (alap, alap),
             _ => (asap, alap),
         }
     }
 
     /// The pad rows are level ranges; every tile of a row may host a pad.
-    fn pad_creatable(_: GateKind, _: Tile, _: AspectRatio, _: bool) -> bool {
-        true
-    }
-
     fn pad_admissible(_: GateKind, _: Tile, _: AspectRatio) -> bool {
         true
     }
@@ -530,8 +485,8 @@ impl Topology for HexRow {
 }
 
 /// Runs exact placement & routing on topology `T`: the aspect-ratio
-/// candidates in area order, probed through the parallel portfolio on
-/// from-scratch or incremental (optionally pooled) solvers.
+/// candidates in area order, each probed on a fresh solver through the
+/// parallel portfolio.
 pub(crate) fn scan<T: Topology>(
     graph: &NetGraph,
     options: &ExactOptions,
@@ -548,90 +503,35 @@ pub(crate) fn scan<T: Topology>(
         })
         .filter_map(|ratio| Some((ratio, graph.alap(T::depth(ratio))?)))
         .collect();
-    let session = SessionBounds::from_candidates::<T>(&candidates);
     let limits = ScanLimits::new(options);
     let blacklist: HashSet<Tile> = options.blacklist.iter().copied().collect();
 
-    // With a pool installed, each worker's session is checked out by
-    // problem key at context creation and parked back (via the guard's
-    // drop) when the portfolio retires the worker.
-    let pool = options
-        .session_pool
-        .as_ref()
-        .map(|p| (p.clone(), session_key::<T>(graph, options)));
-    let outcome = run_portfolio(
-        &candidates,
-        || {
-            options.incremental.then(|| match &pool {
-                Some((pool, key)) => PooledSession::checkout(pool, *key),
-                None => PooledSession::fresh(),
-            })
-        },
-        |inc, _, (ratio, alap), cancel| {
-            let budget = match limits.pre_probe(options.max_conflicts_per_ratio) {
-                ProbeGate::Go(budget) => budget,
-                ProbeGate::Abort(abort) => return ProbeOutcome::aborted(abort),
-                ProbeGate::Cancelled => return ProbeOutcome::cancelled(),
-            };
-            let input = ProbeInput {
-                graph,
-                ratio: *ratio,
-                alap,
-                max_conflicts: budget,
-                deadline: limits.deadline(),
-                cancel,
-                blacklist: &blacklist,
-            };
-            let out = match inc {
-                Some(inc) => solve_ratio_incremental::<T>(
-                    &input,
-                    inc.get_mut(),
-                    session.as_ref().expect("probing implies candidates"),
-                ),
-                None => solve_ratio_scratch::<T>(&input),
-            };
-            if let Some(probe) = &out.probe {
-                limits.charge(probe.stats.conflicts);
-            }
-            out
-        },
-    );
+    let outcome = run_portfolio(&candidates, |_, (ratio, alap), cancel| {
+        let budget = match limits.pre_probe(options.max_conflicts_per_ratio) {
+            ProbeGate::Go(budget) => budget,
+            ProbeGate::Abort(abort) => return ProbeOutcome::aborted(abort),
+            ProbeGate::Cancelled => return ProbeOutcome::cancelled(),
+        };
+        let out = solve_ratio::<T>(&ProbeInput {
+            graph,
+            ratio: *ratio,
+            alap,
+            max_conflicts: budget,
+            deadline: limits.deadline(),
+            cancel,
+            blacklist: &blacklist,
+        });
+        if let Some(probe) = &out.probe {
+            limits.charge(probe.stats.conflicts);
+        }
+        out
+    });
     assemble_outcome(outcome, |idx| candidates[idx].0, options)
 }
 
-/// Fingerprint of everything that shapes an incremental session's shared
-/// clause set: the topology, the netlist structure (node kinds in id
-/// order plus the port-accurate edge list), the tile blacklist
-/// (order-insensitive), and the area bound that fixes the candidate
-/// union the variable universe spans. Two scans with equal keys may
-/// safely exchange warm sessions through a [`crate::SessionPool`].
-fn session_key<T: Topology>(graph: &NetGraph, options: &ExactOptions) -> u64 {
-    let mut h = Fnv64::new();
-    h.bytes(T::NAME.as_bytes());
-    h.u64(options.max_area);
-    h.u64(graph.network.num_nodes() as u64);
-    for id in graph.network.node_ids() {
-        h.bytes(format!("{:?}", graph.network.node(id).kind).as_bytes());
-    }
-    for e in &graph.edges {
-        h.u64(e.source.index() as u64)
-            .u64(u64::from(e.source_port))
-            .u64(e.target.index() as u64)
-            .u64(u64::from(e.target_port));
-    }
-    let mut blacklist = options.blacklist.clone();
-    blacklist.sort_unstable();
-    blacklist.dedup();
-    for (x, y) in blacklist {
-        h.i64(i64::from(x)).i64(i64::from(y));
-    }
-    h.finish()
-}
-
 /// Folds a portfolio run into the engine result: cumulative solver
-/// stats, reuse accounting (with top-level telemetry counters in
-/// incremental mode), and the winner — or [`PnrError::NoFeasibleRatio`]
-/// when no probe was SAT. `ratio_of` maps a candidate index back to its
+/// stats and the winner — or [`PnrError::NoFeasibleRatio`] when no
+/// probe was SAT. `ratio_of` maps a candidate index back to its
 /// aspect ratio.
 fn assemble_outcome<L>(
     outcome: crate::portfolio::PortfolioOutcome<L, RatioProbe>,
@@ -643,24 +543,8 @@ fn assemble_outcome<L>(
     }
 
     let mut cumulative = SolverStats::default();
-    let mut reuse = ReuseStats::default();
     for probe in &outcome.probes {
         cumulative += probe.stats;
-        if probe.retained > 0 {
-            reuse.warm_probes += 1;
-        }
-        reuse.learned_retained += probe.retained;
-        if probe.verdict == ProbeVerdict::Sat && probe.extraction_conflicts.is_some() {
-            reuse.winner_presolve_conflicts = Some(probe.stats.conflicts);
-            reuse.winner_scratch_conflicts = probe.extraction_conflicts;
-        }
-    }
-    if options.incremental {
-        fcn_telemetry::counter("pnr.warm_probes", reuse.warm_probes);
-        fcn_telemetry::counter("pnr.learned_retained", reuse.learned_retained);
-        if let Some(saved) = reuse.conflicts_saved() {
-            fcn_telemetry::counter("pnr.conflicts_saved", saved);
-        }
     }
     if let Some(payload) = outcome.panicked {
         // A panicked worker poisons the scan even when another probe
@@ -676,7 +560,7 @@ fn assemble_outcome<L>(
             ratios_tried: outcome.attempted,
             stats: cumulative,
             probes: outcome.probes,
-            reuse,
+            reuse: ReuseStats::default(),
         }),
         None => match outcome.aborted {
             Some(ScanAbort::Deadline) => {
@@ -701,93 +585,19 @@ fn assemble_outcome<L>(
     }
 }
 
-/// Semantic identity of a problem variable, the cache key that lets an
-/// incremental session reuse the same variable wherever two aspect
-/// ratios talk about the same placement fact (tile coordinates are
-/// global, so a key means the same thing in every probe).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum VarKey {
-    /// Node `n` occupies tile `t`.
-    Place(usize, Tile),
-    /// Edge `e` runs a wire segment through tile `t`.
-    Wire(usize, Tile),
-    /// Edge `e` leaves tile `t` through outgoing port `p` (an index into
-    /// [`Topology::OUTGOING`]).
-    Step(usize, Tile, usize),
+/// Whether tile `t` lies inside `ratio`'s rectangle.
+fn in_ratio(ratio: AspectRatio, (x, y): Tile) -> bool {
+    x >= 0 && y >= 0 && x < ratio.width as i32 && y < ratio.height as i32
 }
 
-/// The union of every candidate rectangle of one P&R session — the
-/// variable universe of an incremental solver.
-///
-/// An incremental session creates its problem variables (and all the
-/// structural clauses over them) once, for this union; each probe then
-/// imposes its own aspect ratio purely through guarded *unit* clauses
-/// that switch the out-of-ratio variables off. Units propagate at the
-/// assumption level, so conflict analysis at search levels only ever
-/// resolves shared clauses — every learned lemma is free of the
-/// activation literal and survives probe retirement (see
-/// [`crate::incremental`] for why that is the retention condition).
-pub(crate) struct SessionBounds {
-    /// The tallest candidate height.
-    height: u32,
-    /// The widest candidate that still spans row `y`, indexed by `y`
-    /// (the union of rectangles is a staircase, not a rectangle).
-    width_at_row: Vec<i32>,
-    /// ALAP schedule at the deepest candidate's depth, the loosest
-    /// schedule of the session — ALAP levels grow monotonically with
-    /// the depth. Empty for a single ratio's rectangle, whose encoding
-    /// uses the ratio's own schedule.
-    alap: Vec<u32>,
+/// Every tile of `ratio`'s rectangle, row-major.
+fn ratio_tiles(ratio: AspectRatio) -> impl Iterator<Item = Tile> {
+    let (w, h) = (ratio.width as i32, ratio.height as i32);
+    (0..h).flat_map(move |y| (0..w).map(move |x| (x, y)))
 }
 
-impl SessionBounds {
-    /// The union of a candidate list; `None` when it is empty.
-    fn from_candidates<T: Topology>(candidates: &[(AspectRatio, Vec<u32>)]) -> Option<Self> {
-        let height = candidates.iter().map(|(r, _)| r.height).max()?;
-        let depth = candidates.iter().map(|(r, _)| T::depth(*r)).max()?;
-        let alap = candidates
-            .iter()
-            .find(|(r, _)| T::depth(*r) == depth)
-            .map(|(_, a)| a.clone())?;
-        let mut width_at_row = vec![0i32; height as usize];
-        for (r, _) in candidates {
-            for slot in width_at_row.iter_mut().take(r.height as usize) {
-                *slot = (*slot).max(r.width as i32);
-            }
-        }
-        Some(SessionBounds {
-            height,
-            width_at_row,
-            alap,
-        })
-    }
-
-    /// The rectangle of a single ratio, the universe of a from-scratch
-    /// probe.
-    fn rectangle(ratio: AspectRatio) -> Self {
-        SessionBounds {
-            height: ratio.height,
-            width_at_row: vec![ratio.width as i32; ratio.height as usize],
-            alap: Vec::new(),
-        }
-    }
-
-    pub(crate) fn width_at(&self, y: u32) -> i32 {
-        self.width_at_row.get(y as usize).copied().unwrap_or(0)
-    }
-
-    pub(crate) fn contains(&self, (x, y): Tile) -> bool {
-        x >= 0 && y >= 0 && (y as u32) < self.height && x < self.width_at(y as u32)
-    }
-
-    /// Every tile of the universe, row-major.
-    fn tiles(&self) -> impl Iterator<Item = Tile> + '_ {
-        (0..self.height as i32).flat_map(move |y| (0..self.width_at(y as u32)).map(move |x| (x, y)))
-    }
-}
-
-/// The problem variables of one aspect-ratio encoding, keyed the same
-/// way in both backends so the extraction step is mode-agnostic.
+/// The problem variables of one aspect-ratio encoding, read back by the
+/// model extraction.
 struct Encoding {
     place: HashMap<(usize, Tile), Lit>,
     wire: HashMap<(usize, Tile), Lit>,
@@ -795,172 +605,117 @@ struct Encoding {
 }
 
 /// Encodes the placement & routing problem of topology `T` at a fixed
-/// aspect ratio through a [`ProbeEmitter`], which decides whether each
-/// constraint is per-probe or persists across probes (see
-/// [`crate::incremental`] for the classification rules the emitter
-/// contract imposes).
+/// aspect ratio into `cnf`.
 ///
 /// The problem: assign every node to a tile on its allowed levels and
 /// every edge to a chain of wire tiles — one per intermediate level —
 /// such that consecutive chain elements are neighbors through an
 /// outgoing port, no two edges share an output port, and a tile hosts
 /// either one gate or wire segments only. Variables: `place(n, t)`,
-/// `wire(e, t)` and `step(e, t, port)`.
-///
-/// With `session: None` (the from-scratch mode) the variable universe is
-/// exactly the ratio's rectangle, variables exist only where the ratio
-/// admits them, and no guarded units are emitted — the encoding is the
-/// classic per-ratio one. With a
-/// [`SessionBounds`] the universe is the whole session union, every
-/// structural clause is shared (hence emitted once per session thanks to
-/// the emitter's deduplication), and the ratio is imposed by guarded
-/// units alone.
+/// `wire(e, t)` and `step(e, t, port)`, created only inside the ratio's
+/// rectangle and only where the ratio admits them.
 ///
 /// Returns `None` when some node has no admissible tile in the ratio;
 /// such ratios are discarded before reaching the solver but still count
 /// as attempted.
-fn encode_ratio<T: Topology, E: ProbeEmitter<VarKey>>(
-    em: &mut E,
+fn encode_ratio<T: Topology>(
+    cnf: &mut CnfBuilder,
     graph: &NetGraph,
     ratio: AspectRatio,
     alap: &[u32],
-    session: Option<&SessionBounds>,
     blacklist: &HashSet<Tile>,
 ) -> Option<Encoding> {
-    let (w, h) = (ratio.width as i32, ratio.height as i32);
-    let in_ratio = |(x, y): Tile| x >= 0 && x < w && y >= 0 && y < h;
-    let rectangle;
-    let bounds = match session {
-        Some(b) => b,
-        None => {
-            rectangle = SessionBounds::rectangle(ratio);
-            &rectangle
-        }
-    };
-    let union = session.is_some();
-    // A node's levels in this ratio, and the levels its variables are
-    // created on (the same in from-scratch mode; the union over every
-    // candidate of the session otherwise).
     let levels = |n: MappedId| {
         let kind = graph.network.node(n).kind;
-        T::levels(kind, graph.asap[n.index()], alap[n.index()], false)
-    };
-    let creation = |n: MappedId| match session {
-        Some(b) => {
-            let kind = graph.network.node(n).kind;
-            T::levels(kind, graph.asap[n.index()], b.alap[n.index()], true)
-        }
-        None => levels(n),
+        T::levels(kind, graph.asap[n.index()], alap[n.index()])
     };
     let node_ids: Vec<MappedId> = graph.network.node_ids().collect();
 
-    // place(n, t): at least one tile of the universe (shared — every
-    // probe's models place every node); the probe's own levels, width
-    // and pad rules arrive as guarded units on the inadmissible
-    // variables. At most one tile ever is universal.
+    // place(n, t): exactly one admissible tile per node.
     let mut place: HashMap<(usize, Tile), Lit> = HashMap::new();
     for &n in &node_ids {
         let kind = graph.network.node(n).kind;
         let (lo, hi) = levels(n);
-        let (clo, chi) = creation(n);
         let mut vars = Vec::new();
-        let mut admissible = 0usize;
-        for level in clo..=chi {
-            for t in T::level_tiles(bounds, level) {
-                if !T::pad_creatable(kind, t, ratio, union) {
+        for level in lo..=hi {
+            for t in T::level_tiles(ratio, level) {
+                if !T::pad_admissible(kind, t, ratio) {
                     continue;
                 }
-                let lit = em.var(VarKey::Place(n.index(), t));
+                let lit = cnf.new_lit();
                 place.insert((n.index(), t), lit);
                 vars.push(lit);
-                if in_ratio(t) && T::pad_admissible(kind, t, ratio) && (lo..=hi).contains(&level) {
-                    admissible += 1;
-                } else {
-                    em.guarded(vec![lit.negated()]);
-                }
-                // Defect avoidance: a compromised tile is off in every
-                // probe of the session — a shared fact, learned once.
+                // Defect avoidance: no node on a compromised tile.
                 if blacklist.contains(&t) {
-                    em.shared(vec![lit.negated()]);
+                    cnf.add_clause([lit.negated()]);
                 }
             }
         }
-        if admissible == 0 {
+        if vars.is_empty() {
             return None;
         }
-        em.shared(vars.clone());
-        em.shared_at_most_one(&vars);
+        cnf.add_clause(vars.iter().copied());
+        cnf.at_most_one(&vars);
     }
 
     // wire(e, t) — levels strictly between the source's earliest and the
     // target's latest placement levels.
     let mut wire: HashMap<(usize, Tile), Lit> = HashMap::new();
     for e in &graph.edges {
-        let (src_clo, _) = creation(e.source);
-        let (_, dst_chi) = creation(e.target);
         let (src_lo, _) = levels(e.source);
         let (_, dst_hi) = levels(e.target);
-        for level in (src_clo + 1)..dst_chi {
-            for t in T::level_tiles(bounds, level) {
-                let lit = em.var(VarKey::Wire(e.id, t));
+        for level in (src_lo + 1)..dst_hi {
+            for t in T::level_tiles(ratio, level) {
+                let lit = cnf.new_lit();
                 wire.insert((e.id, t), lit);
-                if !(in_ratio(t) && level > src_lo && level < dst_hi) {
-                    em.guarded(vec![lit.negated()]);
-                }
                 if blacklist.contains(&t) {
-                    em.shared(vec![lit.negated()]);
+                    cnf.add_clause([lit.negated()]);
                 }
             }
         }
     }
 
     // step(e, t, port): edge e leaves tile t through an outgoing port.
-    // Exists only where both endpoints can carry the edge. Out-of-ratio
-    // steps need no units of their own: the shared step → presence
-    // clauses propagate them off the moment the probe's place/wire units
-    // land.
+    // Exists only where both endpoints can carry the edge.
     let mut step: HashMap<(usize, Tile, usize), Lit> = HashMap::new();
     for e in &graph.edges {
         let presence = |node: MappedId, t: Tile| {
             wire.contains_key(&(e.id, t)) || place.contains_key(&(node.index(), t))
         };
-        for t in bounds.tiles() {
+        for t in ratio_tiles(ratio) {
             if !presence(e.source, t) {
                 continue;
             }
             for port in 0..2 {
                 let s = T::successor(t, port);
-                if bounds.contains(s) && presence(e.target, s) {
-                    step.insert((e.id, t, port), em.var(VarKey::Step(e.id, t, port)));
+                if in_ratio(ratio, s) && presence(e.target, s) {
+                    step.insert((e.id, t, port), cnf.new_lit());
                 }
             }
         }
     }
 
-    // Tile capacity: at most one gate; gates exclude wires. Universal
-    // facts, shared across probes.
-    for t in bounds.tiles() {
+    // Tile capacity: at most one gate; gates exclude wires.
+    for t in ratio_tiles(ratio) {
         let gates: Vec<Lit> = node_ids
             .iter()
             .filter_map(|n| place.get(&(n.index(), t)).copied())
             .collect();
-        em.shared_at_most_one(&gates);
+        cnf.at_most_one(&gates);
         if !gates.is_empty() {
-            let occ = em.shared_or_all(&gates);
+            let occ = cnf.or_all(gates.iter().copied());
             for e in &graph.edges {
                 if let Some(&wv) = wire.get(&(e.id, t)) {
-                    em.shared(vec![wv.negated(), occ.negated()]);
+                    cnf.add_clause([wv.negated(), occ.negated()]);
                 }
             }
         }
     }
 
-    // Flow constraints per edge, over the session universe. The
-    // "presence ↔ steps" implications are universally valid there: every
-    // probe's models route each present edge through *some* step of the
-    // union, and the probe's units narrow "some" down to its own ratio.
+    // Flow constraints per edge: a present edge leaves and enters every
+    // tile it occupies through exactly one step.
     for e in &graph.edges {
-        for t in bounds.tiles() {
+        for t in ratio_tiles(ratio) {
             let src_lits: Vec<Lit> = [
                 wire.get(&(e.id, t)).copied(),
                 place.get(&(e.source.index(), t)).copied(),
@@ -973,17 +728,17 @@ fn encode_ratio<T: Topology, E: ProbeEmitter<VarKey>>(
                     .filter_map(|port| step.get(&(e.id, t, port)).copied())
                     .collect();
                 // presence → exactly one outgoing step.
-                em.shared_at_most_one(&outs);
+                cnf.at_most_one(&outs);
                 for &p in &src_lits {
                     let mut clause = vec![p.negated()];
                     clause.extend(outs.iter().copied());
-                    em.shared(clause);
+                    cnf.add_clause(clause);
                 }
                 // step → presence at source.
                 for &s in &outs {
                     let mut clause = vec![s.negated()];
                     clause.extend(src_lits.iter().copied());
-                    em.shared(clause);
+                    cnf.add_clause(clause);
                 }
             }
 
@@ -999,31 +754,31 @@ fn encode_ratio<T: Topology, E: ProbeEmitter<VarKey>>(
                     .into_iter()
                     .filter_map(|(p, port, _)| step.get(&(e.id, p, port)).copied())
                     .collect();
-                em.shared_at_most_one(&ins);
+                cnf.at_most_one(&ins);
                 for &p in &dst_lits {
                     let mut clause = vec![p.negated()];
                     clause.extend(ins.iter().copied());
-                    em.shared(clause);
+                    cnf.add_clause(clause);
                 }
                 // step → presence at destination.
                 for &s in &ins {
                     let mut clause = vec![s.negated()];
                     clause.extend(dst_lits.iter().copied());
-                    em.shared(clause);
+                    cnf.add_clause(clause);
                 }
             }
         }
     }
 
     // Port exclusivity: at most one edge leaves a tile through each port.
-    for t in bounds.tiles() {
+    for t in ratio_tiles(ratio) {
         for port in 0..2 {
             let users: Vec<Lit> = graph
                 .edges
                 .iter()
                 .filter_map(|e| step.get(&(e.id, t, port)).copied())
                 .collect();
-            em.shared_at_most_one(&users);
+            cnf.at_most_one(&users);
         }
     }
 
@@ -1134,17 +889,13 @@ struct ProbeInput<'a> {
 /// The cancel flag is forwarded to the solver's cooperative
 /// interrupt; a cancelled probe yields no probe record, nor does a
 /// ratio discarded before reaching the solver (which still counts
-/// as attempted). This is both the from-scratch probe and the
-/// authoritative extraction path for the incremental mode's winning
-/// ratio, which is what keeps the two modes' layouts byte-identical.
-fn solve_ratio_scratch<T: Topology>(p: &ProbeInput) -> ProbeOutcome<T::Layout, RatioProbe> {
+/// as attempted).
+fn solve_ratio<T: Topology>(p: &ProbeInput) -> ProbeOutcome<T::Layout, RatioProbe> {
     let _span = fcn_telemetry::span(format!("ratio:{}", p.ratio.label()));
-    let mut em = ScratchEmitter::new();
-    let Some(enc) = encode_ratio::<T, _>(&mut em, p.graph, p.ratio, p.alap, None, p.blacklist)
-    else {
+    let mut cnf = CnfBuilder::new();
+    let Some(enc) = encode_ratio::<T>(&mut cnf, p.graph, p.ratio, p.alap, p.blacklist) else {
         return ProbeOutcome::concluded(None, None);
     };
-    let mut cnf = em.cnf;
 
     fcn_telemetry::counter("cnf.vars", cnf.solver().num_vars() as u64);
     fcn_telemetry::counter("cnf.clauses", cnf.solver().num_clauses() as u64);
@@ -1174,8 +925,6 @@ fn solve_ratio_scratch<T: Topology>(p: &ProbeInput) -> ProbeOutcome<T::Layout, R
         ratio: p.ratio,
         verdict,
         stats,
-        retained: 0,
-        extraction_conflicts: None,
     };
     let model = match outcome {
         BoundedResult::Sat(m) => m,
@@ -1188,95 +937,6 @@ fn solve_ratio_scratch<T: Topology>(p: &ProbeInput) -> ProbeOutcome<T::Layout, R
             // with a typed abort instead of panicking in the worker.
             fcn_telemetry::note("verdict", "router-invariant");
             ProbeOutcome::aborted(abort)
-        }
-    }
-}
-
-/// Probes the ratio on the worker's long-lived incremental session:
-/// per-ratio constraints are guarded behind a fresh activation
-/// literal, the solve runs under that assumption, and the probe is
-/// retired afterwards so only universally-valid state survives.
-///
-/// A SAT verdict is then re-established on a fresh solver by
-/// [`solve_ratio_scratch`], which both extracts a layout
-/// byte-identical to from-scratch mode and measures the cold cost of
-/// the instance the warm solver just solved (the honest "conflicts
-/// saved" baseline). The fresh solver's verdict is authoritative: if
-/// it exhausts the conflict budget the probe reports
-/// `BudgetExceeded`, exactly as from-scratch mode would.
-fn solve_ratio_incremental<T: Topology>(
-    p: &ProbeInput,
-    inc: &mut IncrementalCnf<VarKey>,
-    session: &SessionBounds,
-) -> ProbeOutcome<T::Layout, RatioProbe> {
-    // One span covers the whole probe; the winning ratio's fresh
-    // re-solve nests inside it as a child `ratio:` span.
-    let _span = fcn_telemetry::span(format!("ratio:{}", p.ratio.label()));
-    fcn_telemetry::note("mode", "incremental");
-    let retained = inc.begin_probe();
-    let encoded =
-        encode_ratio::<T, _>(inc, p.graph, p.ratio, p.alap, Some(session), p.blacklist).is_some();
-    if !encoded {
-        inc.end_probe();
-        return ProbeOutcome::concluded(None, None);
-    }
-    fcn_telemetry::counter("sat.retained", retained);
-    let outcome = inc.solve(p.max_conflicts, p.deadline, p.cancel);
-    let stats = inc.stats();
-    inc.end_probe();
-    record_solver_work(stats);
-    let verdict = match &outcome {
-        BoundedResult::Sat(_) => "sat",
-        BoundedResult::Unsat => "unsat",
-        BoundedResult::BudgetExceeded => "budget-exceeded",
-        BoundedResult::Interrupted => "cancelled",
-        BoundedResult::DeadlineExpired => "deadline-expired",
-    };
-    fcn_telemetry::note("verdict", verdict);
-
-    let concluded = |verdict| {
-        ProbeOutcome::concluded(
-            None,
-            Some(RatioProbe {
-                ratio: p.ratio,
-                verdict,
-                stats,
-                retained,
-                extraction_conflicts: None,
-            }),
-        )
-    };
-    match outcome {
-        BoundedResult::Interrupted => ProbeOutcome::cancelled(),
-        BoundedResult::DeadlineExpired => ProbeOutcome::aborted(ScanAbort::Deadline),
-        BoundedResult::Unsat => concluded(ProbeVerdict::Unsat),
-        BoundedResult::BudgetExceeded => concluded(ProbeVerdict::BudgetExceeded),
-        BoundedResult::Sat(_) => {
-            let scratch = solve_ratio_scratch::<T>(p);
-            if scratch.cancelled || scratch.abort.is_some() {
-                return scratch;
-            }
-            let mut probe = scratch.probe.expect("scratch probes always record");
-            probe.retained = retained;
-            match probe.verdict {
-                ProbeVerdict::Sat => {
-                    fcn_telemetry::counter("sat.extraction_conflicts", probe.stats.conflicts);
-                    probe.extraction_conflicts = Some(probe.stats.conflicts);
-                    // The probe's decision cost is the warm solve; the
-                    // fresh re-solve is accounted as extraction.
-                    probe.stats = stats;
-                    ProbeOutcome::concluded(scratch.layout, Some(probe))
-                }
-                _ => {
-                    // Budget divergence: the warm solver proved SAT
-                    // within budget but the fresh one ran out. Charge
-                    // both costs and keep the fresh verdict so the
-                    // mode behaves observably like from-scratch
-                    // probing.
-                    probe.stats += stats;
-                    ProbeOutcome::concluded(None, Some(probe))
-                }
-            }
         }
     }
 }
@@ -1300,104 +960,6 @@ mod tests {
         let net = map_xag(xag, MapOptions::default()).expect("mappable");
         let graph = NetGraph::new(net).expect("legalized");
         exact_pnr(&graph, &ExactOptions::default()).expect("feasible")
-    }
-
-    #[test]
-    fn incremental_and_scratch_agree_on_hex_layouts() {
-        // Sequential scans: the probe lists are compared verbatim.
-        fcn_budget::exec::with_width(1, || {
-            let mut xag = Xag::new();
-            let a = xag.primary_input("a");
-            let b = xag.primary_input("b");
-            let s = xag.primary_input("s");
-            let m = xag.mux(s, a, b);
-            xag.primary_output("m", m);
-            let net = map_xag(&xag, MapOptions::default()).expect("mappable");
-            let graph = NetGraph::new(net).expect("legalized");
-            let base = ExactOptions::default();
-            let warm = exact_pnr(
-                &graph,
-                &ExactOptions {
-                    incremental: true,
-                    ..base.clone()
-                },
-            )
-            .expect("feasible");
-            let cold = exact_pnr(
-                &graph,
-                &ExactOptions {
-                    incremental: false,
-                    ..base
-                },
-            )
-            .expect("feasible");
-            assert_eq!(warm.ratio, cold.ratio);
-            assert_eq!(warm.ratios_tried, cold.ratios_tried);
-            assert_eq!(warm.layout.render_ascii(), cold.layout.render_ascii());
-            // Identical probe verdicts in identical order.
-            let warm_verdicts: Vec<_> = warm.probes.iter().map(|p| (p.ratio, p.verdict)).collect();
-            let cold_verdicts: Vec<_> = cold.probes.iter().map(|p| (p.ratio, p.verdict)).collect();
-            assert_eq!(warm_verdicts, cold_verdicts);
-            // From-scratch mode transfers nothing; incremental mode reports
-            // the winner's cold-vs-warm cost pair.
-            assert_eq!(cold.reuse, ReuseStats::default());
-            assert!(warm.reuse.winner_presolve_conflicts.is_some());
-            assert!(warm.reuse.winner_scratch_conflicts.is_some());
-            // Multi-probe scan: later probes must see retained state once
-            // the session has learned anything.
-            if warm.probes.len() > 1 && warm.stats.conflicts > 0 {
-                assert!(
-                    warm.probes.iter().any(|p| p.retained > 0)
-                        || warm.stats.conflicts == warm.probes[0].stats.conflicts,
-                    "no probe saw retained clauses despite conflicts across probes"
-                );
-            }
-        });
-    }
-
-    #[test]
-    fn one_pool_serves_both_topologies_without_mixing_sessions() {
-        // One worker, so each scan checks out exactly one session.
-        fcn_budget::exec::with_width(1, || {
-            let mut xag = Xag::new();
-            let a = xag.primary_input("a");
-            let b = xag.primary_input("b");
-            let f = xag.xor(a, b);
-            xag.primary_output("f", f);
-            let net = map_xag(&xag, MapOptions::default()).expect("mappable");
-            let graph = NetGraph::new(net).expect("legalized");
-            let plain = ExactOptions {
-                incremental: true,
-                ..Default::default()
-            };
-            let hex_alone = exact_pnr(&graph, &plain).expect("feasible");
-            let cart_alone = crate::cartesian_exact_pnr(&graph, &plain).expect("feasible");
-
-            let pool = crate::SessionPool::new();
-            let pooled = plain.with_session_pool(pool.clone());
-            let hex = exact_pnr(&graph, &pooled).expect("feasible");
-            assert_eq!(hex.layout.render_ascii(), hex_alone.layout.render_ascii());
-            let (hits, misses) = (pool.hits(), pool.misses());
-            assert_eq!(pool.warm_sessions(), 1, "the hexagonal session is parked");
-
-            let cart = crate::cartesian_exact_pnr(&graph, &pooled).expect("feasible");
-            assert_eq!(cart.layout.render_ascii(), cart_alone.layout.render_ascii());
-            assert_eq!(
-                pool.misses(),
-                misses + 1,
-                "a Cartesian scan must not check out the hexagonal session"
-            );
-            assert_eq!(pool.hits(), hits);
-
-            // The Cartesian engine honours the pool: a second scan finds
-            // its session parked.
-            let again = crate::cartesian_exact_pnr(&graph, &pooled).expect("feasible");
-            assert_eq!(pool.hits(), hits + 1);
-            assert_eq!(
-                again.layout.render_ascii(),
-                cart_alone.layout.render_ascii()
-            );
-        });
     }
 
     #[test]

@@ -22,23 +22,18 @@
 //!
 //! [`cartesian_exact`] runs the same exact engine on the Cartesian
 //! 2DDWave baseline floor plan, enabling the measured topology comparison
-//! of the Figure 3 experiment: the scan, encoding, incremental sessions
-//! and extraction live once in [`exact`], and each floor plan supplies
-//! only its topology.
+//! of the Figure 3 experiment: the scan, encoding and extraction live
+//! once in [`exact`], and each floor plan supplies only its topology.
 
 pub mod cartesian_exact;
 pub mod exact;
 pub mod heuristic;
-pub mod incremental;
 pub mod netgraph;
-pub mod pool;
 pub mod portfolio;
 
 pub use cartesian_exact::cartesian_exact_pnr;
 pub use exact::{
-    default_incremental, exact_pnr, ExactOptions, PnrError, PnrOutcome, ProbeVerdict, RatioProbe,
+    exact_pnr, ExactOptions, PnrError, PnrOutcome, ProbeVerdict, RatioProbe, ReuseStats,
 };
 pub use heuristic::heuristic_pnr;
-pub use incremental::ReuseStats;
 pub use netgraph::NetGraph;
-pub use pool::SessionPool;

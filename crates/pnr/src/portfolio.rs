@@ -153,39 +153,27 @@ pub struct PortfolioOutcome<L, P> {
 /// and assembles a sequential-equivalent result. At width 1 the probes
 /// run inline on the caller's thread, recording telemetry ambiently.
 ///
-/// Every worker owns a *probe context* built by `make_ctx` — the hook
-/// through which the exact engines give each worker a long-lived
-/// incremental SAT session. Contexts never cross threads and need not
-/// be `Send`.
-///
-/// `probe(ctx, index, candidate, cancel)` must reach *semantically*
-/// identical verdicts per candidate regardless of thread interleaving
-/// (context state may legitimately differ — e.g. learned-clause counts
-/// depend on which probes a worker saw) for the portfolio to be
+/// `probe(index, candidate, cancel)` must reach the same verdict per
+/// candidate regardless of thread interleaving for the portfolio to be
 /// equivalent to the sequential scan. Probes receive a fresh
 /// [`CancelFlag`] each and should return `cancelled: true` if it fired.
 ///
 /// The commit policy: the smallest SAT index wins and cancels in-flight
 /// probes above it, a scan-wide abort halts dispatch, and a probe panic
 /// is reported instead of unwinding.
-pub fn run_portfolio<Ctx, C, L, P, MF, F>(
-    candidates: &[C],
-    make_ctx: MF,
-    probe: F,
-) -> PortfolioOutcome<L, P>
+pub fn run_portfolio<C, L, P, F>(candidates: &[C], probe: F) -> PortfolioOutcome<L, P>
 where
     C: Sync,
     L: Send,
     P: Send,
-    MF: Fn() -> Ctx + Sync,
-    F: Fn(&mut Ctx, usize, &C, &CancelFlag) -> ProbeOutcome<L, P> + Sync,
+    F: Fn(usize, &C, &CancelFlag) -> ProbeOutcome<L, P> + Sync,
 {
     let mut run = run_ordered(
         "pnr",
         None,
         candidates.len(),
-        make_ctx,
-        |ctx, idx, cancel| probe(ctx, idx, &candidates[idx], cancel),
+        || (),
+        |_, idx, cancel| probe(idx, &candidates[idx], cancel),
         |_, outcome| {
             if outcome.layout.is_some() {
                 Signal::Cut
@@ -264,12 +252,8 @@ mod tests {
     #[test]
     fn sequential_and_parallel_agree() {
         let candidates = [1u32, 2, 1, 0, 1];
-        let seq = with_width(1, || {
-            run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
-        });
-        let par = with_width(4, || {
-            run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
-        });
+        let seq = with_width(1, || run_portfolio(&candidates, |_, c, f| fake_probe(c, f)));
+        let par = with_width(4, || run_portfolio(&candidates, |_, c, f| fake_probe(c, f)));
         assert_eq!(seq.winner.as_ref().map(|(i, _)| *i), Some(3));
         assert_eq!(par.winner.as_ref().map(|(i, _)| *i), Some(3));
         assert_eq!(seq.probes, par.probes);
@@ -283,9 +267,7 @@ mod tests {
         // Candidate 3 spins until cancelled; the SAT candidate at index
         // 1 must cut it loose rather than wait for it.
         let candidates = [1u32, 0, 3, 3];
-        let out = with_width(4, || {
-            run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
-        });
+        let out = with_width(4, || run_portfolio(&candidates, |_, c, f| fake_probe(c, f)));
         assert_eq!(out.winner.as_ref().map(|(i, _)| *i), Some(1));
         assert_eq!(out.probes, vec![1, 0]);
         assert_eq!(out.attempted, 2);
@@ -299,7 +281,7 @@ mod tests {
         let candidates = [1u32, 2, 1];
         for threads in [1, 4] {
             let out = with_width(threads, || {
-                run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
+                run_portfolio(&candidates, |_, c, f| fake_probe(c, f))
             });
             assert!(out.winner.is_none());
             assert_eq!(out.probes, vec![1, 1]);
@@ -315,14 +297,10 @@ mod tests {
         fcn_telemetry::with_collector(&collector, || {
             let _pnr = fcn_telemetry::span("stage");
             with_width(4, || {
-                run_portfolio(
-                    &candidates,
-                    || (),
-                    |_, idx, c, f| {
-                        let _span = fcn_telemetry::span(format!("probe:{idx}"));
-                        fake_probe(c, f)
-                    },
-                )
+                run_portfolio(&candidates, |idx, c, f| {
+                    let _span = fcn_telemetry::span(format!("probe:{idx}"));
+                    fake_probe(c, f)
+                })
             })
         });
         let report = collector.report();
@@ -337,9 +315,7 @@ mod tests {
         // panic must not unwind out of run_portfolio, must cancel the
         // spinner, and must surface its payload.
         let candidates = [1u32, 4, 3, 1];
-        let out = with_width(4, || {
-            run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
-        });
+        let out = with_width(4, || run_portfolio(&candidates, |_, c, f| fake_probe(c, f)));
         assert!(out.winner.is_none());
         let payload = out.panicked.expect("panic reported");
         assert!(payload.contains("probe exploded"), "payload: {payload}");
@@ -348,9 +324,7 @@ mod tests {
     #[test]
     fn sequential_probe_panic_is_isolated() {
         let candidates = [1u32, 4, 0];
-        let out = with_width(1, || {
-            run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
-        });
+        let out = with_width(1, || run_portfolio(&candidates, |_, c, f| fake_probe(c, f)));
         assert!(out.winner.is_none(), "scan stops at the panic");
         assert_eq!(out.probes, vec![1]);
         assert!(out
@@ -364,7 +338,7 @@ mod tests {
         let candidates = [1u32, 5, 1, 1];
         for threads in [1, 4] {
             let out = with_width(threads, || {
-                run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
+                run_portfolio(&candidates, |_, c, f| fake_probe(c, f))
             });
             assert!(out.winner.is_none());
             assert_eq!(out.aborted, Some(ScanAbort::Deadline), "threads={threads}");
@@ -379,7 +353,7 @@ mod tests {
         let candidates = [1u32, 0, 5];
         for threads in [1, 4] {
             let out = with_width(threads, || {
-                run_portfolio(&candidates, || (), |_, _, c, f| fake_probe(c, f))
+                run_portfolio(&candidates, |_, c, f| fake_probe(c, f))
             });
             assert_eq!(out.winner.as_ref().map(|(i, _)| *i), Some(1));
             assert!(out.aborted.is_none(), "threads={threads}");
@@ -393,16 +367,12 @@ mod tests {
         let _scope = fault::install(plan.clone());
         let candidates = [1u32, 1, 1, 1];
         let out = with_width(4, || {
-            run_portfolio(
-                &candidates,
-                || (),
-                |_, _, c, f| {
-                    // Visible only if the coordinator's plan was installed
-                    // in this worker thread.
-                    let _ = fault::at("portfolio.test");
-                    fake_probe(c, f)
-                },
-            )
+            run_portfolio(&candidates, |_, c, f| {
+                // Visible only if the coordinator's plan was installed
+                // in this worker thread.
+                let _ = fault::at("portfolio.test");
+                fake_probe(c, f)
+            })
         });
         assert!(out.winner.is_none());
         assert_eq!(plan.hits("portfolio.test"), 4, "all workers saw the plan");
@@ -411,55 +381,10 @@ mod tests {
     #[test]
     fn empty_candidate_list_is_fine() {
         let out = with_width(4, || {
-            run_portfolio(&[] as &[u32], || (), |_, _, c, f| fake_probe(c, f))
+            run_portfolio(&[] as &[u32], |_, c, f| fake_probe(c, f))
         });
         assert!(out.winner.is_none());
         assert!(out.probes.is_empty());
         assert_eq!(out.attempted, 0);
-    }
-
-    #[test]
-    fn sequential_scan_reuses_one_context() {
-        use std::sync::atomic::AtomicUsize;
-        let built = AtomicUsize::new(0);
-        let candidates = [1u32, 1, 1, 0];
-        let out = with_width(1, || {
-            run_portfolio(
-                &candidates,
-                || {
-                    built.fetch_add(1, Ordering::Relaxed);
-                    0usize
-                },
-                |ctx, _, c, f| {
-                    *ctx += 1; // probe count within this context
-                    fake_probe(c, f)
-                },
-            )
-        });
-        assert_eq!(out.winner.as_ref().map(|(i, _)| *i), Some(3));
-        assert_eq!(built.load(Ordering::Relaxed), 1, "one context for the scan");
-    }
-
-    #[test]
-    fn parallel_run_builds_at_most_one_context_per_worker() {
-        use std::sync::atomic::AtomicUsize;
-        let built = AtomicUsize::new(0);
-        let candidates = [1u32, 1, 1, 1, 0];
-        let out = with_width(3, || {
-            run_portfolio(
-                &candidates,
-                || {
-                    built.fetch_add(1, Ordering::Relaxed);
-                    0usize
-                },
-                |ctx, _, c, f| {
-                    *ctx += 1;
-                    fake_probe(c, f)
-                },
-            )
-        });
-        assert_eq!(out.winner.as_ref().map(|(i, _)| *i), Some(4));
-        let n = built.load(Ordering::Relaxed);
-        assert!((1..=3).contains(&n), "one context per worker, got {n}");
     }
 }

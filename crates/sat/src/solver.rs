@@ -331,17 +331,6 @@ impl Solver {
         self.stats
     }
 
-    /// Zeroes the run counters between incremental probes, so the next
-    /// [`Solver::stats`] reflects only work done after this call.
-    /// `learned` is recomputed from the clause database (it describes
-    /// state, not work, and learned clauses persist across probes).
-    pub fn stats_reset(&mut self) {
-        self.stats = SolverStats {
-            learned: self.clauses.iter().filter(|c| c.learned).count() as u64,
-            ..SolverStats::default()
-        };
-    }
-
     /// Adds a clause (a disjunction of literals).
     ///
     /// Duplicate literals are removed and tautological clauses are ignored.
@@ -681,9 +670,8 @@ impl Solver {
     /// Removes roughly half of the removable learned clauses,
     /// glucose-style: binary clauses, glue clauses (LBD ≤ 2), and
     /// clauses currently used as reasons always survive; among the rest,
-    /// high-LBD low-activity clauses go first. Public so incremental
-    /// sessions can cap the database they carry between probes.
-    pub fn reduce_learned(&mut self) {
+    /// high-LBD low-activity clauses go first.
+    fn reduce_learned(&mut self) {
         let mut removable: Vec<usize> = (0..self.clauses.len())
             .filter(|&i| {
                 let c = &self.clauses[i];
@@ -750,47 +738,6 @@ impl Solver {
         }
     }
 
-    /// Garbage-collects clauses satisfied at the root level and returns
-    /// how many were removed.
-    ///
-    /// The primary use is incremental sessions that guard constraint
-    /// groups behind activation literals: once a group is retired by
-    /// asserting the activation literal's negation as a unit clause,
-    /// every clause of the group — and every learned clause that
-    /// depended on it — contains a root-true literal and is reclaimed
-    /// here. Root-level reasons become `NO_REASON`, which is safe:
-    /// level-0 assignments are permanent and conflict analysis never
-    /// revisits them.
-    ///
-    /// Must be called at the root level (decision level 0); solve entry
-    /// points always return there.
-    pub fn simplify(&mut self) -> usize {
-        assert!(
-            self.trail_lim.is_empty(),
-            "simplify requires the root level"
-        );
-        if self.unsat {
-            return 0;
-        }
-        if self.propagate().is_some() {
-            self.unsat = true;
-            return 0;
-        }
-        let to_remove: std::collections::HashSet<u32> = (0..self.clauses.len())
-            .filter(|&i| {
-                self.clauses[i]
-                    .lits
-                    .iter()
-                    .any(|&l| self.level[l.var().index()] == 0 && self.lit_state(l) == Some(true))
-            })
-            .map(|i| i as u32)
-            .collect();
-        let removed = to_remove.len();
-        self.remove_clauses(&to_remove);
-        self.stats.learned = self.clauses.iter().filter(|c| c.learned).count() as u64;
-        removed
-    }
-
     /// Solves under the given [`SolveParams`] — the solver's single
     /// entry point.
     ///
@@ -809,7 +756,7 @@ impl Solver {
             params.deadline.instant(),
         );
         // Accumulated like the work counters, so derived rates stay
-        // consistent across incremental probes until `stats_reset`.
+        // consistent across repeated calls.
         self.stats.solve_time += started.elapsed();
         result
     }
@@ -1212,31 +1159,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn stats_reset_zeroes_run_counters() {
-        // Pigeonhole forces real search work, so every run counter is
-        // exercised before the reset.
-        let mut s = pigeonhole(5, 4);
-        assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
-        let before = s.stats();
-        assert!(before.conflicts > 0);
-        assert!(before.decisions > 0);
-        assert!(before.propagations > 0);
-
-        s.stats_reset();
-        let after = s.stats();
-        assert_eq!(after.conflicts, 0);
-        assert_eq!(after.decisions, 0);
-        assert_eq!(after.propagations, 0);
-        assert_eq!(after.restarts, 0);
-        // Learned clauses persist across probes; the counter tracks the
-        // database, not the run.
-        assert_eq!(
-            after.learned,
-            s.clauses.iter().filter(|c| c.learned).count() as u64
-        );
-    }
-
-    #[test]
     fn stats_display_names_every_counter() {
         let stats = SolverStats {
             decisions: 1,
@@ -1298,8 +1220,6 @@ pub(crate) mod tests {
             "search work must accumulate solve_time"
         );
         assert!(timed.conflicts_per_sec().unwrap() > 0.0);
-        s.stats_reset();
-        assert!(s.stats().solve_time.is_zero(), "reset clears timing");
     }
 
     #[test]
@@ -1500,44 +1420,6 @@ pub(crate) mod tests {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(msg.contains("msat.search"), "payload names the point");
-    }
-
-    #[test]
-    fn retired_activation_literal_frees_guarded_clauses() {
-        // Guard a group of clauses behind activation literal `act`; after
-        // retirement, simplify() must reclaim every guarded clause.
-        let mut s = solver_with_vars(4);
-        let act = lit(1);
-        let x = lit(2);
-        let y = lit(3);
-        s.add_clause([x, y]); // shared clause, survives
-        s.add_clause([act.negated(), x.negated()]); // guarded: act → ¬x
-        s.add_clause([act.negated(), y.negated(), lit(4)]); // guarded
-        let before = s.num_clauses();
-        // Probe under the activation assumption.
-        let r = s.solve_with(&SolveParams::new().assume([act]));
-        assert!(r.is_sat());
-        // Retire: assert ¬act as a root unit and collect.
-        s.add_clause([act.negated()]);
-        let removed = s.simplify();
-        assert!(removed >= 2, "guarded clauses reclaimed, got {removed}");
-        assert!(s.num_clauses() < before);
-        // The shared clause still constrains the formula.
-        let m = sat_model(s.solve_with(&SolveParams::new()));
-        assert!(m.lit_value(x) || m.lit_value(y));
-    }
-
-    #[test]
-    fn simplify_preserves_verdicts_mid_session() {
-        // Interleave solving and GC on a nontrivial instance; the final
-        // verdict must be unaffected.
-        let mut s = pigeonhole(6, 5);
-        assert_eq!(
-            s.solve_with(&SolveParams::new().budget(5)),
-            BoundedResult::BudgetExceeded
-        );
-        s.simplify();
-        assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
     }
 
     #[test]

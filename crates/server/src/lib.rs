@@ -13,17 +13,18 @@
 //! * a content-addressed result cache keyed by
 //!   [`bestagon_core::FlowRequest::fingerprint`] — an identical
 //!   circuit+options pair is answered from memory, honestly marked
-//!   `cache_hit`;
-//! * one warm [`fcn_pnr::SessionPool`] per worker, so repeat netlists
-//!   start their SAT scans from learned clauses instead of cold.
+//!   `cache_hit`.
+//!
+//! No SAT solver state is kept between jobs: every exact P&R probe runs
+//! on a fresh solver.
 //!
 //! Admission control never hangs a client: a saturated queue rejects at
 //! submit with a typed [`RejectReason`], a job whose deadline expired
 //! while queued is rejected at dequeue, and shutdown drains the queue
 //! with rejections before the workers exit. Results are deterministic
-//! at any worker count — each job runs wholly on one worker, and both
-//! the session pool and the simulation cache are pure work
-//! optimizations whose presence never changes an artifact byte.
+//! at any worker count — each job runs wholly on one worker, and the
+//! simulation cache is a pure work optimization whose presence never
+//! changes an artifact byte.
 //!
 //! The flow workers share one executor width ([`fcn_budget::exec`]):
 //! parallel stages inside concurrent jobs draw pool threads from the
@@ -42,7 +43,6 @@ use std::thread::JoinHandle;
 
 use bestagon_core::flow::{FlowRequest, FlowResult};
 use fcn_budget::{exec, Deadline};
-use fcn_pnr::SessionPool;
 use fcn_telemetry::json::Value;
 use fcn_telemetry::{Registry, RegistrySnapshot};
 use sidb_sim::SimCache;
@@ -416,11 +416,8 @@ impl Drop for Server {
     }
 }
 
-/// One worker: a private warm session pool, then block-pop-run until
-/// shutdown. Jobs never migrate mid-run, so reuse patterns (and
-/// therefore work counters) match the sequential engine's.
+/// One worker: block-pop-run until shutdown.
 fn worker_loop(shared: &Shared) {
-    let pool = SessionPool::new();
     loop {
         let job = {
             let mut queue = shared.queue.lock().unwrap();
@@ -434,12 +431,12 @@ fn worker_loop(shared: &Shared) {
                 queue = shared.available.wait(queue).unwrap();
             }
         };
-        process(shared, &pool, job);
+        process(shared, job);
     }
 }
 
 /// Runs (or replays, or rejects) one job and answers its ticket.
-fn process(shared: &Shared, pool: &SessionPool, job: Job) {
+fn process(shared: &Shared, job: Job) {
     let registry = Registry::global();
     if job.deadline.expired() {
         registry.add_counter("server.rejected", 1);
@@ -468,14 +465,11 @@ fn process(shared: &Shared, pool: &SessionPool, job: Job) {
         return;
     }
 
-    // Cold: run the flow with the shared engines installed — unless the
+    // Cold: run the flow with the shared cache installed — unless the
     // client pinned its own, which always wins.
     let mut request = job.request;
     if request.options.sim_cache.is_none() {
         request.options.sim_cache = Some(shared.sim_cache.clone());
-    }
-    if request.options.session_pool.is_none() {
-        request.options.session_pool = Some(pool.clone());
     }
     let outcome = request.execute();
     registry.add_counter("server.jobs", 1);

@@ -93,7 +93,6 @@ fn graph_for(name: &str) -> NetGraph {
 fn cartesian_scans_match_the_recorded_figure3_pins() {
     let options = ExactOptions {
         max_area: 120,
-        incremental: false,
         ..Default::default()
     };
     for pin in PINS {

@@ -183,7 +183,6 @@ fn shared_state_is_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<sidb_sim::SimCache>();
     assert_send_sync::<sidb_sim::DefectMap>();
-    assert_send_sync::<fcn_pnr::SessionPool>();
     assert_send_sync::<fcn_telemetry::Registry>();
     assert_send_sync::<bestagon_core::flow::FlowRequest>();
     assert_send_sync::<bestagon_core::flow::FlowOptions>();

@@ -264,14 +264,17 @@ fn traced_parallel_flow_covers_multiple_worker_threads() {
     let _guard = env_lock();
     let path = std::env::temp_dir().join(format!("bestagon-trace-{}.json", std::process::id()));
     std::env::set_var("TELEMETRY_TRACE", &path);
-    // par_check's exact scan probes three aspect ratios (4x4, 5x4, 4x5),
-    // so a four-wide portfolio demonstrably commits work from several
-    // named worker threads.
-    let b = benchmark("par_check");
+    // t's exact scan commits two aspect-ratio probes (5x7 UNSAT, 5x8
+    // SAT) that run side by side on two workers. Each takes about 10 ms
+    // in a release build and 50 ms in a debug one, longer than a
+    // scheduler time slice, so the second worker starts before the first
+    // could take both; with sub-millisecond probes (par_check's) one
+    // worker sometimes ran every probe on a loaded machine.
+    let b = benchmark("t");
     let options = FlowOptions::new().with_pnr(PnrMethod::ExactWithFallback { max_area: 40 });
-    let result = with_width(4, || run("par_check", &b.xag, &options));
+    let result = with_width(4, || run("t", &b.xag, &options));
     std::env::remove_var("TELEMETRY_TRACE");
-    let report = result.expect("par_check flows end to end").report;
+    let report = result.expect("t flows end to end").report;
     let _ = std::fs::remove_file(&path);
 
     assert!(!report.events.is_empty(), "tracing was enabled");
