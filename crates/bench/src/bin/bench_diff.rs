@@ -1,5 +1,6 @@
 //! `bench-diff` — a regression gate over two benchmark JSON files
-//! (`BENCH_table1.json`, `BENCH_opdomain.json`, or `BENCH_yield.json`).
+//! (`BENCH_table1.json`, `BENCH_opdomain.json`, `BENCH_yield.json` or
+//! `BENCH_sim.json`).
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_diff -- \
@@ -11,10 +12,12 @@
 //! differently, matching the determinism contract in `DESIGN.md` §11:
 //!
 //! * **Deterministic work counters** — layout geometry (`width`,
-//!   `height`, `area_tiles`, `sidbs`, `area_nm2`), SAT `conflicts`, and
-//!   simulator `visited` states. These are byte-reproducible when both
-//!   runs use `THREADS=1`, so the gate is symmetric and strict: any relative change beyond `--work-tol`
-//!   (default `0.0`, i.e. exact) is a failure. A *decrease* fails too —
+//!   `height`, `area_tiles`, `sidbs`, `area_nm2`), SAT `conflicts`,
+//!   simulator `visited`/`pruned`/`truncated` counts and spectrum
+//!   hashes. These are byte-reproducible when both runs use
+//!   `THREADS=1`, so the gate is symmetric and strict: any relative
+//!   change beyond `--work-tol` (default `0.0`, i.e. exact; hashes are
+//!   always exact) is a failure. A *decrease* fails too —
 //!   it means the baseline is stale and should be regenerated, not that
 //!   the code got faster.
 //! * **Wall-clock seconds** — noisy on shared CI runners, so the gate is
@@ -60,6 +63,10 @@ const STRICT_FIELDS: &[&str] = &[
     "surfaces",
     "aware_ok",
     "blind_ok",
+    // Simulation-kernel benchmarks (BENCH_sim.json).
+    "pruned",
+    "truncated",
+    "spectra_hash",
 ];
 
 struct Options {
@@ -148,12 +155,18 @@ fn compare_entry(name: &str, base: &Value, cur: &Value, opts: &Options, out: &mu
             // CI baseline is regenerated whenever the schema grows.
             continue;
         };
+        // A hash has no magnitude: any change fails.
+        let tol = if field.ends_with("_hash") {
+            0.0
+        } else {
+            opts.work_tol
+        };
         let scale = before.abs().max(1.0);
-        if (after - before).abs() > opts.work_tol * scale {
+        if (after - before).abs() > tol * scale {
             out.push(format!(
                 "{name}: {field} changed {before} -> {after} \
                  (tolerance {:.1}%)",
-                opts.work_tol * 100.0
+                tol * 100.0
             ));
         }
     }
@@ -290,6 +303,30 @@ mod tests {
             &mut failures,
         );
         assert!(failures.is_empty(), "{failures:?}");
+    }
+
+    #[test]
+    fn hash_change_fails_under_any_work_tol() {
+        let with_hash = |hash: f64| {
+            Value::Obj(vec![
+                ("name".to_owned(), Value::Str("wire".to_owned())),
+                ("spectra_hash".to_owned(), Value::Num(hash)),
+            ])
+        };
+        let o = Options {
+            work_tol: 0.05,
+            ..opts()
+        };
+        let mut failures = Vec::new();
+        compare_entry(
+            "wire",
+            &with_hash(1000.0),
+            &with_hash(1001.0),
+            &o,
+            &mut failures,
+        );
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("spectra_hash"), "{failures:?}");
     }
 
     #[test]

@@ -1,22 +1,17 @@
 //! Benchmark harness for the Bestagon reproduction.
 //!
-//! The Criterion benches in `benches/` measure the runtime of every stage
-//! of the design flow and of the physical-simulation engines, one bench
-//! target per paper artifact or ablation:
+//! The binaries in `src/bin` regenerate the committed `BENCH_*.json`
+//! baselines, and `bench_diff` gates a fresh run against them:
 //!
-//! | target | paper artifact |
-//! |---|---|
-//! | `table1` | Table 1 flow runs (small/medium benchmarks) |
-//! | `fig1_simulation` | Figure 1c ground-state search |
-//! | `fig5_gates` | Figure 5 tile validation |
-//! | `ablation_engines` | ExGS vs QuickExact vs SimAnneal scaling |
-//! | `ablation_pnr` | exact vs heuristic physical design (A2) |
-//! | `ablation_synthesis` | XAG vs AIG, rewriting on/off (A1/A3) |
+//! | binary | writes | measures |
+//! |---|---|---|
+//! | `bench_opdomain` | `BENCH_opdomain.json` | adaptive vs dense operational-domain sweeps |
+//! | `bench_yield` | `BENCH_yield.json` | defect-aware vs defect-blind yield |
+//! | `bench_sim` | `BENCH_sim.json` | the QuickExact kernel on every Figure 5 pattern |
+//! | `bench_diff` | — | the regression gate over two of these files |
 //!
-//! The row/series *values* the paper reports are regenerated by the
-//! runnable examples in the repository root (`cargo run --example
-//! table1`, `fig1_or_gate`, …); the benches complement them with timing
-//! data.
+//! `BENCH_table1.json` comes from the `table1` example in the
+//! repository root (`cargo run --release --example table1`).
 
 use bestagon_core::benchmarks::benchmark;
 use bestagon_core::flow::{FlowOptions, FlowRequest, FlowResult, PnrMethod};

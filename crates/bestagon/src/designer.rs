@@ -656,8 +656,7 @@ pub fn design_canvas(
         "designer",
         Some("designer.restart"),
         restarts,
-        || (),
-        |_, idx, cancel| run_restart(&ctx, idx, cancel),
+        |idx, cancel| run_restart(&ctx, idx, cancel),
         |_, outcome| {
             if outcome.perfect {
                 Signal::Cut

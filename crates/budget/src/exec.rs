@@ -24,9 +24,7 @@
 //! # Contract
 //!
 //! * Units are dispatched in index order; at width 1 (or when no
-//!   threads are free) they run inline on the caller with one context.
-//! * Each worker builds one context with `make_ctx` and reuses it for
-//!   every unit it runs.
+//!   threads are free) they run inline on the caller.
 //! * Every unit gets a fresh [`CancelFlag`]. After a unit finishes the
 //!   caller's `signal` decides what happens next ([`Signal`]).
 //! * A unit that panics is isolated: dispatch halts, in-flight units
@@ -215,12 +213,11 @@ enum Step<T> {
 
 /// Runs one unit: the fault point, then the work under `catch_unwind`
 /// (and a child collector named `name` when `instrument`).
-fn step<Ctx, T>(
+fn step<T>(
     name: &str,
     fault_point: Option<&str>,
     instrument: bool,
-    work: impl FnOnce(&mut Ctx) -> T,
-    ctx: &mut Ctx,
+    work: impl FnOnce() -> T,
 ) -> Step<T> {
     if let Some(point) = fault_point {
         match catch_unwind(|| fault::check(point)) {
@@ -231,10 +228,10 @@ fn step<Ctx, T>(
     }
     let ran = catch_unwind(AssertUnwindSafe(|| {
         if !instrument {
-            return (work(ctx), None);
+            return (work(), None);
         }
         let child = Arc::new(Collector::new(name));
-        let value = fcn_telemetry::with_collector(&child, || work(ctx));
+        let value = fcn_telemetry::with_collector(&child, work);
         child.finish();
         (value, Some(child.report()))
     }));
@@ -259,23 +256,20 @@ struct State<T> {
 /// Runs `units` numbered units and returns their results in index
 /// order (see the [module docs](self) for the contract).
 ///
-/// `work(ctx, index, cancel)` runs one unit with its worker's context;
-/// `signal(index, &result)` is asked after every unit that finished
-/// without being cancelled. `name` labels the pool threads
-/// (`<name>-worker-<i>`) and child collectors; `fault_point`, when
-/// given, is checked before each unit.
-pub fn run_ordered<Ctx, T, MF, W, S>(
+/// `work(index, cancel)` runs one unit; `signal(index, &result)` is
+/// asked after every unit that finished without being cancelled.
+/// `name` labels the pool threads (`<name>-worker-<i>`) and child
+/// collectors; `fault_point`, when given, is checked before each unit.
+pub fn run_ordered<T, W, S>(
     name: &str,
     fault_point: Option<&str>,
     units: usize,
-    make_ctx: MF,
     work: W,
     signal: S,
 ) -> Run<T>
 where
     T: Send,
-    MF: Fn() -> Ctx + Sync,
-    W: Fn(&mut Ctx, usize, &CancelFlag) -> T + Sync,
+    W: Fn(usize, &CancelFlag) -> T + Sync,
     S: Fn(usize, &T) -> Signal + Sync,
 {
     struct Release<'a>(&'a Share, usize);
@@ -302,7 +296,6 @@ where
     // One worker's loop. With no pool threads the caller runs it, and
     // then nothing is ever in flight beside the current unit.
     let drain = || {
-        let mut ctx = make_ctx();
         loop {
             let (idx, flag) = {
                 let mut s = state.lock().unwrap();
@@ -315,13 +308,7 @@ where
                 s.inflight.push((idx, flag.clone()));
                 (idx, flag)
             };
-            let ran = step(
-                name,
-                fault_point,
-                instrument,
-                |ctx| work(ctx, idx, &flag),
-                &mut ctx,
-            );
+            let ran = step(name, fault_point, instrument, || work(idx, &flag));
             let mut s = state.lock().unwrap();
             s.inflight.retain(|(i, _)| *i != idx);
             match ran {
@@ -336,8 +323,7 @@ where
                     for (_, f) in &s.inflight {
                         f.store(true, Ordering::Relaxed);
                     }
-                    // The context may be poisoned by the unwind; this
-                    // worker retires.
+                    // Dispatch has stopped; this worker retires.
                     break;
                 }
                 Step::Done(_, _) if flag.load(Ordering::Relaxed) => s.cancelled += 1,
@@ -436,14 +422,7 @@ mod tests {
     fn results_merge_in_index_order_at_any_width() {
         for w in [1, 2, 4] {
             let run = with_width(w, || {
-                run_ordered(
-                    "t",
-                    None,
-                    9,
-                    || (),
-                    |_, i, _| i * i,
-                    |_, _| Signal::Continue,
-                )
+                run_ordered("t", None, 9, |i, _| i * i, |_, _| Signal::Continue)
             });
             assert!(run.panicked.is_none() && !run.faulted && run.cancelled == 0);
             let expected: Vec<_> = (0..9).map(|i| Some(i * i)).collect();
@@ -452,64 +431,19 @@ mod tests {
     }
 
     #[test]
-    fn empty_runs_build_no_context() {
-        let built = AtomicUsize::new(0);
+    fn empty_runs_run_nothing() {
         for w in [1, 4] {
             let run = with_width(w, || {
                 run_ordered(
                     "t",
                     None,
                     0,
-                    || built.fetch_add(1, Ordering::Relaxed),
-                    |_, i, _| i,
+                    |_, _| -> usize { unreachable!("no unit to run") },
                     |_, _| Signal::Continue,
                 )
             });
             assert!(results(run).is_empty());
         }
-        assert_eq!(built.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn inline_run_reuses_one_context() {
-        let built = AtomicUsize::new(0);
-        let run = with_width(1, || {
-            run_ordered(
-                "t",
-                None,
-                5,
-                || {
-                    built.fetch_add(1, Ordering::Relaxed);
-                    0usize
-                },
-                |seen, _, _| {
-                    *seen += 1;
-                    *seen
-                },
-                |_, _| Signal::Continue,
-            )
-        });
-        assert_eq!(built.load(Ordering::Relaxed), 1, "one context for the run");
-        // The single context saw every unit, in order.
-        assert_eq!(results(run), (1..=5).map(Some).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pooled_run_builds_at_most_one_context_per_worker() {
-        let built = AtomicUsize::new(0);
-        let run = with_width(3, || {
-            run_ordered(
-                "t",
-                None,
-                8,
-                || built.fetch_add(1, Ordering::Relaxed),
-                |_, i, _| i,
-                |_, _| Signal::Continue,
-            )
-        });
-        assert_eq!(results(run).len(), 8);
-        let n = built.load(Ordering::Relaxed);
-        assert!((1..=3).contains(&n), "one context per worker, got {n}");
     }
 
     #[test]
@@ -519,8 +453,7 @@ mod tests {
                 "sim",
                 None,
                 4,
-                || (),
-                |_, _, _| std::thread::current().name().map(str::to_owned),
+                |_, _| std::thread::current().name().map(str::to_owned),
                 |_, _| Signal::Continue,
             )
         });
@@ -539,8 +472,7 @@ mod tests {
                     "t",
                     None,
                     4,
-                    || (),
-                    |_, i, cancel| {
+                    |i, cancel| {
                         if i >= 2 {
                             spin(cancel);
                         }
@@ -570,8 +502,7 @@ mod tests {
                     "t",
                     None,
                     64,
-                    || (),
-                    |_, i, _| {
+                    |i, _| {
                         if i >= 2 {
                             std::thread::sleep(std::time::Duration::from_millis(2));
                         }
@@ -609,8 +540,7 @@ mod tests {
                     "t",
                     None,
                     4,
-                    || (),
-                    |_, i, cancel| match i {
+                    |i, cancel| match i {
                         1 => panic!("unit exploded"),
                         2 => {
                             spin(cancel);
@@ -636,14 +566,7 @@ mod tests {
             let plan = Arc::new(FaultPlan::single("exec.test", Fault::Panic));
             let scope = fault::install(plan.clone());
             let run = with_width(w, || {
-                run_ordered(
-                    "t",
-                    Some("exec.test"),
-                    4,
-                    || (),
-                    |_, i, _| i,
-                    |_, _| Signal::Continue,
-                )
+                run_ordered("t", Some("exec.test"), 4, |i, _| i, |_, _| Signal::Continue)
             });
             drop(scope);
             // Every unit was lost at the fault point; none halted.
@@ -658,8 +581,7 @@ mod tests {
                     "t",
                     Some("exec.test"),
                     64,
-                    || (),
-                    |_, i, _| {
+                    |i, _| {
                         std::thread::sleep(std::time::Duration::from_millis(1));
                         i
                     },
@@ -682,8 +604,7 @@ mod tests {
                 "t",
                 None,
                 4,
-                || (),
-                |_, _, _| fault::at("exec.work"),
+                |_, _| fault::at("exec.work"),
                 |_, _| Signal::Continue,
             )
         });
@@ -702,8 +623,7 @@ mod tests {
                         "t",
                         None,
                         5,
-                        || (),
-                        |_, i, _| {
+                        |i, _| {
                             let _span = fcn_telemetry::span(format!("unit:{i}"));
                             // Later units finish first under a pool.
                             std::thread::sleep(std::time::Duration::from_millis(
@@ -759,15 +679,13 @@ mod tests {
                     "outer",
                     None,
                     outer,
-                    || (),
-                    |_, _, _| {
+                    |_, _| {
                         busy(&|| {
                             let inner = run_ordered(
                                 "inner",
                                 None,
                                 4,
-                                || (),
-                                |_, i, _| {
+                                |i, _| {
                                     busy(&|| {
                                         std::thread::sleep(std::time::Duration::from_millis(5))
                                     });

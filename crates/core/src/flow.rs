@@ -136,12 +136,14 @@ pub struct FlowOptions {
     /// Physically re-validate the distinct library designs the layout
     /// instantiates (step 7): each design's truth table is checked with
     /// the cached exact simulation engine under the default step cap
-    /// ([`sidb_sim::engine::DEFAULT_MAX_STEPS`]). The step-7 span of
-    /// [`FlowResult::report`] counts `tiles.failing` and, apart from
-    /// them, `tiles.unknown` (designs the cap cut short), each with a
-    /// note naming the tiles, next to the `sidb.*` counters
-    /// (configurations visited/pruned, cache hits). Off by default — the library
-    /// ships pre-validated; turn it on to audit a deployment's tiles.
+    /// ([`sidb_sim::engine::DEFAULT_MAX_STEPS`]) and the flow's deadline.
+    /// The step-7 span of [`FlowResult::report`] counts `tiles.failing`
+    /// and, apart from them, `tiles.unknown` (designs the cap or the
+    /// deadline cut short; a deadline cut is also a
+    /// [`DegradeTrigger::Deadline`] degradation), each with a note
+    /// naming the tiles, next to the `sidb.*` counters (configurations
+    /// visited/pruned, cache hits). Off by default — the library ships
+    /// pre-validated; turn it on to audit a deployment's tiles.
     pub tile_validation: bool,
     /// Wall-clock deadline and per-stage resource budgets. The default
     /// reads the `FLOW_*` environment variables
@@ -614,17 +616,27 @@ impl FlowRequest {
     }
 }
 
-/// FNV-1a over the request content — a fixed algorithm (unlike
-/// `DefaultHasher`) so fingerprints are comparable across runs and Rust
-/// releases.
-struct Fnv64(u64);
+/// 64-bit FNV-1a — a fixed algorithm (unlike `DefaultHasher`), so
+/// request fingerprints and benchmark hashes are comparable across runs
+/// and Rust releases.
+#[derive(Debug, Clone)]
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl Fnv64 {
-    fn new() -> Self {
+    /// The hash of no bytes (the FNV-1a offset basis).
+    #[must_use]
+    pub fn new() -> Self {
         Fnv64(0xcbf2_9ce4_8422_2325)
     }
 
-    fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+    /// Feeds `bytes` into the hash.
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
@@ -632,7 +644,9 @@ impl Fnv64 {
         self
     }
 
-    fn finish(&self) -> u64 {
+    /// The hash of every byte fed so far.
+    #[must_use]
+    pub fn finish(&self) -> u64 {
         self.0
     }
 }
@@ -719,6 +733,22 @@ fn run_instrumented(
         result.report = report;
         result
     })
+}
+
+/// Step 7's simulation parameters: QuickExact under the default step
+/// cap and the flow's `deadline`, so a deadline that expires mid-design
+/// cuts the running simulation and the design reports `Unknown`. A run
+/// under a deadline reads `cache` but stores only finished searches
+/// (see [`sidb_sim::cache`]); without one, validation is exactly the
+/// cached, step-capped run.
+fn validation_sim(deadline: Deadline, cache: Option<sidb_sim::SimCache>) -> sidb_sim::SimParams {
+    let mut sim = sidb_sim::SimParams::new(bestagon_lib::geometry::validation_params())
+        .with_engine(sidb_sim::SimEngine::QuickExact);
+    sim.budget = sim.budget.with_deadline(deadline);
+    if let Some(cache) = cache {
+        sim = sim.with_cache(cache);
+    }
+    sim
 }
 
 /// Paper steps 2–8, each wrapped in its stage span and panic boundary
@@ -1071,34 +1101,15 @@ fn run_flow_steps(name: &str, xag: &Xag, options: &FlowOptions) -> Result<FlowRe
             } else {
                 let designs = bestagon_lib::apply::used_designs(&layout, &library)
                     .map_err(FlowError::Apply)?;
-                let mut sim = sidb_sim::SimParams::new(bestagon_lib::geometry::validation_params())
-                    .with_engine(sidb_sim::SimEngine::QuickExact);
                 let cache = options
                     .sim_cache
                     .clone()
                     .or_else(sidb_sim::SimCache::from_env);
-                if let Some(cache) = cache {
-                    sim = sim.with_cache(cache);
-                }
+                let sim = validation_sim(budget.deadline, cache);
                 let mut validated = 0u64;
                 let mut failing: Vec<String> = Vec::new();
                 let mut unknown: Vec<String> = Vec::new();
                 for design in &designs {
-                    if budget.deadline.expired() {
-                        record(
-                            &mut degradations,
-                            Degradation {
-                                stage: "step7:apply",
-                                trigger: DegradeTrigger::Deadline,
-                                action: "stopped tile validation early".into(),
-                                detail: format!(
-                                    "validated {validated} of {} designs",
-                                    designs.len()
-                                ),
-                            },
-                        );
-                        break;
-                    }
                     match design.check_operational_with(&sim).status {
                         OperationalStatus::Operational => {}
                         OperationalStatus::NonOperational { .. } => {
@@ -1108,6 +1119,25 @@ fn run_flow_steps(name: &str, xag: &Xag, options: &FlowOptions) -> Result<FlowRe
                         OperationalStatus::Unknown { .. } => unknown.push(design.name.clone()),
                     }
                     validated += 1;
+                    // The step cap yields the same `Unknown` on every
+                    // run, but where the deadline cuts the simulation
+                    // running when it expires depends on the wall
+                    // clock, so the result must say it was cut.
+                    if budget.deadline.expired() {
+                        record(
+                            &mut degradations,
+                            Degradation {
+                                stage: "step7:apply",
+                                trigger: DegradeTrigger::Deadline,
+                                action: "cut tile validation short".into(),
+                                detail: format!(
+                                    "deadline expired after {validated} of {} designs",
+                                    designs.len()
+                                ),
+                            },
+                        );
+                        break;
+                    }
                 }
                 fcn_telemetry::counter("tiles.validated", validated);
                 for (name, tiles) in [("tiles.failing", &failing), ("tiles.unknown", &unknown)] {
@@ -1271,6 +1301,19 @@ mod tests {
         // Figure 5); validation reports it honestly rather than hiding it.
         assert!(*apply.counters.get("tiles.failing").unwrap_or(&0) >= 1);
         assert!(r.report.counter_total("sidb.visited") > 0);
+    }
+
+    #[test]
+    fn tile_validation_keeps_the_step_cap_and_adds_the_deadline() {
+        let deadline = Deadline::after_ms(60_000);
+        let capped =
+            fcn_budget::StepBudget::unbounded().with_max_steps(sidb_sim::engine::DEFAULT_MAX_STEPS);
+        assert_eq!(
+            validation_sim(deadline, None).budget,
+            capped.with_deadline(deadline)
+        );
+        // Without a deadline, step 7 runs under the plain step cap.
+        assert_eq!(validation_sim(Deadline::unbounded(), None).budget, capped);
     }
 
     #[test]

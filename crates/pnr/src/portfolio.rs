@@ -172,8 +172,7 @@ where
         "pnr",
         None,
         candidates.len(),
-        || (),
-        |_, idx, cancel| probe(idx, &candidates[idx], cancel),
+        |idx, cancel| probe(idx, &candidates[idx], cancel),
         |_, outcome| {
             if outcome.layout.is_some() {
                 Signal::Cut

@@ -11,10 +11,12 @@
 //!
 //! The key includes the run's step cap (`max_steps`): a spectrum that
 //! cap truncated is served, still marked truncated, only to runs with
-//! the same cap. Runs under a deadline bypass the cache, since where a
-//! deadline cuts a search depends on the wall clock. A truncated result
-//! computed while a fault plan is installed on the thread is never
-//! stored, as an injected `exhaust` may have cut it short.
+//! the same cap. Runs under a deadline read the cache, but their
+//! truncated results are never stored, since where a deadline cuts a
+//! search depends on the wall clock; a search that finished under a
+//! deadline is exactly the search without one. Nor is a truncated
+//! result computed while a fault plan is installed on the thread, as an
+//! injected `exhaust` may have cut it short.
 //!
 //! The cache hosts the `sidb.cache` fault-injection point: any injected
 //! fault (a poisoned store, a panic mid-lookup) makes the cache behave

@@ -141,8 +141,8 @@ impl SimParams {
         self
     }
 
-    /// Shares results through `cache`. Runs under a deadline bypass it
-    /// (their spectra depend on the wall clock); see [`crate::cache`].
+    /// Shares results through `cache`. A run under a deadline reads it
+    /// but stores only searches that finished; see [`crate::cache`].
     #[must_use]
     pub fn with_cache(mut self, cache: SimCache) -> Self {
         self.cache = Some(cache);
@@ -260,13 +260,11 @@ pub(crate) fn simulate_with_matrix(
     params: &SimParams,
     matrix: Option<&InteractionMatrix>,
 ) -> SimResult {
-    // A deadline makes the spectrum depend on the wall clock. External
-    // potentials (surface defects) are absolute-position facts, but
-    // cache keys are translation-invariant — defect-aware runs must not
-    // share entries with pristine ones. Both bypass the cache.
-    let cacheable = !params.budget.deadline.is_bounded()
-        && params.cache.is_some()
-        && matrix.is_none_or(|m| !m.has_external());
+    // External potentials (surface defects) are absolute-position
+    // facts, but cache keys are translation-invariant — defect-aware
+    // runs must not share entries with pristine ones, so they bypass
+    // the cache.
+    let cacheable = params.cache.is_some() && matrix.is_none_or(|m| !m.has_external());
     if cacheable {
         let cache = params.cache.as_ref().expect("checked");
         let key = crate::cache::SimKey::for_simulation(layout, params);
@@ -284,9 +282,11 @@ pub(crate) fn simulate_with_matrix(
         fcn_telemetry::histogram("sidb.cache_lookup", 0);
         let mut result = simulate_core(layout, params, matrix);
         result.stats.cache_misses = 1;
-        // A truncation an injected fault may have caused is not a
-        // property of the key.
-        if !result.truncated || fcn_budget::fault::current().is_none() {
+        // A truncation the deadline or an injected fault may have
+        // caused is not a property of the key.
+        if !result.truncated
+            || (!params.budget.deadline.is_bounded() && fcn_budget::fault::current().is_none())
+        {
             cache.store(key, &result.states, result.truncated);
         }
         return result;
@@ -409,8 +409,7 @@ where
         "sim",
         Some("sidb.partition"),
         units,
-        || (),
-        |_, idx, _| unit(idx),
+        |idx, _| unit(idx),
         |_, _| Signal::Continue,
     );
     let mut recovered = 0;
@@ -1133,13 +1132,39 @@ mod tests {
         assert_eq!(exact.stats.cache_misses, 1);
         assert!(!exact.truncated);
         assert_eq!(cache.len(), 2);
-        // A deadline bypasses the cache altogether.
+        // A run under a deadline reads entries computed without one.
         let budget = default
             .budget
             .with_deadline(fcn_budget::Deadline::after_ms(600_000));
         let timed = simulate_with(&layout, &default.clone().with_budget(budget));
-        assert_eq!(timed.stats.cache_hits + timed.stats.cache_misses, 0);
+        assert_eq!(timed.stats.cache_hits, 1);
         assert_eq!(timed.states, exact.states);
+    }
+
+    #[test]
+    fn deadline_runs_store_only_finished_searches() {
+        let layout = chain(6);
+        let cache = SimCache::new();
+        let timed = |ms| {
+            let params = SimParams::new(PhysicalParams::default()).with_cache(cache.clone());
+            let budget = params
+                .budget
+                .with_deadline(fcn_budget::Deadline::after_ms(ms));
+            simulate_with(&layout, &params.with_budget(budget))
+        };
+        // An expired deadline cuts the search; the cut spectrum is not
+        // a property of the key, so it is not stored.
+        let cut = timed(0);
+        assert!(cut.truncated);
+        assert_eq!(cut.stats.cache_misses, 1);
+        assert!(cache.is_empty());
+        // A search the deadline let finish is stored and served.
+        let finished = timed(600_000);
+        assert!(!finished.truncated);
+        assert_eq!(cache.len(), 1);
+        let again = timed(600_000);
+        assert_eq!(again.stats.cache_hits, 1);
+        assert_eq!(again.states, finished.states);
     }
 
     #[test]

@@ -17,6 +17,16 @@
 //! few hundred branches, making exact validation cheap enough to sit in
 //! the inner loop of the automated gate designer.
 //!
+//! The search works in *position* space. Each cluster's interaction
+//! matrix is permuted once into the order the search assigns sites in,
+//! and the potentials, the assigned charges (a `bool` mask) and the
+//! remaining-interaction table (transposed: one row per depth) are
+//! indexed by position, so every per-node loop streams a contiguous
+//! slice. Each potential gets the same float operations in the same
+//! order as a site-indexed search would give it (the permuted diagonal
+//! adds an exact zero), so node counts and spectra do not depend on the
+//! layout of the search state.
+//!
 //! Under an interaction cutoff the layout may decompose into independent
 //! clusters; each cluster is an independent partition unit solved across
 //! the ordered executor, and the per-cluster spectra are merged
@@ -170,14 +180,20 @@ fn solve_connected(
         order
     };
 
-    // rem[i][a] = Σ_{t ≥ a} v(i, order[t]): the maximum additional
-    // (negative) potential site i can still receive from undecided sites.
+    // The search runs in position space: position `a` holds site
+    // `order[a]`, and every per-node loop streams a contiguous slice.
+    // w[a·n + b] = v(order[a], order[b]) (zero diagonal).
+    let w: Vec<f64> = order
+        .iter()
+        .flat_map(|&i| order.iter().map(move |&j| m.interaction(i, j)))
+        .collect();
+    // rem[d·n + a] = Σ_{t ≥ d} w[a·n + t]: the maximum additional
+    // (negative) potential position a can still receive from undecided
+    // positions at depth d — one row per depth.
     let mut rem = vec![0.0f64; n * (n + 1)];
-    for i in 0..n {
-        for a in (0..n).rev() {
-            let j = order[a];
-            let v = if i == j { 0.0 } else { m.interaction(i, j) };
-            rem[i * (n + 1) + a] = rem[i * (n + 1) + a + 1] + v;
+    for d in (0..n).rev() {
+        for a in 0..n {
+            rem[d * n + a] = rem[(d + 1) * n + a] + w[a * n + d];
         }
     }
 
@@ -185,9 +201,13 @@ fn solve_connected(
         m: &'a InteractionMatrix,
         mu: f64,
         order: &'a [usize],
+        w: &'a [f64],
         rem: &'a [f64],
         n: usize,
-        states: Vec<ChargeState>,
+        /// Per position: is the assigned site negative? (`false` from
+        /// `depth` on.)
+        negative: Vec<bool>,
+        /// Per position: the local potential.
         potentials: Vec<f64>,
         energy: f64,
         num_negative: usize,
@@ -199,10 +219,6 @@ fn solve_connected(
     }
 
     impl Search<'_> {
-        fn remaining(&self, i: usize, depth: usize) -> f64 {
-            self.rem[i * (self.n + 1) + depth]
-        }
-
         /// Branch-and-bound cut: a lower bound on the free energy of any
         /// completion of the current partial assignment. Adding a negative
         /// at undecided site `j` changes `F` by at least `μ − V_j`
@@ -210,8 +226,8 @@ fn solve_connected(
         /// undecided sites contribute at least `min(0, μ − V_j)` each.
         fn free_energy_lower_bound(&self, depth: usize) -> f64 {
             let mut lb = self.energy + self.mu * self.num_negative as f64;
-            for &j in &self.order[depth..] {
-                let gain = self.mu - self.potentials[j];
+            for &v in &self.potentials[depth..] {
+                let gain = self.mu - v;
                 if gain < 0.0 {
                     lb += gain;
                 }
@@ -239,25 +255,19 @@ fn solve_connected(
         }
 
         /// Checks whether the partial assignment can still extend to a
-        /// population-stable configuration.
+        /// population-stable configuration: no assigned negative below
+        /// `μ−`, no assigned neutral that cannot reach it.
         fn viable(&self, depth: usize) -> bool {
             const EPS: f64 = 1e-9;
-            for &i in &self.order[..depth] {
-                match self.states[i] {
-                    ChargeState::Negative => {
-                        if self.potentials[i] < self.mu - EPS {
-                            return false;
-                        }
-                    }
-                    ChargeState::Neutral => {
-                        if self.potentials[i] - self.remaining(i, depth) > self.mu + EPS {
-                            return false;
-                        }
-                    }
-                    ChargeState::Positive => unreachable!("two-state search"),
-                }
-            }
-            true
+            let (lo, hi) = (self.mu - EPS, self.mu + EPS);
+            let rem = &self.rem[depth * self.n..][..depth];
+            self.potentials[..depth]
+                .iter()
+                .zip(&self.negative[..depth])
+                .zip(rem)
+                .fold(true, |ok, ((&v, &neg), &r)| {
+                    ok & if neg { v >= lo } else { v - r <= hi }
+                })
         }
 
         fn recurse(&mut self, depth: usize) {
@@ -272,7 +282,13 @@ fn solve_connected(
                 return;
             }
             if depth == self.n {
-                let config = ChargeConfiguration::from_states(self.states.clone());
+                let mut states = vec![ChargeState::Neutral; self.n];
+                for (&site, &neg) in self.order.iter().zip(&self.negative) {
+                    if neg {
+                        states[site] = ChargeState::Negative;
+                    }
+                }
+                let config = ChargeConfiguration::from_states(states);
                 if !config.is_configuration_stable(self.m) {
                     return;
                 }
@@ -284,42 +300,37 @@ fn solve_connected(
                 });
                 return;
             }
-            let site = self.order[depth];
+            let row = &self.w[depth * self.n..][..self.n];
             // Branch 1: negative (viable only if the site's potential can
             // stay above μ−, i.e. is above it right now).
-            if self.potentials[site] >= self.mu - EPS {
-                self.states[site] = ChargeState::Negative;
-                self.energy -= self.potentials[site];
+            if self.potentials[depth] >= self.mu - EPS {
+                self.negative[depth] = true;
+                self.energy -= self.potentials[depth];
                 self.num_negative += 1;
-                for j in 0..self.n {
-                    if j != site {
-                        self.potentials[j] -= self.m.interaction(site, j);
-                    }
+                for (v, &w) in self.potentials.iter_mut().zip(row) {
+                    *v -= w;
                 }
                 if self.viable(depth + 1) {
                     self.recurse(depth + 1);
                 } else {
                     self.viability_prunes += 1;
                 }
-                for j in 0..self.n {
-                    if j != site {
-                        self.potentials[j] += self.m.interaction(site, j);
-                    }
+                for (v, &w) in self.potentials.iter_mut().zip(row) {
+                    *v += w;
                 }
                 self.num_negative -= 1;
-                self.energy += self.potentials[site];
+                self.energy += self.potentials[depth];
+                self.negative[depth] = false;
             }
             // Branch 2: neutral (viable only if remaining sites can still
             // push the potential below μ−).
-            if self.potentials[site] - self.remaining(site, depth + 1) <= self.mu + EPS {
-                self.states[site] = ChargeState::Neutral;
+            if self.potentials[depth] - self.rem[(depth + 1) * self.n + depth] <= self.mu + EPS {
                 if self.viable(depth + 1) {
                     self.recurse(depth + 1);
                 } else {
                     self.viability_prunes += 1;
                 }
             }
-            self.states[site] = ChargeState::Neutral;
         }
     }
 
@@ -327,11 +338,12 @@ fn solve_connected(
         m,
         mu: params.mu_minus,
         order: &order,
+        w: &w,
         rem: &rem,
         n,
-        states: vec![ChargeState::Neutral; n],
+        negative: vec![false; n],
         potentials: match m.external_slice() {
-            Some(ext) => ext.to_vec(),
+            Some(ext) => order.iter().map(|&i| ext[i]).collect(),
             None => vec![0.0; n],
         },
         energy: 0.0,
@@ -591,6 +603,83 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn agrees_with_gray_code_sweep_under_external_potentials() {
+        // Per-site external potentials enter the search permuted into
+        // its position order; every state of the k-best spectrum must
+        // match the exhaustive sweep's.
+        let params = PhysicalParams::default();
+        let mut multi_state = 0;
+        for seed in 1..40u64 {
+            let mut s = seed;
+            let mut rand = move || {
+                s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                s >> 11
+            };
+            let mut layout = SidbLayout::new();
+            while layout.num_sites() < 10 {
+                layout.add_site((
+                    (rand() % 10) as i32,
+                    (rand() % 6) as i32,
+                    (rand() % 2) as u8,
+                ));
+            }
+            let ext: Vec<f64> = (0..layout.num_sites())
+                .map(|_| (rand() as f64 / (1u64 << 53) as f64 - 0.5) * 0.1)
+                .collect();
+            let m = InteractionMatrix::new(&layout, &params).with_external(ext);
+            let run = |engine| {
+                let sim = SimParams::new(params).with_engine(engine).with_k(3);
+                engine::simulate_with_matrix(&layout, &sim, Some(&m)).states
+            };
+            let slow = run(SimEngine::Exhaustive);
+            let fast = run(SimEngine::QuickExact);
+            assert_eq!(slow.len(), fast.len(), "seed {seed}");
+            multi_state += usize::from(slow.len() > 1);
+            for (a, b) in slow.iter().zip(&fast) {
+                assert_eq!(a.config, b.config, "seed {seed}");
+                assert!(
+                    (a.free_energy - b.free_energy).abs() < 1e-9,
+                    "seed {seed}: {} vs {}",
+                    a.free_energy,
+                    b.free_energy
+                );
+            }
+        }
+        assert!(multi_state > 0, "no seed exercises k > 1");
+    }
+
+    #[test]
+    fn wire_pattern_search_is_pinned() {
+        // Figure 5 WIRE (NW→SW) under input pattern 1, perturbers
+        // included. The node counts pin the branch-and-bound's exact
+        // node sequence: a kernel change that reorders or re-prunes
+        // the search fails here.
+        let layout = SidbLayout::from_sites([
+            (14, -2, 1),
+            (14, 1, 0),
+            (14, 4, 0),
+            (14, 7, 0),
+            (14, 10, 0),
+            (14, 13, 0),
+            (14, 16, 0),
+            (14, 19, 0),
+            (14, 22, 0),
+            (15, 25, 0),
+            (16, 1, 0),
+            (16, 4, 0),
+            (16, 7, 0),
+            (16, 10, 0),
+            (16, 13, 0),
+            (16, 16, 0),
+            (16, 19, 0),
+            (16, 22, 0),
+        ]);
+        let result = simulate_with(&layout, &SimParams::new(PhysicalParams::default()));
+        assert!(!result.truncated);
+        assert_eq!((result.stats.visited, result.stats.pruned), (900, 251));
     }
 
     #[test]

@@ -650,3 +650,83 @@ fn injected_opdomain_point_exhaust_skips_honestly() {
         assert_eq!(domain.stats.skipped, 1);
     })
 }
+
+/// A deadline that expires while step 7 validates tiles cuts the running
+/// simulation instead of letting it finish: the flow returns promptly,
+/// reports a step-7 deadline degradation (so no result cache mistakes
+/// the cut verdicts for complete ones), and never lists a design the
+/// deadline cut short as failing.
+#[test]
+fn deadline_during_tile_validation_cuts_the_simulation() {
+    use bestagon_lib::apply::used_designs;
+    use bestagon_lib::geometry::validation_params;
+    use bestagon_lib::tiles::BestagonLibrary;
+    use sidb_sim::operational::OperationalStatus;
+    use std::time::{Duration, Instant};
+
+    let b = benchmark("mux21");
+    let started = Instant::now();
+    run("mux21", &b.xag, &unbounded()).expect("flow");
+    let steps_1_to_6 = started.elapsed();
+    // mux21 places a CROSS tile, whose validation runs for seconds (to
+    // the default step cap), so a deadline a little after step 6
+    // expires during step 7.
+    for slack_ms in [300, 1_000, 4_000] {
+        let window = steps_1_to_6 * 3 + Duration::from_millis(slack_ms);
+        let options = FlowOptions::new()
+            .with_tile_validation()
+            .with_budget(FlowBudget::unbounded().with_deadline(Deadline::after(window)));
+        let started = Instant::now();
+        let r = run("mux21", &b.xag, &options).expect("a deadline degrades, never errors");
+        let elapsed = started.elapsed();
+        let step7_deadline: Vec<&str> = r
+            .degradations
+            .iter()
+            .filter(|d| d.stage == "step7:apply" && d.trigger == DegradeTrigger::Deadline)
+            .map(|d| d.action.as_str())
+            .collect();
+        if step7_deadline.contains(&"skipped physical tile validation") {
+            // A loaded machine outlasted the window before step 7.
+            continue;
+        }
+        let apply = r.report.root.child("step7:apply").expect("apply stage");
+        let names = |key: &str| -> Vec<String> {
+            apply
+                .notes
+                .get(key)
+                .map(|s| s.split(", ").map(str::to_owned).collect())
+                .unwrap_or_default()
+        };
+        // Step 7 of mux21 runs for seconds (CROSS alone reaches the
+        // step cap, so `tiles.unknown` proves nothing here): only the
+        // deadline can leave this degradation.
+        assert!(
+            step7_deadline.contains(&"cut tile validation short"),
+            "the deadline cut step 7 without a trace: {:?}",
+            r.degradations
+        );
+        assert!(
+            elapsed < window + Duration::from_secs(5),
+            "the flow ran {elapsed:?} against a {window:?} deadline"
+        );
+        // Every design reported failing read wrong under a complete
+        // simulation, so a validation without a deadline agrees.
+        let designs = used_designs(&r.layout, &BestagonLibrary::new()).expect("designs");
+        let sim = sidb_sim::SimParams::new(validation_params());
+        for name in names("tiles.failing") {
+            let design = designs
+                .iter()
+                .find(|d| d.name == name)
+                .expect("a used design");
+            assert!(
+                matches!(
+                    design.check_operational_with(&sim).status,
+                    OperationalStatus::NonOperational { .. }
+                ),
+                "{name} was reported failing"
+            );
+        }
+        return;
+    }
+    panic!("steps 1-6 never finished inside the deadline window");
+}
