@@ -1,6 +1,6 @@
 //! `bench-diff` — a regression gate over two benchmark JSON files
-//! (`BENCH_table1.json`, `BENCH_opdomain.json`, `BENCH_yield.json` or
-//! `BENCH_sim.json`).
+//! (`BENCH_table1.json`, `BENCH_opdomain.json`, `BENCH_yield.json`,
+//! `BENCH_sim.json` or `BENCH_sat.json`).
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_diff -- \
@@ -13,13 +13,13 @@
 //!
 //! * **Deterministic work counters** — layout geometry (`width`,
 //!   `height`, `area_tiles`, `sidbs`, `area_nm2`), SAT `conflicts`,
-//!   simulator `visited`/`pruned`/`truncated` counts and spectrum
-//!   hashes. These are byte-reproducible when both runs use
-//!   `THREADS=1`, so the gate is symmetric and strict: any relative
-//!   change beyond `--work-tol` (default `0.0`, i.e. exact; hashes are
-//!   always exact) is a failure. A *decrease* fails too —
-//!   it means the baseline is stale and should be regenerated, not that
-//!   the code got faster.
+//!   `decisions` and `propagations`, simulator `visited`/`pruned`/
+//!   `truncated` counts and spectrum hashes. These are
+//!   byte-reproducible when both runs use `THREADS=1`, so the gate is
+//!   symmetric and strict: any relative change beyond `--work-tol`
+//!   (default `0.0`, i.e. exact; hashes are always exact) is a
+//!   failure. A *decrease* fails too — it means the baseline is stale
+//!   and should be regenerated, not that the code got faster.
 //! * **Wall-clock seconds** — noisy on shared CI runners, so the gate is
 //!   one-sided (only slowdowns count) and generous: the new time may
 //!   exceed the baseline by up to `--wall-tol` (default `0.5`, i.e.
@@ -67,6 +67,9 @@ const STRICT_FIELDS: &[&str] = &[
     "pruned",
     "truncated",
     "spectra_hash",
+    // SAT-kernel benchmarks (BENCH_sat.json).
+    "decisions",
+    "propagations",
 ];
 
 struct Options {

@@ -11,7 +11,8 @@
 //!
 //! * conflict-driven clause learning with first-UIP cuts and
 //!   non-chronological backjumping,
-//! * two-watched-literal propagation,
+//! * two-watched-literal propagation over one flat clause arena (the
+//!   private `cdb` module) and a value byte per literal,
 //! * exponential VSIDS branching with phase saving,
 //! * Luby-sequence restarts,
 //! * activity-based learned-clause database reduction.
@@ -42,6 +43,7 @@
 //! ```
 
 mod builder;
+mod cdb;
 pub mod dimacs;
 mod solver;
 mod types;

@@ -1,11 +1,20 @@
 //! The CDCL search engine.
+//!
+//! Clauses live in the flat arena of `cdb.rs`, referenced by
+//! header offset from watchers and reasons; assignments live in a
+//! value byte per literal code. The search order is pinned by the
+//! trajectory tests at the bottom of this file.
 
+use crate::cdb::{ClauseDb, ClauseRef, NO_CLAUSE};
 use crate::types::{Lit, Var};
 use fcn_budget::Deadline;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+// The entries of `Solver::value`, one per literal code.
+const FALSE: u8 = 0;
+const TRUE: u8 = 1;
 const UNASSIGNED: u8 = 2;
 
 /// Result of a [`Solver::solve_with`] call.
@@ -240,22 +249,43 @@ impl std::ops::Add for SolverStats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-    learned: bool,
-    activity: f64,
-    /// Literal block distance — the number of distinct decision levels
-    /// among the clause's literals at learn time (glucose). Lower is
-    /// better; "glue" clauses (LBD ≤ 2) are never garbage-collected.
-    /// `0` for original clauses, which are never reduced anyway.
-    lbd: u32,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Watcher {
-    clause: u32,
+    clause: ClauseRef,
     blocker: Lit,
+}
+
+/// Per-level stamps for O(clause) LBD computation.
+#[derive(Debug, Default)]
+struct LevelStamps {
+    stamps: Vec<u64>,
+    counter: u64,
+}
+
+impl LevelStamps {
+    /// Literal block distance (glucose): the number of distinct decision
+    /// levels among `lits`, whose variables must all be assigned.
+    /// Root-level literals are not counted: they are semantically fixed
+    /// and do not block anything. Lower is better; "glue" clauses
+    /// (LBD ≤ 2) are never garbage-collected.
+    fn lbd(&mut self, level: &[u32], lits: impl IntoIterator<Item = Lit>) -> u32 {
+        self.counter += 1;
+        let mut lbd = 0u32;
+        for l in lits {
+            let lvl = level[l.var().index()] as usize;
+            if lvl == 0 {
+                continue;
+            }
+            if lvl >= self.stamps.len() {
+                self.stamps.resize(lvl + 1, 0);
+            }
+            if self.stamps[lvl] != self.counter {
+                self.stamps[lvl] = self.counter;
+                lbd += 1;
+            }
+        }
+        lbd
+    }
 }
 
 /// A CDCL SAT solver.
@@ -263,11 +293,12 @@ struct Watcher {
 /// See the [crate-level documentation](crate) for an overview and example.
 #[derive(Debug, Default)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    db: ClauseDb,
     watches: Vec<Vec<Watcher>>,
-    assign: Vec<u8>,
+    /// [`TRUE`], [`FALSE`] or [`UNASSIGNED`], indexed by literal code.
+    value: Vec<u8>,
     level: Vec<u32>,
-    reason: Vec<u32>,
+    reason: Vec<ClauseRef>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     prop_head: usize,
@@ -279,12 +310,8 @@ pub struct Solver {
     unsat: bool,
     stats: SolverStats,
     cla_inc: f64,
-    /// Per-level stamps for O(clause) LBD computation.
-    lbd_stamp: Vec<u64>,
-    lbd_counter: u64,
+    lbd_stamps: LevelStamps,
 }
-
-const NO_REASON: u32 = u32::MAX;
 
 /// How many search-loop iterations pass between polls of the cancel
 /// flag. Small enough for millisecond-scale cancellation latency, large
@@ -303,10 +330,10 @@ impl Solver {
 
     /// Introduces a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assign.len() as u32);
-        self.assign.push(UNASSIGNED);
+        let v = Var(self.level.len() as u32);
+        self.value.extend([UNASSIGNED; 2]);
         self.level.push(0);
-        self.reason.push(NO_REASON);
+        self.reason.push(NO_CLAUSE);
         self.activity.push(0.0);
         self.saved_phase.push(false);
         self.seen.push(false);
@@ -318,12 +345,12 @@ impl Solver {
 
     /// Number of variables created so far.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.level.len()
     }
 
     /// Number of original (non-learned) clauses.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.learned).count()
+        self.db.num_original()
     }
 
     /// Run statistics of the most recent (or ongoing) solve.
@@ -362,42 +389,35 @@ impl Solver {
         match filtered.len() {
             0 => self.unsat = true,
             1 => {
-                if !self.enqueue(filtered[0], NO_REASON) || self.propagate().is_some() {
+                if !self.enqueue(filtered[0], NO_CLAUSE) || self.propagate().is_some() {
                     self.unsat = true;
                 }
             }
             _ => {
-                self.attach_clause(Clause {
-                    lits: filtered,
-                    learned: false,
-                    activity: 0.0,
-                    lbd: 0,
-                });
+                self.attach_clause(&filtered, false, 0);
             }
         }
     }
 
-    fn attach_clause(&mut self, clause: Clause) -> u32 {
-        let idx = self.clauses.len() as u32;
-        let w0 = clause.lits[0];
-        let w1 = clause.lits[1];
+    fn attach_clause(&mut self, lits: &[Lit], learned: bool, lbd: u32) -> ClauseRef {
+        let clause = self.db.push(lits, learned, lbd);
+        let (w0, w1) = (lits[0], lits[1]);
         self.watches[w0.negated().code()].push(Watcher {
-            clause: idx,
+            clause,
             blocker: w1,
         });
         self.watches[w1.negated().code()].push(Watcher {
-            clause: idx,
+            clause,
             blocker: w0,
         });
-        self.clauses.push(clause);
-        idx
+        clause
     }
 
     #[inline]
     fn lit_state(&self, lit: Lit) -> Option<bool> {
-        match self.assign[lit.var().index()] {
+        match self.value[lit.code()] {
             UNASSIGNED => None,
-            v => Some((v == 1) ^ lit.is_negative()),
+            v => Some(v == TRUE),
         }
     }
 
@@ -407,13 +427,14 @@ impl Solver {
     }
 
     /// Enqueues `lit` as true; returns false on immediate conflict.
-    fn enqueue(&mut self, lit: Lit, reason: u32) -> bool {
+    fn enqueue(&mut self, lit: Lit, reason: ClauseRef) -> bool {
         match self.lit_state(lit) {
             Some(true) => true,
             Some(false) => false,
             None => {
                 let v = lit.var().index();
-                self.assign[v] = if lit.is_positive() { 1 } else { 0 };
+                self.value[lit.code()] = TRUE;
+                self.value[lit.negated().code()] = FALSE;
                 self.level[v] = self.decision_level();
                 self.reason[v] = reason;
                 self.trail.push(lit);
@@ -422,38 +443,38 @@ impl Solver {
         }
     }
 
-    /// Unit propagation; returns the index of a conflicting clause, if any.
-    fn propagate(&mut self) -> Option<u32> {
+    /// Unit propagation; returns the conflicting clause, if any.
+    fn propagate(&mut self) -> Option<ClauseRef> {
         while self.prop_head < self.trail.len() {
             let lit = self.trail[self.prop_head];
             self.prop_head += 1;
             self.stats.propagations += 1;
+            let falsified = lit.negated().code() as u32;
             let mut watchers = std::mem::take(&mut self.watches[lit.code()]);
             let mut i = 0;
             let mut conflict = None;
             'watchers: while i < watchers.len() {
                 let w = watchers[i];
-                if self.lit_state(w.blocker) == Some(true) {
+                if self.value[w.blocker.code()] == TRUE {
                     i += 1;
                     continue;
                 }
-                let cidx = w.clause as usize;
+                let codes = self.db.codes_mut(w.clause);
                 // Ensure the falsified literal is at position 1.
-                let falsified = lit.negated();
-                if self.clauses[cidx].lits[0] == falsified {
-                    self.clauses[cidx].lits.swap(0, 1);
+                if codes[0] == falsified {
+                    codes.swap(0, 1);
                 }
-                let first = self.clauses[cidx].lits[0];
-                if first != w.blocker && self.lit_state(first) == Some(true) {
+                let first = Lit::from_code(codes[0] as usize);
+                if first != w.blocker && self.value[first.code()] == TRUE {
                     watchers[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in 2..self.clauses[cidx].lits.len() {
-                    let cand = self.clauses[cidx].lits[k];
-                    if self.lit_state(cand) != Some(false) {
-                        self.clauses[cidx].lits.swap(1, k);
+                for k in 2..codes.len() {
+                    let cand = Lit::from_code(codes[k] as usize);
+                    if self.value[cand.code()] != FALSE {
+                        codes.swap(1, k);
                         self.watches[cand.negated().code()].push(Watcher {
                             clause: w.clause,
                             blocker: first,
@@ -485,7 +506,7 @@ impl Solver {
     /// First-UIP conflict analysis. Returns the learned clause (asserting
     /// literal first), the backjump level, and the clause's LBD (computed
     /// here, while every literal is still assigned).
-    fn analyze(&mut self, mut conflict: u32) -> (Vec<Lit>, u32, u32) {
+    fn analyze(&mut self, mut conflict: ClauseRef) -> (Vec<Lit>, u32, u32) {
         let mut learned: Vec<Lit> = vec![Lit::pos(Var(0))]; // placeholder slot 0
         let mut counter = 0usize;
         let mut trail_idx = self.trail.len();
@@ -493,11 +514,11 @@ impl Solver {
         let current_level = self.decision_level();
 
         loop {
-            self.bump_clause(conflict as usize);
+            self.bump_clause(conflict);
             // Visit the literals of the conflicting/reason clause.
             let start = usize::from(asserting.is_some()); // skip lits[0] for reasons
-            for k in start..self.clauses[conflict as usize].lits.len() {
-                let q = self.clauses[conflict as usize].lits[k];
+            for k in start..self.db.len(conflict) {
+                let q = self.db.lit(conflict, k);
                 let v = q.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -524,7 +545,7 @@ impl Solver {
                 break;
             }
             conflict = self.reason[p.var().index()];
-            debug_assert_ne!(conflict, NO_REASON);
+            debug_assert_ne!(conflict, NO_CLAUSE);
             asserting = Some(p); // marks that subsequent clauses are reasons
         }
         learned[0] = asserting.expect("conflict analysis must find a UIP");
@@ -555,7 +576,7 @@ impl Solver {
             minimized.swap(1, max_i);
             self.level[minimized[1].var().index()]
         };
-        let lbd = self.compute_lbd(&minimized);
+        let lbd = self.lbd_stamps.lbd(&self.level, minimized.iter().copied());
         (minimized, backjump, lbd)
     }
 
@@ -563,12 +584,13 @@ impl Solver {
     /// consists only of other seen literals (local minimization).
     fn is_redundant(&self, lit: Lit) -> bool {
         let r = self.reason[lit.var().index()];
-        if r == NO_REASON {
+        if r == NO_CLAUSE {
             return false;
         }
-        self.clauses[r as usize].lits[1..]
-            .iter()
-            .all(|&q| self.seen[q.var().index()] || self.level[q.var().index()] == 0)
+        self.db
+            .lits(r)
+            .skip(1)
+            .all(|q| self.seen[q.var().index()] || self.level[q.var().index()] == 0)
     }
 
     fn backtrack_to(&mut self, level: u32) {
@@ -579,8 +601,9 @@ impl Solver {
         for &lit in &self.trail[target..] {
             let v = lit.var().index();
             self.saved_phase[v] = lit.is_positive();
-            self.assign[v] = UNASSIGNED;
-            self.reason[v] = NO_REASON;
+            self.value[lit.code()] = UNASSIGNED;
+            self.value[lit.negated().code()] = UNASSIGNED;
+            self.reason[v] = NO_CLAUSE;
             self.heap.insert(lit.var(), &self.activity);
         }
         self.trail.truncate(target);
@@ -604,53 +627,27 @@ impl Solver {
     /// participating in conflict analysis has all literals assigned, so
     /// its LBD can be recomputed; the minimum ever observed is kept.
     /// Must only be called while the clause is fully assigned.
-    fn bump_clause(&mut self, idx: usize) {
-        if !self.clauses[idx].learned {
+    fn bump_clause(&mut self, c: ClauseRef) {
+        if !self.db.is_learned(c) {
             return;
         }
-        self.bump_clause_activity(idx);
-        let lits = std::mem::take(&mut self.clauses[idx].lits);
-        let lbd = self.compute_lbd(&lits);
-        self.clauses[idx].lits = lits;
-        if lbd < self.clauses[idx].lbd {
-            self.clauses[idx].lbd = lbd;
+        self.bump_clause_activity(c);
+        let lbd = self.lbd_stamps.lbd(&self.level, self.db.lits(c));
+        if lbd < self.db.lbd(c) {
+            self.db.set_lbd(c, lbd);
         }
     }
 
-    fn bump_clause_activity(&mut self, idx: usize) {
-        if !self.clauses[idx].learned {
+    fn bump_clause_activity(&mut self, c: ClauseRef) {
+        if !self.db.is_learned(c) {
             return;
         }
-        self.clauses[idx].activity += self.cla_inc;
-        if self.clauses[idx].activity > 1e20 {
-            for c in self.clauses.iter_mut().filter(|c| c.learned) {
-                c.activity *= 1e-20;
-            }
+        let activity = self.db.activity(c) + self.cla_inc;
+        self.db.set_activity(c, activity);
+        if activity > 1e20 {
+            self.db.scale_learned_activity(1e-20);
             self.cla_inc *= 1e-20;
         }
-    }
-
-    /// The number of distinct decision levels among `lits` (their
-    /// variables must all be assigned). Root-level literals are not
-    /// counted: they are semantically fixed and do not block anything.
-    fn compute_lbd(&mut self, lits: &[Lit]) -> u32 {
-        self.lbd_counter += 1;
-        let stamp = self.lbd_counter;
-        let mut lbd = 0u32;
-        for &l in lits {
-            let lvl = self.level[l.var().index()] as usize;
-            if lvl == 0 {
-                continue;
-            }
-            if lvl >= self.lbd_stamp.len() {
-                self.lbd_stamp.resize(lvl + 1, 0);
-            }
-            if self.lbd_stamp[lvl] != stamp {
-                self.lbd_stamp[lvl] = stamp;
-                lbd += 1;
-            }
-        }
-        lbd
     }
 
     fn decay_activities(&mut self) {
@@ -660,7 +657,7 @@ impl Solver {
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.heap.pop_max(&self.activity) {
-            if self.assign[v.index()] == UNASSIGNED {
+            if self.value[Lit::pos(v).code()] == UNASSIGNED {
                 return Some(v);
             }
         }
@@ -672,58 +669,49 @@ impl Solver {
     /// clauses currently used as reasons always survive; among the rest,
     /// high-LBD low-activity clauses go first.
     fn reduce_learned(&mut self) {
-        let mut removable: Vec<usize> = (0..self.clauses.len())
-            .filter(|&i| {
-                let c = &self.clauses[i];
-                c.learned && c.lits.len() > 2 && c.lbd > 2
-            })
+        let db = &self.db;
+        let mut removable: Vec<ClauseRef> = db
+            .refs()
+            .filter(|&c| db.is_learned(c) && db.len(c) > 2 && db.lbd(c) > 2)
             .collect();
         if removable.len() < 2 {
             return;
         }
-        // Worst first: highest LBD, ties broken by lowest activity.
+        // Worst first: highest LBD, ties broken by lowest activity. The
+        // sort is stable, so remaining ties stay in creation order.
         removable.sort_by(|&a, &b| {
-            let (ca, cb) = (&self.clauses[a], &self.clauses[b]);
-            cb.lbd.cmp(&ca.lbd).then(
-                ca.activity
-                    .partial_cmp(&cb.activity)
+            db.lbd(b).cmp(&db.lbd(a)).then(
+                db.activity(a)
+                    .partial_cmp(&db.activity(b))
                     .unwrap_or(core::cmp::Ordering::Equal),
             )
         });
-        let reasons: std::collections::HashSet<u32> = self
+        let reasons: std::collections::HashSet<ClauseRef> = self
             .reason
             .iter()
             .copied()
-            .filter(|&r| r != NO_REASON)
+            .filter(|&r| r != NO_CLAUSE)
             .collect();
-        let to_remove: std::collections::HashSet<u32> = removable[..removable.len() / 2]
+        let to_remove: std::collections::HashSet<ClauseRef> = removable[..removable.len() / 2]
             .iter()
-            .map(|&i| i as u32)
-            .filter(|i| !reasons.contains(i))
+            .copied()
+            .filter(|c| !reasons.contains(c))
             .collect();
         self.remove_clauses(&to_remove);
-        self.stats.learned = self.clauses.iter().filter(|c| c.learned).count() as u64;
+        self.stats.learned = self.db.num_learned() as u64;
     }
 
     /// Compacts the clause database, dropping the clauses in `to_remove`
-    /// and remapping watcher lists and reason indices.
-    fn remove_clauses(&mut self, to_remove: &std::collections::HashSet<u32>) {
+    /// and remapping watcher lists and reasons.
+    fn remove_clauses(&mut self, to_remove: &std::collections::HashSet<ClauseRef>) {
         if to_remove.is_empty() {
             return;
         }
-        let mut remap = vec![NO_REASON; self.clauses.len()];
-        let mut kept = Vec::with_capacity(self.clauses.len() - to_remove.len());
-        for (i, c) in self.clauses.drain(..).enumerate() {
-            if !to_remove.contains(&(i as u32)) {
-                remap[i] = kept.len() as u32;
-                kept.push(c);
-            }
-        }
-        self.clauses = kept;
+        let remap = self.db.compact(|c| !to_remove.contains(&c));
         for w in &mut self.watches {
             w.retain_mut(|watcher| {
                 let n = remap[watcher.clause as usize];
-                if n == NO_REASON {
+                if n == NO_CLAUSE {
                     false
                 } else {
                     watcher.clause = n;
@@ -732,7 +720,7 @@ impl Solver {
             });
         }
         for r in &mut self.reason {
-            if *r != NO_REASON {
+            if *r != NO_CLAUSE {
                 *r = remap[*r as usize];
             }
         }
@@ -790,7 +778,8 @@ impl Solver {
         }
 
         let mut conflicts_until_restart = luby(self.stats.restarts) * 100;
-        let mut max_learned = (self.clauses.len() as u64).max(1000) * 2;
+        let clauses = self.db.num_original() + self.db.num_learned();
+        let mut max_learned = (clauses as u64).max(1000) * 2;
         let mut poll_countdown = POLL_INTERVAL;
         // One flag decides whether the countdown runs at all, so an
         // un-instrumented unbounded solve pays nothing per iteration.
@@ -850,20 +839,15 @@ impl Solver {
                 let asserting = learned[0];
                 if learned.len() == 1 {
                     self.backtrack_to(0);
-                    if !self.enqueue(asserting, NO_REASON) {
+                    if !self.enqueue(asserting, NO_CLAUSE) {
                         self.unsat = true;
                         return BoundedResult::Unsat;
                     }
                 } else {
-                    let idx = self.attach_clause(Clause {
-                        lits: learned,
-                        learned: true,
-                        activity: 0.0,
-                        lbd,
-                    });
+                    let clause = self.attach_clause(&learned, true, lbd);
                     self.stats.learned += 1;
-                    self.bump_clause_activity(idx as usize);
-                    let ok = self.enqueue(asserting, idx);
+                    self.bump_clause_activity(clause);
+                    let ok = self.enqueue(asserting, clause);
                     debug_assert!(ok, "learned clause must be asserting");
                 }
                 self.decay_activities();
@@ -911,7 +895,8 @@ impl Solver {
                 };
                 match decision {
                     None => {
-                        let values = self.assign.iter().map(|&a| a == 1).collect();
+                        // Positive literals have even codes.
+                        let values = self.value.iter().step_by(2).map(|&v| v == TRUE).collect();
                         let model = Model { values };
                         debug_assert!(self.model_satisfies_all(&model));
                         self.backtrack_to(0);
@@ -920,7 +905,7 @@ impl Solver {
                     Some(lit) => {
                         self.stats.decisions += 1;
                         self.trail_lim.push(self.trail.len());
-                        let ok = self.enqueue(lit, NO_REASON);
+                        let ok = self.enqueue(lit, NO_CLAUSE);
                         debug_assert!(ok);
                     }
                 }
@@ -929,10 +914,10 @@ impl Solver {
     }
 
     fn model_satisfies_all(&self, model: &Model) -> bool {
-        self.clauses
-            .iter()
-            .filter(|c| !c.learned)
-            .all(|c| c.lits.iter().any(|&l| model.lit_value(l)))
+        self.db
+            .refs()
+            .filter(|&c| !self.db.is_learned(c))
+            .all(|c| self.db.lits(c).any(|l| model.lit_value(l)))
     }
 }
 
@@ -1085,6 +1070,197 @@ pub(crate) mod tests {
             }
         }
         s
+    }
+
+    /// A xorshift64 stream, for reproducible random instances.
+    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        }
+    }
+
+    /// A seeded random 3-SAT formula: `clauses` clauses over `vars`
+    /// variables, three distinct variables each.
+    fn random_3sat_clauses(vars: u32, clauses: usize, seed: u64) -> Vec<Vec<Lit>> {
+        let mut rand = xorshift(seed);
+        (0..clauses)
+            .map(|_| {
+                let mut clause: Vec<Lit> = Vec::with_capacity(3);
+                while clause.len() < 3 {
+                    let v = Var((rand() % u64::from(vars)) as u32);
+                    if clause.iter().all(|l| l.var() != v) {
+                        clause.push(Lit::with_value(v, rand().is_multiple_of(2)));
+                    }
+                }
+                clause
+            })
+            .collect()
+    }
+
+    fn solver_of(vars: u32, clauses: &[Vec<Lit>]) -> Solver {
+        let mut s = solver_with_vars(vars);
+        for clause in clauses {
+            s.add_clause(clause.iter().copied());
+        }
+        s
+    }
+
+    /// The pinned random 3-SAT formula: 150 variables at clause ratio
+    /// 4.26 (639 clauses), unsatisfiable.
+    fn random_3sat_150() -> Vec<Vec<Lit>> {
+        random_3sat_clauses(150, 639, 0x9E37_79B9_7F4A_7C15)
+    }
+
+    /// Solves to the end; the verdict with the counters
+    /// `(conflicts, decisions, propagations, restarts, learned)`.
+    fn trajectory(mut s: Solver) -> (BoundedResult, [u64; 5]) {
+        let verdict = s.solve_with(&SolveParams::new());
+        let t = s.stats();
+        let counters = [
+            t.conflicts,
+            t.decisions,
+            t.propagations,
+            t.restarts,
+            t.learned,
+        ];
+        (verdict, counters)
+    }
+
+    // The two pins below hold the counters the solver produced when each
+    // clause was a heap `Vec` of its own. The flat arena must search the
+    // same way decision for decision: a change that reorders watchers,
+    // clause literals or the reduction order moves these numbers.
+
+    #[test]
+    fn pigeonhole_trajectory_is_pinned() {
+        assert_eq!(
+            trajectory(pigeonhole(7, 6)),
+            (BoundedResult::Unsat, [735, 890, 9_848, 5, 732])
+        );
+    }
+
+    /// Runs long enough to pass through a learned-clause reduction.
+    #[test]
+    fn random_3sat_trajectory_is_pinned() {
+        assert_eq!(
+            trajectory(solver_of(150, &random_3sat_150())),
+            (BoundedResult::Unsat, [3_489, 4_227, 105_913, 17, 2_614])
+        );
+    }
+
+    /// Every watcher and every reason names a clause header, and each
+    /// clause is watched exactly through its first two literals.
+    fn assert_database_consistent(s: &Solver) {
+        use std::collections::{HashMap, HashSet};
+        let headers: HashSet<ClauseRef> = s.db.refs().collect();
+        let mut watched: HashMap<ClauseRef, Vec<Lit>> = HashMap::new();
+        for (code, list) in s.watches.iter().enumerate() {
+            for w in list {
+                assert!(
+                    headers.contains(&w.clause),
+                    "watcher at non-header {}",
+                    w.clause
+                );
+                // A clause watching `l` sits in the list of `¬l`.
+                let lit = Lit::from_code(code).negated();
+                watched.entry(w.clause).or_default().push(lit);
+            }
+        }
+        for &lit in &s.trail {
+            // A reason clause implies its first literal.
+            let r = s.reason[lit.var().index()];
+            assert!(
+                r == NO_CLAUSE || (headers.contains(&r) && s.db.lit(r, 0) == lit),
+                "reason of {lit} at {r} is not its clause"
+            );
+        }
+        for (v, &r) in s.reason.iter().enumerate() {
+            let assigned = s.lit_state(Lit::pos(Var(v as u32))).is_some();
+            assert!(r == NO_CLAUSE || assigned, "unassigned x{v} keeps a reason");
+        }
+        for c in headers {
+            let mut got = watched.remove(&c).unwrap_or_default();
+            got.sort_unstable();
+            let mut first_two = vec![s.db.lit(c, 0), s.db.lit(c, 1)];
+            first_two.sort_unstable();
+            assert_eq!(
+                got, first_two,
+                "clause {c} is watched off its first two literals"
+            );
+        }
+    }
+
+    /// Decides the lowest unassigned variables in their saved phase,
+    /// propagating each, until `depth` levels stand or a conflict
+    /// arises: a trail of reasons above the root for a reduction pass
+    /// to preserve.
+    fn descend(s: &mut Solver, depth: u32) {
+        let mut vars = (0..s.num_vars() as u32).map(Var);
+        while s.decision_level() < depth {
+            let Some(v) = vars.find(|&v| s.lit_state(Lit::pos(v)).is_none()) else {
+                return;
+            };
+            s.trail_lim.push(s.trail.len());
+            s.enqueue(Lit::with_value(v, s.saved_phase[v.index()]), NO_CLAUSE);
+            if s.propagate().is_some() {
+                return;
+            }
+        }
+    }
+
+    /// Solves in budgeted slices. Between slices it descends a few
+    /// levels, runs a reduction pass and checks the database; returns
+    /// the verdict.
+    fn solve_with_reductions(mut s: Solver) -> BoundedResult {
+        let (mut passes, mut moved_reasons) = (0, 0);
+        let verdict = loop {
+            match s.solve_with(&SolveParams::new().budget(100)) {
+                BoundedResult::BudgetExceeded => {
+                    descend(&mut s, 8);
+                    let (learned, reasons) = (s.db.num_learned(), s.reason.clone());
+                    s.reduce_learned();
+                    passes += usize::from(s.db.num_learned() < learned);
+                    moved_reasons += usize::from(s.reason != reasons);
+                    assert_eq!(s.stats().learned, s.db.num_learned() as u64);
+                    assert_database_consistent(&s);
+                    s.backtrack_to(0);
+                }
+                verdict => break verdict,
+            }
+        };
+        assert!(
+            passes >= 2,
+            "only {passes} reduction passes removed clauses"
+        );
+        assert!(moved_reasons >= 1, "no reduction pass moved a reason");
+        verdict
+    }
+
+    #[test]
+    fn reduction_compacts_the_arena_consistently() {
+        assert_eq!(
+            solve_with_reductions(pigeonhole(7, 6)),
+            BoundedResult::Unsat
+        );
+        assert_eq!(
+            solve_with_reductions(solver_of(150, &random_3sat_150())),
+            BoundedResult::Unsat
+        );
+        // A satisfiable formula with exactly one model: every clause of
+        // the unsatisfiable 3-SAT instance gains the escape literal `y`,
+        // and `y` fixes every other variable.
+        let y = Var(150);
+        let mut clauses = random_3sat_150();
+        for clause in &mut clauses {
+            clause.push(Lit::pos(y));
+        }
+        clauses.extend((0..150).map(|v| vec![Lit::neg(y), Lit::with_value(Var(v), v % 3 == 0)]));
+        let unreduced = solver_of(151, &clauses).solve_with(&SolveParams::new());
+        assert!(unreduced.model().is_some_and(|m| m.value(y)));
+        assert_eq!(solve_with_reductions(solver_of(151, &clauses)), unreduced);
     }
 
     #[test]
@@ -1253,13 +1429,7 @@ pub(crate) mod tests {
     fn random_instances_verify_models() {
         // Deterministic pseudo-random 3-SAT; every SAT model must satisfy
         // every clause (checked inside the solver debug assertion too).
-        let mut seed = 0x12345678u64;
-        let mut rand = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
+        let mut rand = xorshift(0x12345678);
         for round in 0..30 {
             let nvars = 8 + (round % 5);
             let nclauses = 3 * nvars;
@@ -1269,7 +1439,7 @@ pub(crate) mod tests {
                 let mut cl = Vec::new();
                 for _ in 0..3 {
                     let v = (rand() % nvars as u64) as u32;
-                    let neg = rand() % 2 == 0;
+                    let neg = rand().is_multiple_of(2);
                     cl.push(if neg {
                         Lit::neg(Var(v))
                     } else {
@@ -1426,15 +1596,14 @@ pub(crate) mod tests {
     fn learned_clauses_carry_lbd() {
         let mut s = pigeonhole(6, 5);
         assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
-        let learned: Vec<&Clause> = s.clauses.iter().filter(|c| c.learned).collect();
         // Not every learned clause survives to the end, but those that
         // do must have an LBD bounded by their length.
-        for c in &learned {
+        for c in s.db.refs().filter(|&c| s.db.is_learned(c)) {
             assert!(
-                (c.lbd as usize) <= c.lits.len(),
+                (s.db.lbd(c) as usize) <= s.db.len(c),
                 "lbd {} exceeds len {}",
-                c.lbd,
-                c.lits.len()
+                s.db.lbd(c),
+                s.db.len(c)
             );
         }
     }
@@ -1444,17 +1613,14 @@ pub(crate) mod tests {
         let mut s = pigeonhole(5, 4);
         assert_eq!(s.solve_with(&SolveParams::new()), BoundedResult::Unsat);
         // Force a reduction pass at the root.
-        let glue_before = s
-            .clauses
-            .iter()
-            .filter(|c| c.learned && (c.lits.len() <= 2 || c.lbd <= 2))
-            .count();
+        let glue = |s: &Solver| {
+            s.db.refs()
+                .filter(|&c| s.db.is_learned(c) && (s.db.len(c) <= 2 || s.db.lbd(c) <= 2))
+                .count()
+        };
+        let glue_before = glue(&s);
         s.reduce_learned();
-        let glue_after = s
-            .clauses
-            .iter()
-            .filter(|c| c.learned && (c.lits.len() <= 2 || c.lbd <= 2))
-            .count();
+        let glue_after = glue(&s);
         assert_eq!(glue_before, glue_after, "glue clauses are never reduced");
     }
 
