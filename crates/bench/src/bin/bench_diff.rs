@@ -12,9 +12,10 @@
 //! differently, matching the determinism contract in `DESIGN.md` §11:
 //!
 //! * **Deterministic work counters** — layout geometry (`width`,
-//!   `height`, `area_tiles`, `sidbs`, `area_nm2`), SAT `conflicts`,
-//!   `decisions` and `propagations`, simulator `visited`/`pruned`/
-//!   `truncated` counts and spectrum hashes. These are
+//!   `height`, `area_tiles`, `sidbs`, `area_nm2`) and the layout's SQD
+//!   hash (`sqd_hash`), SAT `conflicts`, `decisions` and
+//!   `propagations`, simulator `visited`/`pruned`/`truncated` counts and
+//!   spectrum hashes. These are
 //!   byte-reproducible when both runs use `THREADS=1`, so the gate is
 //!   symmetric and strict: any relative change beyond `--work-tol`
 //!   (default `0.0`, i.e. exact; hashes are always exact) is a
@@ -47,6 +48,7 @@ const STRICT_FIELDS: &[&str] = &[
     "area_tiles",
     "sidbs",
     "area_nm2",
+    "sqd_hash",
     "conflicts",
     "visited",
     // Operational-domain benchmarks (BENCH_opdomain.json).
@@ -310,26 +312,28 @@ mod tests {
 
     #[test]
     fn hash_change_fails_under_any_work_tol() {
-        let with_hash = |hash: f64| {
-            Value::Obj(vec![
-                ("name".to_owned(), Value::Str("wire".to_owned())),
-                ("spectra_hash".to_owned(), Value::Num(hash)),
-            ])
-        };
-        let o = Options {
-            work_tol: 0.05,
-            ..opts()
-        };
-        let mut failures = Vec::new();
-        compare_entry(
-            "wire",
-            &with_hash(1000.0),
-            &with_hash(1001.0),
-            &o,
-            &mut failures,
-        );
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("spectra_hash"), "{failures:?}");
+        for field in ["spectra_hash", "sqd_hash"] {
+            let with_hash = |hash: f64| {
+                Value::Obj(vec![
+                    ("name".to_owned(), Value::Str("wire".to_owned())),
+                    (field.to_owned(), Value::Num(hash)),
+                ])
+            };
+            let o = Options {
+                work_tol: 0.05,
+                ..opts()
+            };
+            let mut failures = Vec::new();
+            compare_entry(
+                "wire",
+                &with_hash(1000.0),
+                &with_hash(1001.0),
+                &o,
+                &mut failures,
+            );
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(failures[0].contains(field), "{failures:?}");
+        }
     }
 
     #[test]

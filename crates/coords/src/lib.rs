@@ -10,6 +10,9 @@
 //! * [`cartesian`] — classic Cartesian tile coordinates used by QCA-style
 //!   floor plans; serves as the baseline topology the paper compares
 //!   against (Figure 3).
+//! * [`TileCoord`] — what the two tile floor plans share: neighbors,
+//!   opposite borders, which borders carry signals and the clock-level
+//!   order, so one gate-level layout type serves both.
 //! * [`siqad`] — dot-accurate H-Si(100)-2×1 surface lattice coordinates as
 //!   used by the SiQAD CAD tool, including conversions to physical
 //!   nanometre positions.
@@ -87,20 +90,84 @@ impl AspectRatio {
         format!("{}x{}", self.width, self.height)
     }
 
-    /// Returns true if `coord` lies within this layout's bounds.
-    pub fn contains_hex(self, coord: HexCoord) -> bool {
-        coord.x >= 0
-            && coord.y >= 0
-            && (coord.x as u32) < self.width
-            && (coord.y as u32) < self.height
+    /// Returns true if tile `(x, y)` lies within this layout's bounds, on
+    /// either floor plan (see [`TileCoord::xy`]).
+    pub fn contains(self, (x, y): (i32, i32)) -> bool {
+        x >= 0 && y >= 0 && (x as u32) < self.width && (y as u32) < self.height
+    }
+}
+
+/// A tile position on one floor plan: what a gate-level layout, its
+/// design-rule check and its logic extraction need to know about the
+/// plan's geometry. Implemented by [`HexCoord`] and [`CartCoord`].
+pub trait TileCoord:
+    Copy + Ord + core::hash::Hash + core::fmt::Debug + core::fmt::Display + Send + From<(i32, i32)>
+{
+    /// The border directions of a tile.
+    type Dir: Copy + Eq + core::hash::Hash + core::fmt::Debug + core::fmt::Display + Send;
+
+    /// The column and row, `(x, y)`.
+    fn xy(self) -> (i32, i32);
+    /// The neighboring tile across border `dir`.
+    fn neighbor(self, dir: Self::Dir) -> Self;
+    /// The border of the neighbor across `dir` that faces back at this
+    /// tile.
+    fn opposite(dir: Self::Dir) -> Self::Dir;
+    /// Whether a signal may cross border `dir`. Every Cartesian border
+    /// may; of the hexagonal ones only the four diagonals may, since East
+    /// and West join tiles of one clock row.
+    fn carries_signal(dir: Self::Dir) -> bool;
+    /// The key that orders tiles by clock level, so every tile comes after
+    /// the tiles that feed it: `(y, x)` for hexagonal rows, `(x + y, x)`
+    /// for Cartesian 2DDWave anti-diagonals.
+    fn clock_order(self) -> (i32, i32);
+}
+
+impl TileCoord for HexCoord {
+    type Dir = HexDirection;
+
+    fn xy(self) -> (i32, i32) {
+        (self.x, self.y)
     }
 
-    /// Returns true if the Cartesian `coord` lies within bounds.
-    pub fn contains_cart(self, coord: CartCoord) -> bool {
-        coord.x >= 0
-            && coord.y >= 0
-            && (coord.x as u32) < self.width
-            && (coord.y as u32) < self.height
+    fn neighbor(self, dir: HexDirection) -> HexCoord {
+        HexCoord::neighbor(self, dir)
+    }
+
+    fn opposite(dir: HexDirection) -> HexDirection {
+        dir.opposite()
+    }
+
+    fn carries_signal(dir: HexDirection) -> bool {
+        dir.is_incoming() || dir.is_outgoing()
+    }
+
+    fn clock_order(self) -> (i32, i32) {
+        (self.y, self.x)
+    }
+}
+
+impl TileCoord for CartCoord {
+    type Dir = CartDirection;
+
+    fn xy(self) -> (i32, i32) {
+        (self.x, self.y)
+    }
+
+    fn neighbor(self, dir: CartDirection) -> CartCoord {
+        CartCoord::neighbor(self, dir)
+    }
+
+    fn opposite(dir: CartDirection) -> CartDirection {
+        dir.opposite()
+    }
+
+    fn carries_signal(_: CartDirection) -> bool {
+        true
+    }
+
+    fn clock_order(self) -> (i32, i32) {
+        (self.x + self.y, self.x)
     }
 }
 
@@ -141,11 +208,29 @@ mod tests {
     #[test]
     fn contains_checks_bounds() {
         let ar = AspectRatio::new(3, 2);
-        assert!(ar.contains_hex(HexCoord::new(2, 1)));
-        assert!(!ar.contains_hex(HexCoord::new(3, 1)));
-        assert!(!ar.contains_hex(HexCoord::new(-1, 0)));
-        assert!(ar.contains_cart(CartCoord::new(0, 0)));
-        assert!(!ar.contains_cart(CartCoord::new(0, 2)));
+        assert!(ar.contains(HexCoord::new(2, 1).xy()));
+        assert!(!ar.contains(HexCoord::new(3, 1).xy()));
+        assert!(!ar.contains(HexCoord::new(-1, 0).xy()));
+        assert!(ar.contains(CartCoord::new(0, 0).xy()));
+        assert!(!ar.contains(CartCoord::new(0, 2).xy()));
+    }
+
+    #[test]
+    fn clock_order_puts_feeders_first() {
+        for y in 0..4 {
+            for x in 0..4 {
+                let h = HexCoord::new(x, y);
+                for d in HexDirection::OUTPUTS {
+                    assert!(h.clock_order() < h.neighbor(d).clock_order());
+                }
+                let c = CartCoord::new(x, y);
+                for d in [CartDirection::East, CartDirection::South] {
+                    assert!(c.clock_order() < c.neighbor(d).clock_order());
+                }
+            }
+        }
+        assert!(!HexCoord::carries_signal(HexDirection::East));
+        assert!(CartCoord::carries_signal(CartDirection::East));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! the two designs agree on every input assignment
 //! ([`check_equivalence_extracted_bounded`]). The check takes its limits
 //! as values: no conflict budget and an unbounded deadline always
-//! conclude. Cartesian layouts go through [`extract_network_cart`].
+//! conclude. Extraction is generic over the floor plan, so the hexagonal
+//! layouts and the Cartesian Figure 3 baseline share it.
 //!
 //! # Examples
 //!
@@ -34,9 +35,9 @@
 //! ```
 
 use fcn_budget::Deadline;
-use fcn_coords::HexCoord;
-use fcn_layout::hexagonal::HexGateLayout;
+use fcn_coords::TileCoord;
 use fcn_layout::tile::TileContents;
+use fcn_layout::GateLayout;
 use fcn_logic::network::Xag;
 use fcn_logic::techmap::{MappedId, MappedNetwork, MappedSignal};
 use fcn_logic::GateKind;
@@ -112,99 +113,36 @@ impl core::fmt::Display for EquivError {
 
 impl std::error::Error for EquivError {}
 
-/// Extracts the logic network realized by a row-clocked hexagonal layout.
+/// Extracts the logic network realized by a gate-level layout, on either
+/// floor plan.
 ///
-/// Tiles are traced in row (clock) order; wire tiles and crossings forward
-/// signals, gate tiles become network nodes. The extracted network carries
-/// the layout's PI/PO pad names.
+/// Tiles are traced in clock order ([`TileCoord::clock_order`]: rows on
+/// the hexagonal plan, anti-diagonals on the Cartesian 2DDWave one); wire
+/// tiles and crossings forward signals, gate tiles become network nodes.
+/// The extracted network carries the layout's PI/PO pad names.
 ///
 /// # Errors
 ///
 /// Returns [`EquivError::MissingDriver`] if a tile input is unconnected —
-/// run [`HexGateLayout::verify`] first for a detailed design-rule report.
-pub fn extract_network(layout: &HexGateLayout) -> Result<MappedNetwork, EquivError> {
+/// run [`GateLayout::verify`] first for a detailed design-rule report.
+pub fn extract_network<C: TileCoord>(layout: &GateLayout<C>) -> Result<MappedNetwork, EquivError> {
     let mut net = MappedNetwork::new();
     // Signal available at (tile, outgoing direction).
-    let mut signal_at: HashMap<(HexCoord, fcn_coords::HexDirection), MappedSignal> = HashMap::new();
+    let mut signal_at: HashMap<(C, C::Dir), MappedSignal> = HashMap::new();
 
-    // occupied_tiles iterates in BTreeMap order: (x, y) lexicographic — we
-    // need row order instead.
-    let mut tiles: Vec<(HexCoord, &TileContents<fcn_coords::HexDirection>)> =
-        layout.occupied_tiles().collect();
-    tiles.sort_by_key(|(c, _)| (c.y, c.x));
+    // occupied_tiles iterates in coordinate order; a tile's drivers come
+    // first in clock order instead.
+    let mut tiles: Vec<(C, &TileContents<C::Dir>)> = layout.occupied_tiles().collect();
+    tiles.sort_by_key(|(c, _)| c.clock_order());
 
     for (coord, contents) in tiles {
         let fetch = |signal_at: &HashMap<_, _>, dir| -> Result<MappedSignal, EquivError> {
             let n = coord.neighbor(dir);
             signal_at
-                .get(&(n, dir.opposite()))
+                .get(&(n, C::opposite(dir)))
                 .copied()
-                .ok_or(EquivError::MissingDriver {
-                    tile: (coord.x, coord.y),
-                })
+                .ok_or(EquivError::MissingDriver { tile: coord.xy() })
         };
-        match contents {
-            TileContents::Gate {
-                kind,
-                inputs,
-                outputs,
-                name,
-            } => {
-                let fanins = inputs
-                    .iter()
-                    .map(|&d| fetch(&signal_at, d))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let id = net.add_node(*kind, fanins, name.clone());
-                for (port, &d) in outputs.iter().enumerate() {
-                    signal_at.insert(
-                        (coord, d),
-                        MappedSignal {
-                            node: id,
-                            output: port as u8,
-                        },
-                    );
-                }
-            }
-            TileContents::Wire { segments } => {
-                for &(in_dir, out_dir) in segments {
-                    let s = fetch(&signal_at, in_dir)?;
-                    signal_at.insert((coord, out_dir), s);
-                }
-            }
-        }
-    }
-    Ok(net)
-}
-
-/// Extracts the logic network realized by a 2DDWave-clocked Cartesian
-/// layout (the Figure 3 baseline). Tiles are traced in anti-diagonal
-/// order; the semantics mirror [`extract_network`].
-///
-/// # Errors
-///
-/// Returns [`EquivError::MissingDriver`] if a tile input is unconnected.
-pub fn extract_network_cart(
-    layout: &fcn_layout::cartesian::CartGateLayout,
-) -> Result<MappedNetwork, EquivError> {
-    use fcn_coords::CartDirection;
-    let mut net = MappedNetwork::new();
-    let mut signal_at: HashMap<(fcn_coords::CartCoord, CartDirection), MappedSignal> =
-        HashMap::new();
-    let mut tiles: Vec<(fcn_coords::CartCoord, &TileContents<CartDirection>)> =
-        layout.occupied_tiles().collect();
-    tiles.sort_by_key(|(c, _)| (c.x + c.y, c.x));
-
-    for (coord, contents) in tiles {
-        let fetch =
-            |signal_at: &HashMap<_, _>, dir: CartDirection| -> Result<MappedSignal, EquivError> {
-                let n = coord.neighbor(dir);
-                signal_at
-                    .get(&(n, dir.opposite()))
-                    .copied()
-                    .ok_or(EquivError::MissingDriver {
-                        tile: (coord.x, coord.y),
-                    })
-            };
         match contents {
             TileContents::Gate {
                 kind,
@@ -400,8 +338,7 @@ fn encode_mapped(
 }
 
 /// Checks whether the network `extracted` from a layout (see
-/// [`extract_network`] and [`extract_network_cart`]) implements the
-/// specification `spec`.
+/// [`extract_network`]) implements the specification `spec`.
 ///
 /// Builds a miter over shared primary inputs (matched by pad name) and
 /// asks the SAT solver for a distinguishing assignment. The solve stops
@@ -530,6 +467,7 @@ pub fn check_equivalence_extracted_bounded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fcn_layout::hexagonal::HexGateLayout;
     use fcn_logic::techmap::{map_xag, MapOptions};
     use fcn_pnr::{exact_pnr, heuristic_pnr, ExactOptions, NetGraph};
 
@@ -748,21 +686,27 @@ mod tests {
 
     #[test]
     fn extraction_detects_missing_driver() {
-        use fcn_coords::{AspectRatio, HexCoord, HexDirection};
+        use fcn_coords::{AspectRatio, CartCoord, CartDirection, HexCoord, HexDirection};
+        use fcn_layout::cartesian::CartGateLayout;
         use fcn_layout::clocking::ClockingScheme;
-        let mut layout = HexGateLayout::new(AspectRatio::new(2, 2), ClockingScheme::Row);
-        layout.place(
+        let f = || Some("f".to_owned());
+        let mut hex = HexGateLayout::new(AspectRatio::new(2, 2), ClockingScheme::Row);
+        hex.place(
             HexCoord::new(1, 1),
-            TileContents::gate(
-                GateKind::Po,
-                vec![HexDirection::NorthWest],
-                vec![],
-                Some("f".into()),
-            ),
+            TileContents::gate(GateKind::Po, vec![HexDirection::NorthWest], vec![], f()),
         );
-        assert!(matches!(
-            extract_network(&layout),
-            Err(EquivError::MissingDriver { .. })
-        ));
+        let mut cart = CartGateLayout::new(AspectRatio::new(3, 3), ClockingScheme::TwoDdWave);
+        cart.place(
+            CartCoord::new(2, 1),
+            TileContents::gate(GateKind::Po, vec![CartDirection::North], vec![], f()),
+        );
+        assert_eq!(
+            extract_network(&hex).err(),
+            Some(EquivError::MissingDriver { tile: (1, 1) })
+        );
+        assert_eq!(
+            extract_network(&cart).err(),
+            Some(EquivError::MissingDriver { tile: (2, 1) })
+        );
     }
 }

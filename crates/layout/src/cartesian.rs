@@ -6,11 +6,13 @@
 //! so the comparison experiment can quantify the difference (a Y-shaped
 //! gate occupying a Cartesian tile can only expose one southern output
 //! port, forcing longer detours and more crossings).
+//!
+//! The layout is the shared [`GateLayout`] over [`CartCoord`], with the
+//! same design rules as the hexagonal one (all four borders carry
+//! signals); this module adds the Cartesian ASCII rendering.
 
-use crate::clocking::ClockingScheme;
-use crate::tile::{DrcViolation, TileContents};
-use fcn_coords::{AspectRatio, CartCoord, CartDirection};
-use std::collections::BTreeMap;
+use crate::gate_layout::GateLayout;
+use fcn_coords::CartCoord;
 
 /// A clocked Cartesian gate-level layout.
 ///
@@ -29,174 +31,23 @@ use std::collections::BTreeMap;
 /// );
 /// assert_eq!(layout.clock_zone(CartCoord::new(1, 2)), 3);
 /// ```
-#[derive(Debug, Clone)]
-pub struct CartGateLayout {
-    ratio: AspectRatio,
-    scheme: ClockingScheme,
-    tiles: BTreeMap<CartCoord, TileContents<CartDirection>>,
-}
+pub type CartGateLayout = GateLayout<CartCoord>;
 
 impl CartGateLayout {
-    /// Creates an empty layout.
-    pub fn new(ratio: AspectRatio, scheme: ClockingScheme) -> Self {
-        CartGateLayout {
-            ratio,
-            scheme,
-            tiles: BTreeMap::new(),
-        }
-    }
-
-    /// The layout dimensions in tiles.
-    pub fn ratio(&self) -> AspectRatio {
-        self.ratio
-    }
-
-    /// The clocking scheme.
-    pub fn scheme(&self) -> ClockingScheme {
-        self.scheme
-    }
-
-    /// The clock zone of a tile.
-    pub fn clock_zone(&self, coord: CartCoord) -> u8 {
-        self.scheme.zone(coord.x, coord.y)
-    }
-
-    /// Places contents on a tile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coord` is outside the layout bounds.
-    pub fn place(&mut self, coord: CartCoord, contents: TileContents<CartDirection>) {
-        assert!(
-            self.ratio.contains_cart(coord),
-            "tile {coord} outside layout bounds {}",
-            self.ratio
-        );
-        self.tiles.insert(coord, contents);
-    }
-
-    /// The contents of a tile, if occupied.
-    pub fn tile(&self, coord: CartCoord) -> Option<&TileContents<CartDirection>> {
-        self.tiles.get(&coord)
-    }
-
-    /// Iterates over all occupied tiles.
-    pub fn occupied_tiles(
-        &self,
-    ) -> impl Iterator<Item = (CartCoord, &TileContents<CartDirection>)> {
-        self.tiles.iter().map(|(&c, t)| (c, t))
-    }
-
-    /// Number of occupied tiles.
-    pub fn num_occupied_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// Number of crossing tiles.
-    pub fn num_crossings(&self) -> usize {
-        self.tiles.values().filter(|t| t.is_crossing()).count()
-    }
-
-    /// Verifies connectivity, arity, and clocking design rules; see
-    /// [`crate::hexagonal::HexGateLayout::verify`] for the rule set (the
-    /// Cartesian variant allows all four directions).
-    pub fn verify(&self) -> Vec<DrcViolation> {
-        let mut violations = Vec::new();
-        let mut report = |coord: CartCoord, message: String| {
-            violations.push(DrcViolation {
-                tile: (coord.x, coord.y),
-                message,
-            });
-        };
-
-        for (&coord, contents) in &self.tiles {
-            if let TileContents::Gate {
-                kind,
-                inputs,
-                outputs,
-                ..
-            } = contents
-            {
-                if inputs.len() != kind.num_inputs() {
-                    report(coord, format!("{kind} input arity mismatch"));
-                }
-                if outputs.len() != kind.num_outputs() {
-                    report(coord, format!("{kind} output arity mismatch"));
-                }
-            }
-            let mut used: Vec<CartDirection> = contents.incoming();
-            used.extend(contents.outgoing());
-            for (i, d) in used.iter().enumerate() {
-                if used[..i].contains(d) {
-                    report(coord, format!("direction {d} used by multiple ports"));
-                }
-            }
-            let zone = self.clock_zone(coord);
-            for dir in contents.incoming() {
-                let n = coord.neighbor(dir);
-                match self.tiles.get(&n) {
-                    None => report(coord, format!("input port {dir} is unconnected")),
-                    Some(other) => {
-                        if !other.outgoing().contains(&dir.opposite()) {
-                            report(
-                                coord,
-                                format!("input port {dir}: neighbor has no matching output"),
-                            );
-                        }
-                        let nz = self.clock_zone(n);
-                        if !self.scheme.allows_flow(nz, zone) {
-                            report(
-                                coord,
-                                format!("clocking violation: zone {nz} does not feed zone {zone}"),
-                            );
-                        }
-                    }
-                }
-            }
-            for dir in contents.outgoing() {
-                let n = coord.neighbor(dir);
-                if !self.ratio.contains_cart(n) {
-                    report(coord, format!("output port {dir} leaves the layout"));
-                    continue;
-                }
-                if let Some(other) = self.tiles.get(&n) {
-                    if !other.incoming().contains(&dir.opposite()) {
-                        report(
-                            coord,
-                            format!("output port {dir}: neighbor has no matching input"),
-                        );
-                    }
-                } else {
-                    report(coord, format!("output port {dir} is unconnected"));
-                }
-            }
-        }
-        violations
-    }
-
     /// ASCII rendering, one grid row per line.
     pub fn render_ascii(&self) -> String {
-        let mut out = String::new();
-        const CELL: usize = 9;
-        for y in 0..self.ratio.height as i32 {
-            for x in 0..self.ratio.width as i32 {
-                let label = self
-                    .tile(CartCoord::new(x, y))
-                    .map(|t| t.label())
-                    .unwrap_or_else(|| "·".to_owned());
-                let truncated: String = label.chars().take(CELL - 1).collect();
-                out.push_str(&format!("{truncated:^width$}", width = CELL));
-            }
-            out.push('\n');
-        }
-        out
+        (0..self.ratio().height as i32)
+            .map(|y| self.render_row(y) + "\n")
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcn_coords::CartDirection as C;
+    use crate::clocking::ClockingScheme;
+    use crate::tile::TileContents;
+    use fcn_coords::{AspectRatio, CartDirection as C};
     use fcn_logic::GateKind;
 
     #[test]
@@ -213,21 +64,6 @@ mod tests {
         );
         let v = l.verify();
         assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn columnar_rejects_vertical_flow() {
-        let mut l = CartGateLayout::new(AspectRatio::new(1, 2), ClockingScheme::Columnar);
-        l.place(
-            CartCoord::new(0, 0),
-            TileContents::gate(GateKind::Pi, vec![], vec![C::South], Some("a".into())),
-        );
-        l.place(
-            CartCoord::new(0, 1),
-            TileContents::gate(GateKind::Po, vec![C::North], vec![], Some("f".into())),
-        );
-        let v = l.verify();
-        assert!(v.iter().any(|d| d.message.contains("clocking violation")));
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! tile from its two northern neighbors and leaves towards its two
 //! southern neighbors — the orientation in which the Y-shaped SiDB gates
 //! of the Bestagon library fit natively (paper Figure 3b).
+//!
+//! The layout is the shared [`GateLayout`] over [`HexCoord`]; this module
+//! adds the hexagonal ASCII rendering.
 
-use crate::clocking::{ClockingScheme, NUM_PHASES};
-use crate::tile::{DrcViolation, TileContents};
-use fcn_coords::{AspectRatio, HexCoord, HexDirection};
-use fcn_logic::GateKind;
-use std::collections::BTreeMap;
+use crate::gate_layout::{GateLayout, ASCII_CELL};
+use fcn_coords::HexCoord;
 
 /// A clocked hexagonal gate-level layout.
 ///
@@ -30,246 +30,34 @@ use std::collections::BTreeMap;
 /// );
 /// assert_eq!(layout.num_occupied_tiles(), 1);
 /// ```
-#[derive(Debug, Clone)]
-pub struct HexGateLayout {
-    ratio: AspectRatio,
-    scheme: ClockingScheme,
-    tiles: BTreeMap<HexCoord, TileContents<HexDirection>>,
-}
+pub type HexGateLayout = GateLayout<HexCoord>;
 
 impl HexGateLayout {
-    /// Creates an empty layout of the given dimensions and clocking scheme.
-    pub fn new(ratio: AspectRatio, scheme: ClockingScheme) -> Self {
-        HexGateLayout {
-            ratio,
-            scheme,
-            tiles: BTreeMap::new(),
-        }
-    }
-
-    /// The layout dimensions in tiles.
-    pub fn ratio(&self) -> AspectRatio {
-        self.ratio
-    }
-
-    /// The clocking scheme.
-    pub fn scheme(&self) -> ClockingScheme {
-        self.scheme
-    }
-
-    /// The clock zone driving the given tile.
-    pub fn clock_zone(&self, coord: HexCoord) -> u8 {
-        self.scheme.zone(coord.x, coord.y)
-    }
-
-    /// Places contents on a tile, replacing any previous contents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coord` is outside the layout bounds.
-    pub fn place(&mut self, coord: HexCoord, contents: TileContents<HexDirection>) {
-        assert!(
-            self.ratio.contains_hex(coord),
-            "tile {coord} outside layout bounds {}",
-            self.ratio
-        );
-        self.tiles.insert(coord, contents);
-    }
-
-    /// The contents of a tile, if occupied.
-    pub fn tile(&self, coord: HexCoord) -> Option<&TileContents<HexDirection>> {
-        self.tiles.get(&coord)
-    }
-
-    /// Iterates over all occupied tiles in row-major order.
-    pub fn occupied_tiles(&self) -> impl Iterator<Item = (HexCoord, &TileContents<HexDirection>)> {
-        self.tiles.iter().map(|(&c, t)| (c, t))
-    }
-
-    /// Number of occupied tiles.
-    pub fn num_occupied_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// Number of wire segments (crossings count twice).
-    pub fn num_wire_segments(&self) -> usize {
-        self.tiles
-            .values()
-            .map(|t| match t {
-                TileContents::Wire { segments } => segments.len(),
-                TileContents::Gate {
-                    kind: GateKind::Buf,
-                    ..
-                } => 1,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Number of crossing tiles.
-    pub fn num_crossings(&self) -> usize {
-        self.tiles.values().filter(|t| t.is_crossing()).count()
-    }
-
-    /// Number of logic gate tiles.
-    pub fn num_logic_tiles(&self) -> usize {
-        self.tiles.values().filter(|t| t.is_logic()).count()
-    }
-
-    /// Verifies the layout against the design rules:
-    ///
-    /// * every used port direction must be diagonal (no same-row flow),
-    /// * every incoming port must face an adjacent tile with a matching
-    ///   outgoing port (and vice versa),
-    /// * information flow must respect the clocking scheme,
-    /// * gate arities must match their port counts.
-    ///
-    /// Returns all violations (empty = clean).
-    pub fn verify(&self) -> Vec<DrcViolation> {
-        let mut violations = Vec::new();
-        let mut report = |coord: HexCoord, message: String| {
-            violations.push(DrcViolation {
-                tile: (coord.x, coord.y),
-                message,
-            });
-        };
-
-        for (&coord, contents) in &self.tiles {
-            // Port sanity.
-            if let TileContents::Gate {
-                kind,
-                inputs,
-                outputs,
-                ..
-            } = contents
-            {
-                if inputs.len() != kind.num_inputs() {
-                    report(
-                        coord,
-                        format!(
-                            "{kind} has {} input ports, expected {}",
-                            inputs.len(),
-                            kind.num_inputs()
-                        ),
-                    );
-                }
-                if outputs.len() != kind.num_outputs() {
-                    report(
-                        coord,
-                        format!(
-                            "{kind} has {} output ports, expected {}",
-                            outputs.len(),
-                            kind.num_outputs()
-                        ),
-                    );
-                }
-            }
-            if let TileContents::Wire { segments } = contents {
-                if segments.is_empty() || segments.len() > 2 {
-                    report(coord, format!("wire tile with {} segments", segments.len()));
-                }
-            }
-            // Distinct port directions.
-            let mut used: Vec<HexDirection> = contents.incoming();
-            used.extend(contents.outgoing());
-            for (i, d) in used.iter().enumerate() {
-                if used[..i].contains(d) {
-                    report(coord, format!("direction {d} used by multiple ports"));
-                }
-                if !d.is_incoming() && !d.is_outgoing() {
-                    report(
-                        coord,
-                        format!("east/west port {d} cannot carry signals in a row-clocked layout"),
-                    );
-                }
-            }
-            // Connectivity and clocking.
-            let zone = self.clock_zone(coord);
-            for dir in contents.incoming() {
-                let n = coord.neighbor(dir);
-                match self.tiles.get(&n) {
-                    None => report(coord, format!("input port {dir} is unconnected")),
-                    Some(other) => {
-                        if !other.outgoing().contains(&dir.opposite()) {
-                            report(
-                                coord,
-                                format!("input port {dir}: neighbor has no matching output"),
-                            );
-                        }
-                        let nz = self.scheme.zone(n.x, n.y);
-                        if !self.scheme.allows_flow(nz, zone) {
-                            report(
-                                coord,
-                                format!("clocking violation: zone {nz} does not feed zone {zone}"),
-                            );
-                        }
-                    }
-                }
-            }
-            for dir in contents.outgoing() {
-                let n = coord.neighbor(dir);
-                if !self.ratio.contains_hex(n) {
-                    report(coord, format!("output port {dir} leaves the layout"));
-                    continue;
-                }
-                match self.tiles.get(&n) {
-                    None => report(coord, format!("output port {dir} is unconnected")),
-                    Some(other) => {
-                        if !other.incoming().contains(&dir.opposite()) {
-                            report(
-                                coord,
-                                format!("output port {dir}: neighbor has no matching input"),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        violations
-    }
-
-    /// The number of distinct clock zones used before super-tile merging
-    /// (row clocking: one electrode per row, cycling over four phases).
-    pub fn num_clock_zone_rows(&self) -> u32 {
-        self.ratio.height
-    }
-
     /// ASCII rendering of the layout, one row of hexagons per line; odd
-    /// rows are indented to mirror the geometric half-tile shift.
+    /// rows are indented to mirror the geometric half-tile shift, and
+    /// each line ends with the row's clock zone.
     pub fn render_ascii(&self) -> String {
-        let mut out = String::new();
-        const CELL: usize = 9;
-        for y in 0..self.ratio.height as i32 {
-            if y % 2 == 1 {
-                out.push_str(&" ".repeat(CELL / 2));
-            }
-            for x in 0..self.ratio.width as i32 {
-                let label = self
-                    .tile(HexCoord::new(x, y))
-                    .map(|t| t.label())
-                    .unwrap_or_else(|| "·".to_owned());
-                let truncated: String = label.chars().take(CELL - 1).collect();
-                out.push_str(&format!("{truncated:^width$}", width = CELL));
-            }
-            out.push_str(&format!("   ⟨zone {}⟩\n", self.scheme.zone(0, y)));
-        }
-        out
-    }
-
-    /// Per-phase tile counts, for clocking analyses.
-    pub fn phase_histogram(&self) -> [usize; NUM_PHASES as usize] {
-        let mut hist = [0usize; NUM_PHASES as usize];
-        for &coord in self.tiles.keys() {
-            hist[self.clock_zone(coord) as usize] += 1;
-        }
-        hist
+        (0..self.ratio().height as i32)
+            .map(|y| {
+                let indent = if y % 2 == 1 { ASCII_CELL / 2 } else { 0 };
+                format!(
+                    "{}{}   ⟨zone {}⟩\n",
+                    " ".repeat(indent),
+                    self.render_row(y),
+                    self.scheme().zone(0, y)
+                )
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcn_coords::HexDirection as H;
+    use crate::clocking::ClockingScheme;
+    use crate::tile::TileContents;
+    use fcn_coords::{AspectRatio, HexDirection as H};
+    use fcn_logic::GateKind;
 
     /// A minimal clean layout: PI → wire → PO along SE/SW diagonals.
     fn straight_wire_layout() -> HexGateLayout {
@@ -298,67 +86,11 @@ mod tests {
     }
 
     #[test]
-    fn unconnected_input_is_reported() {
-        let mut l = HexGateLayout::new(AspectRatio::new(2, 2), ClockingScheme::Row);
-        l.place(
-            HexCoord::new(1, 1),
-            TileContents::gate(GateKind::Po, vec![H::NorthWest], vec![], Some("f".into())),
-        );
-        let v = l.verify();
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("unconnected"));
-    }
-
-    #[test]
-    fn clocking_violation_is_reported() {
-        // Under Columnar clocking, a vertical connection stays in the same
-        // column → same zone → the flow is illegal.
-        let mut l = HexGateLayout::new(AspectRatio::new(2, 2), ClockingScheme::Columnar);
-        l.place(
-            HexCoord::new(0, 0),
-            TileContents::gate(GateKind::Pi, vec![], vec![H::SouthEast], Some("a".into())),
-        );
-        // (0,0) is in an even row, so its SE neighbor is (0,1); the PO's
-        // NW port (odd row: delta (0,-1)) points back at (0,0).
-        l.place(
-            HexCoord::new(0, 1),
-            TileContents::gate(GateKind::Po, vec![H::NorthWest], vec![], Some("f".into())),
-        );
-        let v = l.verify();
-        assert!(
-            v.iter().any(|d| d.message.contains("clocking violation")),
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn arity_mismatch_is_reported() {
-        let mut l = HexGateLayout::new(AspectRatio::new(2, 2), ClockingScheme::Row);
-        l.place(
-            HexCoord::new(0, 0),
-            TileContents::gate(GateKind::And, vec![H::NorthWest], vec![H::SouthEast], None),
-        );
-        let v = l.verify();
-        assert!(v.iter().any(|d| d.message.contains("input ports")));
-    }
-
-    #[test]
     fn east_west_ports_are_rejected() {
         let mut l = HexGateLayout::new(AspectRatio::new(2, 2), ClockingScheme::Row);
         l.place(HexCoord::new(0, 0), TileContents::wire(H::West, H::East));
         let v = l.verify();
         assert!(v.iter().any(|d| d.message.contains("east/west")));
-    }
-
-    #[test]
-    fn output_leaving_layout_is_reported() {
-        let mut l = HexGateLayout::new(AspectRatio::new(1, 1), ClockingScheme::Row);
-        l.place(
-            HexCoord::new(0, 0),
-            TileContents::gate(GateKind::Pi, vec![], vec![H::SouthEast], Some("a".into())),
-        );
-        let v = l.verify();
-        assert!(v.iter().any(|d| d.message.contains("leaves the layout")));
     }
 
     #[test]
@@ -381,6 +113,10 @@ mod tests {
         assert!(s.contains("PO:f"));
         assert!(s.contains("⟨zone 0⟩"));
         assert!(s.contains("⟨zone 2⟩"));
+        assert_eq!(
+            s,
+            "    ·      PI:a      ⟨zone 0⟩\n      WIRE       ·       ⟨zone 1⟩\n    ·      PO:f      ⟨zone 2⟩\n"
+        );
     }
 
     #[test]
@@ -388,15 +124,5 @@ mod tests {
         let l = straight_wire_layout();
         let h = l.phase_histogram();
         assert_eq!(h, [1, 1, 1, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside layout bounds")]
-    fn placing_out_of_bounds_panics() {
-        let mut l = HexGateLayout::new(AspectRatio::new(1, 1), ClockingScheme::Row);
-        l.place(
-            HexCoord::new(5, 5),
-            TileContents::wire(H::NorthWest, H::SouthEast),
-        );
     }
 }

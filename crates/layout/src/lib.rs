@@ -1,14 +1,20 @@
 //! `fcn-layout` — clocked gate-level tile layouts for FCN circuits.
 //!
 //! A *gate-level layout* assigns logic gates, wire segments, and wire
-//! crossings to clocked tiles of a floor plan. This crate provides the two
-//! topologies the paper contrasts:
+//! crossings to clocked tiles of a floor plan. One layout type,
+//! [`GateLayout`], serves both floor plans the paper contrasts; its
+//! coordinate type parameter ([`fcn_coords::TileCoord`]) picks the plan:
 //!
 //! * [`hexagonal`] — the hexagonal floor plan the paper proposes for
 //!   Y-shaped SiDB gates (inputs arrive from the two northern neighbors,
 //!   outputs leave towards the two southern neighbors),
 //! * [`cartesian`] — the classic Cartesian floor plan used by QCA design
 //!   automation, kept as the comparison baseline (Figure 3).
+//!
+//! Placement, the counters and the design-rule check ([`GateLayout::verify`])
+//! are written once in [`gate_layout`]; each plan module names its
+//! instance ([`HexGateLayout`], [`cartesian::CartGateLayout`]) and adds
+//! its ASCII rendering.
 //!
 //! [`clocking`] implements the tileable clocking schemes referenced by the
 //! paper (Columnar/Row, 2DDWave, USE), and [`supertile`] implements the
@@ -30,10 +36,12 @@
 
 pub mod cartesian;
 pub mod clocking;
+pub mod gate_layout;
 pub mod hexagonal;
 pub mod supertile;
 pub mod tile;
 
 pub use clocking::ClockingScheme;
+pub use gate_layout::GateLayout;
 pub use hexagonal::HexGateLayout;
 pub use tile::{DrcViolation, TileContents};

@@ -1,4 +1,4 @@
-//! Tile contents shared by the hexagonal and Cartesian layout types.
+//! Tile contents of a gate-level layout, on either floor plan.
 
 use fcn_logic::GateKind;
 

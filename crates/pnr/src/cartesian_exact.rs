@@ -20,7 +20,6 @@ use crate::netgraph::NetGraph;
 use fcn_coords::{AspectRatio, CartCoord, CartDirection};
 use fcn_layout::cartesian::CartGateLayout;
 use fcn_layout::clocking::ClockingScheme;
-use fcn_layout::tile::TileContents;
 use fcn_logic::GateKind;
 
 /// Runs exact placement & routing on a Cartesian 2DDWave floor plan.
@@ -65,30 +64,14 @@ pub fn cartesian_exact_pnr(
 /// bottom/right borders.
 pub(crate) struct TwoDdWave;
 
-impl TwoDdWave {
-    fn coord((x, y): Tile) -> CartCoord {
-        CartCoord::new(x, y)
-    }
-
-    fn tile(c: CartCoord) -> Tile {
-        (c.x, c.y)
-    }
-
-    /// Border restriction for I/O pads: PIs enter along the top/left
-    /// borders, POs leave along the bottom/right borders.
-    fn border_ok(kind: GateKind, (x, y): Tile, ratio: AspectRatio) -> bool {
-        match kind {
-            GateKind::Pi => x == 0 || y == 0,
-            GateKind::Po => x == ratio.width as i32 - 1 || y == ratio.height as i32 - 1,
-            _ => true,
-        }
-    }
-}
-
 impl Topology for TwoDdWave {
+    type Coord = CartCoord;
+    const SCHEME: ClockingScheme = ClockingScheme::TwoDdWave;
     const OUTGOING: [CartDirection; 2] = [CartDirection::East, CartDirection::South];
-    type Dir = CartDirection;
-    type Layout = CartGateLayout;
+    /// The west neighbor steps east into a tile, the north neighbor
+    /// south.
+    const INCOMING: [(CartDirection, usize); 2] =
+        [(CartDirection::West, 0), (CartDirection::North, 1)];
 
     /// The number of anti-diagonals, `w + h − 1`.
     fn depth(ratio: AspectRatio) -> u32 {
@@ -114,37 +97,14 @@ impl Topology for TwoDdWave {
         (asap, alap)
     }
 
-    fn pad_admissible(kind: GateKind, t: Tile, ratio: AspectRatio) -> bool {
-        Self::border_ok(kind, t, ratio)
-    }
-
-    fn successor(t: Tile, port: usize) -> Tile {
-        Self::tile(Self::coord(t).neighbor(Self::OUTGOING[port]))
-    }
-
-    /// The west neighbor steps east into `t`, the north neighbor south.
-    fn predecessors(t: Tile) -> [(Tile, usize, CartDirection); 2] {
-        let c = Self::coord(t);
-        [
-            (
-                Self::tile(c.neighbor(CartDirection::West)),
-                0,
-                CartDirection::West,
-            ),
-            (
-                Self::tile(c.neighbor(CartDirection::North)),
-                1,
-                CartDirection::North,
-            ),
-        ]
-    }
-
-    fn new_layout(ratio: AspectRatio) -> CartGateLayout {
-        CartGateLayout::new(ratio, ClockingScheme::TwoDdWave)
-    }
-
-    fn place(layout: &mut CartGateLayout, t: Tile, contents: TileContents<CartDirection>) {
-        layout.place(Self::coord(t), contents);
+    /// PIs enter along the top/left borders, POs leave along the
+    /// bottom/right borders.
+    fn pad_admissible(kind: GateKind, (x, y): Tile, ratio: AspectRatio) -> bool {
+        match kind {
+            GateKind::Pi => x == 0 || y == 0,
+            GateKind::Po => x == ratio.width as i32 - 1 || y == ratio.height as i32 - 1,
+            _ => true,
+        }
     }
 }
 

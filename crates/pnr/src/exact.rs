@@ -33,12 +33,13 @@
 //! portfolio worker ran it (DESIGN.md §8 says why probes stay cold).
 
 use crate::netgraph::NetGraph;
-use crate::portfolio::{run_portfolio, CancelFlag, ProbeOutcome, ScanAbort};
+use crate::portfolio::{run_portfolio, CancelFlag, PortfolioOutcome, ProbeOutcome};
 use fcn_budget::Deadline;
-use fcn_coords::{AspectRatio, HexCoord, HexDirection};
+use fcn_coords::{AspectRatio, HexCoord, HexDirection, TileCoord};
 use fcn_layout::clocking::ClockingScheme;
 use fcn_layout::hexagonal::HexGateLayout;
 use fcn_layout::tile::TileContents;
+use fcn_layout::GateLayout;
 use fcn_logic::techmap::MappedId;
 use fcn_logic::GateKind;
 use msat::{BoundedResult, CnfBuilder, Lit, Model, SolveParams, SolverStats};
@@ -249,6 +250,19 @@ impl core::fmt::Display for PnrError {
 
 impl std::error::Error for PnrError {}
 
+impl PnrError {
+    /// The `verdict` telemetry note of a scan that ends in this error.
+    fn verdict(&self) -> &'static str {
+        match self {
+            PnrError::NoFeasibleRatio { .. } => "no-feasible-ratio",
+            PnrError::RouterInvariant { .. } => "router-invariant",
+            PnrError::DeadlineExpired => "deadline-expired",
+            PnrError::ConflictBudgetExhausted => "conflict-budget-exhausted",
+            PnrError::WorkerPanic { .. } => "worker-panic",
+        }
+    }
+}
+
 /// Runs exact placement & routing, returning an area-minimal layout.
 ///
 /// # Errors
@@ -284,8 +298,8 @@ pub fn exact_pnr(
 enum ProbeGate {
     /// Proceed, with this effective conflict budget.
     Go(u64),
-    /// A scan-wide limit is exhausted; end the scan.
-    Abort(ScanAbort),
+    /// A scan-wide limit is exhausted; end the scan with this error.
+    Abort(PnrError),
     /// Discard this probe without a verdict (injected interrupt).
     Cancelled,
 }
@@ -327,20 +341,20 @@ impl ScanLimits {
     fn pre_probe(&self, per_ratio: u64) -> ProbeGate {
         match fcn_budget::fault::check("pnr.probe") {
             Some(fcn_budget::fault::Fault::Exhaust) => {
-                return ProbeGate::Abort(ScanAbort::ConflictBudget)
+                return ProbeGate::Abort(PnrError::ConflictBudgetExhausted)
             }
             Some(fcn_budget::fault::Fault::Interrupt) => return ProbeGate::Cancelled,
             _ => {}
         }
         if self.deadline.expired() {
-            return ProbeGate::Abort(ScanAbort::Deadline);
+            return ProbeGate::Abort(PnrError::DeadlineExpired);
         }
         match self.total {
             None => ProbeGate::Go(per_ratio),
             Some(total) => {
                 let spent = self.spent.load(Ordering::Relaxed);
                 if spent >= total {
-                    ProbeGate::Abort(ScanAbort::ConflictBudget)
+                    ProbeGate::Abort(PnrError::ConflictBudgetExhausted)
                 } else {
                     ProbeGate::Go(per_ratio.min(total - spent))
                 }
@@ -359,23 +373,30 @@ impl ScanLimits {
 /// A tile position `(x, y)` — column and row — on either floor plan.
 pub(crate) type Tile = (i32, i32);
 
+/// The border direction type of topology `T`'s floor plan.
+pub(crate) type Dir<T> = <<T as Topology>::Coord as TileCoord>::Dir;
+
 /// What sets one floor-plan topology apart for exact placement &
 /// routing. Everything else — the candidate scan, the SAT encoding, the
 /// model extraction and the probes — is shared by [`scan`] and written
-/// once.
+/// once, and the layout it fills is the shared [`GateLayout`] over the
+/// topology's coordinate type.
 ///
 /// A topology orders its tiles into *levels*, one per clock phase (rows
 /// under hexagonal Row clocking, anti-diagonals under Cartesian
 /// 2DDWave); every edge advances exactly one level per tile step, so a
 /// node scheduled at ASAP/ALAP level `l` must sit on level `l`'s tiles.
 pub(crate) trait Topology {
+    /// The floor plan's tile coordinate.
+    type Coord: TileCoord;
+    /// The clocking scheme of the layouts the engine produces.
+    const SCHEME: ClockingScheme;
     /// The two outgoing directions of a tile; a step variable's port is
     /// an index into this array.
-    const OUTGOING: [Self::Dir; 2];
-    /// A tile border direction.
-    type Dir: Copy + PartialEq;
-    /// The gate-level layout the engine produces.
-    type Layout: Send;
+    const OUTGOING: [Dir<Self>; 2];
+    /// The two borders an edge may enter a tile by, each with the
+    /// outgoing port the predecessor tile leaves through.
+    const INCOMING: [(Dir<Self>, usize); 2];
 
     /// The number of levels of a ratio: the scheduling depth its ALAP
     /// levels are computed for.
@@ -392,15 +413,22 @@ pub(crate) trait Topology {
     /// Whether a node of `kind` may sit on tile `t` in `ratio`; a
     /// placement variable exists only where this holds.
     fn pad_admissible(kind: GateKind, t: Tile, ratio: AspectRatio) -> bool;
+
+    /// The tile across border `dir` of `t`.
+    fn neighbor(t: Tile, dir: Dir<Self>) -> Tile {
+        Self::Coord::from(t).neighbor(dir).xy()
+    }
+
     /// The tile an edge reaches leaving `t` through outgoing `port`.
-    fn successor(t: Tile, port: usize) -> Tile;
+    fn successor(t: Tile, port: usize) -> Tile {
+        Self::neighbor(t, Self::OUTGOING[port])
+    }
+
     /// The two tiles an edge may arrive at `t` from, each with the
     /// outgoing port it leaves through and the border of `t` it enters by.
-    fn predecessors(t: Tile) -> [(Tile, usize, Self::Dir); 2];
-    /// An empty layout of `ratio` under the topology's clocking scheme.
-    fn new_layout(ratio: AspectRatio) -> Self::Layout;
-    /// Places `contents` on tile `t`.
-    fn place(layout: &mut Self::Layout, t: Tile, contents: TileContents<Self::Dir>);
+    fn predecessors(t: Tile) -> [(Tile, usize, Dir<Self>); 2] {
+        Self::INCOMING.map(|(dir, port)| (Self::neighbor(t, dir), port, dir))
+    }
 }
 
 /// The hexagonal floor plan under Row clocking: level `y` is row `y`,
@@ -408,20 +436,14 @@ pub(crate) trait Topology {
 /// and POs in the bottom row.
 pub(crate) struct HexRow;
 
-impl HexRow {
-    fn coord((x, y): Tile) -> HexCoord {
-        HexCoord::new(x, y)
-    }
-
-    fn tile(c: HexCoord) -> Tile {
-        (c.x, c.y)
-    }
-}
-
 impl Topology for HexRow {
+    type Coord = HexCoord;
+    const SCHEME: ClockingScheme = ClockingScheme::Row;
     const OUTGOING: [HexDirection; 2] = HexDirection::OUTPUTS;
-    type Dir = HexDirection;
-    type Layout = HexGateLayout;
+    /// The north-west neighbor steps south-east into a tile, the
+    /// north-east neighbor south-west.
+    const INCOMING: [(HexDirection, usize); 2] =
+        [(HexDirection::NorthWest, 1), (HexDirection::NorthEast, 0)];
 
     fn depth(ratio: AspectRatio) -> u32 {
         ratio.height
@@ -452,36 +474,6 @@ impl Topology for HexRow {
     fn pad_admissible(_: GateKind, _: Tile, _: AspectRatio) -> bool {
         true
     }
-
-    fn successor(t: Tile, port: usize) -> Tile {
-        Self::tile(Self::coord(t).neighbor(Self::OUTGOING[port]))
-    }
-
-    /// The north-west neighbor steps south-east into `t`, the north-east
-    /// neighbor south-west.
-    fn predecessors(t: Tile) -> [(Tile, usize, HexDirection); 2] {
-        let c = Self::coord(t);
-        [
-            (
-                Self::tile(c.neighbor(HexDirection::NorthWest)),
-                1,
-                HexDirection::NorthWest,
-            ),
-            (
-                Self::tile(c.neighbor(HexDirection::NorthEast)),
-                0,
-                HexDirection::NorthEast,
-            ),
-        ]
-    }
-
-    fn new_layout(ratio: AspectRatio) -> HexGateLayout {
-        HexGateLayout::new(ratio, ClockingScheme::Row)
-    }
-
-    fn place(layout: &mut HexGateLayout, t: Tile, contents: TileContents<HexDirection>) {
-        layout.place(Self::coord(t), contents);
-    }
 }
 
 /// Runs exact placement & routing on topology `T`: the aspect-ratio
@@ -490,7 +482,7 @@ impl Topology for HexRow {
 pub(crate) fn scan<T: Topology>(
     graph: &NetGraph,
     options: &ExactOptions,
-) -> Result<PnrOutcome<T::Layout>, PnrError> {
+) -> Result<PnrOutcome<GateLayout<T::Coord>>, PnrError> {
     let num_nodes = graph.network.num_nodes() as u64;
     // Materialize the candidate stream up front: the filters are cheap
     // relative to a single SAT probe, and a concrete slice lets the
@@ -530,11 +522,11 @@ pub(crate) fn scan<T: Topology>(
 }
 
 /// Folds a portfolio run into the engine result: cumulative solver
-/// stats and the winner — or [`PnrError::NoFeasibleRatio`] when no
-/// probe was SAT. `ratio_of` maps a candidate index back to its
-/// aspect ratio.
+/// stats and the winner — or the error that ended the scan, which is
+/// [`PnrError::NoFeasibleRatio`] when no probe was SAT and none aborted.
+/// `ratio_of` maps a candidate index back to its aspect ratio.
 fn assemble_outcome<L>(
-    outcome: crate::portfolio::PortfolioOutcome<L, RatioProbe>,
+    outcome: PortfolioOutcome<L, RatioProbe>,
     ratio_of: impl Fn(usize) -> AspectRatio,
     options: &ExactOptions,
 ) -> Result<PnrOutcome<L>, PnrError> {
@@ -546,48 +538,27 @@ fn assemble_outcome<L>(
     for probe in &outcome.probes {
         cumulative += probe.stats;
     }
-    if let Some(payload) = outcome.panicked {
+    let err = match (outcome.panicked, outcome.winner) {
         // A panicked worker poisons the scan even when another probe
         // found a layout: the panic is an internal bug whose blast
         // radius is unknown, so surface it and let the caller degrade.
-        fcn_telemetry::note("verdict", "worker-panic");
-        return Err(PnrError::WorkerPanic { payload });
-    }
-    match outcome.winner {
-        Some((idx, layout)) => Ok(PnrOutcome {
-            layout,
-            ratio: ratio_of(idx),
-            ratios_tried: outcome.attempted,
-            stats: cumulative,
-            probes: outcome.probes,
-            reuse: ReuseStats::default(),
+        (Some(payload), _) => PnrError::WorkerPanic { payload },
+        (None, Some((idx, layout))) => {
+            return Ok(PnrOutcome {
+                layout,
+                ratio: ratio_of(idx),
+                ratios_tried: outcome.attempted,
+                stats: cumulative,
+                probes: outcome.probes,
+                reuse: ReuseStats::default(),
+            })
+        }
+        (None, None) => outcome.aborted.unwrap_or(PnrError::NoFeasibleRatio {
+            max_area: options.max_area,
         }),
-        None => match outcome.aborted {
-            Some(ScanAbort::Deadline) => {
-                fcn_telemetry::note("verdict", "deadline-expired");
-                Err(PnrError::DeadlineExpired)
-            }
-            Some(ScanAbort::ConflictBudget) => {
-                fcn_telemetry::note("verdict", "conflict-budget-exhausted");
-                Err(PnrError::ConflictBudgetExhausted)
-            }
-            Some(ScanAbort::Router { row, pos }) => {
-                fcn_telemetry::note("verdict", "router-invariant");
-                Err(PnrError::RouterInvariant { row, pos })
-            }
-            None => {
-                fcn_telemetry::note("verdict", "no-feasible-ratio");
-                Err(PnrError::NoFeasibleRatio {
-                    max_area: options.max_area,
-                })
-            }
-        },
-    }
-}
-
-/// Whether tile `t` lies inside `ratio`'s rectangle.
-fn in_ratio(ratio: AspectRatio, (x, y): Tile) -> bool {
-    x >= 0 && y >= 0 && x < ratio.width as i32 && y < ratio.height as i32
+    };
+    fcn_telemetry::note("verdict", err.verdict());
+    Err(err)
 }
 
 /// Every tile of `ratio`'s rectangle, row-major.
@@ -688,7 +659,7 @@ fn encode_ratio<T: Topology>(
             }
             for port in 0..2 {
                 let s = T::successor(t, port);
-                if in_ratio(ratio, s) && presence(e.target, s) {
+                if ratio.contains(s) && presence(e.target, s) {
                     step.insert((e.id, t, port), cnf.new_lit());
                 }
             }
@@ -790,16 +761,16 @@ fn encode_ratio<T: Topology>(
 /// A satisfying model should always describe a coherent routing; if it
 /// does not (an unplaced node or a routed tile without a matching
 /// step), that is an encoding bug surfaced as a typed
-/// [`ScanAbort::Router`] rather than a worker panic, so the flow's
-/// fallback path can degrade gracefully.
+/// [`PnrError::RouterInvariant`] rather than a worker panic, so the
+/// flow's fallback path can degrade gracefully.
 fn extract_layout<T: Topology>(
     model: &Model,
     enc: &Encoding,
     graph: &NetGraph,
     ratio: AspectRatio,
-) -> Result<T::Layout, ScanAbort> {
+) -> Result<GateLayout<T::Coord>, PnrError> {
     let (w, h) = (ratio.width as i32, ratio.height as i32);
-    let mut layout = T::new_layout(ratio);
+    let mut layout = GateLayout::new(ratio, T::SCHEME);
     let mut node_tile: HashMap<usize, Tile> = HashMap::new();
     for (&(n, t), &lit) in &enc.place {
         if model.lit_value(lit) {
@@ -816,13 +787,13 @@ fn extract_layout<T: Topology>(
         T::predecessors(t)
             .into_iter()
             .find_map(|(p, port, dir)| step_true(e, p, port).then_some(dir))
-            .ok_or(ScanAbort::Router { row: t.1, pos: t.0 })
+            .ok_or(PnrError::RouterInvariant { row: t.1, pos: t.0 })
     };
     let outgoing = |e: usize, t: Tile| {
         (0..2)
             .find(|&port| step_true(e, t, port))
             .map(|port| T::OUTGOING[port])
-            .ok_or(ScanAbort::Router { row: t.1, pos: t.0 })
+            .ok_or(PnrError::RouterInvariant { row: t.1, pos: t.0 })
     };
 
     // Gate tiles.
@@ -830,7 +801,7 @@ fn extract_layout<T: Topology>(
         let Some(&t) = node_tile.get(&n.index()) else {
             // The at-least-one placement clause guarantees a tile; a
             // missing one means the model is incoherent.
-            return Err(ScanAbort::Router { row: -1, pos: -1 });
+            return Err(PnrError::RouterInvariant { row: -1, pos: -1 });
         };
         let node = graph.network.node(n);
         let inputs = graph.in_edges[n.index()]
@@ -841,9 +812,8 @@ fn extract_layout<T: Topology>(
             .iter()
             .map(|&e| outgoing(e, t))
             .collect::<Result<Vec<_>, _>>()?;
-        T::place(
-            &mut layout,
-            t,
+        layout.place(
+            t.into(),
             TileContents::gate(node.kind, inputs, outputs, node.name.clone()),
         );
     }
@@ -867,7 +837,7 @@ fn extract_layout<T: Topology>(
         }
     }
     for (t, segs) in segments {
-        T::place(&mut layout, t, TileContents::Wire { segments: segs });
+        layout.place(t.into(), TileContents::Wire { segments: segs });
     }
     Ok(layout)
 }
@@ -890,7 +860,7 @@ struct ProbeInput<'a> {
 /// interrupt; a cancelled probe yields no probe record, nor does a
 /// ratio discarded before reaching the solver (which still counts
 /// as attempted).
-fn solve_ratio<T: Topology>(p: &ProbeInput) -> ProbeOutcome<T::Layout, RatioProbe> {
+fn solve_ratio<T: Topology>(p: &ProbeInput) -> ProbeOutcome<GateLayout<T::Coord>, RatioProbe> {
     let _span = fcn_telemetry::span(format!("ratio:{}", p.ratio.label()));
     let mut cnf = CnfBuilder::new();
     let Some(enc) = encode_ratio::<T>(&mut cnf, p.graph, p.ratio, p.alap, p.blacklist) else {
@@ -912,7 +882,7 @@ fn solve_ratio<T: Topology>(p: &ProbeInput) -> ProbeOutcome<T::Layout, RatioProb
     }
     if let BoundedResult::DeadlineExpired = outcome {
         fcn_telemetry::note("verdict", "deadline-expired");
-        return ProbeOutcome::aborted(ScanAbort::Deadline);
+        return ProbeOutcome::aborted(PnrError::DeadlineExpired);
     }
     let verdict = match &outcome {
         BoundedResult::Sat(_) => ProbeVerdict::Sat,

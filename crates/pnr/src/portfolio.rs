@@ -31,6 +31,7 @@
 //! probes is adopted in index order, which makes the merged span tree
 //! independent of worker scheduling.
 
+use crate::exact::PnrError;
 use fcn_budget::exec::{run_ordered, Signal};
 
 /// Cooperative cancellation handle passed to every probe. Probes must
@@ -38,40 +39,6 @@ use fcn_budget::exec::{run_ordered, Signal};
 /// in long non-solver phases) and report `cancelled: true` when it
 /// fired before a verdict was reached.
 pub use fcn_budget::exec::CancelFlag;
-
-/// Why a scan gave up before exhausting its candidate stream. Unlike a
-/// per-probe `BudgetExceeded` verdict (which skips one ratio and moves
-/// on), an abort ends the whole scan: the caller is expected to degrade
-/// — typically by falling back to the heuristic engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanAbort {
-    /// The wall-clock deadline passed.
-    Deadline,
-    /// The cumulative conflict budget across all probes ran out.
-    ConflictBudget,
-    /// Layout extraction from a SAT model violated a router invariant
-    /// (a routed tile without a coherent predecessor/successor chain).
-    /// Carries the offending tile so the caller can surface a typed
-    /// error instead of panicking inside a worker.
-    Router {
-        /// The layout row of the offending tile.
-        row: i32,
-        /// The column (x position) of the offending tile.
-        pos: i32,
-    },
-}
-
-impl std::fmt::Display for ScanAbort {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScanAbort::Deadline => f.write_str("deadline expired"),
-            ScanAbort::ConflictBudget => f.write_str("cumulative conflict budget exhausted"),
-            ScanAbort::Router { row, pos } => {
-                write!(f, "router invariant violated at tile ({pos}, {row})")
-            }
-        }
-    }
-}
 
 /// What one probe concluded, as reported back to the scheduler.
 #[derive(Debug)]
@@ -85,10 +52,14 @@ pub struct ProbeOutcome<L, P> {
     /// True when the cancel flag fired before a verdict; the outcome
     /// carries no information and is discarded.
     pub cancelled: bool,
-    /// Set when the probe hit a scan-wide resource limit (deadline or
-    /// cumulative budget). The scheduler stops dispatching further
-    /// candidates; in-flight probes conclude under their own limits.
-    pub abort: Option<ScanAbort>,
+    /// Set when the probe ends the whole scan: a scan-wide resource limit
+    /// ([`PnrError::DeadlineExpired`],
+    /// [`PnrError::ConflictBudgetExhausted`]) or an incoherent SAT model
+    /// ([`PnrError::RouterInvariant`]). Unlike a per-probe
+    /// `BudgetExceeded` verdict, which skips one ratio, this stops
+    /// dispatch of further candidates; in-flight probes conclude under
+    /// their own limits, and the caller is expected to degrade.
+    pub abort: Option<PnrError>,
 }
 
 impl<L, P> ProbeOutcome<L, P> {
@@ -112,8 +83,8 @@ impl<L, P> ProbeOutcome<L, P> {
         }
     }
 
-    /// A probe that hit a scan-wide limit; ends the scan.
-    pub fn aborted(abort: ScanAbort) -> Self {
+    /// A probe that ends the scan with `abort`.
+    pub fn aborted(abort: PnrError) -> Self {
         ProbeOutcome {
             layout: None,
             probe: None,
@@ -137,10 +108,10 @@ pub struct PortfolioOutcome<L, P> {
     pub attempted: usize,
     /// Number of in-flight probes cancelled by the winner.
     pub cancelled: usize,
-    /// Set when the scan stopped early on a scan-wide resource limit
-    /// and no winner had been committed by then. Probe records cover
-    /// the candidates that concluded before the abort.
-    pub aborted: Option<ScanAbort>,
+    /// The error of the probe that stopped the scan early, when no
+    /// winner had been committed by then. Probe records cover the
+    /// candidates that concluded before the abort.
+    pub aborted: Option<PnrError>,
     /// Set when a probe panicked: the (stringified) panic payload. The
     /// scheduler catches the unwind, cancels every in-flight sibling,
     /// stops dispatch, and reports here instead of propagating — the
@@ -238,7 +209,7 @@ mod tests {
             1 => ProbeOutcome::concluded(None, Some(*value)),
             2 => ProbeOutcome::concluded(None, None),
             4 => panic!("probe exploded"),
-            5 => ProbeOutcome::aborted(ScanAbort::Deadline),
+            5 => ProbeOutcome::aborted(PnrError::DeadlineExpired),
             _ => {
                 while !cancel.load(Ordering::Relaxed) {
                     std::thread::yield_now();
@@ -340,7 +311,11 @@ mod tests {
                 run_portfolio(&candidates, |_, c, f| fake_probe(c, f))
             });
             assert!(out.winner.is_none());
-            assert_eq!(out.aborted, Some(ScanAbort::Deadline), "threads={threads}");
+            assert_eq!(
+                out.aborted,
+                Some(PnrError::DeadlineExpired),
+                "threads={threads}"
+            );
             assert!(out.panicked.is_none());
             // Only the pre-abort prefix is guaranteed recorded.
             assert!(out.probes.starts_with(&[1]), "probes: {:?}", out.probes);

@@ -44,7 +44,6 @@
 
 mod builder;
 mod cdb;
-pub mod dimacs;
 mod solver;
 mod types;
 

@@ -12,7 +12,8 @@
 //! and areas are directly comparable (see `EXPERIMENTS.md`).
 //!
 //! Besides the table, the run writes `BENCH_table1.json`: one entry per
-//! benchmark with its wall time and the full flow-telemetry report
+//! benchmark with its wall time, an FNV-1a hash of its SQD export
+//! (`sqd_hash`) and the full flow-telemetry report
 //! (per-stage durations, SAT probe statistics per aspect ratio). Set
 //! `TELEMETRY=summary|tree|json` to also stream each flow's report to
 //! stderr as it completes.
@@ -30,7 +31,7 @@
 //! visited/pruned, cache hits). `SIM_CACHE=0` disables the cache.
 
 use bestagon_core::benchmarks::{benchmark, benchmark_names};
-use bestagon_core::flow::{FlowOptions, FlowRequest, PnrMethod};
+use bestagon_core::flow::{FlowOptions, FlowRequest, Fnv64, PnrMethod};
 use fcn_telemetry::json::Value;
 use std::time::Instant;
 
@@ -56,6 +57,7 @@ fn main() {
             Ok(result) => {
                 let ratio = result.layout.ratio();
                 let cell = result.cell.as_ref().expect("library applied");
+                let sqd = result.to_sqd().expect("library applied");
                 let paper = b
                     .paper_result
                     .map(|(w, h, s, a)| format!("{w}×{h}, {s}, {a:.2}"))
@@ -90,6 +92,13 @@ fn main() {
                     ),
                     ("sidbs".to_owned(), Value::Num(cell.num_sidbs() as f64)),
                     ("area_nm2".to_owned(), Value::Num(cell.area_nm2)),
+                    // The dot-accurate layout itself, hashed: a reroute
+                    // inside the same bounding box changes it. The top
+                    // 53 bits, so the JSON number holds the hash exactly.
+                    (
+                        "sqd_hash".to_owned(),
+                        Value::Num((Fnv64::new().bytes(sqd.as_bytes()).finish() >> 11) as f64),
+                    ),
                     // Tree-wide work totals (deterministic at
                     // THREADS=1 — see README).
                     (

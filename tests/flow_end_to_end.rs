@@ -109,7 +109,7 @@ fn broken_specifications_are_rejected() {
 #[test]
 fn cartesian_baseline_layouts_are_equivalent_too() {
     use fcn_budget::Deadline;
-    use fcn_equiv::{check_equivalence_extracted_bounded, extract_network_cart};
+    use fcn_equiv::{check_equivalence_extracted_bounded, extract_network};
     use fcn_logic::techmap::{map_xag, MapOptions};
     use fcn_pnr::{cartesian_exact_pnr, ExactOptions, NetGraph};
 
@@ -120,7 +120,7 @@ fn cartesian_baseline_layouts_are_equivalent_too() {
         let result = cartesian_exact_pnr(&graph, &ExactOptions::default())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(result.layout.verify().is_empty(), "{name}");
-        let extracted = extract_network_cart(&result.layout).expect("extractable");
+        let extracted = extract_network(&result.layout).expect("extractable");
         assert_eq!(
             check_equivalence_extracted_bounded(&b.xag, &extracted, None, Deadline::unbounded())
                 .expect("checkable"),
