@@ -9,16 +9,20 @@
 //! no cache, and writes `BENCH_sim.json`: per design, the summed
 //! branch-and-bound `visited` and `pruned` node counts, how many
 //! patterns the cap `truncated`, a `spectra_hash` over every pattern's
-//! spectrum (charge states and the bits of both energies), the wall
-//! clock and the visited nodes per second. The closing `aggregate`
+//! spectrum (charge states and the bits of both energies), a
+//! `config_hash` over the charge states alone, the wall clock and the
+//! visited nodes per second. The closing `aggregate`
 //! entry sums the counters over all designs.
 //!
 //! Unlike `BENCH_table1.json` and `BENCH_opdomain.json`, no flow, cache
 //! or sweep strategy sits between this benchmark and the kernel, so
 //! its `seconds` and `visited_per_s` measure the search itself. The
 //! patterns run one after another; regenerate the committed file at
-//! `THREADS=1`. The counters and the hash are deterministic, and
-//! `bench_diff` gates them strictly.
+//! `THREADS=1`. The counters and the hashes are deterministic, and
+//! `bench_diff` gates them strictly. A change to the search's bound or
+//! order that keeps every ground state moves the counters but not
+//! `config_hash`; a change to how energies are summed moves
+//! `spectra_hash` but not `config_hash`.
 
 use bestagon_core::flow::Fnv64;
 use fcn_telemetry::json::Value;
@@ -27,10 +31,13 @@ use sidb_sim::{PhysicalParams, SimParams, SimResult};
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Feeds one pattern's spectrum into the design's hash.
-fn hash_result(hash: &mut Fnv64, result: &SimResult) {
-    hash.bytes(&[u8::from(result.truncated)])
-        .bytes(&(result.states.len() as u64).to_le_bytes());
+/// Feeds one pattern's spectrum into the design's hashes: `spectra`
+/// takes the charge states and the bits of both energies, `configs`
+/// the charge states alone.
+fn hash_result(spectra: &mut Fnv64, configs: &mut Fnv64, result: &SimResult) {
+    let count = (result.states.len() as u64).to_le_bytes();
+    spectra.bytes(&[u8::from(result.truncated)]).bytes(&count);
+    configs.bytes(&count);
     for SimulatedState {
         config,
         electrostatic_energy,
@@ -38,9 +45,11 @@ fn hash_result(hash: &mut Fnv64, result: &SimResult) {
     } in &result.states
     {
         let states: Vec<u8> = config.states().iter().map(|&s| s as u8).collect();
-        hash.bytes(&states)
+        spectra
+            .bytes(&states)
             .bytes(&electrostatic_energy.to_bits().to_le_bytes())
             .bytes(&free_energy.to_bits().to_le_bytes());
+        configs.bytes(&states);
     }
 }
 
@@ -55,7 +64,7 @@ fn main() -> ExitCode {
     let (mut total_visited, mut total_pruned, mut total_truncated) = (0u64, 0u64, 0u64);
     let mut total_seconds = 0.0;
     for design in bestagon_lib::tiles::figure5_designs() {
-        let mut hash = Fnv64::new();
+        let (mut spectra, mut configs) = (Fnv64::new(), Fnv64::new());
         let (mut visited, mut pruned, mut truncated) = (0u64, 0u64, 0u64);
         let started = Instant::now();
         for pattern in 0..design.num_patterns() {
@@ -63,7 +72,7 @@ fn main() -> ExitCode {
             visited += result.stats.visited;
             pruned += result.stats.pruned;
             truncated += u64::from(result.truncated);
-            hash_result(&mut hash, &result);
+            hash_result(&mut spectra, &mut configs, &result);
         }
         let seconds = started.elapsed().as_secs_f64();
         let rate = visited as f64 / seconds.max(1e-9);
@@ -94,10 +103,14 @@ fn main() -> ExitCode {
             ("visited".to_owned(), Value::Num(visited as f64)),
             ("pruned".to_owned(), Value::Num(pruned as f64)),
             ("truncated".to_owned(), Value::Num(truncated as f64)),
-            // The top 53 bits, so the JSON number holds the hash exactly.
+            // The top 53 bits, so the JSON number holds each hash exactly.
             (
                 "spectra_hash".to_owned(),
-                Value::Num((hash.finish() >> 11) as f64),
+                Value::Num((spectra.finish() >> 11) as f64),
+            ),
+            (
+                "config_hash".to_owned(),
+                Value::Num((configs.finish() >> 11) as f64),
             ),
         ]));
     }
