@@ -141,34 +141,6 @@ impl OutputPort {
     }
 }
 
-/// Detects BDL pairs in a plain layout by pairing dots whose distance is
-/// below `threshold_angstrom` (nearest-neighbor, greedy). Useful when
-/// importing third-party designs without port annotations.
-pub fn detect_bdl_pairs(layout: &SidbLayout, threshold_angstrom: f64) -> Vec<(usize, usize)> {
-    let n = layout.num_sites();
-    let mut used = vec![false; n];
-    let mut pairs = Vec::new();
-    // Collect candidate pairs by increasing distance.
-    let mut candidates: Vec<(usize, usize, f64)> = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = layout.distance_angstrom(i, j);
-            if d <= threshold_angstrom {
-                candidates.push((i, j, d));
-            }
-        }
-    }
-    candidates.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(core::cmp::Ordering::Equal));
-    for (i, j, _) in candidates {
-        if !used[i] && !used[j] {
-            used[i] = true;
-            used[j] = true;
-            pairs.push((i, j));
-        }
-    }
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,16 +204,5 @@ mod tests {
         let back = port.translated(4, 2).translated(-4, -2);
         assert_eq!(back, port);
         assert_eq!(port.mirrored_x(5).mirrored_x(5), port);
-    }
-
-    #[test]
-    fn pair_detection_pairs_nearest_dots() {
-        // Two obvious pairs far apart.
-        let layout = SidbLayout::from_sites([(0, 0, 0), (2, 0, 0), (20, 0, 0), (22, 0, 0)]);
-        let pairs = detect_bdl_pairs(&layout, 10.0);
-        assert_eq!(pairs.len(), 2);
-        for (i, j) in pairs {
-            assert!(layout.distance_angstrom(i, j) < 10.0);
-        }
     }
 }
