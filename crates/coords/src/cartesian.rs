@@ -89,32 +89,6 @@ impl CartCoord {
         let (dx, dy) = dir.delta();
         CartCoord::new(self.x + dx, self.y + dy)
     }
-
-    /// All four neighbors, clockwise from north.
-    pub fn neighbors(self) -> [CartCoord; 4] {
-        let mut out = [CartCoord::default(); 4];
-        for (slot, dir) in out.iter_mut().zip(CartDirection::ALL) {
-            *slot = self.neighbor(dir);
-        }
-        out
-    }
-
-    /// The direction from `self` to the adjacent tile `other`, if adjacent.
-    pub fn direction_to(self, other: CartCoord) -> Option<CartDirection> {
-        CartDirection::ALL
-            .into_iter()
-            .find(|&d| self.neighbor(d) == other)
-    }
-
-    /// Manhattan distance between two tiles.
-    ///
-    /// ```
-    /// use fcn_coords::cartesian::CartCoord;
-    /// assert_eq!(CartCoord::new(0, 0).manhattan_distance(CartCoord::new(2, 3)), 5);
-    /// ```
-    pub fn manhattan_distance(self, other: CartCoord) -> u32 {
-        ((self.x - other.x).abs() + (self.y - other.y).abs()) as u32
-    }
 }
 
 impl core::fmt::Display for CartCoord {
@@ -139,22 +113,5 @@ mod tests {
         for d in CartDirection::ALL {
             assert_eq!(c.neighbor(d).neighbor(d.opposite()), c);
         }
-    }
-
-    #[test]
-    fn manhattan_distance_to_neighbors_is_one() {
-        let c = CartCoord::new(0, 0);
-        for n in c.neighbors() {
-            assert_eq!(c.manhattan_distance(n), 1);
-        }
-    }
-
-    #[test]
-    fn direction_to_identifies_neighbors() {
-        let c = CartCoord::new(2, 2);
-        for d in CartDirection::ALL {
-            assert_eq!(c.direction_to(c.neighbor(d)), Some(d));
-        }
-        assert_eq!(c.direction_to(CartCoord::new(4, 2)), None);
     }
 }

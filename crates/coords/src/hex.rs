@@ -17,9 +17,8 @@
 //! input pins of all gates are accessible via the centers of the upper tile
 //! borders and outputs propagate to either of the two bottom directions).
 //!
-//! Conversions to axial/cube coordinates follow the conventions popularized
-//! by Amit Patel's *Red Blob Games* hexagonal-grid reference, which the
-//! paper's acknowledgments cite.
+//! The odd-r offset convention follows Amit Patel's *Red Blob Games*
+//! hexagonal-grid reference, which the paper's acknowledgments cite.
 
 /// A hexagonal tile position in odd-row offset coordinates.
 ///
@@ -162,70 +161,6 @@ impl HexCoord {
         let (dx, dy) = dir.offset_delta(self.is_odd_row());
         HexCoord::new(self.x + dx, self.y + dy)
     }
-
-    /// All six neighbors, clockwise from north-west.
-    pub fn neighbors(self) -> [HexCoord; 6] {
-        let mut out = [HexCoord::default(); 6];
-        for (slot, dir) in out.iter_mut().zip(HexDirection::ALL) {
-            *slot = self.neighbor(dir);
-        }
-        out
-    }
-
-    /// The direction from `self` to the adjacent tile `other`, if they are
-    /// in fact neighbors.
-    pub fn direction_to(self, other: HexCoord) -> Option<HexDirection> {
-        HexDirection::ALL
-            .into_iter()
-            .find(|&d| self.neighbor(d) == other)
-    }
-
-    /// Converts odd-row offset coordinates to axial `(q, r)`.
-    pub const fn to_axial(self) -> (i32, i32) {
-        let q = self.x - (self.y - (self.y & 1)) / 2;
-        (q, self.y)
-    }
-
-    /// Constructs an offset coordinate from axial `(q, r)`.
-    pub const fn from_axial(q: i32, r: i32) -> Self {
-        HexCoord::new(q + (r - (r & 1)) / 2, r)
-    }
-
-    /// Converts to cube coordinates `(x, y, z)` with `x + y + z = 0`.
-    pub const fn to_cube(self) -> (i32, i32, i32) {
-        let (q, r) = self.to_axial();
-        (q, -q - r, r)
-    }
-
-    /// Hex-grid distance (minimum number of tile steps) to `other`.
-    ///
-    /// ```
-    /// use fcn_coords::hex::HexCoord;
-    /// assert_eq!(HexCoord::new(0, 0).distance(HexCoord::new(0, 0)), 0);
-    /// assert_eq!(HexCoord::new(0, 0).distance(HexCoord::new(3, 0)), 3);
-    /// ```
-    pub fn distance(self, other: HexCoord) -> u32 {
-        let (ax, ay, az) = self.to_cube();
-        let (bx, by, bz) = other.to_cube();
-        let d = (ax - bx).abs().max((ay - by).abs()).max((az - bz).abs());
-        d as u32
-    }
-
-    /// The two southern (output-side) neighbors, west first.
-    pub fn southern_neighbors(self) -> [HexCoord; 2] {
-        [
-            self.neighbor(HexDirection::SouthWest),
-            self.neighbor(HexDirection::SouthEast),
-        ]
-    }
-
-    /// The two northern (input-side) neighbors, west first.
-    pub fn northern_neighbors(self) -> [HexCoord; 2] {
-        [
-            self.neighbor(HexDirection::NorthWest),
-            self.neighbor(HexDirection::NorthEast),
-        ]
-    }
 }
 
 impl core::fmt::Display for HexCoord {
@@ -251,105 +186,6 @@ mod tests {
                 let c = HexCoord::new(x, y);
                 for d in HexDirection::ALL {
                     assert_eq!(c.neighbor(d).neighbor(d.opposite()), c, "{c} {d}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn axial_round_trip() {
-        for y in -5..6 {
-            for x in -5..6 {
-                let c = HexCoord::new(x, y);
-                let (q, r) = c.to_axial();
-                assert_eq!(HexCoord::from_axial(q, r), c);
-            }
-        }
-    }
-
-    #[test]
-    fn cube_coordinates_sum_to_zero() {
-        for y in -5..6 {
-            for x in -5..6 {
-                let (cx, cy, cz) = HexCoord::new(x, y).to_cube();
-                assert_eq!(cx + cy + cz, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn neighbors_are_at_distance_one() {
-        for y in -2..3 {
-            for x in -2..3 {
-                let c = HexCoord::new(x, y);
-                for n in c.neighbors() {
-                    assert_eq!(c.distance(n), 1);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn all_six_neighbors_are_distinct() {
-        let c = HexCoord::new(1, 1);
-        let n = c.neighbors();
-        for i in 0..6 {
-            for j in (i + 1)..6 {
-                assert_ne!(n[i], n[j]);
-            }
-        }
-    }
-
-    #[test]
-    fn direction_to_identifies_neighbors() {
-        let c = HexCoord::new(3, 4);
-        for d in HexDirection::ALL {
-            assert_eq!(c.direction_to(c.neighbor(d)), Some(d));
-        }
-        assert_eq!(c.direction_to(HexCoord::new(3, 8)), None);
-    }
-
-    #[test]
-    fn southern_neighbors_match_paper_row_flow() {
-        // Even row y=0: SW goes left-down, SE straight down in offset coords.
-        let even = HexCoord::new(2, 0);
-        assert_eq!(
-            even.southern_neighbors(),
-            [HexCoord::new(1, 1), HexCoord::new(2, 1)]
-        );
-        // Odd row y=1: SW straight down, SE right-down.
-        let odd = HexCoord::new(2, 1);
-        assert_eq!(
-            odd.southern_neighbors(),
-            [HexCoord::new(2, 2), HexCoord::new(3, 2)]
-        );
-    }
-
-    #[test]
-    fn northern_and_southern_are_inverse_relations() {
-        for y in 0..4 {
-            for x in 0..4 {
-                let c = HexCoord::new(x, y);
-                for s in c.southern_neighbors() {
-                    assert!(s.northern_neighbors().contains(&c));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn distance_is_symmetric_and_triangle() {
-        let pts = [
-            HexCoord::new(0, 0),
-            HexCoord::new(3, 1),
-            HexCoord::new(-2, 4),
-            HexCoord::new(5, 5),
-        ];
-        for &a in &pts {
-            for &b in &pts {
-                assert_eq!(a.distance(b), b.distance(a));
-                for &c in &pts {
-                    assert!(a.distance(c) <= a.distance(b) + b.distance(c));
                 }
             }
         }

@@ -4,9 +4,8 @@
 //! automation flow (DAC 2022, "Hexagons are the Bestagons"):
 //!
 //! * [`hex`] — pointy-top hexagonal tile coordinates in *odd-row offset*
-//!   form, with axial/cube conversions, distances, and the four diagonal
-//!   port directions (NW/NE inputs, SW/SE outputs) that Y-shaped SiDB gates
-//!   expose.
+//!   form, with the four diagonal port directions (NW/NE inputs, SW/SE
+//!   outputs) that Y-shaped SiDB gates expose.
 //! * [`cartesian`] — classic Cartesian tile coordinates used by QCA-style
 //!   floor plans; serves as the baseline topology the paper compares
 //!   against (Figure 3).
@@ -24,7 +23,7 @@
 //!
 //! let t = HexCoord::new(2, 3);
 //! let below_right = t.neighbor(HexDirection::SouthEast);
-//! assert_eq!(t.distance(below_right), 1);
+//! assert_eq!(below_right, HexCoord::new(3, 4));
 //! ```
 
 pub mod cartesian;
