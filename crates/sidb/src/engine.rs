@@ -255,11 +255,24 @@ pub fn simulate_on_surface(
 /// [`simulate_with`] with an optional precomputed interaction matrix
 /// (shared across the input patterns of `GateDesign` validation) and no
 /// telemetry emission — callers that merge several runs emit once.
+///
+/// # Panics
+///
+/// Panics if `matrix` does not have one row per site of `layout`: the
+/// engines would otherwise have to rebuild a pristine matrix and drop
+/// the caller's external potentials.
 pub(crate) fn simulate_with_matrix(
     layout: &SidbLayout,
     params: &SimParams,
     matrix: Option<&InteractionMatrix>,
 ) -> SimResult {
+    if let Some(m) = matrix {
+        assert_eq!(
+            m.num_sites(),
+            layout.num_sites(),
+            "interaction matrix does not match the layout"
+        );
+    }
     // External potentials (surface defects) are absolute-position
     // facts, but cache keys are translation-invariant — defect-aware
     // runs must not share entries with pristine ones, so they bypass
@@ -812,12 +825,8 @@ fn run_three_state(
     // The three-state matrix is rebuilt with transition levels enabled,
     // so only the external potentials carry over from the caller's
     // matrix; interactions are recomputed.
-    if let Some(src) = matrix {
-        if let Some(ext) = src.external_slice() {
-            if src.num_sites() == n {
-                m = m.with_external(ext.to_vec());
-            }
-        }
+    if let Some(ext) = matrix.and_then(InteractionMatrix::external_slice) {
+        m = m.with_external(ext.to_vec());
     }
     let mut best: Vec<SimulatedState> = Vec::new();
     let mut config = ChargeConfiguration::neutral(n);
@@ -905,6 +914,17 @@ mod tests {
             l.add_site((0, 4 * p + 1, 0));
         }
         l
+    }
+
+    #[test]
+    #[should_panic(expected = "interaction matrix does not match the layout")]
+    fn a_matrix_of_another_layout_panics() {
+        // A loaded matrix of a smaller layout must not be swapped for a
+        // pristine one, which would drop its external potentials.
+        let physical = PhysicalParams::default();
+        let small = chain(1);
+        let matrix = InteractionMatrix::new(&small, &physical).with_external(vec![0.1; 2]);
+        let _ = simulate_with_matrix(&chain(2), &SimParams::new(physical), Some(&matrix));
     }
 
     #[test]

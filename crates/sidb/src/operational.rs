@@ -6,10 +6,9 @@
 //! intended truth table on the output BDL pairs. This is the acceptance
 //! criterion the paper applied to every tile of the Bestagon library.
 //!
-//! Validation fans the `2^k` input patterns out across the simulation
-//! engine's worker pool and shares the gate body's interaction matrix
-//! between them (patterns differ only in a few perturber dots, so the
-//! dominant O(n²) matrix build happens once).
+//! Validation shares the gate body's interaction matrix between the
+//! `2^k` input patterns (patterns differ only in a few perturber dots,
+//! so the dominant O(n²) matrix build happens once).
 //!
 //! Every pattern goes through one evaluator: build the pattern's
 //! layout and matrix, simulate, and decode the outputs with
@@ -21,14 +20,15 @@
 //! completed, [`OperationalStatus::Unknown`] if it was truncated.
 //!
 //! Two check modes share that fold (see the crate-internal
-//! `CheckMode`): the default *full* mode always simulates every
-//! pattern, so verdicts *and* work counters are identical at any thread
-//! count; the *refute-fast* mode evaluates patterns serially in pattern
-//! order and stops at the deciding pattern — the verdict is the same by
-//! construction, only the work after it is skipped. The adaptive
-//! operational-domain sweep runs thousands of point checks in regions
-//! where the design is broken; refute-fast is what makes those points
-//! cheap.
+//! `CheckMode`). The *refute-fast* mode, behind the public checks,
+//! evaluates patterns serially in pattern order and stops at the
+//! deciding pattern: nothing simulated after it could change the
+//! verdict. The *full* mode simulates every pattern, fanned out across
+//! the engine's worker pool; only the dense operational-domain sweep
+//! uses it, as the reference the adaptive sweep is measured against.
+//! Either way verdicts *and* work counters are identical at any thread
+//! count — the patterns are independent, and a simulation nested in
+//! either mode only partitions its own clusters or chunks.
 
 use crate::bdl::{InputPort, OutputPort};
 use crate::charge::{ChargeConfiguration, InteractionMatrix};
@@ -55,14 +55,15 @@ pub struct GateDesign {
 /// How [`GateDesign::check_with_mode`] treats a failing input pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CheckMode {
-    /// Simulate every pattern, even after the deciding one. Work
-    /// counters are a pure function of the design and parameters — this
-    /// is the mode behind [`GateDesign::check_operational_with`] and the
-    /// dense domain sweep.
+    /// Simulate every pattern, even after the deciding one, across the
+    /// worker pool. Only the dense domain sweep uses it: it is the
+    /// reference the adaptive sweep's verdicts and savings are compared
+    /// against.
     Full,
     /// Evaluate patterns serially in pattern order and stop at the
     /// deciding pattern. Same verdict, strictly less work on designs
-    /// that are not operational.
+    /// that are not operational — the mode behind
+    /// [`GateDesign::check_operational_with`] and the adaptive sweep.
     RefuteFast,
 }
 
@@ -109,7 +110,9 @@ impl OperationalStatus {
 pub struct OperationalReport {
     /// The verdict.
     pub status: OperationalStatus,
-    /// Work counters summed over all simulated input patterns.
+    /// Work counters summed over the input patterns simulated to reach
+    /// the verdict: every pattern of an operational design, patterns
+    /// `0..=p` of one decided at pattern `p`.
     pub stats: SimStats,
 }
 
@@ -228,10 +231,11 @@ impl GateDesign {
     /// Validates the design against its truth table, returning the
     /// verdict together with the summed simulation work counters.
     ///
-    /// All `2^k` input patterns run across the engine's worker pool with
-    /// a shared body interaction matrix; the deciding pattern is always
-    /// the lowest-numbered one that does not read correctly,
-    /// independent of scheduling.
+    /// The input patterns run in pattern order with a shared body
+    /// interaction matrix, and the check stops at the deciding pattern —
+    /// the lowest-numbered one that does not read correctly. The
+    /// report's stats cover exactly the patterns simulated up to it, and
+    /// are the same at any thread count.
     ///
     /// # Panics
     ///
@@ -246,14 +250,17 @@ impl GateDesign {
     /// so the verdict reflects the gate as it would behave at this
     /// physical location. On a pristine (empty) surface this is
     /// [`check_operational_with`](Self::check_operational_with): the
-    /// arithmetic is bit-identical and cache-eligible.
+    /// arithmetic is bit-identical and cache-eligible. Like it, the
+    /// check stops at the deciding pattern.
     ///
     /// # Panics
     ///
     /// Panics if the truth table does not cover every input pattern.
     pub fn check_operational_on(&self, sim: &SimParams, surface: &DefectMap) -> OperationalReport {
         let surface = (!surface.is_empty()).then_some(surface);
-        let report = self.check_with_mode(sim, CheckMode::Full, surface).report;
+        let report = self
+            .check_with_mode(sim, CheckMode::RefuteFast, surface)
+            .report;
         engine::emit_stats(&report.stats);
         report
     }
@@ -427,9 +434,11 @@ mod tests {
     fn verdicts_and_stats_are_thread_invariant() {
         let d = wire_design();
         let base = SimParams::new(PhysicalParams::default());
-        let one = with_width(1, || d.check_with_mode(&base, CheckMode::Full, None));
-        let four = with_width(4, || d.check_with_mode(&base, CheckMode::Full, None));
-        assert_eq!(one, four);
+        for mode in [CheckMode::Full, CheckMode::RefuteFast] {
+            let one = with_width(1, || d.check_with_mode(&base, mode, None));
+            let four = with_width(4, || d.check_with_mode(&base, mode, None));
+            assert_eq!(one, four, "{mode:?}");
+        }
     }
 
     #[test]
@@ -481,7 +490,9 @@ mod tests {
             .with_budget(StepBudget::unbounded().with_max_steps(2));
         let report = d.check_operational_with(&sim);
         assert_eq!(report.status, OperationalStatus::Unknown { pattern: 0 });
-        assert_eq!(report.stats.truncated, u64::from(d.num_patterns()));
+        // The public check stops at the deciding pattern: one capped
+        // search, not one per pattern.
+        assert_eq!(report.stats.truncated, 1);
         let full = d.check_with_mode(&sim, CheckMode::Full, None);
         let fast = d.check_with_mode(&sim, CheckMode::RefuteFast, None);
         assert_eq!(full.report.status, fast.report.status);

@@ -169,8 +169,8 @@ pub(crate) fn anneal_core(
     }
     let owned;
     let m = match matrix {
-        Some(m) if m.num_sites() == n => m,
-        _ => {
+        Some(m) => m,
+        None => {
             owned = InteractionMatrix::new(layout, params);
             &owned
         }

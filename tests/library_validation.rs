@@ -3,12 +3,13 @@
 //! reproduced their full truth tables in exact ground-state simulation
 //! when calibrated, and must keep doing so.
 
+use bestagon_lib::geometry::validation_params;
 use bestagon_lib::tiles::{
     double_wire, fanout_nw, gate_catalog, huff_style_or, inverter_nw_se, inverter_nw_sw,
     two_input_gate, wire_nw_se, wire_nw_sw,
 };
 use fcn_logic::GateKind;
-use sidb_sim::operational::GateDesign;
+use sidb_sim::operational::{GateDesign, OperationalStatus};
 use sidb_sim::stability::{logic_stability, worst_case_gap_ev};
 use sidb_sim::{PhysicalParams, SimEngine, SimParams};
 
@@ -55,6 +56,36 @@ fn designer_repaired_tiles_stay_operational() {
     for design in [wire_nw_se(), inverter_nw_se(), fanout_nw()] {
         assert_operational(&design);
     }
+}
+
+#[test]
+fn validation_stops_at_the_deciding_pattern() {
+    // XOR and XNOR already read wrong at pattern 0 under the flow's
+    // validation parameters, so the check simulates that pattern alone.
+    let sim = SimParams::new(validation_params()).with_engine(SimEngine::QuickExact);
+    for design in [catalog_gate(GateKind::Xor), catalog_gate(GateKind::Xnor)] {
+        let report = design.check_operational_with(&sim);
+        assert!(
+            matches!(
+                report.status,
+                OperationalStatus::NonOperational { pattern: 0, .. }
+            ),
+            "{}: {:?}",
+            design.name,
+            report.status
+        );
+        let first = design.evaluate_pattern_with(0, &sim);
+        assert!(first.stats.visited > 0);
+        assert_eq!(report.stats.visited, first.stats.visited, "{}", design.name);
+    }
+    // An operational design has no decider: every pattern is simulated.
+    let design = huff_style_or();
+    let report = design.check_operational_with(&sim);
+    assert!(report.is_operational(), "{:?}", report.status);
+    let every_pattern: u64 = (0..design.num_patterns())
+        .map(|p| design.evaluate_pattern_with(p, &sim).stats.visited)
+        .sum();
+    assert_eq!(report.stats.visited, every_pattern);
 }
 
 #[test]

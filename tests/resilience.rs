@@ -266,25 +266,41 @@ fn rewrite_iteration_budget_clamps_step2() {
 #[test]
 fn injected_sim_partition_panic_recovers_bit_identically() {
     use bestagon_lib::tiles::huff_style_or;
-    use sidb_sim::{PhysicalParams, SimEngine, SimParams};
     with_width(4, || {
-        // Gate validation partitions the 2^k input patterns across the
-        // pool; every pattern unit is hit by the injected panic and
-        // recomputed by the coordinator.
+        // The dense domain sweep partitions its grid points, and each
+        // point's full check its 2^k input patterns, across the pool;
+        // every unit is hit by the injected panic and recomputed by the
+        // coordinator.
         let design = huff_style_or();
-        let params = SimParams::new(PhysicalParams::default()).with_engine(SimEngine::QuickExact);
-        let clean = design.check_operational_with(&params);
-        assert_eq!(clean.stats.recovered, 0);
+        let params = dense_sweep_params();
+        let clean = design.operational_domain(&params);
+        assert_eq!(clean.stats.sim.recovered, 0);
 
         let plan = Arc::new(FaultPlan::single("sidb.partition", Fault::Panic));
         let scope = install(plan.clone());
-        let faulted = design.check_operational_with(&params);
+        let faulted = design.operational_domain(&params);
         drop(scope);
         assert!(plan.hits("sidb.partition") > 0, "fault point was reached");
-        assert!(faulted.stats.recovered > 0, "recomputed units are counted");
-        assert_eq!(clean.status, faulted.status, "recovery is bit-identical");
-        assert_eq!(clean.stats.visited, faulted.stats.visited);
+        assert!(
+            faulted.stats.sim.recovered > 0,
+            "recomputed units are counted"
+        );
+        assert_eq!(clean.samples, faulted.samples, "recovery is bit-identical");
+        assert_eq!(clean.stats.sim.visited, faulted.stats.sim.visited);
     })
+}
+
+/// A dense 2×2 operational-domain sweep: the one caller that still
+/// partitions a gate's input patterns across the pool.
+fn dense_sweep_params() -> sidb_sim::opdomain::DomainParams {
+    use sidb_sim::opdomain::{DomainGrid, DomainParams, DomainStrategy};
+    use sidb_sim::{PhysicalParams, SimEngine, SimParams};
+    DomainParams::new(SimParams::new(PhysicalParams::default()).with_engine(SimEngine::QuickExact))
+        .with_grid(DomainGrid {
+            steps: 2,
+            ..Default::default()
+        })
+        .with_strategy(DomainStrategy::Dense)
 }
 
 /// An injected exhaustion at the partition point stops parallel dispatch
@@ -292,18 +308,17 @@ fn injected_sim_partition_panic_recovers_bit_identically() {
 #[test]
 fn injected_sim_partition_exhaust_serializes_without_changing_results() {
     use bestagon_lib::tiles::huff_style_or;
-    use sidb_sim::{PhysicalParams, SimEngine, SimParams};
     with_width(4, || {
         let design = huff_style_or();
-        let params = SimParams::new(PhysicalParams::default()).with_engine(SimEngine::QuickExact);
-        let clean = design.check_operational_with(&params);
+        let params = dense_sweep_params();
+        let clean = design.operational_domain(&params);
 
         let plan = Arc::new(FaultPlan::single("sidb.partition", Fault::Exhaust));
         let scope = install(plan.clone());
-        let faulted = design.check_operational_with(&params);
+        let faulted = design.operational_domain(&params);
         drop(scope);
         assert!(plan.hits("sidb.partition") > 0);
-        assert_eq!(clean.status, faulted.status, "verdict is fault-invariant");
+        assert_eq!(clean.samples, faulted.samples, "verdict is fault-invariant");
     })
 }
 
