@@ -9,7 +9,7 @@
 use crate::geometry::{check_port_geometry, GeometryError};
 use crate::tiles::BestagonLibrary;
 use fcn_coords::siqad::{bestagon_layout_area_nm2, hex_tile_origin};
-use fcn_coords::{AspectRatio, HexCoord, HexDirection};
+use fcn_coords::{HexCoord, HexDirection};
 use fcn_layout::hexagonal::HexGateLayout;
 use fcn_layout::tile::TileContents;
 use fcn_logic::GateKind;
@@ -21,8 +21,6 @@ use sidb_sim::operational::GateDesign;
 pub struct CellLevelLayout {
     /// All SiDBs of the circuit.
     pub sidb: SidbLayout,
-    /// The gate-level aspect ratio (tiles).
-    pub ratio: AspectRatio,
     /// Physical area in nm² (the Table 1 bounding-box formula).
     pub area_nm2: f64,
 }
@@ -101,7 +99,6 @@ pub fn apply_gate_library(
     }
     Ok(CellLevelLayout {
         sidb,
-        ratio: layout.ratio(),
         area_nm2: bestagon_layout_area_nm2(layout.ratio()),
     })
 }
@@ -185,14 +182,14 @@ fn tile_designs(
             let tile = library
                 .tile(kind, &inputs, &outputs)
                 .ok_or_else(|| missing(format!("{kind} {inputs:?} → {outputs:?}")))?;
-            Ok(vec![checked(&tile.design)?])
+            Ok(vec![checked(tile)?])
         }
         TileContents::Wire { segments } => match segments.as_slice() {
             [(i, o)] => {
                 let tile = library
                     .tile(GateKind::Buf, &[*i], &[*o])
                     .ok_or_else(|| missing(format!("wire {i} → {o}")))?;
-                Ok(vec![checked(&tile.design)?])
+                Ok(vec![checked(tile)?])
             }
             [a, b] => {
                 let set: std::collections::BTreeSet<(HexDirection, HexDirection)> =
@@ -210,7 +207,7 @@ fn tile_designs(
                     let mirrored = library
                         .tile(GateKind::Buf, &[NE], &[SE])
                         .ok_or_else(|| missing("double wire".into()))?;
-                    Ok(vec![checked(&tile.design)?, checked(&mirrored.design)?])
+                    Ok(vec![checked(tile)?, checked(mirrored)?])
                 } else {
                     Err(missing(format!("wire pair {set:?}")))
                 }
@@ -223,6 +220,7 @@ fn tile_designs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fcn_coords::AspectRatio;
     use fcn_layout::clocking::ClockingScheme;
 
     fn pi_wire_po_layout() -> HexGateLayout {
@@ -250,11 +248,9 @@ mod tests {
         let wire_dots = lib
             .tile(GateKind::Buf, &[NorthWest], &[SouthWest])
             .expect("wire tile")
-            .design
             .body
             .num_sites();
         assert_eq!(cell.num_sidbs(), 3 * wire_dots);
-        assert_eq!(cell.ratio, AspectRatio::new(2, 3));
         assert!((cell.area_nm2 - 2403.98).abs() < 0.01);
     }
 
@@ -291,16 +287,6 @@ mod tests {
         for d in &designs {
             assert!(!d.truth_table.is_empty(), "{} carries its table", d.name);
         }
-    }
-
-    #[test]
-    fn library_port_geometry_is_well_formed() {
-        let lib = BestagonLibrary::new();
-        for tile in lib.iter() {
-            check_port_geometry(&tile.design)
-                .unwrap_or_else(|e| panic!("design '{}': {e}", tile.design.name));
-        }
-        check_port_geometry(&lib.crossing_design()).expect("crossing design");
     }
 
     #[test]

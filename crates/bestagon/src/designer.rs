@@ -8,9 +8,9 @@
 //! seeded deterministically from the option seed and its restart index,
 //! so the returned design is byte-identical at any width. Within a
 //! restart, odd indices run a **simulated-annealing** schedule and even
-//! indices the classic hill climber ([`SearchStrategy::Mixed`]), both
-//! over structured mutation moves: single-dot placement, BDL-pair-aware
-//! placement (two dots at the library's pair geometry), paired moves,
+//! indices the classic hill climber, both over structured mutation
+//! moves: single-dot placement, BDL-pair-aware placement (two dots at
+//! the library's pair geometry), paired moves,
 //! and symmetry mirroring across the canvas midline.
 //!
 //! Every candidate is scored by exact ground-state simulation
@@ -18,7 +18,7 @@
 //! patterns — the same accept/reject signal the RL agent received —
 //! through a **process-shared [`SimCache`]**, so restarts that revisit a
 //! canvas answer from memory. Budget-truncated simulations are surfaced
-//! as *unevaluated* ([`Score::unevaluated`]), never as "wrong", and a
+//! as *unevaluated* (`Score::unevaluated`), never as "wrong", and a
 //! deadline- or budget-halted search returns its best-so-far with an
 //! honest [`DesignDegradation`] record instead of erroring or hanging.
 //! Designs that pass are returned for manual review and inclusion in
@@ -40,19 +40,6 @@ use sidb_sim::operational::GateDesign;
 
 use crate::geometry::{INPUT_ROW, OUTPUT_ROW, PAIR_HALF_WIDTH, TILE_WIDTH};
 
-/// Which local-search strategy a restart runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchStrategy {
-    /// Greedy hill climbing (accept only non-worsening moves).
-    HillClimb,
-    /// Simulated annealing with a geometric cooling schedule.
-    Anneal,
-    /// Even restart indices hill-climb, odd ones anneal (the default:
-    /// climbers converge fast, annealers escape the climbers' plateaus).
-    #[default]
-    Mixed,
-}
-
 /// Options controlling the canvas search.
 ///
 /// Construct with [`DesignerOptions::new`] (or `Default`) and chain
@@ -63,25 +50,23 @@ pub enum SearchStrategy {
 pub struct DesignerOptions {
     /// Canvas region `(min_x, min_y, max_x, max_y)` in tile-local cells;
     /// `None` derives the region from the design's body bounding box
-    /// (see [`derived_region`]), so two-output tiles get a canvas
+    /// (see `derived_region`), so two-output tiles get a canvas
     /// spanning both output columns.
     pub region: Option<(i32, i32, i32, i32)>,
     /// Maximum number of canvas dots.
     pub max_dots: usize,
     /// Search iterations per restart.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// Number of restarts (run in parallel on the ordered executor).
-    pub restarts: usize,
+    pub(crate) restarts: usize,
     /// RNG seed; each restart derives its own stream from it.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Search budget: `max_steps` caps *candidate evaluations* across
     /// all restarts, `deadline` bounds wall clock (also threaded into
     /// each simulation, so even one oversized sweep cannot hang the
     /// search). A bounded run degrades honestly; see
     /// [`DesignResult::degradation`].
-    pub budget: StepBudget,
-    /// The local-search strategy.
-    pub strategy: SearchStrategy,
+    pub(crate) budget: StepBudget,
 }
 
 impl Default for DesignerOptions {
@@ -93,7 +78,6 @@ impl Default for DesignerOptions {
             restarts: 6,
             seed: 0xbe57a607,
             budget: StepBudget::unbounded(),
-            strategy: SearchStrategy::Mixed,
         }
     }
 }
@@ -145,20 +129,13 @@ impl DesignerOptions {
         self.budget = budget;
         self
     }
-
-    /// Selects the local-search strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: SearchStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
 }
 
 /// The canvas region derived from a design's body bounding box: the
 /// body's horizontal span and the rows strictly between the port rows,
 /// clamped to the tile. Two-output tiles (fan-out, half adder) span
 /// both output columns this way, which the old fixed default did not.
-pub fn derived_region(base: &GateDesign) -> (i32, i32, i32, i32) {
+pub(crate) fn derived_region(base: &GateDesign) -> (i32, i32, i32, i32) {
     match base.body.bounding_box() {
         Some(((min_x, min_y), (max_x, max_y))) => {
             let x0 = min_x.max(PAIR_HALF_WIDTH);
@@ -182,15 +159,15 @@ pub struct Score {
     /// Outputs that matched the truth table (over all patterns).
     pub correct: u32,
     /// Matched outputs minus ambiguous read-outs (tie-breaker).
-    pub crisp: i32,
+    pub(crate) crisp: i32,
     /// Patterns whose simulation did not complete; when non-zero the
     /// other two fields undercount and the score is not trusted.
-    pub unevaluated: u32,
+    pub(crate) unevaluated: u32,
 }
 
 impl Score {
     /// Whether every output of every pattern was simulated and correct.
-    pub fn is_perfect(&self, target: u32) -> bool {
+    pub(crate) fn is_perfect(&self, target: u32) -> bool {
         self.unevaluated == 0 && self.correct == target
     }
 
@@ -264,16 +241,16 @@ pub struct DesignerStats {
     /// Candidate designs scored (each costs `2^inputs` simulations).
     pub candidates: u64,
     /// Candidates whose score saw at least one unevaluated pattern.
-    pub untrusted: u64,
+    pub(crate) untrusted: u64,
     /// Restarts that ran to completion (or found a perfect design).
     pub restarts_completed: u32,
     /// Restarts skipped or cancelled after a lower-indexed restart had
     /// already found a perfect design.
-    pub restarts_skipped: u32,
+    pub(crate) restarts_skipped: u32,
     /// Restarts recomputed on the coordinator after a worker fault.
     pub recovered: u32,
     /// Merged simulation counters (visited, pruned, cache hits, …).
-    pub sim: SimStats,
+    pub(crate) sim: SimStats,
 }
 
 /// The outcome of a canvas search: the best design found — perfect or
@@ -299,16 +276,6 @@ impl DesignResult {
     /// Whether the returned design reproduces its full truth table.
     pub fn is_operational(&self) -> bool {
         self.score.is_perfect(self.target)
-    }
-
-    /// The repaired design when the search succeeded, `None` otherwise
-    /// (the old `design_canvas` contract).
-    pub fn into_operational(self) -> Option<GateDesign> {
-        if self.is_operational() {
-            Some(self.design)
-        } else {
-            None
-        }
     }
 }
 
@@ -476,11 +443,9 @@ fn mutate(
 /// discards the partial result.
 fn run_restart(ctx: &SearchCtx<'_>, idx: usize, cancel: &CancelFlag) -> Restart {
     let mut rng = StdRng::seed_from_u64(restart_seed(ctx.options.seed, idx as u64));
-    let anneal = match ctx.options.strategy {
-        SearchStrategy::HillClimb => false,
-        SearchStrategy::Anneal => true,
-        SearchStrategy::Mixed => idx % 2 == 1,
-    };
+    // Even restarts hill-climb (accept only non-worsening moves), odd
+    // ones anneal: climbers converge fast, annealers escape their plateaus.
+    let anneal = idx % 2 == 1;
     let mut out = Restart {
         canvas: Vec::new(),
         score: Score::default(),
@@ -774,7 +739,7 @@ fn emit_designer_stats(stats: &DesignerStats, trajectory: &[u64], budget: &StepB
 }
 
 /// Returns `base` with the given canvas dots added to its body.
-pub fn with_canvas(base: &GateDesign, canvas: &[LatticeCoord]) -> GateDesign {
+pub(crate) fn with_canvas(base: &GateDesign, canvas: &[LatticeCoord]) -> GateDesign {
     let mut d = base.clone();
     for &dot in canvas {
         d.body.add_site(dot);

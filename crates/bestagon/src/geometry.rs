@@ -33,7 +33,6 @@
 
 use fcn_coords::LatticeCoord;
 use sidb_sim::bdl::{BdlPair, InputPort, OutputPort};
-use sidb_sim::charge::{ChargeConfiguration, ChargeState};
 use sidb_sim::layout::SidbLayout;
 use sidb_sim::operational::GateDesign;
 
@@ -44,14 +43,6 @@ pub enum GeometryError {
     MissingDot {
         /// The absent dot.
         dot: LatticeCoord,
-    },
-    /// A pair's charge read-out is ambiguous (both or neither dot
-    /// negative), so it encodes no logic value.
-    AmbiguousPair {
-        /// The pair's center column.
-        cx: i32,
-        /// The pair's dimer row.
-        y: i32,
     },
     /// A port pair whose 0-dot and 1-dot coincide cannot encode a bit.
     DegeneratePair {
@@ -66,9 +57,6 @@ impl core::fmt::Display for GeometryError {
             GeometryError::MissingDot { dot } => {
                 write!(f, "dot {dot} is not part of the layout")
             }
-            GeometryError::AmbiguousPair { cx, y } => {
-                write!(f, "ambiguous charge read-out for the pair at ({cx}, {y})")
-            }
             GeometryError::DegeneratePair { dot } => {
                 write!(f, "degenerate port pair: 0-dot and 1-dot coincide at {dot}")
             }
@@ -78,37 +66,6 @@ impl core::fmt::Display for GeometryError {
 
 impl std::error::Error for GeometryError {}
 
-/// Reads the logic state of the horizontal pair centered at `(cx, y)`
-/// from a charge configuration.
-///
-/// # Errors
-///
-/// [`GeometryError::MissingDot`] when either dot is absent from the
-/// layout, [`GeometryError::AmbiguousPair`] when the electron count on
-/// the pair is not exactly one.
-pub fn pair_state(
-    layout: &SidbLayout,
-    config: &ChargeConfiguration,
-    cx: i32,
-    y: i32,
-) -> Result<bool, GeometryError> {
-    let [left, right] = pair_dots(cx, y);
-    let li = layout
-        .index_of(left)
-        .ok_or(GeometryError::MissingDot { dot: left })?;
-    let ri = layout
-        .index_of(right)
-        .ok_or(GeometryError::MissingDot { dot: right })?;
-    match (
-        config.state(li) == ChargeState::Negative,
-        config.state(ri) == ChargeState::Negative,
-    ) {
-        (true, false) => Ok(false),
-        (false, true) => Ok(true),
-        _ => Err(GeometryError::AmbiguousPair { cx, y }),
-    }
-}
-
 /// Validates that every port pair of a gate design is non-degenerate and
 /// fully contained in the design's body.
 ///
@@ -117,7 +74,7 @@ pub fn pair_state(
 /// [`GeometryError::DegeneratePair`] when a port's 0-dot and 1-dot
 /// coincide, [`GeometryError::MissingDot`] when a port dot is absent
 /// from the body layout.
-pub fn check_port_geometry(design: &GateDesign) -> Result<(), GeometryError> {
+pub(crate) fn check_port_geometry(design: &GateDesign) -> Result<(), GeometryError> {
     let pairs = design
         .inputs
         .iter()
@@ -137,10 +94,10 @@ pub fn check_port_geometry(design: &GateDesign) -> Result<(), GeometryError> {
 }
 
 /// Tile width in lattice cells.
-pub const TILE_WIDTH: i32 = 60;
+pub(crate) const TILE_WIDTH: i32 = 60;
 
 /// Tile vertical pitch in dimer rows.
-pub const TILE_PITCH_ROWS: i32 = 23;
+pub(crate) const TILE_PITCH_ROWS: i32 = 23;
 
 /// Local x of the western ports (NW input, SW output).
 pub const WEST_PORT_X: i32 = 15;
@@ -149,29 +106,29 @@ pub const WEST_PORT_X: i32 = 15;
 pub const EAST_PORT_X: i32 = 45;
 
 /// Row of the input port pairs.
-pub const INPUT_ROW: i32 = 1;
+pub(crate) const INPUT_ROW: i32 = 1;
 
 /// Row of the output port pairs.
 pub const OUTPUT_ROW: i32 = 22;
 
 /// Half the dot separation of a BDL pair, in cells.
-pub const PAIR_HALF_WIDTH: i32 = 1;
+pub(crate) const PAIR_HALF_WIDTH: i32 = 1;
 
 /// Row of the phantom upstream pair used for input perturbers. The
 /// perturber sits one half lattice cell above the upstream tile's output
 /// pair position (row −2, sub-lattice 1), which continues the column's
 /// uniform pitch — the placement systematic simulation validated.
-pub const PERTURBER_ROW: i32 = -2;
+pub(crate) const PERTURBER_ROW: i32 = -2;
 
 /// Sub-lattice index of the input perturbers.
-pub const PERTURBER_B: u8 = 1;
+pub(crate) const PERTURBER_B: u8 = 1;
 
 /// Row of the output perturber (laterally centered below the border,
 /// emulating the downstream wire's presence without bias).
-pub const OUTPUT_PERTURBER_ROW: i32 = 25;
+pub(crate) const OUTPUT_PERTURBER_ROW: i32 = 25;
 
 /// A horizontal BDL pair centered at `(cx, y)`.
-pub fn pair_dots(cx: i32, y: i32) -> [LatticeCoord; 2] {
+pub(crate) fn pair_dots(cx: i32, y: i32) -> [LatticeCoord; 2] {
     [
         LatticeCoord::new(cx - PAIR_HALF_WIDTH, y, 0),
         LatticeCoord::new(cx + PAIR_HALF_WIDTH, y, 0),
@@ -179,7 +136,7 @@ pub fn pair_dots(cx: i32, y: i32) -> [LatticeCoord; 2] {
 }
 
 /// Adds a horizontal pair to a layout.
-pub fn add_pair(layout: &mut SidbLayout, cx: i32, y: i32) {
+pub(crate) fn add_pair(layout: &mut SidbLayout, cx: i32, y: i32) {
     for d in pair_dots(cx, y) {
         layout.add_site(d);
     }
@@ -187,14 +144,14 @@ pub fn add_pair(layout: &mut SidbLayout, cx: i32, y: i32) {
 
 /// The [`BdlPair`] at `(cx, y)` with logical 1 on the **right** dot
 /// (input-port convention).
-pub fn input_pair(cx: i32, y: i32) -> BdlPair {
+pub(crate) fn input_pair(cx: i32, y: i32) -> BdlPair {
     let [left, right] = pair_dots(cx, y);
     BdlPair::new(left, right)
 }
 
 /// The [`BdlPair`] at `(cx, y)` with logical 1 on the **left** dot
 /// (output-port convention).
-pub fn output_pair(cx: i32, y: i32) -> BdlPair {
+pub(crate) fn output_pair(cx: i32, y: i32) -> BdlPair {
     let [left, right] = pair_dots(cx, y);
     BdlPair::new(right, left)
 }
@@ -231,7 +188,7 @@ pub fn column(layout: &mut SidbLayout, cx: i32, rows: &[i32]) {
 
 /// A horizontal copying run of pairs at fixed row `y`, one per center in
 /// `centers`.
-pub fn run(layout: &mut SidbLayout, y: i32, centers: &[i32]) {
+pub(crate) fn run(layout: &mut SidbLayout, y: i32, centers: &[i32]) {
     for &cx in centers {
         add_pair(layout, cx, y);
     }
@@ -243,11 +200,11 @@ pub fn run(layout: &mut SidbLayout, y: i32, centers: &[i32]) {
 /// comfortably inside the population-stability window — the combination
 /// systematic simulation selected (denser pitches sit at the edge of
 /// emptying a pair, sparser ones lose anti-alignment margin).
-pub const WIRE_ROWS: [i32; 8] = [1, 4, 7, 10, 13, 16, 19, OUTPUT_ROW];
+pub(crate) const WIRE_ROWS: [i32; 8] = [1, 4, 7, 10, 13, 16, 19, OUTPUT_ROW];
 
 /// Rows of a nine-pair (inverting) column: eight anti-links (even) flip
 /// the signal.
-pub const INVERTER_ROWS: [i32; 9] = [1, 4, 7, 10, 12, 15, 17, 20, OUTPUT_ROW];
+pub(crate) const INVERTER_ROWS: [i32; 9] = [1, 4, 7, 10, 12, 15, 17, 20, OUTPUT_ROW];
 
 /// The physical parameters used for library-tile validation: the paper's
 /// Figure 5 setup plus a 2 meV interaction cutoff that decomposes
@@ -275,9 +232,24 @@ pub fn balanced_run(layout: &mut SidbLayout, y: i32, centers: &[i32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sidb_sim::charge::ChargeConfiguration;
+    use sidb_sim::charge::{ChargeConfiguration, ChargeState};
     use sidb_sim::engine::{simulate_with, SimEngine, SimParams};
     use sidb_sim::model::PhysicalParams;
+
+    /// The logic state of the horizontal pair centered at `(cx, y)`:
+    /// the electron on the right dot reads 1.
+    fn pair_state(layout: &SidbLayout, config: &ChargeConfiguration, cx: i32, y: i32) -> bool {
+        let negative = |dot| {
+            let i = layout.index_of(dot).expect("pair dot in layout");
+            config.state(i) == ChargeState::Negative
+        };
+        let [left, right] = pair_dots(cx, y);
+        match (negative(left), negative(right)) {
+            (true, false) => false,
+            (false, true) => true,
+            _ => panic!("ambiguous charge read-out for the pair at ({cx}, {y})"),
+        }
+    }
 
     fn ground_state(layout: &SidbLayout) -> Option<ChargeConfiguration> {
         simulate_with(
@@ -330,7 +302,7 @@ mod tests {
         let gs = ground_state(&layout).expect("non-empty");
         let mut last = None;
         for &y in &WIRE_ROWS {
-            let state = pair_state(&layout, &gs, 30, y).unwrap_or_else(|e| panic!("{e}"));
+            let state = pair_state(&layout, &gs, 30, y);
             if let Some(prev) = last {
                 assert_ne!(prev, state, "pairs at adjacent rows must anti-align");
             }
@@ -348,37 +320,12 @@ mod tests {
         let gs = ground_state(&layout).expect("non-empty");
         let mut states = Vec::new();
         for cx in [15, 23, 31, 39] {
-            states.push(pair_state(&layout, &gs, cx, 9).unwrap_or_else(|e| panic!("{e}")));
+            states.push(pair_state(&layout, &gs, cx, 9));
         }
         assert!(
             states.windows(2).all(|w| w[0] == w[1]),
             "run must copy: {states:?}"
         );
-    }
-
-    #[test]
-    fn pair_state_reports_missing_dot() {
-        let layout = SidbLayout::new();
-        let cfg = ChargeConfiguration::neutral(0);
-        let [left, _] = pair_dots(30, 5);
-        assert_eq!(
-            pair_state(&layout, &cfg, 30, 5),
-            Err(GeometryError::MissingDot { dot: left })
-        );
-    }
-
-    #[test]
-    fn pair_state_reports_ambiguous_readout() {
-        let mut layout = SidbLayout::new();
-        add_pair(&mut layout, 30, 5);
-        // Neither dot negative: no electron on the pair.
-        let cfg = ChargeConfiguration::neutral(layout.num_sites());
-        assert_eq!(
-            pair_state(&layout, &cfg, 30, 5),
-            Err(GeometryError::AmbiguousPair { cx: 30, y: 5 })
-        );
-        let err = pair_state(&layout, &cfg, 30, 5).expect_err("ambiguous");
-        assert!(err.to_string().contains("(30, 5)"));
     }
 
     #[test]

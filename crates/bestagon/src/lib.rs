@@ -26,7 +26,7 @@
 //!   positions, scored by exact ground-state simulation) standing in for
 //!   the paper's RL agent,
 //! * [`apply`] — gate-library application: turning a placed & routed
-//!   [`fcn_layout::HexGateLayout`] into one dot-accurate SiDB layout,
+//!   [`fcn_layout::hexagonal::HexGateLayout`] into one dot-accurate SiDB layout,
 //! * [`sqd`] — SiQAD design-file export.
 
 pub mod apply;
@@ -35,6 +35,3 @@ pub mod geometry;
 pub mod sqd;
 pub mod svg;
 pub mod tiles;
-
-pub use apply::{apply_gate_library, CellLevelLayout};
-pub use tiles::{BestagonLibrary, TileDesign};

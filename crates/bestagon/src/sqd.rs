@@ -16,7 +16,7 @@ use std::io::{self, Write};
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
-pub fn write_sqd<W: Write>(layout: &SidbLayout, mut out: W) -> io::Result<()> {
+pub(crate) fn write_sqd<W: Write>(layout: &SidbLayout, mut out: W) -> io::Result<()> {
     writeln!(out, r#"<?xml version="1.0" encoding="UTF-8"?>"#)?;
     writeln!(out, "<siqad>")?;
     writeln!(out, "  <program>")?;

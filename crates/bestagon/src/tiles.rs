@@ -21,27 +21,14 @@ use sidb_sim::layout::SidbLayout;
 use sidb_sim::operational::GateDesign;
 use std::collections::HashMap;
 
-/// A library tile: a validated gate design plus its port directions.
-#[derive(Debug, Clone)]
-pub struct TileDesign {
-    /// The physical design (tile-local coordinates).
-    pub design: GateDesign,
-    /// Input port directions, in fanin order.
-    pub input_dirs: Vec<HexDirection>,
-    /// Output port directions, in output order.
-    pub output_dirs: Vec<HexDirection>,
-    /// The logical function.
-    pub kind: GateKind,
-}
-
 /// The key a physical-design result uses to look up a tile: function plus
 /// port directions.
-pub type TileKey = (GateKind, Vec<HexDirection>, Vec<HexDirection>);
+pub(crate) type TileKey = (GateKind, Vec<HexDirection>, Vec<HexDirection>);
 
 /// The Bestagon standard-tile library.
 #[derive(Debug, Clone)]
 pub struct BestagonLibrary {
-    tiles: HashMap<TileKey, TileDesign>,
+    tiles: HashMap<TileKey, GateDesign>,
 }
 
 /// Mirrors a tile-local design horizontally (the tile is symmetric about
@@ -198,7 +185,7 @@ pub fn fanout_nw() -> GateDesign {
 /// crosses through an upper run, the west-bound one through a lower run;
 /// the vertical separation at the overlap keeps the cross-talk below the
 /// chain couplings.
-pub fn crossing() -> GateDesign {
+pub(crate) fn crossing() -> GateDesign {
     let mut body = SidbLayout::new();
     // Path A: NW → SE via the upper run.
     column(&mut body, WEST_PORT_X, &[1, 4, 7]);
@@ -285,7 +272,7 @@ pub fn huff_style_or() -> GateDesign {
 /// core for the sum on the SW port. Geometry in the spirit of the
 /// paper's single-tile half adder; its physical calibration is tracked
 /// by the Figure 5 report like the other two-output tiles.
-pub fn half_adder() -> GateDesign {
+pub(crate) fn half_adder() -> GateDesign {
     let mut body = SidbLayout::new();
     // Arms and core as in the AND frame.
     column(&mut body, WEST_PORT_X, &[1, 4, 7]);
@@ -332,21 +319,21 @@ pub fn half_adder() -> GateDesign {
 #[derive(Debug, Clone, Copy)]
 pub struct GateFrame {
     /// Center of the left pusher pair (its run is at row 7).
-    pub left_pusher_x: i32,
+    pub(crate) left_pusher_x: i32,
     /// Center of the right pusher pair.
-    pub right_pusher_x: i32,
+    pub(crate) right_pusher_x: i32,
     /// Route the right arm through an extra pair at `(45, 10)`: one more
     /// anti-link (a parity/strength knob) with the right run at row 10.
-    pub right_arm_low: bool,
+    pub(crate) right_arm_low: bool,
     /// `(x, top_row)` of the two vertical core dots.
-    pub core: (i32, i32),
+    pub(crate) core: (i32, i32),
     /// `(x, row)` of the readout pair.
-    pub readout: (i32, i32),
+    pub(crate) readout: (i32, i32),
     /// An optional threshold-tuning canvas dot.
-    pub bias: Option<(i32, i32, u8)>,
+    pub(crate) bias: Option<(i32, i32, u8)>,
     /// Insert one extra anti-link in the output column, complementing the
     /// gate's output (NAND from AND, NOR from OR, XNOR from XOR).
-    pub invert_output: bool,
+    pub(crate) invert_output: bool,
 }
 
 /// Constructs a two-input gate tile (NW+NE inputs, SE output) from a
@@ -491,15 +478,7 @@ impl BestagonLibrary {
         outputs: Vec<HexDirection>,
         design: GateDesign,
     ) {
-        self.tiles.insert(
-            (kind, inputs.clone(), outputs.clone()),
-            TileDesign {
-                design,
-                input_dirs: inputs,
-                output_dirs: outputs,
-                kind,
-            },
-        );
+        self.tiles.insert((kind, inputs, outputs), design);
     }
 
     /// Inserts the horizontally mirrored variant of `design`.
@@ -524,12 +503,12 @@ impl BestagonLibrary {
     }
 
     /// Looks up a tile by function and port directions.
-    pub fn tile(
+    pub(crate) fn tile(
         &self,
         kind: GateKind,
         inputs: &[HexDirection],
         outputs: &[HexDirection],
-    ) -> Option<&TileDesign> {
+    ) -> Option<&GateDesign> {
         self.tiles
             .get(&(kind, inputs.to_vec(), outputs.to_vec()))
             .or_else(|| {
@@ -554,23 +533,8 @@ impl BestagonLibrary {
     }
 
     /// The crossing tile design.
-    pub fn crossing_design(&self) -> GateDesign {
+    pub(crate) fn crossing_design(&self) -> GateDesign {
         crossing()
-    }
-
-    /// All registered tiles.
-    pub fn iter(&self) -> impl Iterator<Item = &TileDesign> {
-        self.tiles.values()
-    }
-
-    /// Number of registered tiles.
-    pub fn len(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// True if the library is empty (never the case for [`Self::new`]).
-    pub fn is_empty(&self) -> bool {
-        self.tiles.is_empty()
     }
 }
 
@@ -718,6 +682,7 @@ pub fn figure5_designs() -> Vec<GateDesign> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::check_port_geometry;
     use sidb_sim::engine::{SimEngine, SimParams};
     use sidb_sim::model::PhysicalParams;
 
@@ -859,10 +824,10 @@ mod tests {
     #[test]
     fn tile_dots_stay_within_the_tile() {
         let lib = BestagonLibrary::new();
-        for tile in lib.iter() {
-            let bb = tile.design.body.bounding_box().expect("non-empty tile");
-            assert!(bb.0 .0 >= 0 && bb.1 .0 < TILE_WIDTH, "{}", tile.design.name);
-            assert!(bb.0 .1 >= 0 && bb.1 .1 <= 22, "{}", tile.design.name);
+        for design in lib.tiles.values() {
+            let bb = design.body.bounding_box().expect("non-empty tile");
+            assert!(bb.0 .0 >= 0 && bb.1 .0 < TILE_WIDTH, "{}", design.name);
+            assert!(bb.0 .1 >= 0 && bb.1 .1 <= 22, "{}", design.name);
         }
     }
 
@@ -872,5 +837,14 @@ mod tests {
             let twice = mirror_design(&mirror_design(&d, "m"), "mm");
             assert_eq!(twice.body, d.body, "{}", d.name);
         }
+    }
+
+    #[test]
+    fn library_port_geometry_is_well_formed() {
+        let lib = BestagonLibrary::new();
+        for design in lib.tiles.values() {
+            check_port_geometry(design).unwrap_or_else(|e| panic!("design '{}': {e}", design.name));
+        }
+        check_port_geometry(&lib.crossing_design()).expect("crossing design");
     }
 }

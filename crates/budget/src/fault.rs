@@ -17,10 +17,8 @@
 //! When no plan is armed anywhere, the per-point check is a single
 //! relaxed atomic load.
 //!
-//! Injection is deterministic: a rule fires on specific hit numbers of
-//! its point (`@nth`), or — for randomized soak tests — on a
-//! pseudo-random subset of hits derived from an explicit seed
-//! ([`FaultPlan::seeded`]), never from global RNG state.
+//! Injection is deterministic: a rule fires on every hit of its point,
+//! or only on a specific hit number (`@nth`).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -70,9 +68,6 @@ enum Firing {
     Always,
     /// Fire on exactly the `n`-th hit (1-based).
     Nth(u64),
-    /// Fire pseudo-randomly on `permille`/1000 of hits, derived from
-    /// `seed` and the hit number (deterministic for a fixed seed).
-    Seeded { seed: u64, permille: u32 },
 }
 
 /// One injection rule: at which point, which fault, on which hits.
@@ -96,15 +91,6 @@ impl Rule {
         let fire = match self.firing {
             Firing::Always => true,
             Firing::Nth(target) => n == target,
-            Firing::Seeded { seed, permille } => {
-                // SplitMix64 over (seed, hit number): stable across
-                // platforms and runs, no global RNG involved.
-                let mut z = seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^= z >> 31;
-                (z % 1000) < u64::from(permille)
-            }
         };
         fire.then_some(self.fault)
     }
@@ -144,28 +130,12 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a seeded pseudo-random rule: `fault` fires at `point` on
-    /// roughly `permille`/1000 of hits, chosen deterministically from
-    /// `seed` and the hit number.
-    pub fn seeded(mut self, point: &str, fault: Fault, seed: u64, permille: u32) -> Self {
-        self.rules.push(Rule {
-            point: point.to_string(),
-            fault,
-            firing: Firing::Seeded {
-                seed,
-                permille: permille.min(1000),
-            },
-            hits: AtomicU64::new(0),
-        });
-        self
-    }
-
     /// Parses a plan from a `FAULT_INJECT`-style spec: comma-separated
     /// `point=fault[@nth]` rules, where `fault` is one of `panic`,
     /// `exhaust`, `interrupt`, `malform`, and the optional `@nth` makes
     /// the rule fire only on the nth hit of the point (1-based).
     /// Example: `step4:pnr=panic@1,msat.search=exhaust`.
-    pub fn parse(spec: &str) -> Result<Self, String> {
+    pub(crate) fn parse(spec: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::new();
         for part in spec.split(',') {
             let part = part.trim();
@@ -213,7 +183,7 @@ impl FaultPlan {
     /// Records a hit at `point` and returns the fault to inject, if any.
     /// The first matching rule that fires wins; every matching rule's
     /// hit counter advances regardless.
-    pub fn at(&self, point: &str) -> Option<Fault> {
+    pub(crate) fn at(&self, point: &str) -> Option<Fault> {
         let mut fired = None;
         for rule in self.rules.iter().filter(|r| r.matches(point)) {
             let f = rule.hit();
@@ -361,17 +331,6 @@ mod tests {
         assert!(FaultPlan::parse("nonsense").is_err());
         assert!(FaultPlan::parse("p=explode").is_err());
         assert!(FaultPlan::parse("p=panic@x").is_err());
-    }
-
-    #[test]
-    fn seeded_rule_is_deterministic() {
-        let fires = |seed| {
-            let plan = FaultPlan::new().seeded("p", Fault::Panic, seed, 500);
-            (0..64).filter(|_| plan.at("p").is_some()).count()
-        };
-        let a = fires(42);
-        assert_eq!(a, fires(42), "same seed, same firings");
-        assert!(a > 10 && a < 54, "roughly half fire, got {a}");
     }
 
     #[test]

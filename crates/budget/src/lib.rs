@@ -81,12 +81,12 @@ impl Deadline {
     }
 
     /// Time left before expiry; `None` when unbounded, zero when expired.
-    pub fn remaining(&self) -> Option<Duration> {
+    pub(crate) fn remaining(&self) -> Option<Duration> {
         self.0.map(|t| t.saturating_duration_since(Instant::now()))
     }
 
     /// Milliseconds left before expiry; `None` when unbounded.
-    pub fn remaining_ms(&self) -> Option<u64> {
+    pub(crate) fn remaining_ms(&self) -> Option<u64> {
         self.remaining().map(|d| d.as_millis() as u64)
     }
 
@@ -166,12 +166,6 @@ impl FlowBudget {
             sat_conflicts_total: parse("FLOW_SAT_CONFLICTS_TOTAL"),
             equiv_conflicts: parse("FLOW_EQUIV_CONFLICTS"),
         }
-    }
-
-    /// Whether any limit is configured. An unconstrained budget lets the
-    /// flow skip the degradation machinery entirely.
-    pub fn is_unbounded(&self) -> bool {
-        *self == FlowBudget::unbounded()
     }
 
     /// Sets the wall-clock deadline.
@@ -290,11 +284,7 @@ mod tests {
 
     #[test]
     fn default_budget_is_unbounded() {
-        assert!(FlowBudget::default().is_unbounded());
-        assert!(FlowBudget::unbounded().is_unbounded());
-        assert!(!FlowBudget::unbounded()
-            .with_sat_conflicts_total(10)
-            .is_unbounded());
+        assert_eq!(FlowBudget::default(), FlowBudget::unbounded());
     }
 
     #[test]

@@ -11,10 +11,10 @@
 /// # Examples
 ///
 /// ```
-/// use fcn_coords::cartesian::{CartCoord, CartDirection};
+/// use fcn_coords::{CartCoord, CartDirection, TileCoord};
 ///
 /// let t = CartCoord::new(1, 1);
-/// assert_eq!(t.neighbor(CartDirection::South), CartCoord::new(1, 2));
+/// assert_eq!(TileCoord::neighbor(t, CartDirection::South), CartCoord::new(1, 2));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CartCoord {
@@ -38,16 +38,8 @@ pub enum CartDirection {
 }
 
 impl CartDirection {
-    /// All four directions, clockwise from north.
-    pub const ALL: [CartDirection; 4] = [
-        CartDirection::North,
-        CartDirection::East,
-        CartDirection::South,
-        CartDirection::West,
-    ];
-
     /// The direction pointing back at the origin tile.
-    pub const fn opposite(self) -> CartDirection {
+    pub(crate) const fn opposite(self) -> CartDirection {
         match self {
             CartDirection::North => CartDirection::South,
             CartDirection::East => CartDirection::West,
@@ -85,7 +77,7 @@ impl CartCoord {
     }
 
     /// The neighboring tile in the given direction.
-    pub const fn neighbor(self, dir: CartDirection) -> CartCoord {
+    pub(crate) const fn neighbor(self, dir: CartDirection) -> CartCoord {
         let (dx, dy) = dir.delta();
         CartCoord::new(self.x + dx, self.y + dy)
     }
@@ -110,7 +102,12 @@ mod tests {
     #[test]
     fn neighbor_round_trip() {
         let c = CartCoord::new(5, -2);
-        for d in CartDirection::ALL {
+        for d in [
+            CartDirection::North,
+            CartDirection::East,
+            CartDirection::South,
+            CartDirection::West,
+        ] {
             assert_eq!(c.neighbor(d).neighbor(d.opposite()), c);
         }
     }

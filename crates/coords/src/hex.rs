@@ -28,7 +28,7 @@
 /// # Examples
 ///
 /// ```
-/// use fcn_coords::hex::{HexCoord, HexDirection};
+/// use fcn_coords::{HexCoord, HexDirection};
 ///
 /// // Southern neighbors depend on row parity:
 /// let even = HexCoord::new(2, 2);
@@ -70,26 +70,13 @@ pub enum HexDirection {
 }
 
 impl HexDirection {
-    /// All six directions, clockwise starting at north-west.
-    pub const ALL: [HexDirection; 6] = [
-        HexDirection::NorthWest,
-        HexDirection::NorthEast,
-        HexDirection::East,
-        HexDirection::SouthEast,
-        HexDirection::SouthWest,
-        HexDirection::West,
-    ];
-
-    /// The two incoming (northern) directions of a row-clocked tile.
-    pub const INPUTS: [HexDirection; 2] = [HexDirection::NorthWest, HexDirection::NorthEast];
-
     /// The two outgoing (southern) directions of a row-clocked tile.
     pub const OUTPUTS: [HexDirection; 2] = [HexDirection::SouthWest, HexDirection::SouthEast];
 
     /// The direction pointing back at the origin tile.
     ///
     /// ```
-    /// use fcn_coords::hex::HexDirection;
+    /// use fcn_coords::HexDirection;
     /// assert_eq!(HexDirection::NorthWest.opposite(), HexDirection::SouthEast);
     /// ```
     pub const fn opposite(self) -> HexDirection {
@@ -104,12 +91,12 @@ impl HexDirection {
     }
 
     /// True if this is one of the two northern (input) directions.
-    pub const fn is_incoming(self) -> bool {
+    pub(crate) const fn is_incoming(self) -> bool {
         matches!(self, HexDirection::NorthWest | HexDirection::NorthEast)
     }
 
     /// True if this is one of the two southern (output) directions.
-    pub const fn is_outgoing(self) -> bool {
+    pub(crate) const fn is_outgoing(self) -> bool {
         matches!(self, HexDirection::SouthWest | HexDirection::SouthEast)
     }
 
@@ -152,7 +139,7 @@ impl HexCoord {
     }
 
     /// True if this tile sits in an odd (right-shifted) row.
-    pub const fn is_odd_row(self) -> bool {
+    pub(crate) const fn is_odd_row(self) -> bool {
         self.y & 1 == 1
     }
 
@@ -184,7 +171,14 @@ mod tests {
         for y in -3..4 {
             for x in -3..4 {
                 let c = HexCoord::new(x, y);
-                for d in HexDirection::ALL {
+                for d in [
+                    HexDirection::NorthWest,
+                    HexDirection::NorthEast,
+                    HexDirection::East,
+                    HexDirection::SouthEast,
+                    HexDirection::SouthWest,
+                    HexDirection::West,
+                ] {
                     assert_eq!(c.neighbor(d).neighbor(d.opposite()), c, "{c} {d}");
                 }
             }

@@ -3,10 +3,10 @@
 //! This crate provides the geometric substrate for the Bestagon design
 //! automation flow (DAC 2022, "Hexagons are the Bestagons"):
 //!
-//! * [`hex`] — pointy-top hexagonal tile coordinates in *odd-row offset*
+//! * [`HexCoord`] — pointy-top hexagonal tile coordinates in *odd-row offset*
 //!   form, with the four diagonal port directions (NW/NE inputs, SW/SE
 //!   outputs) that Y-shaped SiDB gates expose.
-//! * [`cartesian`] — classic Cartesian tile coordinates used by QCA-style
+//! * [`CartCoord`] — classic Cartesian tile coordinates used by QCA-style
 //!   floor plans; serves as the baseline topology the paper compares
 //!   against (Figure 3).
 //! * [`TileCoord`] — what the two tile floor plans share: neighbors,
@@ -19,15 +19,15 @@
 //! # Examples
 //!
 //! ```
-//! use fcn_coords::hex::{HexCoord, HexDirection};
+//! use fcn_coords::{HexCoord, HexDirection};
 //!
 //! let t = HexCoord::new(2, 3);
 //! let below_right = t.neighbor(HexDirection::SouthEast);
 //! assert_eq!(below_right, HexCoord::new(3, 4));
 //! ```
 
-pub mod cartesian;
-pub mod hex;
+pub(crate) mod cartesian;
+pub(crate) mod hex;
 pub mod siqad;
 
 pub use cartesian::{CartCoord, CartDirection};

@@ -8,7 +8,7 @@
 //! * `x` — dimer column (pitch [`SiLattice::a`] = 3.84 Å),
 //! * `y` — dimer row (pitch [`SiLattice::b`] = 7.68 Å),
 //! * `b` — which atom of the dimer pair (`0` = top, `1` = bottom, offset
-//!   [`SiLattice::c`] = 2.25 Å).
+//!   `SiLattice::c` = 2.25 Å).
 //!
 //! The module also fixes the Bestagon tile geometry constants that were
 //! reverse-engineered from Table 1 of the paper (see `DESIGN.md` §4): a hex
@@ -25,7 +25,7 @@ pub struct SiLattice {
     /// Lattice constant along `y` (dimer row pitch), Å.
     pub b: f64,
     /// Intra-dimer separation along `y`, Å.
-    pub c: f64,
+    pub(crate) c: f64,
 }
 
 /// The physical H-Si(100)-2×1 lattice used by SiQAD and this work.
@@ -43,7 +43,7 @@ pub const HEX_TILE_WIDTH_CELLS: i32 = 60;
 pub const HEX_ROW_PITCH_ROWS: i32 = 23;
 
 /// Horizontal shift of odd hexagonal rows, in lattice columns.
-pub const HEX_ODD_ROW_SHIFT_CELLS: i32 = HEX_TILE_WIDTH_CELLS / 2;
+pub(crate) const HEX_ODD_ROW_SHIFT_CELLS: i32 = HEX_TILE_WIDTH_CELLS / 2;
 
 /// A lattice site in SiQAD `(x, y, b)` coordinates.
 ///
@@ -79,12 +79,12 @@ impl LatticeCoord {
     }
 
     /// Physical position in ångström on the default lattice.
-    pub fn position_angstrom(self) -> (f64, f64) {
+    pub(crate) fn position_angstrom(self) -> (f64, f64) {
         self.position_on(SIQAD_LATTICE)
     }
 
     /// Physical position in ångström on an explicit lattice geometry.
-    pub fn position_on(self, lattice: SiLattice) -> (f64, f64) {
+    pub(crate) fn position_on(self, lattice: SiLattice) -> (f64, f64) {
         (
             self.x as f64 * lattice.a,
             self.y as f64 * lattice.b + self.b as f64 * lattice.c,
@@ -102,11 +102,6 @@ impl LatticeCoord {
         let (ax, ay) = self.position_angstrom();
         let (bx, by) = other.position_angstrom();
         ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
-    }
-
-    /// Euclidean distance to another site, in nanometres.
-    pub fn distance_nm(self, other: LatticeCoord) -> f64 {
-        self.distance_angstrom(other) / 10.0
     }
 
     /// Translates the site by whole lattice cells.
@@ -148,10 +143,10 @@ impl From<(i32, i32, u8)> for LatticeCoord {
 /// `y` by [`HEX_ROW_PITCH_ROWS`] dimer rows.
 ///
 /// ```
-/// use fcn_coords::siqad::{hex_tile_origin, HEX_ODD_ROW_SHIFT_CELLS};
+/// use fcn_coords::siqad::hex_tile_origin;
 ///
 /// assert_eq!(hex_tile_origin(0, 0), (0, 0));
-/// assert_eq!(hex_tile_origin(0, 1), (HEX_ODD_ROW_SHIFT_CELLS, 23));
+/// assert_eq!(hex_tile_origin(0, 1), (30, 23));
 /// ```
 pub fn hex_tile_origin(tx: i32, ty: i32) -> (i32, i32) {
     let shift = if ty & 1 == 1 {

@@ -16,10 +16,6 @@ use fcn_logic::verilog::parse_verilog;
 /// A named benchmark circuit.
 #[derive(Debug, Clone)]
 pub struct Benchmark {
-    /// Benchmark name as used in Table 1.
-    pub name: &'static str,
-    /// Source suite (`"[43]"` = Trindade et al., `"[13]"` = Fontes et al.).
-    pub suite: &'static str,
     /// The parsed specification.
     pub xag: Xag,
     /// Layout size reported in the paper's Table 1, when listed there
@@ -182,17 +178,7 @@ pub fn benchmark_names() -> Vec<&'static str> {
 pub fn benchmark(name: &str) -> Benchmark {
     let src = source(name).unwrap_or_else(|| panic!("unknown benchmark '{name}'"));
     let (_, xag) = parse_verilog(src).expect("embedded benchmark sources parse");
-    let suite = if ["xor2", "xnor2", "par_gen", "mux21", "par_check"].contains(&name) {
-        "[43]"
-    } else {
-        "[13]"
-    };
     Benchmark {
-        name: benchmark_names()
-            .into_iter()
-            .find(|n| *n == name)
-            .expect("known name"),
-        suite,
         xag,
         paper_result: paper_row(name),
     }

@@ -4,7 +4,7 @@
 //! the paper's eight steps in spans (`step1:parse` … `step8:export`), so
 //! the instrumented layers below (rewriting, SAT-based P&R, equivalence
 //! checking, physical simulation) attach their counters to the right
-//! stage. The resulting [`FlowReport`] is returned on [`FlowResult`] and
+//! stage. The resulting `FlowReport` is returned on [`FlowResult`] and
 //! emitted to stderr according to the `TELEMETRY` environment variable.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -28,7 +28,7 @@ use sidb_sim::operational::OperationalStatus;
 pub use fcn_budget::{Deadline, FlowBudget};
 
 /// Telemetry snapshot of one flow run (alias of [`fcn_telemetry::Report`]).
-pub type FlowReport = fcn_telemetry::Report;
+pub(crate) type FlowReport = fcn_telemetry::Report;
 
 /// Local-potential perturbation (eV) above which a defect compromises a
 /// tile. Matches the validation simulation's interaction cutoff
@@ -103,7 +103,7 @@ pub struct Degradation {
     pub action: String,
     /// Trigger-specific context: the engine error, the budget spent, the
     /// clamped value.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 /// Options of the full flow.
@@ -113,12 +113,18 @@ pub struct Degradation {
 /// and remain source-compatible when options are added:
 ///
 /// ```
-/// use bestagon_core::flow::{FlowOptions, PnrMethod};
+/// use bestagon_core::flow::{FlowOptions, FlowRequest, PnrMethod};
 ///
 /// let options = FlowOptions::new()
-///     .with_pnr(PnrMethod::Exact { max_area: 60 })
-///     .without_verify();
-/// assert!(!options.verify);
+///     .with_pnr(PnrMethod::Heuristic)
+///     .without_verify()
+///     .without_library();
+/// let and2 = "module and2 (a, b, f); input a, b; output f; assign f = a & b; endmodule";
+/// let result = FlowRequest::verilog(and2).with_options(options).execute()?;
+/// assert!(!result.exact);
+/// assert!(result.equivalence.is_none());
+/// assert!(result.cell.is_none());
+/// # Ok::<(), bestagon_core::flow::FlowError>(())
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -128,11 +134,11 @@ pub struct FlowOptions {
     /// Technology mapping options (step 3).
     pub map: MapOptions,
     /// Physical-design engine (step 4).
-    pub pnr: PnrMethod,
+    pub(crate) pnr: PnrMethod,
     /// Run SAT-based equivalence checking (step 5).
-    pub verify: bool,
+    pub(crate) verify: bool,
     /// Apply the Bestagon library for a dot-accurate layout (step 7).
-    pub apply_library: bool,
+    pub(crate) apply_library: bool,
     /// Physically re-validate the distinct library designs the layout
     /// instantiates (step 7): each design's truth table is checked with
     /// the cached exact simulation engine under the default step cap
@@ -144,7 +150,7 @@ pub struct FlowOptions {
     /// naming the tiles, next to the `sidb.*` counters (configurations
     /// visited/pruned, cache hits). Off by default — the library ships
     /// pre-validated; turn it on to audit a deployment's tiles.
-    pub tile_validation: bool,
+    pub(crate) tile_validation: bool,
     /// Wall-clock deadline and per-stage resource budgets. The default
     /// reads the `FLOW_*` environment variables
     /// ([`FlowBudget::from_env`]); an empty environment imposes no
@@ -189,27 +195,6 @@ impl FlowOptions {
         Self::default()
     }
 
-    /// Selects the logic-rewriting configuration (step 2).
-    #[must_use]
-    pub fn with_rewrite(mut self, rewrite: RewriteOptions) -> Self {
-        self.rewrite = Some(rewrite);
-        self
-    }
-
-    /// Skips logic rewriting entirely (ablation A3).
-    #[must_use]
-    pub fn without_rewrite(mut self) -> Self {
-        self.rewrite = None;
-        self
-    }
-
-    /// Selects the technology-mapping configuration (step 3).
-    #[must_use]
-    pub fn with_map(mut self, map: MapOptions) -> Self {
-        self.map = map;
-        self
-    }
-
     /// Selects the physical-design engine (step 4).
     #[must_use]
     pub fn with_pnr(mut self, pnr: PnrMethod) -> Self {
@@ -233,7 +218,7 @@ impl FlowOptions {
     }
 
     /// Physically re-validates the used library tiles during step 7
-    /// (see [`FlowOptions::tile_validation`]).
+    /// (see `FlowOptions::tile_validation`).
     #[must_use]
     pub fn with_tile_validation(mut self) -> Self {
         self.tile_validation = true;
@@ -280,14 +265,6 @@ impl FlowOptions {
             },
         }
     }
-
-    /// Shares the given simulation cache with step 7 (see
-    /// [`FlowOptions::sim_cache`]), overriding `SIM_CACHE`.
-    #[must_use]
-    pub fn with_sim_cache(mut self, cache: sidb_sim::SimCache) -> Self {
-        self.sim_cache = Some(cache);
-        self
-    }
 }
 
 /// Everything the flow produces for one circuit.
@@ -296,7 +273,7 @@ pub struct FlowResult {
     /// Circuit name.
     pub name: String,
     /// The optimized XAG the layout implements (after rewriting).
-    pub optimized: Xag,
+    pub(crate) optimized: Xag,
     /// Gate count of the XAG before rewriting.
     pub gates_before_rewrite: usize,
     /// Gate count after rewriting.
@@ -407,7 +384,7 @@ impl FlowError {
     /// A stable machine-readable discriminant, one per variant. Server
     /// responses and logs key on these; they are part of the wire
     /// protocol and never change meaning.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             FlowError::Parse(_) => "parse",
             FlowError::ParseBlif(_) => "parse-blif",
@@ -448,12 +425,8 @@ impl FlowError {
 }
 
 /// The circuit specification a [`FlowRequest`] starts from.
-///
-/// `#[non_exhaustive]`: front-end formats may be added without breaking
-/// downstream matches.
 #[derive(Debug, Clone)]
-#[non_exhaustive]
-pub enum FlowInput {
+pub(crate) enum FlowInput {
     /// Gate-level Verilog source (flow step 1 parses it).
     Verilog(String),
     /// BLIF source (flow step 1 parses it).
@@ -470,7 +443,7 @@ pub enum FlowInput {
 impl FlowInput {
     /// A stable label for the input format (`"verilog"`, `"blif"`,
     /// `"netlist"`), used in protocol messages and fingerprints.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             FlowInput::Verilog(_) => "verilog",
             FlowInput::Blif(_) => "blif",
@@ -485,9 +458,8 @@ impl FlowInput {
 /// the single entry point the former `run_flow*` free functions folded
 /// into.
 ///
-/// `#[non_exhaustive]`: construct with [`FlowRequest::verilog`],
-/// [`FlowRequest::blif`], [`FlowRequest::netlist`], or
-/// [`FlowRequest::new`], then chain [`FlowRequest::with_options`].
+/// Construct with [`FlowRequest::verilog`], [`FlowRequest::blif`] or
+/// [`FlowRequest::netlist`], then chain [`FlowRequest::with_options`].
 ///
 /// # Examples
 ///
@@ -508,17 +480,16 @@ impl FlowInput {
 /// # Ok::<(), bestagon_core::flow::FlowError>(())
 /// ```
 #[derive(Debug, Clone)]
-#[non_exhaustive]
 pub struct FlowRequest {
     /// The circuit specification.
-    pub input: FlowInput,
+    pub(crate) input: FlowInput,
     /// The options the flow runs under.
     pub options: FlowOptions,
 }
 
 impl FlowRequest {
-    /// A request over any [`FlowInput`], with default options.
-    pub fn new(input: FlowInput) -> Self {
+    /// A request over any `FlowInput`, with default options.
+    pub(crate) fn new(input: FlowInput) -> Self {
         FlowRequest {
             input,
             options: FlowOptions::default(),
@@ -1270,15 +1241,11 @@ mod tests {
                 .without_library(),
         )
         .expect("flow");
-        let without = run(
-            "x",
-            &b.xag,
-            FlowOptions::new()
-                .without_rewrite()
-                .with_pnr(PnrMethod::Heuristic)
-                .without_library(),
-        )
-        .expect("flow");
+        let mut no_rewrite = FlowOptions::new()
+            .with_pnr(PnrMethod::Heuristic)
+            .without_library();
+        no_rewrite.rewrite = None;
+        let without = run("x", &b.xag, no_rewrite).expect("flow");
         assert!(with.gates_after_rewrite <= without.gates_after_rewrite);
         assert_eq!(with.gates_before_rewrite, without.gates_before_rewrite);
     }
@@ -1369,11 +1336,9 @@ mod tests {
         let base = FlowRequest::netlist("xor2", b.xag.clone());
         // Performance knobs (the cache, the deadline) leave the
         // fingerprint unchanged …
-        let tuned = FlowRequest::netlist("xor2", b.xag.clone()).with_options(
-            FlowOptions::new()
-                .with_sim_cache(sidb_sim::SimCache::new())
-                .with_deadline_ms(1_000),
-        );
+        let mut options = FlowOptions::new().with_deadline_ms(1_000);
+        options.sim_cache = Some(sidb_sim::SimCache::new());
+        let tuned = FlowRequest::netlist("xor2", b.xag.clone()).with_options(options);
         assert_eq!(base.fingerprint(), tuned.fingerprint());
         // … while anything that shapes the result moves it.
         let other_input = FlowRequest::netlist("xor3", b.xag.clone());

@@ -12,7 +12,7 @@
 //! 7. gate-library application to a dot-accurate SiDB layout,
 //! 8. SiQAD design-file export.
 //!
-//! A [`flow::FlowRequest`] (a [`flow::FlowInput`] specification plus
+//! A [`flow::FlowRequest`] (a `flow::FlowInput` specification plus
 //! [`flow::FlowOptions`]) drives all steps via
 //! [`flow::FlowRequest::execute`]; [`benchmarks`] provides the
 //! evaluation circuits of the paper's Table 1; [`pipeline`] contains the
@@ -23,7 +23,3 @@ pub mod flow;
 pub mod pipeline;
 
 pub use benchmarks::{benchmark, benchmark_names, Benchmark};
-pub use flow::{
-    Deadline, Degradation, DegradeTrigger, FlowBudget, FlowError, FlowInput, FlowOptions,
-    FlowRequest, FlowResult, PnrMethod,
-};

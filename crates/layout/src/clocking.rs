@@ -33,14 +33,7 @@ const USE_PATTERN: [[u8; 4]; 4] = [[0, 1, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1], [1,
 
 impl ClockingScheme {
     /// The clock zone of tile `(x, y)`.
-    ///
-    /// ```
-    /// use fcn_layout::clocking::ClockingScheme;
-    ///
-    /// assert_eq!(ClockingScheme::Row.zone(7, 5), 1);
-    /// assert_eq!(ClockingScheme::TwoDdWave.zone(2, 3), 1);
-    /// ```
-    pub fn zone(self, x: i32, y: i32) -> u8 {
+    pub(crate) fn zone(self, x: i32, y: i32) -> u8 {
         let m = |v: i32| v.rem_euclid(NUM_PHASES as i32) as usize;
         match self {
             ClockingScheme::Row => m(y) as u8,
@@ -52,19 +45,12 @@ impl ClockingScheme {
 
     /// True if information may flow from a tile in `from_zone` to an
     /// adjacent tile in `to_zone`.
-    pub fn allows_flow(self, from_zone: u8, to_zone: u8) -> bool {
+    pub(crate) fn allows_flow(self, from_zone: u8, to_zone: u8) -> bool {
         (from_zone + 1) % NUM_PHASES == to_zone
     }
 
-    /// True if this scheme is *feed-forward* when combined with the given
-    /// topology (no cyclic signal paths are expressible). Row/Columnar and
-    /// 2DDWave are feed-forward; USE permits feedback.
-    pub fn is_feed_forward(self) -> bool {
-        !matches!(self, ClockingScheme::Use)
-    }
-
     /// Human-readable name, matching the paper's nomenclature.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ClockingScheme::Row => "Row (Columnar rotated by 90°)",
             ClockingScheme::Columnar => "Columnar",

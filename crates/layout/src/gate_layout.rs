@@ -8,10 +8,9 @@
 //! [`crate::cartesian::CartGateLayout`] name the two instances; each
 //! plan module adds only its own ASCII rendering.
 
-use crate::clocking::{ClockingScheme, NUM_PHASES};
+use crate::clocking::ClockingScheme;
 use crate::tile::{DrcViolation, TileContents};
 use fcn_coords::{AspectRatio, TileCoord};
-use fcn_logic::GateKind;
 use std::collections::BTreeMap;
 
 /// Width in characters of one tile in an ASCII rendering.
@@ -33,7 +32,7 @@ pub(crate) const ASCII_CELL: usize = 9;
 ///     CartCoord::new(0, 0),
 ///     TileContents::wire(CartDirection::North, CartDirection::South),
 /// );
-/// assert_eq!(layout.num_occupied_tiles(), 1);
+/// assert_eq!(layout.occupied_tiles().count(), 1);
 /// assert_eq!(layout.clock_zone(CartCoord::new(1, 2)), 3);
 /// ```
 #[derive(Debug, Clone)]
@@ -59,7 +58,7 @@ impl<C: TileCoord> GateLayout<C> {
     }
 
     /// The clocking scheme.
-    pub fn scheme(&self) -> ClockingScheme {
+    pub(crate) fn scheme(&self) -> ClockingScheme {
         self.scheme
     }
 
@@ -92,31 +91,6 @@ impl<C: TileCoord> GateLayout<C> {
     /// `y`).
     pub fn occupied_tiles(&self) -> impl Iterator<Item = (C, &TileContents<C::Dir>)> {
         self.tiles.iter().map(|(&c, t)| (c, t))
-    }
-
-    /// Number of occupied tiles.
-    pub fn num_occupied_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// Number of wire segments (crossings count twice).
-    pub fn num_wire_segments(&self) -> usize {
-        self.tiles
-            .values()
-            .map(|t| match t {
-                TileContents::Wire { segments } => segments.len(),
-                TileContents::Gate {
-                    kind: GateKind::Buf,
-                    ..
-                } => 1,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Number of crossing tiles.
-    pub fn num_crossings(&self) -> usize {
-        self.tiles.values().filter(|t| t.is_crossing()).count()
     }
 
     /// Number of logic gate tiles.
@@ -237,15 +211,6 @@ impl<C: TileCoord> GateLayout<C> {
             }
         }
         violations
-    }
-
-    /// Per-phase tile counts, for clocking analyses.
-    pub fn phase_histogram(&self) -> [usize; NUM_PHASES as usize] {
-        let mut hist = [0usize; NUM_PHASES as usize];
-        for &coord in self.tiles.keys() {
-            hist[self.clock_zone(coord) as usize] += 1;
-        }
-        hist
     }
 
     /// Row `y` as text for the plans' ASCII renderings: each tile's

@@ -12,8 +12,8 @@
 //!   automation, kept as the comparison baseline (Figure 3).
 //!
 //! Placement, the counters and the design-rule check ([`GateLayout::verify`])
-//! are written once in [`gate_layout`]; each plan module names its
-//! instance ([`HexGateLayout`], [`cartesian::CartGateLayout`]) and adds
+//! are written once in `gate_layout`; each plan module names its
+//! instance ([`hexagonal::HexGateLayout`], [`cartesian::CartGateLayout`]) and adds
 //! its ASCII rendering.
 //!
 //! [`clocking`] implements the tileable clocking schemes referenced by the
@@ -36,12 +36,9 @@
 
 pub mod cartesian;
 pub mod clocking;
-pub mod gate_layout;
+pub(crate) mod gate_layout;
 pub mod hexagonal;
 pub mod supertile;
 pub mod tile;
 
-pub use clocking::ClockingScheme;
 pub use gate_layout::GateLayout;
-pub use hexagonal::HexGateLayout;
-pub use tile::{DrcViolation, TileContents};

@@ -39,7 +39,7 @@ pub struct SuperTilePlan {
     /// merged rows).
     pub tiles_per_supertile: u32,
     /// The clock phase of each electrode, top to bottom.
-    pub phases: Vec<u8>,
+    pub(crate) phases: Vec<u8>,
 }
 
 impl SuperTilePlan {
@@ -94,16 +94,6 @@ pub fn plan_supertiles_with_rows(layout: &HexGateLayout, rows_per_supertile: u32
     }
 }
 
-/// The super-tile (electrode index) driving tile row `y` under a plan.
-pub fn electrode_of_row(plan: &SuperTilePlan, y: u32) -> u32 {
-    y / plan.rows_per_supertile
-}
-
-/// The clock phase of tile row `y` after super-tile merging.
-pub fn phase_of_row(plan: &SuperTilePlan, y: u32) -> u8 {
-    plan.phases[electrode_of_row(plan, y) as usize]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,18 +125,6 @@ mod tests {
         let plan = plan_supertiles_with_rows(&layout(4, 7), 1);
         assert!(!plan.is_fabricable());
         assert_eq!(plan.num_electrodes, 7);
-    }
-
-    #[test]
-    fn electrode_and_phase_of_row() {
-        let plan = plan_supertiles_with_rows(&layout(2, 12), 3);
-        assert_eq!(electrode_of_row(&plan, 0), 0);
-        assert_eq!(electrode_of_row(&plan, 2), 0);
-        assert_eq!(electrode_of_row(&plan, 3), 1);
-        assert_eq!(phase_of_row(&plan, 11), 3);
-        // Phases wrap after four electrodes.
-        let plan2 = plan_supertiles_with_rows(&layout(2, 15), 1);
-        assert_eq!(phase_of_row(&plan2, 4), 0);
     }
 
     #[test]

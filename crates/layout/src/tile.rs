@@ -45,15 +45,8 @@ impl<D: Copy + PartialEq> TileContents<D> {
         }
     }
 
-    /// Creates a crossing tile with two independent segments.
-    pub fn crossing(first: (D, D), second: (D, D)) -> Self {
-        TileContents::Wire {
-            segments: vec![first, second],
-        }
-    }
-
     /// All incoming directions used by this tile.
-    pub fn incoming(&self) -> Vec<D> {
+    pub(crate) fn incoming(&self) -> Vec<D> {
         match self {
             TileContents::Gate { inputs, .. } => inputs.clone(),
             TileContents::Wire { segments } => segments.iter().map(|(i, _)| *i).collect(),
@@ -61,20 +54,15 @@ impl<D: Copy + PartialEq> TileContents<D> {
     }
 
     /// All outgoing directions used by this tile.
-    pub fn outgoing(&self) -> Vec<D> {
+    pub(crate) fn outgoing(&self) -> Vec<D> {
         match self {
             TileContents::Gate { outputs, .. } => outputs.clone(),
             TileContents::Wire { segments } => segments.iter().map(|(_, o)| *o).collect(),
         }
     }
 
-    /// True if the tile is a crossing (two wire segments).
-    pub fn is_crossing(&self) -> bool {
-        matches!(self, TileContents::Wire { segments } if segments.len() == 2)
-    }
-
     /// True if the tile hosts real logic (not wires, pads, or fan-outs).
-    pub fn is_logic(&self) -> bool {
+    pub(crate) fn is_logic(&self) -> bool {
         matches!(self, TileContents::Gate { kind, .. } if kind.is_logic())
     }
 
@@ -105,9 +93,9 @@ impl<D: Copy + PartialEq> TileContents<D> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DrcViolation {
     /// Tile coordinate as `(x, y)`.
-    pub tile: (i32, i32),
+    pub(crate) tile: (i32, i32),
     /// Human-readable description of the violation.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl core::fmt::Display for DrcViolation {
@@ -128,10 +116,11 @@ mod tests {
     #[test]
     fn wire_and_crossing_classification() {
         let w = TileContents::wire(H::NorthWest, H::SouthEast);
-        assert!(!w.is_crossing());
         assert!(!w.is_logic());
-        let c = TileContents::crossing((H::NorthWest, H::SouthEast), (H::NorthEast, H::SouthWest));
-        assert!(c.is_crossing());
+        let c = TileContents::Wire {
+            segments: vec![(H::NorthWest, H::SouthEast), (H::NorthEast, H::SouthWest)],
+        };
+        assert!(!c.is_logic());
         assert_eq!(c.incoming(), vec![H::NorthWest, H::NorthEast]);
         assert_eq!(c.outgoing(), vec![H::SouthEast, H::SouthWest]);
     }

@@ -24,9 +24,9 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseBlifError {
     /// 1-based line number.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Description of the problem.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl ParseBlifError {

@@ -12,21 +12,21 @@ use crate::truth_table::TruthTable;
 /// A cut: a sorted set of leaf nodes together with the local function of
 /// the root expressed over those leaves.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cut {
+pub(crate) struct Cut {
     /// Sorted leaf node ids.
-    pub leaves: Vec<NodeId>,
+    pub(crate) leaves: Vec<NodeId>,
     /// Truth table of the root over `leaves` (leaf `i` is variable `i`).
-    pub function: TruthTable,
+    pub(crate) function: TruthTable,
 }
 
 impl Cut {
     /// Number of leaves.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.leaves.len()
     }
 
     /// True if `other`'s leaves are a subset of this cut's leaves.
-    pub fn dominates(&self, other: &Cut) -> bool {
+    pub(crate) fn dominates(&self, other: &Cut) -> bool {
         other
             .leaves
             .iter()
@@ -43,7 +43,7 @@ impl Cut {
 /// # Panics
 ///
 /// Panics if `k` is 0 or greater than [`TruthTable::MAX_VARS`].
-pub fn enumerate_cuts(xag: &Xag, k: usize, max_cuts: usize) -> Vec<Vec<Cut>> {
+pub(crate) fn enumerate_cuts(xag: &Xag, k: usize, max_cuts: usize) -> Vec<Vec<Cut>> {
     assert!(k >= 1 && k <= TruthTable::MAX_VARS as usize, "1 <= k <= 6");
     let mut all: Vec<Vec<Cut>> = Vec::with_capacity(xag.num_nodes());
     for id in xag.node_ids() {

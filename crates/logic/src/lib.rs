@@ -11,14 +11,13 @@
 //! The original work delegated these steps to the `mockturtle` library;
 //! this crate re-implements them from scratch:
 //!
-//! * [`truth_table`] — small Boolean functions as bit-packed truth tables,
-//! * [`npn`] — NPN canonization of up-to-4-input functions,
+//! * `truth_table` — small Boolean functions as bit-packed truth tables,
 //! * [`network`] — XAGs (and plain AIGs) with complemented edges and
 //!   structural hashing,
-//! * [`database`] — a size-optimal XAG structure database built by dynamic
+//! * `database` — a size-optimal XAG structure database built by dynamic
 //!   programming over all 4-input functions,
 //! * [`rewrite`] — DAG-aware cut rewriting [Riener et al., DATE 2019],
-//! * [`cuts`] — k-feasible cut enumeration,
+//! * `cuts` — k-feasible cut enumeration,
 //! * [`techmap`] — mapping into Bestagon-compatible gates with fan-out and
 //!   inverter legalization,
 //! * [`verilog`] — a parser and writer for a small structural/behavioural
@@ -40,15 +39,12 @@
 //! ```
 
 pub mod blif;
-pub mod cuts;
-pub mod database;
+pub(crate) mod cuts;
+pub(crate) mod database;
 pub mod network;
-pub mod npn;
 pub mod rewrite;
 pub mod techmap;
-pub mod truth_table;
+pub(crate) mod truth_table;
 pub mod verilog;
 
-pub use network::{Signal, Xag};
 pub use techmap::{GateKind, MappedNetwork};
-pub use truth_table::TruthTable;

@@ -4,14 +4,12 @@
 //! library natively offers both AND and XOR standard tiles, making XAGs
 //! "potentially more compact than AIGs with only a slight overhead in
 //! memory consumption" (Section 4.2). An [`Xag`] restricted to AND nodes
-//! *is* an AIG; the `allow_xor` knob in [`Xag::xor`]'s sibling
-//! [`Xag::xor_decomposed`] enables the XAG-vs-AIG ablation experiment.
+//! *is* an AIG.
 //!
 //! Nodes are immutable once created; structural hashing merges isomorphic
 //! nodes on construction. Edges carry a complement flag, so inverters are
 //! free (as in mockturtle).
 
-use crate::truth_table::TruthTable;
 use std::collections::HashMap;
 
 /// A signal: an edge pointing at a node, possibly complemented.
@@ -94,7 +92,7 @@ pub enum NodeKind {
 
 impl NodeKind {
     /// The fanin signals of this node (empty for constants and inputs).
-    pub fn fanins(self) -> Vec<Signal> {
+    pub(crate) fn fanins(self) -> Vec<Signal> {
         match self {
             NodeKind::Constant | NodeKind::Input => Vec::new(),
             NodeKind::And(a, b) | NodeKind::Xor(a, b) => vec![a, b],
@@ -102,7 +100,7 @@ impl NodeKind {
     }
 
     /// True for AND/XOR nodes.
-    pub fn is_gate(self) -> bool {
+    pub(crate) fn is_gate(self) -> bool {
         matches!(self, NodeKind::And(..) | NodeKind::Xor(..))
     }
 }
@@ -151,12 +149,12 @@ impl Xag {
     }
 
     /// The always-false constant signal.
-    pub fn constant_false(&self) -> Signal {
+    pub(crate) fn constant_false(&self) -> Signal {
         Signal::new(NodeId(0), false)
     }
 
     /// The always-true constant signal.
-    pub fn constant_true(&self) -> Signal {
+    pub(crate) fn constant_true(&self) -> Signal {
         Signal::new(NodeId(0), true)
     }
 
@@ -214,28 +212,11 @@ impl Xag {
         !self.and(!a, !b)
     }
 
-    /// A two-input XOR decomposed into AND gates (for AIG mode):
-    /// `a ⊕ b = ¬(¬(a ∧ ¬b) ∧ ¬(¬a ∧ b))`.
-    pub fn xor_decomposed(&mut self, a: Signal, b: Signal) -> Signal {
-        let t1 = self.and(a, !b);
-        let t2 = self.and(!a, b);
-        self.or(t1, t2)
-    }
-
     /// Multiplexer `s ? t : e` built from basic gates.
     pub fn mux(&mut self, s: Signal, t: Signal, e: Signal) -> Signal {
         let st = self.and(s, t);
         let se = self.and(!s, e);
         self.or(st, se)
-    }
-
-    /// Three-input majority built from basic gates.
-    pub fn maj(&mut self, a: Signal, b: Signal, c: Signal) -> Signal {
-        let ab = self.and(a, b);
-        let ac = self.and(a, c);
-        let bc = self.and(b, c);
-        let t = self.or(ab, ac);
-        self.or(t, bc)
     }
 
     fn intern(&mut self, kind: NodeKind) -> Signal {
@@ -261,14 +242,6 @@ impl Xag {
     /// Number of AND/XOR gates.
     pub fn num_gates(&self) -> usize {
         self.nodes.iter().filter(|n| n.is_gate()).count()
-    }
-
-    /// Number of AND gates only (the multiplicative complexity measure).
-    pub fn num_and_gates(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, NodeKind::And(..)))
-            .count()
     }
 
     /// Number of primary inputs.
@@ -353,57 +326,6 @@ impl Xag {
             .iter()
             .map(|(_, s)| values[s.node().index()] ^ s.is_complemented())
             .collect()
-    }
-
-    /// Computes the global truth table of every primary output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network has more than six primary inputs.
-    pub fn output_truth_tables(&self) -> Vec<TruthTable> {
-        let n = self.num_pis() as u8;
-        assert!(
-            n <= TruthTable::MAX_VARS,
-            "truth-table simulation supports at most 6 inputs"
-        );
-        let mut tables = vec![TruthTable::zero(n); self.nodes.len()];
-        let mut pi_idx = 0u8;
-        for id in self.node_ids() {
-            tables[id.index()] = match self.node(id) {
-                NodeKind::Constant => TruthTable::zero(n),
-                NodeKind::Input => {
-                    let t = TruthTable::projection(n, pi_idx);
-                    pi_idx += 1;
-                    t
-                }
-                NodeKind::And(a, b) => self
-                    .fanin_table(&tables, a)
-                    .and(self.fanin_table(&tables, b)),
-                NodeKind::Xor(a, b) => self
-                    .fanin_table(&tables, a)
-                    .xor(self.fanin_table(&tables, b)),
-            };
-        }
-        self.pos
-            .iter()
-            .map(|(_, s)| {
-                let t = tables[s.node().index()];
-                if s.is_complemented() {
-                    t.not()
-                } else {
-                    t
-                }
-            })
-            .collect()
-    }
-
-    fn fanin_table(&self, tables: &[TruthTable], s: Signal) -> TruthTable {
-        let t = tables[s.node().index()];
-        if s.is_complemented() {
-            t.not()
-        } else {
-            t
-        }
     }
 
     /// Fanout counts per node (references from gates and primary outputs).
@@ -531,37 +453,6 @@ mod tests {
             let out = xag.simulate(&inputs);
             assert_eq!(out[0], total % 2 == 1, "sum at row {row}");
             assert_eq!(out[1], total >= 2, "cout at row {row}");
-        }
-    }
-
-    #[test]
-    fn truth_tables_match_simulation() {
-        let mut xag = Xag::new();
-        let a = xag.primary_input("a");
-        let b = xag.primary_input("b");
-        let c = xag.primary_input("c");
-        let m = xag.maj(a, b, c);
-        xag.primary_output("maj", m);
-        let tt = xag.output_truth_tables()[0];
-        for row in 0..8u32 {
-            let inputs = [(row & 1) == 1, (row >> 1) & 1 == 1, (row >> 2) & 1 == 1];
-            assert_eq!(tt.value_at(row), xag.simulate(&inputs)[0]);
-        }
-    }
-
-    #[test]
-    fn xor_decomposed_matches_xor() {
-        let mut xag = Xag::new();
-        let a = xag.primary_input("a");
-        let b = xag.primary_input("b");
-        let x = xag.xor(a, b);
-        let d = xag.xor_decomposed(a, b);
-        xag.primary_output("x", x);
-        xag.primary_output("d", d);
-        for row in 0..4u32 {
-            let inputs = [(row & 1) == 1, (row >> 1) & 1 == 1];
-            let out = xag.simulate(&inputs);
-            assert_eq!(out[0], out[1]);
         }
     }
 

@@ -18,9 +18,9 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Copy)]
 pub struct RewriteOptions {
     /// Cut size (fixed at 4 for the database; smaller values only restrict).
-    pub cut_size: usize,
+    pub(crate) cut_size: usize,
     /// Maximum number of priority cuts kept per node.
-    pub max_cuts: usize,
+    pub(crate) max_cuts: usize,
     /// Number of rewriting iterations (each pass rebuilds the network).
     pub iterations: usize,
 }
@@ -47,8 +47,10 @@ impl Default for RewriteOptions {
 /// let mut xag = Xag::new();
 /// let a = xag.primary_input("a");
 /// let b = xag.primary_input("b");
-/// // A deliberately wasteful XOR built from four AND gates:
-/// let x = xag.xor_decomposed(a, b);
+/// // A deliberately wasteful XOR built from three AND gates:
+/// let t1 = xag.and(a, !b);
+/// let t2 = xag.and(!a, b);
+/// let x = xag.or(t1, t2);
 /// xag.primary_output("f", x);
 /// let rewritten = rewrite(&xag, Default::default());
 /// assert!(rewritten.num_gates() <= xag.num_gates());
@@ -188,6 +190,13 @@ fn mffc_size(xag: &Xag, root: NodeId, leaves: &[NodeId], fanouts: &[usize]) -> u
 mod tests {
     use super::*;
 
+    /// The AIG form of `a ⊕ b`: `¬(¬(a ∧ ¬b) ∧ ¬(¬a ∧ b))`.
+    fn xor_decomposed(xag: &mut Xag, a: Signal, b: Signal) -> Signal {
+        let t1 = xag.and(a, !b);
+        let t2 = xag.and(!a, b);
+        xag.or(t1, t2)
+    }
+
     fn equivalent(a: &Xag, b: &Xag) -> bool {
         assert_eq!(a.num_pis(), b.num_pis());
         assert_eq!(a.num_pos(), b.num_pos());
@@ -206,7 +215,7 @@ mod tests {
         let mut xag = Xag::new();
         let a = xag.primary_input("a");
         let b = xag.primary_input("b");
-        let x = xag.xor_decomposed(a, b);
+        let x = xor_decomposed(&mut xag, a, b);
         xag.primary_output("f", x);
         assert_eq!(xag.num_gates(), 3);
         let rewritten = rewrite(&xag, Default::default());
@@ -221,8 +230,8 @@ mod tests {
         let b = xag.primary_input("b");
         let c = xag.primary_input("cin");
         // Wasteful construction: everything decomposed into ANDs.
-        let axb = xag.xor_decomposed(a, b);
-        let sum = xag.xor_decomposed(axb, c);
+        let axb = xor_decomposed(&mut xag, a, b);
+        let sum = xor_decomposed(&mut xag, axb, c);
         let and1 = xag.and(a, b);
         let and2 = xag.and(axb, c);
         let cout = xag.or(and1, and2);

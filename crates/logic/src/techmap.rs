@@ -156,7 +156,7 @@ pub struct MappedNode {
 /// A gate-level netlist over the Bestagon gate set.
 ///
 /// Produced by [`map_xag`]; consumed by placement & routing. After
-/// [`MappedNetwork::legalize_fanout`], every output port drives at most
+/// `MappedNetwork::legalize_fanout`, every output port drives at most
 /// one fanin — the invariant FCN physical design requires.
 #[derive(Debug, Clone, Default)]
 pub struct MappedNetwork {
@@ -215,19 +215,9 @@ impl MappedNetwork {
             .collect()
     }
 
-    /// Number of logic gates (excluding pads, buffers, fan-outs).
-    pub fn num_logic_gates(&self) -> usize {
-        self.nodes.iter().filter(|n| n.kind.is_logic()).count()
-    }
-
-    /// Counts nodes of a specific kind.
-    pub fn count_kind(&self, kind: GateKind) -> usize {
-        self.nodes.iter().filter(|n| n.kind == kind).count()
-    }
-
     /// Consumers of each output port: `consumers[node][port]` lists the
     /// nodes reading that port.
-    pub fn consumers(&self) -> Vec<Vec<Vec<MappedId>>> {
+    pub(crate) fn consumers(&self) -> Vec<Vec<Vec<MappedId>>> {
         let mut result: Vec<Vec<Vec<MappedId>>> = self
             .nodes
             .iter()
@@ -287,7 +277,7 @@ impl MappedNetwork {
 
     /// Inserts fan-out tiles so that every output port drives at most one
     /// consumer. Returns the legalized netlist (ids are re-assigned).
-    pub fn legalize_fanout(&self) -> MappedNetwork {
+    pub(crate) fn legalize_fanout(&self) -> MappedNetwork {
         let consumers = self.consumers();
         let mut out = MappedNetwork::new();
         // old (node, port) -> queue of new signals to hand to consumers.
@@ -320,18 +310,6 @@ impl MappedNetwork {
             }
         }
         out
-    }
-
-    /// Statistics of the netlist per gate kind, for reporting.
-    pub fn kind_histogram(&self) -> Vec<(GateKind, usize)> {
-        use GateKind::*;
-        [
-            Pi, Po, Buf, Inv, And, Nand, Or, Nor, Xor, Xnor, Fanout, HalfAdder,
-        ]
-        .into_iter()
-        .map(|k| (k, self.count_kind(k)))
-        .filter(|(_, n)| *n > 0)
-        .collect()
     }
 }
 
@@ -369,7 +347,7 @@ pub struct MapOptions {
     /// Extract single-tile half adders from XOR/AND pairs over the same
     /// operands.
     pub extract_half_adders: bool,
-    /// Insert fan-out tiles ([`MappedNetwork::legalize_fanout`]).
+    /// Insert fan-out tiles (`MappedNetwork::legalize_fanout`).
     pub legalize_fanout: bool,
 }
 
@@ -428,7 +406,10 @@ impl std::error::Error for MapError {}
 /// xag.primary_output("f", !f);
 /// let mapped = map_xag(&xag, MapOptions::default())?;
 /// // The complemented output is absorbed into a NAND tile:
-/// assert_eq!(mapped.count_kind(fcn_logic::GateKind::Nand), 1);
+/// let nands = mapped
+///     .node_ids()
+///     .filter(|&id| mapped.node(id).kind == fcn_logic::GateKind::Nand);
+/// assert_eq!(nands.count(), 1);
 /// # Ok::<(), fcn_logic::techmap::MapError>(())
 /// ```
 pub fn map_xag(xag: &Xag, options: MapOptions) -> Result<MappedNetwork, MapError> {
@@ -617,6 +598,12 @@ pub fn map_xag(xag: &Xag, options: MapOptions) -> Result<MappedNetwork, MapError
 mod tests {
     use super::*;
 
+    fn count_kind(net: &MappedNetwork, kind: GateKind) -> usize {
+        net.node_ids()
+            .filter(|&id| net.node(id).kind == kind)
+            .count()
+    }
+
     fn check_equivalent(xag: &Xag, net: &MappedNetwork) {
         let n = xag.num_pis();
         assert!(n <= 10);
@@ -638,8 +625,8 @@ mod tests {
         let f = xag.and(a, b);
         xag.primary_output("f", f);
         let net = map_xag(&xag, MapOptions::default()).expect("mappable");
-        assert_eq!(net.count_kind(GateKind::And), 1);
-        assert_eq!(net.count_kind(GateKind::Inv), 0);
+        assert_eq!(count_kind(&net, GateKind::And), 1);
+        assert_eq!(count_kind(&net, GateKind::Inv), 0);
         check_equivalent(&xag, &net);
     }
 
@@ -651,8 +638,8 @@ mod tests {
         let f = xag.and(a, b);
         xag.primary_output("f", !f);
         let net = map_xag(&xag, MapOptions::default()).expect("mappable");
-        assert_eq!(net.count_kind(GateKind::Nand), 1);
-        assert_eq!(net.count_kind(GateKind::Inv), 0);
+        assert_eq!(count_kind(&net, GateKind::Nand), 1);
+        assert_eq!(count_kind(&net, GateKind::Inv), 0);
         check_equivalent(&xag, &net);
     }
 
@@ -664,8 +651,8 @@ mod tests {
         let f = xag.or(a, b);
         xag.primary_output("f", f);
         let net = map_xag(&xag, MapOptions::default()).expect("mappable");
-        assert_eq!(net.count_kind(GateKind::Or), 1);
-        assert_eq!(net.count_kind(GateKind::Inv), 0);
+        assert_eq!(count_kind(&net, GateKind::Or), 1);
+        assert_eq!(count_kind(&net, GateKind::Inv), 0);
         check_equivalent(&xag, &net);
     }
 
@@ -687,9 +674,9 @@ mod tests {
             },
         )
         .expect("mappable");
-        assert_eq!(net.count_kind(GateKind::Inv), 0);
+        assert_eq!(count_kind(&net, GateKind::Inv), 0);
         assert_eq!(
-            net.count_kind(GateKind::Xor) + net.count_kind(GateKind::Xnor),
+            count_kind(&net, GateKind::Xor) + count_kind(&net, GateKind::Xnor),
             2
         );
         check_equivalent(&xag, &net);
@@ -713,7 +700,7 @@ mod tests {
             },
         )
         .expect("mappable");
-        assert_eq!(net.count_kind(GateKind::Inv), 1);
+        assert_eq!(count_kind(&net, GateKind::Inv), 1);
         check_equivalent(&xag, &net);
     }
 
@@ -725,7 +712,7 @@ mod tests {
         let f = xag.and(a, !b);
         xag.primary_output("f", f);
         let net = map_xag(&xag, MapOptions::default()).expect("mappable");
-        assert_eq!(net.count_kind(GateKind::Inv), 1);
+        assert_eq!(count_kind(&net, GateKind::Inv), 1);
         check_equivalent(&xag, &net);
     }
 
@@ -739,9 +726,9 @@ mod tests {
         xag.primary_output("sum", sum);
         xag.primary_output("carry", carry);
         let net = map_xag(&xag, MapOptions::default()).expect("mappable");
-        assert_eq!(net.count_kind(GateKind::HalfAdder), 1);
-        assert_eq!(net.count_kind(GateKind::Xor), 0);
-        assert_eq!(net.count_kind(GateKind::And), 0);
+        assert_eq!(count_kind(&net, GateKind::HalfAdder), 1);
+        assert_eq!(count_kind(&net, GateKind::Xor), 0);
+        assert_eq!(count_kind(&net, GateKind::And), 0);
         check_equivalent(&xag, &net);
     }
 
@@ -762,9 +749,9 @@ mod tests {
             },
         )
         .expect("mappable");
-        assert_eq!(net.count_kind(GateKind::HalfAdder), 0);
-        assert_eq!(net.count_kind(GateKind::Xor), 1);
-        assert_eq!(net.count_kind(GateKind::And), 1);
+        assert_eq!(count_kind(&net, GateKind::HalfAdder), 0);
+        assert_eq!(count_kind(&net, GateKind::Xor), 1);
+        assert_eq!(count_kind(&net, GateKind::And), 1);
         check_equivalent(&xag, &net);
     }
 
@@ -789,7 +776,7 @@ mod tests {
         .expect("mappable");
         assert!(net.fanout_violations().is_empty());
         // `shared` and `c` both feed two consumers → at least 2 fan-outs.
-        assert!(net.count_kind(GateKind::Fanout) >= 2);
+        assert!(count_kind(&net, GateKind::Fanout) >= 2);
         check_equivalent(&xag, &net);
     }
 
@@ -845,7 +832,7 @@ mod tests {
         }
         let legal = net.legalize_fanout();
         assert!(legal.fanout_violations().is_empty());
-        assert_eq!(legal.count_kind(GateKind::Fanout), 4);
+        assert_eq!(count_kind(&legal, GateKind::Fanout), 4);
         assert_eq!(legal.simulate(&[true]), vec![true; 5]);
         assert_eq!(legal.simulate(&[false]), vec![false; 5]);
     }

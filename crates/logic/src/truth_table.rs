@@ -6,19 +6,8 @@
 //! convention of the EPFL logic-synthesis libraries the paper builds on.
 
 /// A truth table of a Boolean function with up to six inputs.
-///
-/// # Examples
-///
-/// ```
-/// use fcn_logic::truth_table::TruthTable;
-///
-/// let a = TruthTable::projection(2, 0);
-/// let b = TruthTable::projection(2, 1);
-/// assert_eq!(a.and(b), TruthTable::from_bits(2, 0b1000));
-/// assert_eq!(a.xor(b), TruthTable::from_bits(2, 0b0110));
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TruthTable {
+pub(crate) struct TruthTable {
     num_vars: u8,
     bits: u64,
 }
@@ -35,7 +24,7 @@ const VAR_MASKS: [u64; 6] = [
 
 impl TruthTable {
     /// The maximum number of variables supported.
-    pub const MAX_VARS: u8 = 6;
+    pub(crate) const MAX_VARS: u8 = 6;
 
     /// Builds a truth table from raw bits.
     ///
@@ -44,7 +33,7 @@ impl TruthTable {
     /// # Panics
     ///
     /// Panics if `num_vars > 6`.
-    pub fn from_bits(num_vars: u8, bits: u64) -> Self {
+    pub(crate) fn from_bits(num_vars: u8, bits: u64) -> Self {
         assert!(num_vars <= Self::MAX_VARS, "at most 6 variables supported");
         TruthTable {
             num_vars,
@@ -60,43 +49,33 @@ impl TruthTable {
         }
     }
 
-    /// The constant-false function of `num_vars` variables.
-    pub fn zero(num_vars: u8) -> Self {
-        Self::from_bits(num_vars, 0)
-    }
-
-    /// The constant-true function of `num_vars` variables.
-    pub fn one(num_vars: u8) -> Self {
-        Self::from_bits(num_vars, u64::MAX)
-    }
-
     /// The projection onto variable `var` (`f = x_var`).
     ///
     /// # Panics
     ///
     /// Panics if `var >= num_vars`.
-    pub fn projection(num_vars: u8, var: u8) -> Self {
+    pub(crate) fn projection(num_vars: u8, var: u8) -> Self {
         assert!(var < num_vars, "projection variable out of range");
         Self::from_bits(num_vars, VAR_MASKS[var as usize])
     }
 
     /// Number of variables.
-    pub fn num_vars(self) -> u8 {
+    pub(crate) fn num_vars(self) -> u8 {
         self.num_vars
     }
 
     /// The raw bit representation (low `2^n` bits).
-    pub fn bits(self) -> u64 {
+    pub(crate) fn bits(self) -> u64 {
         self.bits
     }
 
     /// Number of rows (`2^n`).
-    pub fn num_rows(self) -> u32 {
+    pub(crate) fn num_rows(self) -> u32 {
         1 << self.num_vars
     }
 
     /// Evaluates the function on the assignment encoded in `row`.
-    pub fn value_at(self, row: u32) -> bool {
+    pub(crate) fn value_at(self, row: u32) -> bool {
         debug_assert!(row < self.num_rows());
         (self.bits >> row) & 1 == 1
     }
@@ -106,120 +85,25 @@ impl TruthTable {
     /// # Panics
     ///
     /// Panics if variable counts differ.
-    pub fn and(self, other: TruthTable) -> TruthTable {
+    pub(crate) fn and(self, other: TruthTable) -> TruthTable {
         self.binary_op(other, |a, b| a & b)
     }
 
-    /// Bitwise OR.
-    pub fn or(self, other: TruthTable) -> TruthTable {
-        self.binary_op(other, |a, b| a | b)
-    }
-
     /// Bitwise XOR.
-    pub fn xor(self, other: TruthTable) -> TruthTable {
+    pub(crate) fn xor(self, other: TruthTable) -> TruthTable {
         self.binary_op(other, |a, b| a ^ b)
     }
 
     /// Complement. (Named like the other bitwise ops; `!tt` would hide
     /// that this masks to `num_vars` rows via `from_bits`.)
     #[allow(clippy::should_implement_trait)]
-    pub fn not(self) -> TruthTable {
+    pub(crate) fn not(self) -> TruthTable {
         TruthTable::from_bits(self.num_vars, !self.bits)
     }
 
     fn binary_op(self, other: TruthTable, op: impl Fn(u64, u64) -> u64) -> TruthTable {
         assert_eq!(self.num_vars, other.num_vars, "variable counts must match");
         TruthTable::from_bits(self.num_vars, op(self.bits, other.bits))
-    }
-
-    /// True if the function ignores variable `var`.
-    pub fn is_independent_of(self, var: u8) -> bool {
-        let mask = VAR_MASKS[var as usize];
-        let shift = 1u32 << var;
-        let hi = (self.bits & mask) >> shift;
-        let lo = self.bits & !mask;
-        (hi ^ lo) & !mask & Self::full_mask(self.num_vars) == 0
-    }
-
-    /// The positive cofactor `f|_{x_var = 1}` (result keeps `num_vars`).
-    pub fn cofactor1(self, var: u8) -> TruthTable {
-        let mask = VAR_MASKS[var as usize];
-        let shift = 1u32 << var;
-        let hi = self.bits & mask;
-        TruthTable::from_bits(self.num_vars, hi | (hi >> shift))
-    }
-
-    /// The negative cofactor `f|_{x_var = 0}`.
-    pub fn cofactor0(self, var: u8) -> TruthTable {
-        let mask = VAR_MASKS[var as usize];
-        let shift = 1u32 << var;
-        let lo = self.bits & !mask & Self::full_mask(self.num_vars);
-        TruthTable::from_bits(self.num_vars, lo | (lo << shift))
-    }
-
-    /// Negates input `var` (substitutes `x_var ↦ ¬x_var`).
-    pub fn negate_input(self, var: u8) -> TruthTable {
-        let mask = VAR_MASKS[var as usize];
-        let shift = 1u32 << var;
-        let hi = (self.bits & mask) >> shift;
-        let lo = (self.bits & !mask & Self::full_mask(self.num_vars)) << shift;
-        TruthTable::from_bits(self.num_vars, hi | lo)
-    }
-
-    /// Swaps adjacent inputs `var` and `var + 1`.
-    pub fn swap_adjacent_inputs(self, var: u8) -> TruthTable {
-        assert!(var + 1 < self.num_vars, "swap partner out of range");
-        let shift = 1u32 << var;
-        // Rows where bit var = 1, bit var+1 = 0 swap with rows where
-        // bit var = 0, bit var+1 = 1.
-        let m_hi = VAR_MASKS[var as usize + 1];
-        let m_lo = VAR_MASKS[var as usize];
-        let keep = (self.bits & m_hi & m_lo) | (self.bits & !m_hi & !m_lo);
-        let up = (self.bits & !m_hi & m_lo) << shift; // var=1,var+1=0 → move up
-        let down = (self.bits & m_hi & !m_lo) >> shift;
-        TruthTable::from_bits(self.num_vars, keep | up | down)
-    }
-
-    /// Applies an arbitrary input permutation: input `i` of the result reads
-    /// input `perm[i]` of `self`.
-    pub fn permute_inputs(self, perm: &[u8]) -> TruthTable {
-        assert_eq!(
-            perm.len(),
-            self.num_vars as usize,
-            "permutation size mismatch"
-        );
-        let n = self.num_vars;
-        let mut bits = 0u64;
-        for row in 0..self.num_rows() {
-            // Build the source row: source bit perm[i] = row bit i.
-            let mut src = 0u32;
-            for i in 0..n {
-                if (row >> i) & 1 == 1 {
-                    src |= 1 << perm[i as usize];
-                }
-            }
-            if self.value_at(src) {
-                bits |= 1 << row;
-            }
-        }
-        TruthTable::from_bits(n, bits)
-    }
-
-    /// Extends the function to more variables (new variables are ignored).
-    pub fn extended_to(self, num_vars: u8) -> TruthTable {
-        assert!(num_vars >= self.num_vars && num_vars <= Self::MAX_VARS);
-        let mut bits = self.bits;
-        let mut width = 1u32 << self.num_vars;
-        while width < (1u32 << num_vars) {
-            bits |= bits << width;
-            width *= 2;
-        }
-        TruthTable::from_bits(num_vars, bits)
-    }
-
-    /// Number of rows where the function is true.
-    pub fn count_ones(self) -> u32 {
-        self.bits.count_ones()
     }
 }
 
@@ -243,7 +127,6 @@ mod tests {
         assert_eq!(a.bits(), 0b1010);
         assert_eq!(b.bits(), 0b1100);
         assert_eq!(a.and(b).bits(), 0b1000);
-        assert_eq!(a.or(b).bits(), 0b1110);
         assert_eq!(a.xor(b).bits(), 0b0110);
         assert_eq!(a.not().bits(), 0b0101);
     }
@@ -261,83 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn cofactors_and_independence() {
-        let a = TruthTable::projection(2, 0);
-        let b = TruthTable::projection(2, 1);
-        let f = a.and(b);
-        assert_eq!(f.cofactor1(0), b);
-        assert_eq!(f.cofactor0(0), TruthTable::zero(2));
-        assert!(!f.is_independent_of(0));
-        assert!(a.is_independent_of(1));
-        assert!(TruthTable::one(3).is_independent_of(2));
-    }
-
-    #[test]
-    fn negate_input_is_involutive() {
-        let f = TruthTable::from_bits(3, 0b1011_0010);
-        for v in 0..3 {
-            assert_eq!(f.negate_input(v).negate_input(v), f);
-        }
-    }
-
-    #[test]
-    fn negate_input_semantics() {
-        let a = TruthTable::projection(2, 0);
-        assert_eq!(a.negate_input(0), a.not());
-        // Negating the other input leaves a projection unchanged.
-        assert_eq!(a.negate_input(1), a);
-    }
-
-    #[test]
-    fn swap_adjacent_is_involutive_and_correct() {
-        let f = TruthTable::from_bits(3, 0b1100_1010);
-        for v in 0..2 {
-            assert_eq!(f.swap_adjacent_inputs(v).swap_adjacent_inputs(v), f);
-        }
-        let a = TruthTable::projection(2, 0);
-        let b = TruthTable::projection(2, 1);
-        assert_eq!(a.swap_adjacent_inputs(0), b);
-        assert_eq!(b.swap_adjacent_inputs(0), a);
-    }
-
-    #[test]
-    fn permute_inputs_matches_swaps() {
-        let f = TruthTable::from_bits(3, 0b0110_1001);
-        // Identity permutation.
-        assert_eq!(f.permute_inputs(&[0, 1, 2]), f);
-        // Swapping 0 and 1 matches swap_adjacent_inputs(0).
-        assert_eq!(f.permute_inputs(&[1, 0, 2]), f.swap_adjacent_inputs(0));
-    }
-
-    #[test]
-    fn permute_projection() {
-        let a = TruthTable::projection(3, 0);
-        // After applying permutation [2, 1, 0], input 0 of the result reads
-        // input 2 of the original... projection of x0 becomes x? — check by
-        // evaluation.
-        let g = a.permute_inputs(&[2, 1, 0]);
-        for row in 0..8u32 {
-            // g(row) = a(src) where src bit 2 = row bit 0 etc.
-            let expected = (row >> 2) & 1 == 1; // a = x0 of src = bit perm[?]..
-            assert_eq!(g.value_at(row), expected);
-        }
-    }
-
-    #[test]
-    fn extension_preserves_semantics() {
-        let a = TruthTable::projection(2, 0);
-        let e = a.extended_to(4);
-        for row in 0..16u32 {
-            assert_eq!(e.value_at(row), row & 1 == 1);
-        }
-    }
-
-    #[test]
     fn six_variable_support() {
         let f = TruthTable::projection(6, 5);
         assert_eq!(f.bits(), 0xFFFF_FFFF_0000_0000);
-        assert_eq!(f.count_ones(), 32);
-        assert_eq!(TruthTable::one(6).bits(), u64::MAX);
     }
 
     #[test]
@@ -346,12 +155,12 @@ mod tests {
         let b = TruthTable::projection(2, 1);
         assert_eq!(a.and(b).to_string(), "0x8");
         assert_eq!(a.xor(b).to_string(), "0x6");
-        assert_eq!(TruthTable::one(4).to_string(), "0xffff");
+        assert_eq!(TruthTable::from_bits(4, u64::MAX).to_string(), "0xffff");
     }
 
     #[test]
     #[should_panic(expected = "at most 6 variables")]
     fn too_many_vars_panics() {
-        let _ = TruthTable::zero(7);
+        let _ = TruthTable::from_bits(7, 0);
     }
 }

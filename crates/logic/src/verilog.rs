@@ -26,7 +26,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseVerilogError {
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl ParseVerilogError {

@@ -11,30 +11,30 @@ use fcn_logic::GateKind;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     /// Dense edge index.
-    pub id: usize,
+    pub(crate) id: usize,
     /// Driving node.
-    pub source: MappedId,
+    pub(crate) source: MappedId,
     /// Output port of the driver.
-    pub source_port: u8,
+    pub(crate) source_port: u8,
     /// Consuming node.
-    pub target: MappedId,
+    pub(crate) target: MappedId,
     /// Input port of the consumer.
-    pub target_port: u8,
+    pub(crate) target_port: u8,
 }
 
 /// Placement-oriented graph data derived from a mapped netlist.
 #[derive(Debug, Clone)]
 pub struct NetGraph {
     /// The underlying netlist.
-    pub network: MappedNetwork,
+    pub(crate) network: MappedNetwork,
     /// All signal edges.
     pub edges: Vec<Edge>,
     /// Outgoing edge ids per node.
-    pub out_edges: Vec<Vec<usize>>,
+    pub(crate) out_edges: Vec<Vec<usize>>,
     /// Incoming edge ids per node.
-    pub in_edges: Vec<Vec<usize>>,
+    pub(crate) in_edges: Vec<Vec<usize>>,
     /// Earliest possible row per node (PIs at 0).
-    pub asap: Vec<u32>,
+    pub(crate) asap: Vec<u32>,
 }
 
 /// An error constructing a [`NetGraph`].
@@ -132,7 +132,7 @@ impl NetGraph {
     /// Latest possible row per node for a layout of `height` rows
     /// (POs pinned to the last row). Returns `None` if `height` is smaller
     /// than the critical path allows.
-    pub fn alap(&self, height: u32) -> Option<Vec<u32>> {
+    pub(crate) fn alap(&self, height: u32) -> Option<Vec<u32>> {
         if height < self.min_height() {
             return None;
         }
@@ -168,7 +168,7 @@ impl NetGraph {
     }
 
     /// Minimal layout height in rows: the longest PI→PO path in nodes.
-    pub fn min_height(&self) -> u32 {
+    pub(crate) fn min_height(&self) -> u32 {
         self.network
             .primary_outputs()
             .iter()
@@ -179,7 +179,7 @@ impl NetGraph {
 
     /// Minimal layout width in tiles: PIs share row 0 and POs share the
     /// last row, so the width must accommodate the larger pad set.
-    pub fn min_width(&self) -> u32 {
+    pub(crate) fn min_width(&self) -> u32 {
         (self.network.primary_inputs().len() as u32)
             .max(self.network.primary_outputs().len() as u32)
             .max(1)

@@ -38,20 +38,20 @@ use fcn_budget::exec::{run_ordered, Signal};
 /// forward it to [`msat::SolveParams::cancel`] (or poll it themselves
 /// in long non-solver phases) and report `cancelled: true` when it
 /// fired before a verdict was reached.
-pub use fcn_budget::exec::CancelFlag;
+pub(crate) use fcn_budget::exec::CancelFlag;
 
 /// What one probe concluded, as reported back to the scheduler.
 #[derive(Debug)]
-pub struct ProbeOutcome<L, P> {
+pub(crate) struct ProbeOutcome<L, P> {
     /// The layout, when the probe was satisfiable.
-    pub layout: Option<L>,
+    pub(crate) layout: Option<L>,
     /// The probe record (verdict + cost). `None` when the candidate was
     /// filtered out before reaching the solver; such candidates still
     /// count as attempted.
-    pub probe: Option<P>,
+    pub(crate) probe: Option<P>,
     /// True when the cancel flag fired before a verdict; the outcome
     /// carries no information and is discarded.
-    pub cancelled: bool,
+    pub(crate) cancelled: bool,
     /// Set when the probe ends the whole scan: a scan-wide resource limit
     /// ([`PnrError::DeadlineExpired`],
     /// [`PnrError::ConflictBudgetExhausted`]) or an incoherent SAT model
@@ -59,12 +59,12 @@ pub struct ProbeOutcome<L, P> {
     /// `BudgetExceeded` verdict, which skips one ratio, this stops
     /// dispatch of further candidates; in-flight probes conclude under
     /// their own limits, and the caller is expected to degrade.
-    pub abort: Option<PnrError>,
+    pub(crate) abort: Option<PnrError>,
 }
 
 impl<L, P> ProbeOutcome<L, P> {
     /// A probe that reached a verdict (or was filtered pre-solver).
-    pub fn concluded(layout: Option<L>, probe: Option<P>) -> Self {
+    pub(crate) fn concluded(layout: Option<L>, probe: Option<P>) -> Self {
         ProbeOutcome {
             layout,
             probe,
@@ -74,7 +74,7 @@ impl<L, P> ProbeOutcome<L, P> {
     }
 
     /// A probe whose cancel flag fired before a verdict.
-    pub fn cancelled() -> Self {
+    pub(crate) fn cancelled() -> Self {
         ProbeOutcome {
             layout: None,
             probe: None,
@@ -84,7 +84,7 @@ impl<L, P> ProbeOutcome<L, P> {
     }
 
     /// A probe that ends the scan with `abort`.
-    pub fn aborted(abort: PnrError) -> Self {
+    pub(crate) fn aborted(abort: PnrError) -> Self {
         ProbeOutcome {
             layout: None,
             probe: None,
@@ -97,26 +97,26 @@ impl<L, P> ProbeOutcome<L, P> {
 /// The assembled result of a portfolio run, equivalent to what the
 /// sequential scan over the same candidates would produce.
 #[derive(Debug)]
-pub struct PortfolioOutcome<L, P> {
+pub(crate) struct PortfolioOutcome<L, P> {
     /// Winning candidate index and its layout, if any probe was SAT.
-    pub winner: Option<(usize, L)>,
+    pub(crate) winner: Option<(usize, L)>,
     /// Probe records in candidate order: every concluded pre-winner
     /// probe plus the winner's own.
-    pub probes: Vec<P>,
+    pub(crate) probes: Vec<P>,
     /// Number of candidates attempted (dispatched and committed),
     /// including ones filtered before the solver.
-    pub attempted: usize,
+    pub(crate) attempted: usize,
     /// Number of in-flight probes cancelled by the winner.
-    pub cancelled: usize,
+    pub(crate) cancelled: usize,
     /// The error of the probe that stopped the scan early, when no
     /// winner had been committed by then. Probe records cover the
     /// candidates that concluded before the abort.
-    pub aborted: Option<PnrError>,
+    pub(crate) aborted: Option<PnrError>,
     /// Set when a probe panicked: the (stringified) panic payload. The
     /// scheduler catches the unwind, cancels every in-flight sibling,
     /// stops dispatch, and reports here instead of propagating — the
     /// caller converts this into a typed error.
-    pub panicked: Option<String>,
+    pub(crate) panicked: Option<String>,
 }
 
 /// Runs `probe` over `candidates` on the ordered executor
@@ -132,7 +132,7 @@ pub struct PortfolioOutcome<L, P> {
 /// The commit policy: the smallest SAT index wins and cancels in-flight
 /// probes above it, a scan-wide abort halts dispatch, and a probe panic
 /// is reported instead of unwinding.
-pub fn run_portfolio<C, L, P, F>(candidates: &[C], probe: F) -> PortfolioOutcome<L, P>
+pub(crate) fn run_portfolio<C, L, P, F>(candidates: &[C], probe: F) -> PortfolioOutcome<L, P>
 where
     C: Sync,
     L: Send,

@@ -17,7 +17,7 @@
 //! * Luby-sequence restarts,
 //! * activity-based learned-clause database reduction.
 //!
-//! [`Solver::solve_with`] is the one entry point. Its [`SolveParams`]
+//! `Solver::solve_with` is the one entry point. Its [`SolveParams`]
 //! carry the assumptions and every limit (conflict budget, cancel flag,
 //! deadline); each limit defaults to "none", so `SolveParams::new()` is
 //! a plain solve that always concludes.
@@ -29,17 +29,18 @@
 //! # Examples
 //!
 //! ```
-//! use msat::{Lit, SolveParams, Solver};
+//! use msat::{BoundedResult, CnfBuilder, SolveParams};
 //!
-//! let mut solver = Solver::new();
-//! let a = solver.new_var();
-//! let b = solver.new_var();
-//! solver.add_clause([Lit::pos(a), Lit::pos(b)]);
-//! solver.add_clause([Lit::neg(a)]);
-//! let result = solver.solve_with(&SolveParams::new());
-//! let model = result.model().expect("satisfiable");
-//! assert!(!model.value(a));
-//! assert!(model.value(b));
+//! let mut cnf = CnfBuilder::new();
+//! let a = cnf.new_lit();
+//! let b = cnf.new_lit();
+//! cnf.add_clause([a, b]);
+//! cnf.add_clause([a.negated()]);
+//! let BoundedResult::Sat(model) = cnf.solve_with(&SolveParams::new()) else {
+//!     panic!("satisfiable");
+//! };
+//! assert!(!model.lit_value(a));
+//! assert!(model.lit_value(b));
 //! ```
 
 mod builder;

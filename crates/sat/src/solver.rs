@@ -17,7 +17,7 @@ const FALSE: u8 = 0;
 const TRUE: u8 = 1;
 const UNASSIGNED: u8 = 2;
 
-/// Result of a [`Solver::solve_with`] call.
+/// Result of a `Solver::solve_with` call.
 ///
 /// The three "no verdict" outcomes are kept apart: a probe that ran out
 /// of budget carries information (the instance is hard), one that was
@@ -44,37 +44,27 @@ pub enum BoundedResult {
     DeadlineExpired,
 }
 
-impl BoundedResult {
-    /// True if satisfiable.
-    pub fn is_sat(&self) -> bool {
-        matches!(self, BoundedResult::Sat(_))
-    }
-
-    /// The model, if satisfiable.
-    pub fn model(&self) -> Option<&Model> {
-        match self {
-            BoundedResult::Sat(m) => Some(m),
-            _ => None,
-        }
-    }
-}
-
-/// Parameters of a [`Solver::solve_with`] call, the solver's single
+/// Parameters of a `Solver::solve_with` call, the solver's single
 /// entry point. Every limit defaults to "none": `SolveParams::new()` is
 /// a plain unbounded, assumption-free solve that always concludes.
 ///
 /// # Examples
 ///
 /// ```
-/// use msat::{Lit, SolveParams, Solver};
+/// use msat::{BoundedResult, CnfBuilder, SolveParams};
 ///
-/// let mut s = Solver::new();
-/// let a = s.new_var();
-/// let b = s.new_var();
-/// s.add_clause([Lit::pos(a), Lit::pos(b)]);
-/// let result = s.solve_with(&SolveParams::new().assume([Lit::neg(a)]));
-/// assert!(result.is_sat());
-/// assert!(result.model().unwrap().value(b));
+/// let mut cnf = CnfBuilder::new();
+/// let a = cnf.new_lit();
+/// let b = cnf.new_lit();
+/// cnf.add_clause([a, b]);
+/// let params = SolveParams {
+///     assumptions: vec![a.negated()],
+///     ..SolveParams::new()
+/// };
+/// let BoundedResult::Sat(model) = cnf.solve_with(&params) else {
+///     panic!("satisfiable");
+/// };
+/// assert!(model.lit_value(b));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SolveParams {
@@ -97,13 +87,6 @@ impl SolveParams {
     /// An unbounded, assumption-free, uncancellable solve.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the assumptions (literals held true for this call only).
-    #[must_use]
-    pub fn assume<I: IntoIterator<Item = Lit>>(mut self, lits: I) -> Self {
-        self.assumptions = lits.into_iter().collect();
-        self
     }
 
     /// Caps the solve at `max_conflicts` conflicts past the current
@@ -146,23 +129,13 @@ impl Model {
     /// # Panics
     ///
     /// Panics if `var` was not part of the solved formula.
-    pub fn value(&self, var: Var) -> bool {
+    pub(crate) fn value(&self, var: Var) -> bool {
         self.values[var.index()]
     }
 
     /// The truth value of a literal under this model.
     pub fn lit_value(&self, lit: Lit) -> bool {
         self.value(lit.var()) ^ lit.is_negative()
-    }
-
-    /// Number of variables in the model.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if the model contains no variables.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 }
 
@@ -182,22 +155,22 @@ pub struct SolverStats {
     /// Wall time spent inside [`Solver::solve_with`] since the stats
     /// were last reset. Monotonic-clock-derived; zero when the stats
     /// come from a context with no timing (hand-built literals).
-    pub solve_time: std::time::Duration,
+    pub(crate) solve_time: std::time::Duration,
 }
 
 impl SolverStats {
     /// Conflicts per second of solve time; `None` without timing.
-    pub fn conflicts_per_sec(&self) -> Option<f64> {
+    pub(crate) fn conflicts_per_sec(&self) -> Option<f64> {
         (!self.solve_time.is_zero()).then(|| self.conflicts as f64 / self.solve_time.as_secs_f64())
     }
 
     /// Propagations per second of solve time; `None` without timing.
-    pub fn propagations_per_sec(&self) -> Option<f64> {
+    pub(crate) fn propagations_per_sec(&self) -> Option<f64> {
         (!self.solve_time.is_zero())
             .then(|| self.propagations as f64 / self.solve_time.as_secs_f64())
     }
 
-    /// These statistics with [`SolverStats::solve_time`] zeroed: the
+    /// These statistics with `SolverStats::solve_time` zeroed: the
     /// deterministic work counters alone. Reproducibility assertions
     /// (e.g. "the portfolio does identical solver work at any thread
     /// count") compare these, since wall time is never reproducible.
@@ -320,7 +293,9 @@ const POLL_INTERVAL: u32 = 64;
 
 impl Solver {
     /// Creates an empty solver with no variables or clauses.
-    pub fn new() -> Self {
+    // Reference start (activity increments 1) the solver tests pin; `CnfBuilder` uses `Default`.
+    #[allow(dead_code)]
+    pub(crate) fn new() -> Self {
         Solver {
             var_inc: 1.0,
             cla_inc: 1.0,
@@ -329,7 +304,7 @@ impl Solver {
     }
 
     /// Introduces a fresh variable.
-    pub fn new_var(&mut self) -> Var {
+    pub(crate) fn new_var(&mut self) -> Var {
         let v = Var(self.level.len() as u32);
         self.value.extend([UNASSIGNED; 2]);
         self.level.push(0);
@@ -363,7 +338,7 @@ impl Solver {
     /// Duplicate literals are removed and tautological clauses are ignored.
     /// Adding the empty clause (or a unit clause contradicting an earlier
     /// one at the root level) makes the formula trivially unsatisfiable.
-    pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
+    pub(crate) fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
         if self.unsat {
             return;
         }
@@ -732,7 +707,7 @@ impl Solver {
     /// Solver state (learned clauses, variable activities, saved
     /// phases) persists across calls, enabling incremental use; the
     /// assumptions hold for this call only.
-    pub fn solve_with(&mut self, params: &SolveParams) -> BoundedResult {
+    pub(crate) fn solve_with(&mut self, params: &SolveParams) -> BoundedResult {
         let limit = params
             .max_conflicts
             .map(|b| self.stats.conflicts.saturating_add(b));
@@ -1259,14 +1234,14 @@ pub(crate) mod tests {
         }
         clauses.extend((0..150).map(|v| vec![Lit::neg(y), Lit::with_value(Var(v), v % 3 == 0)]));
         let unreduced = solver_of(151, &clauses).solve_with(&SolveParams::new());
-        assert!(unreduced.model().is_some_and(|m| m.value(y)));
+        assert!(matches!(&unreduced, BoundedResult::Sat(m) if m.value(y)));
         assert_eq!(solve_with_reductions(solver_of(151, &clauses)), unreduced);
     }
 
     #[test]
     fn empty_formula_is_sat() {
         let mut s = Solver::new();
-        assert!(s.solve_with(&SolveParams::new()).is_sat());
+        sat_model(s.solve_with(&SolveParams::new()));
     }
 
     #[test]
@@ -1291,7 +1266,7 @@ pub(crate) mod tests {
     fn tautological_clauses_are_ignored() {
         let mut s = solver_with_vars(2);
         s.add_clause([lit(1), lit(-1)]);
-        assert!(s.solve_with(&SolveParams::new()).is_sat());
+        sat_model(s.solve_with(&SolveParams::new()));
     }
 
     #[test]
@@ -1402,22 +1377,28 @@ pub(crate) mod tests {
     fn assumptions_restrict_models() {
         let mut s = solver_with_vars(2);
         s.add_clause([lit(1), lit(2)]);
-        let m = sat_model(s.solve_with(&SolveParams::new().assume([lit(-1)])));
+        let m = sat_model(s.solve_with(&SolveParams {
+            assumptions: vec![lit(-1)],
+            ..SolveParams::new()
+        }));
         assert!(!m.value(Var(0)));
         assert!(m.value(Var(1)));
         // Conflicting assumptions yield UNSAT without poisoning the solver.
         assert_eq!(
-            s.solve_with(&SolveParams::new().assume([lit(-1), lit(-2)])),
+            s.solve_with(&SolveParams {
+                assumptions: vec![lit(-1), lit(-2)],
+                ..SolveParams::new()
+            }),
             BoundedResult::Unsat
         );
-        assert!(s.solve_with(&SolveParams::new()).is_sat());
+        sat_model(s.solve_with(&SolveParams::new()));
     }
 
     #[test]
     fn incremental_solving_reuses_state() {
         let mut s = solver_with_vars(4);
         s.add_clause([lit(1), lit(2)]);
-        assert!(s.solve_with(&SolveParams::new()).is_sat());
+        sat_model(s.solve_with(&SolveParams::new()));
         s.add_clause([lit(-1)]);
         let m = sat_model(s.solve_with(&SolveParams::new()));
         assert!(m.value(Var(1)));
@@ -1477,7 +1458,10 @@ pub(crate) mod tests {
                                          // Assuming x propagates y, so the second assumption ¬y is
                                          // falsified at level 1 (not level 0).
         assert_eq!(
-            s.solve_with(&SolveParams::new().assume([lit(1), lit(-2)])),
+            s.solve_with(&SolveParams {
+                assumptions: vec![lit(1), lit(-2)],
+                ..SolveParams::new()
+            }),
             BoundedResult::Unsat
         );
         assert!(s.trail_lim.is_empty(), "trail must be at root level");
@@ -1628,10 +1612,13 @@ pub(crate) mod tests {
     fn duplicate_assumptions_are_handled() {
         let mut s = solver_with_vars(2);
         s.add_clause([lit(1), lit(2)]);
-        let m = sat_model(s.solve_with(&SolveParams::new().assume([lit(-1), lit(-1)])));
+        let m = sat_model(s.solve_with(&SolveParams {
+            assumptions: vec![lit(-1), lit(-1)],
+            ..SolveParams::new()
+        }));
         assert!(!m.value(Var(0)));
         assert!(m.value(Var(1)));
-        assert!(s.solve_with(&SolveParams::new()).is_sat());
+        sat_model(s.solve_with(&SolveParams::new()));
     }
 
     #[test]
@@ -1639,12 +1626,18 @@ pub(crate) mod tests {
         let mut s = solver_with_vars(2);
         s.add_clause([lit(1)]); // root-level unit: x
         assert_eq!(
-            s.solve_with(&SolveParams::new().assume([lit(-1)])),
+            s.solve_with(&SolveParams {
+                assumptions: vec![lit(-1)],
+                ..SolveParams::new()
+            }),
             BoundedResult::Unsat
         );
         // Directly contradictory assumption pair.
         assert_eq!(
-            s.solve_with(&SolveParams::new().assume([lit(2), lit(-2)])),
+            s.solve_with(&SolveParams {
+                assumptions: vec![lit(2), lit(-2)],
+                ..SolveParams::new()
+            }),
             BoundedResult::Unsat
         );
         // The formula itself is still satisfiable.

@@ -2,8 +2,8 @@
 
 /// A propositional variable, identified by a dense non-negative index.
 ///
-/// Variables are created through [`crate::Solver::new_var`] or
-/// [`crate::CnfBuilder::new_var`]; constructing one by index is allowed for
+/// Variables are created through `Solver::new_var` or
+/// `CnfBuilder::new_var`; constructing one by index is allowed for
 /// interop with external encodings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Var(pub u32);
@@ -11,7 +11,7 @@ pub struct Var(pub u32);
 impl Var {
     /// The variable's dense index.
     #[inline]
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -30,12 +30,12 @@ impl core::fmt::Display for Var {
 /// # Examples
 ///
 /// ```
-/// use msat::{Lit, Var};
+/// use msat::CnfBuilder;
 ///
-/// let x = Var(3);
-/// assert_eq!(Lit::pos(x).negated(), Lit::neg(x));
-/// assert_eq!(Lit::neg(x).var(), x);
-/// assert!(Lit::neg(x).is_negative());
+/// let mut cnf = CnfBuilder::new();
+/// let x = cnf.new_lit();
+/// assert_ne!(x.negated(), x);
+/// assert_eq!(x.negated().negated(), x);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Lit(u32);
@@ -43,19 +43,19 @@ pub struct Lit(u32);
 impl Lit {
     /// The positive literal of `var`.
     #[inline]
-    pub const fn pos(var: Var) -> Self {
+    pub(crate) const fn pos(var: Var) -> Self {
         Lit(var.0 << 1)
     }
 
     /// The negative literal of `var`.
     #[inline]
-    pub const fn neg(var: Var) -> Self {
+    pub(crate) const fn neg(var: Var) -> Self {
         Lit((var.0 << 1) | 1)
     }
 
     /// A literal of `var` whose polarity is positive iff `value` is true.
     #[inline]
-    pub const fn with_value(var: Var, value: bool) -> Self {
+    pub(crate) const fn with_value(var: Var, value: bool) -> Self {
         if value {
             Lit::pos(var)
         } else {
@@ -65,19 +65,19 @@ impl Lit {
 
     /// The underlying variable.
     #[inline]
-    pub const fn var(self) -> Var {
+    pub(crate) const fn var(self) -> Var {
         Var(self.0 >> 1)
     }
 
     /// True if this is a negated literal.
     #[inline]
-    pub const fn is_negative(self) -> bool {
+    pub(crate) const fn is_negative(self) -> bool {
         self.0 & 1 == 1
     }
 
     /// True if this is a positive literal.
     #[inline]
-    pub const fn is_positive(self) -> bool {
+    pub(crate) const fn is_positive(self) -> bool {
         !self.is_negative()
     }
 
@@ -89,13 +89,13 @@ impl Lit {
 
     /// The packed code `2·var + sign`, usable as a dense array index.
     #[inline]
-    pub const fn code(self) -> usize {
+    pub(crate) const fn code(self) -> usize {
         self.0 as usize
     }
 
     /// Reconstructs a literal from its packed code.
     #[inline]
-    pub const fn from_code(code: usize) -> Self {
+    pub(crate) const fn from_code(code: usize) -> Self {
         Lit(code as u32)
     }
 }

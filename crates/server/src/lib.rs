@@ -1,7 +1,7 @@
 //! `fcn-server` — the flow as a service (ROADMAP item 1).
 //!
 //! A long-lived, multi-tenant design server: clients submit
-//! [`bestagon_core::FlowRequest`]s into a bounded job queue; a fixed
+//! [`bestagon_core::flow::FlowRequest`]s into a bounded job queue; a fixed
 //! crew of worker threads drains it, each job running the full
 //! eight-step flow and answering with its artifacts plus the per-run
 //! telemetry report. Three pieces of state are deliberately shared
@@ -11,7 +11,7 @@
 //! * one process-wide [`sidb_sim::SimCache`], so step 7 never
 //!   re-simulates a charge configuration another job already settled;
 //! * a content-addressed result cache keyed by
-//!   [`bestagon_core::FlowRequest::fingerprint`] — an identical
+//!   [`bestagon_core::flow::FlowRequest::fingerprint`] — an identical
 //!   circuit+options pair is answered from memory, honestly marked
 //!   `cache_hit`.
 //!
@@ -53,10 +53,10 @@ use sidb_sim::SimCache;
 pub struct ServerConfig {
     /// Concurrent flow workers. Results are byte-identical at any
     /// width; width only buys throughput.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Jobs the queue admits before rejecting with
     /// [`RejectReason::QueueFull`] (in-flight jobs do not count).
-    pub queue_capacity: usize,
+    pub(crate) queue_capacity: usize,
 }
 
 impl Default for ServerConfig {
@@ -148,7 +148,7 @@ impl core::fmt::Display for RejectReason {
 pub enum JobStatus {
     /// The flow completed; artifacts attached.
     Done,
-    /// The flow ran and failed with a typed [`bestagon_core::FlowError`]
+    /// The flow ran and failed with a typed [`bestagon_core::flow::FlowError`]
     /// (attached as `error`).
     Failed,
     /// The server refused to run the job (see `error.code`).
@@ -157,7 +157,7 @@ pub enum JobStatus {
 
 impl JobStatus {
     /// Stable machine-readable discriminant (wire-protocol contract).
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             JobStatus::Done => "ok",
             JobStatus::Failed => "error",
@@ -187,7 +187,7 @@ pub struct JobResponse {
     /// The per-run telemetry report (span tree as JSON). On a cache
     /// hit, the cold run's report.
     pub report: Option<Value>,
-    /// The typed failure ([`bestagon_core::FlowError::to_value`]) or
+    /// The typed failure ([`bestagon_core::flow::FlowError::to_value`]) or
     /// rejection (`{code, message}`).
     pub error: Option<Value>,
 }
@@ -246,16 +246,10 @@ impl JobResponse {
 /// A handle to one admitted job; resolves to its [`JobResponse`].
 #[derive(Debug)]
 pub struct JobTicket {
-    id: u64,
     receiver: mpsc::Receiver<JobResponse>,
 }
 
 impl JobTicket {
-    /// The server-assigned job id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Blocks until the job's response. Every admitted job is answered
     /// — run, failed, deadline-rejected, or shutdown-rejected — so this
     /// never hangs on a live server.
@@ -344,11 +338,6 @@ impl Server {
         }
     }
 
-    /// The sizing this server was booted with.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
     /// Admits a job, or rejects it with a typed reason — immediately,
     /// never blocking on a full queue. The job's deadline is whatever
     /// `request.options.budget.deadline` says; a job still queued when
@@ -378,7 +367,7 @@ impl Server {
         registry.record_histogram("server.queue_depth", queue.jobs.len() as u64);
         drop(queue);
         self.shared.available.notify_one();
-        Ok(JobTicket { id, receiver })
+        Ok(JobTicket { receiver })
     }
 
     /// Everything the process-wide [`Registry`] accumulated since this

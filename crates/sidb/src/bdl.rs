@@ -38,16 +38,8 @@ impl BdlPair {
         [self.zero_dot, self.one_dot]
     }
 
-    /// Translated copy.
-    pub fn translated(&self, dx: i32, dy: i32) -> BdlPair {
-        BdlPair {
-            zero_dot: self.zero_dot.translated(dx, dy),
-            one_dot: self.one_dot.translated(dx, dy),
-        }
-    }
-
     /// Horizontally mirrored copy.
-    pub fn mirrored_x(&self, axis_x: i32) -> BdlPair {
+    pub(crate) fn mirrored_x(&self, axis_x: i32) -> BdlPair {
         BdlPair {
             zero_dot: self.zero_dot.mirrored_x(axis_x),
             one_dot: self.one_dot.mirrored_x(axis_x),
@@ -59,7 +51,7 @@ impl BdlPair {
     /// Returns `None` when the read-out is ambiguous (both or neither dot
     /// negative, or a dot missing from the layout) — an ambiguous output
     /// means the gate is non-operational for that input pattern.
-    pub fn read(&self, layout: &SidbLayout, config: &ChargeConfiguration) -> Option<bool> {
+    pub(crate) fn read(&self, layout: &SidbLayout, config: &ChargeConfiguration) -> Option<bool> {
         let zero_idx = layout.index_of(self.zero_dot)?;
         let one_idx = layout.index_of(self.one_dot)?;
         let zero_neg = config.state(zero_idx) == ChargeState::Negative;
@@ -86,20 +78,11 @@ pub struct InputPort {
 
 impl InputPort {
     /// The perturber position for a given logic value.
-    pub fn perturber_for(&self, value: bool) -> LatticeCoord {
+    pub(crate) fn perturber_for(&self, value: bool) -> LatticeCoord {
         if value {
             self.perturber_one
         } else {
             self.perturber_zero
-        }
-    }
-
-    /// Translated copy.
-    pub fn translated(&self, dx: i32, dy: i32) -> InputPort {
-        InputPort {
-            pair: self.pair.translated(dx, dy),
-            perturber_zero: self.perturber_zero.translated(dx, dy),
-            perturber_one: self.perturber_one.translated(dx, dy),
         }
     }
 
@@ -124,14 +107,6 @@ pub struct OutputPort {
 }
 
 impl OutputPort {
-    /// Translated copy.
-    pub fn translated(&self, dx: i32, dy: i32) -> OutputPort {
-        OutputPort {
-            pair: self.pair.translated(dx, dy),
-            perturber: self.perturber.map(|p| p.translated(dx, dy)),
-        }
-    }
-
     /// Horizontally mirrored copy.
     pub fn mirrored_x(&self, axis_x: i32) -> OutputPort {
         OutputPort {
@@ -195,14 +170,21 @@ mod tests {
     }
 
     #[test]
-    fn transforms_compose() {
+    fn mirroring_maps_every_site_and_round_trips() {
         let port = InputPort {
             pair: BdlPair::new((1, 2, 0), (1, 3, 0)),
             perturber_zero: LatticeCoord::new(1, 0, 0),
             perturber_one: LatticeCoord::new(1, 1, 0),
         };
-        let back = port.translated(4, 2).translated(-4, -2);
-        assert_eq!(back, port);
-        assert_eq!(port.mirrored_x(5).mirrored_x(5), port);
+        let mirrored = port.mirrored_x(5);
+        assert_eq!(
+            mirrored,
+            InputPort {
+                pair: BdlPair::new((9, 2, 0), (9, 3, 0)),
+                perturber_zero: LatticeCoord::new(9, 0, 0),
+                perturber_one: LatticeCoord::new(9, 1, 0),
+            }
+        );
+        assert_eq!(mirrored.mirrored_x(5), port);
     }
 }

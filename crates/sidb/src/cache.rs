@@ -51,7 +51,7 @@ enum EngineKey {
 
 /// What identifies a simulation result.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SimKey {
+pub(crate) struct SimKey {
     /// Sites translated so the minimal `x`/`y` is zero — simulation is
     /// translation-invariant, so translated copies share an entry.
     sites: Vec<(i32, i32, u8)>,
@@ -151,21 +151,6 @@ impl SimCache {
         }
     }
 
-    /// Number of cached spectra.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// True if nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all entries.
-    pub fn clear(&self) {
-        self.lock().clear();
-    }
-
     /// Looks up a stored spectrum. `None` on a miss or when the
     /// `sidb.cache` fault point reports the cache unavailable.
     pub(crate) fn lookup(&self, key: &SimKey) -> Option<(Vec<SimulatedState>, bool)> {
@@ -260,7 +245,7 @@ mod tests {
         let l = SidbLayout::from_sites([(0, 0, 0)]);
         let key = SimKey::for_simulation(&l, &params());
         cache.store(key.clone(), &[], false);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lock().len(), 1);
         let plan = Arc::new(FaultPlan::single("sidb.cache", Fault::Panic));
         let _scope = install(plan.clone());
         assert!(cache.lookup(&key).is_none(), "faulted lookup must miss");

@@ -30,7 +30,7 @@ pub enum ChargeState {
 
 impl ChargeState {
     /// Net charge in units of the elementary charge.
-    pub const fn charge_number(self) -> i8 {
+    pub(crate) const fn charge_number(self) -> i8 {
         match self {
             ChargeState::Negative => -1,
             ChargeState::Neutral => 0,
@@ -99,7 +99,7 @@ impl InteractionMatrix {
     /// # Panics
     ///
     /// Panics if `ext.len()` differs from the number of sites.
-    pub fn with_external(mut self, ext: Vec<f64>) -> Self {
+    pub(crate) fn with_external(mut self, ext: Vec<f64>) -> Self {
         assert_eq!(ext.len(), self.n, "external potential length mismatch");
         if ext.iter().any(|&e| e != 0.0) {
             self.ext = ext;
@@ -111,13 +111,13 @@ impl InteractionMatrix {
 
     /// True when an external potential is attached.
     #[inline]
-    pub fn has_external(&self) -> bool {
+    pub(crate) fn has_external(&self) -> bool {
         !self.ext.is_empty()
     }
 
     /// The external potential at site `i`, eV (0 on the pristine path).
     #[inline]
-    pub fn external(&self, i: usize) -> f64 {
+    pub(crate) fn external(&self, i: usize) -> f64 {
         if self.ext.is_empty() {
             0.0
         } else {
@@ -127,7 +127,7 @@ impl InteractionMatrix {
 
     /// The external potentials of all sites, or `None` on the pristine
     /// path.
-    pub fn external_slice(&self) -> Option<&[f64]> {
+    pub(crate) fn external_slice(&self) -> Option<&[f64]> {
         if self.ext.is_empty() {
             None
         } else {
@@ -151,7 +151,7 @@ impl InteractionMatrix {
     /// or carries an external potential (external offsets are per-site
     /// and do not transfer across layouts — re-attach them on the
     /// result with [`InteractionMatrix::with_external`]).
-    pub fn extended(
+    pub(crate) fn extended(
         base: &InteractionMatrix,
         base_layout: &SidbLayout,
         layout: &SidbLayout,
@@ -195,18 +195,18 @@ impl InteractionMatrix {
     }
 
     /// Number of sites.
-    pub fn num_sites(&self) -> usize {
+    pub(crate) fn num_sites(&self) -> usize {
         self.n
     }
 
     /// The interaction energy between sites `i` and `j`, eV.
     #[inline]
-    pub fn interaction(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn interaction(&self, i: usize, j: usize) -> f64 {
         self.v[i * self.n + j]
     }
 
     /// The physical parameters the matrix was built with.
-    pub fn params(&self) -> &PhysicalParams {
+    pub(crate) fn params(&self) -> &PhysicalParams {
         &self.params
     }
 }
@@ -219,41 +219,20 @@ pub struct ChargeConfiguration {
 
 impl ChargeConfiguration {
     /// The all-neutral configuration over `n` sites.
-    pub fn neutral(n: usize) -> Self {
+    pub(crate) fn neutral(n: usize) -> Self {
         ChargeConfiguration {
             states: vec![ChargeState::Neutral; n],
         }
     }
 
     /// Builds a configuration from explicit states.
-    pub fn from_states(states: Vec<ChargeState>) -> Self {
+    pub(crate) fn from_states(states: Vec<ChargeState>) -> Self {
         ChargeConfiguration { states }
     }
 
-    /// In a two-state system, decodes bit `i` of `index` as site `i`'s
-    /// state (1 = negative). Used by the exhaustive search.
-    pub fn from_index(n: usize, index: u64) -> Self {
-        ChargeConfiguration {
-            states: (0..n)
-                .map(|i| {
-                    if (index >> i) & 1 == 1 {
-                        ChargeState::Negative
-                    } else {
-                        ChargeState::Neutral
-                    }
-                })
-                .collect(),
-        }
-    }
-
     /// Number of sites.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.states.len()
-    }
-
-    /// True if the configuration covers no sites.
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
     }
 
     /// The state of site `i`.
@@ -262,7 +241,7 @@ impl ChargeConfiguration {
     }
 
     /// Sets the state of site `i`.
-    pub fn set_state(&mut self, i: usize, s: ChargeState) {
+    pub(crate) fn set_state(&mut self, i: usize, s: ChargeState) {
         self.states[i] = s;
     }
 
@@ -271,18 +250,10 @@ impl ChargeConfiguration {
         &self.states
     }
 
-    /// Number of negatively charged sites.
-    pub fn num_negative(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| **s == ChargeState::Negative)
-            .count()
-    }
-
     /// The electrostatic energy `E = Σ_{i<j} v_ij·n_i·n_j` plus, when
     /// the matrix carries an external potential,
     /// `Σ_i ext_i·n_i` (the defect–site coupling), eV.
-    pub fn electrostatic_energy(&self, m: &InteractionMatrix) -> f64 {
+    pub(crate) fn electrostatic_energy(&self, m: &InteractionMatrix) -> f64 {
         let mut e = 0.0;
         for i in 0..self.states.len() {
             let ni = self.states[i].charge_number();
@@ -311,7 +282,7 @@ impl ChargeConfiguration {
     /// electrostatic energy plus `μ−` per negative site (and `−μ+` per
     /// positive site). Valid configurations with minimal `F` are the
     /// thermodynamic ground states.
-    pub fn free_energy(&self, m: &InteractionMatrix) -> f64 {
+    pub(crate) fn free_energy(&self, m: &InteractionMatrix) -> f64 {
         let params = m.params();
         let mut f = self.electrostatic_energy(m);
         for s in &self.states {
@@ -326,7 +297,9 @@ impl ChargeConfiguration {
 
     /// The local potential `V_i = ext_i + Σ_{j≠i} v_ij·n_j` at site
     /// `i`, eV (`ext` is zero on the pristine path).
-    pub fn local_potential(&self, m: &InteractionMatrix, i: usize) -> f64 {
+    // Pointwise reference that the tests compare `local_potentials` against.
+    #[allow(dead_code)]
+    pub(crate) fn local_potential(&self, m: &InteractionMatrix, i: usize) -> f64 {
         let mut v = if m.has_external() { m.external(i) } else { 0.0 };
         for j in 0..self.states.len() {
             if j != i {
@@ -340,7 +313,7 @@ impl ChargeConfiguration {
     }
 
     /// All local potentials at once (O(n²) instead of n × O(n)).
-    pub fn local_potentials(&self, m: &InteractionMatrix) -> Vec<f64> {
+    pub(crate) fn local_potentials(&self, m: &InteractionMatrix) -> Vec<f64> {
         let n = self.states.len();
         let mut v = match m.external_slice() {
             Some(ext) => ext.to_vec(),
@@ -366,7 +339,7 @@ impl ChargeConfiguration {
     /// * negative ⇒ `V_i ≥ μ−` (removing the electron must not pay off),
     /// * neutral ⇒ `μ+ ≤ V_i ≤ μ−`,
     /// * positive ⇒ `V_i ≤ μ+` (three-state model only).
-    pub fn is_population_stable(&self, m: &InteractionMatrix) -> bool {
+    pub(crate) fn is_population_stable(&self, m: &InteractionMatrix) -> bool {
         const EPS: f64 = 1e-9;
         let params = m.params();
         let potentials = self.local_potentials(m);
@@ -382,7 +355,7 @@ impl ChargeConfiguration {
     /// Configuration stability: no single electron hop from a negative
     /// site `i` to a non-negative site `j` may lower the energy
     /// (`ΔE = V_i − V_j − v_ij ≥ 0`).
-    pub fn is_configuration_stable(&self, m: &InteractionMatrix) -> bool {
+    pub(crate) fn is_configuration_stable(&self, m: &InteractionMatrix) -> bool {
         const EPS: f64 = 1e-9;
         let potentials = self.local_potentials(m);
         for i in 0..self.states.len() {
@@ -418,8 +391,30 @@ impl core::fmt::Display for ChargeConfiguration {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Decodes bit `i` of `index` as site `i`'s two-state charge
+    /// (1 = negative).
+    pub(crate) fn from_index(n: usize, index: u64) -> ChargeConfiguration {
+        ChargeConfiguration::from_states(
+            (0..n)
+                .map(|i| match (index >> i) & 1 {
+                    1 => ChargeState::Negative,
+                    _ => ChargeState::Neutral,
+                })
+                .collect(),
+        )
+    }
+
+    /// Number of negatively charged sites.
+    pub(crate) fn num_negative(config: &ChargeConfiguration) -> usize {
+        config
+            .states()
+            .iter()
+            .filter(|s| **s == ChargeState::Negative)
+            .count()
+    }
 
     fn single_dot() -> (SidbLayout, InteractionMatrix) {
         let layout = SidbLayout::from_sites([(0, 0, 0)]);
@@ -446,9 +441,9 @@ mod tests {
     fn close_pair_holds_one_electron() {
         // Two dots one lattice cell apart (3.84 Å): interaction ≫ |μ−|.
         let (_, m) = pair(1);
-        let both = ChargeConfiguration::from_index(2, 0b11);
-        let one = ChargeConfiguration::from_index(2, 0b01);
-        let none = ChargeConfiguration::from_index(2, 0b00);
+        let both = from_index(2, 0b11);
+        let one = from_index(2, 0b01);
+        let none = from_index(2, 0b00);
         assert!(!both.is_population_stable(&m));
         assert!(one.is_physically_valid(&m));
         assert!(!none.is_population_stable(&m));
@@ -458,9 +453,9 @@ mod tests {
     fn far_pair_holds_two_electrons() {
         // 40 cells ≈ 15 nm apart: weakly interacting.
         let (_, m) = pair(40);
-        let both = ChargeConfiguration::from_index(2, 0b11);
+        let both = from_index(2, 0b11);
         assert!(both.is_physically_valid(&m));
-        let one = ChargeConfiguration::from_index(2, 0b01);
+        let one = from_index(2, 0b01);
         assert!(
             !one.is_population_stable(&m),
             "far neutral site must charge up"
@@ -472,7 +467,7 @@ mod tests {
         let (layout, m) = pair(10);
         let d = layout.distance_angstrom(0, 1);
         let v = PhysicalParams::default().interaction_ev(d);
-        let both = ChargeConfiguration::from_index(2, 0b11);
+        let both = from_index(2, 0b11);
         assert!((both.electrostatic_energy(&m) - v).abs() < 1e-12);
         let f = both.free_energy(&m);
         assert!((f - (v + 2.0 * (-0.32))).abs() < 1e-12);
@@ -482,7 +477,7 @@ mod tests {
     fn local_potentials_agree_with_pointwise() {
         let layout = SidbLayout::from_sites([(0, 0, 0), (4, 1, 0), (9, 2, 1), (15, 0, 0)]);
         let m = InteractionMatrix::new(&layout, &PhysicalParams::default());
-        let cfg = ChargeConfiguration::from_index(4, 0b1011);
+        let cfg = from_index(4, 0b1011);
         let all = cfg.local_potentials(&m);
         for (i, &v) in all.iter().enumerate() {
             assert!((v - cfg.local_potential(&m, i)).abs() < 1e-12);

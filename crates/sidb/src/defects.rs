@@ -55,7 +55,7 @@ impl DefectKind {
 
     /// Net charge in units of the elementary charge. Charged kinds
     /// perturb SiDB sites electrostatically; neutral kinds only exclude.
-    pub const fn charge_number(self) -> i8 {
+    pub(crate) const fn charge_number(self) -> i8 {
         match self {
             DefectKind::ArsenicDimer => 1,
             DefectKind::DbPair => -1,
@@ -66,7 +66,7 @@ impl DefectKind {
 
     /// Structural exclusion radius in ångström: no SiDB can function
     /// this close to the defect, regardless of electrostatics.
-    pub const fn exclusion_radius_angstrom(self) -> f64 {
+    pub(crate) const fn exclusion_radius_angstrom(self) -> f64 {
         match self {
             DefectKind::ArsenicDimer => 3.84,
             DefectKind::DbPair => 7.68,
@@ -76,7 +76,7 @@ impl DefectKind {
     }
 
     /// The spec/file token naming this kind.
-    pub const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             DefectKind::ArsenicDimer => "arsenic_dimer",
             DefectKind::DbPair => "db_pair",
@@ -86,7 +86,7 @@ impl DefectKind {
     }
 
     /// Parses a spec/file token.
-    pub fn from_label(s: &str) -> Option<DefectKind> {
+    pub(crate) fn from_label(s: &str) -> Option<DefectKind> {
         DefectKind::ALL.into_iter().find(|k| k.label() == s)
     }
 }
@@ -111,15 +111,15 @@ pub struct Defect {
 /// on a site produces a huge-but-finite perturbation instead of a
 /// division by zero (the exclusion radius already rules such sites out
 /// for placement).
-pub const MIN_DEFECT_DISTANCE_ANGSTROM: f64 = 1.0;
+pub(crate) const MIN_DEFECT_DISTANCE_ANGSTROM: f64 = 1.0;
 
 /// Width of the canonical random-surface region, in lattice cells
 /// (8 Bestagon tile columns — wider than every Table 1 layout).
-pub const DEFAULT_REGION_WIDTH_CELLS: i32 = 8 * HEX_TILE_WIDTH_CELLS;
+pub(crate) const DEFAULT_REGION_WIDTH_CELLS: i32 = 8 * HEX_TILE_WIDTH_CELLS;
 
 /// Height of the canonical random-surface region, in dimer rows
 /// (15 Bestagon tile rows — taller than every Table 1 layout).
-pub const DEFAULT_REGION_HEIGHT_ROWS: i32 = 15 * HEX_ROW_PITCH_ROWS;
+pub(crate) const DEFAULT_REGION_HEIGHT_ROWS: i32 = 15 * HEX_ROW_PITCH_ROWS;
 
 /// A typed error of the surface-defect spec/file parsers. Malformed
 /// input is always reported through this type — the parsers never
@@ -214,7 +214,7 @@ impl DefectMap {
     }
 
     /// Draws a seeded random surface over the canonical region
-    /// ([`DEFAULT_REGION_WIDTH_CELLS`] × [`DEFAULT_REGION_HEIGHT_ROWS`],
+    /// (`DEFAULT_REGION_WIDTH_CELLS` × `DEFAULT_REGION_HEIGHT_ROWS`,
     /// both sub-lattice rows): every site hosts a defect with
     /// probability `density`, with the species drawn uniformly from
     /// `kinds`. Fully determined by `seed` — see [`DefectMap::random_in`].
@@ -379,7 +379,11 @@ impl DefectMap {
     /// interaction cutoff the [`crate::charge::InteractionMatrix`]
     /// applies to site–site terms. Structural (neutral) kinds contribute
     /// nothing here — their effect is purely exclusionary.
-    pub fn external_potentials(&self, layout: &SidbLayout, params: &PhysicalParams) -> Vec<f64> {
+    pub(crate) fn external_potentials(
+        &self,
+        layout: &SidbLayout,
+        params: &PhysicalParams,
+    ) -> Vec<f64> {
         let mut ext = vec![0.0; layout.num_sites()];
         for defect in &self.defects {
             let q = defect.kind.charge_number();
@@ -398,26 +402,6 @@ impl DefectMap {
             }
         }
         ext
-    }
-
-    /// The largest external-potential magnitude any site of `layout`
-    /// sees from this surface, plus whether any site violates a
-    /// defect's structural exclusion radius. The geometric half of the
-    /// "collides or perturbed beyond threshold" tile test.
-    pub fn worst_perturbation(&self, layout: &SidbLayout, params: &PhysicalParams) -> (f64, bool) {
-        let mut worst = 0.0f64;
-        let mut excluded = false;
-        for (i, &pot) in self.external_potentials(layout, params).iter().enumerate() {
-            worst = worst.max(pot.abs());
-            let site = layout.sites()[i];
-            for defect in &self.defects {
-                if site.distance_angstrom(defect.position) < defect.kind.exclusion_radius_angstrom()
-                {
-                    excluded = true;
-                }
-            }
-        }
-        (worst, excluded)
     }
 
     /// The reach (Å) within which one defect of `kind` matters for a
@@ -450,19 +434,19 @@ impl DefectMap {
         hi.max(exclusion)
     }
 
-    /// Tiles of a `max_w × max_h` floor plan whose footprint a defect
-    /// collides with or perturbs beyond `threshold_ev`, for an
-    /// arbitrary tile-origin convention. A tile is compromised when a
-    /// defect falls inside its cell rectangle dilated by the defect
-    /// kind's reach (a conservative rectangle test: the defect could
-    /// then shift some dot of the tile past the threshold).
-    fn compromised_tiles_with(
+    /// Tiles of a `max_w × max_h` hexagonal (Bestagon) floor plan whose
+    /// footprint a defect collides with or perturbs beyond
+    /// `threshold_ev`; tile `(tx, ty)` occupies the cell rectangle rooted
+    /// at [`hex_tile_origin`]. A tile is compromised when a defect falls
+    /// inside that rectangle dilated by the defect kind's reach (a
+    /// conservative rectangle test: the defect could then shift some dot
+    /// of the tile past the threshold).
+    pub fn compromised_hex_tiles(
         &self,
         params: &PhysicalParams,
         threshold_ev: f64,
         max_w: i32,
         max_h: i32,
-        origin: impl Fn(i32, i32) -> (i32, i32),
     ) -> Vec<(i32, i32)> {
         let mut out = Vec::new();
         if self.defects.is_empty() {
@@ -485,7 +469,7 @@ impl DefectMap {
         };
         for ty in 0..max_h {
             for tx in 0..max_w {
-                let (ox, oy) = origin(tx, ty);
+                let (ox, oy) = hex_tile_origin(tx, ty);
                 let hit = self.defects.iter().any(|d| {
                     let (mx, my) = margin_of(d.kind);
                     d.position.x >= ox - mx
@@ -499,34 +483,6 @@ impl DefectMap {
             }
         }
         out
-    }
-
-    /// Compromised tiles of a hexagonal (Bestagon) floor plan: tile
-    /// `(tx, ty)` occupies the cell rectangle rooted at
-    /// [`hex_tile_origin`]. See [`DefectMap::compromised_cart_tiles`]
-    /// for the Cartesian-baseline analog.
-    pub fn compromised_hex_tiles(
-        &self,
-        params: &PhysicalParams,
-        threshold_ev: f64,
-        max_w: i32,
-        max_h: i32,
-    ) -> Vec<(i32, i32)> {
-        self.compromised_tiles_with(params, threshold_ev, max_w, max_h, hex_tile_origin)
-    }
-
-    /// Compromised tiles of the Cartesian baseline floor plan (same
-    /// tile pitch, no odd-row shift).
-    pub fn compromised_cart_tiles(
-        &self,
-        params: &PhysicalParams,
-        threshold_ev: f64,
-        max_w: i32,
-        max_h: i32,
-    ) -> Vec<(i32, i32)> {
-        self.compromised_tiles_with(params, threshold_ev, max_w, max_h, |tx, ty| {
-            (tx * HEX_TILE_WIDTH_CELLS, ty * HEX_ROW_PITCH_ROWS)
-        })
     }
 }
 
@@ -558,16 +514,6 @@ mod tests {
                 ext[0]
             );
         }
-    }
-
-    #[test]
-    fn neutral_kinds_exclude_but_do_not_perturb() {
-        let params = PhysicalParams::default();
-        let layout = SidbLayout::from_sites([(0, 0, 0)]);
-        let map = charged(DefectKind::Siloxane, 1, 0); // 3.84 Å < 5.0 Å exclusion
-        let (worst, excluded) = map.worst_perturbation(&layout, &params);
-        assert_eq!(worst, 0.0);
-        assert!(excluded);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! [`SimParams`] is a chainable builder mirroring `msat::SolveParams`:
 //!
 //! ```
+//! use sidb_sim::charge::ChargeState;
 //! use sidb_sim::engine::{simulate_with, SimEngine, SimParams};
 //! use sidb_sim::layout::SidbLayout;
 //! use sidb_sim::model::PhysicalParams;
@@ -30,7 +31,8 @@
 //!         .with_engine(SimEngine::Exhaustive)
 //!         .with_k(3),
 //! );
-//! assert_eq!(result.ground_state().expect("non-empty").config.num_negative(), 2);
+//! let ground = result.ground_state().expect("non-empty");
+//! assert!(ground.config.states().iter().all(|&s| s == ChargeState::Negative));
 //! ```
 //!
 //! # Determinism
@@ -88,16 +90,16 @@ pub enum SimEngine {
 #[derive(Debug, Clone)]
 pub struct SimParams {
     /// The electrostatic model parameters.
-    pub physical: PhysicalParams,
+    pub(crate) physical: PhysicalParams,
     /// The ground-state algorithm.
-    pub engine: SimEngine,
+    pub(crate) engine: SimEngine,
     /// How many lowest-free-energy states to keep (`1` = ground state).
-    pub k: usize,
+    pub(crate) k: usize,
     /// Step/wall-clock budget of the exact engines (see the module
     /// docs); [`SimParams::new`] caps it at [`DEFAULT_MAX_STEPS`].
     pub budget: StepBudget,
     /// Content-addressed result cache shared across simulations.
-    pub cache: Option<SimCache>,
+    pub(crate) cache: Option<SimCache>,
 }
 
 /// The step cap of [`SimParams::new`]: 20M sweep steps, or 20M
@@ -216,8 +218,8 @@ impl SimResult {
 /// # Panics
 ///
 /// Panics under the engines' legacy preconditions: the exhaustive
-/// engines on more than [`MAX_EXHAUSTIVE_SITES`] free sites (or
-/// [`MAX_THREE_STATE_SITES`] sites in the three-state model).
+/// engines on more than `MAX_EXHAUSTIVE_SITES` free sites (or
+/// `MAX_THREE_STATE_SITES` sites in the three-state model).
 pub fn simulate_with(layout: &SidbLayout, params: &SimParams) -> SimResult {
     let result = simulate_with_matrix(layout, params, None);
     emit_stats(&result.stats);
@@ -226,7 +228,7 @@ pub fn simulate_with(layout: &SidbLayout, params: &SimParams) -> SimResult {
 
 /// Simulates a layout on a defective surface: the map's screened
 /// external potentials are folded into the interaction matrix (see
-/// [`crate::defects::DefectMap::external_potentials`]) and the selected
+/// `DefectMap::external_potentials`) and the selected
 /// engine runs unchanged on top. An empty map delegates to
 /// [`simulate_with`] and is bit-identical to the pristine path.
 ///
@@ -388,9 +390,9 @@ pub(crate) fn insert_state(best: &mut Vec<SimulatedState>, state: SimulatedState
 /// The outcome of a partitioned run.
 pub(crate) struct PoolRun<T> {
     /// Per-unit results in unit-index order.
-    pub results: Vec<T>,
+    pub(crate) results: Vec<T>,
     /// Units recomputed on the coordinator after a worker fault.
-    pub recovered: u64,
+    pub(crate) recovered: u64,
 }
 
 /// Runs `units` independent work items on the ordered executor
@@ -992,7 +994,6 @@ mod tests {
         let hit2 = simulate_with(&translated, &params);
         assert_eq!(hit2.stats.cache_hits, 1);
         assert_eq!(hit2.states.len(), miss.states.len());
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -1113,7 +1114,6 @@ mod tests {
         let limited = simulate_with(&layout, &SimParams::new(physical).with_cache(cache.clone()));
         assert!(limited.truncated);
         assert_eq!(limited.stats.truncated, 1);
-        assert!(cache.is_empty(), "an injected truncation is never cached");
         let unbounded = simulate_with(
             &layout,
             &SimParams::new(physical).with_budget(StepBudget::unbounded()),
@@ -1122,6 +1122,7 @@ mod tests {
         drop(scope);
         let clean = simulate_with(&layout, &SimParams::new(physical).with_cache(cache.clone()));
         assert!(!clean.truncated);
+        // A miss: the injected truncation was never cached.
         assert_eq!(clean.stats.cache_misses, 1);
         assert_eq!(clean.states, unbounded.states);
     }
@@ -1151,7 +1152,6 @@ mod tests {
         let exact = simulate_with(&layout, &default);
         assert_eq!(exact.stats.cache_misses, 1);
         assert!(!exact.truncated);
-        assert_eq!(cache.len(), 2);
         // A run under a deadline reads entries computed without one.
         let budget = default
             .budget
@@ -1177,11 +1177,11 @@ mod tests {
         let cut = timed(0);
         assert!(cut.truncated);
         assert_eq!(cut.stats.cache_misses, 1);
-        assert!(cache.is_empty());
-        // A search the deadline let finish is stored and served.
+        // A search the deadline let finish misses (nothing was stored),
+        // then is stored and served.
         let finished = timed(600_000);
         assert!(!finished.truncated);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(finished.stats.cache_misses, 1);
         let again = timed(600_000);
         assert_eq!(again.stats.cache_hits, 1);
         assert_eq!(again.states, finished.states);

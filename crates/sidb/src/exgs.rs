@@ -26,14 +26,15 @@ pub struct SimulatedState {
 }
 
 /// Practical site-count limit of the exhaustive search.
-pub const MAX_EXHAUSTIVE_SITES: usize = 30;
+pub(crate) const MAX_EXHAUSTIVE_SITES: usize = 30;
 
 /// Practical site-count limit of the three-state search.
-pub const MAX_THREE_STATE_SITES: usize = 16;
+pub(crate) const MAX_THREE_STATE_SITES: usize = 16;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::charge::tests::{from_index, num_negative};
     use crate::charge::{ChargeState, InteractionMatrix};
     use crate::engine::{simulate_with, SimEngine, SimParams, SimResult};
     use crate::layout::SidbLayout;
@@ -79,7 +80,7 @@ mod tests {
         // electron, the BDL pair regime.
         let layout = SidbLayout::from_sites([(0, 0, 0), (1, 0, 0)]);
         let gs = ground_state(&layout, &PhysicalParams::default()).expect("non-empty");
-        assert_eq!(gs.num_negative(), 1);
+        assert_eq!(num_negative(&gs), 1);
     }
 
     #[test]
@@ -87,19 +88,19 @@ mod tests {
         // Two cells (7.68 Å): v ≈ 0.29 eV < |μ−| = 0.32 → both dots charge.
         let layout = SidbLayout::from_sites([(0, 0, 0), (2, 0, 0)]);
         let gs = ground_state(&layout, &PhysicalParams::default()).expect("non-empty");
-        assert_eq!(gs.num_negative(), 2);
+        assert_eq!(num_negative(&gs), 2);
         // At the Figure 1c level μ− = −0.28 the same pair holds one
         // electron — the transition the BDL regime depends on.
         let gs28 = ground_state(&layout, &PhysicalParams::default().with_mu_minus(-0.28))
             .expect("non-empty");
-        assert_eq!(gs28.num_negative(), 1);
+        assert_eq!(num_negative(&gs28), 1);
     }
 
     #[test]
     fn far_pair_ground_state_has_two_electrons() {
         let layout = SidbLayout::from_sites([(0, 0, 0), (50, 0, 0)]);
         let gs = ground_state(&layout, &PhysicalParams::default()).expect("non-empty");
-        assert_eq!(gs.num_negative(), 2);
+        assert_eq!(num_negative(&gs), 2);
     }
 
     #[test]
@@ -113,7 +114,7 @@ mod tests {
 
         let mut best_naive: Option<(f64, ChargeConfiguration)> = None;
         for index in 0..(1u64 << n) {
-            let cfg = ChargeConfiguration::from_index(n, index);
+            let cfg = from_index(n, index);
             if cfg.is_physically_valid(&m) {
                 let f = cfg.free_energy(&m);
                 if best_naive.as_ref().map(|(bf, _)| f < *bf).unwrap_or(true) {
@@ -125,7 +126,7 @@ mod tests {
         let fast = low_energy(&layout, &params, 1);
         assert_eq!(fast.len(), 1);
         assert!((fast[0].free_energy - naive_f).abs() < 1e-9);
-        assert_eq!(fast[0].config.num_negative(), naive_cfg.num_negative());
+        assert_eq!(num_negative(&fast[0].config), num_negative(&naive_cfg));
     }
 
     #[test]

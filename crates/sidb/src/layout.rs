@@ -73,18 +73,13 @@ impl SidbLayout {
     }
 
     /// True if the layout has no sites.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.sites.is_empty()
     }
 
     /// The index of a site, if present.
     pub fn index_of(&self, site: impl Into<LatticeCoord>) -> Option<usize> {
         self.sites.binary_search(&site.into()).ok()
-    }
-
-    /// True if the site exists in the layout.
-    pub fn contains(&self, site: impl Into<LatticeCoord>) -> bool {
-        self.index_of(site).is_some()
     }
 
     /// A copy translated by whole lattice cells.
@@ -110,32 +105,12 @@ impl SidbLayout {
         Some(((min_x, min_y), (max_x, max_y)))
     }
 
-    /// Physical bounding-box area in nm² (distance between extreme dot
-    /// centers), or 0 for layouts with fewer than two sites.
-    pub fn bounding_area_nm2(&self) -> f64 {
-        let positions: Vec<(f64, f64)> = self.sites.iter().map(|s| s.position_nm()).collect();
-        if positions.len() < 2 {
-            return 0.0;
-        }
-        let min_x = positions.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
-        let max_x = positions
-            .iter()
-            .map(|p| p.0)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let min_y = positions.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
-        let max_y = positions
-            .iter()
-            .map(|p| p.1)
-            .fold(f64::NEG_INFINITY, f64::max);
-        (max_x - min_x) * (max_y - min_y)
-    }
-
     /// Pairwise distance in ångström between sites `i` and `j`.
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range.
-    pub fn distance_angstrom(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn distance_angstrom(&self, i: usize, j: usize) -> f64 {
         self.sites[i].distance_angstrom(self.sites[j])
     }
 }
@@ -171,8 +146,8 @@ mod tests {
     #[test]
     fn index_of_finds_sites() {
         let layout = SidbLayout::from_sites([(0, 0, 0), (5, 2, 1)]);
-        assert!(layout.contains((5, 2, 1)));
-        assert!(!layout.contains((5, 2, 0)));
+        assert_eq!(layout.index_of((5, 2, 1)), Some(1));
+        assert_eq!(layout.index_of((5, 2, 0)), None);
         assert_eq!(layout.index_of((0, 0, 0)), Some(0));
     }
 
@@ -205,12 +180,9 @@ mod tests {
     }
 
     #[test]
-    fn bounding_box_and_area() {
+    fn bounding_box_spans_the_sites() {
         let layout = SidbLayout::from_sites([(0, 0, 0), (10, 5, 0)]);
         assert_eq!(layout.bounding_box(), Some(((0, 0), (10, 5))));
-        // 10 cells * 0.384 nm by 5 rows * 0.768 nm.
-        let area = layout.bounding_area_nm2();
-        assert!((area - 3.84 * 3.84).abs() < 1e-9);
     }
 
     #[test]
@@ -226,6 +198,5 @@ mod tests {
         let layout = SidbLayout::new();
         assert!(layout.is_empty());
         assert_eq!(layout.bounding_box(), None);
-        assert_eq!(layout.bounding_area_nm2(), 0.0);
     }
 }

@@ -10,7 +10,7 @@
 //!   `λ_TF = 5 nm`),
 //! * [`charge`] — charge configurations, electrostatic energies,
 //!   *population* and *configuration* stability,
-//! * [`defects`] — surface defect maps (charged and structural species,
+//! * `defects` — surface defect maps (charged and structural species,
 //!   seeded random surfaces) whose screened-Coulomb influence folds into
 //!   the interaction matrix as an external potential,
 //! * [`engine`] — the unified simulation entry point:
@@ -21,7 +21,7 @@
 //!   gate-library validation, domain sweeps, and designer searches,
 //! * [`exgs`] — exhaustive ground-state search (exact for gate-sized
 //!   instances),
-//! * [`quickexact`] — a branch-and-bound exact engine with
+//! * `quickexact` — a branch-and-bound exact engine with
 //!   physically-informed pruning,
 //! * [`simanneal`] — a SimAnneal-style simulated-annealing ground-state
 //!   finder for circuit-scale instances,
@@ -53,21 +53,18 @@
 pub mod bdl;
 pub mod cache;
 pub mod charge;
-pub mod defects;
+pub(crate) mod defects;
 pub mod engine;
 pub mod exgs;
 pub mod layout;
 pub mod model;
 pub mod opdomain;
 pub mod operational;
-pub mod quickexact;
+pub(crate) mod quickexact;
 pub mod simanneal;
 pub mod stability;
 
 pub use cache::SimCache;
-pub use charge::{ChargeConfiguration, ChargeState};
 pub use defects::{Defect, DefectKind, DefectMap, SurfaceSpecError};
 pub use engine::{simulate_on_surface, simulate_with, SimEngine, SimParams, SimResult, SimStats};
-pub use layout::SidbLayout;
 pub use model::PhysicalParams;
-pub use opdomain::{DomainGrid, DomainParams, DomainSample, DomainStrategy, OperationalDomain};

@@ -14,12 +14,12 @@
 //! `μ− = −0.28 eV` via [`PhysicalParams::with_mu_minus`].
 
 /// Coulomb constant times elementary charge squared, in eV·Å.
-pub const COULOMB_EV_ANGSTROM: f64 = 14.399645;
+pub(crate) const COULOMB_EV_ANGSTROM: f64 = 14.399645;
 
 /// Separation of the `(+/0)` and `(0/−)` charge-transition levels
 /// (intra-dot Coulomb repulsion), in eV. Only relevant in three-state
 /// simulations.
-pub const TRANSITION_LEVEL_SEPARATION_EV: f64 = 0.59;
+pub(crate) const TRANSITION_LEVEL_SEPARATION_EV: f64 = 0.59;
 
 /// Physical parameters of an SiDB simulation.
 ///
@@ -44,13 +44,13 @@ pub struct PhysicalParams {
     /// Whether positive charge states are modelled. The paper's
     /// configurations never populate them, so the default is the faster
     /// two-state model.
-    pub three_state: bool,
+    pub(crate) three_state: bool,
     /// Interactions below this energy (eV) are treated as zero. `0.0`
     /// keeps the full screened-Coulomb model; a small cutoff (1–2 meV)
     /// decomposes far-apart sub-structures into independent clusters,
     /// which the exact engines exploit. A documented approximation in the
     /// spirit of SiQAD's simulation-domain truncation.
-    pub interaction_cutoff_ev: f64,
+    pub(crate) interaction_cutoff_ev: f64,
 }
 
 impl Default for PhysicalParams {
@@ -75,7 +75,9 @@ impl PhysicalParams {
     }
 
     /// Returns a copy with the three-state model enabled.
-    pub fn with_three_state(mut self) -> Self {
+    // The paper's {−,0,+} charge model; the tests that switch it on are its only callers.
+    #[allow(dead_code)]
+    pub(crate) fn with_three_state(mut self) -> Self {
         self.three_state = true;
         self
     }
@@ -87,7 +89,7 @@ impl PhysicalParams {
     }
 
     /// The `(+/0)` transition level, eV.
-    pub fn mu_plus(&self) -> f64 {
+    pub(crate) fn mu_plus(&self) -> f64 {
         self.mu_minus - TRANSITION_LEVEL_SEPARATION_EV
     }
 
@@ -98,7 +100,7 @@ impl PhysicalParams {
     ///
     /// Panics if `d` is not strictly positive — two SiDBs cannot share a
     /// lattice site.
-    pub fn interaction_ev(&self, d_angstrom: f64) -> f64 {
+    pub(crate) fn interaction_ev(&self, d_angstrom: f64) -> f64 {
         assert!(d_angstrom > 0.0, "sites must be distinct");
         let lambda = self.lambda_tf_nm * 10.0;
         COULOMB_EV_ANGSTROM / self.epsilon_r * (-d_angstrom / lambda).exp() / d_angstrom

@@ -97,18 +97,9 @@ impl DomainGrid {
             .collect()
     }
 
-    /// All `(ε_r, λ_TF)` grid points, row-major in ε_r.
-    pub fn points(&self) -> Vec<(f64, f64)> {
-        let eps = Self::axis(self.epsilon_r, self.steps);
-        let lam = Self::axis(self.lambda_tf_nm, self.steps);
-        eps.iter()
-            .flat_map(|&e| lam.iter().map(move |&l| (e, l)))
-            .collect()
-    }
-
     /// Index (row-major in ε_r) of the grid point nearest to the given
     /// parameter pair, or `None` for an empty grid.
-    pub fn nearest_index(&self, epsilon_r: f64, lambda_tf_nm: f64) -> Option<usize> {
+    pub(crate) fn nearest_index(&self, epsilon_r: f64, lambda_tf_nm: f64) -> Option<usize> {
         if self.steps == 0 {
             return None;
         }
@@ -157,7 +148,7 @@ pub enum DomainStrategy {
 /// )
 /// .with_grid(DomainGrid { steps: 5, ..Default::default() })
 /// .with_strategy(DomainStrategy::Adaptive);
-/// assert_eq!(params.grid.steps, 5);
+/// # let _ = params;
 /// ```
 #[non_exhaustive]
 #[derive(Debug, Clone)]
@@ -165,32 +156,27 @@ pub struct DomainParams {
     /// Simulation parameters for the non-swept quantities (μ−, engine,
     /// cache, model flags). The grid overrides `ε_r` and `λ_TF` per
     /// sample.
-    pub sim: SimParams,
+    pub(crate) sim: SimParams,
     /// The sweep window and resolution.
-    pub grid: DomainGrid,
+    pub(crate) grid: DomainGrid,
     /// Sampling strategy.
-    pub strategy: DomainStrategy,
+    pub(crate) strategy: DomainStrategy,
     /// Sweep budget: the deadline is honored between refinement waves,
     /// `max_steps` caps the number of *simulated grid points*. An
     /// exhausted budget degrades honestly (see [`DomainDegradation`]).
-    pub budget: StepBudget,
-    /// The nominal physical-parameter point `(ε_r, λ_TF)` that
-    /// [`OperationalDomain::nominal_operational`] reports on.
-    pub nominal: (f64, f64),
+    pub(crate) budget: StepBudget,
 }
 
 impl DomainParams {
     /// A sweep of the default window with the given simulation
-    /// parameters, the [`DomainStrategy::Adaptive`] strategy, no
-    /// budget, and the experimentally calibrated nominal point
-    /// (ε_r = 5.6, λ_TF = 5 nm).
+    /// parameters, the [`DomainStrategy::Adaptive`] strategy and no
+    /// budget. The nominal point is `sim`'s own (ε_r, λ_TF).
     pub fn new(sim: SimParams) -> Self {
         DomainParams {
             sim,
             grid: DomainGrid::default(),
             strategy: DomainStrategy::Adaptive,
             budget: StepBudget::unbounded(),
-            nominal: (5.6, 5.0),
         }
     }
 
@@ -221,14 +207,6 @@ impl DomainParams {
     #[must_use]
     pub fn with_cache(mut self, cache: SimCache) -> Self {
         self.sim = self.sim.with_cache(cache);
-        self
-    }
-
-    /// Sets the nominal `(ε_r, λ_TF)` point reported by
-    /// [`OperationalDomain::nominal_operational`].
-    #[must_use]
-    pub fn with_nominal(mut self, epsilon_r: f64, lambda_tf_nm: f64) -> Self {
-        self.nominal = (epsilon_r, lambda_tf_nm);
         self
     }
 }
@@ -302,7 +280,7 @@ pub struct DomainStats {
     /// adaptive-vs-dense saving is measured in).
     pub pattern_sims: u64,
     /// Refinement waves dispatched over the worker pool.
-    pub rounds: u64,
+    pub(crate) rounds: u64,
     /// Summed simulation work counters.
     pub sim: SimStats,
 }
@@ -328,16 +306,16 @@ pub struct DomainDegradation {
     /// What stopped the sweep.
     pub trigger: DomainTrigger,
     /// Human-readable context (remaining points, fault position, …).
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 /// The result of an operational-domain sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperationalDomain {
     /// The grid that was swept.
-    pub grid: DomainGrid,
+    pub(crate) grid: DomainGrid,
     /// The nominal `(ε_r, λ_TF)` point this sweep reports on.
-    pub nominal: (f64, f64),
+    pub(crate) nominal: (f64, f64),
     /// Per grid point samples, row-major in ε_r.
     pub samples: Vec<DomainSample>,
     /// Work counters.
@@ -374,16 +352,6 @@ impl OperationalDomain {
             SampleStatus::NonOperational => Some(false),
             SampleStatus::Unknown => None,
         }
-    }
-
-    /// The sample nearest to the given parameter pair.
-    pub fn sample_at(&self, epsilon_r: f64, lambda_tf_nm: f64) -> Option<&DomainSample> {
-        let idx = self.grid.nearest_index(epsilon_r, lambda_tf_nm)?;
-        // Samples are produced row-major, but render defensively: look
-        // the point up through the grid, not through the ordering.
-        self.samples
-            .iter()
-            .find(|s| self.grid.nearest_index(s.epsilon_r, s.lambda_tf_nm) == Some(idx))
     }
 
     /// A textual map of the domain: rows are ε_r values (ascending),
@@ -487,7 +455,8 @@ impl GateDesign {
             DomainStrategy::Dense => sweep.run_dense(),
             DomainStrategy::Adaptive => sweep.run_adaptive(),
         }
-        sweep.finalize(params.nominal)
+        let physical = &params.sim.physical;
+        sweep.finalize((physical.epsilon_r, physical.lambda_tf_nm))
     }
 }
 
@@ -952,20 +921,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_points_cover_axes() {
-        let grid = DomainGrid {
-            epsilon_r: (4.0, 6.0),
-            lambda_tf_nm: (4.0, 6.0),
-            steps: 3,
-        };
-        let pts = grid.points();
-        assert_eq!(pts.len(), 9);
-        assert!(pts.contains(&(4.0, 4.0)));
-        assert!(pts.contains(&(6.0, 6.0)));
-        assert!(pts.contains(&(5.0, 5.0)));
-    }
-
-    #[test]
     fn nearest_index_snaps_to_the_grid() {
         let grid = DomainGrid {
             epsilon_r: (4.0, 6.0),
@@ -984,12 +939,19 @@ mod tests {
 
     #[test]
     fn builder_chains_configure_the_sweep() {
-        let p = params()
-            .with_strategy(DomainStrategy::Dense)
-            .with_nominal(4.1, 6.2);
+        let p = params().with_strategy(DomainStrategy::Dense);
         assert_eq!(p.strategy, DomainStrategy::Dense);
         assert_eq!(params().strategy, DomainStrategy::Adaptive);
-        assert_eq!(p.nominal, (4.1, 6.2));
+        // The nominal point is the simulation's own (ε_r, λ_TF).
+        let physical = p.sim.physical;
+        let single = p.with_grid(DomainGrid {
+            steps: 1,
+            ..Default::default()
+        });
+        assert_eq!(
+            wire().operational_domain(&single).nominal,
+            (physical.epsilon_r, physical.lambda_tf_nm)
+        );
     }
 
     #[test]

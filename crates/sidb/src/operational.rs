@@ -12,7 +12,7 @@
 //!
 //! Every pattern goes through one evaluator: build the pattern's
 //! layout and matrix, simulate, and decode the outputs with
-//! [`GateDesign::read_outputs`] — or, when the search was truncated by
+//! `GateDesign::read_outputs` — or, when the search was truncated by
 //! its budget, report the pattern as unevaluated ([`PatternEval`]).
 //! One fold turns the evaluations, in pattern order, into a verdict:
 //! the lowest-numbered pattern that does not read correctly decides
@@ -72,8 +72,8 @@ pub(crate) enum CheckMode {
 /// [`CheckMode::RefuteFast`]).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CheckOutcome {
-    pub report: OperationalReport,
-    pub patterns_simulated: u32,
+    pub(crate) report: OperationalReport,
+    pub(crate) patterns_simulated: u32,
 }
 
 /// The validation verdict.
@@ -170,7 +170,7 @@ impl GateDesign {
 
     /// Decodes the output pairs of a charge configuration of `layout`
     /// (`None` = ambiguous read-out).
-    pub fn read_outputs(
+    pub(crate) fn read_outputs(
         &self,
         layout: &SidbLayout,
         config: &ChargeConfiguration,
@@ -339,17 +339,6 @@ impl GateDesign {
             patterns_simulated,
         }
     }
-
-    /// Translated copy of the whole design.
-    pub fn translated(&self, dx: i32, dy: i32) -> GateDesign {
-        GateDesign {
-            name: self.name.clone(),
-            body: self.body.translated(dx, dy),
-            inputs: self.inputs.iter().map(|p| p.translated(dx, dy)).collect(),
-            outputs: self.outputs.iter().map(|p| p.translated(dx, dy)).collect(),
-            truth_table: self.truth_table.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -398,8 +387,8 @@ mod tests {
         let l1 = d.layout_for_pattern(1);
         assert_eq!(l0.num_sites(), d.body.num_sites() + 2);
         assert_eq!(l1.num_sites(), d.body.num_sites() + 2);
-        assert!(l0.contains((0, -4, 0)) && !l0.contains((0, -3, 0)));
-        assert!(l1.contains((0, -3, 0)) && !l1.contains((0, -4, 0)));
+        assert!(l0.index_of((0, -4, 0)).is_some() && l0.index_of((0, -3, 0)).is_none());
+        assert!(l1.index_of((0, -3, 0)).is_some() && l1.index_of((0, -4, 0)).is_none());
     }
 
     #[test]

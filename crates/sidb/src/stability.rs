@@ -1,39 +1,26 @@
-//! Logic-state stability: energy gaps and critical-temperature
-//! estimates.
+//! Logic-state stability: energy gaps to wrong-reading states.
 //!
 //! A gate that is operational at zero temperature can still fail
 //! thermally if a charge configuration with the *wrong* output read-out
 //! lies only a small energy above the ground state. This module
 //! quantifies that margin per input pattern: the free-energy gap between
 //! the ground state and the lowest physically valid state whose outputs
-//! decode differently, and the naive critical temperature
-//! `T_c = ΔE / k_B` at which the erroneous state's Boltzmann weight
-//! becomes comparable — the "energetic separation" analysis the SiDB
+//! decode differently — the "energetic separation" analysis the SiDB
 //! literature (and the paper's SiQAD reference) perform on gate designs.
 
 use crate::engine::{simulate_with, SimEngine, SimParams};
 use crate::model::PhysicalParams;
 use crate::operational::GateDesign;
 
-/// Boltzmann constant in eV/K.
-pub const BOLTZMANN_EV_PER_K: f64 = 8.617_333e-5;
-
 /// Stability data for one input pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatternStability {
     /// The input pattern (bit `i` = input `i`).
-    pub pattern: u32,
+    pub(crate) pattern: u32,
     /// Free-energy gap to the lowest wrong-reading valid state, eV.
     /// `None` when no wrong-reading state was found among the inspected
     /// low-energy states (the gap exceeds the search horizon — good).
-    pub gap_ev: Option<f64>,
-}
-
-impl PatternStability {
-    /// Naive critical temperature `ΔE / k_B`, in kelvin.
-    pub fn critical_temperature_k(&self) -> Option<f64> {
-        self.gap_ev.map(|g| g / BOLTZMANN_EV_PER_K)
-    }
+    pub(crate) gap_ev: Option<f64>,
 }
 
 /// Computes per-pattern stability for a design.
@@ -124,21 +111,6 @@ mod tests {
                 assert!(gap > 0.0, "pattern {}", s.pattern);
             }
         }
-    }
-
-    #[test]
-    fn critical_temperature_scales_with_gap() {
-        let s = PatternStability {
-            pattern: 0,
-            gap_ev: Some(BOLTZMANN_EV_PER_K * 77.0),
-        };
-        let t = s.critical_temperature_k().expect("gap present");
-        assert!((t - 77.0).abs() < 1e-6);
-        let none = PatternStability {
-            pattern: 0,
-            gap_ev: None,
-        };
-        assert_eq!(none.critical_temperature_k(), None);
     }
 
     #[test]

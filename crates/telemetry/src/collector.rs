@@ -100,14 +100,9 @@ impl Collector {
         }
     }
 
-    /// Whether this collector buffers trace events.
-    pub fn is_traced(&self) -> bool {
-        self.traced
-    }
-
     /// Opens a child span under the innermost open span. Prefer the
     /// ambient [`crate::span`] in library code.
-    pub fn span(self: &Arc<Self>, name: impl Into<String>) -> SpanGuard {
+    pub(crate) fn span(self: &Arc<Self>, name: impl Into<String>) -> SpanGuard {
         let id = {
             let mut inner = self.inner.lock().unwrap();
             let id = inner.spans.len();
@@ -124,7 +119,7 @@ impl Collector {
     }
 
     /// Adds `delta` to a counter on the innermost open span.
-    pub fn counter(&self, name: &str, delta: u64) {
+    pub(crate) fn counter(&self, name: &str, delta: u64) {
         let mut inner = self.inner.lock().unwrap();
         let top = *inner.stack.last().expect("root span always open");
         *inner.spans[top]
@@ -133,15 +128,8 @@ impl Collector {
             .or_insert(0) += delta;
     }
 
-    /// Sets a gauge on the innermost open span (last write wins).
-    pub fn gauge(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock().unwrap();
-        let top = *inner.stack.last().expect("root span always open");
-        inner.spans[top].gauges.insert(name.to_owned(), value);
-    }
-
     /// Attaches a string annotation to the innermost open span.
-    pub fn note(&self, name: &str, value: impl Into<String>) {
+    pub(crate) fn note(&self, name: &str, value: impl Into<String>) {
         let mut inner = self.inner.lock().unwrap();
         let top = *inner.stack.last().expect("root span always open");
         inner.spans[top].notes.insert(name.to_owned(), value.into());
@@ -149,7 +137,7 @@ impl Collector {
 
     /// Records one sample into a named histogram on the innermost open
     /// span.
-    pub fn histogram(&self, name: &str, value: u64) {
+    pub(crate) fn histogram(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock().unwrap();
         let top = *inner.stack.last().expect("root span always open");
         inner.spans[top]
@@ -183,20 +171,6 @@ impl Collector {
         }
     }
 
-    /// Grafts a finished span subtree (typically snapshotted from a
-    /// worker thread's child collector) under the innermost open span.
-    ///
-    /// The adopted spans keep their recorded durations, counters,
-    /// gauges, notes, and child structure; only their absolute start
-    /// times are lost (an `Instant` cannot cross a snapshot boundary),
-    /// which matters to no renderer — reports expose durations only.
-    pub fn adopt(&self, span: &SpanReport) {
-        let mut inner = self.inner.lock().unwrap();
-        let parent = *inner.stack.last().expect("root span always open");
-        let id = adopt_span(&mut inner.spans, span);
-        inner.spans[parent].children.push(id);
-    }
-
     /// Adopts every top-level span of `report` in order, then merges the
     /// report root's own counters, gauges, notes, and histograms into
     /// the innermost open span (counters add, histograms merge; gauges
@@ -209,7 +183,7 @@ impl Collector {
     /// snapshots a [`Report`], and the coordinating thread adopts the
     /// reports in a deterministic order — the merged tree is then
     /// independent of worker scheduling.
-    pub fn adopt_report(&self, report: &Report) {
+    pub(crate) fn adopt_report(&self, report: &Report) {
         let mut inner = self.inner.lock().unwrap();
         let parent = *inner.stack.last().expect("root span always open");
         for child in &report.root.children {
@@ -430,7 +404,7 @@ impl Report {
 
     /// The named histogram merged over the whole span tree (empty if
     /// never recorded). The merge is bucket-wise and deterministic —
-    /// see [`Histogram::merge`].
+    /// see `Histogram::merge`.
     pub fn histogram_total(&self, name: &str) -> Histogram {
         fn walk(span: &SpanReport, name: &str, total: &mut Histogram) {
             if let Some(hist) = span.histograms.get(name) {
@@ -466,7 +440,7 @@ impl Report {
 
     /// The full indented span tree with durations, percentages of
     /// total, counters, gauges, and notes.
-    pub fn render_tree(&self) -> String {
+    pub(crate) fn render_tree(&self) -> String {
         let mut out = String::new();
         render_subtree(&mut out, &self.root, 0, self.root.duration);
         out
@@ -610,7 +584,6 @@ mod tests {
             let _probe = collector.span("ratio:2x3");
             collector.counter("sat.conflicts", 3);
             collector.note("verdict", "sat");
-            collector.gauge("fill", 0.5);
         }
         collector.finish();
         collector.report()
@@ -697,7 +670,6 @@ mod tests {
     fn adopt_report_merges_root_counters_into_open_span() {
         let worker = Arc::new(Collector::new("probe"));
         worker.counter("probes.cancelled", 2);
-        worker.gauge("fill", 0.25);
         worker.note("mode", "parallel");
         worker.finish();
         let snapshot = worker.report();
@@ -707,7 +679,6 @@ mod tests {
         parent.adopt_report(&snapshot);
         let report = parent.report();
         assert_eq!(report.root.counters.get("probes.cancelled"), Some(&3));
-        assert_eq!(report.root.gauges.get("fill"), Some(&0.25));
         assert_eq!(
             report.root.notes.get("mode").map(String::as_str),
             Some("parallel")
@@ -727,7 +698,7 @@ mod tests {
         let recorded = snapshot.root.children[0].duration;
 
         let parent = Arc::new(Collector::new("flow"));
-        parent.adopt(&snapshot.root.children[0]);
+        parent.adopt_report(&snapshot);
         let adopted = &parent.report().root.children[0];
         assert_eq!(adopted.duration, recorded, "duration must be preserved");
         assert_eq!(adopted.children[0].name, "inner");
@@ -827,7 +798,7 @@ mod tests {
     #[test]
     fn untraced_collectors_buffer_no_events() {
         let collector = Arc::new(Collector::new("root"));
-        if collector.is_traced() {
+        if collector.traced {
             // Environment forced tracing on (TELEMETRY_TRACE set);
             // nothing to assert in that configuration.
             return;

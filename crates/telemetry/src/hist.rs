@@ -19,7 +19,7 @@
 use crate::json::Value;
 
 /// Bucket count: one for zero plus one per bit of a `u64`.
-pub const NUM_BUCKETS: usize = 65;
+pub(crate) const NUM_BUCKETS: usize = 65;
 
 /// The bucket a value falls into: its bit length (0 for 0).
 fn bucket_index(value: u64) -> usize {
@@ -68,12 +68,12 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Histogram {
+    pub(crate) fn new() -> Histogram {
         Histogram::default()
     }
 
     /// Records one sample.
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         self.buckets[bucket_index(value)] += 1;
         self.count = self.count.saturating_add(1);
         self.sum = self.sum.saturating_add(value);
@@ -83,7 +83,7 @@ impl Histogram {
 
     /// Bucket-wise accumulation. Deterministic: `a.merge(b)` equals any
     /// interleaving of the two sample streams.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *mine = mine.saturating_add(*theirs);
         }
@@ -104,7 +104,7 @@ impl Histogram {
     }
 
     /// Smallest sample, 0 when empty.
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -118,7 +118,7 @@ impl Histogram {
     }
 
     /// Arithmetic mean, 0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -134,7 +134,7 @@ impl Histogram {
     /// Quantile estimate for `q` in `[0, 1]`: the upper bound of the
     /// bucket holding the sample of rank `ceil(q·count)`, clamped to
     /// the observed `[min, max]`. Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -149,12 +149,12 @@ impl Histogram {
         self.max
     }
 
-    /// Median estimate (see [`Histogram::quantile`]).
+    /// Median estimate (see `Histogram::quantile`).
     pub fn p50(&self) -> u64 {
         self.quantile(0.5)
     }
 
-    /// 90th-percentile estimate (see [`Histogram::quantile`]).
+    /// 90th-percentile estimate (see `Histogram::quantile`).
     pub fn p90(&self) -> u64 {
         self.quantile(0.9)
     }
@@ -164,7 +164,7 @@ impl Histogram {
     /// and sum subtract; `min`/`max` are re-estimated from the
     /// surviving buckets' boundaries since exact extremes of a window
     /// are not recoverable from cumulative state.
-    pub fn diff(&self, earlier: &Histogram) -> Histogram {
+    pub(crate) fn diff(&self, earlier: &Histogram) -> Histogram {
         let mut buckets = [0u64; NUM_BUCKETS];
         for (i, out) in buckets.iter_mut().enumerate() {
             *out = self.buckets[i].saturating_sub(earlier.buckets[i]);
@@ -186,7 +186,7 @@ impl Histogram {
 
     /// Compact single-line rendering for the tree/summary renderers:
     /// `n=5 p50=8 p90=32 max=37`.
-    pub fn render_brief(&self) -> String {
+    pub(crate) fn render_brief(&self) -> String {
         format!(
             "n={} p50={} p90={} max={}",
             self.count,

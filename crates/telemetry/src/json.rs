@@ -193,9 +193,9 @@ fn write_string(out: &mut String, s: &str) {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset where parsing failed.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for ParseError {

@@ -3,8 +3,8 @@
 //! The flow driver installs a [`Collector`] for the duration of one
 //! flow run; every layer below it (synthesis, P&R, equivalence,
 //! physical simulation) records into the *ambient* collector through
-//! the free functions in this crate — [`span`], [`counter`],
-//! [`gauge`], and [`note`] — without any plumbing through call
+//! the free functions in this crate — [`span`], [`counter`] and
+//! [`note`] — without any plumbing through call
 //! signatures. When no collector is installed every call is a cheap
 //! no-op, so instrumented library code pays nothing in isolation.
 //!
@@ -30,7 +30,7 @@
 //! flow runs ([`Registry::global`], snapshot + diff API).
 //!
 //! Reports render three ways: an indented human-readable tree with
-//! durations and percentages ([`Report::render_tree`]), a one-level
+//! durations and percentages (`Report::render_tree`), a one-level
 //! summary ([`Report::render_summary`]), and machine-readable JSON
 //! ([`Report::to_json`]) produced by the hand-rolled serializer in
 //! [`json`] — no serde, per DESIGN.md §6. The [`emit`] helper writes
@@ -50,7 +50,7 @@ mod trace;
 pub use collector::{Collector, Report, SpanGuard, SpanReport, SPAN_DURATION_HISTOGRAM};
 pub use hist::Histogram;
 pub use registry::{Registry, RegistrySnapshot};
-pub use trace::{TraceEvent, MAX_TRACE_EVENTS};
+pub use trace::TraceEvent;
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -100,13 +100,6 @@ pub fn counter(name: &str, delta: u64) {
     }
 }
 
-/// Sets a named gauge (last write wins) on the innermost open span.
-pub fn gauge(name: &str, value: f64) {
-    if let Some(collector) = current() {
-        collector.gauge(name, value);
-    }
-}
-
 /// Attaches a named string annotation to the innermost open span.
 pub fn note(name: &str, value: impl Into<String>) {
     if let Some(collector) = current() {
@@ -124,7 +117,7 @@ pub fn histogram(name: &str, value: u64) {
 }
 
 /// Adopts a finished child-collector snapshot into the ambient
-/// collector (see [`Collector::adopt_report`]): its top-level spans are
+/// collector (see `Collector::adopt_report`): its top-level spans are
 /// grafted under the innermost open span and its root counters, gauges,
 /// and notes merged into it. A no-op when no collector is installed.
 ///
@@ -140,7 +133,7 @@ pub fn adopt_report(report: &Report) {
 
 /// Emission level selected by the `TELEMETRY` environment variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
+pub(crate) enum Mode {
     /// No output (the default, and the fallback for unknown values).
     Off,
     /// One line per top-level stage.
@@ -156,7 +149,7 @@ impl Mode {
     /// unset (or off) but `TELEMETRY_FILE` names a destination, the
     /// mode is `Json` — asking for a report file implies wanting the
     /// machine-readable report.
-    pub fn from_env() -> Mode {
+    pub(crate) fn from_env() -> Mode {
         match std::env::var("TELEMETRY").as_deref() {
             Ok("summary") => Mode::Summary,
             Ok("tree") => Mode::Tree,
@@ -219,7 +212,7 @@ pub fn emit(report: &Report) {
 /// Like [`emit`] but with an explicit mode, for callers that manage
 /// their own configuration. Always writes to stderr; the file sinks
 /// are [`emit`]'s.
-pub fn emit_with_mode(report: &Report, mode: Mode) {
+pub(crate) fn emit_with_mode(report: &Report, mode: Mode) {
     match mode {
         Mode::Off => {}
         Mode::Summary => eprint!("{}", report.render_summary()),
@@ -237,7 +230,6 @@ mod tests {
         assert!(current().is_none());
         let _span = span("orphan");
         counter("unseen", 5);
-        gauge("unseen", 1.0);
         note("unseen", "value");
     }
 
@@ -251,7 +243,6 @@ mod tests {
                 {
                     let _inner = span("inner");
                     counter("ticks", 1);
-                    gauge("depth", 2.0);
                     note("kind", "leaf");
                 }
             }
@@ -272,7 +263,6 @@ mod tests {
         assert_eq!(outer.counters["ticks"], 2);
         let inner = &outer.children[0];
         assert_eq!(inner.counters["ticks"], 1);
-        assert_eq!(inner.gauges["depth"], 2.0);
         assert_eq!(inner.notes["kind"], "leaf");
     }
 

@@ -33,7 +33,7 @@ static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
 impl Registry {
     /// A fresh, empty registry (for tests and embedded hosts).
-    pub fn new() -> Registry {
+    pub(crate) fn new() -> Registry {
         Registry::default()
     }
 
@@ -99,11 +99,11 @@ impl Registry {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RegistrySnapshot {
     /// Number of reports absorbed.
-    pub flows: u64,
+    pub(crate) flows: u64,
     /// Per-name counter totals over all absorbed reports.
     pub counters: BTreeMap<String, u64>,
     /// Per-name merged histograms over all absorbed reports.
-    pub histograms: BTreeMap<String, Histogram>,
+    pub(crate) histograms: BTreeMap<String, Histogram>,
 }
 
 impl RegistrySnapshot {

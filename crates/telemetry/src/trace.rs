@@ -27,7 +27,7 @@ use crate::json::Value;
 /// Cap on buffered events per collector. A full buffer counts drops
 /// instead of growing without bound — a trace is a diagnostic artifact,
 /// not an accounting ledger.
-pub const MAX_TRACE_EVENTS: usize = 65_536;
+pub(crate) const MAX_TRACE_EVENTS: usize = 65_536;
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
@@ -37,13 +37,13 @@ thread_local! {
 
 /// A small stable id for the calling thread (assigned on first use;
 /// `std::thread::ThreadId` has no stable integer form).
-pub fn current_tid() -> u64 {
+pub(crate) fn current_tid() -> u64 {
     TID.with(|t| *t)
 }
 
 /// The calling thread's display label: its name when set, else
 /// `thread-<tid>`.
-pub fn current_thread_label() -> String {
+pub(crate) fn current_thread_label() -> String {
     match std::thread::current().name() {
         Some(name) => name.to_owned(),
         None => format!("thread-{}", current_tid()),
@@ -67,9 +67,9 @@ pub struct TraceEvent {
     /// Display label of that thread.
     pub thread_label: String,
     /// Monotonic begin instant.
-    pub start: Instant,
+    pub(crate) start: Instant,
     /// Wall time between span open and close.
-    pub duration: Duration,
+    pub(crate) duration: Duration,
 }
 
 /// Renders events as a Chrome trace-event document

@@ -89,6 +89,33 @@ fn validation_stops_at_the_deciding_pattern() {
 }
 
 #[test]
+fn validation_cutoff_rejects_tiles_the_full_model_accepts() {
+    // Flow step 7 validates under `validation_params()`, whose 2 meV
+    // interaction cutoff drops couplings these tiles need. Under the full
+    // model (`PhysicalParams::default()`) every one of them is operational
+    // (pinned above); under the cutoff each fails at the pattern listed.
+    let sim = SimParams::new(validation_params()).with_engine(SimEngine::QuickExact);
+    for (design, failing) in [
+        (double_wire(), 0),
+        (fanout_nw(), 0),
+        (catalog_gate(GateKind::And), 0),
+        (catalog_gate(GateKind::Or), 0),
+        (catalog_gate(GateKind::Nor), 1),
+    ] {
+        let report = design.check_operational_with(&sim);
+        assert!(
+            matches!(
+                report.status,
+                OperationalStatus::NonOperational { pattern, .. } if pattern == failing
+            ),
+            "{}: {:?}",
+            design.name,
+            report.status
+        );
+    }
+}
+
+#[test]
 fn huff_or_works_at_figure_1c_parameters() {
     let sim = SimParams::new(PhysicalParams::default().with_mu_minus(-0.28))
         .with_engine(SimEngine::Exhaustive);
