@@ -14,8 +14,9 @@
 //! * **Deterministic work counters** — layout geometry (`width`,
 //!   `height`, `area_tiles`, `sidbs`, `area_nm2`) and the layout's SQD
 //!   hash (`sqd_hash`), SAT `conflicts`, `decisions` and
-//!   `propagations`, simulator `visited`/`pruned`/`truncated` counts and
-//!   spectrum and configuration hashes. These are
+//!   `propagations`, ratios abandoned at the conflict budget
+//!   (`budget_exceeded`), simulator `visited`/`pruned`/`truncated`
+//!   counts and spectrum and configuration hashes. These are
 //!   byte-reproducible when both runs use `THREADS=1`, so the gate is
 //!   symmetric and strict: any relative change beyond `--work-tol`
 //!   (default `0.0`, i.e. exact; hashes are always exact) is a
@@ -73,6 +74,7 @@ const STRICT_FIELDS: &[&str] = &[
     // SAT-kernel benchmarks (BENCH_sat.json).
     "decisions",
     "propagations",
+    "budget_exceeded",
 ];
 
 struct Options {
@@ -335,6 +337,32 @@ mod tests {
             assert_eq!(failures.len(), 1, "{failures:?}");
             assert!(failures[0].contains(field), "{failures:?}");
         }
+    }
+
+    /// A ratio abandoned at the conflict budget, against a baseline
+    /// that decided every ratio, fails even under a loose work tolerance.
+    #[test]
+    fn abandoned_ratio_fails() {
+        let with_skips = |skips: f64| {
+            Value::Obj(vec![
+                ("name".to_owned(), Value::Str("newtag".to_owned())),
+                ("budget_exceeded".to_owned(), Value::Num(skips)),
+            ])
+        };
+        let o = Options {
+            work_tol: 0.5,
+            ..opts()
+        };
+        let mut failures = Vec::new();
+        compare_entry(
+            "newtag",
+            &with_skips(0.0),
+            &with_skips(1.0),
+            &o,
+            &mut failures,
+        );
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("budget_exceeded"), "{failures:?}");
     }
 
     #[test]

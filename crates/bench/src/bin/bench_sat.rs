@@ -8,7 +8,9 @@
 //! flow does, then runs exact hexagonal placement & routing on it with
 //! the table's area bound and the default per-ratio conflict budget,
 //! and writes `BENCH_sat.json`: per circuit, the number of aspect-ratio
-//! `probes`, the solver counters summed over them (`conflicts`,
+//! `probes`, how many of them were abandoned at the conflict budget
+//! (`budget_exceeded`: a nonzero count means the layout is not proven
+//! area-minimal), the solver counters summed over them (`conflicts`,
 //! `decisions`, `propagations`, `restarts`, and `learned`, the learned
 //! clauses each probe's database held when it ended), the scan's wall
 //! clock and the propagations per second. The closing `aggregate`
@@ -25,7 +27,7 @@ use bestagon_core::benchmarks::{benchmark, benchmark_names};
 use bestagon_core::flow::FlowOptions;
 use fcn_logic::rewrite::rewrite;
 use fcn_logic::techmap::map_xag;
-use fcn_pnr::{exact_pnr, ExactOptions, NetGraph};
+use fcn_pnr::{exact_pnr, ExactOptions, NetGraph, ProbeVerdict};
 use fcn_telemetry::json::Value;
 use msat::SolverStats;
 use std::process::ExitCode;
@@ -38,6 +40,8 @@ const MAX_AREA: u64 = 120;
 #[derive(Default)]
 struct Row {
     probes: u64,
+    /// Probes abandoned at the conflict budget.
+    budget_exceeded: u64,
     stats: SolverStats,
     /// Learned clauses at the end of each probe, summed.
     learned: u64,
@@ -47,6 +51,7 @@ struct Row {
 impl Row {
     fn add(&mut self, other: &Row) {
         self.probes += other.probes;
+        self.budget_exceeded += other.budget_exceeded;
         self.stats += other.stats;
         self.learned += other.learned;
         self.seconds += other.seconds;
@@ -58,9 +63,10 @@ impl Row {
 
     fn print(&self, name: &str) {
         println!(
-            "{:<16} {:>6} {:>9} {:>10} {:>12} {:>8} {:>9} {:>8.3} {:>12.0}",
+            "{:<16} {:>6} {:>6} {:>9} {:>10} {:>12} {:>8} {:>9} {:>8.3} {:>12.0}",
             name,
             self.probes,
+            self.budget_exceeded,
             self.stats.conflicts,
             self.stats.decisions,
             self.stats.propagations,
@@ -79,6 +85,7 @@ impl Row {
             ("propagations_per_s".to_owned(), Value::Num(self.rate())),
             // Deterministic at any width: `bench_diff` gates these.
             ("probes".to_owned(), num(self.probes)),
+            ("budget_exceeded".to_owned(), num(self.budget_exceeded)),
             ("conflicts".to_owned(), num(self.stats.conflicts)),
             ("decisions".to_owned(), num(self.stats.decisions)),
             ("propagations".to_owned(), num(self.stats.propagations)),
@@ -111,6 +118,7 @@ fn scan(name: &str) -> Result<Row, String> {
     };
     for probe in &outcome.probes {
         row.probes += 1;
+        row.budget_exceeded += u64::from(probe.verdict == ProbeVerdict::BudgetExceeded);
         row.stats += probe.stats;
         row.learned += probe.stats.learned;
     }
@@ -120,9 +128,10 @@ fn scan(name: &str) -> Result<Row, String> {
 fn main() -> ExitCode {
     println!("=== msat kernel: exact hex P&R on every Table 1 circuit, width 1 ===\n");
     println!(
-        "{:<16} {:>6} {:>9} {:>10} {:>12} {:>8} {:>9} {:>8} {:>12}",
+        "{:<16} {:>6} {:>6} {:>9} {:>10} {:>12} {:>8} {:>9} {:>8} {:>12}",
         "Circuit",
         "probes",
+        "budget",
         "conflicts",
         "decisions",
         "propagations",

@@ -262,6 +262,28 @@ mod tests {
         }
     }
 
+    /// Pins the search of a formula built through the public builder, the
+    /// path every exact P&R probe and equivalence miter takes: it must
+    /// start with live activity, as the solver's own trajectory pins do.
+    #[test]
+    fn builder_pigeonhole_trajectory_is_pinned() {
+        let (n, h) = (6, 5);
+        let mut cnf = CnfBuilder::new();
+        let p: Vec<Lit> = (0..n * h).map(|_| cnf.new_lit()).collect();
+        for i in 0..n {
+            cnf.add_clause((0..h).map(|j| p[i * h + j]));
+        }
+        for j in 0..h {
+            for i1 in 0..n {
+                for i2 in (i1 + 1)..n {
+                    cnf.add_clause([p[i1 * h + j].negated(), p[i2 * h + j].negated()]);
+                }
+            }
+        }
+        assert_eq!(cnf.solve_with(&SolveParams::new()), BoundedResult::Unsat);
+        assert_eq!(cnf.solver().stats().conflicts, 148);
+    }
+
     #[test]
     fn constants_behave() {
         let mut cnf = CnfBuilder::new();

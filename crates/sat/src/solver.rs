@@ -264,7 +264,7 @@ impl LevelStamps {
 /// A CDCL SAT solver.
 ///
 /// See the [crate-level documentation](crate) for an overview and example.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Solver {
     db: ClauseDb,
     watches: Vec<Vec<Watcher>>,
@@ -291,18 +291,34 @@ pub struct Solver {
 /// enough that the atomic load is invisible in profiles.
 const POLL_INTERVAL: u32 = 64;
 
-impl Solver {
-    /// Creates an empty solver with no variables or clauses.
-    // Reference start (activity increments 1) the solver tests pin; `CnfBuilder` uses `Default`.
-    #[allow(dead_code)]
-    pub(crate) fn new() -> Self {
+impl Default for Solver {
+    /// An empty solver with no variables or clauses. The variable and
+    /// clause activity increments start at 1 (MiniSat's start): at 0,
+    /// every bump would add nothing and VSIDS would branch in heap order.
+    fn default() -> Self {
         Solver {
+            db: ClauseDb::default(),
+            watches: Vec::new(),
+            value: Vec::new(),
+            level: Vec::new(),
+            reason: Vec::new(),
+            trail: Vec::new(),
+            trail_lim: Vec::new(),
+            prop_head: 0,
+            activity: Vec::new(),
             var_inc: 1.0,
+            heap: VarHeap::default(),
+            saved_phase: Vec::new(),
+            seen: Vec::new(),
+            unsat: false,
+            stats: SolverStats::default(),
             cla_inc: 1.0,
-            ..Default::default()
+            lbd_stamps: LevelStamps::default(),
         }
     }
+}
 
+impl Solver {
     /// Introduces a fresh variable.
     pub(crate) fn new_var(&mut self) -> Var {
         let v = Var(self.level.len() as u32);
@@ -1022,7 +1038,7 @@ pub(crate) mod tests {
     }
 
     fn solver_with_vars(n: u32) -> Solver {
-        let mut s = Solver::new();
+        let mut s = Solver::default();
         for _ in 0..n {
             s.new_var();
         }
@@ -1240,7 +1256,7 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_formula_is_sat() {
-        let mut s = Solver::new();
+        let mut s = Solver::default();
         sat_model(s.solve_with(&SolveParams::new()));
     }
 

@@ -38,7 +38,7 @@ const PINS: &[Pin] = &[
             (6, 1, Unsat),
             (3, 2, Sat),
         ],
-        work: (15, 34, 315),
+        work: (16, 30, 296),
     },
     Pin {
         name: "par_gen",
@@ -54,7 +54,7 @@ const PINS: &[Pin] = &[
             (8, 1, Unsat),
             (4, 2, Sat),
         ],
-        work: (35, 67, 1014),
+        work: (26, 62, 736),
     },
     Pin {
         name: "mux21",
@@ -76,7 +76,7 @@ const PINS: &[Pin] = &[
             (15, 1, Unsat),
             (5, 3, Sat),
         ],
-        work: (131, 285, 12160),
+        work: (132, 359, 11094),
     },
 ];
 

@@ -173,3 +173,33 @@ fn blif_entry_point_matches_verilog() {
     assert_eq!(r.name, "xor2");
     assert_eq!((r.layout.ratio().width, r.layout.ratio().height), (2, 3));
 }
+
+/// majority_5_r1, prepared as the Table 1 flow prepares it and scanned
+/// with the table's area bound and the default per-ratio budget, ends at
+/// 5 × 16 with every smaller ratio decided: 5 × 15 is proven UNSAT, so
+/// the layout is proven area-minimal rather than budget-bounded.
+#[test]
+fn majority_5_r1_is_proven_area_minimal() {
+    use fcn_logic::rewrite::rewrite;
+    use fcn_logic::techmap::map_xag;
+    use fcn_pnr::{exact_pnr, ExactOptions, NetGraph, ProbeVerdict};
+
+    let flow = FlowOptions::new();
+    let xag = benchmark("majority_5_r1").xag;
+    let optimized = rewrite(&xag, flow.rewrite.expect("rewriting is on by default"));
+    let mapped = map_xag(&optimized, flow.map).expect("mappable");
+    let graph = NetGraph::new(mapped).expect("placeable");
+    let options = ExactOptions {
+        max_area: 120,
+        ..ExactOptions::default()
+    };
+    let outcome = exact_pnr(&graph, &options).expect("fits within the Table 1 bound");
+    assert_eq!((outcome.ratio.width, outcome.ratio.height), (5, 16));
+    let verdict_5x15 = outcome
+        .probes
+        .iter()
+        .find(|p| (p.ratio.width, p.ratio.height) == (5, 15))
+        .map(|p| p.verdict);
+    assert_eq!(verdict_5x15, Some(ProbeVerdict::Unsat));
+    assert!(outcome.is_provably_minimal());
+}
