@@ -365,6 +365,28 @@ mod tests {
         assert!(failures[0].contains("budget_exceeded"), "{failures:?}");
     }
 
+    /// A string field such as BENCH_sim's `kernel` (the QuickExact
+    /// instance that ran) is not gated, whatever its value.
+    #[test]
+    fn string_fields_are_not_gated() {
+        let with_kernel = |kernel: &str| {
+            Value::Obj(vec![
+                ("name".to_owned(), Value::Str("CROSS".to_owned())),
+                ("kernel".to_owned(), Value::Str(kernel.to_owned())),
+                ("visited".to_owned(), Value::Num(80_000_000.0)),
+            ])
+        };
+        let mut failures = Vec::new();
+        compare_entry(
+            "CROSS",
+            &with_kernel("baseline"),
+            &with_kernel("avx2"),
+            &opts(),
+            &mut failures,
+        );
+        assert!(failures.is_empty(), "{failures:?}");
+    }
+
     #[test]
     fn wall_clock_gate_is_one_sided_and_generous() {
         // Much faster: fine. Slightly slower: inside +50% + floor. Far

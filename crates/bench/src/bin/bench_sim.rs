@@ -23,6 +23,11 @@
 //! order that keeps every ground state moves the counters but not
 //! `config_hash`; a change to how energies are summed moves
 //! `spectra_hash` but not `config_hash`.
+//!
+//! The file's `kernel` field names the QuickExact instance that ran
+//! (`avx2` or `baseline`), so a wall-clock gap between two hosts can be
+//! told apart from a kernel change. It is a string, which `bench_diff`
+//! does not gate: both instances expand the same nodes.
 
 use bestagon_core::flow::Fnv64;
 use fcn_telemetry::json::Value;
@@ -53,9 +58,23 @@ fn hash_result(spectra: &mut Fnv64, configs: &mut Fnv64, result: &SimResult) {
     }
 }
 
+/// The QuickExact instance this host runs: the simulator picks its
+/// AVX2 instance whenever the CPU reports AVX2, and its baseline
+/// instance otherwise.
+fn kernel_instance() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "baseline"
+}
+
 fn main() -> ExitCode {
     let params = SimParams::new(PhysicalParams::default());
-    println!("=== QuickExact kernel: every Figure 5 pattern, no cache ===\n");
+    println!(
+        "=== QuickExact kernel ({} instance): every Figure 5 pattern, no cache ===\n",
+        kernel_instance()
+    );
     println!(
         "{:<18} {:>8} {:>12} {:>12} {:>9} {:>9} {:>12}",
         "Design", "patterns", "visited", "pruned", "truncated", "seconds", "visited/s"
@@ -131,6 +150,10 @@ fn main() -> ExitCode {
         (
             "generator".to_owned(),
             Value::Str("crates/bench/src/bin/bench_sim.rs".to_owned()),
+        ),
+        (
+            "kernel".to_owned(),
+            Value::Str(kernel_instance().to_owned()),
         ),
         ("benchmarks".to_owned(), Value::Arr(entries)),
     ]);

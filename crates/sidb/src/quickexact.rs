@@ -30,9 +30,21 @@
 //! two-input tiles by a quarter to a third and of the half adder by
 //! 37 %, at the same cost per node.
 //!
-//! For gate-sized BDL structures this reduces the effective search to a
-//! few hundred branches, making exact validation cheap enough to sit in
-//! the inner loop of the automated gate designer.
+//! How far that leaves the search from `2^n` depends on the gate.
+//! Summed over every input pattern of a Figure 5 design at nominal
+//! parameters (`BENCH_sim.json`), the search expands 244 nodes for the
+//! Huff-style OR (4 patterns), 312,465 for INV (NW→SE) (2 patterns) and
+//! 32.0M for the half adder (4 patterns). CROSS needs about 106M nodes
+//! per pattern and stops at the 20M default cap on every one.
+//!
+//! The per-node loops are compiled twice from one source: the macro
+//! `search_kernel!` stamps out a baseline instance of the recursive
+//! search and, on x86_64, an instance built with AVX2, and each call
+//! picks the AVX2 instance when the CPU reports the feature. Both
+//! expand the same nodes in the same order and return bit-identical
+//! results. Rust never contracts `a * b + c` into a fused multiply-add,
+//! the vectorised loops are element-wise, and the bound's sum stays
+//! sequential, so every float operation rounds the same way in both.
 //!
 //! The search works in *position* space. Each cluster's interaction
 //! matrix is permuted once into the order the search assigns sites in,
@@ -107,8 +119,9 @@ pub(crate) fn low_energy_core(
     // independent clusters; solve each exactly and combine (energies add,
     // validity is per-cluster).
     let components = connected_components(m);
+    let kernel = Kernel::detect();
     if components.len() == 1 {
-        return solve_connected(layout, params, k, budget, Some(m));
+        return solve_connected(layout, params, k, budget, Some(m), kernel);
     }
     let run = engine::run_units(components.len(), |ci| {
         let sub = SidbLayout::from_sites(components[ci].iter().map(|&i| layout.sites()[i]));
@@ -117,9 +130,9 @@ pub(crate) fn low_energy_core(
             // component without coupling clusters together.
             let ext: Vec<f64> = components[ci].iter().map(|&i| m.external(i)).collect();
             let sub_m = InteractionMatrix::new(&sub, params).with_external(ext);
-            solve_connected(&sub, params, k, budget, Some(&sub_m))
+            solve_connected(&sub, params, k, budget, Some(&sub_m), kernel)
         } else {
-            solve_connected(&sub, params, k, budget, None)
+            solve_connected(&sub, params, k, budget, None, kernel)
         }
     });
     let truncated = run.results.iter().any(|r| r.truncated);
@@ -147,14 +160,38 @@ pub(crate) fn low_energy_core(
     }
 }
 
-/// Exact k-best search over one connected cluster, charging every
-/// expanded node to its own [`Meter`] on `budget`.
+/// The compiled instances of the search kernel. Both expand the same
+/// nodes in the same order and return bit-identical results; they
+/// differ only in the instructions the compiler may use.
+#[derive(Clone, Copy)]
+enum Kernel {
+    Baseline,
+    /// Built with AVX2 enabled, for CPUs that report AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Kernel {
+    /// The fastest instance this CPU can run.
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Kernel::Avx2;
+        }
+        Kernel::Baseline
+    }
+}
+
+/// Exact k-best search over one connected cluster on the `kernel`
+/// instance, charging every expanded node to its own [`Meter`] on
+/// `budget`.
 fn solve_connected(
     layout: &SidbLayout,
     params: &PhysicalParams,
     k: usize,
     budget: &StepBudget,
     matrix: Option<&InteractionMatrix>,
+    kernel: Kernel,
 ) -> SimResult {
     let n = layout.num_sites();
     let owned;
@@ -255,6 +292,81 @@ fn solve_connected(
         viability_prunes: u64,
     }
 
+    /// Stamps out one instance of the search kernel, `$name`, from this
+    /// one body. Each instance recurses into itself, so the whole
+    /// depth-first search runs inside the code its attributes compiled;
+    /// the helpers it calls per node are `#[inline(always)]` and are
+    /// compiled into each instance with it.
+    macro_rules! search_kernel {
+        ($(#[$attr:meta])* fn $name:ident) => {
+            $(#[$attr])*
+            fn $name(&mut self, depth: usize) {
+                const EPS: f64 = 1e-9;
+                if !self.meter.charge() {
+                    // Budget exhausted: unwind with the best states found
+                    // so far (the greedy incumbent guarantees at least one).
+                    return;
+                }
+                if self.free_energy_lower_bound(depth) > self.bound() {
+                    self.bound_prunes += 1;
+                    return;
+                }
+                if depth == self.n {
+                    let mut states = vec![ChargeState::Neutral; self.n];
+                    for (&site, &neg) in self.order.iter().zip(&self.negative) {
+                        if neg {
+                            states[site] = ChargeState::Negative;
+                        }
+                    }
+                    let config = ChargeConfiguration::from_states(states);
+                    if !config.is_configuration_stable(self.m) {
+                        return;
+                    }
+                    // Canonical energies, recomputed from the configuration
+                    // like the greedy incumbent's: a spectrum then depends
+                    // on its set of states, not on the path that found them.
+                    self.record(SimulatedState {
+                        electrostatic_energy: config.electrostatic_energy(self.m),
+                        free_energy: config.free_energy(self.m),
+                        config,
+                    });
+                    return;
+                }
+                let row = &self.w[depth * self.n..][..self.n];
+                // Branch 1: negative (viable only if the site's potential can
+                // stay above μ−, i.e. is above it right now).
+                if self.potentials[depth] >= self.mu - EPS {
+                    self.negative[depth] = true;
+                    self.energy -= self.potentials[depth];
+                    self.num_negative += 1;
+                    for (v, &w) in self.potentials.iter_mut().zip(row) {
+                        *v -= w;
+                    }
+                    if self.viable(depth + 1) {
+                        self.$name(depth + 1);
+                    } else {
+                        self.viability_prunes += 1;
+                    }
+                    for (v, &w) in self.potentials.iter_mut().zip(row) {
+                        *v += w;
+                    }
+                    self.num_negative -= 1;
+                    self.energy += self.potentials[depth];
+                    self.negative[depth] = false;
+                }
+                // Branch 2: neutral (viable only if remaining sites can still
+                // push the potential below μ−).
+                if self.potentials[depth] - self.rem[(depth + 1) * self.n + depth] <= self.mu + EPS {
+                    if self.viable(depth + 1) {
+                        self.$name(depth + 1);
+                    } else {
+                        self.viability_prunes += 1;
+                    }
+                }
+            }
+        };
+    }
+
     impl Search<'_> {
         /// Branch-and-bound cut: a lower bound on the free energy of any
         /// completion of the current partial assignment. Making the
@@ -265,6 +377,7 @@ fn solve_connected(
         /// independent terms: `min(0, g_a, g_b, g_a + g_b + w_ab)` per
         /// undecided pair, `min(0, g_a)` per undecided position whose
         /// partner is decided or that has none.
+        #[inline(always)]
         fn free_energy_lower_bound(&self, depth: usize) -> f64 {
             let mut lb = self.energy + self.mu * self.num_negative as f64;
             for a in depth..self.n {
@@ -284,6 +397,7 @@ fn solve_connected(
         }
 
         /// The pruning threshold: the k-th best free energy found so far.
+        #[inline(always)]
         fn bound(&self) -> f64 {
             if self.best.len() == self.k {
                 self.best.last().expect("k > 0").free_energy + 1e-12
@@ -305,6 +419,7 @@ fn solve_connected(
         /// Checks whether the partial assignment can still extend to a
         /// population-stable configuration: no assigned negative below
         /// `μ−`, no assigned neutral that cannot reach it.
+        #[inline(always)]
         fn viable(&self, depth: usize) -> bool {
             const EPS: f64 = 1e-9;
             let (lo, hi) = (self.mu - EPS, self.mu + EPS);
@@ -318,70 +433,9 @@ fn solve_connected(
                 })
         }
 
-        fn recurse(&mut self, depth: usize) {
-            const EPS: f64 = 1e-9;
-            if !self.meter.charge() {
-                // Budget exhausted: unwind with the best states found
-                // so far (the greedy incumbent guarantees at least one).
-                return;
-            }
-            if self.free_energy_lower_bound(depth) > self.bound() {
-                self.bound_prunes += 1;
-                return;
-            }
-            if depth == self.n {
-                let mut states = vec![ChargeState::Neutral; self.n];
-                for (&site, &neg) in self.order.iter().zip(&self.negative) {
-                    if neg {
-                        states[site] = ChargeState::Negative;
-                    }
-                }
-                let config = ChargeConfiguration::from_states(states);
-                if !config.is_configuration_stable(self.m) {
-                    return;
-                }
-                // Canonical energies, recomputed from the configuration
-                // like the greedy incumbent's: a spectrum then depends
-                // on its set of states, not on the path that found them.
-                self.record(SimulatedState {
-                    electrostatic_energy: config.electrostatic_energy(self.m),
-                    free_energy: config.free_energy(self.m),
-                    config,
-                });
-                return;
-            }
-            let row = &self.w[depth * self.n..][..self.n];
-            // Branch 1: negative (viable only if the site's potential can
-            // stay above μ−, i.e. is above it right now).
-            if self.potentials[depth] >= self.mu - EPS {
-                self.negative[depth] = true;
-                self.energy -= self.potentials[depth];
-                self.num_negative += 1;
-                for (v, &w) in self.potentials.iter_mut().zip(row) {
-                    *v -= w;
-                }
-                if self.viable(depth + 1) {
-                    self.recurse(depth + 1);
-                } else {
-                    self.viability_prunes += 1;
-                }
-                for (v, &w) in self.potentials.iter_mut().zip(row) {
-                    *v += w;
-                }
-                self.num_negative -= 1;
-                self.energy += self.potentials[depth];
-                self.negative[depth] = false;
-            }
-            // Branch 2: neutral (viable only if remaining sites can still
-            // push the potential below μ−).
-            if self.potentials[depth] - self.rem[(depth + 1) * self.n + depth] <= self.mu + EPS {
-                if self.viable(depth + 1) {
-                    self.recurse(depth + 1);
-                } else {
-                    self.viability_prunes += 1;
-                }
-            }
-        }
+        search_kernel!(fn recurse);
+        #[cfg(target_arch = "x86_64")]
+        search_kernel!(#[target_feature(enable = "avx2")] fn recurse_avx2);
     }
 
     let mut search = Search {
@@ -415,7 +469,18 @@ fn solve_connected(
         free_energy: incumbent.free_energy(m),
         config: incumbent,
     });
-    search.recurse(0);
+    match kernel {
+        Kernel::Baseline => search.recurse(0),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 => {
+            assert!(
+                std::arch::is_x86_feature_detected!("avx2"),
+                "the AVX2 kernel instance needs a CPU with AVX2"
+            );
+            // SAFETY: the CPU reports AVX2, checked just above.
+            unsafe { search.recurse_avx2(0) }
+        }
+    }
     let pruned = search.bound_prunes + search.viability_prunes;
     search.meter.result(search.best, pruned)
 }
@@ -657,6 +722,108 @@ mod tests {
         layout
     }
 
+    /// A random 10-site layout with random per-site external
+    /// potentials of up to ±50 mV, and its interaction matrix.
+    fn external_potential_layout(
+        seed: u64,
+        params: &PhysicalParams,
+    ) -> (SidbLayout, InteractionMatrix) {
+        let mut s = seed;
+        let mut rand = move || {
+            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            s >> 11
+        };
+        let mut layout = SidbLayout::new();
+        while layout.num_sites() < 10 {
+            layout.add_site((
+                (rand() % 10) as i32,
+                (rand() % 6) as i32,
+                (rand() % 2) as u8,
+            ));
+        }
+        let ext: Vec<f64> = (0..layout.num_sites())
+            .map(|_| (rand() as f64 / (1u64 << 53) as f64 - 0.5) * 0.1)
+            .collect();
+        let m = InteractionMatrix::new(&layout, params).with_external(ext);
+        (layout, m)
+    }
+
+    /// Runs one search on the baseline instance and, where the CPU
+    /// reports AVX2, on the AVX2 instance too, and asserts that both
+    /// return the same result bit for bit: the same states in the same
+    /// order, the same energy bits, and the same `visited`, `pruned`
+    /// and truncation. Returns the baseline result.
+    fn assert_instances_agree(
+        layout: &SidbLayout,
+        m: &InteractionMatrix,
+        k: usize,
+        budget: &StepBudget,
+    ) -> SimResult {
+        let run = |kernel| solve_connected(layout, m.params(), k, budget, Some(m), kernel);
+        let base = run(Kernel::Baseline);
+        match Kernel::detect() {
+            Kernel::Baseline => {
+                eprintln!("AVX2 instance skipped: this CPU does not report AVX2");
+            }
+            #[cfg(target_arch = "x86_64")]
+            fast @ Kernel::Avx2 => {
+                let other = run(fast);
+                assert_eq!(base, other);
+                for (a, b) in base.states.iter().zip(&other.states) {
+                    assert_eq!(
+                        a.electrostatic_energy.to_bits(),
+                        b.electrostatic_energy.to_bits()
+                    );
+                    assert_eq!(a.free_energy.to_bits(), b.free_energy.to_bits());
+                }
+            }
+        }
+        base
+    }
+
+    #[test]
+    fn kernel_instances_agree_bit_for_bit() {
+        let params = PhysicalParams::default();
+        let unbounded = StepBudget::unbounded();
+        for layout in [wire_pattern_layout(), inverter_pattern_layout()] {
+            let m = InteractionMatrix::new(&layout, &params);
+            assert!(!assert_instances_agree(&layout, &m, 1, &unbounded).truncated);
+        }
+        for seed in 1..12u64 {
+            let layout = random_layout(seed * 7919, 10);
+            let m = InteractionMatrix::new(&layout, &params);
+            assert_instances_agree(&layout, &m, 3, &unbounded);
+        }
+        for seed in 1..40u64 {
+            let (layout, m) = external_potential_layout(seed, &params);
+            assert_instances_agree(&layout, &m, 3, &unbounded);
+        }
+        // A cap of a few hundred nodes stops the inverter search early,
+        // so both instances must also stop at the same node.
+        let layout = inverter_pattern_layout();
+        let m = InteractionMatrix::new(&layout, &params);
+        let capped = StepBudget::unbounded().with_max_steps(300);
+        let result = assert_instances_agree(&layout, &m, 1, &capped);
+        assert!(result.truncated);
+        assert_eq!(result.stats.visited, 300);
+    }
+
+    #[test]
+    #[ignore = "every Figure 5 pattern on both instances: about 40 s in release"]
+    fn kernel_instances_agree_on_every_figure5_pattern() {
+        // The default step cap, as in `bench_sim`: CROSS stops at it on
+        // every pattern.
+        let sim = SimParams::new(PhysicalParams::default());
+        for design in bestagon_lib::tiles::figure5_designs() {
+            for pattern in 0..design.num_patterns() {
+                let sites = design.layout_for_pattern(pattern).sites().to_vec();
+                let layout = SidbLayout::from_sites(sites);
+                let m = InteractionMatrix::new(&layout, &sim.physical);
+                assert_instances_agree(&layout, &m, sim.k, &sim.budget);
+            }
+        }
+    }
+
     #[test]
     fn agrees_with_gray_code_sweep_on_random_layouts() {
         let params = PhysicalParams::default();
@@ -684,23 +851,7 @@ mod tests {
         let params = PhysicalParams::default();
         let mut multi_state = 0;
         for seed in 1..40u64 {
-            let mut s = seed;
-            let mut rand = move || {
-                s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                s >> 11
-            };
-            let mut layout = SidbLayout::new();
-            while layout.num_sites() < 10 {
-                layout.add_site((
-                    (rand() % 10) as i32,
-                    (rand() % 6) as i32,
-                    (rand() % 2) as u8,
-                ));
-            }
-            let ext: Vec<f64> = (0..layout.num_sites())
-                .map(|_| (rand() as f64 / (1u64 << 53) as f64 - 0.5) * 0.1)
-                .collect();
-            let m = InteractionMatrix::new(&layout, &params).with_external(ext);
+            let (layout, m) = external_potential_layout(seed, &params);
             let run = |engine| {
                 let sim = SimParams::new(params).with_engine(engine).with_k(3);
                 engine::simulate_with_matrix(&layout, &sim, Some(&m)).states
@@ -769,13 +920,9 @@ mod tests {
         check(&layout, &m.with_external(external(6, 5)));
     }
 
-    #[test]
-    fn wire_pattern_search_is_pinned() {
-        // Figure 5 WIRE (NW→SW) under input pattern 1, perturbers
-        // included. The node counts pin the branch-and-bound's exact
-        // node sequence: a kernel change that reorders or re-prunes
-        // the search fails here.
-        let layout = SidbLayout::from_sites([
+    /// Figure 5 WIRE (NW→SW) under input pattern 1, perturbers included.
+    fn wire_pattern_layout() -> SidbLayout {
+        SidbLayout::from_sites([
             (14, -2, 1),
             (14, 1, 0),
             (14, 4, 0),
@@ -794,19 +941,24 @@ mod tests {
             (16, 16, 0),
             (16, 19, 0),
             (16, 22, 0),
-        ]);
+        ])
+    }
+
+    #[test]
+    fn wire_pattern_search_is_pinned() {
+        // Figure 5 WIRE (NW→SW) under input pattern 1, perturbers
+        // included. The node counts pin the branch-and-bound's exact
+        // node sequence: a kernel change that reorders or re-prunes
+        // the search fails here.
+        let layout = wire_pattern_layout();
         let result = simulate_with(&layout, &SimParams::new(PhysicalParams::default()));
         assert!(!result.truncated);
         assert_eq!((result.stats.visited, result.stats.pruned), (900, 251));
     }
 
-    #[test]
-    fn inverter_pattern_search_is_pinned() {
-        // Figure 5 INV (NW→SE) under input pattern 0, perturbers
-        // included. Unlike the straight wire above, this search is one
-        // the pair bound cuts by about a third, so a change to the bound
-        // or to the search order fails here.
-        let layout = SidbLayout::from_sites([
+    /// Figure 5 INV (NW→SE) under input pattern 0, perturbers included.
+    fn inverter_pattern_layout() -> SidbLayout {
+        SidbLayout::from_sites([
             (8, 10, 0),
             (14, 1, 0),
             (14, 4, 0),
@@ -841,7 +993,16 @@ mod tests {
             (46, 19, 0),
             (46, 22, 0),
             (52, 10, 0),
-        ]);
+        ])
+    }
+
+    #[test]
+    fn inverter_pattern_search_is_pinned() {
+        // Figure 5 INV (NW→SE) under input pattern 0, perturbers
+        // included. Unlike the straight wire above, this search is one
+        // the pair bound cuts by about a third, so a change to the bound
+        // or to the search order fails here.
+        let layout = inverter_pattern_layout();
         let result = simulate_with(&layout, &SimParams::new(PhysicalParams::default()));
         assert!(!result.truncated);
         assert_eq!(

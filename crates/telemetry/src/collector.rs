@@ -1,5 +1,5 @@
 //! The span collector: a thread-safe arena of timed, nested spans with
-//! attached counters, gauges, notes, and histograms, plus the snapshot
+//! attached counters, notes, and histograms, plus the snapshot
 //! [`Report`], its renderers, and the optional trace-event buffer.
 
 use std::collections::BTreeMap;
@@ -24,7 +24,6 @@ struct SpanData {
     duration: Option<Duration>,
     children: Vec<usize>,
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     notes: BTreeMap<String, String>,
     histograms: BTreeMap<String, Histogram>,
 }
@@ -37,7 +36,6 @@ impl SpanData {
             duration: None,
             children: Vec::new(),
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
             notes: BTreeMap::new(),
             histograms: BTreeMap::new(),
         }
@@ -172,9 +170,9 @@ impl Collector {
     }
 
     /// Adopts every top-level span of `report` in order, then merges the
-    /// report root's own counters, gauges, notes, and histograms into
-    /// the innermost open span (counters add, histograms merge; gauges
-    /// and notes overwrite). The report's trace events — if either side
+    /// report root's own counters, notes, and histograms into the
+    /// innermost open span (counters add, histograms merge, notes
+    /// overwrite). The report's trace events — if either side
     /// captured any — are appended to this collector's buffer, still
     /// labeled with the worker thread they were recorded on.
     ///
@@ -194,9 +192,6 @@ impl Collector {
         let target = &mut inner.spans[parent];
         for (name, &delta) in &root.counters {
             *target.counters.entry(name.clone()).or_insert(0) += delta;
-        }
-        for (name, &value) in &root.gauges {
-            target.gauges.insert(name.clone(), value);
         }
         for (name, value) in &root.notes {
             target.notes.insert(name.clone(), value.clone());
@@ -277,7 +272,6 @@ fn adopt_span(spans: &mut Vec<SpanData>, report: &SpanReport) -> usize {
         duration: Some(report.duration),
         children: Vec::new(),
         counters: report.counters.clone(),
-        gauges: report.gauges.clone(),
         notes: report.notes.clone(),
         histograms: report.histograms.clone(),
     });
@@ -296,7 +290,6 @@ fn build_report(spans: &[SpanData], id: usize) -> SpanReport {
         name: span.name.clone(),
         duration: span.duration.unwrap_or_else(|| span.start.elapsed()),
         counters: span.counters.clone(),
-        gauges: span.gauges.clone(),
         notes: span.notes.clone(),
         histograms: span.histograms.clone(),
         children: span
@@ -358,8 +351,6 @@ pub struct SpanReport {
     pub duration: Duration,
     /// Monotonic counters recorded while this span was innermost.
     pub counters: BTreeMap<String, u64>,
-    /// Gauges recorded while this span was innermost.
-    pub gauges: BTreeMap<String, f64>,
     /// String annotations recorded while this span was innermost.
     pub notes: BTreeMap<String, String>,
     /// Histograms recorded while this span was innermost, plus the
@@ -439,7 +430,7 @@ impl Report {
     }
 
     /// The full indented span tree with durations, percentages of
-    /// total, counters, gauges, and notes.
+    /// total, counters, histograms, and notes.
     pub(crate) fn render_tree(&self) -> String {
         let mut out = String::new();
         render_subtree(&mut out, &self.root, 0, self.root.duration);
@@ -485,9 +476,6 @@ fn render_line(out: &mut String, span: &SpanReport, depth: usize, total: Duratio
     for (name, value) in &span.counters {
         let _ = write!(out, "  {name}={value}");
     }
-    for (name, value) in &span.gauges {
-        let _ = write!(out, "  {name}={value:.4}");
-    }
     for (name, hist) in &span.histograms {
         let _ = write!(out, "  {name}~{{{}}}", hist.render_brief());
     }
@@ -523,17 +511,6 @@ fn span_to_value(span: &SpanReport) -> Value {
                 span.counters
                     .iter()
                     .map(|(k, &v)| (k.clone(), Value::Num(v as f64)))
-                    .collect(),
-            ),
-        ));
-    }
-    if !span.gauges.is_empty() {
-        fields.push((
-            "gauges".to_owned(),
-            Value::Obj(
-                span.gauges
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), Value::Num(v)))
                     .collect(),
             ),
         ));

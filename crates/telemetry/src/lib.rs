@@ -118,8 +118,8 @@ pub fn histogram(name: &str, value: u64) {
 
 /// Adopts a finished child-collector snapshot into the ambient
 /// collector (see `Collector::adopt_report`): its top-level spans are
-/// grafted under the innermost open span and its root counters, gauges,
-/// and notes merged into it. A no-op when no collector is installed.
+/// grafted under the innermost open span and its root counters, notes
+/// and histograms merged into it. A no-op when no collector is installed.
 ///
 /// Worker threads cannot see the parent's thread-local collector, so
 /// parallel stages run each unit of work under a fresh
