@@ -503,7 +503,7 @@ impl BestagonLibrary {
     }
 
     /// Looks up a tile by function and port directions.
-    pub(crate) fn tile(
+    pub fn tile(
         &self,
         kind: GateKind,
         inputs: &[HexDirection],

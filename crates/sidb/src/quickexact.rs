@@ -4,7 +4,8 @@
 //! configurations; for the structured layouts of BDL logic that is
 //! enormously wasteful, because population stability kills almost every
 //! branch early. This engine performs a depth-first search over the sites
-//! (ordered by surface position) and prunes with three arguments. Two
+//! (ordered by surface position), prunes with three arguments and
+//! forces what population stability decides ahead of the walk. Two
 //! are monotonicity arguments — assigning further sites can only *lower*
 //! local potentials, so
 //!
@@ -30,12 +31,27 @@
 //! two-input tiles by a quarter to a third and of the half adder by
 //! 37 %, at the same cost per node.
 //!
+//! A forcing lookahead runs at every node. An undecided position `a`
+//! whose potential stays above `μ−` even with every undecided site
+//! negative, `V_a + P_a − rem_a > μ− + ε`, is negative in every
+//! population-stable completion (`P_a` is what the positions forced so
+//! far have taken off `V_a`, which `rem_a` counts as well). The search
+//! charges it at once and undoes the charge on backtracking through a
+//! trail, so the bound and the viability tests see its electron from
+//! this node on; a forced position whose potential drops below `μ−` is
+//! forced both ways and prunes the node, and when the walk reaches a
+//! forced position it only descends. Only a neutral decision raises an
+//! undecided position's `V − rem` (a negative one lowers `V` and `rem`
+//! alike), so the scan runs after neutral decisions and at the root.
+//!
 //! How far that leaves the search from `2^n` depends on the gate.
 //! Summed over every input pattern of a Figure 5 design at nominal
-//! parameters (`BENCH_sim.json`), the search expands 244 nodes for the
-//! Huff-style OR (4 patterns), 312,465 for INV (NW→SE) (2 patterns) and
-//! 32.0M for the half adder (4 patterns). CROSS needs about 106M nodes
-//! per pattern and stops at the 20M default cap on every one.
+//! parameters (`BENCH_sim.json`), the search expands 127 nodes for the
+//! Huff-style OR (4 patterns), 100,941 for INV (NW→SE) (2 patterns) and
+//! 10.2M for the half adder (4 patterns); without the lookahead it
+//! expanded 244, 312,465 and 32.0M. CROSS needs about 52M nodes per
+//! pattern (about 106M without the lookahead) and stops at the 20M
+//! default cap on every one.
 //!
 //! The per-node loops are compiled twice from one source: the macro
 //! `search_kernel!` stamps out a baseline instance of the recursive
@@ -278,11 +294,17 @@ fn solve_connected(
         /// position itself when unpaired.
         partner: &'a [usize],
         n: usize,
-        /// Per position: is the assigned site negative? (`false` from
-        /// `depth` on.)
+        /// Per position: is the site negative? Below `depth` that is
+        /// the assignment; from `depth` on it marks the forced positions.
         negative: Vec<bool>,
         /// Per position: the local potential.
         potentials: Vec<f64>,
+        /// Per position: how far the forced positions (undecided, but
+        /// charged already) have lowered its potential — the part of
+        /// `rem` that `potentials` holds already.
+        forced_drop: Vec<f64>,
+        /// The forced positions, in the order they were charged.
+        trail: Vec<usize>,
         energy: f64,
         num_negative: usize,
         best: Vec<SimulatedState>,
@@ -333,16 +355,28 @@ fn solve_connected(
                     return;
                 }
                 let row = &self.w[depth * self.n..][..self.n];
+                if self.negative[depth] {
+                    // Forced negative: its electron is applied already, so
+                    // the walk only descends, and the position leaves the
+                    // forced set `forced_drop` sums over.
+                    for (p, &w) in self.forced_drop.iter_mut().zip(row) {
+                        *p -= w;
+                    }
+                    self.$name(depth + 1);
+                    for (p, &w) in self.forced_drop.iter_mut().zip(row) {
+                        *p += w;
+                    }
+                    return;
+                }
                 // Branch 1: negative (viable only if the site's potential can
-                // stay above μ−, i.e. is above it right now).
+                // stay above μ−, i.e. is above it right now). The electron
+                // lowers every potential but leaves each `V − rem` alone, so
+                // only the negatives need a new look.
                 if self.potentials[depth] >= self.mu - EPS {
                     self.negative[depth] = true;
                     self.energy -= self.potentials[depth];
                     self.num_negative += 1;
-                    for (v, &w) in self.potentials.iter_mut().zip(row) {
-                        *v -= w;
-                    }
-                    if self.viable(depth + 1) {
+                    if self.charge_row(row) {
                         self.$name(depth + 1);
                     } else {
                         self.viability_prunes += 1;
@@ -355,10 +389,21 @@ fn solve_connected(
                     self.negative[depth] = false;
                 }
                 // Branch 2: neutral (viable only if remaining sites can still
-                // push the potential below μ−).
-                if self.potentials[depth] - self.rem[(depth + 1) * self.n + depth] <= self.mu + EPS {
-                    if self.viable(depth + 1) {
-                        self.$name(depth + 1);
+                // push the potential below μ−). Only this decision raises
+                // `V − rem`, so only it needs the neutrals checked and the
+                // forcing scan run.
+                if self.potentials[depth] + self.forced_drop[depth]
+                    - self.rem[(depth + 1) * self.n + depth]
+                    <= self.mu + EPS
+                {
+                    if self.neutrals_viable(depth + 1) {
+                        let mark = self.trail.len();
+                        if self.force(depth + 1) {
+                            self.$name(depth + 1);
+                        } else {
+                            self.viability_prunes += 1;
+                        }
+                        self.unforce(mark);
                     } else {
                         self.viability_prunes += 1;
                     }
@@ -380,11 +425,20 @@ fn solve_connected(
         #[inline(always)]
         fn free_energy_lower_bound(&self, depth: usize) -> f64 {
             let mut lb = self.energy + self.mu * self.num_negative as f64;
+            // A forced position is decided: its `g` is +∞, so it adds
+            // nothing and leaves its partner's term `min(0, g)`.
+            let g = |a: usize| {
+                if self.negative[a] {
+                    f64::INFINITY
+                } else {
+                    self.mu - self.potentials[a]
+                }
+            };
             for a in depth..self.n {
-                let ga = self.mu - self.potentials[a];
+                let ga = g(a);
                 let b = self.partner[a];
                 if b > a {
-                    let gb = self.mu - self.potentials[b];
+                    let gb = g(b);
                     let both = ga + gb + self.w[a * self.n + b];
                     lb += ga.min(gb).min(both).min(0.0);
                 } else if b == a || b < depth {
@@ -416,21 +470,105 @@ fn solve_connected(
             engine::insert_state(&mut self.best, state, self.k);
         }
 
-        /// Checks whether the partial assignment can still extend to a
-        /// population-stable configuration: no assigned negative below
-        /// `μ−`, no assigned neutral that cannot reach it.
+        /// Subtracts `row` from the potentials and checks that every
+        /// negative, assigned or forced, stays at or above `μ−`: the
+        /// potentials only fall from here, so one that is below can
+        /// never recover.
         #[inline(always)]
-        fn viable(&self, depth: usize) -> bool {
+        fn charge_row(&mut self, row: &[f64]) -> bool {
             const EPS: f64 = 1e-9;
-            let (lo, hi) = (self.mu - EPS, self.mu + EPS);
+            let lo = self.mu - EPS;
+            self.potentials
+                .iter_mut()
+                .zip(&self.negative)
+                .zip(row)
+                .fold(true, |ok, ((v, &neg), &w)| {
+                    *v -= w;
+                    ok & (!neg | (*v >= lo))
+                })
+        }
+
+        /// Checks that every assigned neutral in `..depth` can still
+        /// reach `μ−`: its lowest reachable potential, `V + P − rem`
+        /// with `P = forced_drop`, is at or below it. Adding `P` back
+        /// keeps the forced rows, which `V` holds already and `rem`
+        /// counts too, from being subtracted twice.
+        #[inline(always)]
+        fn neutrals_viable(&self, depth: usize) -> bool {
+            const EPS: f64 = 1e-9;
+            let hi = self.mu + EPS;
             let rem = &self.rem[depth * self.n..][..depth];
             self.potentials[..depth]
                 .iter()
                 .zip(&self.negative[..depth])
+                .zip(&self.forced_drop[..depth])
                 .zip(rem)
-                .fold(true, |ok, ((&v, &neg), &r)| {
-                    ok & if neg { v >= lo } else { v - r <= hi }
+                .fold(true, |ok, (((&v, &neg), &p), &r)| {
+                    ok & (neg | (v + p - r <= hi))
                 })
+        }
+
+        /// The forcing lookahead. An undecided position `a ≥ from` whose
+        /// lowest reachable potential stays above `μ−`, `V_a + P_a −
+        /// rem_a(from) > μ− + ε`, is negative in every population-stable
+        /// completion, so it is charged now and pushed on the trail.
+        /// Charging `a` lowers `V` and raises `P` by the same row, so one
+        /// pass finds every position the current node forces. Returns
+        /// whether every negative, assigned or forced, is still at or
+        /// above `μ−`; a forced one that is not is forced both ways.
+        #[inline(always)]
+        fn force(&mut self, from: usize) -> bool {
+            const EPS: f64 = 1e-9;
+            let hi = self.mu + EPS;
+            let rem = &self.rem[from * self.n..][..self.n];
+            let any = self.potentials[from..]
+                .iter()
+                .zip(&self.forced_drop[from..])
+                .zip(&self.negative[from..])
+                .zip(&rem[from..])
+                .fold(false, |any, (((&v, &p), &neg), &r)| {
+                    any | (!neg & (v + p - r > hi))
+                });
+            if !any {
+                return true;
+            }
+            let mut ok = true;
+            for (a, &r) in rem.iter().enumerate().skip(from) {
+                if self.negative[a] || self.potentials[a] + self.forced_drop[a] - r <= hi {
+                    continue;
+                }
+                let row = &self.w[a * self.n..][..self.n];
+                self.negative[a] = true;
+                self.energy -= self.potentials[a];
+                self.num_negative += 1;
+                self.trail.push(a);
+                for (p, &w) in self.forced_drop.iter_mut().zip(row) {
+                    *p += w;
+                }
+                ok &= self.charge_row(row);
+            }
+            ok
+        }
+
+        /// Undoes the forcing back to trail length `mark`, last first.
+        #[inline(always)]
+        fn unforce(&mut self, mark: usize) {
+            while self.trail.len() > mark {
+                let a = self.trail.pop().expect("trail longer than mark");
+                let row = &self.w[a * self.n..][..self.n];
+                for ((v, p), &w) in self
+                    .potentials
+                    .iter_mut()
+                    .zip(&mut self.forced_drop)
+                    .zip(row)
+                {
+                    *v += w;
+                    *p -= w;
+                }
+                self.num_negative -= 1;
+                self.energy += self.potentials[a];
+                self.negative[a] = false;
+            }
         }
 
         search_kernel!(fn recurse);
@@ -451,6 +589,8 @@ fn solve_connected(
             Some(ext) => order.iter().map(|&i| ext[i]).collect(),
             None => vec![0.0; n],
         },
+        forced_drop: vec![0.0; n],
+        trail: Vec::new(),
         energy: 0.0,
         num_negative: 0,
         best: Vec::new(),
@@ -469,16 +609,22 @@ fn solve_connected(
         free_energy: incumbent.free_energy(m),
         config: incumbent,
     });
-    match kernel {
-        Kernel::Baseline => search.recurse(0),
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => {
-            assert!(
-                std::arch::is_x86_feature_detected!("avx2"),
-                "the AVX2 kernel instance needs a CPU with AVX2"
-            );
-            // SAFETY: the CPU reports AVX2, checked just above.
-            unsafe { search.recurse_avx2(0) }
+    // The root's own forcing: positions whose potential stays above μ−
+    // with every other site negative.
+    if !search.force(0) {
+        search.viability_prunes += 1;
+    } else {
+        match kernel {
+            Kernel::Baseline => search.recurse(0),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => {
+                assert!(
+                    std::arch::is_x86_feature_detected!("avx2"),
+                    "the AVX2 kernel instance needs a CPU with AVX2"
+                );
+                // SAFETY: the CPU reports AVX2, checked just above.
+                unsafe { search.recurse_avx2(0) }
+            }
         }
     }
     let pruned = search.bound_prunes + search.viability_prunes;
@@ -798,6 +944,17 @@ mod tests {
             let (layout, m) = external_potential_layout(seed, &params);
             assert_instances_agree(&layout, &m, 3, &unbounded);
         }
+        // Under the 2 meV cutoff flow step 7 validates with, each
+        // cluster is searched on its own, as `low_energy_core` splits it;
+        // isolated dots there are forced at the root.
+        let cut = PhysicalParams::default().with_cutoff(0.002);
+        for layout in [
+            wire_pattern_layout(),
+            inverter_pattern_layout(),
+            with_isolated_dots(random_layout(7919, 8), 3),
+        ] {
+            assert_clusters_agree(&layout, &cut, 3, &unbounded);
+        }
         // A cap of a few hundred nodes stops the inverter search early,
         // so both instances must also stop at the same node.
         let layout = inverter_pattern_layout();
@@ -808,37 +965,68 @@ mod tests {
         assert_eq!(result.stats.visited, 300);
     }
 
+    /// [`assert_instances_agree`] on each connected cluster of `layout`
+    /// under `params`, split the way `low_energy_core` splits it.
+    fn assert_clusters_agree(
+        layout: &SidbLayout,
+        params: &PhysicalParams,
+        k: usize,
+        budget: &StepBudget,
+    ) {
+        let m = InteractionMatrix::new(layout, params);
+        for component in connected_components(&m) {
+            let sub = SidbLayout::from_sites(component.iter().map(|&i| layout.sites()[i]));
+            let sub_m = InteractionMatrix::new(&sub, params);
+            assert_instances_agree(&sub, &sub_m, k, budget);
+        }
+    }
+
     #[test]
-    #[ignore = "every Figure 5 pattern on both instances: about 40 s in release"]
+    #[ignore = "every Figure 5 pattern on both instances, both models: about a minute in release"]
     fn kernel_instances_agree_on_every_figure5_pattern() {
         // The default step cap, as in `bench_sim`: CROSS stops at it on
-        // every pattern.
-        let sim = SimParams::new(PhysicalParams::default());
-        for design in bestagon_lib::tiles::figure5_designs() {
-            for pattern in 0..design.num_patterns() {
-                let sites = design.layout_for_pattern(pattern).sites().to_vec();
-                let layout = SidbLayout::from_sites(sites);
-                let m = InteractionMatrix::new(&layout, &sim.physical);
-                assert_instances_agree(&layout, &m, sim.k, &sim.budget);
+        // every pattern, under the full model and under the 2 meV cutoff
+        // flow step 7 validates with.
+        let cut = PhysicalParams::default().with_cutoff(0.002);
+        for physical in [PhysicalParams::default(), cut] {
+            let sim = SimParams::new(physical);
+            for design in bestagon_lib::tiles::figure5_designs() {
+                for pattern in 0..design.num_patterns() {
+                    let sites = design.layout_for_pattern(pattern).sites().to_vec();
+                    let layout = SidbLayout::from_sites(sites);
+                    assert_clusters_agree(&layout, &sim.physical, sim.k, &sim.budget);
+                }
             }
         }
     }
 
     #[test]
     fn agrees_with_gray_code_sweep_on_random_layouts() {
-        let params = PhysicalParams::default();
-        for seed in 1..12u64 {
-            let layout = random_layout(seed * 7919, 8);
-            let slow = exhaustive_low_energy(&layout, &params, 3);
-            let fast = quick_exact_low_energy(&layout, &params, 3);
-            assert_eq!(slow.len(), fast.len(), "seed {seed}");
-            for (a, b) in slow.iter().zip(&fast) {
-                assert!(
-                    (a.free_energy - b.free_energy).abs() < 1e-9,
-                    "seed {seed}: {} vs {}",
-                    a.free_energy,
-                    b.free_energy
-                );
+        // Random 8-site layouts, and random 7-site clusters beside three
+        // isolated dots, which the forcing lookahead charges at the root.
+        // Under the 2 meV cutoff each dot is a one-site cluster of its
+        // own, forced at that search's root. Every state of the spectrum
+        // must be the exhaustive sweep's, at k = 1 and k = 3.
+        let cut = PhysicalParams::default().with_cutoff(0.002);
+        for params in [PhysicalParams::default(), cut] {
+            for seed in 1..12u64 {
+                let isolated = with_isolated_dots(random_layout(seed * 7919, 7), 3);
+                for layout in [random_layout(seed * 7919, 8), isolated] {
+                    for k in [1, 3] {
+                        let slow = exhaustive_low_energy(&layout, &params, k);
+                        let fast = quick_exact_low_energy(&layout, &params, k);
+                        assert_eq!(slow.len(), fast.len(), "seed {seed}, k {k}");
+                        for (a, b) in slow.iter().zip(&fast) {
+                            assert_eq!(a.config, b.config, "seed {seed}, k {k}");
+                            assert!(
+                                (a.free_energy - b.free_energy).abs() < 1e-9,
+                                "seed {seed}, k {k}: {} vs {}",
+                                a.free_energy,
+                                b.free_energy
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -871,6 +1059,28 @@ mod tests {
             }
         }
         assert!(multi_state > 0, "no seed exercises k > 1");
+    }
+
+    /// `layout` with `count` dots added far from it and from each
+    /// other: no completion can leave such a dot neutral, so the
+    /// forcing lookahead charges it at the root.
+    fn with_isolated_dots(mut layout: SidbLayout, count: i32) -> SidbLayout {
+        for i in 0..count {
+            layout.add_site((100 + 60 * i, 40 * (i % 2), 0));
+        }
+        layout
+    }
+
+    #[test]
+    fn isolated_dots_are_forced_at_the_root() {
+        // Four isolated dots: the root scan charges all of them, so the
+        // search only descends through the forced positions to its one
+        // leaf: one node per depth, nothing pruned, no branching.
+        let layout = with_isolated_dots(SidbLayout::new(), 4);
+        let result = simulate_with(&layout, &SimParams::new(PhysicalParams::default()));
+        assert_eq!((result.stats.visited, result.stats.pruned), (5, 0));
+        assert_eq!(result.states.len(), 1);
+        assert!((0..4).all(|i| result.states[0].config.state(i) == ChargeState::Negative));
     }
 
     #[test]
@@ -953,7 +1163,7 @@ mod tests {
         let layout = wire_pattern_layout();
         let result = simulate_with(&layout, &SimParams::new(PhysicalParams::default()));
         assert!(!result.truncated);
-        assert_eq!((result.stats.visited, result.stats.pruned), (900, 251));
+        assert_eq!((result.stats.visited, result.stats.pruned), (407, 128));
     }
 
     /// Figure 5 INV (NW→SE) under input pattern 0, perturbers included.
@@ -1000,14 +1210,15 @@ mod tests {
     fn inverter_pattern_search_is_pinned() {
         // Figure 5 INV (NW→SE) under input pattern 0, perturbers
         // included. Unlike the straight wire above, this search is one
-        // the pair bound cuts by about a third, so a change to the bound
-        // or to the search order fails here.
+        // the pair bound cuts by about a third and the forcing lookahead
+        // by two thirds more, so a change to the bound, the forcing or
+        // the search order fails here.
         let layout = inverter_pattern_layout();
         let result = simulate_with(&layout, &SimParams::new(PhysicalParams::default()));
         assert!(!result.truncated);
         assert_eq!(
             (result.stats.visited, result.stats.pruned),
-            (163_086, 73_611)
+            (53_409, 25_273)
         );
     }
 

@@ -6,8 +6,9 @@
 use bestagon_lib::geometry::validation_params;
 use bestagon_lib::tiles::{
     double_wire, fanout_nw, gate_catalog, huff_style_or, inverter_nw_se, inverter_nw_sw,
-    two_input_gate, wire_nw_se, wire_nw_sw,
+    two_input_gate, wire_nw_se, wire_nw_sw, BestagonLibrary,
 };
+use fcn_coords::{HexDirection, LatticeCoord};
 use fcn_logic::GateKind;
 use sidb_sim::operational::{GateDesign, OperationalStatus};
 use sidb_sim::stability::{logic_stability, worst_case_gap_ev};
@@ -163,4 +164,124 @@ fn operational_gates_agree_with_their_truth_tables_under_annealing() {
             report.status
         );
     }
+}
+
+/// A library entry's key: function, input ports, output ports.
+type TileKey = (GateKind, Vec<HexDirection>, Vec<HexDirection>);
+
+/// Every mirrored library entry, as (original key, mirrored key): the
+/// library builds each mirrored design by reflecting the original
+/// about the tile's centre column.
+fn mirrored_entries() -> Vec<(TileKey, TileKey)> {
+    use HexDirection::{NorthEast as NE, NorthWest as NW, SouthEast as SE, SouthWest as SW};
+    let mut entries = vec![
+        (
+            (GateKind::Buf, vec![NW], vec![SW]),
+            (GateKind::Buf, vec![NE], vec![SE]),
+        ),
+        (
+            (GateKind::Buf, vec![NW], vec![SE]),
+            (GateKind::Buf, vec![NE], vec![SW]),
+        ),
+        (
+            (GateKind::Inv, vec![NW], vec![SW]),
+            (GateKind::Inv, vec![NE], vec![SE]),
+        ),
+        (
+            (GateKind::Inv, vec![NW], vec![SE]),
+            (GateKind::Inv, vec![NE], vec![SW]),
+        ),
+        (
+            (GateKind::Fanout, vec![NW], vec![SW, SE]),
+            (GateKind::Fanout, vec![NE], vec![SE, SW]),
+        ),
+        (
+            (GateKind::HalfAdder, vec![NW, NE], vec![SW, SE]),
+            (GateKind::HalfAdder, vec![NW, NE], vec![SE, SW]),
+        ),
+    ];
+    for (kind, ..) in gate_catalog() {
+        entries.push((
+            (kind, vec![NW, NE], vec![SE]),
+            (kind, vec![NW, NE], vec![SW]),
+        ));
+    }
+    entries
+}
+
+/// Asserts that the mirrored entry `mirror` of `original` gets the
+/// original's verdict under the full model and under the step-7 cutoff,
+/// and that under the full model every input pattern's ground state is
+/// the mirror image of the original's.
+fn assert_mirror_matches(original: &GateDesign, mirror: &GateDesign) {
+    for physical in [PhysicalParams::default(), validation_params()] {
+        let sim = SimParams::new(physical).with_engine(SimEngine::QuickExact);
+        assert_eq!(
+            original.check_operational_with(&sim).status,
+            mirror.check_operational_with(&sim).status,
+            "{} vs {} at {physical:?}",
+            original.name,
+            mirror.name
+        );
+    }
+    let sim = SimParams::new(PhysicalParams::default()).with_engine(SimEngine::QuickExact);
+    assert_eq!(original.num_patterns(), mirror.num_patterns());
+    for pattern in 0..original.num_patterns() {
+        let (a, b) = (
+            original.layout_for_pattern(pattern),
+            mirror.layout_for_pattern(pattern),
+        );
+        assert_eq!(a.num_sites(), b.num_sites());
+        // Reflection about column `axis` maps x to `2·axis − x`, so the
+        // leftmost original dot lands on the rightmost mirrored one.
+        let min_x = a.sites().iter().map(|s| s.x).min().expect("sites");
+        let max_x = b.sites().iter().map(|s| s.x).max().expect("sites");
+        let reflect = |s: LatticeCoord| LatticeCoord::new(min_x + max_x - s.x, s.y, s.b);
+        let (ga, gb) = (
+            sidb_sim::simulate_with(&a, &sim),
+            sidb_sim::simulate_with(&b, &sim),
+        );
+        assert!(
+            !ga.truncated && !gb.truncated,
+            "{} p{pattern}",
+            original.name
+        );
+        let (ga, gb) = (&ga.states[0].config, &gb.states[0].config);
+        for (i, &site) in a.sites().iter().enumerate() {
+            let j = b
+                .index_of(reflect(site))
+                .unwrap_or_else(|| panic!("{}: no mirror of {site:?}", mirror.name));
+            assert_eq!(
+                ga.state(i),
+                gb.state(j),
+                "{} p{pattern}: dot {site:?} and its mirror differ",
+                mirror.name
+            );
+        }
+    }
+}
+
+/// Checks every mirrored entry whose original `keep` selects.
+fn check_mirrored_entries(keep: impl Fn(&TileKey) -> bool) {
+    let lib = BestagonLibrary::new();
+    let tile = |(kind, inputs, outputs): &TileKey| {
+        lib.tile(*kind, inputs, outputs)
+            .unwrap_or_else(|| panic!("no {kind:?} {inputs:?}→{outputs:?} tile"))
+    };
+    for (original, mirror) in mirrored_entries().iter().filter(|(o, _)| keep(o)) {
+        assert_mirror_matches(tile(original), tile(mirror));
+    }
+}
+
+#[test]
+fn mirrored_wires_inverters_and_fanout_match_their_originals() {
+    check_mirrored_entries(|(kind, ..)| {
+        matches!(kind, GateKind::Buf | GateKind::Inv | GateKind::Fanout)
+    });
+}
+
+#[test]
+#[ignore = "the half adder and the two-input gates: about 10 s in release"]
+fn every_mirrored_entry_matches_its_original() {
+    check_mirrored_entries(|_| true);
 }

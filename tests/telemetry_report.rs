@@ -264,17 +264,18 @@ fn traced_parallel_flow_covers_multiple_worker_threads() {
     let _guard = env_lock();
     let path = std::env::temp_dir().join(format!("bestagon-trace-{}.json", std::process::id()));
     std::env::set_var("TELEMETRY_TRACE", &path);
-    // t's exact scan commits two aspect-ratio probes (5x7 UNSAT, 5x8
-    // SAT) that run side by side on two workers. Each takes about 10 ms
-    // in a release build and 50 ms in a debug one, longer than a
-    // scheduler time slice, so the second worker starts before the first
-    // could take both; with sub-millisecond probes (par_check's) one
-    // worker sometimes ran every probe on a loaded machine.
-    let b = benchmark("t");
-    let options = FlowOptions::new().with_pnr(PnrMethod::ExactWithFallback { max_area: 40 });
-    let result = with_width(4, || run("t", &b.xag, &options));
+    // majority_5_r1's exact scan commits three aspect-ratio probes (5x14,
+    // 5x15, 5x16). The first one alone takes 20–50 ms in a release build
+    // and about 300 ms in a debug one, orders of magnitude longer than
+    // the pool takes to start its other workers, so a second worker has
+    // taken the next probe long before the first finishes. A circuit whose
+    // committed probes finish in a millisecond or two (t's, par_check's)
+    // lets one worker run them all whenever the others start late.
+    let b = benchmark("majority_5_r1");
+    let options = FlowOptions::new().with_pnr(PnrMethod::ExactWithFallback { max_area: 120 });
+    let result = with_width(4, || run("majority_5_r1", &b.xag, &options));
     std::env::remove_var("TELEMETRY_TRACE");
-    let report = result.expect("t flows end to end").report;
+    let report = result.expect("majority_5_r1 flows end to end").report;
     let _ = std::fs::remove_file(&path);
 
     assert!(!report.events.is_empty(), "tracing was enabled");
