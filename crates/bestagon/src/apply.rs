@@ -8,6 +8,7 @@
 
 use crate::geometry::{check_port_geometry, GeometryError};
 use crate::tiles::BestagonLibrary;
+use crate::verdicts::content_hash;
 use fcn_coords::siqad::{bestagon_layout_area_nm2, hex_tile_origin};
 use fcn_coords::{HexCoord, HexDirection};
 use fcn_layout::hexagonal::HexGateLayout;
@@ -104,12 +105,12 @@ pub fn apply_gate_library(
 }
 
 /// The distinct library designs a layout instantiates, in first-use
-/// order (deduplicated by design name).
+/// order (deduplicated by [`content_hash`], so a gate and its mirrored
+/// variant, which share a name, are two designs).
 ///
 /// This is the validation work-list for flow step 7: each returned
-/// design carries its ports and truth table, so the flow can re-check
-/// exactly the tiles a circuit uses — once per design, not per tile —
-/// with the simulation engine.
+/// design carries its ports and truth table, so the flow can judge
+/// exactly the tiles a circuit uses — once per design, not per tile.
 ///
 /// # Errors
 ///
@@ -124,7 +125,7 @@ pub fn used_designs(
     let mut designs = Vec::new();
     for (coord, contents) in layout.occupied_tiles() {
         for design in tile_designs(library, coord, contents)? {
-            if seen.insert(design.name.clone()) {
+            if seen.insert(content_hash(&design)) {
                 designs.push(design);
             }
         }
@@ -274,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn used_designs_deduplicates_by_name() {
+    fn used_designs_deduplicates_by_content() {
         let layout = pi_wire_po_layout();
         let lib = BestagonLibrary::new();
         let designs = used_designs(&layout, &lib).expect("library covers wires");
@@ -287,6 +288,22 @@ mod tests {
         for d in &designs {
             assert!(!d.truth_table.is_empty(), "{} carries its table", d.name);
         }
+    }
+
+    #[test]
+    fn used_designs_keeps_a_gate_and_its_same_named_mirror() {
+        use HexDirection::{NorthEast as NE, NorthWest as NW, SouthEast as SE, SouthWest as SW};
+        let mut l = HexGateLayout::new(AspectRatio::new(2, 1), ClockingScheme::Row);
+        for (x, out) in [(0, SE), (1, SW)] {
+            l.place(
+                HexCoord::new(x, 0),
+                TileContents::gate(GateKind::And, vec![NW, NE], vec![out], None),
+            );
+        }
+        let designs = used_designs(&l, &BestagonLibrary::new()).expect("AND both ways");
+        assert_eq!(designs.len(), 2);
+        assert!(designs.iter().all(|d| d.name == "AND"));
+        assert_ne!(designs[0].body, designs[1].body);
     }
 
     #[test]

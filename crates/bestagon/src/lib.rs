@@ -27,7 +27,9 @@
 //!   the paper's RL agent,
 //! * [`apply`] — gate-library application: turning a placed & routed
 //!   [`fcn_layout::hexagonal::HexGateLayout`] into one dot-accurate SiDB layout,
-//! * [`sqd`] — SiQAD design-file export.
+//! * [`sqd`] — SiQAD design-file export,
+//! * [`verdicts`] — the committed nominal verdict of every library
+//!   design, which flow step 7 reads instead of re-simulating.
 
 pub mod apply;
 pub mod designer;
@@ -35,3 +37,4 @@ pub mod geometry;
 pub mod sqd;
 pub mod svg;
 pub mod tiles;
+pub mod verdicts;

@@ -536,6 +536,19 @@ impl BestagonLibrary {
     pub(crate) fn crossing_design(&self) -> GateDesign {
         crossing()
     }
+
+    /// Every design the library places: each entry, mirrored ones
+    /// included, in tile-key order, then the crossing — the rows of the
+    /// nominal verdict table ([`crate::verdicts`]).
+    pub fn designs(&self) -> Vec<GateDesign> {
+        let mut entries: Vec<_> = self.tiles.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        entries
+            .into_iter()
+            .map(|(_, design)| design.clone())
+            .chain(std::iter::once(self.crossing_design()))
+            .collect()
+    }
 }
 
 impl Default for BestagonLibrary {
@@ -823,8 +836,7 @@ mod tests {
 
     #[test]
     fn tile_dots_stay_within_the_tile() {
-        let lib = BestagonLibrary::new();
-        for design in lib.tiles.values() {
+        for design in BestagonLibrary::new().designs() {
             let bb = design.body.bounding_box().expect("non-empty tile");
             assert!(bb.0 .0 >= 0 && bb.1 .0 < TILE_WIDTH, "{}", design.name);
             assert!(bb.0 .1 >= 0 && bb.1 .1 <= 22, "{}", design.name);
@@ -841,10 +853,9 @@ mod tests {
 
     #[test]
     fn library_port_geometry_is_well_formed() {
-        let lib = BestagonLibrary::new();
-        for design in lib.tiles.values() {
-            check_port_geometry(design).unwrap_or_else(|e| panic!("design '{}': {e}", design.name));
+        for design in BestagonLibrary::new().designs() {
+            check_port_geometry(&design)
+                .unwrap_or_else(|e| panic!("design '{}': {e}", design.name));
         }
-        check_port_geometry(&lib.crossing_design()).expect("crossing design");
     }
 }

@@ -25,13 +25,14 @@ use fcn_logic::verilog::{parse_verilog, ParseVerilogError};
 use fcn_pnr::{exact_pnr, heuristic_pnr, ExactOptions, NetGraph, PnrError};
 use sidb_sim::operational::OperationalStatus;
 
+pub use bestagon_lib::verdicts::Fnv64;
 pub use fcn_budget::{Deadline, FlowBudget};
 
 /// Telemetry snapshot of one flow run (alias of [`fcn_telemetry::Report`]).
 pub(crate) type FlowReport = fcn_telemetry::Report;
 
 /// Local-potential perturbation (eV) above which a defect compromises a
-/// tile. Matches the validation simulation's interaction cutoff
+/// tile. Matches the interaction cutoff of the defect scan's model
 /// ([`bestagon_lib::geometry::validation_params`]): a defect below it is
 /// indistinguishable from truncation noise the gates already tolerate.
 const DEFECT_THRESHOLD_EV: f64 = 2e-3;
@@ -139,17 +140,24 @@ pub struct FlowOptions {
     pub(crate) verify: bool,
     /// Apply the Bestagon library for a dot-accurate layout (step 7).
     pub(crate) apply_library: bool,
-    /// Physically re-validate the distinct library designs the layout
-    /// instantiates (step 7): each design's truth table is checked with
-    /// the cached exact simulation engine under the default step cap
-    /// ([`sidb_sim::engine::DEFAULT_MAX_STEPS`]) and the flow's deadline.
+    /// Judge the distinct library designs the layout instantiates
+    /// (step 7) under the paper's full model
+    /// ([`bestagon_lib::verdicts::nominal_sim`]: QuickExact, no
+    /// interaction cutoff, the default step cap
+    /// [`sidb_sim::engine::DEFAULT_MAX_STEPS`]) and the flow's deadline.
+    /// Each verdict comes from the library's committed nominal verdict
+    /// table ([`bestagon_lib::verdicts`]) when the design has a row, and
+    /// from the cached exact simulation otherwise (or when the
+    /// `bestagon.verdicts` fault point makes the table absent).
     /// The step-7 span of [`FlowResult::report`] counts `tiles.failing`
     /// and, apart from them, `tiles.unknown` (designs the cap or the
     /// deadline cut short; a deadline cut is also a
     /// [`DegradeTrigger::Deadline`] degradation), each with a note
-    /// naming the tiles, next to the `sidb.*` counters (configurations
-    /// visited/pruned, cache hits). Off by default — the library ships
-    /// pre-validated; turn it on to audit a deployment's tiles.
+    /// naming the tiles, `tiles.from_table` (verdicts the table
+    /// answered), and the `sidb.*` counters of the designs it simulated
+    /// (configurations visited/pruned, cache hits). Off by default — the
+    /// library ships pre-validated; turn it on to audit a deployment's
+    /// tiles.
     pub(crate) tile_validation: bool,
     /// Wall-clock deadline and per-stage resource budgets. The default
     /// reads the `FLOW_*` environment variables
@@ -587,41 +595,6 @@ impl FlowRequest {
     }
 }
 
-/// 64-bit FNV-1a — a fixed algorithm (unlike `DefaultHasher`), so
-/// request fingerprints and benchmark hashes are comparable across runs
-/// and Rust releases.
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv64 {
-    /// The hash of no bytes (the FNV-1a offset basis).
-    #[must_use]
-    pub fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Feeds `bytes` into the hash.
-    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self
-    }
-
-    /// The hash of every byte fed so far.
-    #[must_use]
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Runs one flow stage inside its telemetry span with panic isolation: a
 /// panic — organic, or injected at the stage's fault point (the span
 /// name doubles as the injection point) — is caught at the boundary and
@@ -706,15 +679,15 @@ fn run_instrumented(
     })
 }
 
-/// Step 7's simulation parameters: QuickExact under the default step
-/// cap and the flow's `deadline`, so a deadline that expires mid-design
-/// cuts the running simulation and the design reports `Unknown`. A run
-/// under a deadline reads `cache` but stores only finished searches
-/// (see [`sidb_sim::cache`]); without one, validation is exactly the
-/// cached, step-capped run.
+/// Step 7's simulation parameters: the nominal verdict table's search
+/// ([`bestagon_lib::verdicts::nominal_sim`]: QuickExact under the full
+/// model and the default step cap) plus the flow's `deadline`, so a
+/// deadline that expires mid-design cuts the running simulation and the
+/// design reports `Unknown`. A run under a deadline reads `cache` but
+/// stores only finished searches (see [`sidb_sim::cache`]); neither the
+/// deadline nor the cache keeps the table from answering.
 fn validation_sim(deadline: Deadline, cache: Option<sidb_sim::SimCache>) -> sidb_sim::SimParams {
-    let mut sim = sidb_sim::SimParams::new(bestagon_lib::geometry::validation_params())
-        .with_engine(sidb_sim::SimEngine::QuickExact);
+    let mut sim = bestagon_lib::verdicts::nominal_sim();
     sim.budget = sim.budget.with_deadline(deadline);
     if let Some(cache) = cache {
         sim = sim.with_cache(cache);
@@ -1028,8 +1001,8 @@ fn run_flow_steps(name: &str, xag: &Xag, options: &FlowOptions) -> Result<FlowRe
         Ok(plan)
     })?;
 
-    // Step 7: gate-library application (and optional physical
-    // re-validation of the distinct tile designs the layout uses).
+    // Step 7: gate-library application (and optional judgement of the
+    // distinct tile designs the layout uses).
     let cell = stage("step7:apply", |_| {
         if !options.apply_library {
             return Ok(None);
@@ -1078,10 +1051,20 @@ fn run_flow_steps(name: &str, xag: &Xag, options: &FlowOptions) -> Result<FlowRe
                     .or_else(sidb_sim::SimCache::from_env);
                 let sim = validation_sim(budget.deadline, cache);
                 let mut validated = 0u64;
+                let mut from_table = 0u64;
                 let mut failing: Vec<String> = Vec::new();
                 let mut unknown: Vec<String> = Vec::new();
                 for design in &designs {
-                    match design.check_operational_with(&sim).status {
+                    // The committed table answers for library designs;
+                    // anything it does not cover is simulated.
+                    let status = match bestagon_lib::verdicts::lookup(design, &sim) {
+                        Some(row) => {
+                            from_table += 1;
+                            row.verdict.status()
+                        }
+                        None => design.check_operational_with(&sim).status,
+                    };
+                    match status {
                         OperationalStatus::Operational => {}
                         OperationalStatus::NonOperational { .. } => {
                             failing.push(design.name.clone());
@@ -1111,6 +1094,7 @@ fn run_flow_steps(name: &str, xag: &Xag, options: &FlowOptions) -> Result<FlowRe
                     }
                 }
                 fcn_telemetry::counter("tiles.validated", validated);
+                fcn_telemetry::counter("tiles.from_table", from_table);
                 for (name, tiles) in [("tiles.failing", &failing), ("tiles.unknown", &unknown)] {
                     if !tiles.is_empty() {
                         fcn_telemetry::counter(name, tiles.len() as u64);
@@ -1250,24 +1234,55 @@ mod tests {
         assert_eq!(with.gates_before_rewrite, without.gates_before_rewrite);
     }
 
-    #[test]
-    fn tile_validation_reports_simulation_counters() {
+    /// xor2's flow with tile validation, heuristic P&R.
+    fn validated_xor2() -> FlowResult {
         let b = benchmark("xor2");
-        let r = run(
+        run(
             "xor2",
             &b.xag,
             FlowOptions::new()
                 .with_pnr(PnrMethod::Heuristic)
                 .with_tile_validation(),
         )
-        .expect("flow succeeds");
+        .expect("flow succeeds")
+    }
+
+    #[test]
+    fn tile_validation_reports_simulation_counters() {
+        // With the verdict table made absent, every verdict is simulated.
+        let plan = Arc::new(fault::FaultPlan::single(
+            "bestagon.verdicts",
+            Fault::Exhaust,
+        ));
+        let scope = fault::install(plan.clone());
+        let r = validated_xor2();
+        drop(scope);
+        assert!(plan.hits("bestagon.verdicts") > 0);
         assert!(r.degradations.is_empty());
         let apply = r.report.root.child("step7:apply").expect("apply stage");
         assert!(*apply.counters.get("tiles.validated").unwrap_or(&0) > 0);
+        assert_eq!(apply.counters.get("tiles.from_table"), Some(&0));
         // The XOR tile is a known-non-operational design (EXPERIMENTS.md,
         // Figure 5); validation reports it honestly rather than hiding it.
         assert!(*apply.counters.get("tiles.failing").unwrap_or(&0) >= 1);
         assert!(r.report.counter_total("sidb.visited") > 0);
+    }
+
+    #[test]
+    fn tile_validation_reads_the_nominal_verdict_table() {
+        let r = validated_xor2();
+        assert!(r.degradations.is_empty());
+        let apply = r.report.root.child("step7:apply").expect("apply stage");
+        let validated = *apply.counters.get("tiles.validated").unwrap_or(&0);
+        assert!(validated > 0);
+        // Every design xor2 uses is a library design: the table answers
+        // them all, and step 7 simulates nothing.
+        assert_eq!(apply.counters.get("tiles.from_table"), Some(&validated));
+        assert_eq!(apply.counters.get("sidb.visited").copied().unwrap_or(0), 0);
+        assert_eq!(
+            apply.notes.get("tiles.failing").map(String::as_str),
+            Some("XOR")
+        );
     }
 
     #[test]

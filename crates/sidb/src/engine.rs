@@ -150,6 +150,15 @@ impl SimParams {
         self.cache = Some(cache);
         self
     }
+
+    /// Whether `self` and `other` run the same search on every layout:
+    /// the same physical model, engine, `k` and step cap — what the
+    /// cache keys on. The deadline and the cache do not count.
+    pub fn same_search(&self, other: &SimParams) -> bool {
+        let none = SidbLayout::new();
+        crate::cache::SimKey::for_simulation(&none, self)
+            == crate::cache::SimKey::for_simulation(&none, other)
+    }
 }
 
 impl Default for SimParams {
@@ -916,6 +925,24 @@ mod tests {
             l.add_site((0, 4 * p + 1, 0));
         }
         l
+    }
+
+    #[test]
+    fn same_search_ignores_deadline_and_cache_only() {
+        let base = SimParams::new(PhysicalParams::default());
+        let tuned = base
+            .clone()
+            .with_cache(SimCache::new())
+            .with_budget(base.budget.with_deadline(fcn_budget::Deadline::after_ms(5)));
+        assert!(base.same_search(&tuned));
+        for other in [
+            SimParams::new(PhysicalParams::default().with_mu_minus(-0.28)),
+            base.clone().with_k(2),
+            base.clone().with_engine(SimEngine::Exhaustive),
+            base.clone().with_budget(StepBudget::unbounded()),
+        ] {
+            assert!(!base.same_search(&other), "{other:?}");
+        }
     }
 
     #[test]

@@ -944,7 +944,7 @@ mod tests {
             let (layout, m) = external_potential_layout(seed, &params);
             assert_instances_agree(&layout, &m, 3, &unbounded);
         }
-        // Under the 2 meV cutoff flow step 7 validates with, each
+        // Under the 2 meV cutoff of `validation_params()`, each
         // cluster is searched on its own, as `low_energy_core` splits it;
         // isolated dots there are forced at the root.
         let cut = PhysicalParams::default().with_cutoff(0.002);

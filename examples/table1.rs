@@ -25,10 +25,12 @@
 //! is recorded in the JSON under the historical key `pnr_threads`, so
 //! committed baselines stay comparable.
 //!
-//! Step 7 additionally re-validates the distinct tile designs each
-//! layout uses with the cached exact simulation engine, so every
-//! report in the JSON carries the `sidb.*` counters (configurations
-//! visited/pruned, cache hits). `SIM_CACHE=0` disables the cache.
+//! Step 7 additionally judges the distinct tile designs each layout
+//! uses under the paper's full model. Library designs are answered by
+//! the committed nominal verdict table (`tiles.from_table`); anything
+//! else runs the cached exact simulation engine and adds the `sidb.*`
+//! counters (configurations visited/pruned, cache hits) to the report.
+//! `SIM_CACHE=0` disables the cache.
 
 use bestagon_core::benchmarks::{benchmark, benchmark_names};
 use bestagon_core::flow::{FlowOptions, FlowRequest, Fnv64, PnrMethod};

@@ -8,6 +8,7 @@ use bestagon_lib::tiles::{
     double_wire, fanout_nw, gate_catalog, huff_style_or, inverter_nw_se, inverter_nw_sw,
     two_input_gate, wire_nw_se, wire_nw_sw, BestagonLibrary,
 };
+use bestagon_lib::verdicts::{content_hash, lookup, nominal_sim, NOMINAL_VERDICTS};
 use fcn_coords::{HexDirection, LatticeCoord};
 use fcn_logic::GateKind;
 use sidb_sim::operational::{GateDesign, OperationalStatus};
@@ -91,8 +92,9 @@ fn validation_stops_at_the_deciding_pattern() {
 
 #[test]
 fn validation_cutoff_rejects_tiles_the_full_model_accepts() {
-    // Flow step 7 validates under `validation_params()`, whose 2 meV
-    // interaction cutoff drops couplings these tiles need. Under the full
+    // `validation_params()` (the defect scan's model) adds a 2 meV
+    // interaction cutoff that drops couplings these tiles need, which is
+    // why flow step 7 judges under the full model instead. Under the full
     // model (`PhysicalParams::default()`) every one of them is operational
     // (pinned above); under the cutoff each fails at the pattern listed.
     let sim = SimParams::new(validation_params()).with_engine(SimEngine::QuickExact);
@@ -210,7 +212,7 @@ fn mirrored_entries() -> Vec<(TileKey, TileKey)> {
 }
 
 /// Asserts that the mirrored entry `mirror` of `original` gets the
-/// original's verdict under the full model and under the step-7 cutoff,
+/// original's verdict under the full model and under the 2 meV cutoff,
 /// and that under the full model every input pattern's ground state is
 /// the mirror image of the original's.
 fn assert_mirror_matches(original: &GateDesign, mirror: &GateDesign) {
@@ -284,4 +286,133 @@ fn mirrored_wires_inverters_and_fanout_match_their_originals() {
 #[ignore = "the half adder and the two-input gates: about 10 s in release"]
 fn every_mirrored_entry_matches_its_original() {
     check_mirrored_entries(|_| true);
+}
+
+/// The rows a fresh simulation gives the library: name, content hash,
+/// verdict and visited nodes, in `BestagonLibrary::designs` order.
+type Row = (String, u64, OperationalStatus, u64);
+
+/// The nominal verdict table as committed.
+fn committed_rows() -> Vec<Row> {
+    NOMINAL_VERDICTS
+        .iter()
+        .map(|r| (r.name.to_owned(), r.hash, r.verdict.status(), r.visited))
+        .collect()
+}
+
+/// `crates/bestagon/src/verdicts/table.rs` for `rows`, formatted as
+/// rustfmt leaves it.
+fn render_table(rows: &[Row]) -> String {
+    let group = |digits: String, width: usize| -> String {
+        let chunks: Vec<String> = digits
+            .as_bytes()
+            .rchunks(width)
+            .rev()
+            .map(|c| String::from_utf8_lossy(c).into_owned())
+            .collect();
+        chunks.join("_")
+    };
+    let mut out = String::from(
+        "//! The nominal verdict rows (see the parent module), generated: when a\n\
+         //! library design changes, `cargo test --release --test\n\
+         //! library_validation nominal_verdicts -- --include-ignored` prints this\n\
+         //! file's replacement.\n\
+         \n\
+         use super::{NominalVerdict, Verdict};\n\
+         \n\
+         /// One row per library design, in `BestagonLibrary::designs` order.\n\
+         pub static NOMINAL_VERDICTS: &[NominalVerdict] = &[\n",
+    );
+    for (name, hash, status, visited) in rows {
+        let verdict = match status {
+            OperationalStatus::Operational => "Verdict::Operational".to_owned(),
+            OperationalStatus::Unknown { pattern } => {
+                format!("Verdict::Unknown {{ pattern: {pattern} }}")
+            }
+            OperationalStatus::NonOperational {
+                pattern,
+                observed,
+                expected,
+            } => format!(
+                "Verdict::NonOperational {{\n            pattern: {pattern},\n            \
+                 observed: &{observed:?},\n            expected: &{expected:?},\n        }}"
+            ),
+        };
+        out += &format!(
+            "    NominalVerdict {{\n        name: {name:?},\n        hash: 0x{},\n        \
+             verdict: {verdict},\n        visited: {},\n    }},\n",
+            group(format!("{hash:016x}"), 4),
+            group(visited.to_string(), 3),
+        );
+    }
+    out + "];\n"
+}
+
+#[test]
+fn nominal_verdict_table_covers_every_library_design() {
+    let designs = BestagonLibrary::new().designs();
+    let rows = committed_rows();
+    assert_eq!(
+        rows.len(),
+        designs.len(),
+        "one row per library design; regenerate the table (see its module docs)"
+    );
+    for (design, (name, hash, ..)) in designs.iter().zip(&rows) {
+        assert_eq!(
+            (&design.name, content_hash(design)),
+            (name, *hash),
+            "{} changed since the nominal verdict table was generated: regenerate it",
+            design.name
+        );
+        assert!(lookup(design, &nominal_sim()).is_some(), "{}", design.name);
+        // Moving any single dot by one column leaves the table.
+        for (i, &site) in design.body.sites().iter().enumerate() {
+            let mut moved = design.clone();
+            moved.body = sidb_sim::layout::SidbLayout::from_sites(
+                design.body.sites().iter().enumerate().map(|(j, &s)| {
+                    if i == j {
+                        LatticeCoord::new(s.x + 1, s.y, s.b)
+                    } else {
+                        s
+                    }
+                }),
+            );
+            assert!(
+                lookup(&moved, &nominal_sim()).is_none(),
+                "{}: moving {site:?} kept a table row",
+                design.name
+            );
+        }
+    }
+}
+
+#[test]
+#[ignore = "simulates every library design under the full model: about 3 s in release"]
+fn nominal_verdicts_match_a_full_recompute() {
+    let sim = nominal_sim();
+    let fresh: Vec<Row> = BestagonLibrary::new()
+        .designs()
+        .iter()
+        .map(|design| {
+            let report = design.check_operational_with(&sim);
+            (
+                design.name.clone(),
+                content_hash(design),
+                report.status,
+                report.stats.visited,
+            )
+        })
+        .collect();
+    if fresh != committed_rows() {
+        println!("{}", render_table(&fresh));
+        panic!(
+            "the nominal verdict table is stale: replace \
+             crates/bestagon/src/verdicts/table.rs with the text printed above"
+        );
+    }
+    // The committed file is exactly what the generator writes.
+    assert_eq!(
+        render_table(&fresh),
+        include_str!("../crates/bestagon/src/verdicts/table.rs")
+    );
 }

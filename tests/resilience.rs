@@ -352,6 +352,53 @@ fn injected_cache_fault_degrades_to_recompute() {
     assert_eq!(fourth.stats.visited, 0);
 }
 
+/// A broken verdict table behaves as absent: step 7 simulates every
+/// design xor2 uses and reaches the table's verdicts, names and counts.
+#[test]
+fn injected_verdict_table_fault_simulates_the_same_verdicts() {
+    use bestagon_lib::apply::used_designs;
+    use bestagon_lib::tiles::BestagonLibrary;
+    use bestagon_lib::verdicts::{lookup, nominal_sim};
+
+    let b = benchmark("xor2");
+    let options = unbounded()
+        .with_pnr(PnrMethod::Heuristic)
+        .with_tile_validation();
+    let table = run("xor2", &b.xag, &options).expect("flow");
+    let plan = Arc::new(FaultPlan::single("bestagon.verdicts", Fault::Panic));
+    let scope = install(plan.clone());
+    let simulated = run("xor2", &b.xag, &options).expect("a broken table is not an error");
+    drop(scope);
+    assert!(
+        plan.hits("bestagon.verdicts") > 0,
+        "fault point was reached"
+    );
+
+    let step7 = |r: &FlowResult| r.report.root.child("step7:apply").cloned().expect("step 7");
+    let (a, s) = (step7(&table), step7(&simulated));
+    for key in ["tiles.validated", "tiles.failing", "tiles.unknown"] {
+        assert_eq!(a.counters.get(key), s.counters.get(key), "{key}");
+    }
+    assert_eq!(a.notes, s.notes);
+    assert_eq!(
+        a.counters.get("tiles.from_table"),
+        a.counters.get("tiles.validated")
+    );
+    assert_eq!(s.counters.get("tiles.from_table"), Some(&0));
+    assert!(s.counters.get("sidb.visited").copied().unwrap_or(0) > 0);
+
+    // Design by design: the row's verdict and node count are what the
+    // simulation gives.
+    let designs = used_designs(&table.layout, &BestagonLibrary::new()).expect("designs");
+    assert!(designs.len() >= 3, "xor2 uses wires, a fan-out and XOR");
+    for design in &designs {
+        let row = lookup(design, &nominal_sim()).expect("a library design");
+        let report = design.check_operational_with(&nominal_sim());
+        assert_eq!(row.verdict.status(), report.status, "{}", design.name);
+        assert_eq!(row.visited, report.stats.visited, "{}", design.name);
+    }
+}
+
 /// Heuristic-only flows ignore the SAT probe budgets entirely.
 #[test]
 fn heuristic_flow_is_unaffected_by_probe_budgets() {
@@ -674,11 +721,17 @@ fn injected_opdomain_point_exhaust_skips_honestly() {
 #[test]
 fn deadline_during_tile_validation_cuts_the_simulation() {
     use bestagon_lib::apply::used_designs;
-    use bestagon_lib::geometry::validation_params;
     use bestagon_lib::tiles::BestagonLibrary;
+    use bestagon_lib::verdicts::nominal_sim;
     use sidb_sim::operational::OperationalStatus;
     use std::time::{Duration, Instant};
 
+    // The nominal verdict table answers step 7 at once; with it absent,
+    // step 7 simulates, which is the path a deadline must cut.
+    let _scope = install(Arc::new(FaultPlan::single(
+        "bestagon.verdicts",
+        Fault::Exhaust,
+    )));
     let b = benchmark("mux21");
     let started = Instant::now();
     run("mux21", &b.xag, &unbounded()).expect("flow");
@@ -726,20 +779,22 @@ fn deadline_during_tile_validation_cuts_the_simulation() {
         );
         // Every design reported failing read wrong under a complete
         // simulation, so a validation without a deadline agrees.
+        // (A gate and its mirror share a name, so every used design of
+        // that name must fail.)
         let designs = used_designs(&r.layout, &BestagonLibrary::new()).expect("designs");
-        let sim = sidb_sim::SimParams::new(validation_params());
+        let sim = nominal_sim();
         for name in names("tiles.failing") {
-            let design = designs
-                .iter()
-                .find(|d| d.name == name)
-                .expect("a used design");
-            assert!(
-                matches!(
-                    design.check_operational_with(&sim).status,
-                    OperationalStatus::NonOperational { .. }
-                ),
-                "{name} was reported failing"
-            );
+            let named: Vec<_> = designs.iter().filter(|d| d.name == name).collect();
+            assert!(!named.is_empty(), "{name} is a used design");
+            for design in named {
+                assert!(
+                    matches!(
+                        design.check_operational_with(&sim).status,
+                        OperationalStatus::NonOperational { .. }
+                    ),
+                    "{name} was reported failing"
+                );
+            }
         }
         return;
     }

@@ -120,16 +120,22 @@ fn env_lock() -> std::sync::MutexGuard<'static, ()> {
 
 #[test]
 fn flow_report_carries_work_histograms() {
-    let b = benchmark("c17");
+    use fcn_budget::fault::{install, Fault, FaultPlan};
+    let b = benchmark("xor2");
     let options = FlowOptions::new()
         .with_pnr(PnrMethod::ExactWithFallback { max_area: 40 })
         .with_tile_validation();
-    let report = run("c17", &b.xag, &options)
-        .expect("c17 flows end to end")
+    // With the nominal verdict table made absent, step 7 simulates every
+    // distinct tile design xor2 uses (no crossing, so no capped search).
+    let plan = Arc::new(FaultPlan::single("bestagon.verdicts", Fault::Exhaust));
+    let scope = install(plan);
+    let report = run("xor2", &b.xag, &options)
+        .expect("xor2 flows end to end")
         .report;
+    drop(scope);
 
-    // Step 7 re-validates every distinct tile design, so the report must
-    // carry a per-simulation visited-states distribution…
+    // … so the report must carry a per-simulation visited-states
+    // distribution…
     let visited = report.histogram_total("sidb.visited");
     assert!(!visited.is_empty(), "tile validation records sidb.visited");
     assert!(visited.p50() <= visited.p90());
