@@ -106,7 +106,7 @@ pub fn apply_gate_library(
 
 /// The distinct library designs a layout instantiates, in first-use
 /// order (deduplicated by [`content_hash`], so a gate and its mirrored
-/// variant, which share a name, are two designs).
+/// variant are two designs).
 ///
 /// This is the validation work-list for flow step 7: each returned
 /// design carries its ports and truth table, so the flow can judge
@@ -291,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn used_designs_keeps_a_gate_and_its_same_named_mirror() {
+    fn used_designs_keeps_a_gate_and_its_mirror() {
         use HexDirection::{NorthEast as NE, NorthWest as NW, SouthEast as SE, SouthWest as SW};
         let mut l = HexGateLayout::new(AspectRatio::new(2, 1), ClockingScheme::Row);
         for (x, out) in [(0, SE), (1, SW)] {
@@ -301,8 +301,8 @@ mod tests {
             );
         }
         let designs = used_designs(&l, &BestagonLibrary::new()).expect("AND both ways");
-        assert_eq!(designs.len(), 2);
-        assert!(designs.iter().all(|d| d.name == "AND"));
+        let names: Vec<&str> = designs.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, ["AND", "AND (NW+NE→SW)"]);
         assert_ne!(designs[0].body, designs[1].body);
     }
 

@@ -459,14 +459,20 @@ impl BestagonLibrary {
             vec![NW, NE],
             vec![SW, SE],
             &half_adder(),
-            "HALF ADDER",
+            "HALF ADDER (NW+NE→SE+SW)",
         );
 
         // Two-input gates (NW+NE in; SE out designed, SW out mirrored).
         for (kind, name, table, frame) in gate_catalog() {
             let design = two_input_gate(name, &frame, table);
             lib.insert(kind, vec![NW, NE], vec![SE], design.clone());
-            lib.insert_mirrored(kind, vec![NW, NE], vec![SE], &design, name);
+            lib.insert_mirrored(
+                kind,
+                vec![NW, NE],
+                vec![SE],
+                &design,
+                &format!("{name} (NW+NE→SW)"),
+            );
         }
         lib
     }
@@ -849,6 +855,17 @@ mod tests {
             let twice = mirror_design(&mirror_design(&d, "m"), "mm");
             assert_eq!(twice.body, d.body, "{}", d.name);
         }
+    }
+
+    #[test]
+    fn library_design_names_are_unique() {
+        let designs = BestagonLibrary::new().designs();
+        let mut names: Vec<&str> = designs.iter().map(|d| d.name.as_str()).collect();
+        names.sort_unstable();
+        for pair in names.windows(2) {
+            assert_ne!(pair[0], pair[1], "two library designs share a name");
+        }
+        assert_eq!(names.len(), 25);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub static NOMINAL_VERDICTS: &[NominalVerdict] = &[
         visited: 935_793,
     },
     NominalVerdict {
-        name: "AND",
+        name: "AND (NW+NE→SW)",
         hash: 0x355f_dc98_b738_8319,
         verdict: Verdict::Operational,
         visited: 922_458,
@@ -78,7 +78,7 @@ pub static NOMINAL_VERDICTS: &[NominalVerdict] = &[
         visited: 2_569_179,
     },
     NominalVerdict {
-        name: "NAND",
+        name: "NAND (NW+NE→SW)",
         hash: 0xcab1_2694_450b_3fe7,
         verdict: Verdict::NonOperational {
             pattern: 3,
@@ -94,7 +94,7 @@ pub static NOMINAL_VERDICTS: &[NominalVerdict] = &[
         visited: 1_412_064,
     },
     NominalVerdict {
-        name: "OR",
+        name: "OR (NW+NE→SW)",
         hash: 0x2a76_a724_39cc_bfaa,
         verdict: Verdict::Operational,
         visited: 1_384_261,
@@ -106,7 +106,7 @@ pub static NOMINAL_VERDICTS: &[NominalVerdict] = &[
         visited: 709_752,
     },
     NominalVerdict {
-        name: "NOR",
+        name: "NOR (NW+NE→SW)",
         hash: 0x2185_6b15_ca07_e41b,
         verdict: Verdict::Operational,
         visited: 697_528,
@@ -122,7 +122,7 @@ pub static NOMINAL_VERDICTS: &[NominalVerdict] = &[
         visited: 349_597,
     },
     NominalVerdict {
-        name: "XOR",
+        name: "XOR (NW+NE→SW)",
         hash: 0x6ab3_5011_bd73_864f,
         verdict: Verdict::NonOperational {
             pattern: 0,
@@ -142,7 +142,7 @@ pub static NOMINAL_VERDICTS: &[NominalVerdict] = &[
         visited: 315_018,
     },
     NominalVerdict {
-        name: "XNOR",
+        name: "XNOR (NW+NE→SW)",
         hash: 0x8bfe_362e_8e15_3480,
         verdict: Verdict::NonOperational {
             pattern: 0,
@@ -164,7 +164,7 @@ pub static NOMINAL_VERDICTS: &[NominalVerdict] = &[
         visited: 224_478,
     },
     NominalVerdict {
-        name: "HALF ADDER",
+        name: "HALF ADDER (NW+NE→SE+SW)",
         hash: 0xba7e_d577_bf98_bf39,
         verdict: Verdict::NonOperational {
             pattern: 0,

@@ -1281,7 +1281,7 @@ mod tests {
         assert_eq!(apply.counters.get("sidb.visited").copied().unwrap_or(0), 0);
         assert_eq!(
             apply.notes.get("tiles.failing").map(String::as_str),
-            Some("XOR")
+            Some("XOR (NW+NE→SW)")
         );
     }
 

@@ -31,17 +31,25 @@
 //!   says nothing about its neighbours: once a sweep meets one, it
 //!   infers nothing more and simulates every remaining point, inferred
 //!   ones included. Per-point checks run in
-//!   refute-fast mode (stop at the first truth-table refutation), so
-//!   points deep in the non-operational region cost a single pattern
-//!   simulation. Each sample records its provenance
+//!   refute-fast mode (stop at the first truth-table refutation), led
+//!   by the pattern that refuted the nearest point simulated as
+//!   non-operational in an earlier wave (Manhattan distance in
+//!   grid-index space, ties to the lower grid index): that pattern is
+//!   simulated first, and a completed search that reads wrong decides
+//!   the point alone. Points deep in the non-operational region thus
+//!   cost a single pattern simulation even when they fail only on a
+//!   later pattern. The lead changes a verdict in one case only: when
+//!   a lower-numbered pattern's search would be truncated, the lead's
+//!   proven refutation is reported where the dense sweep reports
+//!   `Unknown`. Each sample records its provenance
 //!   ([`DomainSample::provenance`]), so the saving is honest: inferred
 //!   points are labelled, never passed off as simulated.
 //!
 //! Refinement proceeds in waves; each wave is dispatched over the
 //! ordered executor in grid-index order, and every scheduling decision
-//! is a pure function of previously simulated verdicts — the sampled
-//! domain is therefore bit-identical at any `THREADS` width. Deadlines
-//! ([`DomainParams::with_budget`]) are honored between waves: an
+//! and lead is a pure function of previously simulated verdicts — the
+//! sampled domain is therefore bit-identical at any `THREADS` width.
+//! Deadlines ([`DomainParams::with_budget`]) are honored between waves: an
 //! expired budget stops the sweep, marks the remaining points
 //! [`SampleStatus::Unknown`], and records an honest
 //! [`DomainDegradation`] instead of silently returning a partial map as
@@ -124,8 +132,9 @@ pub enum DomainStrategy {
     /// legacy behavior and the validation reference for A/B runs.
     Dense,
     /// Boundary-following bisection with interior inference and
-    /// refute-fast per-point checks (see the module docs). Same
-    /// per-point verdicts, a fraction of the simulations.
+    /// refute-fast per-point checks led by the nearest refuting
+    /// pattern (see the module docs). Same per-point verdicts (but for
+    /// the one documented budget case), a fraction of the simulations.
     Adaptive,
 }
 
@@ -439,15 +448,13 @@ impl GateDesign {
         let mut sweep = Sweep {
             design: self,
             sim: params.sim.clone(),
-            mode: match strategy {
-                DomainStrategy::Dense => CheckMode::Full,
-                DomainStrategy::Adaptive => CheckMode::RefuteFast,
-            },
+            strategy,
             grid: params.grid,
             eps: DomainGrid::axis(params.grid.epsilon_r, n),
             lam: DomainGrid::axis(params.grid.lambda_tf_nm, n),
             budget: params.budget,
             decided: vec![None; n * n],
+            refuter: vec![None; n * n],
             stats: DomainStats::default(),
             degradation: None,
         };
@@ -519,6 +526,20 @@ fn check_point_unchecked(
     PointOutcome::Checked(design.check_with_mode(&point_sim, mode, None))
 }
 
+/// The lead pattern of grid point `idx` on an `n`-step grid: the
+/// pattern that refuted the nearest point in `refuter` (Manhattan
+/// distance in grid-index space, ties to the lower grid index), or
+/// `None` when no point has been refuted yet.
+fn lead_pattern(refuter: &[Option<u32>], n: usize, idx: usize) -> Option<u32> {
+    let (e, l) = (idx / n, idx % n);
+    refuter
+        .iter()
+        .enumerate()
+        .filter_map(|(j, p)| p.map(|p| (e.abs_diff(j / n) + l.abs_diff(j % n), j, p)))
+        .min()
+        .map(|(_, _, p)| p)
+}
+
 /// An index rectangle of the grid, refined by bisection.
 struct Cell {
     e0: usize,
@@ -541,7 +562,7 @@ enum CellAction {
 struct Sweep<'a> {
     design: &'a GateDesign,
     sim: SimParams,
-    mode: CheckMode,
+    strategy: DomainStrategy,
     grid: DomainGrid,
     eps: Vec<f64>,
     lam: Vec<f64>,
@@ -549,6 +570,9 @@ struct Sweep<'a> {
     /// Per grid point: the decided status and provenance, `None` while
     /// undecided.
     decided: Vec<Option<(SampleStatus, Provenance)>>,
+    /// Per grid point simulated as non-operational: the input pattern
+    /// that refuted it.
+    refuter: Vec<Option<u32>>,
     stats: DomainStats,
     degradation: Option<DomainDegradation>,
 }
@@ -592,20 +616,31 @@ impl Sweep<'_> {
     }
 
     /// Dispatches one wave of point simulations over the worker pool
-    /// (grid-index order) and records the outcomes.
+    /// (grid-index order) and records the outcomes. Each point's check
+    /// mode is fixed on the coordinator before dispatch, from earlier
+    /// waves' verdicts only: the full check for a dense sweep,
+    /// refute-fast led by [`lead_pattern`] for an adaptive one.
     fn run_wave(&mut self, points: &[usize]) {
         if points.is_empty() {
             return;
         }
         let n = self.n();
+        let modes: Vec<CheckMode> = points
+            .iter()
+            .map(|&idx| match self.strategy {
+                DomainStrategy::Dense => CheckMode::Full,
+                DomainStrategy::Adaptive => CheckMode::RefuteFast {
+                    lead: lead_pattern(&self.refuter, n, idx),
+                },
+            })
+            .collect();
         let design = self.design;
         let sim = &self.sim;
-        let mode = self.mode;
         let eps = &self.eps;
         let lam = &self.lam;
         let run = engine::run_units(points.len(), |i| {
             let idx = points[i];
-            check_point(design, sim, mode, eps[idx / n], lam[idx % n])
+            check_point(design, sim, modes[i], eps[idx / n], lam[idx % n])
         });
         fcn_telemetry::histogram("opdomain.round_points", points.len() as u64);
         self.stats.rounds += 1;
@@ -621,7 +656,7 @@ impl Sweep<'_> {
                     check_point_unchecked(
                         self.design,
                         &self.sim,
-                        self.mode,
+                        modes[i],
                         self.eps[idx / n],
                         self.lam[idx % n],
                     )
@@ -635,7 +670,10 @@ impl Sweep<'_> {
                     self.stats.simulated += 1;
                     let status = match outcome.report.status {
                         OperationalStatus::Operational => SampleStatus::Operational,
-                        OperationalStatus::NonOperational { .. } => SampleStatus::NonOperational,
+                        OperationalStatus::NonOperational { pattern, .. } => {
+                            self.refuter[idx] = Some(pattern);
+                            SampleStatus::NonOperational
+                        }
                         OperationalStatus::Unknown { .. } => SampleStatus::Unknown,
                     };
                     self.decided[idx] = Some((status, Provenance::Simulated));
@@ -935,6 +973,24 @@ mod tests {
             DomainGrid { steps: 0, ..grid }.nearest_index(5.0, 5.0),
             None
         );
+    }
+
+    #[test]
+    fn the_lead_is_the_nearest_refuters_pattern() {
+        // 3×3 grid, point 0 refuted by pattern 0 and point 8 by
+        // pattern 1.
+        let mut refuter = vec![None; 9];
+        assert_eq!(lead_pattern(&refuter, 3, 4), None);
+        refuter[0] = Some(0);
+        refuter[8] = Some(1);
+        assert_eq!(lead_pattern(&refuter, 3, 5), Some(1));
+        assert_eq!(lead_pattern(&refuter, 3, 1), Some(0));
+        // The centre is two steps from both: the lower index wins.
+        assert_eq!(lead_pattern(&refuter, 3, 4), Some(0));
+        // Distance is Manhattan in index space, not row-major offset:
+        // point 2 is (0, 2), two steps from point 0 and two from 8.
+        assert_eq!(lead_pattern(&refuter, 3, 2), Some(0));
+        assert_eq!(lead_pattern(&refuter, 3, 7), Some(1));
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! `CheckMode`). The *refute-fast* mode, behind the public checks,
 //! evaluates patterns serially in pattern order and stops at the
 //! deciding pattern: nothing simulated after it could change the
-//! verdict. The *full* mode simulates every pattern, fanned out across
+//! verdict. The adaptive operational-domain sweep gives it a *lead*
+//! pattern to simulate first, whose completed refutation decides
+//! alone. The *full* mode simulates every pattern, fanned out across
 //! the engine's worker pool; only the dense operational-domain sweep
 //! uses it, as the reference the adaptive sweep is measured against.
 //! Either way verdicts *and* work counters are identical at any thread
@@ -63,8 +65,22 @@ pub(crate) enum CheckMode {
     /// Evaluate patterns serially in pattern order and stop at the
     /// deciding pattern. Same verdict, strictly less work on designs
     /// that are not operational — the mode behind
-    /// [`GateDesign::check_operational_with`] and the adaptive sweep.
-    RefuteFast,
+    /// [`GateDesign::check_operational_with`] (with no lead) and the
+    /// adaptive sweep.
+    ///
+    /// A `lead` pattern is simulated first. If its search completes and
+    /// reads wrong, it decides the verdict alone
+    /// ([`OperationalStatus::NonOperational`] at the lead, one pattern
+    /// simulated); otherwise the remaining patterns run in pattern order
+    /// and the fold decides, reusing the lead's evaluation at its own
+    /// position. The verdict equals the lead-free one except when a
+    /// lower-numbered pattern's search would be truncated: then the
+    /// lead's completed refutation is reported where the pattern-order
+    /// fold reports [`OperationalStatus::Unknown`].
+    RefuteFast {
+        /// The pattern to simulate first, if any.
+        lead: Option<u32>,
+    },
 }
 
 /// A verdict together with how many patterns were actually simulated
@@ -259,7 +275,7 @@ impl GateDesign {
     pub fn check_operational_on(&self, sim: &SimParams, surface: &DefectMap) -> OperationalReport {
         let surface = (!surface.is_empty()).then_some(surface);
         let report = self
-            .check_with_mode(sim, CheckMode::RefuteFast, surface)
+            .check_with_mode(sim, CheckMode::RefuteFast { lead: None }, surface)
             .report;
         engine::emit_stats(&report.stats);
         report
@@ -288,39 +304,68 @@ impl GateDesign {
                 // in them share the executor's width, which never
                 // changes any per-pattern arithmetic.
                 let run = engine::run_units(self.num_patterns() as usize, |p| evaluate(p as u32));
-                let mut outcome = self.fold(run.results, mode);
+                let mut outcome = self.fold((0u32..).zip(run.results), false);
                 outcome.report.stats.recovered += run.recovered;
                 outcome
             }
-            CheckMode::RefuteFast => self.fold((0..self.num_patterns()).map(evaluate), mode),
+            CheckMode::RefuteFast { lead } => {
+                let mut first = lead.map(|p| (p, evaluate(p)));
+                if let Some((p, eval)) = &first {
+                    if eval.evaluated && !self.reads_correctly(*p, eval) {
+                        // A completed refutation decides on its own.
+                        return self.fold(first, true);
+                    }
+                }
+                let evals = (0..self.num_patterns()).map(|p| {
+                    first
+                        .take_if(|(l, _)| *l == p)
+                        .unwrap_or_else(|| (p, evaluate(p)))
+                });
+                let mut outcome = self.fold(evals, true);
+                // The fold stopped before the lead's position: its
+                // simulation still counts.
+                if let Some((_, eval)) = first {
+                    outcome.patterns_simulated += 1;
+                    outcome.report.stats.merge(&eval.stats);
+                }
+                outcome
+            }
         }
     }
 
-    /// The verdict fold over pattern evaluations in pattern order: the
-    /// first pattern that does not read correctly decides the verdict
-    /// (`Unknown` when its search was truncated). Refute-fast mode stops
-    /// consuming `evals` there.
-    fn fold(&self, evals: impl IntoIterator<Item = PatternEval>, mode: CheckMode) -> CheckOutcome {
+    /// Whether a pattern's evaluation completed and decodes to the
+    /// truth table's row.
+    fn reads_correctly(&self, pattern: u32, eval: &PatternEval) -> bool {
+        let expected = &self.truth_table[pattern as usize];
+        eval.evaluated
+            && eval.outputs.len() == expected.len()
+            && eval
+                .outputs
+                .iter()
+                .zip(expected)
+                .all(|(obs, exp)| *obs == Some(*exp))
+    }
+
+    /// The verdict fold over `(pattern, evaluation)` pairs in the order
+    /// given (pattern order, or a lone lead): the first pattern that
+    /// does not read correctly decides the verdict (`Unknown` when its
+    /// search was truncated). With `stop_at_decider` (refute-fast mode)
+    /// it stops consuming `evals` there.
+    fn fold(
+        &self,
+        evals: impl IntoIterator<Item = (u32, PatternEval)>,
+        stop_at_decider: bool,
+    ) -> CheckOutcome {
         let mut stats = SimStats::default();
         let mut patterns_simulated = 0u32;
         let mut status = OperationalStatus::Operational;
-        for (pattern, eval) in (0u32..).zip(evals) {
+        for (pattern, eval) in evals {
             patterns_simulated += 1;
             stats.merge(&eval.stats);
-            if !status.is_operational() {
+            if !status.is_operational() || self.reads_correctly(pattern, &eval) {
                 continue;
             }
             let expected = &self.truth_table[pattern as usize];
-            let reads_correctly = eval.evaluated
-                && eval.outputs.len() == expected.len()
-                && eval
-                    .outputs
-                    .iter()
-                    .zip(expected)
-                    .all(|(obs, exp)| *obs == Some(*exp));
-            if reads_correctly {
-                continue;
-            }
             status = if eval.evaluated {
                 OperationalStatus::NonOperational {
                     pattern,
@@ -330,7 +375,7 @@ impl GateDesign {
             } else {
                 OperationalStatus::Unknown { pattern }
             };
-            if mode == CheckMode::RefuteFast {
+            if stop_at_decider {
                 break;
             }
         }
@@ -423,7 +468,11 @@ mod tests {
     fn verdicts_and_stats_are_thread_invariant() {
         let d = wire_design();
         let base = SimParams::new(PhysicalParams::default());
-        for mode in [CheckMode::Full, CheckMode::RefuteFast] {
+        for mode in [
+            CheckMode::Full,
+            CheckMode::RefuteFast { lead: None },
+            lead(1),
+        ] {
             let one = with_width(1, || d.check_with_mode(&base, mode, None));
             let four = with_width(4, || d.check_with_mode(&base, mode, None));
             assert_eq!(one, four, "{mode:?}");
@@ -483,7 +532,7 @@ mod tests {
         // search, not one per pattern.
         assert_eq!(report.stats.truncated, 1);
         let full = d.check_with_mode(&sim, CheckMode::Full, None);
-        let fast = d.check_with_mode(&sim, CheckMode::RefuteFast, None);
+        let fast = d.check_with_mode(&sim, CheckMode::RefuteFast { lead: None }, None);
         assert_eq!(full.report.status, fast.report.status);
         assert_eq!(full.patterns_simulated, d.num_patterns());
         assert_eq!(fast.patterns_simulated, 1);
@@ -502,7 +551,7 @@ mod tests {
         let d = wire_design();
         let sim = SimParams::new(PhysicalParams::default());
         let full = d.check_with_mode(&sim, CheckMode::Full, None);
-        let fast = d.check_with_mode(&sim, CheckMode::RefuteFast, None);
+        let fast = d.check_with_mode(&sim, CheckMode::RefuteFast { lead: None }, None);
         assert_eq!(full.report.status, fast.report.status);
         assert!(fast.report.status == OperationalStatus::Operational);
         // No refutation exists, so refute-fast must simulate everything.
@@ -519,7 +568,7 @@ mod tests {
         d.truth_table = vec![vec![true], vec![false]];
         let sim = SimParams::new(PhysicalParams::default());
         let full = d.check_with_mode(&sim, CheckMode::Full, None);
-        let fast = d.check_with_mode(&sim, CheckMode::RefuteFast, None);
+        let fast = d.check_with_mode(&sim, CheckMode::RefuteFast { lead: None }, None);
         assert_eq!(full.report.status, fast.report.status);
         assert!(matches!(
             fast.report.status,
@@ -528,5 +577,113 @@ mod tests {
         assert_eq!(full.patterns_simulated, d.num_patterns());
         assert_eq!(fast.patterns_simulated, 1);
         assert!(fast.report.stats.visited < full.report.stats.visited);
+    }
+
+    fn lead(pattern: u32) -> CheckMode {
+        CheckMode::RefuteFast {
+            lead: Some(pattern),
+        }
+    }
+
+    #[test]
+    fn a_refuting_lead_decides_after_one_simulation() {
+        // Pattern 0 reads correctly and pattern 1 does not: led by
+        // pattern 1, the check simulates it alone and reports it.
+        let mut d = wire_design();
+        d.truth_table = vec![vec![false], vec![false]];
+        let sim = SimParams::new(PhysicalParams::default());
+        let plain = d.check_with_mode(&sim, CheckMode::RefuteFast { lead: None }, None);
+        let led = d.check_with_mode(&sim, lead(1), None);
+        assert_eq!(led.report.status, plain.report.status);
+        assert!(matches!(
+            led.report.status,
+            OperationalStatus::NonOperational { pattern: 1, .. }
+        ));
+        assert_eq!(led.patterns_simulated, 1);
+        assert_eq!(plain.patterns_simulated, 2);
+        assert!(led.report.stats.visited < plain.report.stats.visited);
+        // A refuting lead is reported even when a lower pattern also
+        // refutes.
+        d.truth_table = vec![vec![true], vec![false]];
+        let led = d.check_with_mode(&sim, lead(1), None);
+        assert!(matches!(
+            led.report.status,
+            OperationalStatus::NonOperational { pattern: 1, .. }
+        ));
+        assert_eq!(led.patterns_simulated, 1);
+    }
+
+    #[test]
+    fn a_correct_lead_gives_the_lead_free_verdict() {
+        let sim = SimParams::new(PhysicalParams::default());
+        // Operational: both patterns run once, the lead's evaluation
+        // reused at its own position.
+        let d = wire_design();
+        let plain = d.check_with_mode(&sim, CheckMode::RefuteFast { lead: None }, None);
+        let led = d.check_with_mode(&sim, lead(1), None);
+        assert_eq!(led, plain);
+        // Refuted at pattern 0 after a correct lead: the same verdict,
+        // and the lead's simulation still counts.
+        let mut d = wire_design();
+        d.truth_table = vec![vec![true], vec![true]];
+        let plain = d.check_with_mode(&sim, CheckMode::RefuteFast { lead: None }, None);
+        let led = d.check_with_mode(&sim, lead(1), None);
+        assert_eq!(led.report.status, plain.report.status);
+        assert!(matches!(
+            led.report.status,
+            OperationalStatus::NonOperational { pattern: 0, .. }
+        ));
+        assert_eq!(plain.patterns_simulated, 1);
+        assert_eq!(led.patterns_simulated, 2);
+        assert_eq!(
+            led.report.stats.visited,
+            d.check_with_mode(&sim, CheckMode::Full, None)
+                .report
+                .stats
+                .visited
+        );
+    }
+
+    #[test]
+    fn a_truncated_lead_falls_through_to_the_pattern_order_fold() {
+        use fcn_budget::StepBudget;
+        let mut d = wire_design();
+        d.truth_table = vec![vec![true], vec![false]];
+        let sim = SimParams::new(PhysicalParams::default())
+            .with_budget(StepBudget::unbounded().with_max_steps(2));
+        let led = d.check_with_mode(&sim, lead(1), None);
+        assert_eq!(led.report.status, OperationalStatus::Unknown { pattern: 0 });
+        assert_eq!(led.patterns_simulated, 2);
+        assert_eq!(led.report.stats.truncated, 2);
+    }
+
+    #[test]
+    fn a_completed_lead_refutes_where_a_lower_pattern_is_truncated() {
+        use fcn_budget::StepBudget;
+        // Swapped perturbers: pattern 0's search takes 20 nodes and
+        // pattern 1's 15, and pattern 1 reads wrong. At a 15-node cap
+        // the pattern-order fold stops at the truncated pattern 0
+        // (`Unknown`); led by pattern 1, the check reports its proven
+        // refutation instead — the one verdict a lead can change.
+        let mut d = wire_design();
+        let port = &mut d.inputs[0];
+        std::mem::swap(&mut port.perturber_zero, &mut port.perturber_one);
+        d.truth_table = vec![vec![true], vec![true]];
+        let sim = SimParams::new(PhysicalParams::default())
+            .with_budget(StepBudget::unbounded().with_max_steps(15));
+        let full = d.check_with_mode(&sim, CheckMode::Full, None);
+        let plain = d.check_with_mode(&sim, CheckMode::RefuteFast { lead: None }, None);
+        let led = d.check_with_mode(&sim, lead(1), None);
+        assert_eq!(
+            full.report.status,
+            OperationalStatus::Unknown { pattern: 0 }
+        );
+        assert_eq!(plain.report.status, full.report.status);
+        assert!(matches!(
+            led.report.status,
+            OperationalStatus::NonOperational { pattern: 1, .. }
+        ));
+        assert_eq!(led.patterns_simulated, 1);
+        assert_eq!(led.report.stats.truncated, 0);
     }
 }

@@ -6,7 +6,7 @@
 //! The full-grid sweeps are `#[ignore]`d for debug runs; CI exercises
 //! them in the release legs with `--include-ignored`.
 
-use bestagon_lib::tiles::{huff_style_or, inverter_nw_sw, wire_nw_sw};
+use bestagon_lib::tiles::{huff_style_or, inverter_nw_se, inverter_nw_sw, wire_nw_se, wire_nw_sw};
 use fcn_budget::exec::with_width;
 use sidb_sim::opdomain::{DomainGrid, DomainParams, DomainStrategy, Provenance};
 use sidb_sim::operational::GateDesign;
@@ -151,4 +151,23 @@ fn samples_are_provenance_honest() {
     assert_eq!(simulated, adaptive.stats.simulated);
     assert_eq!(inferred, adaptive.stats.inferred);
     assert!(inferred > 0);
+}
+
+/// The adaptive sweep's pattern simulations on the four wire and
+/// inverter tiles of the benchmark's sweep workload. Each point's check
+/// starts with the pattern that refuted its nearest non-operational
+/// neighbour, so the NW→SE tiles, many of whose points fail on pattern
+/// 1 only, skip most of those points' pattern-0 simulations (57 and 61
+/// patterns in pattern order).
+#[test]
+fn adaptive_pattern_sims_of_the_sweep_tiles_are_pinned() {
+    for (design, pattern_sims) in [
+        (wire_nw_sw(), 52),
+        (inverter_nw_sw(), 66),
+        (wire_nw_se(), 45),
+        (inverter_nw_se(), 43),
+    ] {
+        let domain = design.operational_domain(&params(7));
+        assert_eq!(domain.stats.pattern_sims, pattern_sims, "{}", design.name);
+    }
 }

@@ -779,8 +779,6 @@ fn deadline_during_tile_validation_cuts_the_simulation() {
         );
         // Every design reported failing read wrong under a complete
         // simulation, so a validation without a deadline agrees.
-        // (A gate and its mirror share a name, so every used design of
-        // that name must fail.)
         let designs = used_designs(&r.layout, &BestagonLibrary::new()).expect("designs");
         let sim = nominal_sim();
         for name in names("tiles.failing") {
