@@ -20,8 +20,12 @@
 //! `bench_diff` gates them strictly; an msat change that alters the
 //! search, decision for decision, fails there. The scans run at width 1
 //! (whatever `THREADS` says), so `seconds` and `propagations_per_s`
-//! measure one solver at a time. Nearly all of `seconds` is
-//! `Solver::solve_with`; CNF encoding is the rest.
+//! measure one solver at a time. `seconds` is the whole scan: the
+//! candidate list, each probe's CNF encoding and `Solver::solve_with`.
+//! Solving dominates only majority_5_r1 and newtag (and with them the
+//! aggregate); on the other twelve, encoding costs from a quarter of
+//! the solve time to more than twice it. The `encode` child span of every
+//! `ratio:WxH` span separates the two (EXPERIMENTS.md, Table 1).
 
 use bestagon_core::benchmarks::{benchmark, benchmark_names};
 use bestagon_core::flow::FlowOptions;

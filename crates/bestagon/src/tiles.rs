@@ -20,6 +20,7 @@ use sidb_sim::bdl::{InputPort, OutputPort};
 use sidb_sim::layout::SidbLayout;
 use sidb_sim::operational::GateDesign;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// The key a physical-design result uses to look up a tile: function plus
 /// port directions.
@@ -391,6 +392,13 @@ fn gate_input_port(port_x: i32) -> InputPort {
 }
 
 impl BestagonLibrary {
+    /// The complete library, built on first use and shared by every
+    /// later caller in the process: flow step 7 reads it on every flow.
+    pub fn shared() -> &'static BestagonLibrary {
+        static LIBRARY: OnceLock<BestagonLibrary> = OnceLock::new();
+        LIBRARY.get_or_init(BestagonLibrary::new)
+    }
+
     /// Builds the complete library, including mirrored variants.
     pub fn new() -> Self {
         let mut lib = BestagonLibrary {

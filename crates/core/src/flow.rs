@@ -1007,8 +1007,8 @@ fn run_flow_steps(name: &str, xag: &Xag, options: &FlowOptions) -> Result<FlowRe
         if !options.apply_library {
             return Ok(None);
         }
-        let library = BestagonLibrary::new();
-        let cell = apply_gate_library(&layout, &library).map_err(FlowError::Apply)?;
+        let library = BestagonLibrary::shared();
+        let cell = apply_gate_library(&layout, library).map_err(FlowError::Apply)?;
         fcn_telemetry::counter("sidbs", cell.num_sidbs() as u64);
         if let Some(map) = &surface {
             // Re-validate the placement against the surface: count the
@@ -1043,7 +1043,7 @@ fn run_flow_steps(name: &str, xag: &Xag, options: &FlowOptions) -> Result<FlowRe
                     },
                 );
             } else {
-                let designs = bestagon_lib::apply::used_designs(&layout, &library)
+                let designs = bestagon_lib::apply::used_designs(&layout, library)
                     .map_err(FlowError::Apply)?;
                 let cache = options
                     .sim_cache

@@ -43,9 +43,8 @@ use fcn_layout::GateLayout;
 use fcn_logic::techmap::MappedId;
 use fcn_logic::GateKind;
 use msat::{BoundedResult, CnfBuilder, Lit, Model, SolveParams, SolverStats};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Options for the exact engine.
 #[derive(Debug, Clone)]
@@ -486,39 +485,55 @@ pub(crate) fn scan<T: Topology>(
     let num_nodes = graph.network.num_nodes() as u64;
     // Materialize the candidate stream up front: the filters are cheap
     // relative to a single SAT probe, and a concrete slice lets the
-    // portfolio dispatch candidates to workers in area order.
-    let candidates: Vec<(AspectRatio, Vec<u32>)> = AspectRatio::in_area_order(options.max_area)
+    // portfolio dispatch candidates to workers in area order. Every
+    // depth from `min_height` on has an ALAP schedule, so the depth
+    // filter keeps exactly the ratios the schedule admits.
+    let min_depth = graph.min_height();
+    let candidates: Vec<AspectRatio> = AspectRatio::in_area_order(options.max_area)
         .filter(|&ratio| {
-            T::depth(ratio) >= graph.min_height()
+            T::depth(ratio) >= min_depth
                 && ratio.tile_count() >= num_nodes
                 && T::admits(graph, ratio)
         })
-        .filter_map(|ratio| Some((ratio, graph.alap(T::depth(ratio))?)))
         .collect();
+    // A candidate's schedule is computed when it is dispatched, once
+    // per depth: a scan usually ends after a few small ratios.
+    let max_depth = candidates
+        .iter()
+        .map(|&r| T::depth(r))
+        .max()
+        .unwrap_or(min_depth);
+    let schedules: Vec<OnceLock<Vec<u32>>> =
+        (min_depth..=max_depth).map(|_| OnceLock::new()).collect();
     let limits = ScanLimits::new(options);
-    let blacklist: HashSet<Tile> = options.blacklist.iter().copied().collect();
 
-    let outcome = run_portfolio(&candidates, |_, (ratio, alap), cancel| {
+    let outcome = run_portfolio(&candidates, |_, &ratio, cancel| {
         let budget = match limits.pre_probe(options.max_conflicts_per_ratio) {
             ProbeGate::Go(budget) => budget,
             ProbeGate::Abort(abort) => return ProbeOutcome::aborted(abort),
             ProbeGate::Cancelled => return ProbeOutcome::cancelled(),
         };
+        let depth = T::depth(ratio);
+        let alap = schedules[(depth - min_depth) as usize].get_or_init(|| {
+            graph
+                .alap(depth)
+                .expect("every depth from min_height on has an ALAP schedule")
+        });
         let out = solve_ratio::<T>(&ProbeInput {
             graph,
-            ratio: *ratio,
+            ratio,
             alap,
             max_conflicts: budget,
             deadline: limits.deadline(),
             cancel,
-            blacklist: &blacklist,
+            blacklist: &options.blacklist,
         });
         if let Some(probe) = &out.probe {
             limits.charge(probe.stats.conflicts);
         }
         out
     });
-    assemble_outcome(outcome, |idx| candidates[idx].0, options)
+    assemble_outcome(outcome, |idx| candidates[idx], options)
 }
 
 /// Folds a portfolio run into the engine result: cumulative solver
@@ -561,18 +576,76 @@ fn assemble_outcome<L>(
     Err(err)
 }
 
-/// Every tile of `ratio`'s rectangle, row-major.
+/// Every tile of `ratio`'s rectangle, row-major: the `i`-th tile has
+/// flat index `i`.
 fn ratio_tiles(ratio: AspectRatio) -> impl Iterator<Item = Tile> {
     let (w, h) = (ratio.width as i32, ratio.height as i32);
     (0..h).flat_map(move |y| (0..w).map(move |x| (x, y)))
 }
 
 /// The problem variables of one aspect-ratio encoding, read back by the
-/// model extraction.
+/// model extraction: flat arrays indexed by (node, tile), (edge, tile)
+/// and (edge, tile, port), where a tile's index is `y·w + x` inside the
+/// ratio's rectangle; `None` where the encoding made no variable.
 struct Encoding {
-    place: HashMap<(usize, Tile), Lit>,
-    wire: HashMap<(usize, Tile), Lit>,
-    step: HashMap<(usize, Tile, usize), Lit>,
+    width: i32,
+    height: i32,
+    /// `place[n·tiles + t]`: node `n` sits on tile `t`.
+    place: Vec<Option<Lit>>,
+    /// `wire[e·tiles + t]`: edge `e` passes tile `t` as a wire segment.
+    wire: Vec<Option<Lit>>,
+    /// `step[(e·tiles + t)·2 + port]`: edge `e` leaves tile `t` through
+    /// outgoing `port`.
+    step: Vec<Option<Lit>>,
+}
+
+impl Encoding {
+    /// An encoding of `ratio` with no variables yet.
+    fn new(ratio: AspectRatio, nodes: usize, edges: usize) -> Self {
+        let tiles = ratio.tile_count() as usize;
+        Encoding {
+            width: ratio.width as i32,
+            height: ratio.height as i32,
+            place: vec![None; nodes * tiles],
+            wire: vec![None; edges * tiles],
+            step: vec![None; edges * tiles * 2],
+        }
+    }
+
+    fn tiles(&self) -> usize {
+        (self.width * self.height) as usize
+    }
+
+    /// The flat index of `t`, or `None` outside the rectangle.
+    fn index(&self, (x, y): Tile) -> Option<usize> {
+        ((0..self.width).contains(&x) && (0..self.height).contains(&y))
+            .then(|| (y * self.width + x) as usize)
+    }
+
+    /// The tile at flat index `i`.
+    fn tile(&self, i: usize) -> Tile {
+        (i as i32 % self.width, i as i32 / self.width)
+    }
+
+    fn place(&self, n: usize, t: Tile) -> Option<Lit> {
+        self.place[n * self.tiles() + self.index(t)?]
+    }
+
+    fn wire(&self, e: usize, t: Tile) -> Option<Lit> {
+        self.wire[e * self.tiles() + self.index(t)?]
+    }
+
+    fn step(&self, e: usize, t: Tile, port: usize) -> Option<Lit> {
+        self.step[(e * self.tiles() + self.index(t)?) * 2 + port]
+    }
+}
+
+/// Why [`encode_ratio`] produced no encoding.
+enum EncodeStop {
+    /// Some node has no admissible tile in the ratio.
+    Infeasible,
+    /// The probe's cancel flag fired between two encoding phases.
+    Cancelled,
 }
 
 /// Encodes the placement & routing problem of topology `T` at a fixed
@@ -586,174 +659,183 @@ struct Encoding {
 /// `wire(e, t)` and `step(e, t, port)`, created only inside the ratio's
 /// rectangle and only where the ratio admits them.
 ///
-/// Returns `None` when some node has no admissible tile in the ratio;
-/// such ratios are discarded before reaching the solver but still count
-/// as attempted.
+/// Stops with [`EncodeStop::Infeasible`] when some node has no
+/// admissible tile in the ratio; such ratios are discarded before
+/// reaching the solver but still count as attempted. `cancel` is read
+/// before the first phase and between phases (place, wire, step,
+/// capacity, flow, ports), so a probe a smaller winner cancels stops
+/// there with [`EncodeStop::Cancelled`].
 fn encode_ratio<T: Topology>(
     cnf: &mut CnfBuilder,
     graph: &NetGraph,
     ratio: AspectRatio,
     alap: &[u32],
-    blacklist: &HashSet<Tile>,
-) -> Option<Encoding> {
+    blacklist: &[Tile],
+    cancel: &CancelFlag,
+) -> Result<Encoding, EncodeStop> {
+    let checkpoint = || {
+        if cancel.load(Ordering::Relaxed) {
+            Err(EncodeStop::Cancelled)
+        } else {
+            Ok(())
+        }
+    };
     let levels = |n: MappedId| {
         let kind = graph.network.node(n).kind;
         T::levels(kind, graph.asap[n.index()], alap[n.index()])
     };
     let node_ids: Vec<MappedId> = graph.network.node_ids().collect();
+    let mut enc = Encoding::new(ratio, node_ids.len(), graph.edges.len());
+    let tiles = enc.tiles();
+    // Defect avoidance: one flag per tile of the rectangle.
+    let mut blocked = vec![false; tiles];
+    for &t in blacklist {
+        if let Some(i) = enc.index(t) {
+            blocked[i] = true;
+        }
+    }
+    // Reused literal lists, one per role, so the phases allocate nothing
+    // per tile.
+    let mut lits: Vec<Lit> = Vec::new();
+    let mut ends: Vec<Lit> = Vec::new();
+    checkpoint()?;
 
     // place(n, t): exactly one admissible tile per node.
-    let mut place: HashMap<(usize, Tile), Lit> = HashMap::new();
     for &n in &node_ids {
         let kind = graph.network.node(n).kind;
         let (lo, hi) = levels(n);
-        let mut vars = Vec::new();
+        lits.clear();
         for level in lo..=hi {
             for t in T::level_tiles(ratio, level) {
                 if !T::pad_admissible(kind, t, ratio) {
                     continue;
                 }
+                let i = enc.index(t).expect("level tiles lie inside the ratio");
                 let lit = cnf.new_lit();
-                place.insert((n.index(), t), lit);
-                vars.push(lit);
+                enc.place[n.index() * tiles + i] = Some(lit);
+                lits.push(lit);
                 // Defect avoidance: no node on a compromised tile.
-                if blacklist.contains(&t) {
+                if blocked[i] {
                     cnf.add_clause([lit.negated()]);
                 }
             }
         }
-        if vars.is_empty() {
-            return None;
+        if lits.is_empty() {
+            return Err(EncodeStop::Infeasible);
         }
-        cnf.add_clause(vars.iter().copied());
-        cnf.at_most_one(&vars);
+        cnf.add_clause(lits.iter().copied());
+        cnf.at_most_one(&lits);
     }
+    checkpoint()?;
 
     // wire(e, t) — levels strictly between the source's earliest and the
     // target's latest placement levels.
-    let mut wire: HashMap<(usize, Tile), Lit> = HashMap::new();
     for e in &graph.edges {
         let (src_lo, _) = levels(e.source);
         let (_, dst_hi) = levels(e.target);
         for level in (src_lo + 1)..dst_hi {
             for t in T::level_tiles(ratio, level) {
+                let i = enc.index(t).expect("level tiles lie inside the ratio");
                 let lit = cnf.new_lit();
-                wire.insert((e.id, t), lit);
-                if blacklist.contains(&t) {
+                enc.wire[e.id * tiles + i] = Some(lit);
+                if blocked[i] {
                     cnf.add_clause([lit.negated()]);
                 }
             }
         }
     }
+    checkpoint()?;
 
     // step(e, t, port): edge e leaves tile t through an outgoing port.
     // Exists only where both endpoints can carry the edge.
-    let mut step: HashMap<(usize, Tile, usize), Lit> = HashMap::new();
     for e in &graph.edges {
-        let presence = |node: MappedId, t: Tile| {
-            wire.contains_key(&(e.id, t)) || place.contains_key(&(node.index(), t))
+        let presence = |enc: &Encoding, node: MappedId, t: Tile| {
+            enc.wire(e.id, t).is_some() || enc.place(node.index(), t).is_some()
         };
-        for t in ratio_tiles(ratio) {
-            if !presence(e.source, t) {
+        for (i, t) in ratio_tiles(ratio).enumerate() {
+            if !presence(&enc, e.source, t) {
                 continue;
             }
             for port in 0..2 {
                 let s = T::successor(t, port);
-                if ratio.contains(s) && presence(e.target, s) {
-                    step.insert((e.id, t, port), cnf.new_lit());
+                if ratio.contains(s) && presence(&enc, e.target, s) {
+                    enc.step[(e.id * tiles + i) * 2 + port] = Some(cnf.new_lit());
                 }
             }
         }
     }
+    checkpoint()?;
 
     // Tile capacity: at most one gate; gates exclude wires.
     for t in ratio_tiles(ratio) {
-        let gates: Vec<Lit> = node_ids
-            .iter()
-            .filter_map(|n| place.get(&(n.index(), t)).copied())
-            .collect();
-        cnf.at_most_one(&gates);
-        if !gates.is_empty() {
-            let occ = cnf.or_all(gates.iter().copied());
+        lits.clear();
+        lits.extend(node_ids.iter().filter_map(|n| enc.place(n.index(), t)));
+        cnf.at_most_one(&lits);
+        if !lits.is_empty() {
+            let occ = cnf.or_all(lits.iter().copied());
             for e in &graph.edges {
-                if let Some(&wv) = wire.get(&(e.id, t)) {
+                if let Some(wv) = enc.wire(e.id, t) {
                     cnf.add_clause([wv.negated(), occ.negated()]);
                 }
             }
         }
     }
+    checkpoint()?;
 
     // Flow constraints per edge: a present edge leaves and enters every
-    // tile it occupies through exactly one step.
+    // tile it occupies through exactly one step. `lits` holds the
+    // edge's presence literals on the tile, `ends` its steps.
     for e in &graph.edges {
         for t in ratio_tiles(ratio) {
-            let src_lits: Vec<Lit> = [
-                wire.get(&(e.id, t)).copied(),
-                place.get(&(e.source.index(), t)).copied(),
-            ]
-            .into_iter()
-            .flatten()
-            .collect();
-            if !src_lits.is_empty() {
-                let outs: Vec<Lit> = (0..2)
-                    .filter_map(|port| step.get(&(e.id, t, port)).copied())
-                    .collect();
+            let wire = enc.wire(e.id, t);
+            lits.clear();
+            lits.extend(wire.into_iter().chain(enc.place(e.source.index(), t)));
+            if !lits.is_empty() {
+                ends.clear();
+                ends.extend((0..2).filter_map(|port| enc.step(e.id, t, port)));
                 // presence → exactly one outgoing step.
-                cnf.at_most_one(&outs);
-                for &p in &src_lits {
-                    let mut clause = vec![p.negated()];
-                    clause.extend(outs.iter().copied());
-                    cnf.add_clause(clause);
+                cnf.at_most_one(&ends);
+                for &p in &lits {
+                    cnf.add_clause(std::iter::once(p.negated()).chain(ends.iter().copied()));
                 }
                 // step → presence at source.
-                for &s in &outs {
-                    let mut clause = vec![s.negated()];
-                    clause.extend(src_lits.iter().copied());
-                    cnf.add_clause(clause);
+                for &s in &ends {
+                    cnf.add_clause(std::iter::once(s.negated()).chain(lits.iter().copied()));
                 }
             }
 
-            let dst_lits: Vec<Lit> = [
-                wire.get(&(e.id, t)).copied(),
-                place.get(&(e.target.index(), t)).copied(),
-            ]
-            .into_iter()
-            .flatten()
-            .collect();
-            if !dst_lits.is_empty() {
-                let ins: Vec<Lit> = T::predecessors(t)
-                    .into_iter()
-                    .filter_map(|(p, port, _)| step.get(&(e.id, p, port)).copied())
-                    .collect();
-                cnf.at_most_one(&ins);
-                for &p in &dst_lits {
-                    let mut clause = vec![p.negated()];
-                    clause.extend(ins.iter().copied());
-                    cnf.add_clause(clause);
+            lits.clear();
+            lits.extend(wire.into_iter().chain(enc.place(e.target.index(), t)));
+            if !lits.is_empty() {
+                ends.clear();
+                ends.extend(
+                    T::predecessors(t)
+                        .into_iter()
+                        .filter_map(|(p, port, _)| enc.step(e.id, p, port)),
+                );
+                cnf.at_most_one(&ends);
+                for &p in &lits {
+                    cnf.add_clause(std::iter::once(p.negated()).chain(ends.iter().copied()));
                 }
                 // step → presence at destination.
-                for &s in &ins {
-                    let mut clause = vec![s.negated()];
-                    clause.extend(dst_lits.iter().copied());
-                    cnf.add_clause(clause);
+                for &s in &ends {
+                    cnf.add_clause(std::iter::once(s.negated()).chain(lits.iter().copied()));
                 }
             }
         }
     }
+    checkpoint()?;
 
     // Port exclusivity: at most one edge leaves a tile through each port.
     for t in ratio_tiles(ratio) {
         for port in 0..2 {
-            let users: Vec<Lit> = graph
-                .edges
-                .iter()
-                .filter_map(|e| step.get(&(e.id, t, port)).copied())
-                .collect();
-            cnf.at_most_one(&users);
+            lits.clear();
+            lits.extend(graph.edges.iter().filter_map(|e| enc.step(e.id, t, port)));
+            cnf.at_most_one(&lits);
         }
     }
 
-    Some(Encoding { place, wire, step })
+    Ok(enc)
 }
 
 /// Reads a satisfying model back into a gate layout of topology `T`.
@@ -769,19 +851,10 @@ fn extract_layout<T: Topology>(
     graph: &NetGraph,
     ratio: AspectRatio,
 ) -> Result<GateLayout<T::Coord>, PnrError> {
-    let (w, h) = (ratio.width as i32, ratio.height as i32);
     let mut layout = GateLayout::new(ratio, T::SCHEME);
-    let mut node_tile: HashMap<usize, Tile> = HashMap::new();
-    for (&(n, t), &lit) in &enc.place {
-        if model.lit_value(lit) {
-            node_tile.insert(n, t);
-        }
-    }
-    let step_true = |e: usize, t: Tile, port: usize| {
-        enc.step
-            .get(&(e, t, port))
-            .is_some_and(|&l| model.lit_value(l))
-    };
+    let tiles = enc.tiles();
+    let step_true =
+        |e: usize, t: Tile, port: usize| enc.step(e, t, port).is_some_and(|l| model.lit_value(l));
     // The border edge e enters tile t by, and the one it leaves by.
     let incoming = |e: usize, t: Tile| {
         T::predecessors(t)
@@ -798,11 +871,16 @@ fn extract_layout<T: Topology>(
 
     // Gate tiles.
     for n in graph.network.node_ids() {
-        let Some(&t) = node_tile.get(&n.index()) else {
+        let placed = &enc.place[n.index() * tiles..][..tiles];
+        let Some(i) = placed
+            .iter()
+            .position(|lit| lit.is_some_and(|l| model.lit_value(l)))
+        else {
             // The at-least-one placement clause guarantees a tile; a
             // missing one means the model is incoherent.
             return Err(PnrError::RouterInvariant { row: -1, pos: -1 });
         };
+        let t = enc.tile(i);
         let node = graph.network.node(n);
         let inputs = graph.in_edges[n.index()]
             .iter()
@@ -821,23 +899,18 @@ fn extract_layout<T: Topology>(
     // Wire tiles (grouping the segments per tile), visited in
     // deterministic edge-then-row-major order so the per-tile segment
     // lists are reproducible run to run.
-    let mut segments: HashMap<Tile, Vec<_>> = HashMap::new();
+    let mut segments: Vec<Vec<_>> = vec![Vec::new(); tiles];
     for e in &graph.edges {
-        for y in 0..h {
-            for x in 0..w {
-                let t = (x, y);
-                let Some(&lit) = enc.wire.get(&(e.id, t)) else {
-                    continue;
-                };
-                if model.lit_value(lit) {
-                    let seg = (incoming(e.id, t)?, outgoing(e.id, t)?);
-                    segments.entry(t).or_default().push(seg);
-                }
+        for (i, t) in ratio_tiles(ratio).enumerate() {
+            if enc.wire[e.id * tiles + i].is_some_and(|l| model.lit_value(l)) {
+                segments[i].push((incoming(e.id, t)?, outgoing(e.id, t)?));
             }
         }
     }
-    for (t, segs) in segments {
-        layout.place(t.into(), TileContents::Wire { segments: segs });
+    for (i, segs) in segments.into_iter().enumerate() {
+        if !segs.is_empty() {
+            layout.place(enc.tile(i).into(), TileContents::Wire { segments: segs });
+        }
     }
     Ok(layout)
 }
@@ -851,20 +924,29 @@ struct ProbeInput<'a> {
     max_conflicts: u64,
     deadline: Deadline,
     cancel: &'a CancelFlag,
-    blacklist: &'a HashSet<Tile>,
+    blacklist: &'a [Tile],
 }
 
 /// Attempts to place & route at the probe's ratio on a fresh solver,
 /// reporting the verdict and solver cost alongside any layout found.
-/// The cancel flag is forwarded to the solver's cooperative
-/// interrupt; a cancelled probe yields no probe record, nor does a
-/// ratio discarded before reaching the solver (which still counts
-/// as attempted).
+/// The cancel flag is read between the encoding phases and then
+/// forwarded to the solver's cooperative interrupt; a cancelled probe
+/// yields no probe record, nor does a ratio discarded before reaching
+/// the solver (which still counts as attempted).
 fn solve_ratio<T: Topology>(p: &ProbeInput) -> ProbeOutcome<GateLayout<T::Coord>, RatioProbe> {
     let _span = fcn_telemetry::span(format!("ratio:{}", p.ratio.label()));
     let mut cnf = CnfBuilder::new();
-    let Some(enc) = encode_ratio::<T>(&mut cnf, p.graph, p.ratio, p.alap, p.blacklist) else {
-        return ProbeOutcome::concluded(None, None);
+    let encoded = {
+        let _encode = fcn_telemetry::span("encode");
+        encode_ratio::<T>(&mut cnf, p.graph, p.ratio, p.alap, p.blacklist, p.cancel)
+    };
+    let enc = match encoded {
+        Ok(enc) => enc,
+        Err(EncodeStop::Infeasible) => return ProbeOutcome::concluded(None, None),
+        Err(EncodeStop::Cancelled) => {
+            fcn_telemetry::note("verdict", "cancelled");
+            return ProbeOutcome::cancelled();
+        }
     };
 
     fcn_telemetry::counter("cnf.vars", cnf.solver().num_vars() as u64);
@@ -1028,6 +1110,59 @@ mod tests {
         assert_eq!(result.stats.conflicts, summed);
         let summed: u64 = result.probes.iter().map(|p| p.stats.decisions).sum();
         assert_eq!(result.stats.decisions, summed);
+    }
+
+    #[test]
+    fn cancelled_probe_stops_before_encoding() {
+        let mut xag = Xag::new();
+        let a = xag.primary_input("a");
+        let b = xag.primary_input("b");
+        let f = xag.xor(a, b);
+        xag.primary_output("f", f);
+        let net = map_xag(&xag, MapOptions::default()).expect("mappable");
+        let graph = NetGraph::new(net).expect("legalized");
+        let ratio = AspectRatio::new(2, 3);
+        let alap = graph.alap(HexRow::depth(ratio)).expect("schedulable");
+        let cancel = CancelFlag::default();
+        cancel.store(true, Ordering::Relaxed);
+        let collector = Arc::new(fcn_telemetry::Collector::new("scan"));
+        let out = fcn_telemetry::with_collector(&collector, || {
+            solve_ratio::<HexRow>(&ProbeInput {
+                graph: &graph,
+                ratio,
+                alap: &alap,
+                max_conflicts: u64::MAX,
+                deadline: Deadline::unbounded(),
+                cancel: &cancel,
+                blacklist: &[],
+            })
+        });
+        assert!(out.cancelled);
+        assert!(out.probe.is_none() && out.layout.is_none() && out.abort.is_none());
+        collector.finish();
+        let report = collector.report();
+        let span = report.root.child("ratio:2x3").expect("probe span");
+        assert_eq!(
+            span.notes.get("verdict").map(String::as_str),
+            Some("cancelled")
+        );
+        // No CNF was handed to a solver: no size or work counters.
+        assert!(span.counters.is_empty(), "{:?}", span.counters);
+        assert!(span.child("encode").is_some());
+
+        // The same probe uncancelled reaches its verdict.
+        cancel.store(false, Ordering::Relaxed);
+        let out = solve_ratio::<HexRow>(&ProbeInput {
+            graph: &graph,
+            ratio,
+            alap: &alap,
+            max_conflicts: u64::MAX,
+            deadline: Deadline::unbounded(),
+            cancel: &cancel,
+            blacklist: &[],
+        });
+        assert!(!out.cancelled);
+        assert_eq!(out.probe.map(|p| p.verdict), Some(ProbeVerdict::Sat));
     }
 
     #[test]

@@ -130,8 +130,8 @@ impl NetGraph {
     }
 
     /// Latest possible row per node for a layout of `height` rows
-    /// (POs pinned to the last row). Returns `None` if `height` is smaller
-    /// than the critical path allows.
+    /// (POs pinned to the last row). Returns `None` exactly when
+    /// `height` is smaller than [`NetGraph::min_height`].
     pub(crate) fn alap(&self, height: u32) -> Option<Vec<u32>> {
         if height < self.min_height() {
             return None;
@@ -154,27 +154,27 @@ impl NetGraph {
                     .map(|&e| alap[self.edges[e].target.index()])
                     .min();
                 if let Some(m) = min_out {
-                    if m == 0 {
-                        return None;
-                    }
+                    // Each consumer, visited before its driver, has
+                    // ALAP ≥ ASAP ≥ 1.
+                    debug_assert!(m > 0, "a consumer's ALAP row is at least 1");
                     alap[id.index()] = m - 1;
                 }
             }
-            if alap[id.index()] < self.asap[id.index()] {
-                return None;
-            }
+            // Every path through a node ends at a sink no deeper than
+            // `min_height − 1`, so the slack is never negative.
+            debug_assert!(
+                alap[id.index()] >= self.asap[id.index()],
+                "ALAP below ASAP at height {height} >= min_height"
+            );
         }
         Some(alap)
     }
 
-    /// Minimal layout height in rows: the longest PI→PO path in nodes.
+    /// Minimal layout height in rows: the longest path in nodes, which
+    /// ends at a PO (or at a gate that drives nothing). Every height from
+    /// here on has an ALAP schedule.
     pub(crate) fn min_height(&self) -> u32 {
-        self.network
-            .primary_outputs()
-            .iter()
-            .map(|po| self.asap[po.index()] + 1)
-            .max()
-            .unwrap_or(1)
+        self.asap.iter().max().map_or(1, |&a| a + 1)
     }
 
     /// Minimal layout width in tiles: PIs share row 0 and POs share the

@@ -102,29 +102,36 @@ impl CnfBuilder {
         o
     }
 
-    /// Returns a fresh literal `o` with `o ↔ (a ∧ b ∧ …)`.
-    pub(crate) fn and_all<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> Lit {
-        let lits: Vec<Lit> = lits.into_iter().collect();
-        match lits.len() {
-            0 => self.constant_true(),
-            1 => lits[0],
-            _ => {
-                let o = self.new_lit();
-                for &l in &lits {
-                    self.add_clause([o.negated(), l]);
-                }
-                let mut clause: Vec<Lit> = lits.iter().map(|l| l.negated()).collect();
-                clause.push(o);
-                self.add_clause(clause);
-                o
-            }
+    /// Returns a fresh literal `o` with `o ↔ (a ∧ b ∧ …)`. The iterator
+    /// is walked (cloned) more than once instead of being collected.
+    pub(crate) fn and_all<I>(&mut self, lits: I) -> Lit
+    where
+        I: IntoIterator<Item = Lit>,
+        I::IntoIter: Clone,
+    {
+        let lits = lits.into_iter();
+        let mut head = lits.clone();
+        let Some(first) = head.next() else {
+            return self.constant_true();
+        };
+        if head.next().is_none() {
+            return first;
         }
+        let o = self.new_lit();
+        for l in lits.clone() {
+            self.add_clause([o.negated(), l]);
+        }
+        self.add_clause(lits.map(Lit::negated).chain([o]));
+        o
     }
 
     /// Returns a fresh literal `o` with `o ↔ (a ∨ b ∨ …)`.
-    pub fn or_all<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> Lit {
-        let negated: Vec<Lit> = lits.into_iter().map(Lit::negated).collect();
-        self.and_all(negated).negated()
+    pub fn or_all<I>(&mut self, lits: I) -> Lit
+    where
+        I: IntoIterator<Item = Lit>,
+        I::IntoIter: Clone,
+    {
+        self.and_all(lits.into_iter().map(Lit::negated)).negated()
     }
 
     /// Adds "at most one of `lits` is true" using the pairwise encoding for

@@ -284,6 +284,9 @@ pub struct Solver {
     stats: SolverStats,
     cla_inc: f64,
     lbd_stamps: LevelStamps,
+    /// Scratch buffer `add_clause` sorts and filters each incoming
+    /// clause in, so clause intake allocates nothing once it has grown.
+    clause_buf: Vec<Lit>,
 }
 
 /// How many search-loop iterations pass between polls of the cancel
@@ -314,6 +317,7 @@ impl Default for Solver {
             stats: SolverStats::default(),
             cla_inc: 1.0,
             lbd_stamps: LevelStamps::default(),
+            clause_buf: Vec::new(),
         }
     }
 }
@@ -354,7 +358,7 @@ impl Solver {
     /// Duplicate literals are removed and tautological clauses are ignored.
     /// Adding the empty clause (or a unit clause contradicting an earlier
     /// one at the root level) makes the formula trivially unsatisfiable.
-    pub(crate) fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
+    pub(crate) fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits_in: I) {
         if self.unsat {
             return;
         }
@@ -362,32 +366,49 @@ impl Solver {
             self.trail_lim.is_empty(),
             "clauses must be added at root level"
         );
-        let mut lits: Vec<Lit> = lits.into_iter().collect();
+        let mut lits = std::mem::take(&mut self.clause_buf);
+        lits.clear();
+        lits.extend(lits_in);
         lits.sort_unstable();
         lits.dedup();
-        // Tautology or satisfied/falsified literal filtering at root level.
-        let mut filtered = Vec::with_capacity(lits.len());
-        for (i, &l) in lits.iter().enumerate() {
-            if i + 1 < lits.len() && lits[i + 1] == l.negated() {
-                return; // tautology: contains l and ¬l (sorted adjacently)
-            }
-            match self.lit_state(l) {
-                Some(true) => return, // already satisfied at root
-                Some(false) => {}     // drop falsified literal
-                None => filtered.push(l),
-            }
-        }
-        match filtered.len() {
-            0 => self.unsat = true,
-            1 => {
-                if !self.enqueue(filtered[0], NO_CLAUSE) || self.propagate().is_some() {
-                    self.unsat = true;
+        if let Some(kept) = self.filter_at_root(&mut lits) {
+            match kept {
+                0 => self.unsat = true,
+                1 => {
+                    if !self.enqueue(lits[0], NO_CLAUSE) || self.propagate().is_some() {
+                        self.unsat = true;
+                    }
+                }
+                _ => {
+                    self.attach_clause(&lits[..kept], false, 0);
                 }
             }
-            _ => {
-                self.attach_clause(&filtered, false, 0);
+        }
+        self.clause_buf = lits;
+    }
+
+    /// Filters a sorted, deduplicated clause against the root-level
+    /// assignment in place: `None` for a tautology (it holds `l` and
+    /// `¬l`, sorted adjacently) or a clause a literal already satisfies;
+    /// otherwise the number of unassigned literals, compacted to the
+    /// front, with falsified literals dropped.
+    fn filter_at_root(&self, lits: &mut [Lit]) -> Option<usize> {
+        let mut kept = 0;
+        for i in 0..lits.len() {
+            let l = lits[i];
+            if i + 1 < lits.len() && lits[i + 1] == l.negated() {
+                return None;
+            }
+            match self.lit_state(l) {
+                Some(true) => return None,
+                Some(false) => {}
+                None => {
+                    lits[kept] = l;
+                    kept += 1;
+                }
             }
         }
+        Some(kept)
     }
 
     fn attach_clause(&mut self, lits: &[Lit], learned: bool, lbd: u32) -> ClauseRef {

@@ -96,6 +96,9 @@ fn pnr_stage_records_sat_probes() {
             assert!(probe.name.starts_with("ratio:"), "{}", probe.name);
             assert!(probe.counters.contains_key("sat.decisions"), "{probe:?}");
             assert!(probe.notes.contains_key("verdict"), "{probe:?}");
+            // The CNF construction is timed apart from the solve.
+            let encode = probe.child("encode").expect("encode span");
+            assert!(encode.duration <= probe.duration, "{probe:?}");
         }
     }
     // The equivalence stage always solves a miter.
