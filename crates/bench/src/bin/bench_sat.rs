@@ -13,8 +13,8 @@
 //! area-minimal), the solver counters summed over them (`conflicts`,
 //! `decisions`, `propagations`, `restarts`, and `learned`, the learned
 //! clauses each probe's database held when it ended), the scan's wall
-//! clock and the propagations per second. The closing `aggregate`
-//! entry sums every circuit.
+//! clock and the propagations per second of solve time. The closing
+//! `aggregate` entry sums every circuit.
 //!
 //! Every probe is a fresh solver, so the counters are deterministic and
 //! `bench_diff` gates them strictly; an msat change that alters the
@@ -22,10 +22,13 @@
 //! (whatever `THREADS` says), so `seconds` and `propagations_per_s`
 //! measure one solver at a time. `seconds` is the whole scan: the
 //! candidate list, each probe's CNF encoding and `Solver::solve_with`.
-//! Solving dominates only majority_5_r1 and newtag (and with them the
-//! aggregate); on the other twelve, encoding costs from a quarter of
-//! the solve time to more than twice it. The `encode` child span of every
-//! `ratio:WxH` span separates the two (EXPERIMENTS.md, Table 1).
+//! `propagations_per_s` divides by the probes' summed solve time alone
+//! (`SolverStats::propagations_per_sec`), so it is a solver rate that
+//! an encoder change does not move. Solving dominates `seconds` only on
+//! majority_5_r1 and newtag (and with them the aggregate); on the other
+//! twelve, encoding costs from a quarter of the solve time to more than
+//! twice it. The `encode` child span of every `ratio:WxH` span
+//! separates the two (EXPERIMENTS.md, Table 1).
 
 use bestagon_core::benchmarks::{benchmark, benchmark_names};
 use bestagon_core::flow::FlowOptions;
@@ -61,8 +64,9 @@ impl Row {
         self.seconds += other.seconds;
     }
 
+    /// Propagations per second of solve time (encoding excluded).
     fn rate(&self) -> f64 {
-        self.stats.propagations as f64 / self.seconds.max(1e-9)
+        self.stats.propagations_per_sec().unwrap_or(0.0)
     }
 
     fn print(&self, name: &str) {

@@ -165,7 +165,7 @@ impl SolverStats {
     }
 
     /// Propagations per second of solve time; `None` without timing.
-    pub(crate) fn propagations_per_sec(&self) -> Option<f64> {
+    pub fn propagations_per_sec(&self) -> Option<f64> {
         (!self.solve_time.is_zero())
             .then(|| self.propagations as f64 / self.solve_time.as_secs_f64())
     }

@@ -31,24 +31,6 @@ use crate::engine::{SimEngine, SimParams};
 use crate::exgs::SimulatedState;
 use crate::layout::SidbLayout;
 
-/// The engine-selection part of a cache key. `ThreeState` stands for
-/// the physical three-state flag, which overrides the engine selection;
-/// annealing keys carry the full `AnnealParams` (bits of the floats)
-/// because the result depends on them.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum EngineKey {
-    Exhaustive,
-    QuickExact,
-    Anneal {
-        instances: usize,
-        sweeps: usize,
-        temperature_bits: u64,
-        cooling_bits: u64,
-        seed: u64,
-    },
-    ThreeState,
-}
-
 /// What identifies a simulation result.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct SimKey {
@@ -57,7 +39,7 @@ pub(crate) struct SimKey {
     sites: Vec<(i32, i32, u8)>,
     /// `PhysicalParams` as exact bit patterns.
     physical_bits: [u64; 4],
-    engine: EngineKey,
+    engine: SimEngine,
     k: usize,
     /// The run's step cap.
     max_steps: Option<u64>,
@@ -82,21 +64,6 @@ impl SimKey {
             })
             .collect();
         let p = &params.physical;
-        let engine = if p.three_state {
-            EngineKey::ThreeState
-        } else {
-            match params.engine {
-                SimEngine::Exhaustive => EngineKey::Exhaustive,
-                SimEngine::QuickExact => EngineKey::QuickExact,
-                SimEngine::Anneal(a) => EngineKey::Anneal {
-                    instances: a.instances,
-                    sweeps: a.sweeps,
-                    temperature_bits: a.initial_temperature.to_bits(),
-                    cooling_bits: a.cooling.to_bits(),
-                    seed: a.seed,
-                },
-            }
-        };
         SimKey {
             sites,
             physical_bits: [
@@ -105,7 +72,7 @@ impl SimKey {
                 p.lambda_tf_nm.to_bits(),
                 p.interaction_cutoff_ev.to_bits(),
             ],
-            engine,
+            engine: params.engine,
             k: params.k,
             max_steps: params.budget.max_steps,
         }

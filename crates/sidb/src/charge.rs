@@ -5,7 +5,7 @@
 //! surface can actually settle into — when it satisfies
 //!
 //! * **population stability**: each site's charge state is consistent
-//!   with its local potential relative to the transition levels, and
+//!   with its local potential relative to the `(0/−)` transition level, and
 //! * **configuration stability**: no single electron hop to another site
 //!   lowers the total energy.
 //!
@@ -15,8 +15,10 @@
 use crate::layout::SidbLayout;
 use crate::model::PhysicalParams;
 
-/// The charge state of a single SiDB (0, 1, or 2 excess electrons ↔
-/// positive, neutral, negative).
+/// The charge state of a single SiDB (2 or 1 electrons ↔ negative,
+/// neutral). The positive state (no electron) is not modelled: it needs
+/// a local potential below `μ+ = μ− − 0.59 eV`, which no site of any
+/// Bestagon tile's ground state reaches (the closest stays 20 meV above).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ChargeState {
     /// Two electrons: net charge −e.
@@ -24,8 +26,6 @@ pub enum ChargeState {
     /// One electron: neutral.
     #[default]
     Neutral,
-    /// Zero electrons: net charge +e.
-    Positive,
 }
 
 impl ChargeState {
@@ -34,7 +34,6 @@ impl ChargeState {
         match self {
             ChargeState::Negative => -1,
             ChargeState::Neutral => 0,
-            ChargeState::Positive => 1,
         }
     }
 }
@@ -44,7 +43,6 @@ impl core::fmt::Display for ChargeState {
         f.write_str(match self {
             ChargeState::Negative => "−",
             ChargeState::Neutral => "0",
-            ChargeState::Positive => "+",
         })
     }
 }
@@ -52,7 +50,7 @@ impl core::fmt::Display for ChargeState {
 /// Pre-computed pairwise interactions of a layout under fixed parameters.
 ///
 /// Building this once and sharing it across configuration evaluations is
-/// what makes exhaustive search and annealing affordable.
+/// what makes the exact searches affordable.
 #[derive(Debug, Clone)]
 pub struct InteractionMatrix {
     n: usize,
@@ -230,11 +228,6 @@ impl ChargeConfiguration {
         ChargeConfiguration { states }
     }
 
-    /// Number of sites.
-    pub(crate) fn len(&self) -> usize {
-        self.states.len()
-    }
-
     /// The state of site `i`.
     pub fn state(&self, i: usize) -> ChargeState {
         self.states[i]
@@ -278,18 +271,16 @@ impl ChargeConfiguration {
         e
     }
 
-    /// The grand-potential free energy `F = E − μ−·N⁻·(−1) − …`, i.e. the
-    /// electrostatic energy plus `μ−` per negative site (and `−μ+` per
-    /// positive site). Valid configurations with minimal `F` are the
-    /// thermodynamic ground states.
+    /// The grand-potential free energy `F = E + μ−·N⁻`, i.e. the
+    /// electrostatic energy plus `μ−` per negative site. Valid
+    /// configurations with minimal `F` are the thermodynamic ground
+    /// states.
     pub(crate) fn free_energy(&self, m: &InteractionMatrix) -> f64 {
-        let params = m.params();
+        let mu_minus = m.params().mu_minus;
         let mut f = self.electrostatic_energy(m);
         for s in &self.states {
-            match s {
-                ChargeState::Negative => f += params.mu_minus,
-                ChargeState::Positive => f -= params.mu_plus(),
-                ChargeState::Neutral => {}
+            if *s == ChargeState::Negative {
+                f += mu_minus;
             }
         }
         f
@@ -334,21 +325,17 @@ impl ChargeConfiguration {
     }
 
     /// Population stability: every site's charge state must be consistent
-    /// with its local potential and the transition levels:
+    /// with its local potential and the transition level:
     ///
     /// * negative ⇒ `V_i ≥ μ−` (removing the electron must not pay off),
-    /// * neutral ⇒ `μ+ ≤ V_i ≤ μ−`,
-    /// * positive ⇒ `V_i ≤ μ+` (three-state model only).
+    /// * neutral ⇒ `V_i ≤ μ−`.
     pub(crate) fn is_population_stable(&self, m: &InteractionMatrix) -> bool {
         const EPS: f64 = 1e-9;
-        let params = m.params();
+        let mu_minus = m.params().mu_minus;
         let potentials = self.local_potentials(m);
         self.states.iter().zip(&potentials).all(|(s, &v)| match s {
-            ChargeState::Negative => v >= params.mu_minus - EPS,
-            ChargeState::Neutral => {
-                v <= params.mu_minus + EPS && (!params.three_state || v >= params.mu_plus() - EPS)
-            }
-            ChargeState::Positive => params.three_state && v <= params.mu_plus() + EPS,
+            ChargeState::Negative => v >= mu_minus - EPS,
+            ChargeState::Neutral => v <= mu_minus + EPS,
         })
     }
 
@@ -516,25 +503,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn three_state_allows_positive_under_pressure() {
-        let params = PhysicalParams::default().with_three_state();
-        let layout = SidbLayout::from_sites([(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)]);
-        let m = InteractionMatrix::new(&layout, &params);
-        // In the two-state model positives are never population-stable.
-        let m2 = InteractionMatrix::new(&layout, &PhysicalParams::default());
-        let with_pos = ChargeConfiguration::from_states(vec![
-            ChargeState::Positive,
-            ChargeState::Negative,
-            ChargeState::Negative,
-            ChargeState::Negative,
-        ]);
-        assert!(!with_pos.is_population_stable(&m2));
-        // Under the three-state model the check at least runs the positive
-        // branch (validity depends on the detailed potentials).
-        let _ = with_pos.is_population_stable(&m);
-    }
-
-    #[test]
     fn extended_matrix_matches_fresh_construction() {
         let params = PhysicalParams::default();
         let base_layout = SidbLayout::from_sites([(0, 0, 0), (4, 1, 0), (9, 2, 1)]);
@@ -561,8 +529,8 @@ pub(crate) mod tests {
         let cfg = ChargeConfiguration::from_states(vec![
             ChargeState::Negative,
             ChargeState::Neutral,
-            ChargeState::Positive,
+            ChargeState::Negative,
         ]);
-        assert_eq!(cfg.to_string(), "−0+");
+        assert_eq!(cfg.to_string(), "−0−");
     }
 }

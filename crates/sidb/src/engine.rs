@@ -44,8 +44,8 @@
 //! arithmetic, and the per-chunk k-best lists are merged under a total
 //! order (free energy, then charge configuration) — so one thread and
 //! sixteen threads perform the exact same floating-point operations and
-//! keep the exact same states. Branch-and-bound and annealing runs are
-//! serial per partition unit; the executor only distributes independent
+//! keep the exact same states. Branch-and-bound runs are serial per
+//! partition unit; the executor only distributes independent
 //! units (chunks, interaction-graph components, input patterns, domain
 //! grid points) and commits their results in index order.
 //!
@@ -63,19 +63,18 @@ use fcn_budget::exec::{run_ordered, Signal};
 
 use crate::cache::SimCache;
 use crate::charge::{ChargeConfiguration, ChargeState, InteractionMatrix};
-use crate::exgs::{SimulatedState, MAX_EXHAUSTIVE_SITES, MAX_THREE_STATE_SITES};
+use crate::exgs::{SimulatedState, MAX_EXHAUSTIVE_SITES};
 use crate::layout::SidbLayout;
 use crate::model::PhysicalParams;
-use crate::simanneal::AnnealParams;
 use fcn_budget::StepBudget;
 
-/// Which ground-state algorithm a simulation runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Which exact ground-state algorithm a simulation runs. Both return
+/// the same spectrum; they differ only in cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimEngine {
-    /// Exhaustive Gray-code sweep — exact, gate-sized instances only.
+    /// Exhaustive Gray-code sweep — gate-sized instances only; the test
+    /// oracle.
     Exhaustive,
-    /// Simulated annealing with the given parameters.
-    Anneal(AnnealParams),
     /// Branch-and-bound exact search (fast on BDL-structured layouts);
     /// the default.
     QuickExact,
@@ -170,8 +169,8 @@ impl Default for SimParams {
 /// Work counters of one (or several merged) simulation runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Charge configurations visited (sweep steps, branch-and-bound
-    /// nodes, or annealing proposals, by engine).
+    /// Charge configurations visited (sweep steps or branch-and-bound
+    /// nodes, by engine).
     pub visited: u64,
     /// Configurations skipped by physically-informed pruning
     /// (fixed-negative preassignment, potential bounds, viability).
@@ -220,15 +219,12 @@ impl SimResult {
 }
 
 /// Simulates a layout under the given parameters — the single entry
-/// point over every engine. When `physical.three_state` is set, the
-/// exhaustive three-state (negative/neutral/positive) model runs in
-/// place of `engine` (complexity `3^n`).
+/// point over every engine.
 ///
 /// # Panics
 ///
-/// Panics under the engines' legacy preconditions: the exhaustive
-/// engines on more than `MAX_EXHAUSTIVE_SITES` free sites (or
-/// `MAX_THREE_STATE_SITES` sites in the three-state model).
+/// Panics if the exhaustive engine is given more than
+/// `MAX_EXHAUSTIVE_SITES` free sites.
 pub fn simulate_with(layout: &SidbLayout, params: &SimParams) -> SimResult {
     let result = simulate_with_matrix(layout, params, None);
     emit_stats(&result.stats);
@@ -345,9 +341,6 @@ fn simulate_core(
     params: &SimParams,
     matrix: Option<&InteractionMatrix>,
 ) -> SimResult {
-    if params.physical.three_state {
-        return run_three_state(layout, &params.physical, params.k, matrix);
-    }
     match params.engine {
         SimEngine::Exhaustive => {
             run_exhaustive(layout, &params.physical, params.k, &params.budget, matrix)
@@ -359,7 +352,6 @@ fn simulate_core(
             &params.budget,
             matrix,
         ),
-        SimEngine::Anneal(anneal) => run_anneal(layout, &params.physical, &anneal, matrix),
     }
 }
 
@@ -663,7 +655,6 @@ fn toggle(m: &InteractionMatrix, s: &mut SweepState, site: usize) {
     let (new_state, delta) = match s.config.state(site) {
         ChargeState::Neutral => (ChargeState::Negative, -1.0),
         ChargeState::Negative => (ChargeState::Neutral, 1.0),
-        ChargeState::Positive => unreachable!("two-state sweep"),
     };
     s.energy += delta * s.potentials[site];
     s.num_negative = if new_state == ChargeState::Negative {
@@ -698,7 +689,6 @@ fn consider(
         .all(|(state, &v)| match state {
             ChargeState::Negative => v >= mu - EPS,
             ChargeState::Neutral => v <= mu + EPS,
-            ChargeState::Positive => false,
         });
     if !stable || !s.config.is_configuration_stable(m) {
         return;
@@ -754,10 +744,6 @@ pub(crate) fn run_exhaustive(
     budget: &StepBudget,
     matrix: Option<&InteractionMatrix>,
 ) -> SimResult {
-    assert!(
-        !physical.three_state,
-        "exhaustive search implements the two-state model"
-    );
     let n = layout.num_sites();
     if n == 0 || k == 0 {
         return SimResult::default();
@@ -808,108 +794,6 @@ pub(crate) fn run_exhaustive(
         states: all,
         truncated,
         stats,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Three-state exhaustive model.
-
-fn run_three_state(
-    layout: &SidbLayout,
-    physical: &PhysicalParams,
-    k: usize,
-    matrix: Option<&InteractionMatrix>,
-) -> SimResult {
-    let n = layout.num_sites();
-    assert!(
-        n <= MAX_THREE_STATE_SITES,
-        "three-state exhaustive search supports at most {MAX_THREE_STATE_SITES} sites"
-    );
-    if n == 0 || k == 0 {
-        return SimResult::default();
-    }
-    let physical = PhysicalParams {
-        three_state: true,
-        ..*physical
-    };
-    let mut m = InteractionMatrix::new(layout, &physical);
-    // The three-state matrix is rebuilt with transition levels enabled,
-    // so only the external potentials carry over from the caller's
-    // matrix; interactions are recomputed.
-    if let Some(ext) = matrix.and_then(InteractionMatrix::external_slice) {
-        m = m.with_external(ext.to_vec());
-    }
-    let mut best: Vec<SimulatedState> = Vec::new();
-    let mut config = ChargeConfiguration::neutral(n);
-    let mut visited = 0u64;
-    enumerate_three_state(&m, &mut config, 0, k, &mut best, &mut visited);
-    SimResult {
-        states: best,
-        truncated: false,
-        stats: SimStats {
-            visited,
-            ..SimStats::default()
-        },
-    }
-}
-
-fn enumerate_three_state(
-    m: &InteractionMatrix,
-    config: &mut ChargeConfiguration,
-    depth: usize,
-    k: usize,
-    best: &mut Vec<SimulatedState>,
-    visited: &mut u64,
-) {
-    if depth == config.len() {
-        *visited += 1;
-        if config.is_physically_valid(m) {
-            let energy = config.electrostatic_energy(m);
-            let free = config.free_energy(m);
-            insert_state(
-                best,
-                SimulatedState {
-                    config: config.clone(),
-                    electrostatic_energy: energy,
-                    free_energy: free,
-                },
-                k,
-            );
-        }
-        return;
-    }
-    for state in [
-        ChargeState::Negative,
-        ChargeState::Neutral,
-        ChargeState::Positive,
-    ] {
-        config.set_state(depth, state);
-        enumerate_three_state(m, config, depth + 1, k, best, visited);
-    }
-    config.set_state(depth, ChargeState::Neutral);
-}
-
-// ---------------------------------------------------------------------
-// Simulated annealing.
-
-fn run_anneal(
-    layout: &SidbLayout,
-    physical: &PhysicalParams,
-    anneal: &AnnealParams,
-    matrix: Option<&InteractionMatrix>,
-) -> SimResult {
-    let n = layout.num_sites();
-    let states: Vec<SimulatedState> =
-        crate::simanneal::anneal_core(layout, physical, anneal, matrix)
-            .into_iter()
-            .collect();
-    SimResult {
-        truncated: false,
-        stats: SimStats {
-            visited: (anneal.instances.max(1) * anneal.sweeps * n) as u64,
-            ..SimStats::default()
-        },
-        states,
     }
 }
 
@@ -1226,69 +1110,5 @@ mod tests {
             assert!(run.recovered >= 1);
         }
         assert!(plan.hits("sidb.partition") >= 2);
-    }
-
-    #[test]
-    fn three_state_matches_two_state_on_sparse_layouts() {
-        let layout = SidbLayout::from_sites([(0, 0, 0), (4, 0, 0), (8, 1, 0), (2, 3, 1)]);
-        let physical = PhysicalParams::default();
-        let two = simulate_with(
-            &layout,
-            &SimParams::new(physical).with_engine(SimEngine::Exhaustive),
-        );
-        let three = simulate_with(&layout, &SimParams::new(physical.with_three_state()));
-        assert_eq!(
-            two.ground_state().expect("ok").config.states(),
-            three.ground_state().expect("ok").config.states()
-        );
-        assert_eq!(three.stats.visited, 3u64.pow(4));
-    }
-
-    /// The physical three-state flag alone selects the three-state
-    /// model. The spectra are the ones the former `SimParams`-level
-    /// switch produced for the same layouts, free energies to the bit.
-    #[test]
-    fn physical_three_state_flag_reproduces_the_recorded_spectra() {
-        let crowded = SidbLayout::from_sites([
-            (0, 0, 0),
-            (0, 0, 1),
-            (0, 1, 0),
-            (0, 1, 1),
-            (1, 0, 0),
-            (1, 0, 1),
-            (1, 1, 0),
-            (1, 1, 1),
-        ]);
-        let sparse = SidbLayout::from_sites([(0, 0, 0), (4, 0, 0), (8, 1, 0), (2, 3, 1)]);
-        let params = SimParams::new(PhysicalParams::default().with_three_state()).with_k(3);
-        // (visited, [(charges, free-energy bits)]) of an untruncated run.
-        let spectrum = |layout: &SidbLayout| {
-            let result = simulate_with(layout, &params);
-            assert!(!result.truncated);
-            let states: Vec<(Vec<i8>, u64)> = result
-                .states
-                .iter()
-                .map(|s| {
-                    let charges = s.config.states().iter().map(|c| c.charge_number());
-                    (charges.collect(), s.free_energy.to_bits())
-                })
-                .collect();
-            (result.stats.visited, states)
-        };
-        assert_eq!(
-            spectrum(&crowded),
-            (
-                6561,
-                vec![
-                    (vec![-1, 1, -1, 1, 1, -1, 1, -1], 0xc003_8c91_25ec_81df),
-                    (vec![1, -1, 1, -1, -1, 1, -1, 1], 0xc003_8c91_25ec_81de),
-                    (vec![1, -1, -1, 1, -1, 1, 1, -1], 0xc002_7974_94dd_0818),
-                ]
-            )
-        );
-        assert_eq!(
-            spectrum(&sparse),
-            (81, vec![(vec![-1, -1, -1, -1], 0xbfea_fbaf_ec5a_9b38)])
-        );
     }
 }

@@ -5,7 +5,8 @@
 //! incrementally (O(n) per step), and returns the physically valid
 //! configurations of minimal grand-potential free energy. Exact, and
 //! fast enough for gate-sized instances (the Bestagon standard tiles
-//! have ≈ 10–25 SiDBs); circuit-scale layouts use annealing instead.
+//! have ≈ 10–25 SiDBs). Larger layouts use QuickExact's branch and
+//! bound; the exhaustive sweep stays its test oracle.
 //!
 //! The engine itself lives in [`crate::engine`]; callers select it with
 //! [`crate::engine::simulate_with`] and
@@ -27,9 +28,6 @@ pub struct SimulatedState {
 
 /// Practical site-count limit of the exhaustive search.
 pub(crate) const MAX_EXHAUSTIVE_SITES: usize = 30;
-
-/// Practical site-count limit of the three-state search.
-pub(crate) const MAX_THREE_STATE_SITES: usize = 16;
 
 #[cfg(test)]
 mod tests {
@@ -60,10 +58,7 @@ mod tests {
         bounded(layout, params, k, &StepBudget::unbounded()).states
     }
 
-    pub(super) fn ground_state(
-        layout: &SidbLayout,
-        params: &PhysicalParams,
-    ) -> Option<ChargeConfiguration> {
+    fn ground_state(layout: &SidbLayout, params: &PhysicalParams) -> Option<ChargeConfiguration> {
         low_energy(layout, params, 1).pop().map(|s| s.config)
     }
 
@@ -219,70 +214,5 @@ mod tests {
             },
         );
         assert!(bounded.truncated);
-    }
-}
-
-#[cfg(test)]
-mod three_state_tests {
-    use super::tests::ground_state as exhaustive_ground_state;
-    use super::*;
-    use crate::charge::{ChargeState, InteractionMatrix};
-    use crate::engine::{simulate_with, SimParams};
-    use crate::layout::SidbLayout;
-    use crate::model::PhysicalParams;
-
-    fn three_state_ground_state(
-        layout: &SidbLayout,
-        params: &PhysicalParams,
-    ) -> Option<ChargeConfiguration> {
-        simulate_with(layout, &SimParams::new(params.with_three_state()))
-            .states
-            .pop()
-            .map(|s| s.config)
-    }
-
-    #[test]
-    fn isolated_dot_is_negative_in_three_state_model() {
-        let layout = SidbLayout::from_sites([(0, 0, 0)]);
-        let gs = three_state_ground_state(&layout, &PhysicalParams::default()).expect("non-empty");
-        assert_eq!(gs.state(0), ChargeState::Negative);
-    }
-
-    #[test]
-    fn sparse_layouts_match_the_two_state_model() {
-        let layout = SidbLayout::from_sites([(0, 0, 0), (4, 0, 0), (8, 1, 0), (2, 3, 1)]);
-        let params = PhysicalParams::default();
-        let two = exhaustive_ground_state(&layout, &params).expect("ok");
-        let three = three_state_ground_state(&layout, &params).expect("ok");
-        assert_eq!(two.states(), three.states());
-    }
-
-    #[test]
-    fn extreme_crowding_can_populate_positive_states() {
-        // A dense 3×3 block of dots at minimal pitch: the three-state
-        // search must at least run and produce a valid configuration; if
-        // any positive state appears, the two-state model would have been
-        // inadequate here.
-        let mut layout = SidbLayout::new();
-        for x in 0..3 {
-            for y in 0..3 {
-                layout.add_site((x, y, 0));
-                layout.add_site((x, y, 1));
-            }
-        }
-        // 18 sites exceeds the bound; trim to a 2×2 block of dimer pairs.
-        let layout =
-            SidbLayout::from_sites(layout.sites().iter().copied().take(8).collect::<Vec<_>>());
-        let params = PhysicalParams::default().with_three_state();
-        let m = InteractionMatrix::new(&layout, &params);
-        let gs = three_state_ground_state(&layout, &params).expect("ok");
-        assert!(gs.is_physically_valid(&m));
-    }
-
-    #[test]
-    #[should_panic(expected = "at most")]
-    fn too_many_sites_panics() {
-        let layout = SidbLayout::from_sites((0..20).map(|i| (i, 0, 0)));
-        let _ = three_state_ground_state(&layout, &PhysicalParams::default());
     }
 }

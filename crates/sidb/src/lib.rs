@@ -1,8 +1,10 @@
 //! `sidb-sim` — physical simulation of silicon dangling bond (SiDB) logic.
 //!
-//! Re-implements the physics engine the paper relies on (SiQAD's
-//! *SimAnneal* ground-state finder and the associated stability model of
-//! Ng et al., TNANO 2020) from scratch:
+//! Re-implements the physics the paper relies on (the two-state
+//! {−, 0} SiDB charge model and the stability model of Ng et al.,
+//! TNANO 2020) from scratch. Where the paper checked its tiles with
+//! SiQAD's *SimAnneal* heuristic, every verdict here comes from an exact
+//! ground-state search:
 //!
 //! * [`layout`] — dot-accurate SiDB layouts on the H-Si(100)-2×1 surface,
 //! * [`model`] — the screened-Coulomb (Thomas–Fermi) electrostatic model
@@ -23,8 +25,6 @@
 //!   instances),
 //! * `quickexact` — a branch-and-bound exact engine with
 //!   physically-informed pruning,
-//! * [`simanneal`] — a SimAnneal-style simulated-annealing ground-state
-//!   finder for circuit-scale instances,
 //! * [`bdl`] — binary-dot logic: I/O pairs, input perturbers (the paper's
 //!   near/far refinement of Huff et al.'s encoding), and logic read-out,
 //! * [`operational`] — truth-table validation of gate designs,
@@ -61,7 +61,6 @@ pub mod model;
 pub mod opdomain;
 pub mod operational;
 pub(crate) mod quickexact;
-pub mod simanneal;
 pub mod stability;
 
 pub use cache::SimCache;

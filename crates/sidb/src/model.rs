@@ -8,18 +8,16 @@
 //! ```
 //!
 //! A site's charge state is governed by its *local potential* `V_i =
-//! Σ_j v_ij·n_j` relative to the charge-transition levels `μ−` (0/−) and
-//! `μ+` (+/0). The defaults reproduce the simulation setups of the paper's
+//! Σ_j v_ij·n_j` relative to the `(0/−)` charge-transition level `μ−`.
+//! The model has two states per site, negative and neutral: the positive
+//! state needs a local potential below `μ+ = μ− − 0.59 eV`, which no
+//! site of any Bestagon tile's ground state reaches.
+//! The defaults reproduce the simulation setups of the paper's
 //! Figure 5 (`μ− = −0.32 eV`, `ε_r = 5.6`, `λ_TF = 5 nm`); Figure 1c uses
 //! `μ− = −0.28 eV` via [`PhysicalParams::with_mu_minus`].
 
 /// Coulomb constant times elementary charge squared, in eV·Å.
 pub(crate) const COULOMB_EV_ANGSTROM: f64 = 14.399645;
-
-/// Separation of the `(+/0)` and `(0/−)` charge-transition levels
-/// (intra-dot Coulomb repulsion), in eV. Only relevant in three-state
-/// simulations.
-pub(crate) const TRANSITION_LEVEL_SEPARATION_EV: f64 = 0.59;
 
 /// Physical parameters of an SiDB simulation.
 ///
@@ -41,10 +39,6 @@ pub struct PhysicalParams {
     pub epsilon_r: f64,
     /// Thomas–Fermi screening length, nm.
     pub lambda_tf_nm: f64,
-    /// Whether positive charge states are modelled. The paper's
-    /// configurations never populate them, so the default is the faster
-    /// two-state model.
-    pub(crate) three_state: bool,
     /// Interactions below this energy (eV) are treated as zero. `0.0`
     /// keeps the full screened-Coulomb model; a small cutoff (1–2 meV)
     /// decomposes far-apart sub-structures into independent clusters,
@@ -55,13 +49,12 @@ pub struct PhysicalParams {
 
 impl Default for PhysicalParams {
     /// The paper's Figure 5 setup: `μ− = −0.32 eV`, `ε_r = 5.6`,
-    /// `λ_TF = 5 nm`, two-state.
+    /// `λ_TF = 5 nm`.
     fn default() -> Self {
         PhysicalParams {
             mu_minus: -0.32,
             epsilon_r: 5.6,
             lambda_tf_nm: 5.0,
-            three_state: false,
             interaction_cutoff_ev: 0.0,
         }
     }
@@ -74,23 +67,10 @@ impl PhysicalParams {
         self
     }
 
-    /// Returns a copy with the three-state model enabled.
-    // The paper's {−,0,+} charge model; the tests that switch it on are its only callers.
-    #[allow(dead_code)]
-    pub(crate) fn with_three_state(mut self) -> Self {
-        self.three_state = true;
-        self
-    }
-
     /// Returns a copy with an interaction cutoff (eV).
     pub fn with_cutoff(mut self, cutoff_ev: f64) -> Self {
         self.interaction_cutoff_ev = cutoff_ev;
         self
-    }
-
-    /// The `(+/0)` transition level, eV.
-    pub(crate) fn mu_plus(&self) -> f64 {
-        self.mu_minus - TRANSITION_LEVEL_SEPARATION_EV
     }
 
     /// The screened Coulomb interaction energy of two elementary charges
@@ -138,12 +118,6 @@ mod tests {
         // far above |μ−|, which is why a BDL pair holds only one electron.
         let p = PhysicalParams::default();
         assert!(p.interaction_ev(2.25) > 1.0);
-    }
-
-    #[test]
-    fn mu_plus_sits_below_mu_minus() {
-        let p = PhysicalParams::default();
-        assert!(p.mu_plus() < p.mu_minus);
     }
 
     #[test]

@@ -393,7 +393,6 @@ mod tests {
     use crate::cache::SimCache;
     use crate::engine::SimEngine;
     use crate::model::PhysicalParams;
-    use crate::simanneal::AnnealParams;
     use fcn_budget::exec::with_width;
 
     /// A three-pair BDL wire in the validated geometry: vertical pairs
@@ -457,7 +456,7 @@ mod tests {
             );
             let b = d.evaluate_pattern_with(
                 pattern,
-                &SimParams::new(params).with_engine(SimEngine::Anneal(AnnealParams::default())),
+                &SimParams::new(params).with_engine(SimEngine::QuickExact),
             );
             assert!(a.evaluated && b.evaluated);
             assert_eq!(a.outputs, b.outputs, "pattern {pattern}");

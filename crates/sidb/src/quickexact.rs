@@ -114,10 +114,6 @@ pub(crate) fn low_energy_core(
     budget: &StepBudget,
     matrix: Option<&InteractionMatrix>,
 ) -> SimResult {
-    assert!(
-        !params.three_state,
-        "quick-exact implements the two-state model"
-    );
     let n = layout.num_sites();
     if n == 0 || k == 0 {
         return SimResult::default();
@@ -752,7 +748,6 @@ fn greedy_descent(m: &InteractionMatrix, params: &PhysicalParams, n: usize) -> C
             let delta = match config.state(i) {
                 ChargeState::Neutral => mu - potentials[i],
                 ChargeState::Negative => potentials[i] - mu,
-                ChargeState::Positive => unreachable!("two-state descent"),
             };
             if delta < -EPS {
                 let dn = if config.state(i) == ChargeState::Neutral {

@@ -28,21 +28,12 @@ pub struct PatternStability {
 /// For each input pattern, the `k_states` lowest valid configurations
 /// are enumerated; the first whose output read-out differs from the
 /// ground state's defines the gap.
-///
-/// # Panics
-///
-/// Panics if `engine` is [`SimEngine::Anneal`]-based — gap analysis needs
-/// the exact k-best spectrum.
 pub fn logic_stability(
     design: &GateDesign,
     params: &PhysicalParams,
     k_states: usize,
     engine: SimEngine,
 ) -> Vec<PatternStability> {
-    assert!(
-        matches!(engine, SimEngine::QuickExact | SimEngine::Exhaustive),
-        "gap analysis requires an exact engine"
-    );
     let sim = SimParams::new(*params).with_engine(engine).with_k(k_states);
     (0..design.num_patterns())
         .map(|pattern| {

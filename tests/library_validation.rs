@@ -147,27 +147,6 @@ fn validated_gates_have_resolvable_stability_gaps() {
     }
 }
 
-#[test]
-fn operational_gates_agree_with_their_truth_tables_under_annealing() {
-    // The paper validated with SimAnneal; our annealer must agree with
-    // the exact engine on the validated set.
-    use sidb_sim::simanneal::AnnealParams;
-    let sim =
-        SimParams::new(PhysicalParams::default()).with_engine(SimEngine::Anneal(AnnealParams {
-            instances: 30,
-            ..Default::default()
-        }));
-    for design in [wire_nw_sw(), inverter_nw_sw()] {
-        let report = design.check_operational_with(&sim);
-        assert!(
-            report.is_operational(),
-            "{}: {:?}",
-            design.name,
-            report.status
-        );
-    }
-}
-
 /// A library entry's key: function, input ports, output ports.
 type TileKey = (GateKind, Vec<HexDirection>, Vec<HexDirection>);
 

@@ -1,11 +1,10 @@
-//! Property-based tests on the physical-simulation substrate: the three
-//! ground-state engines must agree, and validity must be invariant under
-//! the symmetries of the lattice.
+//! Property-based tests on the physical-simulation substrate: the two
+//! exact ground-state engines must agree, and validity must be invariant
+//! under the symmetries of the lattice.
 
 use proptest::prelude::*;
 use sidb_sim::charge::InteractionMatrix;
 use sidb_sim::layout::SidbLayout;
-use sidb_sim::simanneal::AnnealParams;
 use sidb_sim::{simulate_with, PhysicalParams, SimEngine, SimParams};
 
 fn arb_layout(max_sites: usize) -> impl Strategy<Value = SidbLayout> {
@@ -38,22 +37,6 @@ proptest! {
             prop_assert_eq!(&a.config, &b.config);
         }
         prop_assert!(slow.stats.visited > 0);
-    }
-
-    /// The annealer always terminates in a physically valid state whose
-    /// free energy is no better than the exact ground state.
-    #[test]
-    fn annealer_is_valid_and_bounded(layout in arb_layout(10)) {
-        let params = PhysicalParams::default();
-        let exact = low_energy(&layout, SimEngine::QuickExact, 1);
-        let anneal = AnnealParams { instances: 6, sweeps: 120, ..Default::default() };
-        let annealed = low_energy(&layout, SimEngine::Anneal(anneal), 1)
-            .states
-            .pop()
-            .expect("non-empty layout");
-        let m = InteractionMatrix::new(&layout, &params);
-        prop_assert!(annealed.config.is_physically_valid(&m));
-        prop_assert!(annealed.free_energy >= exact.states[0].free_energy - 1e-9);
     }
 
     /// Translating a layout changes nothing about its energy spectrum.
